@@ -34,19 +34,13 @@ from .hierarchy import (
 from .matseries import MatSeries
 from .qop import (
     QDOp,
-    op_adjoint,
-    op_apply,
-    op_compose,
     pairing_lhs,
     pairing_oracle,
     pairing_rhs,
     q_commutator,
-    res_dq,
-    residue_pairing,
-    shift_x_over_q,
 )
 from .scalars import frac, frac_str
-from .series import XSeries, series_mul
+from .series import XSeries
 from .timepoly import TimePoly
 from .tau import (
     TauSpec,
@@ -58,7 +52,7 @@ from .tau import (
     verify_expqo,
     verify_tau_theorem,
 )
-from .zseries import MZSeries, z_invert, z_mul, z_project, z_residue
+from .zseries import MZSeries
 
 __all__ = [
     "ClassicalCalc", "QCalc", "dilate", "exp_q_series", "exp_series",
@@ -67,13 +61,12 @@ __all__ = [
     "Resolvent", "ResonanceError", "b_split", "resolvent_from_dressing",
     "solve_dressing", "solve_resolvent_direct", "u_flow", "verify_resolvent",
     "verify_zero_curvature",
-    "MatSeries", "QDOp", "op_adjoint", "op_apply", "op_compose",
-    "pairing_lhs", "pairing_oracle", "pairing_rhs", "q_commutator", "res_dq",
-    "residue_pairing", "shift_x_over_q",
-    "frac", "frac_str", "XSeries", "series_mul", "TimePoly",
+    "MatSeries", "QDOp", "pairing_lhs", "pairing_oracle", "pairing_rhs",
+    "q_commutator",
+    "frac", "frac_str", "XSeries", "TimePoly",
     "TauSpec", "TimeContext", "baker_from_tau", "classical_limit_check",
     "miwa_shift", "q_shift_times", "verify_expqo", "verify_tau_theorem",
-    "MZSeries", "z_invert", "z_mul", "z_project", "z_residue",
+    "MZSeries",
 ]
 
 __version__ = "0.1.0"

@@ -26,18 +26,34 @@ def dilate(f: XSeries, c) -> XSeries:
     return XSeries(out, f.valid)
 
 
-def q_derive(f: XSeries, q) -> XSeries:
-    """q-difference quotient (f(qx) - f(x)) / (x(q-1)), one order of loss.
-
-    Computed by the coefficient rule: degree k of the result is
-    [k+1] * (degree k+1 of f). On an exact polynomial nothing is lost.
-    """
-    q = frac(q)
+def _derive(f: XSeries, ints) -> XSeries:
+    """Degree k of the result is ints(k+1) * f_(k+1); one order of loss."""
     n = f.order
-    out = [q_int(k + 1, q) * f.coeffs[k + 1] for k in range(n)]
+    out = [ints(k + 1) * f.coeffs[k + 1] for k in range(n)]
     out.append(ZERO)
     valid = f.valid if f.is_exact else f.valid - 1
     return XSeries(out, valid)
+
+
+def _antiderive(g: XSeries, ints) -> XSeries:
+    """Right inverse of `_derive` with zero constant term."""
+    n = g.order
+    out = [ZERO] * (n + 1)
+    for k in range(n):
+        out[k + 1] = g.coeffs[k] / ints(k + 1)
+    if g.is_exact:
+        d = g.degree()
+        # the antiderivative of x**n overflows the stored window
+        valid = n + 1 if (d is None or d + 1 <= n) else n
+    else:
+        valid = g.valid + 1
+    return XSeries(out, valid)
+
+
+def q_derive(f: XSeries, q) -> XSeries:
+    """q-difference quotient (f(qx) - f(x)) / (x(q-1)), as [k] * f_k."""
+    q = frac(q)
+    return _derive(f, lambda k: q_int(k, q))
 
 
 def q_derive_by_quotient(f: XSeries, q) -> XSeries:
@@ -50,40 +66,17 @@ def q_derive_by_quotient(f: XSeries, q) -> XSeries:
 def q_antiderive(g: XSeries, q) -> XSeries:
     """Right inverse of the q-derivative with zero constant term."""
     q = frac(q)
-    n = g.order
-    out = [ZERO] * (n + 1)
-    for k in range(n):
-        out[k + 1] = g.coeffs[k] / q_int(k + 1, q)
-    if g.is_exact:
-        d = g.degree()
-        # the antiderivative of x**n overflows the stored window
-        valid = n + 1 if (d is None or d + 1 <= n) else n
-    else:
-        valid = g.valid + 1
-    return XSeries(out, valid)
+    return _antiderive(g, lambda k: q_int(k, q))
 
 
 def x_derive(f: XSeries) -> XSeries:
-    """Classical d/dx by the coefficient rule."""
-    n = f.order
-    out = [(k + 1) * f.coeffs[k + 1] for k in range(n)]
-    out.append(ZERO)
-    valid = f.valid if f.is_exact else f.valid - 1
-    return XSeries(out, valid)
+    """Classical d/dx: the q-derivative's rule with k in place of [k]."""
+    return _derive(f, lambda k: k)
 
 
 def x_antiderive(g: XSeries) -> XSeries:
     """Classical integration with zero constant."""
-    n = g.order
-    out = [ZERO] * (n + 1)
-    for k in range(n):
-        out[k + 1] = g.coeffs[k] / (k + 1)
-    if g.is_exact:
-        d = g.degree()
-        valid = n + 1 if (d is None or d + 1 <= n) else n
-    else:
-        valid = g.valid + 1
-    return XSeries(out, valid)
+    return _antiderive(g, lambda k: k)
 
 
 def exp_q_series(c, q, order: int) -> XSeries:

@@ -68,11 +68,10 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, args.inject_corruption)
         if args.check:
             cfg = type(cfg)(**{**cfg.__dict__, "checks": tuple(args.check)})
+        report = run_suite(cfg, VERB_PREFIXES.get(args.verb))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    prefixes = VERB_PREFIXES.get(args.verb)
-    report = run_suite(cfg, prefixes)
     print(emit_report(report, args.format))
     return 0 if report.ok else 1
 

@@ -166,6 +166,16 @@ def _parse_monomials(raw, arity: int):
     return tuple(out)
 
 
+def _count(value, label: str, nullable: bool = False):
+    """A nonnegative integer field (or null, when the field allows it)."""
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        allowed = "null or an integer >= 0" if nullable else "an integer >= 0"
+        raise ConfigError(f"{label} must be {allowed}, got {value!r}")
+    return value
+
+
 def _parse_flow(pair, n: int):
     k, channel = int(pair[0]), int(pair[1])
     if not 1 <= channel <= n:
@@ -181,10 +191,10 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
         q = frac(data["q"])
         a = tuple(frac(v) for v in data["a"])
         tr = data.get("truncations", {})
-        n_x = int(tr.get("x", 8))
-        n_z = int(tr.get("z", 6))
-        n_band = int(tr.get("band", 4))
-        n_t = int(tr.get("t", 4))
+        n_x, n_z, n_band, n_t = (
+            _count(tr.get(key, default), f"truncations.{key}")
+            for key, default in (("x", 8), ("z", 6), ("band", 4), ("t", 4))
+        )
         u = _parse_u(data["u"], n, n_x, "u")
         bilinear_u = None
         if data.get("bilinear_u") is not None:
@@ -207,11 +217,15 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
         cfg = RunConfig(
             n=n, q=q, a=a, u=u, bilinear_u=bilinear_u,
             n_x=n_x, n_z=n_z, n_band=n_band, n_t=n_t,
-            dressing_depth=data.get("dressing_depth"),
-            resolvent_depth=data.get("resolvent_depth"),
+            dressing_depth=_count(
+                data.get("dressing_depth"), "dressing_depth", nullable=True
+            ),
+            resolvent_depth=_count(
+                data.get("resolvent_depth"), "resolvent_depth", nullable=True
+            ),
             flows=flows,
-            lambda_max=int(data.get("lambda_max", 2)),
-            l_max=int(data.get("l_max", 4)),
+            lambda_max=_count(data.get("lambda_max", 2), "lambda_max"),
+            l_max=_count(data.get("l_max", 4), "l_max"),
             tau=tau,
             q_sequence=tuple(frac(v) for v in data.get("q_sequence", [])),
             checks=None if data.get("checks") is None

@@ -445,13 +445,12 @@ def expand_in_basis(
 
 
 class HierarchySession:
-    """Solved-artifact cache for one Lax datum; safe for concurrent reads."""
+    """Resolvent cache for one Lax datum; safe for concurrent reads."""
 
     def __init__(self, lax: LaxData):
         self.lax = lax
         self._lock = threading.Lock()
         self._resolvents: dict[tuple[int, int, str], Resolvent] = {}
-        self._dressings: dict[int, Dressing] = {}
 
     def resolvent(
         self, alpha: int, depth: int, normalization: str = "orthogonal"
@@ -464,16 +463,6 @@ class HierarchySession:
         solved = solve_resolvent_direct(self.lax, alpha, depth, normalization)
         with self._lock:
             self._resolvents.setdefault(key, solved)
-        return solved
-
-    def dressing(self, depth: int) -> Dressing:
-        with self._lock:
-            got = self._dressings.get(depth)
-        if got is not None:
-            return got
-        solved = solve_dressing(self.lax, depth)
-        with self._lock:
-            self._dressings.setdefault(depth, solved)
         return solved
 
     def family(self, depth: int, normalization: str = "orthogonal"):

@@ -25,16 +25,13 @@ computed on two routes:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .calculus import dilate, q_derive
 from .matseries import MatSeries
 from .scalars import frac, q_factorial
 from .series import XSeries
-from .zseries import MZSeries, NEG_INF
-
-POS_INF = math.inf
+from .zseries import MZSeries, NEG_INF, product_floor
 
 
 class BandError(ValueError):
@@ -86,9 +83,7 @@ class QDOp:
         return min(self.coeffs), max(self.coeffs)
 
     def top(self) -> int | float:
-        if self.coeffs:
-            return max(self.coeffs)
-        return self.pvalid if self.pvalid != NEG_INF else NEG_INF
+        return max(self.coeffs) if self.coeffs else self.pvalid
 
     def coeff(self, p: int) -> MZSeries:
         got = self.coeffs.get(p)
@@ -202,19 +197,9 @@ class QDOp:
                     term = p * coefmat
                     cur = out.get(power)
                     out[power] = term if cur is None else cur + term
-        pv = NEG_INF
+        pv = product_floor(self.pvalid, self.top(), other.pvalid, other.top())
         if truncated:
-            pv = floor
-        if self.pvalid != NEG_INF:
-            t = other.top()
-            if t != NEG_INF:
-                pv = max(pv, self.pvalid + t)
-            if other.pvalid != NEG_INF:
-                pv = max(pv, self.pvalid + other.pvalid)
-        if other.pvalid != NEG_INF:
-            t = self.top()
-            if t != NEG_INF:
-                pv = max(pv, other.pvalid + t)
+            pv = max(pv, floor)
         return QDOp(self.n, out, self.dparam, pv)
 
     def apply(self, f: MZSeries) -> MZSeries:
@@ -276,35 +261,6 @@ class QDOp:
             return "QDOp(0)"
         parts = [f"[{m!r}]*D^{p}" for p, m in sorted(self.coeffs.items())]
         return " + ".join(parts) + f" @c={self.dparam}"
-
-
-def op_compose(p: QDOp, r: QDOp, floor: int | None = None) -> QDOp:
-    return p.compose(r, floor)
-
-
-def op_apply(p: QDOp, f: MZSeries) -> MZSeries:
-    return p.apply(f)
-
-
-def op_adjoint(p: QDOp, floor: int | None = None) -> QDOp:
-    return p.adjoint(floor)
-
-
-def res_dq(p: QDOp) -> MZSeries:
-    return p.res_d()
-
-
-def shift_x_over_q(p: QDOp) -> QDOp:
-    return p.shift_x_over_q()
-
-
-def residue_pairing(p: QDOp, q_op: QDOp, a_values) -> tuple[MatSeries, MatSeries]:
-    """Both sides of the residue pairing: (z-series lhs, operator rhs).
-
-    The suite certifies their exact agreement under the documented
-    convention; see the module docstring for the convention itself.
-    """
-    return pairing_lhs(p, q_op, a_values), pairing_rhs(p, q_op, a_values)
 
 
 def q_commutator(a, b, floor: int | None = None) -> QDOp:

@@ -69,12 +69,3 @@ def q_factorial(k: int, q: Fraction) -> Fraction:
         out *= q_int(s, q)
     return out
 
-
-def q_pochhammer(a: Fraction, q: Fraction, k: int) -> Fraction:
-    """(a; q)_k = (1-a)(1-aq)...(1-aq**(k-1)), with (a; q)_0 = 1."""
-    out = ONE
-    p = frac(a)
-    for _ in range(k):
-        out *= 1 - p
-        p *= q
-    return out

@@ -205,7 +205,3 @@ class XSeries:
         mark = "" if self.is_exact else f" (+O(x^{min(self.valid, self.order) + 1}))"
         return f"<{body}{mark}>"
 
-
-def series_mul(a: XSeries, b: XSeries) -> XSeries:
-    """Cauchy product truncated at the shared order."""
-    return a * b

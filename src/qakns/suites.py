@@ -17,7 +17,7 @@ from . import hierarchy as hy
 from . import qop
 from . import tau as tau_mod
 from .calculus import dilate, exp_q_series, exp_series, q_derive
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .matseries import MatSeries
 from .report import CheckResult, Report, config_hash, describe_witness
 from .scalars import frac, q_int
@@ -230,7 +230,7 @@ def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
     if not (lhs - expected).is_zero() or not (oracle - lhs).is_zero():
         ok, witness = False, (lhs - expected).first_nonzero()
     # identities pair to zero
-    ident = qop.QDOp.basis_power(2, 0, q, one)
+    ident = qop.QDOp.basis_power(cfg.n, 0, q, one)
     lhs0 = qop.pairing_lhs(ident, ident, cfg.a)
     rhs0 = qop.pairing_rhs(ident, ident, cfg.a)
     if not lhs0.is_zero() or not rhs0.is_zero():
@@ -291,19 +291,20 @@ def _report_from_residual(name, params, rep: hy.ResidualReport) -> CheckResult:
     return _result(name, params, rep.ok, rep.first_failure, degrees)
 
 
-def check_qr_residual(ctx: SuiteContext) -> CheckResult:
-    cfg = ctx.cfg
+def _qr_residual(name, params, session: hy.HierarchySession, depth: int):
     ok, witness = True, None
-    depth = cfg.required_resolvent_depth()
-    for alpha in range(cfg.n):
-        r = ctx.session.resolvent(alpha, depth)
-        rep = hy.verify_resolvent(ctx.lax, r)
+    for alpha in range(session.lax.n):
+        rep = hy.verify_resolvent(session.lax, session.resolvent(alpha, depth))
         if not rep.ok:
             ok, witness = False, (alpha, rep.first_failure)
-    return _result(
-        "hierarchy.qr_residual",
-        {"depth": depth, "q": str(cfg.q)},
-        ok, witness, {"z": depth - 1},
+    return _result(name, params, ok, witness, {"z": depth - 1})
+
+
+def check_qr_residual(ctx: SuiteContext) -> CheckResult:
+    depth = ctx.cfg.required_resolvent_depth()
+    return _qr_residual(
+        "hierarchy.qr_residual", {"depth": depth, "q": str(ctx.cfg.q)},
+        ctx.session, depth,
     )
 
 
@@ -451,19 +452,22 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
     )
 
 
-def check_route_agreement(ctx: SuiteContext) -> CheckResult:
-    lax = ctx.bilinear_lax
-    session = hy.HierarchySession(lax)
-    depth = min(ctx.dressing.depth, ctx.cfg.required_resolvent_depth())
+def _route_agreement(name, dressing: hy.Dressing, depth: int):
+    """Conjugated dressing against the direct resolvent solve, per channel."""
+    session = hy.HierarchySession(dressing.lax)
     ok, witness = True, None
-    for alpha in range(lax.n):
-        conj = hy.resolvent_from_dressing(ctx.dressing, alpha)
+    for alpha in range(dressing.lax.n):
+        conj = hy.resolvent_from_dressing(dressing, alpha)
         direct = session.resolvent(alpha, depth)
         diff = conj.mz().truncate_below(-depth) - direct.mz()
         if not diff.is_zero():
             ok, witness = False, (alpha, diff.first_nonzero())
-    return _result("dressing.route_agreement", {"depth": depth}, ok, witness,
-                   {"z": depth})
+    return _result(name, {"depth": depth}, ok, witness, {"z": depth})
+
+
+def check_route_agreement(ctx: SuiteContext) -> CheckResult:
+    depth = min(ctx.dressing.depth, ctx.cfg.required_resolvent_depth())
+    return _route_agreement("dressing.route_agreement", ctx.dressing, depth)
 
 
 def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
@@ -472,23 +476,18 @@ def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
     return ctx.dressing
 
 
+def _bilinear_residues(name, params, ctx: SuiteContext, dressing: hy.Dressing):
+    records = bl.check_q_bilinear(dressing, ctx.cfg.l_max, ctx.lambdas())
+    bad = [r for r in records if not r.ok]
+    witness = (bad[0].label(), bad[0].first_failure) if bad else None
+    params = {**params, "l_max": ctx.cfg.l_max, "records": len(records)}
+    return _result(name, params, not bad, witness, {"z": dressing.depth - 1})
+
+
 def check_qb1(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    dressing = _maybe_corrupt(ctx)
-    records = bl.check_q_bilinear(dressing, cfg.l_max, ctx.lambdas())
-    bad = [r for r in records if not r.ok]
-    ok = not bad
-    witness = None if ok else (bad[0].label(), bad[0].first_failure)
-    return _result(
-        "bilinear.qb1",
-        {
-            "l_max": cfg.l_max,
-            "lambda_max": cfg.lambda_max,
-            "records": len(records),
-            "corrupted": cfg.inject_corruption,
-        },
-        ok, witness, {"z": dressing.depth - 1},
-    )
+    params = {"lambda_max": cfg.lambda_max, "corrupted": cfg.inject_corruption}
+    return _bilinear_residues("bilinear.qb1", params, ctx, _maybe_corrupt(ctx))
 
 
 def check_reconstruct(ctx: SuiteContext) -> CheckResult:
@@ -685,49 +684,23 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
 
 
 def check_classical_qr(ctx: SuiteContext) -> CheckResult:
-    cfg = ctx.cfg
-    lax = ctx.cfg.lax(classical=True)
-    depth = cfg.required_resolvent_depth()
-    ok, witness = True, None
-    for alpha in range(cfg.n):
-        r = hy.solve_resolvent_direct(lax, alpha, depth)
-        rep = hy.verify_resolvent(lax, r)
-        if not rep.ok:
-            ok, witness = False, (alpha, rep.first_failure)
-    return _result("classical.qr_residual", {"depth": depth}, ok, witness,
-                   {"z": depth - 1})
+    depth = ctx.cfg.required_resolvent_depth()
+    session = hy.HierarchySession(ctx.cfg.lax(classical=True))
+    return _qr_residual("classical.qr_residual", {"depth": depth}, session, depth)
 
 
 def check_classical_prop1(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    lax = cfg.bilinear_lax(classical=True)
-    depth = cfg.required_dressing_depth()
-    dressing = hy.solve_dressing(lax, depth)
-    records = bl.check_q_bilinear(dressing, cfg.l_max, ctx.lambdas())
-    bad = [r for r in records if not r.ok]
-    ok = not bad
-    witness = None if ok else (bad[0].label(), bad[0].first_failure)
-    return _result(
-        "classical.bilinear",
-        {"l_max": cfg.l_max, "records": len(records)},
-        ok, witness, {"z": depth - 1},
+    dressing = hy.solve_dressing(
+        cfg.bilinear_lax(classical=True), cfg.required_dressing_depth()
     )
+    return _bilinear_residues("classical.bilinear", {}, ctx, dressing)
 
 
 def check_classical_routes(ctx: SuiteContext) -> CheckResult:
-    cfg = ctx.cfg
-    lax = cfg.lax(classical=True)
-    depth = min(cfg.required_resolvent_depth(), 5)
-    dressing = hy.solve_dressing(lax, depth)
-    ok, witness = True, None
-    for alpha in range(cfg.n):
-        conj = hy.resolvent_from_dressing(dressing, alpha)
-        direct = hy.solve_resolvent_direct(lax, alpha, depth)
-        diff = conj.mz().truncate_below(-depth) - direct.mz()
-        if not diff.is_zero():
-            ok, witness = False, (alpha, diff.first_nonzero())
-    return _result("classical.route_agreement", {"depth": depth}, ok, witness,
-                   {"z": depth})
+    depth = min(ctx.cfg.required_resolvent_depth(), 5)
+    dressing = hy.solve_dressing(ctx.cfg.lax(classical=True), depth)
+    return _route_agreement("classical.route_agreement", dressing, depth)
 
 
 CHECKS = [
@@ -765,13 +738,26 @@ CHECKS = [
 
 
 def select_checks(cfg: RunConfig, prefixes=None):
-    names = []
-    for name, _ in CHECKS:
-        if cfg.checks is not None and name not in cfg.checks:
-            continue
-        if prefixes and not any(name.startswith(p) for p in prefixes):
-            continue
-        names.append(name)
+    """Names of the selected checks, in run order.
+
+    Raises ConfigError for unknown names and for a non-empty selection
+    that the prefixes reduce to nothing: neither may pass vacuously.
+    """
+    known = [name for name, _ in CHECKS]
+    chosen = known if cfg.checks is None else cfg.checks
+    unknown = [name for name in chosen if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown check names: {', '.join(unknown)}")
+    names = [
+        name for name in known
+        if name in chosen
+        and (not prefixes or any(name.startswith(p) for p in prefixes))
+    ]
+    if chosen and not names:
+        raise ConfigError(
+            f"checks {', '.join(chosen)} are outside this command's scope "
+            f"({', '.join(prefixes)})"
+        )
     return names
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .calculus import QCalc, dilate, q_derive
+from .calculus import dilate, q_derive
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
@@ -293,42 +293,22 @@ def _zexp_diag(gens: dict[int, list[XSeries]], n: int, depth: int,
                proto: TimePoly) -> MZSeries:
     """exp of sum_k z**k diag(gens[k]) as a diagonal z-power series.
 
-    Generators are x-series constants in t; the exponential terminates in
-    the z-grading at the given depth.
+    Generators are x-series constants in t; each channel is the scalar
+    exponential `_zexp_poly` of its own generators.
     """
-    one = proto.one_like()
-    acc = {0: [one for _ in range(n)]}
-    term = {0: [one for _ in range(n)]}
-    for m in range(1, depth + 1):
-        nxt: dict[int, list] = {}
-        for d, diags in term.items():
-            for k, gvals in gens.items():
-                nd = d + k
-                if nd > depth:
-                    continue
-                add = [
-                    diags[i].scale_series(gvals[i]).scale(Fraction(1, m))
-                    for i in range(n)
-                ]
-                cur = nxt.get(nd)
-                if cur is None:
-                    nxt[nd] = add
-                else:
-                    nxt[nd] = [c + a for c, a in zip(cur, add)]
-        term = nxt
-        for d, diags in term.items():
-            cur = acc.get(d)
-            if cur is None:
-                acc[d] = list(diags)
-            else:
-                acc[d] = [c + a for c, a in zip(cur, diags)]
-    terms = {}
-    zero = proto.zero_like()
-    for d, diags in acc.items():
-        rows = [
-            [diags[i] if i == j else zero for j in range(n)] for i in range(n)
-        ]
-        terms[d] = MatSeries(rows)
+    one, zero = proto.one_like(), proto.zero_like()
+    channels = [
+        _zexp_poly(
+            {k: one.scale_series(g[i]) for k, g in gens.items()} or {1: zero},
+            depth,
+        )
+        for i in range(n)
+    ]
+    terms = {
+        d: MatSeries([[channels[i][d] if i == j else zero for j in range(n)]
+                      for i in range(n)])
+        for d in channels[0]
+    }
     return MZSeries(n, terms)
 
 

@@ -14,7 +14,6 @@ unchanged.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .scalars import frac

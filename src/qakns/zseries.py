@@ -10,6 +10,8 @@ zvalid = -infinity.
 Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
+`product_floor` is that rule; operator composition (`QDOp.pvalid`) uses
+it unchanged on operator powers.
 """
 
 from __future__ import annotations
@@ -19,6 +21,15 @@ import math
 from .matseries import MatSeries
 
 NEG_INF = -math.inf
+
+
+def product_floor(a_floor, a_top, b_floor, b_top):
+    """Lowest exactly-known degree of a graded product.
+
+    Each factor is exact from its floor up to its top (a carrier with no
+    stored terms reports its floor as its top); -inf marks an exact factor.
+    """
+    return max(a_floor + b_top, b_floor + a_top)
 
 
 class InsufficientDepthError(ValueError):
@@ -61,9 +72,7 @@ class MZSeries:
 
     def top(self) -> int | float:
         """Highest degree that may carry a nonzero coefficient."""
-        if self.terms:
-            return max(self.terms)
-        return self.zvalid if self.zvalid != NEG_INF else NEG_INF
+        return max(self.terms) if self.terms else self.zvalid
 
     def bottom(self) -> int | float:
         if self.terms:
@@ -150,24 +159,16 @@ class MZSeries:
     def __mul__(self, other: "MZSeries") -> "MZSeries":
         if other.n != self.n:
             raise ValueError("dimension mismatch")
+        zv = product_floor(self.zvalid, self.top(), other.zvalid, other.top())
         out: dict[int, MatSeries] = {}
         for da, ma in self.terms.items():
             for db, mb in other.terms.items():
                 d = da + db
+                if d < zv:
+                    continue
                 prod = ma @ mb
                 cur = out.get(d)
                 out[d] = prod if cur is None else cur + prod
-        zv = NEG_INF
-        if not self.is_exact:
-            t = other.top()
-            if t != NEG_INF:
-                zv = max(zv, self.zvalid + t)
-            if not other.is_exact:
-                zv = max(zv, self.zvalid + other.zvalid)
-        if not other.is_exact:
-            t = self.top()
-            if t != NEG_INF:
-                zv = max(zv, other.zvalid + t)
         return MZSeries(self.n, out, zv, self.proto or other.proto)
 
     def scale(self, c) -> "MZSeries":
@@ -177,10 +178,6 @@ class MZSeries:
             self.zvalid,
             self.proto,
         )
-
-    def scale_entry(self, e) -> "MZSeries":
-        """Multiply every matrix entry by a fixed ring element on the right."""
-        return self.map_entries(lambda s: s * e)
 
     def shift(self, k: int) -> "MZSeries":
         """Multiply by z**k."""
@@ -260,18 +257,3 @@ class MZSeries:
         mark = "" if self.is_exact else f" (unknown below z^{self.zvalid})"
         return f"MZ[{body}{mark}]"
 
-
-def z_mul(a: MZSeries, b: MZSeries) -> MZSeries:
-    return a * b
-
-
-def z_invert(s: MZSeries, floor: int) -> MZSeries:
-    return s.invert(floor)
-
-
-def z_project(s: MZSeries, sign: str) -> MZSeries:
-    return s.project(sign)
-
-
-def z_residue(s: MZSeries) -> MatSeries:
-    return s.residue()

@@ -169,3 +169,27 @@ def test_qcalc_structure():
     assert calc.inverse().q == F(1, 2)
     x = XSeries.monomial(1, 1, N)
     assert (calc.dilate_inv(calc.dilate(x)) - x).is_zero()
+
+
+EXACT = XSeries.poly([1, 2, 3], N)
+OVERFLOW = XSeries.monomial(1, N, N)  # its antiderivative leaves the window
+INEXACT = XSeries.poly([1, 1, 1], N).with_valid(5)
+DERIVATIONS = [
+    ("q_derive", lambda f: q_derive(f, F(2))),
+    ("x_derive", x_derive),
+    ("q_antiderive", lambda f: q_antiderive(f, F(2))),
+    ("x_antiderive", x_antiderive),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fn", DERIVATIONS, ids=[name for name, _ in DERIVATIONS]
+)
+@pytest.mark.parametrize(
+    "f, derived, antiderived",
+    [(EXACT, N + 1, N + 1), (OVERFLOW, N + 1, N), (INEXACT, 4, 6)],
+    ids=["exact", "overflow", "inexact"],
+)
+def test_derivation_validity(name, fn, f, derived, antiderived):
+    expected = antiderived if name.endswith("antiderive") else derived
+    assert fn(f).valid == expected

@@ -6,7 +6,7 @@ import pytest
 
 from qakns.cli import main
 from qakns.config import ConfigError, demo_config, load_config, parse_config
-from qakns.report import emit_report
+from qakns.report import config_hash, emit_report
 from qakns.suites import run_suite
 
 
@@ -159,3 +159,58 @@ def test_text_report_mentions_failures(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out and "first failure" in out
+
+
+def test_unknown_check_names_exit_2(tmp_path, capsys):
+    assert main(["verify", "--check", "no.such.check"]) == 2
+    assert "no.such.check" in capsys.readouterr().err
+    data = base_config()
+    data["checks"] = ["qcalc.expq_log_form", "qcalc.bogus"]
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "qcalc.bogus" in err and "expq_log_form" not in err
+
+
+def test_selection_outside_verb_scope_exits_2(capsys):
+    assert main(["tau", "--check", "hierarchy.qr_residual"]) == 2
+    assert "hierarchy.qr_residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dressing_depth", "abc"),
+        ("resolvent_depth", -1),
+        ("lambda_max", 1.5),
+        ("l_max", "4"),
+        ("truncations.x", -1),
+        ("truncations.z", "6"),
+        ("truncations.band", None),
+        ("truncations.t", True),
+    ],
+)
+def test_rejects_malformed_integer_fields(field, value):
+    data = base_config()
+    if field.startswith("truncations."):
+        data["truncations"][field.split(".")[1]] = value
+    else:
+        data[field] = value
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        parse_config(data)
+
+
+def test_malformed_depth_exits_2(tmp_path, capsys):
+    data = base_config()
+    data["dressing_depth"] = "abc"
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert "dressing_depth" in capsys.readouterr().err
+
+
+def test_integer_fields_keep_the_config_hash():
+    data = base_config()
+    data.update(dressing_depth=None, resolvent_depth=0)
+    assert parse_config(data).resolvent_depth == 0
+    # the canonical form of a valid config is unchanged by validation
+    assert config_hash(demo_config().canonical_json()) == (
+        "9ea0102d2ea8ea2470561fe9c8e0a10a1d6ff9b0a081b8587431e450bcd43b51"
+    )

@@ -116,3 +116,20 @@ def test_lhs_band_floor_independence():
     first = pairing_lhs(p_op, q_op, [1, -1])
     again = pairing_lhs(p_op, q_op, [1, -1])
     assert (first - again).is_zero()
+
+
+def test_oracle_examples_check_at_n3():
+    from qakns.config import parse_config
+    from qakns.suites import run_suite
+
+    cfg = parse_config({
+        "n": 3, "q": "3", "a": ["1", "-1", "2"],
+        "u": [[["0"], ["1"], ["-1"]], [["2"], ["0"], ["1"]],
+              [["-1"], ["1"], ["0"]]],
+        "truncations": {"x": 5, "z": 3, "band": 4, "t": 3},
+        "checks": ["pairing.oracle_examples"],
+    })
+    report = run_suite(cfg)
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("pairing.oracle_examples", "pass")
+    ]

@@ -1,5 +1,6 @@
 """Operator algebra: composition, application, adjoints, transforms."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 
 from qakns.calculus import dilate, q_derive
 from qakns.matseries import MatSeries
-from qakns.qop import BandError, QDOp, op_adjoint, op_apply, op_compose, q_commutator
+from qakns.qop import BandError, QDOp, q_commutator
 from qakns.series import XSeries
 from qakns.zseries import MZSeries
 
@@ -45,7 +46,7 @@ def test_compose_q_leibniz_rule():
     x = XSeries.monomial(1, 1, N)
     f = MatSeries([[x, ONE], [XSeries.zero(N), x * x]])
     fop = QDOp.from_mz(MZSeries.from_term(2, 0, f), Q)
-    comp = op_compose(d_power(1), fop)
+    comp = d_power(1).compose(fop)
     up = comp.coeff(1).terms[0]
     low = comp.coeff(0).terms[0]
     assert (up - f.map(lambda s: dilate(s, Q))).is_zero()
@@ -53,20 +54,20 @@ def test_compose_q_leibniz_rule():
 
 
 def test_compose_inverse_identity():
-    comp = op_compose(d_power(1), d_power(-1), -4)
+    comp = d_power(1).compose(d_power(-1), -4)
     ident = d_power(0)
     assert (comp - ident).is_zero()
-    comp2 = op_compose(d_power(-1), d_power(1), -4)
+    comp2 = d_power(-1).compose(d_power(1), -4)
     assert (comp2 - ident).is_zero()
 
 
 def test_negative_power_roundtrip():
     f = mult_op([[1, 2], [3, F(5, 7)]])
-    rt = op_compose(d_power(-1), op_compose(d_power(1), f, -4), -4)
+    rt = d_power(-1).compose(d_power(1).compose(f, -4), -4)
     assert (rt - f).is_zero()
     x = XSeries.monomial(1, 1, N)
     g = mult_op_series([[x, ONE], [ONE, x]])
-    rt2 = op_compose(d_power(-1), op_compose(d_power(1), g, -5), -5)
+    rt2 = d_power(-1).compose(d_power(1).compose(g, -5), -5)
     assert (rt2 - g).is_zero()
 
 
@@ -76,8 +77,8 @@ def test_compose_associativity_random():
         a = rnd_op(rng, (-1, 1))
         b = rnd_op(rng, (0, 2))
         c = rnd_op(rng, (-2, 0))
-        lhs = op_compose(op_compose(a, b, -6), c, -6)
-        rhs = op_compose(a, op_compose(b, c, -6), -6)
+        lhs = a.compose(b, -6).compose(c, -6)
+        rhs = a.compose(b.compose(c, -6), -6)
         assert (lhs - rhs).is_zero()
 
 
@@ -86,20 +87,20 @@ def test_apply():
         2, 0, MatSeries([[XSeries.monomial(1, 2, N), XSeries.zero(N)],
                          [XSeries.zero(N), XSeries.zero(N)]])
     )
-    out = op_apply(d_power(1), x2)
+    out = d_power(1).apply(x2)
     expect = MZSeries.from_term(
         2, 0, MatSeries([[XSeries.monomial(1 + Q, 1, N), XSeries.zero(N)],
                          [XSeries.zero(N), XSeries.zero(N)]])
     )
     assert (out - expect).is_zero()
     f = MZSeries.from_term(2, 0, MatSeries.from_scalars([[1, 2], [3, 4]], N))
-    assert (op_apply(d_power(0), f) - f).is_zero()
+    assert (d_power(0).apply(f) - f).is_zero()
     # the bare operator kills constants, leaving only the symbol part
     a = MatSeries.diag_const([1, -1], N)
     u0 = QDOp(2, {1: MZSeries.identity(2, ONE),
                   0: MZSeries.from_term(2, 1, -a)}, Q)
     const = MZSeries.from_term(2, 0, MatSeries.from_scalars([[2, 0], [0, 3]], N))
-    out = op_apply(u0, const)
+    out = u0.apply(const)
     expect = MZSeries.from_term(2, 1, -(a @ const.coeff(0)))
     assert (out - expect).is_zero()
 
@@ -107,11 +108,11 @@ def test_apply():
 def test_apply_rejects_negative_band():
     f = MZSeries.identity(2, ONE)
     with pytest.raises(BandError):
-        op_apply(d_power(-1), f)
+        d_power(-1).apply(f)
 
 
 def test_adjoint_scalar_rule():
-    adj = op_adjoint(d_power(1))
+    adj = d_power(1).adjoint()
     assert adj.dparam == 1 / Q
     assert set(adj.coeffs) == {1}
     entry = adj.coeff(1).coeff(0)[0, 0]
@@ -120,12 +121,12 @@ def test_adjoint_scalar_rule():
 
 def test_adjoint_multiplication_transpose():
     f = mult_op([[1, 2], [3, 4]])
-    adj = op_adjoint(f)
+    adj = f.adjoint()
     assert set(adj.coeffs) == {0}
     expect = MatSeries.from_scalars([[1, 3], [2, 4]], N)
     assert (adj.coeff(0).coeff(0) - expect).is_zero()
     # involution returns the original
-    back = op_adjoint(adj)
+    back = adj.adjoint()
     assert (back - f).is_zero()
 
 
@@ -134,8 +135,8 @@ def test_adjoint_contravariance_random():
     for _ in range(4):
         p = rnd_op(rng, (-1, 2), deg=1)
         r = rnd_op(rng, (0, 2), deg=1)
-        lhs = op_adjoint(op_compose(p, r, -5), -5)
-        rhs = op_compose(op_adjoint(r, -5), op_adjoint(p, -5), -5)
+        lhs = p.compose(r, -5).adjoint(-5)
+        rhs = r.adjoint(-5).compose(p.adjoint(-5), -5)
         assert (lhs - rhs).is_zero()
 
 
@@ -162,3 +163,20 @@ def test_q_commutator_examples():
     com = q_commutator(e1, QDOp.from_mz(u, Q), -4)
     expect = MatSeries.from_scalars([[0, 1], [-1, 0]], N)
     assert (com.coeff(0).coeff(0) - expect).is_zero()
+
+
+def test_compose_pvalid():
+    # exact x exact: nothing unknown
+    assert d_power(1).compose(mult_op([[1, 2], [3, 4]])).pvalid == -math.inf
+    # inexact x exact: the unknown powers reach one above the floor
+    inexact = QDOp(2, {1: MZSeries.identity(2, ONE),
+                       -1: MZSeries.identity(2, ONE)}, Q, pvalid=-3)
+    prod = inexact.compose(d_power(1), -6)
+    assert prod.pvalid == -2
+    assert d_power(1).compose(inexact, -6).pvalid == -2
+    assert min(prod.coeffs) >= prod.pvalid
+    # a negative power against a long series: the cut tail is unknown
+    g = mult_op_series([[XSeries.poly([1] * 6, N), XSeries.zero(N)],
+                        [XSeries.zero(N), ONE]])
+    assert d_power(-1).compose(g, -3).pvalid == -3
+    assert d_power(-1).compose(g, -8).pvalid == -math.inf

@@ -7,7 +7,7 @@ import pytest
 
 from qakns.matseries import MatSeries
 from qakns.series import XSeries
-from qakns.zseries import InsufficientDepthError, MZSeries, z_invert, z_mul, z_project, z_residue
+from qakns.zseries import InsufficientDepthError, MZSeries
 
 N = 8
 
@@ -43,7 +43,7 @@ def test_first_order_inverse_convolution():
 def test_nilpotent_inverse_exact():
     nil = mat([[0, 1], [0, 0]])
     s = ident() + MZSeries.from_term(2, -1, nil)
-    inv = z_invert(s, -6)
+    inv = s.invert(-6)
     assert inv.is_exact
     assert (inv - (ident() - MZSeries.from_term(2, -1, nil))).is_zero()
 
@@ -51,28 +51,28 @@ def test_nilpotent_inverse_exact():
 def test_neumann_inverse_roundtrip():
     w1 = mat([[0, F(1, 2)], [F(-1, 2), 0]])
     s = ident() + MZSeries.from_term(2, -1, w1)
-    inv = z_invert(s, -6)
+    inv = s.invert(-6)
     assert ((s * inv) - ident()).is_zero()
-    assert ((z_mul(inv, s)) - ident()).is_zero()
-    assert (z_invert(inv, -6) - s).is_zero()
+    assert ((inv * s) - ident()).is_zero()
+    assert (inv.invert(-6) - s).is_zero()
     assert inv.zvalid == -6  # honest marking of the cut tail
 
 
 def test_invert_requires_identity_leading_term():
     s = MZSeries.from_term(2, 0, mat([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        z_invert(s, -4)
+        s.invert(-4)
 
 
 def test_projections_and_residue():
     a = mat([[1, 0], [0, -1]])
     r = mat([[0, 1], [1, 0]])
     s = MZSeries(2, {1: a, -1: r})
-    assert (z_project(s, "plus") - MZSeries.from_term(2, 1, a)).is_zero()
-    assert (z_project(s, "minus") - MZSeries.from_term(2, -1, r)).is_zero()
-    assert (z_project(s, "plus") + z_project(s, "minus") - s).is_zero()
-    assert (z_residue(s) - r).is_zero()
-    assert z_residue(z_project(s, "plus")).is_zero()
+    assert (s.project("plus") - MZSeries.from_term(2, 1, a)).is_zero()
+    assert (s.project("minus") - MZSeries.from_term(2, -1, r)).is_zero()
+    assert (s.project("plus") + s.project("minus") - s).is_zero()
+    assert (s.residue() - r).is_zero()
+    assert s.project("plus").residue().is_zero()
 
 
 def test_mul_validity_rule():
@@ -116,3 +116,21 @@ def test_inexact_zero_entries_are_kept():
     assert (-1) in s.terms
     assert s.is_zero()
     assert s.min_entry_valid() == 3
+
+
+def test_mul_stores_nothing_below_its_floor():
+    a = MZSeries(
+        2, {0: mat([[1, 0], [0, 1]]), -1: mat([[0, 1], [1, 0]]),
+            -2: mat([[2, 0], [0, 3]])},
+        zvalid=-2,
+    )
+    b = MZSeries(
+        2, {1: mat([[1, 0], [0, -1]]), 0: mat([[1, 2], [3, 4]]),
+            -1: mat([[0, 1], [0, 0]])},
+    )
+    for prod in (a * b, b * a):
+        assert prod.zvalid == -1  # a's floor, raised by b's degree-1 term
+        assert min(prod.terms) >= prod.zvalid
+    expect = a.coeff(0) @ b.coeff(-1) + a.coeff(-1) @ b.coeff(0) \
+        + a.coeff(-2) @ b.coeff(1)
+    assert ((a * b).coeff(-1) - expect).is_zero()
