@@ -13,6 +13,10 @@ content:
   exactly, computed honestly from the dressing series. For a dressing
   that solves the hierarchy this is zA - U; for a corrupted one it grows
   negative z-degrees, which is what the residue checks detect.
+
+Both x-derivative reductions are the q-Leibniz rule `zseries.derive_through`:
+through exp_q(zAx) for the factor itself, and through the Baker function
+for the m = 1 residues.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .hierarchy import Dressing, LaxData, Resolvent, resolvent_from_dressing
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
-from .zseries import MZSeries
+from .zseries import MZSeries, derive_through
 
 FlowIndex = tuple[int, int]
 
@@ -176,13 +180,11 @@ def x_derivative_factor(dressing: Dressing) -> MZSeries:
     violation shows up as negative z-degrees.
     """
     lax = dressing.lax
-    calc = lax.calc
     w = dressing.mz()
     floor = min(-dressing.depth, w.bottom() if w.terms else 0)
     winv = w.invert(int(floor))
     a_z = MZSeries.from_term(lax.n, 1, lax.a_mat())
-    num = w.map_entries(calc.derive) + (w.map_entries(calc.dilate) * a_z)
-    return num * winv
+    return derive_through(w, a_z, lax.calc.derive, lax.calc.dilate) * winv
 
 
 class BilinearRecord:
@@ -231,8 +233,7 @@ def check_q_bilinear(
     scope: FlowScope | None = None,
 ) -> list[BilinearRecord]:
     """Residue family res_z(z**l (D**m flow-derivative of w) w**-1) == 0."""
-    lax = dressing.lax
-    calc = lax.calc
+    calc = dressing.lax.calc
     scope = scope or FlowScope.from_dressing(dressing)
     g = x_derivative_factor(dressing) if 1 in m_values else None
     records = []
@@ -240,9 +241,7 @@ def check_q_bilinear(
         f = flow_polynomial(scope, lam)
         reduced = {0: f}
         if g is not None:
-            reduced[1] = f.map_entries(calc.derive) + (
-                f.map_entries(calc.dilate) * g
-            )
+            reduced[1] = derive_through(f, g, calc.derive, calc.dilate)
         for m in m_values:
             target = reduced[m]
             for l in range(l_max + 1):

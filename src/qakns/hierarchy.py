@@ -15,6 +15,9 @@ keeps nonzero. Diagonals differ by structure:
   diagonal of the solution comes from the next order's consistency, by
   integration with zero constant.
 
+Residuals of the commutation identity go through the q-Leibniz reduction
+`zseries.derive_through`, shared with the bilinear and tau checks.
+
 Resolvents support two normalizations. "zero" sets every free diagonal
 constant to zero; the resulting basis solves the commutation identity but
 is not multiplicative. "orthogonal" (default) lifts the constants order
@@ -31,7 +34,7 @@ from .calculus import ClassicalCalc, QCalc
 from .matseries import MatSeries
 from .scalars import ZERO, frac
 from .series import XSeries
-from .zseries import MZSeries, NEG_INF
+from .zseries import MZSeries, NEG_INF, derive_through
 
 Calc = QCalc | ClassicalCalc
 
@@ -320,12 +323,14 @@ def b_split(r: Resolvent, k: int) -> tuple[MZSeries, MZSeries]:
 
 
 def commutation_residual(lax: LaxData, r: MZSeries) -> MZSeries:
-    """derive(R) - (D R)(U - zA) + (U - zA) R; zero for resolvents."""
-    calc = lax.calc
+    """derive(R) - (sigma R)(U - zA) + (U - zA) R; zero for resolvents.
+
+    Its negative is the multiplication part of the twisted commutator of R
+    with the Lax operator: the derivation-band terms of the full operator
+    bracket cancel exactly and are not materialized.
+    """
     m = lax.u_minus_za()
-    dr = r.map_entries(calc.derive)
-    tw = r.map_entries(calc.dilate)
-    return dr - (tw * m) + (m * r)
+    return derive_through(r, -m, lax.calc.derive, lax.calc.dilate) + (m * r)
 
 
 class ResidualReport:
@@ -357,7 +362,7 @@ def u_flow(lax: LaxData, r: Resolvent, k: int) -> MatSeries:
     free. Violations raise, since downstream flow identities rely on them.
     """
     b_plus, _ = b_split(r, k)
-    flow = flow_commutator(lax, b_plus)
+    flow = -commutation_residual(lax, b_plus)
     bad = {d for d in flow.terms if d != 0 and not flow.terms[d].is_zero()}
     if bad:
         raise ValueError(f"flow has z-degrees {sorted(bad)}; expected z-free")
@@ -368,18 +373,6 @@ def u_flow(lax: LaxData, r: Resolvent, k: int) -> MatSeries:
                 f"flow diagonal entry {i+1} is {value[i, i]!r}, expected zero"
             )
     return value
-
-
-def flow_commutator(lax: LaxData, b: MZSeries) -> MZSeries:
-    """Multiplication part of the twisted commutator of b with the Lax operator.
-
-    (D b)(U - zA) - (U - zA) b - derive(b); the derivation-band terms of
-    the full operator bracket cancel exactly and are not materialized.
-    """
-    calc = lax.calc
-    m = lax.u_minus_za()
-    tw = b.map_entries(calc.dilate)
-    return (tw * m) - (m * b) - b.map_entries(calc.derive)
 
 
 def resolvent_flow(b_k: MZSeries, r_beta: Resolvent) -> MZSeries:

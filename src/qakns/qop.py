@@ -278,10 +278,6 @@ def q_commutator(a, b, floor: int | None = None) -> QDOp:
 # -- the residue pairing -------------------------------------------------------
 
 
-def _diag_mz(values, order: int, n: int) -> MZSeries:
-    return MZSeries.from_term(n, 0, MatSeries.diag_const(values, order))
-
-
 def _band_mats(p: QDOp) -> dict[int, MatSeries]:
     out = {}
     for power, m in p.coeffs.items():

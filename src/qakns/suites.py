@@ -8,6 +8,7 @@ assembles the deterministic report. Exit semantics live in the CLI.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .matseries import MatSeries
 from .report import CheckResult, Report, config_hash, describe_witness
 from .scalars import frac, q_int
 from .series import XSeries
-from .zseries import MZSeries
+from .zseries import MZSeries, NEG_INF, derive_through
 
 
 class SuiteContext:
@@ -36,10 +37,6 @@ class SuiteContext:
         if key not in self._cache:
             self._cache[key] = builder()
         return self._cache[key]
-
-    @property
-    def calc(self):
-        return self.get("calc", self.cfg.calc)
 
     @property
     def lax(self):
@@ -99,7 +96,17 @@ def _sample_series(order: int, seed: int, count: int = 4):
     return out
 
 
-def _result(name, params, ok, witness=None, degrees=None) -> CheckResult:
+_PASS = object()
+
+
+def _result(name, params, failures=(), degrees=None) -> CheckResult:
+    """Pass when `failures` yields nothing; otherwise its first item is the witness.
+
+    Checks hand in generators, so a failing check stops at its first failure
+    and a passing one does all of its work.
+    """
+    witness = next(iter(failures), _PASS)
+    ok = witness is _PASS
     return CheckResult(
         name=name,
         params=params,
@@ -109,34 +116,45 @@ def _result(name, params, ok, witness=None, degrees=None) -> CheckResult:
     )
 
 
+def _nonzero(labelled):
+    """(label, first nonzero) for each nonzero residual of (label, residual) pairs.
+
+    The report flattens the witness, so the label `()` leaves just the
+    residual's first nonzero coefficient.
+    """
+    for label, residual in labelled:
+        if not residual.is_zero():
+            yield label, residual.first_nonzero()
+
+
 # -- calculus ------------------------------------------------------------------
 
 
 def check_power_additivity(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     q = cfg.q
-    ok, witness = True, None
-    for f in _sample_series(cfg.n_x, 11):
-        for m in range(3):
-            for n in range(3):
-                stepped = f
-                for _ in range(m + n):
-                    stepped = q_derive(stepped, q)
-                closed_coeffs = []
-                p = m + n
-                for k in range(cfg.n_x + 1 - p):
-                    c = f.coeffs[k + p]
-                    for i in range(1, p + 1):
-                        c *= q_int(k + i, q)
-                    closed_coeffs.append(c)
-                closed = XSeries.poly(closed_coeffs, cfg.n_x).with_valid(
-                    cfg.n_x - p
-                )
-                diff = stepped - closed
-                if not diff.is_zero():
-                    ok, witness = False, (m, n, diff.first_nonzero())
+
+    def residuals():
+        for f in _sample_series(cfg.n_x, 11):
+            for m in range(3):
+                for n in range(3):
+                    stepped = f
+                    for _ in range(m + n):
+                        stepped = q_derive(stepped, q)
+                    closed_coeffs = []
+                    p = m + n
+                    for k in range(cfg.n_x + 1 - p):
+                        c = f.coeffs[k + p]
+                        for i in range(1, p + 1):
+                            c *= q_int(k + i, q)
+                        closed_coeffs.append(c)
+                    closed = XSeries.poly(closed_coeffs, cfg.n_x).with_valid(
+                        cfg.n_x - p
+                    )
+                    yield (m, n), stepped - closed
+
     return _result(
-        "qcalc.power_additivity", {"q": str(q)}, ok, witness,
+        "qcalc.power_additivity", {"q": str(q)}, _nonzero(residuals()),
         {"x": cfg.n_x - 4},
     )
 
@@ -144,30 +162,32 @@ def check_power_additivity(ctx: SuiteContext) -> CheckResult:
 def check_leibniz_forms(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     q = cfg.q
-    ok, witness = True, None
     samples = _sample_series(cfg.n_x, 13)
-    for f in samples[:2]:
-        for g in samples[2:]:
-            lhs = q_derive(f * g, q)
-            form1 = dilate(f, q) * q_derive(g, q) + q_derive(f, q) * g
-            form2 = f * q_derive(g, q) + q_derive(f, q) * dilate(g, q)
-            if not (lhs - form1).is_zero() or not (lhs - form2).is_zero():
-                ok, witness = False, (lhs - form1).first_nonzero()
-    return _result("qcalc.leibniz_forms", {"q": str(q)}, ok, witness,
+
+    def residuals():
+        for f in samples[:2]:
+            for g in samples[2:]:
+                lhs = q_derive(f * g, q)
+                yield (), lhs - (dilate(f, q) * q_derive(g, q) + q_derive(f, q) * g)
+                yield "form2", lhs - (
+                    f * q_derive(g, q) + q_derive(f, q) * dilate(g, q)
+                )
+
+    return _result("qcalc.leibniz_forms", {"q": str(q)}, _nonzero(residuals()),
                    {"x": cfg.n_x - 1})
 
 
 def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     q = cfg.q
-    ok, witness = True, None
-    for c in (frac(1), cfg.a[0], frac(-2)):
-        e = exp_q_series(c, q, cfg.n_x)
-        diff = q_derive(e, q) - e.scale(c)
-        if not diff.is_zero():
-            ok, witness = False, (str(c), diff.first_nonzero())
-    return _result("qcalc.expq_eigenvalue", {"q": str(q)}, ok, witness,
-                   {"x": cfg.n_x - 1})
+
+    def residuals():
+        for c in (frac(1), cfg.a[0], frac(-2)):
+            e = exp_q_series(c, q, cfg.n_x)
+            yield str(c), q_derive(e, q) - e.scale(c)
+
+    return _result("qcalc.expq_eigenvalue", {"q": str(q)},
+                   _nonzero(residuals()), {"x": cfg.n_x - 1})
 
 
 def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
@@ -177,8 +197,8 @@ def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
         (k, (1 - q) ** k / (k * (1 - q**k))) for k in range(1, cfg.n_x + 1)
     ]
     diff = exp_series(args, cfg.n_x) - exp_q_series(1, q, cfg.n_x)
-    return _result("qcalc.expq_log_form", {"q": str(q)}, diff.is_zero(),
-                   diff.first_nonzero(), {"x": cfg.n_x})
+    return _result("qcalc.expq_log_form", {"q": str(q)},
+                   _nonzero([((), diff)]), {"x": cfg.n_x})
 
 
 def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
@@ -186,8 +206,8 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
     prod = exp_q_series(1, q, cfg.n_x) * exp_q_series(-1, 1 / q, cfg.n_x)
     diff = prod - XSeries.one(cfg.n_x)
-    return _result("qcalc.expq_reciprocal", {"q": str(q)}, diff.is_zero(),
-                   diff.first_nonzero(), {"x": cfg.n_x})
+    return _result("qcalc.expq_reciprocal", {"q": str(q)},
+                   _nonzero([((), diff)]), {"x": cfg.n_x})
 
 
 # -- residue pairing --------------------------------------------------------------
@@ -219,85 +239,80 @@ def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
     order = cfg.n_x
     one = XSeries.one(order)
-    ok, witness = True, None
-    # order-2 negative power against the derivation, scalar case
-    g = MatSeries([[XSeries.poly([1, 1, Fraction(3, 7)], order)]])
-    p_op = qop.QDOp.basis_power(1, 1, q, one)
-    q_op_ = qop.QDOp(1, {-2: MZSeries.from_term(1, 0, g)}, q)
-    lhs = qop.pairing_lhs(p_op, q_op_, [frac(1)])
-    expected = g.map(lambda s: dilate(s, 1 / q)).scale(q**-2)
-    oracle = qop.pairing_oracle(p_op, q_op_, [frac(1)])
-    if not (lhs - expected).is_zero() or not (oracle - lhs).is_zero():
-        ok, witness = False, (lhs - expected).first_nonzero()
-    # identities pair to zero
-    ident = qop.QDOp.basis_power(cfg.n, 0, q, one)
-    lhs0 = qop.pairing_lhs(ident, ident, cfg.a)
-    rhs0 = qop.pairing_rhs(ident, ident, cfg.a)
-    if not lhs0.is_zero() or not rhs0.is_zero():
-        ok, witness = False, lhs0.first_nonzero()
-    return _result("pairing.oracle_examples", {"q": str(q)}, ok, witness,
-                   {"x": order - 1})
+
+    def residuals():
+        # order-2 negative power against the derivation, scalar case
+        g = MatSeries([[XSeries.poly([1, 1, Fraction(3, 7)], order)]])
+        p_op = qop.QDOp.basis_power(1, 1, q, one)
+        q_op_ = qop.QDOp(1, {-2: MZSeries.from_term(1, 0, g)}, q)
+        lhs = qop.pairing_lhs(p_op, q_op_, [frac(1)])
+        expected = g.map(lambda s: dilate(s, 1 / q)).scale(q**-2)
+        oracle = qop.pairing_oracle(p_op, q_op_, [frac(1)])
+        yield (), lhs - expected
+        yield "oracle", oracle - lhs
+        # identities pair to zero
+        ident = qop.QDOp.basis_power(cfg.n, 0, q, one)
+        lhs0 = qop.pairing_lhs(ident, ident, cfg.a)
+        rhs0 = qop.pairing_rhs(ident, ident, cfg.a)
+        yield (), lhs0
+        yield "rhs", rhs0
+
+    return _result("pairing.oracle_examples", {"q": str(q)},
+                   _nonzero(residuals()), {"x": order - 1})
 
 
 def check_pairing_random(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     q = cfg.q
     rng = random.Random(2024)
-    ok, witness = True, None
     trials = 24
-    for trial in range(trials):
-        n = 1 if trial % 3 == 0 else cfg.n
-        a_vals = [frac(1)] if n == 1 else list(cfg.a)
-        p_op = _random_band_op(rng, n, cfg.n_x, q)
-        q_op_ = _random_band_op(rng, n, cfg.n_x, q)
-        lhs = qop.pairing_lhs(p_op, q_op_, a_vals)
-        rhs = qop.pairing_rhs(p_op, q_op_, a_vals)
-        oracle = qop.pairing_oracle(p_op, q_op_, a_vals)
-        if not (lhs - rhs).is_zero() or not (oracle - lhs).is_zero():
-            ok, witness = False, (trial, (lhs - rhs).first_nonzero())
-            break
+
+    def residuals():
+        for trial in range(trials):
+            n = 1 if trial % 3 == 0 else cfg.n
+            a_vals = [frac(1)] if n == 1 else list(cfg.a)
+            p_op = _random_band_op(rng, n, cfg.n_x, q)
+            q_op_ = _random_band_op(rng, n, cfg.n_x, q)
+            lhs = qop.pairing_lhs(p_op, q_op_, a_vals)
+            rhs = qop.pairing_rhs(p_op, q_op_, a_vals)
+            oracle = qop.pairing_oracle(p_op, q_op_, a_vals)
+            yield trial, lhs - rhs
+            yield (trial, "oracle"), oracle - lhs
+
     return _result(
         "pairing.random_pairs",
         {"q": str(q), "trials": trials, "band": 2},
-        ok, witness, {"x": cfg.n_x - 2},
+        _nonzero(residuals()), {"x": cfg.n_x - 2},
     )
 
 
 def check_pairing_nonneg(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     rng = random.Random(5)
-    ok, witness = True, None
-    for _ in range(6):
-        p_op = _random_band_op(rng, cfg.n, cfg.n_x, cfg.q, band=(0, 2))
-        q_op_ = _random_band_op(rng, cfg.n, cfg.n_x, cfg.q, band=(0, 2))
-        lhs = qop.pairing_lhs(p_op, q_op_, cfg.a)
-        rhs = qop.pairing_rhs(p_op, q_op_, cfg.a)
-        if not lhs.is_zero() or not rhs.is_zero():
-            ok, witness = False, lhs.first_nonzero()
-    return _result("pairing.nonneg_zero", {}, ok, witness, {})
+
+    def residuals():
+        for _ in range(6):
+            p_op = _random_band_op(rng, cfg.n, cfg.n_x, cfg.q, band=(0, 2))
+            q_op_ = _random_band_op(rng, cfg.n, cfg.n_x, cfg.q, band=(0, 2))
+            lhs = qop.pairing_lhs(p_op, q_op_, cfg.a)
+            rhs = qop.pairing_rhs(p_op, q_op_, cfg.a)
+            yield (), lhs
+            yield "rhs", rhs
+
+    return _result("pairing.nonneg_zero", {}, _nonzero(residuals()), {})
 
 
 # -- hierarchy ------------------------------------------------------------------
 
 
-def _report_from_residual(name, params, rep: hy.ResidualReport) -> CheckResult:
-    zv = rep.z_window[0]
-    degrees = {}
-    if zv not in (None,) and zv != float("-inf"):
-        degrees["z"] = int(-zv)
-    xv = rep.x_valid
-    if xv != float("inf"):
-        degrees["x"] = int(min(xv, 10**6))
-    return _result(name, params, rep.ok, rep.first_failure, degrees)
-
-
 def _qr_residual(name, params, session: hy.HierarchySession, depth: int):
-    ok, witness = True, None
-    for alpha in range(session.lax.n):
-        rep = hy.verify_resolvent(session.lax, session.resolvent(alpha, depth))
-        if not rep.ok:
-            ok, witness = False, (alpha, rep.first_failure)
-    return _result(name, params, ok, witness, {"z": depth - 1})
+    lax = session.lax
+    reports = (
+        (alpha, hy.verify_resolvent(lax, session.resolvent(alpha, depth)))
+        for alpha in range(lax.n)
+    )
+    failures = ((alpha, rep.first_failure) for alpha, rep in reports if not rep.ok)
+    return _result(name, params, failures, {"z": depth - 1})
 
 
 def check_qr_residual(ctx: SuiteContext) -> CheckResult:
@@ -311,30 +326,29 @@ def check_qr_residual(ctx: SuiteContext) -> CheckResult:
 def check_first_order_routes(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     d1 = hy.solve_dressing(ctx.lax, 1)
-    ok, witness = True, None
-    for alpha in range(cfg.n):
-        conj = hy.resolvent_from_dressing(d1, alpha)
-        direct = ctx.session.resolvent(alpha, 1)
-        diff = conj.orders[1] - direct.orders[1]
-        if not diff.is_zero():
-            ok, witness = False, (alpha, diff.first_nonzero())
-    return _result("hierarchy.first_order_routes", {}, ok, witness, {})
+
+    def residuals():
+        for alpha in range(cfg.n):
+            conj = hy.resolvent_from_dressing(d1, alpha)
+            direct = ctx.session.resolvent(alpha, 1)
+            yield alpha, conj.orders[1] - direct.orders[1]
+
+    return _result("hierarchy.first_order_routes", {}, _nonzero(residuals()), {})
 
 
 def check_orthogonality(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     fam = ctx.family
-    ok, witness = True, None
-    for a in range(cfg.n):
-        for b in range(cfg.n):
-            prod = fam[a].mz() * fam[b].mz()
-            target = fam[b].mz() if a == b else MZSeries.zero(cfg.n)
-            diff = prod - target if a == b else prod
-            if not diff.is_zero():
-                ok, witness = False, (a, b, diff.first_nonzero())
+
+    def residuals():
+        for a in range(cfg.n):
+            for b in range(cfg.n):
+                prod = fam[a].mz() * fam[b].mz()
+                yield (a, b), (prod - fam[b].mz() if a == b else prod)
+
     return _result(
-        "hierarchy.orthogonality", {"depth": fam[0].depth}, ok, witness,
-        {"z": fam[0].depth},
+        "hierarchy.orthogonality", {"depth": fam[0].depth},
+        _nonzero(residuals()), {"z": fam[0].depth},
     )
 
 
@@ -346,25 +360,22 @@ def check_partition(ctx: SuiteContext) -> CheckResult:
         total = total + r.mz()
     diff = total - MZSeries.identity(cfg.n, ctx.lax.proto())
     return _result(
-        "hierarchy.partition_of_identity", {}, diff.is_zero(),
-        diff.first_nonzero(), {"z": fam[0].depth},
+        "hierarchy.partition_of_identity", {}, _nonzero([((), diff)]),
+        {"z": fam[0].depth},
     )
 
 
 def check_algebra_closure(ctx: SuiteContext) -> CheckResult:
-    cfg = ctx.cfg
     fam = ctx.family
-    ok, witness = True, None
-    prod = fam[0].mz() * fam[-1].mz()
-    rep = hy.verify_resolvent(ctx.lax, prod)
-    if not rep.ok:
-        ok, witness = False, rep.first_failure
-    combo = fam[0].mz() + fam[-1].mz().shift(-1).scale(frac("2/3")) \
-        - fam[0].mz().shift(-3).scale(frac(5))
-    rep2 = hy.verify_resolvent(ctx.lax, combo)
-    if not rep2.ok:
-        ok, witness = False, rep2.first_failure
-    return _result("hierarchy.algebra_closure", {}, ok, witness, {})
+
+    def reports():
+        yield hy.verify_resolvent(ctx.lax, fam[0].mz() * fam[-1].mz())
+        combo = fam[0].mz() + fam[-1].mz().shift(-1).scale(frac("2/3")) \
+            - fam[0].mz().shift(-3).scale(frac(5))
+        yield hy.verify_resolvent(ctx.lax, combo)
+
+    failures = (rep.first_failure for rep in reports() if not rep.ok)
+    return _result("hierarchy.algebra_closure", {}, failures, {})
 
 
 def check_basis_expansion(ctx: SuiteContext) -> CheckResult:
@@ -375,58 +386,57 @@ def check_basis_expansion(ctx: SuiteContext) -> CheckResult:
     base = [ctx.session.resolvent(b, depth, "zero") for b in range(cfg.n)]
     try:
         coeffs = hy.expand_in_basis(ortho.mz() - plain.mz(), base)
-        ok, witness = True, None
+        failures = []
     except ValueError as exc:
-        ok, witness, coeffs = False, str(exc), {}
+        coeffs, failures = {}, [str(exc)]
     return _result(
         "hierarchy.basis_expansion",
         {"constants": {f"b{b+1},z{-j}": str(c) for (b, j), c in coeffs.items()}},
-        ok, witness, {"z": depth},
+        failures, {"z": depth},
     )
 
 
 def check_u_flow(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    ok, witness = True, None
+    depth = cfg.required_resolvent_depth()
+    # params record every flow's verdict, so all flows run even after a failure
     params = {}
+    failures = []
     for (k, alpha) in cfg.flows:
-        depth = cfg.required_resolvent_depth()
+        label = f"flow({k},{alpha+1})"
         r = ctx.session.resolvent(alpha, depth)
         try:
             value = hy.u_flow(ctx.lax, r, k)
-            params[f"flow({k},{alpha+1})"] = "ok"
-        except (hy.DiagonalConsistencyError, ValueError) as exc:
-            ok = False
-            if witness is None:
-                witness = f"flow ({k},{alpha+1}): {exc}"
-            params[f"flow({k},{alpha+1})"] = "violated"
+        except ValueError as exc:
+            params[label] = "violated"
+            failures.append(f"flow ({k},{alpha+1}): {exc}")
             continue
-        # derivation-band freedom cross-checked on the operator algebra
-        b_plus, b_minus = hy.b_split(r, k)
-        alt = hy.flow_commutator(ctx.lax, -b_minus)
-        diff = alt.coeff(0) - value
-        if not diff.is_zero():
-            ok, witness = False, ("avoided-band mismatch", diff.first_nonzero())
-    return _result("hierarchy.u_flow_structure", params, ok, witness, {})
+        params[label] = "ok"
+        # derivation-band freedom: B_+ and -B_- give the same flow
+        _, b_minus = hy.b_split(r, k)
+        alt = hy.commutation_residual(ctx.lax, b_minus).coeff(0)
+        failures += _nonzero([("avoided-band mismatch", alt - value)])
+    return _result("hierarchy.u_flow_structure", params, failures, {})
 
 
 def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     fam = ctx.family
     flows = list(cfg.flows)
-    ok, witness = True, None
     pairs = []
     for i in range(len(flows)):
         for j in range(i, len(flows)):
             pairs.append((flows[i], flows[j]))
-    for (k, a), (l, b) in pairs:
-        rep = hy.verify_zero_curvature(ctx.lax, (k, fam[a]), (l, fam[b]))
-        if not rep.ok:
-            ok, witness = False, ((k, a + 1), (l, b + 1), rep.first_failure)
+    reports = (
+        (((k, a + 1), (l, b + 1)),
+         hy.verify_zero_curvature(ctx.lax, (k, fam[a]), (l, fam[b])))
+        for (k, a), (l, b) in pairs
+    )
+    failures = ((pair, rep.first_failure) for pair, rep in reports if not rep.ok)
     return _result(
         "hierarchy.zero_curvature",
         {"pairs": [f"({k},{a+1})x({l},{b+1})" for (k, a), (l, b) in pairs]},
-        ok, witness, {},
+        failures, {},
     )
 
 
@@ -434,35 +444,36 @@ def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
 
 
 def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
+    """D(w exp_q(zAx)) == (zA - U) w exp_q(zAx), reduced through exp_q."""
     lax = ctx.bilinear_lax
-    calc = lax.calc
     w = ctx.dressing.mz()
     a_z = MZSeries.from_term(lax.n, 1, lax.a_mat())
-    u_mz = MZSeries.from_term(lax.n, 0, lax.u)
-    residual = (
-        w.map_entries(calc.derive)
-        + (u_mz * w)
-        - (a_z * w)
-        + (w.map_entries(calc.dilate) * a_z)
+    residual = derive_through(w, a_z, lax.calc.derive, lax.calc.dilate) + (
+        lax.u_minus_za() * w
     )
-    return _report_from_residual(
-        "dressing.factorization",
-        {"depth": ctx.dressing.depth},
-        hy.ResidualReport(residual),
+    degrees = {}
+    if residual.zvalid != NEG_INF:
+        degrees["z"] = int(-residual.zvalid)
+    x_valid = residual.min_entry_valid()
+    if x_valid != math.inf:
+        degrees["x"] = int(min(x_valid, 10**6))
+    return _result(
+        "dressing.factorization", {"depth": ctx.dressing.depth},
+        _nonzero([((), residual)]), degrees,
     )
 
 
 def _route_agreement(name, dressing: hy.Dressing, depth: int):
     """Conjugated dressing against the direct resolvent solve, per channel."""
     session = hy.HierarchySession(dressing.lax)
-    ok, witness = True, None
-    for alpha in range(dressing.lax.n):
-        conj = hy.resolvent_from_dressing(dressing, alpha)
-        direct = session.resolvent(alpha, depth)
-        diff = conj.mz().truncate_below(-depth) - direct.mz()
-        if not diff.is_zero():
-            ok, witness = False, (alpha, diff.first_nonzero())
-    return _result(name, {"depth": depth}, ok, witness, {"z": depth})
+
+    def residuals():
+        for alpha in range(dressing.lax.n):
+            conj = hy.resolvent_from_dressing(dressing, alpha)
+            direct = session.resolvent(alpha, depth)
+            yield alpha, conj.mz().truncate_below(-depth) - direct.mz()
+
+    return _result(name, {"depth": depth}, _nonzero(residuals()), {"z": depth})
 
 
 def check_route_agreement(ctx: SuiteContext) -> CheckResult:
@@ -478,10 +489,9 @@ def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
 
 def _bilinear_residues(name, params, ctx: SuiteContext, dressing: hy.Dressing):
     records = bl.check_q_bilinear(dressing, ctx.cfg.l_max, ctx.lambdas())
-    bad = [r for r in records if not r.ok]
-    witness = (bad[0].label(), bad[0].first_failure) if bad else None
+    failures = ((r.label(), r.first_failure) for r in records if not r.ok)
     params = {**params, "l_max": ctx.cfg.l_max, "records": len(records)}
-    return _result(name, params, not bad, witness, {"z": dressing.depth - 1})
+    return _result(name, params, failures, {"z": dressing.depth - 1})
 
 
 def check_qb1(ctx: SuiteContext) -> CheckResult:
@@ -493,34 +503,36 @@ def check_qb1(ctx: SuiteContext) -> CheckResult:
 def check_reconstruct(ctx: SuiteContext) -> CheckResult:
     lax = ctx.bilinear_lax
     dressing = _maybe_corrupt(ctx)
-    try:
-        a_vals, u_rec, neg = bl.reconstruct_from_bilinear(dressing)
-    except ValueError as exc:
-        return _result("bilinear.reconstruct_roundtrip", {}, False, str(exc), {})
-    ok = neg.is_zero()
-    witness = neg.first_nonzero()
-    if ok:
-        ok = a_vals == lax.a and (u_rec - lax.u).is_zero()
-        if not ok:
-            witness = ("recovered data mismatch",)
-    for i in range(lax.n):
-        if ok and not u_rec[i, i].is_zero():
-            ok, witness = False, ("nonzero diagonal", i)
-    return _result("bilinear.reconstruct_roundtrip", {}, ok, witness, {})
+
+    def failures():
+        try:
+            a_vals, u_rec, neg = bl.reconstruct_from_bilinear(dressing)
+        except ValueError as exc:
+            yield str(exc)
+            return
+        yield from _nonzero([((), neg)])
+        if a_vals != lax.a or not (u_rec - lax.u).is_zero():
+            yield ("recovered data mismatch",)
+        for i in range(lax.n):
+            if not u_rec[i, i].is_zero():
+                yield ("nonzero diagonal", i)
+
+    return _result("bilinear.reconstruct_roundtrip", {}, failures(), {})
 
 
 def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
     dressing = ctx.dressing
     w = dressing.mz()
     w_star = bl.adjoint_baker(dressing)
-    residual = bl.check_inverse_transpose(w, w_star)
-    ok = residual.is_zero()
-    witness = residual.first_nonzero()
-    if ok and dressing.depth >= 1:
-        first = w_star.coeff(-1) + dressing.orders[1].transpose()
-        if not first.is_zero():
-            ok, witness = False, ("first-order mismatch", first.first_nonzero())
-    return _result("bilinear.adjoint_inverse_transpose", {}, ok, witness, {})
+
+    def residuals():
+        yield (), bl.check_inverse_transpose(w, w_star)
+        if dressing.depth >= 1:
+            first = w_star.coeff(-1) + dressing.orders[1].transpose()
+            yield "first-order mismatch", first
+
+    return _result("bilinear.adjoint_inverse_transpose", {},
+                   _nonzero(residuals()), {})
 
 
 def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
@@ -528,14 +540,13 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
         return _result(
             "bilinear.corruption_detected",
             {"note": "inactive without --inject-corruption"},
-            True, None, {},
         )
     corrupted = bl.inject_corruption(ctx.dressing, "1/3")
     records = bl.check_q_bilinear(corrupted, ctx.cfg.l_max, [()])
     detected = any(not r.ok for r in records)
     return _result(
         "bilinear.corruption_detected", {"records": len(records)},
-        detected, None if detected else "corruption slipped through", {},
+        [] if detected else ["corruption slipped through"],
     )
 
 
@@ -545,13 +556,8 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
 def check_expqo(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     results = tau_mod.verify_expqo(list(cfg.a), cfg.q, ctx.tau_ctx, 4)
-    ok = all(r[1] for r in results)
-    witness = None
-    for alpha, good, w in results:
-        if not good:
-            witness = (alpha + 1, w)
-            break
-    return _result("tau.expqo", {"z_depth": 4}, ok, witness,
+    failures = ((alpha + 1, w) for alpha, good, w in results if not good)
+    return _result("tau.expqo", {"z_depth": 4}, failures,
                    {"z": 4, "x": cfg.n_x})
 
 
@@ -579,23 +585,25 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
             ctx.tau_ctx, 4,
         )
     except tau_mod.TauCheckError as exc:
-        return _result("tau.theorem", {"rejected": True}, False, str(exc), {})
-    witness = None
-    if not results["substitution_commutes"]:
-        witness = "substitutions fail to commute"
-    for alpha, good, w in results["expqo"]:
-        if witness is None and not good:
-            witness = ("expqo", alpha + 1, w)
-    for rec in results["q_bilinear"]:
-        if witness is None and not rec[3]:
-            witness = ("q_bilinear", rec[0], rec[1], rec[2], rec[4])
-    for rec in results["taylor"]:
-        if witness is None and not (rec["two_term_ok"] and rec["taylor_ok"]):
-            witness = ("taylor", rec["l"], rec["lam"])
+        return _result("tau.theorem", {"rejected": True}, [str(exc)], {})
+
+    def failures():
+        if not results["substitution_commutes"]:
+            yield "substitutions fail to commute"
+        for alpha, good, w in results["expqo"]:
+            if not good:
+                yield ("expqo", alpha + 1, w)
+        for l, m, lam, good, w in results["q_bilinear"]:
+            if not good:
+                yield ("q_bilinear", l, m, lam, w)
+        for rec in results["taylor"]:
+            if not (rec["two_term_ok"] and rec["taylor_ok"]):
+                yield ("taylor", rec["l"], rec["lam"])
+
     return _result(
         "tau.theorem",
         {"lambdas": len(lambdas), "depth": depth},
-        witness is None, witness, {"z": depth, "t": cfg.n_t},
+        failures(), {"z": depth, "t": cfg.n_t},
     )
 
 
@@ -610,12 +618,11 @@ def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
         tau_mod.verify_tau_theorem(
             bad, list(cfg.a), cfg.q, 2, lambdas, 4, tctx, 3
         )
-        return _result(
-            "tau.gatekeeping", {}, False,
-            "a non-solution passed the classical precheck", {},
-        )
     except tau_mod.TauCheckError:
-        return _result("tau.gatekeeping", {}, True, None, {})
+        return _result("tau.gatekeeping", {})
+    return _result(
+        "tau.gatekeeping", {}, ["a non-solution passed the classical precheck"]
+    )
 
 
 def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
@@ -629,16 +636,14 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     records = tau_mod.taylor_agreement(
         spec, list(cfg.a), cfg.q, 1, [(), ((1, 0),)], 5
     )
-    ok = all(r["two_term_ok"] and r["taylor_ok"] for r in records)
-    witness = None
-    for r in records:
-        if not (r["two_term_ok"] and r["taylor_ok"]):
-            witness = (r["l"], r["lam"], r["two_term_fail"] or r["taylor_fail"])
-            break
+    failures = (
+        (r["l"], r["lam"], r["two_term_fail"] or r["taylor_fail"])
+        for r in records if not (r["two_term_ok"] and r["taylor_ok"])
+    )
     return _result(
         "tau.mechanism_agreement",
         {"on": "non-solution polynomial", "l_max": 1},
-        ok, witness, {},
+        failures, {},
     )
 
 
@@ -646,7 +651,7 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     if not cfg.q_sequence:
         return _result("tau.classical_limit",
-                       {"note": "no q sequence configured"}, True, None, {})
+                       {"note": "no q sequence configured"})
     tctx = tau_mod.TimeContext(((1, 0), (2, 0)), cfg.n_t, cfg.n_x)
     t1 = tctx.variable((1, 0))
     t2 = tctx.variable((2, 0))
@@ -658,7 +663,8 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
         "mixed": (t1 * t1) * t2 + tctx.constant(1),
     }
     lo, hi = frac("45/100"), frac("55/100")
-    ok, witness = True, None
+    # params record every case's ratios, so all cases run even after a failure
+    failures = []
     ratio_report = {}
     for label, poly in cases.items():
         norms, ratios = tau_mod.classical_limit_check(
@@ -666,17 +672,17 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
         )
         if label == "linear":
             if any(v != 0 for v in norms):
-                ok, witness = False, (label, "expected exact vanishing")
+                failures.append((label, "expected exact vanishing"))
             ratio_report[label] = "exact zero"
             continue
-        for r in ratios:
-            if r is None or not (lo <= r <= hi):
-                ok, witness = False, (label, str(r))
+        failures += [
+            (label, str(r)) for r in ratios if r is None or not (lo <= r <= hi)
+        ]
         ratio_report[label] = [str(r) for r in ratios]
     return _result(
         "tau.classical_limit",
         {"ratios": ratio_report, "window": "[0.45, 0.55]"},
-        ok, witness, {},
+        failures, {},
     )
 
 

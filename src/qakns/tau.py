@@ -24,7 +24,7 @@ from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
 from .timepoly import FlowIndex, TimePoly
-from .zseries import MZSeries, NEG_INF
+from .zseries import MZSeries, NEG_INF, derive_through
 
 
 class TimeContext:
@@ -249,16 +249,14 @@ class TauBaker:
         if self.q is None:
             raise ValueError("x-derivative factor needs the q parameter")
         if self._x_factor is None:
-            derive = _tp_derive_x(self.q)
-            dil = _tp_dilate_x(self.q)
             a_z = MZSeries.from_term(
                 self.n, 1, _diag_const_tp(self.a, self._proto)
             )
-            num = self.what.map_entries(derive) + (
-                self.what.map_entries(dil) * a_z
-            )
-            self._x_factor = num * self.winv
+            self._x_factor = self._derive_through(self.what, a_z) * self.winv
         return self._x_factor
+
+    def _derive_through(self, f: MZSeries, g: MZSeries) -> MZSeries:
+        return derive_through(f, g, _tp_derive_x(self.q), _tp_dilate_x(self.q))
 
     def residue(self, l: int, lam, m: int = 0) -> MatSeries:
         """res_z(z**l (D**m d**lam w) w**-1)."""
@@ -266,10 +264,7 @@ class TauBaker:
         if m == 0:
             target = h
         elif m == 1:
-            g = self.x_factor()
-            target = h.map_entries(_tp_derive_x(self.q)) + (
-                h.map_entries(_tp_dilate_x(self.q)) * g
-            )
+            target = self._derive_through(h, self.x_factor())
         else:
             raise ValueError("m must be 0 or 1")
         return target.shift(l).residue()
@@ -414,31 +409,24 @@ class TauSpec:
         )
 
 
-def classical_precheck(
-    spec: TauSpec, a_values, l_max: int, lambdas, depth: int
-) -> list:
-    """The classical bilinear residues on the tau-built Baker data (m = 0)."""
-    what = baker_from_tau(spec.tau, spec.companions, spec.n, depth)
-    baker = TauBaker(what, a_values, -depth)
-    records = []
-    for lam in lambdas:
-        for l in range(l_max + 1):
-            res = baker.residue(l, lam, 0)
-            records.append((l, lam, res.is_zero(), res.first_nonzero()))
-    return records
-
-
-def q_bilinear_on_tau(
+def bilinear_on_tau(
     spec: TauSpec, a_values, q, l_max: int, lambdas, depth: int
 ) -> list:
-    """The q-deformed bilinear residues on the shifted tau data, m in {0,1}."""
-    q = frac(q)
-    shifted = spec.mapped(lambda p: q_shift_times(p, a_values, q))
-    what = baker_from_tau(shifted.tau, shifted.companions, spec.n, depth)
+    """Bilinear residues on the tau-built Baker data, as (l, m, lam, ok, witness).
+
+    q=None is the classical case: the unshifted data and m = 0 only. Given
+    q, the times are q-shifted first and m runs over {0, 1}.
+    """
+    m_values = (0,)
+    if q is not None:
+        q = frac(q)
+        spec = spec.mapped(lambda p: q_shift_times(p, a_values, q))
+        m_values = (0, 1)
+    what = baker_from_tau(spec.tau, spec.companions, spec.n, depth)
     baker = TauBaker(what, a_values, -depth, q)
     records = []
     for lam in lambdas:
-        for m in (0, 1):
+        for m in m_values:
             for l in range(l_max + 1):
                 res = baker.residue(l, lam, m)
                 records.append((l, m, lam, res.is_zero(), res.first_nonzero()))
@@ -504,9 +492,6 @@ def taylor_agreement(
     e_delta = _zexp_diag(deltas, n, xorder, proto)
 
     mix = what_q * e_delta * baker.winv
-    x_factor = baker.x_factor()
-    derive = _tp_derive_x(q)
-    dil = _tp_dilate_x(q)
     x_qm1 = XSeries.monomial(q - 1, 1, xorder)
 
     delta_of_var = {
@@ -518,8 +503,7 @@ def taylor_agreement(
         h = baker.h(lam)
         h_q = baker_q.h(lam)
         for l in range(l_max + 1):
-            direct = (h.map_entries(derive) + h.map_entries(dil) * x_factor)\
-                .shift(l).residue()
+            direct = baker.residue(l, lam, 1)
             mixed = (h_q * mix).shift(l).residue()
             plain = h.shift(l).residue()
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))
@@ -633,10 +617,10 @@ def verify_tau_theorem(
     q-bilinear residues and the Taylor cross-check close the claim.
     Raises TauCheckError when the classical precheck rejects the input.
     """
-    classical = classical_precheck(spec, a_values, l_max, lambdas, depth)
-    bad = [r for r in classical if not r[2]]
+    classical = bilinear_on_tau(spec, a_values, None, l_max, lambdas, depth)
+    bad = [r for r in classical if not r[3]]
     if bad:
-        l, lam, _, witness = bad[0]
+        l, _, lam, _, witness = bad[0]
         raise TauCheckError(
             f"classical bilinear residue fails at l={l}, lam={lam}: {witness}"
         )
@@ -645,7 +629,7 @@ def verify_tau_theorem(
         spec, a_values, q, depth
     )
     results["expqo"] = verify_expqo(a_values, q, ctx, z_depth_expqo)
-    results["q_bilinear"] = q_bilinear_on_tau(
+    results["q_bilinear"] = bilinear_on_tau(
         spec, a_values, q, l_max, lambdas, depth
     )
     results["taylor"] = taylor_agreement(

@@ -11,7 +11,8 @@ Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
 `product_floor` is that rule; operator composition (`QDOp.pvalid`) uses
-it unchanged on operator powers.
+it unchanged on operator powers. `derive_through` is the one q-Leibniz
+reduction that the residue and zero-curvature checks rest on.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ def product_floor(a_floor, a_top, b_floor, b_top):
     stored terms reports its floor as its top); -inf marks an exact factor.
     """
     return max(a_floor + b_top, b_floor + a_top)
+
+
+def derive_through(f: MZSeries, g: MZSeries, derive, dilate) -> MZSeries:
+    """D f + (sigma f) g: the q-Leibniz reduction through a factor E.
+
+    When D E = g E, the twisted Leibniz rule D(f E) = (D f) E + (sigma f)(D E)
+    gives D(f E) = (D f + (sigma f) g) E, so E never needs expanding.
+    `derive` and `dilate` act entrywise (sigma = id in the classical case).
+    """
+    return f.map_entries(derive) + f.map_entries(dilate) * g
 
 
 class InsufficientDepthError(ValueError):

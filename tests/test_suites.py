@@ -1,0 +1,52 @@
+"""Check verdicts: a failing check names its first failure, never null."""
+
+import pytest
+
+from qakns import hierarchy as hy
+from qakns import qop
+from qakns.config import demo_config
+from qakns.suites import run_suite
+
+
+def run_checks(*names):
+    cfg = demo_config()
+    cfg = type(cfg)(**{**cfg.__dict__, "checks": names})
+    return run_suite(cfg).checks
+
+
+@pytest.fixture
+def broken_oracle(monkeypatch):
+    real = qop.pairing_oracle
+
+    def oracle(p, q_op, a_values):
+        good = real(p, q_op, a_values)
+        return good + type(good).identity(good.n, good.proto())
+
+    monkeypatch.setattr(qop, "pairing_oracle", oracle)
+
+
+def test_oracle_mismatch_alone_has_a_witness(broken_oracle):
+    # the other routes agree, so the oracle residual is the only failure
+    (res,) = run_checks("pairing.oracle_examples")
+    assert res.status == "fail"
+    assert res.first_failure is not None
+    assert res.first_failure["coordinates"][0] == "oracle"
+
+
+def test_random_pairs_oracle_witness_is_complete(broken_oracle):
+    (res,) = run_checks("pairing.random_pairs")
+    assert res.status == "fail"
+    coords = res.first_failure["coordinates"]
+    assert coords[:2] == ["0", "oracle"] and "None" not in coords
+
+
+def test_qr_residual_names_the_first_failing_channel(monkeypatch):
+    # the resolvent itself is a nonzero residual in every channel
+    monkeypatch.setattr(
+        hy, "verify_resolvent", lambda lax, r: hy.ResidualReport(r.mz())
+    )
+    (res,) = run_checks("hierarchy.qr_residual")
+    assert res.status == "fail"
+    # channel, then z-degree, entry (i, j), x-degree and value
+    coords = res.first_failure["coordinates"]
+    assert coords[0] == "0" and len(coords) == 6

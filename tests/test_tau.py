@@ -11,10 +11,9 @@ from qakns.tau import (
     TauSpec,
     TimeContext,
     baker_from_tau,
+    bilinear_on_tau,
     classical_limit_check,
-    classical_precheck,
     miwa_shift,
-    q_bilinear_on_tau,
     q_shift_coeff,
     q_shift_times,
     substitution_commutes,
@@ -133,8 +132,8 @@ def test_vacuum_passes_everything(q):
 def test_classical_precheck_rejects_non_solution():
     ctx = ctx2()
     bad = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
-    records = classical_precheck(bad, [1, -1], 2, [((1, 0),)], 5)
-    assert any(not r[2] for r in records)
+    records = bilinear_on_tau(bad, [1, -1], None, 2, [((1, 0),)], 5)
+    assert any(not r[3] for r in records)
     with pytest.raises(TauCheckError):
         verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)], 5, ctx, 3)
 
@@ -154,7 +153,7 @@ def test_mechanism_agreement_on_non_solution():
     bad = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
     recs = taylor_agreement(bad, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
     assert recs and all(r["two_term_ok"] and r["taylor_ok"] for r in recs)
-    qrecs = q_bilinear_on_tau(bad, [1, -1], F(2), 2, [()], 5)
+    qrecs = bilinear_on_tau(bad, [1, -1], F(2), 2, [()], 5)
     assert any(not r[3] for r in qrecs)  # while the residues do fail
 
 

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from qakns.calculus import ClassicalCalc, QCalc
 from qakns.matseries import MatSeries
+from qakns.qop import exp_q_laurent
 from qakns.series import XSeries
-from qakns.zseries import InsufficientDepthError, MZSeries
+from qakns.zseries import InsufficientDepthError, MZSeries, derive_through
 
 N = 8
 
@@ -134,3 +136,57 @@ def test_mul_stores_nothing_below_its_floor():
     expect = a.coeff(0) @ b.coeff(-1) + a.coeff(-1) @ b.coeff(0) \
         + a.coeff(-2) @ b.coeff(1)
     assert ((a * b).coeff(-1) - expect).is_zero()
+
+
+def _exp_classical(a_values, order, guard=4):
+    """sum_j z**j diag(a**j / j!) x**j, with inexact zeros past the x order."""
+    hidden = XSeries.zero(order).with_valid(order)
+
+    def diag(entries):
+        n = len(entries)
+        zero = XSeries.zero(order)
+        return MatSeries([[entries[i] if i == j else zero for j in range(n)]
+                          for i in range(n)])
+
+    terms = {
+        j: diag([XSeries.monomial(F(a) ** j / math.factorial(j), j, order)
+                 for a in a_values])
+        for j in range(order + 1)
+    }
+    for j in range(order + 1, order + guard + 1):
+        terms[j] = diag([hidden] * len(a_values))
+    return MZSeries(len(a_values), terms)
+
+
+def _laurent_factor():
+    """An x-dependent I + f_1 z**-1 + f_2 z**-2 with full 2x2 coefficients."""
+    def xmat(rows):
+        return MatSeries([[XSeries.poly(c, N) for c in r] for r in rows])
+
+    return MZSeries(2, {
+        0: xmat([[[1, 2], [0, 0, 1]], [[F(1, 3)], [1, -1]]]),
+        -1: xmat([[[0, 1], [2]], [[-1, 0, 3], [F(1, 2), 1]]]),
+        -2: xmat([[[5], [0, F(-2, 7)]], [[0, 0, 0, 1], [1]]]),
+    })
+
+
+@pytest.mark.parametrize("classical", [False, True], ids=["q", "classical"])
+def test_derive_through_is_the_leibniz_reduction(classical):
+    # D(f E) == (D f + (sigma f) zA) E for D E = zA E, inside the known window
+    a_values = [2, F(-1, 3)]
+    if classical:
+        calc = ClassicalCalc(N)
+        e = _exp_classical(a_values, N)
+    else:
+        calc = QCalc(F(3, 2), N)
+        e = exp_q_laurent(a_values, calc.q, N)
+    a_z = MZSeries.from_term(2, 1, MatSeries.diag_const(a_values, N))
+    f = _laurent_factor()
+    lhs = (f * e).map_entries(calc.derive)
+    rhs = derive_through(f, a_z, calc.derive, calc.dilate) * e
+    assert not lhs.is_zero() and lhs.min_entry_valid() >= N - 1
+    assert (lhs - rhs).is_zero()
+    if not classical:
+        # the dilation is what makes the rule twisted: sigma = id fails
+        untwisted = derive_through(f, a_z, calc.derive, lambda s: s) * e
+        assert not (lhs - untwisted).is_zero()
