@@ -8,7 +8,8 @@ content:
   f(B) times the Baker function, where f is built by the recursion
   f' = d f + f * B with d B_(l beta) = (z**l [B_(k alpha), R_beta])_+;
   the factor is evaluated here by a small expression calculus closed
-  under that differentiation;
+  under that differentiation, over the channel family that
+  `Dressing.resolvents()` conjugates once per dressing;
 * the x-derivation: D_q w * w**-1 equals (D_q what + z (D what) A) * what**-1
   exactly, computed honestly from the dressing series. For a dressing
   that solves the hierarchy this is zA - U; for a corrupted one it grows
@@ -16,32 +17,22 @@ content:
 
 Both x-derivative reductions are the q-Leibniz rule `zseries.derive_through`:
 through exp_q(zAx) for the factor itself, and through the Baker function
-for the m = 1 residues.
+for the m = 1 residues. The residue family itself is `bilinear_residues`,
+the one engine for solver dressings (here) and tau-built dressings
+(`tau.bilinear_on_tau`).
 """
 
 from __future__ import annotations
 
-from .hierarchy import Dressing, LaxData, Resolvent, resolvent_from_dressing
+from typing import NamedTuple
+
+from .hierarchy import Dressing, Resolvent
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
 from .zseries import MZSeries, derive_through
 
 FlowIndex = tuple[int, int]
-
-
-class FlowScope:
-    """Solved channel resolvents backing the flow-expression calculus."""
-
-    def __init__(self, lax: LaxData, family: list[Resolvent]):
-        self.lax = lax
-        self.family = family
-
-    @staticmethod
-    def from_dressing(dressing: Dressing) -> "FlowScope":
-        lax = dressing.lax
-        fam = [resolvent_from_dressing(dressing, a) for a in range(lax.n)]
-        return FlowScope(lax, fam)
 
 
 class _Expr:
@@ -63,34 +54,33 @@ class _Expr:
 
 
 class _Const(_Expr):
-    __slots__ = ("mz", "scope")
+    __slots__ = ("mz",)
 
-    def __init__(self, scope: FlowScope, mz: MZSeries):
+    def __init__(self, mz: MZSeries):
         super().__init__()
-        self.scope = scope
         self.mz = mz
 
     def _compute(self):
         return self.mz
 
     def d(self, flow):
-        return _Const(self.scope, MZSeries.zero(self.mz.n, self.mz.proto))
+        return _Const(MZSeries.zero(self.mz.n, self.mz.proto))
 
 
 class _R(_Expr):
-    __slots__ = ("scope", "beta")
+    __slots__ = ("family", "beta")
 
-    def __init__(self, scope: FlowScope, beta: int):
+    def __init__(self, family: list[Resolvent], beta: int):
         super().__init__()
-        self.scope = scope
+        self.family = family
         self.beta = beta
 
     def _compute(self):
-        return self.scope.family[self.beta].mz()
+        return self.family[self.beta].mz()
 
     def d(self, flow):
         k, alpha = flow
-        return _comm(_B(self.scope, k, alpha), self)
+        return _comm(_B(self.family, k, alpha), self)
 
 
 class _Sum(_Expr):
@@ -156,21 +146,20 @@ def _comm(a: _Expr, b: _Expr) -> _Expr:
     return _Sum(_Prod(a, b), _Neg(_Prod(b, a)))
 
 
-def _B(scope: FlowScope, k: int, alpha: int) -> _Expr:
-    return _ShiftProj(k, _R(scope, alpha))
+def _B(family: list[Resolvent], k: int, alpha: int) -> _Expr:
+    return _ShiftProj(k, _R(family, alpha))
 
 
-def flow_polynomial(scope: FlowScope, lam) -> MZSeries:
-    """The factor f with (iterated flow derivative of w) = f * w."""
-    return _flow_expr(scope, lam).value()
+def flow_polynomial(family: list[Resolvent], lam) -> MZSeries:
+    """The factor f with (iterated flow derivative of w) = f * w.
 
-
-def _flow_expr(scope: FlowScope, lam) -> _Expr:
-    proto = scope.lax.proto()
-    f: _Expr = _Const(scope, MZSeries.identity(scope.lax.n, proto))
+    `family` is the channel resolvent family, as `Dressing.resolvents()`.
+    """
+    lax = family[0].lax
+    f: _Expr = _Const(MZSeries.identity(lax.n, lax.proto()))
     for (k, alpha) in lam:
-        f = _Sum(f.d((k, alpha)), _Prod(f, _B(scope, k, alpha)))
-    return f
+        f = _Sum(f.d((k, alpha)), _Prod(f, _B(family, k, alpha)))
+    return f.value()
 
 
 def x_derivative_factor(dressing: Dressing) -> MZSeries:
@@ -180,22 +169,19 @@ def x_derivative_factor(dressing: Dressing) -> MZSeries:
     violation shows up as negative z-degrees.
     """
     lax = dressing.lax
-    w = dressing.mz()
-    floor = min(-dressing.depth, w.bottom() if w.terms else 0)
-    winv = w.invert(int(floor))
     a_z = MZSeries.from_term(lax.n, 1, lax.a_mat())
-    return derive_through(w, a_z, lax.calc.derive, lax.calc.dilate) * winv
+    factor = derive_through(dressing.mz(), a_z, lax.calc.derive, lax.calc.dilate)
+    return factor * dressing.inverse()
 
 
-class BilinearRecord:
-    __slots__ = ("l", "m", "lam", "ok", "first_failure")
+class BilinearRecord(NamedTuple):
+    """One residue res_z(z**l (D**m d**lam w) w**-1); ok when it vanishes."""
 
-    def __init__(self, l, m, lam, residue: MatSeries):
-        self.l = l
-        self.m = m
-        self.lam = lam
-        self.ok = residue.is_zero()
-        self.first_failure = residue.first_nonzero()
+    l: int
+    m: int
+    lam: tuple
+    ok: bool
+    first_failure: tuple | None
 
     def label(self):
         lam = ",".join(f"({k},{a+1})" for k, a in self.lam)
@@ -225,35 +211,44 @@ def lambda_pool(flows, max_len: int):
     return pool
 
 
-def check_q_bilinear(
-    dressing: Dressing,
-    l_max: int,
-    lambdas,
-    m_values=(0, 1),
-    scope: FlowScope | None = None,
+def bilinear_residues(
+    flow_factor, g, derive, dilate, l_max: int, lambdas
 ) -> list[BilinearRecord]:
-    """Residue family res_z(z**l (D**m flow-derivative of w) w**-1) == 0."""
-    calc = dressing.lax.calc
-    scope = scope or FlowScope.from_dressing(dressing)
-    g = x_derivative_factor(dressing) if 1 in m_values else None
+    """Residue family res_z(z**l (D**m flow-derivative of w) w**-1) == 0.
+
+    `flow_factor(lam)` is the flow-derivative factor at the dressing level
+    and `g` the x-derivative factor D w * w**-1, through which m = 1
+    reduces by the q-Leibniz rule (`derive`, `dilate` act on the entries).
+    With g None only m = 0 runs. Records run over lambda, then m, then l.
+    """
     records = []
     for lam in lambdas:
-        f = flow_polynomial(scope, lam)
-        reduced = {0: f}
-        if g is not None:
-            reduced[1] = derive_through(f, g, calc.derive, calc.dilate)
-        for m in m_values:
-            target = reduced[m]
+        f = flow_factor(lam)
+        reduced = [f] if g is None else [f, derive_through(f, g, derive, dilate)]
+        for m, target in enumerate(reduced):
             for l in range(l_max + 1):
                 res = target.shift(l).residue()
-                records.append(BilinearRecord(l, m, lam, res))
+                records.append(
+                    BilinearRecord(l, m, lam, res.is_zero(), res.first_nonzero())
+                )
     return records
+
+
+def check_q_bilinear(
+    dressing: Dressing, l_max: int, lambdas
+) -> list[BilinearRecord]:
+    """The residue family on a solver dressing, m in {0, 1}."""
+    calc = dressing.lax.calc
+    family = dressing.resolvents()
+    return bilinear_residues(
+        lambda lam: flow_polynomial(family, lam), x_derivative_factor(dressing),
+        calc.derive, calc.dilate, l_max, lambdas,
+    )
 
 
 def adjoint_baker(dressing: Dressing) -> MZSeries:
     """The adjoint dressing (w**-1)^T."""
-    w = dressing.mz()
-    return w.invert(-dressing.depth).transpose()
+    return dressing.inverse().transpose()
 
 
 def check_inverse_transpose(w: MZSeries, w_star: MZSeries):
@@ -304,7 +299,7 @@ def inject_corruption(dressing: Dressing, value="1", channel: int = -1) -> Dress
     lax = dressing.lax
     channel = channel % lax.n
     bump = MatSeries.diag_const(
-        [frac(value) if i == channel else 0 for i in range(lax.n)], lax.order
+        [frac(value) if i == channel else 0 for i in range(lax.n)], lax.proto()
     )
     orders = list(dressing.orders)
     orders[1] = orders[1] + bump

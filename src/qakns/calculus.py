@@ -132,9 +132,6 @@ class QCalc:
     def dilate(self, f: XSeries) -> XSeries:
         return dilate(f, self.q)
 
-    def dilate_inv(self, f: XSeries) -> XSeries:
-        return dilate(f, 1 / self.q)
-
     def derive(self, f: XSeries) -> XSeries:
         return q_derive(f, self.q)
 
@@ -144,13 +141,6 @@ class QCalc:
     def dilation_eig(self, m: int) -> Fraction:
         """Eigenvalue of the dilation on the monomial x**m."""
         return self.q**m
-
-    def exp(self, c) -> XSeries:
-        return exp_q_series(c, self.q, self.order)
-
-    def inverse(self) -> "QCalc":
-        """The structure at parameter 1/q (adjoint basis calculus)."""
-        return QCalc(1 / self.q, self.order)
 
     def __repr__(self):
         return f"QCalc(q={self.q}, order={self.order})"
@@ -168,9 +158,6 @@ class ClassicalCalc:
     def dilate(self, f: XSeries) -> XSeries:
         return f
 
-    def dilate_inv(self, f: XSeries) -> XSeries:
-        return f
-
     def derive(self, f: XSeries) -> XSeries:
         return x_derive(f)
 
@@ -179,9 +166,6 @@ class ClassicalCalc:
 
     def dilation_eig(self, m: int) -> Fraction:
         return Fraction(1)
-
-    def exp(self, c) -> XSeries:
-        return exp_series([(1, frac(c))], self.order)
 
     def __repr__(self):
         return f"ClassicalCalc(order={self.order})"

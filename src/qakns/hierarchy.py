@@ -87,7 +87,7 @@ class LaxData:
         return XSeries.zero(self.order)
 
     def a_mat(self) -> MatSeries:
-        return MatSeries.diag_const(self.a, self.order)
+        return MatSeries.diag_const(self.a, self.proto())
 
     def u_minus_za(self) -> MZSeries:
         """U - zA as a matrix Laurent series."""
@@ -98,13 +98,21 @@ class LaxData:
 
 
 class Dressing:
-    """I + w_1 z**-1 + ... + w_K z**-K with the factorization property."""
+    """I + w_1 z**-1 + ... + w_K z**-K with the factorization property.
 
-    __slots__ = ("orders", "lax")
+    The dressing owns the Baker data every consumer reads: its inverse
+    w**-1 (determined down to z**-K) and the channel family w E_a w**-1.
+    Both are computed once, on first use; a modified dressing is a new
+    object and never sees them.
+    """
+
+    __slots__ = ("orders", "lax", "_inverse", "_resolvents")
 
     def __init__(self, orders, lax: LaxData):
         self.orders = list(orders)
         self.lax = lax
+        self._inverse = None
+        self._resolvents = None
 
     @property
     def depth(self) -> int:
@@ -120,6 +128,20 @@ class Dressing:
         return MZSeries(
             self.lax.n, {-k: m for k, m in enumerate(self.orders)}, zvalid=zv
         )
+
+    def inverse(self) -> MZSeries:
+        """w**-1 down to z**-depth."""
+        if self._inverse is None:
+            self._inverse = self.mz().invert(-self.depth)
+        return self._inverse
+
+    def resolvents(self) -> list[Resolvent]:
+        """The conjugated channel family, one resolvent per channel."""
+        if self._resolvents is None:
+            self._resolvents = [
+                resolvent_from_dressing(self, a) for a in range(self.lax.n)
+            ]
+        return self._resolvents
 
 
 class Resolvent:
@@ -254,9 +276,7 @@ def _idempotent_repair(alpha, unit, rho, prior, context) -> MatSeries:
                 raise DiagonalConsistencyError(
                     f"{context}: idempotent lift blocked at entry {(i, j)}"
                 )
-    order = rho.proto().order
-    fix = MatSeries.diag_const(consts, order)
-    return rho + fix
+    return rho + MatSeries.diag_const(consts, rho.proto())
 
 
 def solve_resolvent_direct(
@@ -300,10 +320,8 @@ def resolvent_from_dressing(dressing: Dressing, alpha: int) -> Resolvent:
     """Conjugate the channel projector by the dressing series."""
     lax = dressing.lax
     depth = dressing.depth
-    w = dressing.mz()
-    winv = w.invert(-depth)
     unit = MZSeries.from_term(lax.n, 0, lax.unit(alpha))
-    conj = w * unit * winv
+    conj = dressing.mz() * unit * dressing.inverse()
     if conj.is_exact:
         span = -min(conj.bottom(), -depth) if conj.terms else depth
         orders = [conj.coeff(-j) for j in range(span + 1)]

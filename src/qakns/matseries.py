@@ -33,13 +33,12 @@ class MatSeries:
         return MatSeries([[o if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def diag_const(values, order: int) -> "MatSeries":
-        """Diagonal matrix of rational constants over x-series entries."""
-        vs = [frac(v) for v in values]
-        n = len(vs)
-        z = XSeries.zero(order)
+    def diag_const(values, proto) -> "MatSeries":
+        """Diagonal matrix of rational constants over entries shaped like proto."""
+        n = len(values)
+        z, o = proto.zero_like(), proto.one_like()
         return MatSeries(
-            [[XSeries.const(vs[i], order) if i == j else z for j in range(n)]
+            [[o.scale(values[i]) if i == j else z for j in range(n)]
              for i in range(n)]
         )
 
@@ -81,9 +80,6 @@ class MatSeries:
     def transpose(self) -> "MatSeries":
         n = self.n
         return MatSeries([[self.rows[j][i] for j in range(n)] for i in range(n)])
-
-    def diagonal(self):
-        return [self.rows[i][i] for i in range(self.n)]
 
     def min_valid(self) -> int | float:
         """Smallest validity bound over entries (x-order for series entries)."""

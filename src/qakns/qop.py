@@ -303,7 +303,7 @@ def pairing_lhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
         gm = gl.get(l)
         if gm is None:
             continue
-        ainv = MatSeries.diag_const(a_inv, pm.proto().order)
+        ainv = MatSeries.diag_const(a_inv, pm.proto())
         shifted = gm.map(lambda s: dilate(s, 1 / q))
         term = (pm @ ainv @ shifted).scale((-q) ** l)
         acc = term if acc is None else acc + term
@@ -351,7 +351,8 @@ def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
         break
     if order is None:
         return MatSeries.zero(p.n, None)
-    ainv = {0: MatSeries.diag_const([1 / frac(a) for a in a_values], order)}
+    a_inv = [1 / frac(a) for a in a_values]
+    ainv = {0: MatSeries.diag_const(a_inv, XSeries.zero(order))}
     q_twisted = {
         l: g.map(lambda s, ll=l: dilate(s, q**ll)).scale((-q) ** l)
         for l, g in gl.items()
@@ -424,7 +425,7 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
 
     def za_power(k: int) -> MZSeries:
         return MZSeries.from_term(
-            n, k, MatSeries.diag_const([a**k for a in za], order)
+            n, k, MatSeries.diag_const([a**k for a in za], splus.proto)
         )
 
     # P acting on exp_q(zAx)

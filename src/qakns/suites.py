@@ -324,12 +324,10 @@ def check_qr_residual(ctx: SuiteContext) -> CheckResult:
 
 
 def check_first_order_routes(ctx: SuiteContext) -> CheckResult:
-    cfg = ctx.cfg
     d1 = hy.solve_dressing(ctx.lax, 1)
 
     def residuals():
-        for alpha in range(cfg.n):
-            conj = hy.resolvent_from_dressing(d1, alpha)
+        for alpha, conj in enumerate(d1.resolvents()):
             direct = ctx.session.resolvent(alpha, 1)
             yield alpha, conj.orders[1] - direct.orders[1]
 
@@ -468,8 +466,7 @@ def _route_agreement(name, dressing: hy.Dressing, depth: int):
     session = hy.HierarchySession(dressing.lax)
 
     def residuals():
-        for alpha in range(dressing.lax.n):
-            conj = hy.resolvent_from_dressing(dressing, alpha)
+        for alpha, conj in enumerate(dressing.resolvents()):
             direct = session.resolvent(alpha, depth)
             yield alpha, conj.mz().truncate_below(-depth) - direct.mz()
 
@@ -487,7 +484,7 @@ def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
     return ctx.dressing
 
 
-def _bilinear_residues(name, params, ctx: SuiteContext, dressing: hy.Dressing):
+def _bilinear_check(name, params, ctx: SuiteContext, dressing: hy.Dressing):
     records = bl.check_q_bilinear(dressing, ctx.cfg.l_max, ctx.lambdas())
     failures = ((r.label(), r.first_failure) for r in records if not r.ok)
     params = {**params, "l_max": ctx.cfg.l_max, "records": len(records)}
@@ -497,7 +494,7 @@ def _bilinear_residues(name, params, ctx: SuiteContext, dressing: hy.Dressing):
 def check_qb1(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     params = {"lambda_max": cfg.lambda_max, "corrupted": cfg.inject_corruption}
-    return _bilinear_residues("bilinear.qb1", params, ctx, _maybe_corrupt(ctx))
+    return _bilinear_check("bilinear.qb1", params, ctx, _maybe_corrupt(ctx))
 
 
 def check_reconstruct(ctx: SuiteContext) -> CheckResult:
@@ -700,7 +697,7 @@ def check_classical_prop1(ctx: SuiteContext) -> CheckResult:
     dressing = hy.solve_dressing(
         cfg.bilinear_lax(classical=True), cfg.required_dressing_depth()
     )
-    return _bilinear_residues("classical.bilinear", {}, ctx, dressing)
+    return _bilinear_check("classical.bilinear", {}, ctx, dressing)
 
 
 def check_classical_routes(ctx: SuiteContext) -> CheckResult:

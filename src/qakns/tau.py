@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .bilinear import BilinearRecord, bilinear_residues
 from .calculus import dilate, q_derive
 from .matseries import MatSeries
 from .scalars import frac
@@ -185,18 +186,6 @@ def baker_from_tau(
 # -- dressing-level Baker data and the residue machinery ----------------------
 
 
-def _tp_derive_x(q):
-    def fn(tp: TimePoly) -> TimePoly:
-        return tp.map_coeffs(lambda s: q_derive(s, q))
-    return fn
-
-
-def _tp_dilate_x(c):
-    def fn(tp: TimePoly) -> TimePoly:
-        return tp.map_coeffs(lambda s: dilate(s, c))
-    return fn
-
-
 class TauBaker:
     """A dressing built from tau data, with flow and x-derivative reducers."""
 
@@ -204,13 +193,11 @@ class TauBaker:
         self.what = what
         self.a = [frac(v) for v in a_values]
         self.n = what.n
-        self.floor = floor
         self.q = frac(q) if q is not None else None
         self.winv = what.invert(floor)
         self._proto = what.proto
         self._h_memo: dict[tuple, MZSeries] = {}
         self._g_memo: dict[tuple, MZSeries] = {}
-        self._x_factor: MZSeries | None = None
 
     def _unit_mz(self, alpha: int, k: int) -> MZSeries:
         mat = MatSeries.unit(self.n, alpha, self._proto)
@@ -244,44 +231,23 @@ class TauBaker:
         self._h_memo[lam] = out
         return out
 
+    def derive_x(self, tp: TimePoly) -> TimePoly:
+        """The q-derivation in x, acting inside the time coefficients."""
+        return tp.map_coeffs(lambda s: q_derive(s, self.q))
+
+    def dilate_x(self, tp: TimePoly) -> TimePoly:
+        """The dilation x -> qx, acting inside the time coefficients."""
+        return tp.map_coeffs(lambda s: dilate(s, self.q))
+
     def x_factor(self) -> MZSeries:
         """D_q w * w**-1 reduced to the dressing level (q-data only)."""
         if self.q is None:
             raise ValueError("x-derivative factor needs the q parameter")
-        if self._x_factor is None:
-            a_z = MZSeries.from_term(
-                self.n, 1, _diag_const_tp(self.a, self._proto)
-            )
-            self._x_factor = self._derive_through(self.what, a_z) * self.winv
-        return self._x_factor
-
-    def _derive_through(self, f: MZSeries, g: MZSeries) -> MZSeries:
-        return derive_through(f, g, _tp_derive_x(self.q), _tp_dilate_x(self.q))
-
-    def residue(self, l: int, lam, m: int = 0) -> MatSeries:
-        """res_z(z**l (D**m d**lam w) w**-1)."""
-        h = self.h(lam)
-        if m == 0:
-            target = h
-        elif m == 1:
-            target = self._derive_through(h, self.x_factor())
-        else:
-            raise ValueError("m must be 0 or 1")
-        return target.shift(l).residue()
-
-
-def _diag_const_tp(values, proto: TimePoly) -> MatSeries:
-    n = len(values)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(proto.one_like().scale(values[i]))
-            else:
-                row.append(proto.zero_like())
-        rows.append(row)
-    return MatSeries(rows)
+        a_z = MZSeries.from_term(
+            self.n, 1, MatSeries.diag_const(self.a, self._proto)
+        )
+        reduced = derive_through(self.what, a_z, self.derive_x, self.dilate_x)
+        return reduced * self.winv
 
 
 def _zexp_diag(gens: dict[int, list[XSeries]], n: int, depth: int,
@@ -411,26 +377,21 @@ class TauSpec:
 
 def bilinear_on_tau(
     spec: TauSpec, a_values, q, l_max: int, lambdas, depth: int
-) -> list:
-    """Bilinear residues on the tau-built Baker data, as (l, m, lam, ok, witness).
+) -> list[BilinearRecord]:
+    """Bilinear residues on the tau-built Baker data.
 
     q=None is the classical case: the unshifted data and m = 0 only. Given
     q, the times are q-shifted first and m runs over {0, 1}.
     """
-    m_values = (0,)
     if q is not None:
         q = frac(q)
         spec = spec.mapped(lambda p: q_shift_times(p, a_values, q))
-        m_values = (0, 1)
     what = baker_from_tau(spec.tau, spec.companions, spec.n, depth)
     baker = TauBaker(what, a_values, -depth, q)
-    records = []
-    for lam in lambdas:
-        for m in m_values:
-            for l in range(l_max + 1):
-                res = baker.residue(l, lam, m)
-                records.append((l, m, lam, res.is_zero(), res.first_nonzero()))
-    return records
+    g = None if q is None else baker.x_factor()
+    return bilinear_residues(
+        baker.h, g, baker.derive_x, baker.dilate_x, l_max, lambdas
+    )
 
 
 def substitution_commutes(spec: TauSpec, a_values, q, depth: int) -> bool:
@@ -498,12 +459,14 @@ def taylor_agreement(
         (k, alpha): deltas[k][alpha] for (k, alpha) in spec.tau.vars
     }
     etas = _eta_pool(spec.tau.vars, delta_of_var, xorder)
+    g = baker.x_factor()
     records = []
     for lam in lambdas:
         h = baker.h(lam)
         h_q = baker_q.h(lam)
+        dh = derive_through(h, g, baker.derive_x, baker.dilate_x)
         for l in range(l_max + 1):
-            direct = baker.residue(l, lam, 1)
+            direct = dh.shift(l).residue()
             mixed = (h_q * mix).shift(l).residue()
             plain = h.shift(l).residue()
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))

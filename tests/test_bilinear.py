@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from qakns.bilinear import (
-    FlowScope,
     adjoint_baker,
     check_inverse_transpose,
     check_q_bilinear,
@@ -56,23 +55,22 @@ def test_lambda_pool():
 def test_flow_polynomial_single_and_double():
     lax = lax_tri()
     d = solve_dressing(lax, 8)
-    scope = FlowScope.from_dressing(d)
+    family = d.resolvents()
     r1 = resolvent_from_dressing(d, 0)
     r2 = resolvent_from_dressing(d, 1)
     b11, _ = b_split(r1, 1)
-    assert (flow_polynomial(scope, [(1, 0)]) - b11).is_zero()
+    assert (flow_polynomial(family, [(1, 0)]) - b11).is_zero()
     b12, _ = b_split(r2, 1)
     d12b11 = ((b12 * r1.mz()) - (r1.mz() * b12)).shift(1).project("plus")
     expect = d12b11 + (b11 * b12)
-    got = flow_polynomial(scope, [(1, 0), (1, 1)])
+    got = flow_polynomial(family, [(1, 0), (1, 1)])
     assert (got - expect).is_zero()
 
 
 def test_flow_polynomial_vacuum_products():
     lax = lax_vacuum()
     d = solve_dressing(lax, 4)
-    scope = FlowScope.from_dressing(d)
-    got = flow_polynomial(scope, [(1, 0), (2, 0)])
+    got = flow_polynomial(d.resolvents(), [(1, 0), (2, 0)])
     e1 = MatSeries.from_scalars([[1, 0], [0, 0]], N)
     expect = MZSeries.from_term(2, 3, e1)
     assert (got - expect).is_zero()
@@ -153,6 +151,25 @@ def test_reconstruct_vacuum():
     assert neg.is_zero()
     assert u_rec.is_zero()
     assert a_vals == [F(1), F(-1)]
+
+
+def test_dressing_is_inverted_once(monkeypatch):
+    d = solve_dressing(lax_tri3(), 6)
+    calls = []
+    invert = MZSeries.invert
+
+    def counting(self, floor):
+        calls.append(floor)
+        return invert(self, floor)
+
+    monkeypatch.setattr(MZSeries, "invert", counting)
+    for alpha in range(3):
+        resolvent_from_dressing(d, alpha)
+    check_q_bilinear(d, 2, [(), ((1, 0),)])
+    reconstruct_from_bilinear(d)
+    adjoint_baker(d)
+    assert calls == [-6]
+    assert d.resolvents() is d.resolvents()
 
 
 def test_reconstruct_flags_corruption():

@@ -25,6 +25,11 @@ RUNS = {
     ),
     # `qakns bilinear --inject-corruption`
     "bilinear_corrupt": lambda: run_suite(demo_config(True), ["bilinear."]),
+    # n = 3 solver, dressing, bilinear and classical checks on an x-dependent
+    # potential (the config of the solvers_n3 benchmark workload, seed 0)
+    "solvers_n3": lambda: run_suite(
+        load_config(GOLDEN / "solvers_n3.config.json")
+    ),
 }
 
 

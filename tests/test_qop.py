@@ -96,7 +96,7 @@ def test_apply():
     f = MZSeries.from_term(2, 0, MatSeries.from_scalars([[1, 2], [3, 4]], N))
     assert (d_power(0).apply(f) - f).is_zero()
     # the bare operator kills constants, leaving only the symbol part
-    a = MatSeries.diag_const([1, -1], N)
+    a = MatSeries.diag_const([1, -1], ONE)
     u0 = QDOp(2, {1: MZSeries.identity(2, ONE),
                   0: MZSeries.from_term(2, 1, -a)}, Q)
     const = MZSeries.from_term(2, 0, MatSeries.from_scalars([[2, 0], [0, 3]], N))

@@ -180,7 +180,8 @@ def test_derive_through_is_the_leibniz_reduction(classical):
     else:
         calc = QCalc(F(3, 2), N)
         e = exp_q_laurent(a_values, calc.q, N)
-    a_z = MZSeries.from_term(2, 1, MatSeries.diag_const(a_values, N))
+    a_mat = MatSeries.diag_const(a_values, XSeries.zero(N))
+    a_z = MZSeries.from_term(2, 1, a_mat)
     f = _laurent_factor()
     lhs = (f * e).map_entries(calc.derive)
     rhs = derive_through(f, a_z, calc.derive, calc.dilate) * e
