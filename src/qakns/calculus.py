@@ -10,50 +10,64 @@ either structure unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
-from .scalars import ZERO, AdmissibilityError, check_q, frac, q_factorial, q_int
+from .scalars import AdmissibilityError, check_q, common_den, frac, q_factorial, q_int
 from .series import XSeries
+
+
+@lru_cache(maxsize=256)
+def _power_weights(c: Fraction, order: int) -> tuple[tuple[int, ...], int]:
+    """c**k for k = 0..order as integers over one denominator."""
+    p, r = c.numerator, c.denominator
+    return tuple(p**k * r ** (order - k) for k in range(order + 1)), r**order
+
+
+@lru_cache(maxsize=256)
+def _int_weights(q, order: int, inverse: bool) -> tuple[tuple[int, ...], int]:
+    """[k] for k = 1..order (k itself when q is None), or their
+    reciprocals, as integers over one denominator; index 0 holds 0."""
+    ws = [q_int(k, q) if q is not None else Fraction(k) for k in range(1, order + 1)]
+    if inverse:
+        ws = [1 / w for w in ws]
+    nums, den = common_den(ws)
+    return (0,) + nums, den
 
 
 def dilate(f: XSeries, c) -> XSeries:
     """Substitute x -> c*x: coefficient k picks up a factor c**k."""
-    c = frac(c)
-    out = []
-    p = Fraction(1)
-    for a in f.coeffs:
-        out.append(a * p)
-        p *= c
-    return XSeries(out, f.valid)
+    ws, den = _power_weights(frac(c), f.order)
+    return XSeries.from_ints(list(map(mul, f.nums, ws)), f.den * den, f.valid, f.top)
 
 
-def _derive(f: XSeries, ints) -> XSeries:
-    """Degree k of the result is ints(k+1) * f_(k+1); one order of loss."""
-    n = f.order
-    out = [ints(k + 1) * f.coeffs[k + 1] for k in range(n)]
-    out.append(ZERO)
+def _derive(f: XSeries, q) -> XSeries:
+    """Degree k of the result is [k+1] * f_(k+1) (classical when q is None);
+    one order of loss."""
+    ws, den = _int_weights(q, f.order, False)
+    out = list(map(mul, f.nums[1:], ws[1:]))
+    out.append(0)
     valid = f.valid if f.is_exact else f.valid - 1
-    return XSeries(out, valid)
+    return XSeries.from_ints(out, f.den * den, valid, f.top - 1)
 
 
-def _antiderive(g: XSeries, ints) -> XSeries:
+def _antiderive(g: XSeries, q) -> XSeries:
     """Right inverse of `_derive` with zero constant term."""
     n = g.order
-    out = [ZERO] * (n + 1)
-    for k in range(n):
-        out[k + 1] = g.coeffs[k] / ints(k + 1)
+    ws, den = _int_weights(q, n, True)
+    out = [0]
+    out += map(mul, g.nums[:n], ws[1:])
     if g.is_exact:
-        d = g.degree()
         # the antiderivative of x**n overflows the stored window
-        valid = n + 1 if (d is None or d + 1 <= n) else n
+        valid = n + 1 if g.top + 1 <= n else n
     else:
         valid = g.valid + 1
-    return XSeries(out, valid)
+    return XSeries.from_ints(out, g.den * den, valid, g.top + 1)
 
 
 def q_derive(f: XSeries, q) -> XSeries:
     """q-difference quotient (f(qx) - f(x)) / (x(q-1)), as [k] * f_k."""
-    q = frac(q)
-    return _derive(f, lambda k: q_int(k, q))
+    return _derive(f, frac(q))
 
 
 def q_derive_by_quotient(f: XSeries, q) -> XSeries:
@@ -65,18 +79,17 @@ def q_derive_by_quotient(f: XSeries, q) -> XSeries:
 
 def q_antiderive(g: XSeries, q) -> XSeries:
     """Right inverse of the q-derivative with zero constant term."""
-    q = frac(q)
-    return _antiderive(g, lambda k: q_int(k, q))
+    return _antiderive(g, frac(q))
 
 
 def x_derive(f: XSeries) -> XSeries:
     """Classical d/dx: the q-derivative's rule with k in place of [k]."""
-    return _derive(f, lambda k: k)
+    return _derive(f, None)
 
 
 def x_antiderive(g: XSeries) -> XSeries:
     """Classical integration with zero constant."""
-    return _antiderive(g, lambda k: k)
+    return _antiderive(g, None)
 
 
 def exp_q_series(c, q, order: int) -> XSeries:

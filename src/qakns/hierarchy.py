@@ -27,12 +27,13 @@ exists the conjugation route reproduces this family.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .calculus import ClassicalCalc, QCalc
 from .matseries import MatSeries
-from .scalars import ZERO, frac
+from .scalars import ZERO, common_den, frac
 from .series import XSeries
 from .zseries import MZSeries, NEG_INF, derive_through
 
@@ -166,27 +167,40 @@ class Resolvent:
         )
 
 
+@lru_cache(maxsize=256)
+def _eig_weights(calc: Calc, a_out: Fraction, a_in: Fraction):
+    """1/(a_out*sigma(m) - a_in) for m = 0..order as integers over one
+    denominator; where the eigenvalue vanishes the weight is 0 and the
+    degree is listed."""
+    eigs = [a_out * calc.dilation_eig(m) - a_in for m in range(calc.order + 1)]
+    nums, den = common_den([1 / e if e else ZERO for e in eigs])
+    return nums, den, tuple(m for m, e in enumerate(eigs) if not e)
+
+
+def _divide_by_eigs(lax: LaxData, src: XSeries, j: int, i: int) -> XSeries:
+    """src_m / (a_j*sigma(m) - a_i) inside src's validity window, zero above
+    it; a vanishing eigenvalue against a nonzero coefficient is a resonance."""
+    ws, den, zeros = _eig_weights(lax.calc, lax.a[j], lax.a[i])
+    top = max(min(src.valid, src.top, lax.order), -1)
+    for m in zeros:
+        if m <= top and src.nums[m]:
+            raise ResonanceError(f"resonance at entry {(i, j)} degree {m}")
+    out = list(map(mul, src.nums[: top + 1], ws))
+    out += [0] * (lax.order - top)
+    return XSeries.from_ints(out, src.den * den, src.valid, top)
+
+
 def _solve_offdiag(lax: LaxData, F: MatSeries) -> MatSeries:
     """Off-diagonal part of (D w)A - A w = F, coefficient by coefficient."""
-    n, order = lax.n, lax.order
+    n = lax.n
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             if i == j:
-                row.append(XSeries.zero(order))
+                row.append(XSeries.zero(lax.order))
                 continue
-            src = F[i, j]
-            top = min(src.valid, order)
-            coeffs = [ZERO] * (order + 1)
-            for m in range(top + 1):
-                if src.coeffs[m] == 0:
-                    continue
-                eig = lax.a[j] * lax.calc.dilation_eig(m) - lax.a[i]
-                if eig == 0:
-                    raise ResonanceError(f"resonance at entry {(i, j)} degree {m}")
-                coeffs[m] = src.coeffs[m] / eig
-            row.append(XSeries(coeffs, src.valid))
+            row.append(_divide_by_eigs(lax, F[i, j], j, i))
         rows.append(row)
     return MatSeries(rows)
 
@@ -194,20 +208,14 @@ def _solve_offdiag(lax: LaxData, F: MatSeries) -> MatSeries:
 def _solve_diag_q(lax: LaxData, F: MatSeries, context: str) -> list[XSeries]:
     """Diagonal part under the q-structure: invert a_i (D - 1), zero constant."""
     out = []
-    order = lax.order
     for i in range(lax.n):
         src = F[i, i]
-        if src.valid >= 0 and src.coeffs[0] != 0:
+        if src.valid >= 0 and src.nums[0]:
             raise DiagonalConsistencyError(
                 f"{context}: diagonal equation {i+1} has constant source "
-                f"{src.coeffs[0]}; a_i(D-1) cannot produce constants"
+                f"{src.constant_term()}; a_i(D-1) cannot produce constants"
             )
-        top = min(src.valid, order)
-        coeffs = [ZERO] * (order + 1)
-        for m in range(1, top + 1):
-            eig = lax.a[i] * (lax.calc.dilation_eig(m) - 1)
-            coeffs[m] = src.coeffs[m] / eig
-        out.append(XSeries(coeffs, src.valid))
+        out.append(_divide_by_eigs(lax, src, i, i))
     return out
 
 
@@ -456,25 +464,21 @@ def expand_in_basis(
 
 
 class HierarchySession:
-    """Resolvent cache for one Lax datum; safe for concurrent reads."""
+    """Resolvent cache for one Lax datum: each key is solved once."""
 
     def __init__(self, lax: LaxData):
         self.lax = lax
-        self._lock = threading.Lock()
         self._resolvents: dict[tuple[int, int, str], Resolvent] = {}
 
     def resolvent(
         self, alpha: int, depth: int, normalization: str = "orthogonal"
     ) -> Resolvent:
         key = (alpha, depth, normalization)
-        with self._lock:
-            got = self._resolvents.get(key)
-        if got is not None:
-            return got
-        solved = solve_resolvent_direct(self.lax, alpha, depth, normalization)
-        with self._lock:
-            self._resolvents.setdefault(key, solved)
-        return solved
+        got = self._resolvents.get(key)
+        if got is None:
+            got = solve_resolvent_direct(self.lax, alpha, depth, normalization)
+            self._resolvents[key] = got
+        return got
 
     def family(self, depth: int, normalization: str = "orthogonal"):
         return [

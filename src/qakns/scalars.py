@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -20,6 +21,17 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def common_den(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over the least common denominator of exact rationals.
+
+    For reduced inputs the result is reduced too: no prime divides the
+    denominator and every numerator.
+    """
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def frac_str(value: Fraction) -> str:

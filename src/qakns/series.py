@@ -8,14 +8,25 @@ the unstored tail is exactly zero. Operations propagate validity so that a
 computation can always be asserted only on coefficients it actually
 determined; the q-derivative, for instance, loses one order on inexact
 input but nothing on a polynomial.
+
+The coefficients are held fraction-free: a tuple of integer numerators
+`nums` over one positive denominator `den`, reduced after every operation
+so that gcd(den, *nums) == 1 (and den == 1 for the zero series). Equal
+values therefore have equal representations. `top` is the highest degree
+with a nonzero numerator (-1 for the zero series); it is computed once
+at construction and serves as the degree and as the exact-zero test, so
+a product with a zero operand does no convolution. `coeffs` rebuilds the
+rational coefficients for reports and witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
-from .scalars import ZERO, frac
+from .scalars import ZERO, common_den, frac
 
 
 class TruncationError(ValueError):
@@ -23,14 +34,50 @@ class TruncationError(ValueError):
 
 
 class XSeries:
-    __slots__ = ("coeffs", "valid")
+    __slots__ = ("nums", "den", "valid", "top")
 
     def __init__(self, coeffs: Sequence[Fraction], valid: int | None = None):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
+        nums, den = common_den(coeffs)
+        if not nums:
             raise ValueError("empty coefficient list")
-        n = len(self.coeffs) - 1
+        n = len(nums) - 1
+        self.nums = nums
+        self.den = den
         self.valid = (n + 1) if valid is None else min(valid, n + 1)
+        self.top = next((k for k in range(n, -1, -1) if nums[k]), -1)
+
+    @staticmethod
+    def from_ints(nums, den: int, valid: int, top: int | None = None) -> "XSeries":
+        """Series with coefficients nums[k]/den, reduced to canonical form.
+
+        `den` must be positive. `top`, when given, bounds the highest
+        nonzero degree from above and saves part of the scan.
+        """
+        n = len(nums) - 1
+        top = n if top is None or top > n else top
+        while top >= 0 and not nums[top]:
+            top -= 1
+        if top < 0:
+            top, den = -1, 1
+        else:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [v // g for v in nums]
+                den //= g
+        return XSeries._raw(tuple(nums), den, valid if valid <= n else n + 1, top)
+
+    @staticmethod
+    def _raw(nums: tuple, den: int, valid: int, top: int) -> "XSeries":
+        """A series from fields that are already canonical."""
+        s = object.__new__(XSeries)
+        s.nums, s.den, s.valid, s.top = nums, den, valid, top
+        return s
+
+    def _replace(self, valid: int) -> "XSeries":
+        """The same coefficients with another validity bound."""
+        if valid == self.valid:
+            return self
+        return XSeries._raw(self.nums, self.den, valid, self.top)
 
     # -- constructors -------------------------------------------------
 
@@ -52,11 +99,11 @@ class XSeries:
 
     @staticmethod
     def zero(order: int) -> "XSeries":
-        return XSeries.poly([], order)
+        return XSeries.from_ints((0,) * (order + 1), 1, order + 1, -1)
 
     @staticmethod
     def one(order: int) -> "XSeries":
-        return XSeries.poly([1], order)
+        return XSeries.from_ints((1,) + (0,) * order, 1, order + 1, 0)
 
     @staticmethod
     def monomial(c, k: int, order: int) -> "XSeries":
@@ -73,8 +120,13 @@ class XSeries:
     # -- structure -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_exact(self) -> bool:
@@ -82,113 +134,147 @@ class XSeries:
 
     def degree(self) -> int | None:
         """Top degree of the stored support, or None for the zero series."""
-        for k in range(self.order, -1, -1):
-            if self.coeffs[k] != 0:
-                return k
-        return None
+        return None if self.top < 0 else self.top
 
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
         """True if every coefficient within the validity window vanishes."""
-        top = min(self.valid, self.order)
-        return all(self.coeffs[k] == 0 for k in range(top + 1))
+        if self.top <= self.valid:
+            return self.top < 0  # a nonzero nums[top] lies inside the window
+        return not any(self.nums[: max(self.valid + 1, 0)])
 
     def first_nonzero(self) -> tuple[int, Fraction] | None:
         """First (degree, value) with nonzero value inside the validity window."""
-        top = min(self.valid, self.order)
-        for k in range(top + 1):
-            if self.coeffs[k] != 0:
-                return k, self.coeffs[k]
+        window = min(self.valid, self.top)
+        for k in range(window + 1):
+            if self.nums[k]:
+                return k, Fraction(self.nums[k], self.den)
         return None
 
     def with_valid(self, valid: int) -> "XSeries":
-        return XSeries(self.coeffs, min(self.valid, valid))
+        return self._replace(min(self.valid, valid))
 
-    def _check(self, other: "XSeries"):
-        if self.order != other.order:
-            raise TruncationError(
-                f"mismatched truncation orders: {self.order} vs {other.order}"
-            )
+    def _mismatch(self, other: "XSeries") -> TruncationError:
+        return TruncationError(
+            f"mismatched truncation orders: {self.order} vs {other.order}"
+        )
 
     # -- arithmetic ------------------------------------------------------
 
+    def _combine(self, other: "XSeries", op) -> "XSeries":
+        """self op other for op in (add, sub), over the least common denominator."""
+        a, b = self.nums, other.nums
+        if len(a) != len(b):
+            raise self._mismatch(other)
+        va, vb = self.valid, other.valid
+        valid = va if va < vb else vb
+        if other.top < 0:
+            return self._replace(valid)
+        if self.top < 0 and op is add:
+            return other._replace(valid)
+        da, db = self.den, other.den
+        if da == db:
+            nums = list(map(op, a, b))
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            da *= ma
+            nums = [op(x * ma, y * mb) for x, y in zip(a, b)]
+        return XSeries.from_ints(nums, da, valid, max(self.top, other.top))
+
     def __add__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        return XSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            min(self.valid, other.valid),
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        return XSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            min(self.valid, other.valid),
-        )
+        return self._combine(other, sub)
 
     def __neg__(self) -> "XSeries":
-        return XSeries([-a for a in self.coeffs], self.valid)
+        return XSeries._raw(tuple(map(neg, self.nums)), self.den, self.valid, self.top)
 
     def __mul__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if b != 0:
-                    out[i + j] += a * b
-        if self.is_exact and other.is_exact:
-            da, db = self.degree(), other.degree()
-            if da is None or db is None or da + db <= n:
-                return XSeries(out)  # product is again a polynomial
-            valid = n
+        a, b = self.nums, other.nums
+        if len(a) != len(b):
+            raise self._mismatch(other)
+        n = len(a) - 1
+        ta, tb = self.top, other.top
+        va, vb = self.valid, other.valid
+        if va > n and vb > n:
+            # a product of polynomials is again one unless it overflows
+            valid = n + 1 if ta < 0 or tb < 0 or ta + tb <= n else n
         else:
-            valid = min(self.valid, other.valid)
-        return XSeries(out, valid)
+            valid = va if va < vb else vb
+        if ta < 0:
+            return self._replace(valid)
+        if tb < 0:
+            return other._replace(valid)
+        den = self.den * other.den
+        if ta == 0 or tb == 0:  # a constant factor scales the other one
+            c, s = (a[0], b) if ta == 0 else (b[0], a)
+            return XSeries.from_ints([c * v for v in s], den, valid, ta + tb)
+        rb = b[::-1]
+        top = min(ta + tb, n)
+        out = [0] * (n + 1)
+        for k in range(top + 1):
+            lo = k - tb if k > tb else 0
+            hi = k if k < ta else ta
+            out[k] = sum(map(mul, a[lo:hi + 1], rb[n - k + lo:n - k + hi + 1]))
+        return XSeries.from_ints(out, den, valid, top)
 
     def scale(self, c) -> "XSeries":
         c = frac(c)
-        return XSeries([c * a for a in self.coeffs], self.valid)
+        p, r = c.numerator, c.denominator
+        return XSeries.from_ints(
+            [p * v for v in self.nums], r * self.den, self.valid, self.top
+        )
 
     def invert(self) -> "XSeries":
-        """Multiplicative inverse as a truncated series (nonzero constant term)."""
-        a0 = self.coeffs[0]
+        """Multiplicative inverse as a truncated series (nonzero constant term).
+
+        With a = A/den and integer A, 1/A has coefficient k equal to
+        C_k / A_0**(k+1), where C_0 = 1 and
+        C_k = -sum_{i=1..k} A_i C_(k-i) A_0**(i-1).
+        """
+        a = self.nums
+        a0 = a[0]
         if a0 == 0:
             raise ZeroDivisionError("series has zero constant term")
-        n = self.order
-        out = [ZERO] * (n + 1)
-        out[0] = 1 / a0
+        n, top = self.order, self.top
+        pw = [1]
+        for _ in range(n):
+            pw.append(pw[-1] * a0)
+        c = [1] + [0] * n
         for k in range(1, n + 1):
-            acc = ZERO
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / a0
-        if self.is_exact and self.degree() in (None, 0):
-            return XSeries(out)  # the reciprocal of a constant is exact
-        return XSeries(out, min(self.valid, n))
+            c[k] = -sum(
+                a[i] * c[k - i] * pw[i - 1] for i in range(1, min(k, top) + 1)
+            )
+        nums = [self.den * ck * pw[n - k] for k, ck in enumerate(c)]
+        den = pw[n] * a0
+        if den < 0:
+            nums, den = [-v for v in nums], -den
+        if self.is_exact and top == 0:
+            return XSeries.from_ints(nums, den, n + 1)  # the reciprocal of a constant is exact
+        return XSeries.from_ints(nums, den, min(self.valid, n))
 
     def shift_down(self) -> "XSeries":
         """Divide by x exactly; the constant term must vanish."""
-        if self.coeffs[0] != 0:
+        if self.nums[0] != 0:
             raise ValueError("not divisible by x: nonzero constant term")
-        out = list(self.coeffs[1:]) + [ZERO]
         # the top coefficient came from degree order+1, unknown unless exact
         valid = self.valid if self.is_exact else self.valid - 1
-        return XSeries(out, valid)
+        return XSeries._raw(self.nums[1:] + (0,), self.den, valid, max(self.top - 1, -1))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, XSeries)
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
             and self.valid == other.valid
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.valid))
+        return hash((self.nums, self.den, self.valid))
 
     def __repr__(self) -> str:
         parts = []
@@ -204,4 +290,3 @@ class XSeries:
         body = " + ".join(parts) if parts else "0"
         mark = "" if self.is_exact else f" (+O(x^{min(self.valid, self.order) + 1}))"
         return f"<{body}{mark}>"
-

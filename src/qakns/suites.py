@@ -136,6 +136,7 @@ def check_power_additivity(ctx: SuiteContext) -> CheckResult:
 
     def residuals():
         for f in _sample_series(cfg.n_x, 11):
+            coeffs = f.coeffs
             for m in range(3):
                 for n in range(3):
                     stepped = f
@@ -144,7 +145,7 @@ def check_power_additivity(ctx: SuiteContext) -> CheckResult:
                     closed_coeffs = []
                     p = m + n
                     for k in range(cfg.n_x + 1 - p):
-                        c = f.coeffs[k + p]
+                        c = coeffs[k + p]
                         for i in range(1, p + 1):
                             c *= q_int(k + i, q)
                         closed_coeffs.append(c)

@@ -556,9 +556,7 @@ def _tp_norm(p: TimePoly) -> Fraction:
     for e, c in p.terms.items():
         if sum(e) > p.tvalid:
             continue
-        top = min(c.valid, c.order)
-        for k in range(top + 1):
-            total += abs(c.coeffs[k])
+        total += Fraction(sum(map(abs, c.nums[: max(c.valid + 1, 0)])), c.den)
     return total
 
 

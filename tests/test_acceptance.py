@@ -102,6 +102,7 @@ def test_criterion_1_q_calculus():
     for q in QS:
         f = XSeries.poly([F(3, 2), -1, 0, F(5, 7), 2, -3, 1, F(1, 9), 4], NX)
         g = XSeries.poly([1, F(-2, 5), 2, 0, 1, F(7, 3), -1, 2, F(1, 4)], NX)
+        coeffs = f.coeffs
         # power additivity against the closed multi-step rule
         for m in range(3):
             for n_ in range(3):
@@ -111,7 +112,7 @@ def test_criterion_1_q_calculus():
                 p = m + n_
                 closed = []
                 for k in range(NX + 1 - p):
-                    c = f.coeffs[k + p]
+                    c = coeffs[k + p]
                     for i in range(1, p + 1):
                         c *= q_int(k + i, q)
                     closed.append(c)

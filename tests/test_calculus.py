@@ -90,9 +90,9 @@ def test_expq_eigen_relation(q):
 
 def test_exp_series_examples():
     import math
-    e = exp_series([(1, 1)], N)
+    coeffs = exp_series([(1, 1)], N).coeffs
     for k in range(N + 1):
-        assert e.coeffs[k] == F(1, math.factorial(k))
+        assert coeffs[k] == F(1, math.factorial(k))
     mixed = exp_series([(1, 1), (2, 1)], N)
     assert mixed.coeffs[2] == F(3, 2)
     with pytest.raises(ValueError):
@@ -115,6 +115,7 @@ def test_expq_reciprocal(q):
 def test_power_additivity(q):
     # iterated derivation equals the closed multi-step coefficient rule
     f = XSeries.poly([F(3, 2), -1, 0, F(5, 7), 2, -3, 1, F(1, 9), 4], N)
+    coeffs = f.coeffs
     for m in range(4):
         for n_ in range(4 - m):
             stepped = f
@@ -123,7 +124,7 @@ def test_power_additivity(q):
             p = m + n_
             closed = []
             for k in range(N + 1 - p):
-                c = f.coeffs[k + p]
+                c = coeffs[k + p]
                 for i in range(1, p + 1):
                     c *= q_int(k + i, q)
                 closed.append(c)
@@ -190,3 +191,66 @@ DERIVATIONS = [
 def test_derivation_validity(name, fn, f, derived, antiderived):
     expected = antiderived if name.endswith("antiderive") else derived
     assert fn(f).valid == expected
+
+
+# -- differential tests against a plain-Fraction reference ---------------
+#
+# A reference series is a (coefficient list, valid) pair; the functions
+# below restate the calculus on Fractions, independently of the
+# integer-numerator kernel.
+
+import math
+import random
+
+DENS = (1, 2, 3, 5, 6, 9)
+
+
+def random_ref(rng, n=N):
+    """A reference operand: zero, constant, sparse or dense; exact or not."""
+    kind = rng.randrange(5)
+    top = (-1, 0, rng.randrange(n + 1), n, n)[kind]
+    cs = [F(0)] * (n + 1)
+    for k in range(top + 1):
+        if kind != 2 or rng.random() < 0.5 or k == top:
+            cs[k] = F(rng.randint(-9, 9) or 1, rng.choice(DENS))
+    valid = n + 1 if rng.random() < 0.5 else rng.randint(0, n)
+    return cs, valid
+
+
+def ref_derive(a, ints):
+    cs, v = a
+    n = len(cs) - 1
+    out = [ints(k + 1) * cs[k + 1] for k in range(n)] + [F(0)]
+    return out, (v if v > n else v - 1)
+
+
+def ref_antiderive(a, ints):
+    cs, v = a
+    n = len(cs) - 1
+    out = [F(0)] + [cs[k] / ints(k + 1) for k in range(n)]
+    if v > n:
+        d = max((k for k, c in enumerate(cs) if c), default=None)
+        return out, (n + 1 if d is None or d + 1 <= n else n)
+    return out, v + 1
+
+
+def assert_matches(s, ref):
+    assert s.coeffs == tuple(ref[0])
+    assert s.valid == ref[1]
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    if not any(s.nums):
+        assert s.den == 1 and s.top == -1
+
+
+@pytest.mark.parametrize("q", QS + [F(-2), F(-1, 3)])
+def test_calculus_matches_fraction_reference(q):
+    rng = random.Random(int(q * 30))
+    for _ in range(60):
+        a = random_ref(rng)
+        f = XSeries(*a)
+        c = rng.choice([q, 1 / q, F(0), F(-3, 4)])
+        assert_matches(dilate(f, c), ([c**k * x for k, x in enumerate(a[0])], a[1]))
+        assert_matches(q_derive(f, q), ref_derive(a, lambda k: q_int(k, q)))
+        assert_matches(q_antiderive(f, q), ref_antiderive(a, lambda k: q_int(k, q)))
+        assert_matches(x_derive(f), ref_derive(a, F))
+        assert_matches(x_antiderive(f), ref_antiderive(a, F))

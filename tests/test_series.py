@@ -27,10 +27,11 @@ def test_exp_times_exp_minus_by_direct_convolution():
     import math
     e = XSeries.poly([F(1, math.factorial(k)) for k in range(N + 1)], N)
     em = XSeries.poly([F((-1) ** k, math.factorial(k)) for k in range(N + 1)], N)
+    ce, cem = e.coeffs, em.coeffs
     expect = [F(0)] * (N + 1)
     for i in range(N + 1):
         for j in range(N + 1 - i):
-            expect[i + j] += e.coeffs[i] * em.coeffs[j]
+            expect[i + j] += ce[i] * cem[j]
     assert expect == [1] + [0] * N
     prod = e * em
     assert (prod - XSeries.one(N)).is_zero()
@@ -90,3 +91,161 @@ def test_shift_down():
     assert (x.shift_down() - XSeries.monomial(F(5), 2, N)).is_zero()
     with pytest.raises(ValueError):
         poly(1, 1).shift_down()
+
+
+# -- differential tests against a plain-Fraction reference ---------------
+#
+# A reference series is a (coefficient list, valid) pair; the functions
+# below restate the validity rules on Fractions, independently of the
+# integer-numerator kernel.
+
+import math
+import random
+
+from qakns.matseries import MatSeries
+
+DENS = (1, 2, 3, 4, 6, 7, 12)
+
+
+def random_ref(rng, n=N):
+    """A reference operand: zero, constant, sparse or dense; exact or not."""
+    kind = rng.randrange(5)
+    top = (-1, 0, rng.randrange(n + 1), n, n)[kind]
+    cs = [F(0)] * (n + 1)
+    for k in range(top + 1):
+        if kind != 2 or rng.random() < 0.5 or k == top:
+            cs[k] = F(rng.randint(-9, 9) or 1, rng.choice(DENS))
+    valid = n + 1 if rng.random() < 0.5 else rng.randint(-1, n)
+    return cs, valid
+
+
+def ref_degree(cs):
+    return max((k for k, c in enumerate(cs) if c), default=None)
+
+
+def ref_add(a, b, sign=1):
+    return [x + sign * y for x, y in zip(a[0], b[0])], min(a[1], b[1])
+
+
+def ref_mul(a, b):
+    (ca, va), (cb, vb) = a, b
+    n = len(ca) - 1
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += ca[i] * cb[j]
+    if va > n and vb > n:
+        da, db = ref_degree(ca), ref_degree(cb)
+        return out, (n + 1 if da is None or db is None or da + db <= n else n)
+    return out, min(va, vb)
+
+
+def ref_invert(a):
+    cs, v = a
+    n = len(cs) - 1
+    out = [1 / cs[0]]
+    for k in range(1, n + 1):
+        out.append(-sum(cs[i] * out[k - i] for i in range(1, k + 1)) / cs[0])
+    if v > n and ref_degree(cs) == 0:
+        return out, n + 1
+    return out, min(v, n)
+
+
+def ref_shift_down(a):
+    cs, v = a
+    n = len(cs) - 1
+    return cs[1:] + [F(0)], (v if v > n else v - 1)
+
+
+def assert_canonical(s):
+    assert s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    nonzero = [k for k, v in enumerate(s.nums) if v]
+    assert s.top == (nonzero[-1] if nonzero else -1)
+    if not nonzero:
+        assert s.den == 1
+
+
+def assert_matches(s, ref):
+    assert s.coeffs == tuple(ref[0])
+    assert s.valid == ref[1]
+    assert_canonical(s)
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(6)
+    for _ in range(400):
+        a, b = random_ref(rng), random_ref(rng)
+        sa, sb = XSeries(*a), XSeries(*b)
+        assert_matches(sa, (a[0], min(a[1], N + 1)))
+        assert_matches(sa + sb, ref_add(a, b))
+        assert_matches(sa - sb, ref_add(a, b, -1))
+        assert_matches(-sa, ([-c for c in a[0]], a[1]))
+        assert_matches(sa * sb, ref_mul(a, b))
+        c = F(rng.randint(-4, 4), rng.choice(DENS))
+        assert_matches(sa.scale(c), ([c * x for x in a[0]], a[1]))
+        if a[0][0]:
+            assert_matches(sa.invert(), ref_invert(a))
+        else:
+            assert_matches(sa.shift_down(), ref_shift_down(a))
+
+
+def test_equal_values_are_equal_and_hash_alike():
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = random_ref(rng), random_ref(rng)
+        sa, sb = XSeries(*a), XSeries(*b)
+        back = (sa + sb) - sb
+        assert back == sa.with_valid(sb.valid)
+        assert hash(back) == hash(sa.with_valid(sb.valid))
+        assert sa * sb == sb * sa and hash(sa * sb) == hash(sb * sa)
+        assert sa + sa == sa.scale(2)
+    half = XSeries.poly([F(1, 2), F(3, 2)], N)
+    assert half == XSeries.poly([1, 3], N).scale(F(1, 2))
+    assert (half.nums[:2], half.den) == ((1, 3), 2)
+    zero = half - half
+    assert zero == XSeries.zero(N) and (zero.den, zero.top) == (1, -1)
+
+
+# -- the zero fast path keeps every validity rule --------------------------
+
+
+def test_zero_times_inexact_is_inexact_zero():
+    zero = XSeries.zero(N)
+    inexact = poly(1, 2, 3).with_valid(4)
+    for prod in (zero * inexact, inexact * zero):
+        assert prod.is_zero() and prod.top == -1
+        assert not prod.is_exact and prod.valid == 4
+    assert (zero * poly(1, 2)).is_exact
+    hidden = zero.with_valid(3)
+    assert (hidden * poly(1, 2)).valid == 3
+    assert (poly(1, 2) * hidden).valid == 3
+
+
+def test_adding_zero_keeps_min_valid():
+    zero = XSeries.zero(N)
+    inexact = poly(1, 2, 3).with_valid(4)
+    assert zero + inexact == inexact and inexact + zero == inexact
+    assert inexact - zero == inexact and zero - inexact == -inexact
+    hidden = zero.with_valid(2)
+    for total in (hidden + poly(1, 2), poly(1, 2) + hidden):
+        assert total.coeffs[:2] == (1, 2) and total.valid == 2
+
+
+def test_matmul_with_zero_entries_matches_entrywise_reference():
+    rng = random.Random(8)
+    n = 3
+    for _ in range(20):
+        refs = [[[random_ref(rng) for _ in range(n)] for _ in range(n)]
+                for _ in range(2)]
+        for rows in refs:  # at least one exact zero entry per matrix
+            rows[rng.randrange(n)][rng.randrange(n)] = ([F(0)] * (N + 1), N + 1)
+        a, b = (MatSeries([[XSeries(*e) for e in r] for r in rows]) for rows in refs)
+        prod = a @ b
+        for i in range(n):
+            for j in range(n):
+                acc = None
+                for k in range(n):
+                    term = ref_mul(refs[0][i][k], refs[1][k][j])
+                    acc = term if acc is None else ref_add(acc, term)
+                assert_matches(prod[i, j], acc)
