@@ -227,7 +227,7 @@ def bilinear_residues(
         reduced = [f] if g is None else [f, derive_through(f, g, derive, dilate)]
         for m, target in enumerate(reduced):
             for l in range(l_max + 1):
-                res = target.shift(l).residue()
+                res = target.coeff(-1 - l)
                 records.append(
                     BilinearRecord(l, m, lam, res.is_zero(), res.first_nonzero())
                 )

@@ -20,6 +20,13 @@ class MatSeries:
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
 
+    @classmethod
+    def _of(cls, rows: tuple) -> "MatSeries":
+        """Internal constructor: `rows` is already a square tuple of tuples."""
+        m = object.__new__(cls)
+        m.rows = rows
+        return m
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -75,11 +82,10 @@ class MatSeries:
         return all(e.is_zero() and e.is_exact for r in self.rows for e in r)
 
     def map(self, fn) -> "MatSeries":
-        return MatSeries([[fn(e) for e in r] for r in self.rows])
+        return MatSeries._of(tuple(tuple(fn(e) for e in r) for r in self.rows))
 
     def transpose(self) -> "MatSeries":
-        n = self.n
-        return MatSeries([[self.rows[j][i] for j in range(n)] for i in range(n)])
+        return MatSeries._of(tuple(zip(*self.rows)))
 
     def min_valid(self) -> int | float:
         """Smallest validity bound over entries (x-order for series entries)."""
@@ -88,33 +94,36 @@ class MatSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MatSeries") -> "MatSeries":
-        return MatSeries(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return MatSeries._of(tuple(
+            tuple(a + b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
 
     def __sub__(self, other: "MatSeries") -> "MatSeries":
-        return MatSeries(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return MatSeries._of(tuple(
+            tuple(a - b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
 
     def __neg__(self) -> "MatSeries":
-        return MatSeries([[-a for a in r] for r in self.rows])
+        return MatSeries._of(tuple(tuple(-a for a in r) for r in self.rows))
 
     def __matmul__(self, other: "MatSeries") -> "MatSeries":
         n = self.n
         if other.n != n:
             raise ValueError("dimension mismatch")
+        cols = tuple(zip(*other.rows))
         out = []
-        for i in range(n):
+        for ra in self.rows:
             row = []
-            for j in range(n):
+            for cb in cols:
                 acc = None
-                for k in range(n):
-                    term = self.rows[i][k] * other.rows[k][j]
+                for a, b in zip(ra, cb):
+                    term = a * b
                     acc = term if acc is None else acc + term
                 row.append(acc)
-            out.append(row)
-        return MatSeries(out)
+            out.append(tuple(row))
+        return MatSeries._of(tuple(out))
 
     def scale(self, c) -> "MatSeries":
         c = frac(c)

@@ -406,7 +406,8 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     Builds the q-exponential factors as honest Laurent series, applies P
     by repeated q-derivation (nonnegative powers) or by the verified
     eigenvalue extension (negative powers), assembles the shifted adjoint
-    factor of Q, multiplies everything out in z, and reads the residue.
+    factor of Q, and sums the z-products of the two factors that land on
+    the residue.
     Independent of the closed-form symbol sum in pairing_lhs.
     """
     q = p.dparam
@@ -450,4 +451,4 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
         right = term if right is None else right + term
     if left is None or right is None:
         return MatSeries.zero(n, splus.proto)
-    return (left * right).residue()
+    return left.product_coeff(right, -1)

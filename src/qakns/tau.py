@@ -466,15 +466,15 @@ def taylor_agreement(
         h_q = baker_q.h(lam)
         dh = derive_through(h, g, baker.derive_x, baker.dilate_x)
         for l in range(l_max + 1):
-            direct = dh.shift(l).residue()
-            mixed = (h_q * mix).shift(l).residue()
-            plain = h.shift(l).residue()
+            direct = dh.coeff(-1 - l)
+            mixed = h_q.product_coeff(mix, -1 - l)
+            plain = h.coeff(-1 - l)
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))
             rhs2 = mixed - plain
             two_term_ok = (lhs2 - rhs2).is_zero()
             taylor = None
             for eta, weight in etas:
-                res = baker.h(tuple(lam) + eta).shift(l).residue()
+                res = baker.h(tuple(lam) + eta).coeff(-1 - l)
                 contrib = res.map(lambda tp, w=weight: tp.scale_series(w))
                 taylor = contrib if taylor is None else taylor + contrib
             taylor_ok = (mixed - taylor).is_zero()

@@ -27,19 +27,29 @@ class TimePoly:
 
     def __init__(self, vars: tuple, terms: dict, tmax: int, xorder: int,
                  tvalid: int | None = None):
-        self.vars = tuple(vars)
-        self.tmax = tmax
-        self.xorder = xorder
-        self.tvalid = (tmax + 1) if tvalid is None else min(tvalid, tmax + 1)
-        kept = {}
-        for e, c in terms.items():
-            if len(e) != len(self.vars):
+        vars = tuple(vars)
+        for e in terms:
+            if len(e) != len(vars):
                 raise ValueError("exponent arity mismatch")
             if sum(e) > tmax:
                 raise ValueError("monomial beyond total-degree cap")
-            if not (c.is_zero() and c.is_exact):
-                kept[e] = c
-        self.terms = kept
+        self._fill(vars, terms, tmax, xorder,
+                   tmax + 1 if tvalid is None else tvalid)
+
+    def _fill(self, vars, terms, tmax, xorder, tvalid):
+        self.vars = vars
+        self.tmax = tmax
+        self.xorder = xorder
+        self.tvalid = min(tvalid, tmax + 1)
+        self.terms = {
+            e: c for e, c in terms.items() if not (c.is_zero() and c.is_exact)
+        }
+
+    def _like(self, terms: dict, tvalid: int) -> "TimePoly":
+        """Internal constructor: `terms` already fit this carrier's shape."""
+        out = object.__new__(TimePoly)
+        out._fill(self.vars, terms, self.tmax, self.xorder, tvalid)
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -63,7 +73,7 @@ class TimePoly:
     # -- ring protocol ------------------------------------------------------
 
     def zero_like(self) -> "TimePoly":
-        return TimePoly(self.vars, {}, self.tmax, self.xorder)
+        return self._like({}, self.tmax + 1)
 
     def one_like(self) -> "TimePoly":
         return TimePoly.constant(1, self.vars, self.tmax, self.xorder)
@@ -109,15 +119,13 @@ class TimePoly:
         for e, c in other.terms.items():
             cur = out.get(e)
             out[e] = c if cur is None else cur + c
-        return TimePoly(self.vars, out, self.tmax, self.xorder,
-                        min(self.tvalid, other.tvalid))
+        return self._like(out, min(self.tvalid, other.tvalid))
 
     def __sub__(self, other: "TimePoly") -> "TimePoly":
         return self + (-other)
 
     def __neg__(self) -> "TimePoly":
-        return TimePoly(self.vars, {e: -c for e, c in self.terms.items()},
-                        self.tmax, self.xorder, self.tvalid)
+        return self._like({e: -c for e, c in self.terms.items()}, self.tvalid)
 
     def __mul__(self, other: "TimePoly") -> "TimePoly":
         self._check(other)
@@ -138,21 +146,19 @@ class TimePoly:
             tvalid = self.tmax
         else:
             tvalid = min(self.tvalid, other.tvalid)
-        return TimePoly(self.vars, out, self.tmax, self.xorder, tvalid)
+        return self._like(out, tvalid)
 
     def scale(self, c) -> "TimePoly":
         c = frac(c)
-        return TimePoly(self.vars, {e: s.scale(c) for e, s in self.terms.items()},
-                        self.tmax, self.xorder, self.tvalid)
+        return self._like({e: s.scale(c) for e, s in self.terms.items()},
+                          self.tvalid)
 
     def scale_series(self, s: XSeries) -> "TimePoly":
-        return TimePoly(self.vars, {e: c * s for e, c in self.terms.items()},
-                        self.tmax, self.xorder, self.tvalid)
+        return self._like({e: c * s for e, c in self.terms.items()}, self.tvalid)
 
     def map_coeffs(self, fn) -> "TimePoly":
         """Apply an x-series map (dilation, derivation, ...) to coefficients."""
-        return TimePoly(self.vars, {e: fn(c) for e, c in self.terms.items()},
-                        self.tmax, self.xorder, self.tvalid)
+        return self._like({e: fn(c) for e, c in self.terms.items()}, self.tvalid)
 
     # -- calculus in the times -------------------------------------------------
 
@@ -167,7 +173,7 @@ class TimePoly:
             cur = out.get(e2)
             out[e2] = add if cur is None else cur + add
         tvalid = self.tvalid if self.tvalid > self.tmax else self.tvalid - 1
-        return TimePoly(self.vars, out, self.tmax, self.xorder, tvalid)
+        return self._like(out, tvalid)
 
     def shift_var(self, v: FlowIndex, s: XSeries) -> "TimePoly":
         """Substitute t_v -> t_v + s(x), re-expanded exactly.
@@ -189,7 +195,7 @@ class TimePoly:
                 add = c.scale(comb(e[i], j)) * powers[j]
                 cur = out.get(e2)
                 out[e2] = add if cur is None else cur + add
-        return TimePoly(self.vars, out, self.tmax, self.xorder)
+        return self._like(out, self.tmax + 1)
 
     def invert(self) -> "TimePoly":
         """Inverse in the t-truncated ring; the constant term must invert."""
@@ -210,8 +216,7 @@ class TimePoly:
         return out.with_tvalid(min(self.tvalid, self.tmax))
 
     def with_tvalid(self, tvalid: int) -> "TimePoly":
-        return TimePoly(self.vars, self.terms, self.tmax, self.xorder,
-                        min(self.tvalid, tvalid))
+        return self._like(self.terms, min(self.tvalid, tvalid))
 
     def __eq__(self, other) -> bool:
         return (

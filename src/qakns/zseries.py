@@ -11,8 +11,10 @@ Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
 `product_floor` is that rule; operator composition (`QDOp.pvalid`) uses
-it unchanged on operator powers. `derive_through` is the one q-Leibniz
-reduction that the residue and zero-curvature checks rest on.
+it unchanged on operator powers, and `product_coeff`, which computes one
+degree of a product, inherits it from the product it windows.
+`derive_through` is the one q-Leibniz reduction that the residue and
+zero-curvature checks rest on.
 """
 
 from __future__ import annotations
@@ -167,20 +169,36 @@ class MZSeries:
             self.n, {d: -m for d, m in self.terms.items()}, self.zvalid, self.proto
         )
 
-    def __mul__(self, other: "MZSeries") -> "MZSeries":
+    def _product(self, other: "MZSeries", lo, hi) -> "MZSeries":
+        """The degrees lo..hi of self * other, unknown below the product floor.
+
+        Each degree d sums the block products over the pairs da + db = d,
+        in the order of self's terms.
+        """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         zv = product_floor(self.zvalid, self.top(), other.zvalid, other.top())
+        a, b = self.terms, other.terms
         out: dict[int, MatSeries] = {}
-        for da, ma in self.terms.items():
-            for db, mb in other.terms.items():
-                d = da + db
-                if d < zv:
-                    continue
-                prod = ma @ mb
-                cur = out.get(d)
-                out[d] = prod if cur is None else cur + prod
+        if a and b:
+            for d in range(max(lo, zv, min(a) + min(b)),
+                           min(hi, max(a) + max(b)) + 1):
+                acc = None
+                for da, ma in a.items():
+                    mb = b.get(d - da)
+                    if mb is not None:
+                        prod = ma @ mb
+                        acc = prod if acc is None else acc + prod
+                if acc is not None:
+                    out[d] = acc
         return MZSeries(self.n, out, zv, self.proto or other.proto)
+
+    def __mul__(self, other: "MZSeries") -> "MZSeries":
+        return self._product(other, NEG_INF, math.inf)
+
+    def product_coeff(self, other: "MZSeries", d: int) -> MatSeries:
+        """(self * other).coeff(d), summing only the pairs that reach z**d."""
+        return self._product(other, d, d).coeff(d)
 
     def scale(self, c) -> "MZSeries":
         return MZSeries(
@@ -203,7 +221,7 @@ class MZSeries:
             return self
         return MZSeries(self.n, self.terms, max(self.zvalid, floor), self.proto)
 
-    # -- projections and residue ----------------------------------------------
+    # -- projections ----------------------------------------------------------
 
     def project(self, sign: str) -> "MZSeries":
         """Keep degrees >= 0 ("plus") or < 0 ("minus")."""
@@ -217,10 +235,6 @@ class MZSeries:
             kept = {d: m for d, m in self.terms.items() if d < 0}
             return MZSeries(self.n, kept, self.zvalid, self.proto)
         raise ValueError("sign must be 'plus' or 'minus'")
-
-    def residue(self) -> MatSeries:
-        """The coefficient of z**-1; requires it to be exactly known."""
-        return self.coeff(-1)
 
     # -- inversion ----------------------------------------------------------------
 

@@ -30,6 +30,9 @@ RUNS = {
     "solvers_n3": lambda: run_suite(
         load_config(GOLDEN / "solvers_n3.config.json")
     ),
+    # the full suite at x = 16, z = 8 (the config of the deep_x benchmark
+    # workload, seed 0)
+    "deep_x": lambda: run_suite(load_config(GOLDEN / "deep_x.config.json")),
 }
 
 

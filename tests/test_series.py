@@ -249,3 +249,14 @@ def test_matmul_with_zero_entries_matches_entrywise_reference():
                     term = ref_mul(refs[0][i][k], refs[1][k][j])
                     acc = term if acc is None else ref_add(acc, term)
                 assert_matches(prod[i, j], acc)
+
+
+def test_matseries_constructor_rejects_non_square_rows():
+    one = XSeries.one(N)
+    with pytest.raises(ValueError, match="square"):
+        MatSeries([[one, one], [one]])
+    with pytest.raises(ValueError, match="square"):
+        MatSeries([[one, one]])
+    m = MatSeries([[one, one.scale(2)], [one.scale(3), one.scale(4)]])
+    assert m.transpose()[0, 1] == one.scale(3)
+    assert (m @ m.transpose()).transpose() == m @ m.transpose()

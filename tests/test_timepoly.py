@@ -98,3 +98,14 @@ def test_coefficient_x_validity_propagates():
     limited = const(1).map_coeffs(lambda s: s.with_valid(2))
     p = t.scale_series(XSeries.monomial(1, 1, N)) + limited
     assert p.valid == 2
+
+
+def test_constructor_rejects_malformed_terms():
+    one = XSeries.one(N)
+    with pytest.raises(ValueError, match="arity"):
+        TimePoly(VARS, {(1, 0): one}, TMAX, N)
+    with pytest.raises(ValueError, match="cap"):
+        TimePoly(VARS, {(3, 2, 0): one}, TMAX, N)
+    # operations on valid carriers keep dropping exact zeros
+    t = var((1, 0))
+    assert (t - t).terms == {} and (t - t) == TimePoly.zero(VARS, TMAX, N)

@@ -1,6 +1,7 @@
 """Matrix Laurent series: products, inversion, projections, validity."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from qakns.calculus import ClassicalCalc, QCalc
 from qakns.matseries import MatSeries
 from qakns.qop import exp_q_laurent
 from qakns.series import XSeries
+from qakns.timepoly import TimePoly
 from qakns.zseries import InsufficientDepthError, MZSeries, derive_through
 
 N = 8
@@ -73,8 +75,8 @@ def test_projections_and_residue():
     assert (s.project("plus") - MZSeries.from_term(2, 1, a)).is_zero()
     assert (s.project("minus") - MZSeries.from_term(2, -1, r)).is_zero()
     assert (s.project("plus") + s.project("minus") - s).is_zero()
-    assert (s.residue() - r).is_zero()
-    assert s.project("plus").residue().is_zero()
+    assert (s.coeff(-1) - r).is_zero()
+    assert s.project("plus").coeff(-1).is_zero()
 
 
 def test_mul_validity_rule():
@@ -90,11 +92,10 @@ def test_mul_validity_rule():
 def test_residue_depth_guard():
     s = MZSeries(2, {0: mat([[1, 0], [0, 1]])}, zvalid=0)
     with pytest.raises(InsufficientDepthError):
-        s.residue()
+        s.coeff(-1)
 
 
 def test_mz_associativity_random():
-    import random
     rng = random.Random(9)
 
     def rnd():
@@ -191,3 +192,85 @@ def test_derive_through_is_the_leibniz_reduction(classical):
         # the dilation is what makes the rule twisted: sigma = id fails
         untwisted = derive_through(f, a_z, calc.derive, lambda s: s) * e
         assert not (lhs - untwisted).is_zero()
+
+
+# -- product_coeff: one degree of a product -----------------------------------
+
+TVARS = ((1, 0), (2, 0))
+TMAX = 2
+
+
+def _rnd_xseries(rng, exact=False):
+    if rng.random() < 0.2:
+        return XSeries.zero(N)
+    s = XSeries.poly(
+        [F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)], N
+    )
+    return s if exact or rng.random() < 0.7 else s.with_valid(rng.randint(2, N))
+
+
+def _rnd_timepoly(rng, exact=False):
+    terms = {}
+    for e in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)):
+        if rng.random() < 0.5:
+            terms[e] = _rnd_xseries(rng, exact)
+    tvalid = None if exact or rng.random() < 0.7 else rng.randint(0, TMAX)
+    return TimePoly(TVARS, terms, TMAX, N, tvalid)
+
+
+def _rnd_mz(rng, entry, lo=-4, hi=2):
+    terms = {
+        d: MatSeries([[entry(rng) for _ in range(2)] for _ in range(2)])
+        for d in range(lo, hi + 1)
+        if rng.random() < 0.7
+    }
+    zvalid = -math.inf if rng.random() < 0.5 else rng.randint(lo - 1, lo + 2)
+    proto = entry(rng).zero_like()
+    return MZSeries(2, terms, zvalid, proto)
+
+
+def _cancelling_pair(rng, entry, exact):
+    """a, b whose product vanishes at z**0: M N + M (-N) = 0.
+
+    With exact entries the zero is exact and the product stores nothing
+    there; otherwise it is a zero within validity and stays stored.
+    """
+    m, nn = (
+        MatSeries([[entry(rng, exact) for _ in range(2)] for _ in range(2)])
+        for _ in range(2)
+    )
+    return MZSeries(2, {0: m, 1: m}), MZSeries(2, {0: nn, -1: -nn})
+
+
+def _pairs():
+    rng = random.Random(17)
+    for entry in (_rnd_xseries, _rnd_timepoly):
+        for _ in range(20):
+            yield _rnd_mz(rng, entry), _rnd_mz(rng, entry)
+        for exact in (True, True, False):
+            yield _cancelling_pair(rng, entry, exact)
+        yield _rnd_mz(rng, entry), MZSeries.zero(2, entry(rng).zero_like())
+
+
+def test_product_coeff_matches_full_product():
+    cancelled = 0  # degrees whose pairs sum to an exact zero
+    for a, b in _pairs():
+        full = a * b
+        floor = full.zvalid
+        if full.terms:
+            lo, hi = min(full.terms), max(full.terms)
+        else:
+            lo = hi = 0 if floor == -math.inf else floor
+        if floor != -math.inf:
+            lo = floor
+        for d in range(lo - 1, hi + 2):
+            if d < floor:
+                with pytest.raises(InsufficientDepthError):
+                    full.coeff(d)
+                with pytest.raises(InsufficientDepthError):
+                    a.product_coeff(b, d)
+                continue
+            assert a.product_coeff(b, d) == full.coeff(d)
+            if d not in full.terms and any(d - da in b.terms for da in a.terms):
+                cancelled += 1
+    assert cancelled > 0
