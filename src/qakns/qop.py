@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .calculus import dilate, q_derive
 from .matseries import MatSeries
-from .scalars import frac, q_factorial
+from .scalars import frac, q_int
 from .series import XSeries
 from .zseries import MZSeries, NEG_INF, product_floor
 
@@ -379,8 +379,10 @@ def exp_q_laurent(
     n = len(a_values)
     avals = [frac(a) for a in a_values]
     terms = {}
+    fj = Fraction(1)
     for j in range(order + 1):
-        fj = q_factorial(j, base)
+        if j:
+            fj *= q_int(j, base)  # [j]! as a running product
         entries = []
         for i in range(n):
             row = []
@@ -400,7 +402,13 @@ def exp_q_laurent(
     return MZSeries(n, terms)
 
 
-def pairing_oracle(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
+def oracle_factors(a_values, q, order: int) -> tuple[MZSeries, MZSeries]:
+    """exp_q(zAx) and exp_1/q(-zAx), the two factors `pairing_oracle` expands."""
+    return (exp_q_laurent(a_values, q, order, +1),
+            exp_q_laurent(a_values, q, order, -1))
+
+
+def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
     """Brute-force z-expansion of the pairing's left side.
 
     Builds the q-exponential factors as honest Laurent series, applies P
@@ -409,6 +417,8 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     factor of Q, and sums the z-products of the two factors that land on
     the residue.
     Independent of the closed-form symbol sum in pairing_lhs.
+    A caller pairing many operators at one a, q and x-order passes the
+    `oracle_factors` it built once as `factors`.
     """
     q = p.dparam
     pk = _band_mats(p)
@@ -420,8 +430,9 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     if order is None:
         return MatSeries.zero(p.n, None)
     n = p.n
-    splus = exp_q_laurent(a_values, q, order, +1)
-    sminus = exp_q_laurent(a_values, q, order, -1)
+    splus, sminus = factors or oracle_factors(a_values, q, order)
+    if splus.proto.order != order:
+        raise ValueError("oracle factors built at another x-order")
     za = [frac(a) for a in a_values]
 
     def za_power(k: int) -> MZSeries:

@@ -75,6 +75,12 @@ class SuiteContext:
             return tau_mod.TimeContext(vars, cfg.n_t, cfg.n_x)
         return self.get("tau_ctx", build)
 
+    def oracle_factors(self, a_values):
+        """The pairing oracle's exponential pair at these a, built once per run."""
+        key = "oracle_factors:" + ",".join(map(str, a_values))
+        return self.get(key, lambda: qop.oracle_factors(
+            a_values, self.cfg.q, self.cfg.n_x))
+
     def lambdas(self):
         return bl.lambda_pool(list(self.cfg.flows), self.cfg.lambda_max)
 
@@ -248,7 +254,8 @@ def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
         q_op_ = qop.QDOp(1, {-2: MZSeries.from_term(1, 0, g)}, q)
         lhs = qop.pairing_lhs(p_op, q_op_, [frac(1)])
         expected = g.map(lambda s: dilate(s, 1 / q)).scale(q**-2)
-        oracle = qop.pairing_oracle(p_op, q_op_, [frac(1)])
+        oracle = qop.pairing_oracle(p_op, q_op_, [frac(1)],
+                                    ctx.oracle_factors([frac(1)]))
         yield (), lhs - expected
         yield "oracle", oracle - lhs
         # identities pair to zero
@@ -276,7 +283,8 @@ def check_pairing_random(ctx: SuiteContext) -> CheckResult:
             q_op_ = _random_band_op(rng, n, cfg.n_x, q)
             lhs = qop.pairing_lhs(p_op, q_op_, a_vals)
             rhs = qop.pairing_rhs(p_op, q_op_, a_vals)
-            oracle = qop.pairing_oracle(p_op, q_op_, a_vals)
+            oracle = qop.pairing_oracle(p_op, q_op_, a_vals,
+                                        ctx.oracle_factors(a_vals))
             yield trial, lhs - rhs
             yield (trial, "oracle"), oracle - lhs
 

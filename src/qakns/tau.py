@@ -198,6 +198,8 @@ class TauBaker:
         self._proto = what.proto
         self._h_memo: dict[tuple, MZSeries] = {}
         self._g_memo: dict[tuple, MZSeries] = {}
+        self._coeff_memo: dict[tuple, MatSeries] = {}
+        self._zero = MatSeries.zero(self.n, self._proto)
 
     def _unit_mz(self, alpha: int, k: int) -> MZSeries:
         mat = MatSeries.unit(self.n, alpha, self._proto)
@@ -230,6 +232,27 @@ class TauBaker:
             out = d_prev + (prev * self.g_flow(*head))
         self._h_memo[lam] = out
         return out
+
+    def h_coeff(self, lam, d: int) -> MatSeries:
+        """h(lam).coeff(d); an h(lam) not yet built is read at z**d only.
+
+        The chain rule of `h` at one degree: the t-derivative of the tail's
+        z**d coefficient plus z**d of the tail times the head's flow factor.
+        """
+        lam = tuple(sorted(lam))
+        got = self._h_memo.get(lam)
+        if got is not None or not lam:
+            return self.h(lam).coeff(d)
+        got = self._coeff_memo.get((lam, d))
+        if got is None:
+            head, tail = lam[-1], lam[:-1]
+            prev = self.h(tail)
+            d_prev = prev.coeff(d).map(lambda tp: tp.t_derive(head))
+            got = d_prev + prev.product_coeff(self.g_flow(*head), d)
+            if got.is_zero_exact():
+                got = self._zero  # most leaf reads vanish; hold one zero
+            self._coeff_memo[(lam, d)] = got
+        return got
 
     def derive_x(self, tp: TimePoly) -> TimePoly:
         """The q-derivation in x, acting inside the time coefficients."""
@@ -474,7 +497,7 @@ def taylor_agreement(
             two_term_ok = (lhs2 - rhs2).is_zero()
             taylor = None
             for eta, weight in etas:
-                res = baker.h(tuple(lam) + eta).coeff(-1 - l)
+                res = baker.h_coeff(tuple(lam) + eta, -1 - l)
                 contrib = res.map(lambda tp, w=weight: tp.scale_series(w))
                 taylor = contrib if taylor is None else taylor + contrib
             taylor_ok = (mixed - taylor).is_zero()

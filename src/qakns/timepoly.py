@@ -115,6 +115,11 @@ class TimePoly:
 
     def __add__(self, other: "TimePoly") -> "TimePoly":
         self._check(other)
+        # an empty operand leaves the other's terms; tvalid is still the min
+        if not other.terms and self.tvalid <= other.tvalid:
+            return self
+        if not self.terms and other.tvalid <= self.tvalid:
+            return other
         out = dict(self.terms)
         for e, c in other.terms.items():
             cur = out.get(e)
@@ -129,6 +134,11 @@ class TimePoly:
 
     def __mul__(self, other: "TimePoly") -> "TimePoly":
         self._check(other)
+        if not self.terms or not other.terms:
+            # empty operand: no pair overflows, so only the tvalid rule remains
+            if self.tvalid > self.tmax and other.tvalid > self.tmax:
+                return self if not self.terms else other
+            return self._like({}, min(self.tvalid, other.tvalid))
         out: dict[tuple, XSeries] = {}
         overflow = False
         for ea, ca in self.terms.items():

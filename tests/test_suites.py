@@ -18,8 +18,8 @@ def run_checks(*names):
 def broken_oracle(monkeypatch):
     real = qop.pairing_oracle
 
-    def oracle(p, q_op, a_values):
-        good = real(p, q_op, a_values)
+    def oracle(p, q_op, a_values, factors=None):
+        good = real(p, q_op, a_values, factors)
         return good + type(good).identity(good.n, good.proto())
 
     monkeypatch.setattr(qop, "pairing_oracle", oracle)
@@ -50,3 +50,19 @@ def test_qr_residual_names_the_first_failing_channel(monkeypatch):
     # channel, then z-degree, entry (i, j), x-degree and value
     coords = res.first_failure["coordinates"]
     assert coords[0] == "0" and len(coords) == 6
+
+
+def test_oracle_factors_are_built_once_per_run(monkeypatch):
+    builds = {}
+    real = qop.exp_q_laurent
+
+    def counted(a_values, q, order, sign=+1, *rest):
+        key = (tuple(a_values), q, order, sign)
+        builds[key] = builds.get(key, 0) + 1
+        return real(a_values, q, order, sign, *rest)
+
+    monkeypatch.setattr(qop, "exp_q_laurent", counted)
+    results = run_checks("pairing.oracle_examples", "pairing.random_pairs")
+    assert all(r.status == "pass" for r in results)
+    # the scalar a = (1) is shared by both checks, the demo a by one
+    assert len(builds) == 4 and set(builds.values()) == {1}

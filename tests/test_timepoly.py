@@ -109,3 +109,64 @@ def test_constructor_rejects_malformed_terms():
     # operations on valid carriers keep dropping exact zeros
     t = var((1, 0))
     assert (t - t).terms == {} and (t - t) == TimePoly.zero(VARS, TMAX, N)
+
+
+def _general_mul(a, b):
+    """Terms and tvalid of a * b by the full pair loop and its tvalid rule."""
+    out, overflow = {}, False
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            if sum(e) > TMAX:
+                overflow = True
+            else:
+                out[e] = out[e] + ca * cb if e in out else ca * cb
+    exact = a.tvalid > TMAX and b.tvalid > TMAX
+    tvalid = (TMAX + (not overflow)) if exact else min(a.tvalid, b.tvalid)
+    return {e: c for e, c in out.items() if not (c.is_zero() and c.is_exact)}, tvalid
+
+
+def _general_add(a, b):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out[e] + c if e in out else c
+    out = {e: c for e, c in out.items() if not (c.is_zero() and c.is_exact)}
+    return out, min(a.tvalid, b.tvalid)
+
+
+def test_empty_operand_matches_general_loop():
+    t, s = var((1, 0)), var((1, 1))
+    full = t * t * s + const(F(2, 3)).scale_series(XSeries.monomial(1, 1, N))
+    inexact_x = const(1).map_coeffs(lambda c: c.with_valid(2))
+    empty = TimePoly.zero(VARS, TMAX, N)
+    operands = {
+        "empty exact": empty,
+        "empty truncated": empty.with_tvalid(2),
+        "empty at tvalid -1": empty.with_tvalid(-1),
+        "full exact": full,
+        "full truncated": full.with_tvalid(3),
+        "inexact x": inexact_x,
+        "top degree": t * t * t * t,
+    }
+    for na, a in operands.items():
+        for nb, b in operands.items():
+            if a.terms and b.terms:
+                continue  # the differential covers an empty operand on either side
+            got = a * b
+            assert (got.terms, got.tvalid) == _general_mul(a, b), (na, "*", nb)
+            got = a + b
+            assert (got.terms, got.tvalid) == _general_add(a, b), (na, "+", nb)
+            got = a - b
+            assert (got.terms, got.tvalid) == _general_add(a, -b), (na, "-", nb)
+
+
+def test_general_loop_reference_on_nonempty_operands():
+    # the reference above is the rule the short cut must reproduce; pin it
+    # against the kernel where both operands carry terms
+    t, s = var((1, 0)), var((1, 1))
+    for a in (t * t * s, (t + s).with_tvalid(2), const(3) + t * t * t):
+        for b in (t * s, s.with_tvalid(1), t + const(1)):
+            got = a * b
+            assert (got.terms, got.tvalid) == _general_mul(a, b)
+            got = a + b
+            assert (got.terms, got.tvalid) == _general_add(a, b)
