@@ -8,7 +8,6 @@ with tolerance zero up to the tracked truncation validity.
 """
 
 from .calculus import (
-    ClassicalCalc,
     QCalc,
     dilate,
     exp_q_series,
@@ -55,7 +54,7 @@ from .tau import (
 from .zseries import MZSeries
 
 __all__ = [
-    "ClassicalCalc", "QCalc", "dilate", "exp_q_series", "exp_series",
+    "QCalc", "dilate", "exp_q_series", "exp_series",
     "q_antiderive", "q_derive",
     "DiagonalConsistencyError", "Dressing", "HierarchySession", "LaxData",
     "Resolvent", "ResonanceError", "b_split", "resolvent_from_dressing",

@@ -1,10 +1,10 @@
-"""q-difference calculus on truncated x-series, and its classical limit.
+"""q-difference calculus on truncated x-series, and its classical point.
 
-Two "difference structures" drive every solver in this package: the
-q-structure (dilation x -> qx, the q-derivative, and its right inverse)
-and the classical structure (identity dilation, d/dx, integration with
-zero constant). Solvers written against the shared interface run under
-either structure unchanged.
+Every solver in this package runs against a `QCalc`: the dilation
+x -> qx, the q-derivative, and its right inverse with zero constant. At
+q = 1 the same class is the classical structure: the dilation is the
+identity, [k] = k, so the derivative is d/dx and the right inverse is
+integration. Solvers run under either structure unchanged.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ def _power_weights(c: Fraction, order: int) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=256)
 def _int_weights(q, order: int, inverse: bool) -> tuple[tuple[int, ...], int]:
-    """[k] for k = 1..order (k itself when q is None), or their
-    reciprocals, as integers over one denominator; index 0 holds 0."""
-    ws = [q_int(k, q) if q is not None else Fraction(k) for k in range(1, order + 1)]
+    """[k] for k = 1..order, or their reciprocals, as integers over one
+    denominator; index 0 holds 0."""
+    ws = [q_int(k, q) for k in range(1, order + 1)]
     if inverse:
         ws = [1 / w for w in ws]
     nums, den = common_den(ws)
@@ -36,14 +36,20 @@ def _int_weights(q, order: int, inverse: bool) -> tuple[tuple[int, ...], int]:
 
 
 def dilate(f: XSeries, c) -> XSeries:
-    """Substitute x -> c*x: coefficient k picks up a factor c**k."""
-    ws, den = _power_weights(frac(c), f.order)
+    """Substitute x -> c*x: coefficient k picks up a factor c**k.
+
+    At c = 1 this is the identity, and carriers are immutable, so `f`
+    itself is returned.
+    """
+    c = frac(c)
+    if c == 1:
+        return f
+    ws, den = _power_weights(c, f.order)
     return XSeries.from_ints(list(map(mul, f.nums, ws)), f.den * den, f.valid, f.top)
 
 
 def _derive(f: XSeries, q) -> XSeries:
-    """Degree k of the result is [k+1] * f_(k+1) (classical when q is None);
-    one order of loss."""
+    """Degree k of the result is [k+1] * f_(k+1); one order of loss."""
     ws, den = _int_weights(q, f.order, False)
     out = list(map(mul, f.nums[1:], ws[1:]))
     out.append(0)
@@ -83,13 +89,13 @@ def q_antiderive(g: XSeries, q) -> XSeries:
 
 
 def x_derive(f: XSeries) -> XSeries:
-    """Classical d/dx: the q-derivative's rule with k in place of [k]."""
-    return _derive(f, None)
+    """Classical d/dx: the q-derivative at q = 1, where [k] = k."""
+    return _derive(f, 1)
 
 
 def x_antiderive(g: XSeries) -> XSeries:
-    """Classical integration with zero constant."""
-    return _antiderive(g, None)
+    """Classical integration with zero constant: q_antiderive at q = 1."""
+    return _antiderive(g, 1)
 
 
 def exp_q_series(c, q, order: int) -> XSeries:
@@ -134,13 +140,19 @@ def exp_series(args, order: int) -> XSeries:
 
 
 class QCalc:
-    """The q-difference structure at a fixed admissible parameter."""
+    """The q-difference structure at a fixed parameter; q = 1 is classical.
 
-    classical = False
+    Any q other than 1 must pass `check_q` at this order.
+    """
 
     def __init__(self, q, order: int):
-        self.q = check_q(frac(q), order)
+        q = frac(q)
+        self.q = q if q == 1 else check_q(q, order)
         self.order = order
+
+    @property
+    def classical(self) -> bool:
+        return self.q == 1
 
     def dilate(self, f: XSeries) -> XSeries:
         return dilate(f, self.q)
@@ -157,28 +169,3 @@ class QCalc:
 
     def __repr__(self):
         return f"QCalc(q={self.q}, order={self.order})"
-
-
-class ClassicalCalc:
-    """The classical structure: identity dilation and d/dx."""
-
-    classical = True
-
-    def __init__(self, order: int):
-        self.q = None
-        self.order = order
-
-    def dilate(self, f: XSeries) -> XSeries:
-        return f
-
-    def derive(self, f: XSeries) -> XSeries:
-        return x_derive(f)
-
-    def antiderive(self, g: XSeries) -> XSeries:
-        return x_antiderive(g)
-
-    def dilation_eig(self, m: int) -> Fraction:
-        return Fraction(1)
-
-    def __repr__(self):
-        return f"ClassicalCalc(order={self.order})"

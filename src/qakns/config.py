@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import ClassicalCalc, QCalc
+from .calculus import QCalc
 from .hierarchy import LaxData
 from .matseries import MatSeries
 from .scalars import AdmissibilityError, check_q, frac, frac_str
@@ -66,11 +66,9 @@ class RunConfig:
 
     # -- derived builders -------------------------------------------------
 
-    def calc(self) -> QCalc:
-        return QCalc(self.q, self.n_x)
-
-    def classical_calc(self) -> ClassicalCalc:
-        return ClassicalCalc(self.n_x)
+    def calc(self, classical: bool = False) -> QCalc:
+        """The configured q-structure, or the classical structure (q = 1)."""
+        return QCalc(1 if classical else self.q, self.n_x)
 
     def _u_matrix(self, entries) -> MatSeries:
         rows = []
@@ -82,13 +80,11 @@ class RunConfig:
         return MatSeries(rows)
 
     def lax(self, classical: bool = False) -> LaxData:
-        calc = self.classical_calc() if classical else self.calc()
-        return LaxData(list(self.a), self._u_matrix(self.u), calc)
+        return LaxData(list(self.a), self._u_matrix(self.u), self.calc(classical))
 
     def bilinear_lax(self, classical: bool = False) -> LaxData:
         entries = self.bilinear_u if self.bilinear_u is not None else self.u
-        calc = self.classical_calc() if classical else self.calc()
-        return LaxData(list(self.a), self._u_matrix(entries), calc)
+        return LaxData(list(self.a), self._u_matrix(entries), self.calc(classical))
 
     def required_resolvent_depth(self) -> int:
         if self.resolvent_depth is not None:

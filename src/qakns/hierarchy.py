@@ -1,19 +1,20 @@
 """Lax structure, dressing and resolvent solvers, flows, and their checks.
 
-All solvers run against a difference structure (QCalc or ClassicalCalc),
-so the classical hierarchy is the same code path. Order-by-order linear
-problems have the shape (D w)A - A w = F; off-diagonal entries invert
-coefficient-wise with eigenvalues a_j*sigma(m) - a_i, which non-resonance
-keeps nonzero. Diagonals differ by structure:
+All solvers run against a `QCalc`; at q = 1 it is the classical structure,
+so the classical hierarchy is the same code path. Both order-by-order
+solvers take one step, `_next_order`: with F = mult(prev) - D prev, solve
+(D w)A - A w = F. Off-diagonal entries invert coefficient-wise with
+eigenvalues a_j*sigma(m) - a_i, which non-resonance keeps nonzero.
+Diagonals differ by structure, and that step is the only place they do:
 
 * q-structure: a_i(D - 1) is invertible off constants; the constant part
   of F's diagonal must vanish or no series solution exists at all (the
   dilation structure, unlike integration, cannot absorb constants). For
   dressings this genuinely fails on generic inputs; the error is raised,
   not papered over.
-* classical structure: the diagonal of F must vanish identically and the
-  diagonal of the solution comes from the next order's consistency, by
-  integration with zero constant.
+* classical structure (q = 1): the diagonal of F must vanish identically
+  and the diagonal of the solution comes from the next order's
+  consistency, by integrating the diagonal of mult(w) with zero constant.
 
 Residuals of the commutation identity go through the q-Leibniz reduction
 `zseries.derive_through`, shared with the bilinear and tau checks.
@@ -31,13 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .calculus import ClassicalCalc, QCalc
+from .calculus import QCalc
 from .matseries import MatSeries
 from .scalars import ZERO, common_den, frac
 from .series import XSeries
 from .zseries import MZSeries, NEG_INF, derive_through
-
-Calc = QCalc | ClassicalCalc
 
 
 class ResonanceError(ValueError):
@@ -53,7 +52,7 @@ class LaxData:
 
     __slots__ = ("n", "a", "u", "calc")
 
-    def __init__(self, a, u: MatSeries, calc: Calc):
+    def __init__(self, a, u: MatSeries, calc: QCalc):
         self.a = [frac(v) for v in a]
         self.n = len(self.a)
         self.u = u
@@ -168,7 +167,7 @@ class Resolvent:
 
 
 @lru_cache(maxsize=256)
-def _eig_weights(calc: Calc, a_out: Fraction, a_in: Fraction):
+def _eig_weights(calc: QCalc, a_out: Fraction, a_in: Fraction):
     """1/(a_out*sigma(m) - a_in) for m = 0..order as integers over one
     denominator; where the eigenvalue vanishes the weight is 0 and the
     degree is listed."""
@@ -226,12 +225,27 @@ def _with_diag(mat: MatSeries, diag) -> MatSeries:
     return MatSeries(rows)
 
 
-def _assert_diag_consistent(F: MatSeries, context: str):
-    for i in range(F.n):
-        if not F[i, i].is_zero():
-            raise DiagonalConsistencyError(
-                f"{context}: diagonal source {i+1} must vanish, got {F[i, i]!r}"
-            )
+def _next_order(lax: LaxData, prev: MatSeries, mult, context: str) -> MatSeries:
+    """The next order w: (D w)A - A w = F with F = mult(prev) - D prev.
+
+    `mult` is the solver's multiplication part. Classically F's diagonal
+    must vanish and w's diagonal integrates that of mult(w); under the
+    q-structure it inverts a_i(D - 1) against F's diagonal.
+    """
+    calc = lax.calc
+    F = mult(prev) - prev.map(calc.derive)
+    w = _solve_offdiag(lax, F)
+    if calc.classical:
+        for i in range(lax.n):
+            if not F[i, i].is_zero():
+                raise DiagonalConsistencyError(
+                    f"{context}: diagonal source {i+1} must vanish, got {F[i, i]!r}"
+                )
+        src = mult(w)
+        diag = [calc.antiderive(src[i, i]) for i in range(lax.n)]
+    else:
+        diag = _solve_diag_q(lax, F, context)
+    return _with_diag(w, diag)
 
 
 def solve_dressing(lax: LaxData, depth: int) -> Dressing:
@@ -241,20 +255,9 @@ def solve_dressing(lax: LaxData, depth: int) -> Dressing:
     the q-structure this happens for generic potentials (the diagonal
     equations acquire constant sources the dilation cannot absorb).
     """
-    calc = lax.calc
     ws = [MatSeries.identity(lax.n, lax.proto())]
     for _ in range(depth):
-        wk = ws[-1]
-        F = -wk.map(calc.derive) - (lax.u @ wk)
-        w = _solve_offdiag(lax, F)
-        if calc.classical:
-            _assert_diag_consistent(F, "dressing")
-            uw = lax.u @ w
-            diag = [calc.antiderive(-uw[i, i]) for i in range(lax.n)]
-            w = _with_diag(w, diag)
-        else:
-            w = _with_diag(w, _solve_diag_q(lax, F, "dressing"))
-        ws.append(w)
+        ws.append(_next_order(lax, ws[-1], lambda w: -(lax.u @ w), "dressing"))
     return Dressing(ws, lax)
 
 
@@ -299,26 +302,16 @@ def solve_resolvent_direct(
     """
     if normalization not in ("orthogonal", "zero"):
         raise ValueError("normalization must be 'orthogonal' or 'zero'")
-    calc = lax.calc
+    u, dilate = lax.u, lax.calc.dilate
+    context = f"resolvent channel {alpha+1}"
     unit = lax.unit(alpha)
     orders = [unit]
-    for j in range(depth):
-        rj = orders[-1]
-        F = -rj.map(calc.derive) + (rj.map(calc.dilate) @ lax.u) - (lax.u @ rj)
-        rho = _solve_offdiag(lax, F)
-        if calc.classical:
-            _assert_diag_consistent(F, f"resolvent channel {alpha+1}")
-            com = (rho @ lax.u) - (lax.u @ rho)
-            diag = [calc.antiderive(com[i, i]) for i in range(lax.n)]
-            rho = _with_diag(rho, diag)
-        else:
-            rho = _with_diag(
-                rho, _solve_diag_q(lax, F, f"resolvent channel {alpha+1}")
-            )
+    for _ in range(depth):
+        rho = _next_order(
+            lax, orders[-1], lambda r: (r.map(dilate) @ u) - (u @ r), context
+        )
         if normalization == "orthogonal":
-            rho = _idempotent_repair(
-                alpha, unit, rho, orders, f"resolvent channel {alpha+1}"
-            )
+            rho = _idempotent_repair(alpha, unit, rho, orders, context)
         orders.append(rho)
     exact = normalization == "zero" and depth > 0 and orders[-1].is_zero_exact()
     return Resolvent(alpha, orders, lax, exact)

@@ -250,12 +250,6 @@ class QDOp:
         }
         return QDOp(self.n, out, c, self.pvalid)
 
-    def res_d(self) -> MZSeries:
-        """Coefficient of D**-1 in the stored normal form."""
-        if self.pvalid > -1:
-            raise BandError("power -1 not determined at this truncation")
-        return self.coeff(-1)
-
     def __repr__(self):
         if not self.coeffs:
             return "QDOp(0)"
@@ -288,14 +282,23 @@ def _band_mats(p: QDOp) -> dict[int, MatSeries]:
     return out
 
 
+def _pairing_operands(p: QDOp, q_op: QDOp):
+    """The band matrices of P and Q and the x-order their coefficients fix."""
+    proto = p._proto() or q_op._proto()
+    if proto is None:
+        raise BandError(
+            "pairing of zero operators: no coefficient fixes the x-order"
+        )
+    return _band_mats(p), _band_mats(q_op), proto.order
+
+
 def pairing_lhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     """z-residue of the eigenvalue-symbol product (the ground-truth side).
 
     Equals sum over k+l = -1 of (-q)**l * p_k * A**-1 * g_l(x/q).
     """
     q = p.dparam
-    pk = _band_mats(p)
-    gl = _band_mats(q_op)
+    pk, gl, order = _pairing_operands(p, q_op)
     a_inv = [1 / frac(a) for a in a_values]
     acc = None
     for k, pm in pk.items():
@@ -308,7 +311,7 @@ def pairing_lhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
         term = (pm @ ainv @ shifted).scale((-q) ** l)
         acc = term if acc is None else acc + term
     if acc is None:
-        return MatSeries.zero(p.n, p._proto() or q_op._proto())
+        return MatSeries.zero(p.n, XSeries.zero(order))
     return acc
 
 
@@ -343,14 +346,7 @@ def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     docstring for why the full q-Leibniz composition cannot be used.
     """
     q = p.dparam
-    pk = _band_mats(p)
-    gl = _band_mats(q_op)
-    order = None
-    for m in list(pk.values()) + list(gl.values()):
-        order = m.proto().order
-        break
-    if order is None:
-        return MatSeries.zero(p.n, None)
+    pk, gl, order = _pairing_operands(p, q_op)
     a_inv = [1 / frac(a) for a in a_values]
     ainv = {0: MatSeries.diag_const(a_inv, XSeries.zero(order))}
     q_twisted = {
@@ -364,14 +360,16 @@ def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     return got
 
 
-def exp_q_laurent(
-    a_values, q, order: int, sign: int = +1, guard: int = 4
-) -> MZSeries:
+# z-degrees past the x truncation that `exp_q_laurent` stores as inexact zeros
+EXP_GUARD = 4
+
+
+def exp_q_laurent(a_values, q, order: int, sign: int = +1) -> MZSeries:
     """exp_q(z A x) (sign=+1) or exp_1/q(-z A x) (sign=-1) as a z-series.
 
     The z**j coefficient is the diagonal matrix ((sign*a_i)**j / [j]!) x**j.
     Degrees just past the x truncation vanish inside the stored window but
-    carry hidden tails, so `guard` of them are stored as inexact zeros:
+    carry hidden tails, so `EXP_GUARD` of them are stored as inexact zeros:
     derivations then lose validity there instead of silently claiming
     exactness. The sign=-1 variant uses the factorials at parameter 1/q.
     """
@@ -394,7 +392,7 @@ def exp_q_laurent(
             entries.append(row)
         terms[j] = MatSeries(entries)
     hidden = XSeries.zero(order).with_valid(order)
-    for j in range(order + 1, order + guard + 1):
+    for j in range(order + 1, order + EXP_GUARD + 1):
         terms[j] = MatSeries(
             [[hidden if i == k else XSeries.zero(order) for k in range(n)]
              for i in range(n)]
@@ -421,14 +419,7 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
     `oracle_factors` it built once as `factors`.
     """
     q = p.dparam
-    pk = _band_mats(p)
-    gl = _band_mats(q_op)
-    order = None
-    for m in list(pk.values()) + list(gl.values()):
-        order = m.proto().order
-        break
-    if order is None:
-        return MatSeries.zero(p.n, None)
+    pk, gl, order = _pairing_operands(p, q_op)
     n = p.n
     splus, sminus = factors or oracle_factors(a_values, q, order)
     if splus.proto.order != order:

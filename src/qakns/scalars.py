@@ -68,9 +68,11 @@ def check_q(q: Fraction, order: int) -> Fraction:
 
 
 def q_int(k: int, q: Fraction) -> Fraction:
-    """[k] = (q**k - 1)/(q - 1); equals k in the classical limit."""
+    """[k] = (q**k - 1)/(q - 1), and [k] = k at q = 1 (the classical structure)."""
     if k == 0:
         return ZERO
+    if q == 1:
+        return Fraction(k)
     return (q**k - 1) / (q - 1)
 
 

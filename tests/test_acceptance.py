@@ -23,7 +23,6 @@ from qakns.bilinear import (
     reconstruct_from_bilinear,
 )
 from qakns.calculus import (
-    ClassicalCalc,
     QCalc,
     dilate,
     exp_q_series,
@@ -93,7 +92,7 @@ def lax_n3(q, classical=False):
     z = XSeries.zero(NX)
     o = XSeries.one(NX)
     rows = [[z, x, o], [o, z, z], [z, o, z]]
-    calc = ClassicalCalc(NX) if classical else QCalc(q, NX)
+    calc = QCalc(1, NX) if classical else QCalc(q, NX)
     return LaxData([1, -1, 3], MatSeries(rows), calc)
 
 
@@ -329,7 +328,7 @@ def test_criterion_6_classical_crosscheck():
         "x": MatSeries([[z, x], [o, z]]),
     }
     for label, u in mats.items():
-        lax = LaxData([1, -1], u, ClassicalCalc(NX))
+        lax = LaxData([1, -1], u, QCalc(1, NX))
         # classical solvers reproduce the structure on the same examples
         for alpha in range(2):
             r = solve_resolvent_direct(lax, alpha, 7)

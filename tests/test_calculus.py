@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from qakns.calculus import (
-    ClassicalCalc,
     QCalc,
     dilate,
     exp_q_series,
@@ -27,7 +26,7 @@ def test_dilate_examples():
     x3 = XSeries.monomial(1, 3, N)
     assert (dilate(x3, 2) - XSeries.monomial(8, 3, N)).is_zero()
     f = XSeries.poly([1, 2, 3], N)
-    assert (dilate(f, 1) - f).is_zero()
+    assert dilate(f, 1) is f
     assert (dilate(dilate(f, F(2)), F(1, 2)) - f).is_zero()
 
 
@@ -155,18 +154,22 @@ def test_admissibility():
 
 
 def test_classical_structure():
-    calc = ClassicalCalc(N)
+    calc = QCalc(1, N)
     x2 = XSeries.monomial(1, 2, N)
     assert (calc.derive(x2) - XSeries.monomial(2, 1, N)).is_zero()
     assert (calc.dilate(x2) - x2).is_zero()
     assert (calc.antiderive(XSeries.one(N)) - XSeries.monomial(1, 1, N)).is_zero()
     assert (x_derive(x_antiderive(x2)) - x2).is_zero()
     assert calc.dilation_eig(5) == 1
+    # q = 1 is the classical point, though check_q rejects it (test_admissibility)
+    assert calc.classical
+    assert all(q_int(k, F(1)) == k for k in range(N + 1))
 
 
 def test_qcalc_structure():
     calc = QCalc(F(2), N)
     assert calc.dilation_eig(3) == 8
+    assert not calc.classical
 
 
 EXACT = XSeries.poly([1, 2, 3], N)
@@ -245,12 +248,15 @@ def assert_matches(s, ref):
 @pytest.mark.parametrize("q", QS + [F(-2), F(-1, 3)])
 def test_calculus_matches_fraction_reference(q):
     rng = random.Random(int(q * 30))
+    classical = QCalc(1, N)
     for _ in range(60):
         a = random_ref(rng)
         f = XSeries(*a)
-        c = rng.choice([q, 1 / q, F(0), F(-3, 4)])
+        c = rng.choice([q, 1 / q, F(0), F(-3, 4), F(1)])
         assert_matches(dilate(f, c), ([c**k * x for k, x in enumerate(a[0])], a[1]))
         assert_matches(q_derive(f, q), ref_derive(a, lambda k: q_int(k, q)))
         assert_matches(q_antiderive(f, q), ref_antiderive(a, lambda k: q_int(k, q)))
         assert_matches(x_derive(f), ref_derive(a, F))
         assert_matches(x_antiderive(f), ref_antiderive(a, F))
+        assert_matches(classical.derive(f), ref_derive(a, F))
+        assert_matches(classical.antiderive(f), ref_antiderive(a, F))

@@ -72,6 +72,14 @@ def test_rejects_root_of_unity():
         parse_config(data)
 
 
+def test_rejects_q_equal_to_one():
+    # q = 1 is the classical structure inside the program, not a config value
+    data = base_config()
+    data["q"] = "1"
+    with pytest.raises(ConfigError, match="differ from 1"):
+        parse_config(data)
+
+
 def test_rejects_bad_flow_channel():
     data = base_config()
     data["flows"] = [[1, 3]]

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qakns.calculus import ClassicalCalc, QCalc
+from qakns.calculus import QCalc
 from qakns.hierarchy import (
     DiagonalConsistencyError,
     HierarchySession,
@@ -362,7 +362,7 @@ def test_zero_curvature(make):
 
 
 def classical_lax(rows):
-    return LaxData([1, -1], MatSeries.from_scalars(rows, N), ClassicalCalc(N))
+    return LaxData([1, -1], MatSeries.from_scalars(rows, N), QCalc(1, N))
 
 
 def test_classical_dressing_exists_for_full_potentials():
@@ -395,7 +395,7 @@ def test_classical_x_potential_first_order():
     x = XSeries.monomial(1, 1, N)
     z = XSeries.zero(N)
     o = XSeries.one(N)
-    lax = LaxData([1, -1], MatSeries([[z, x], [o, z]]), ClassicalCalc(N))
+    lax = LaxData([1, -1], MatSeries([[z, x], [o, z]]), QCalc(1, N))
     r = solve_resolvent_direct(lax, 0, 6)
     expect = MatSeries([
         [z, XSeries.monomial(F(-1, 2), 1, N)],

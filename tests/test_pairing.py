@@ -8,6 +8,7 @@ import pytest
 from qakns.calculus import dilate, q_derive
 from qakns.matseries import MatSeries
 from qakns.qop import (
+    BandError,
     QDOp,
     exp_q_laurent,
     pairing_lhs,
@@ -80,6 +81,14 @@ def test_identity_pair_is_zero():
     ident = QDOp.basis_power(2, 0, q, XSeries.one(N))
     assert pairing_lhs(ident, ident, [1, -1]).is_zero()
     assert pairing_rhs(ident, ident, [1, -1]).is_zero()
+
+
+@pytest.mark.parametrize("route", [pairing_lhs, pairing_rhs, pairing_oracle])
+def test_zero_operators_name_the_missing_x_order(route):
+    # with no stored coefficient nothing fixes the x-order of the result
+    zero = QDOp(1, {}, 2)
+    with pytest.raises(BandError, match="x-order"):
+        route(zero, zero, [F(1)])
 
 
 @pytest.mark.parametrize("q", QS)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qakns.calculus import ClassicalCalc, QCalc
+from qakns.calculus import QCalc
 from qakns.matseries import MatSeries
 from qakns.qop import exp_q_laurent
 from qakns.series import XSeries
@@ -176,7 +176,7 @@ def test_derive_through_is_the_leibniz_reduction(classical):
     # D(f E) == (D f + (sigma f) zA) E for D E = zA E, inside the known window
     a_values = [2, F(-1, 3)]
     if classical:
-        calc = ClassicalCalc(N)
+        calc = QCalc(1, N)
         e = _exp_classical(a_values, N)
     else:
         calc = QCalc(F(3, 2), N)
