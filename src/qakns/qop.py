@@ -415,6 +415,14 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
     factor of Q, and sums the z-products of the two factors that land on
     the residue.
     Independent of the closed-form symbol sum in pairing_lhs.
+
+    Only the degrees that pair onto z**-1 are built. The left factor
+    sum_k p_k D**k exp_q(zAx) starts at degree min(0, min k) and the right
+    factor sum_l (-zA)**l exp_1/q(-zAx) q**l g_l(x/q) at degree min l, so
+    the residue reads the left one up to hi_left = -1 - min l and the
+    right one up to hi_right = -1 - min(0, min k). Every operation on the
+    way acts degree by degree, so each degree built is the one the whole
+    expansion would hold.
     A caller pairing many operators at one a, q and x-order passes the
     `oracle_factors` it built once as `factors`.
     """
@@ -424,6 +432,10 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
     splus, sminus = factors or oracle_factors(a_values, q, order)
     if splus.proto.order != order:
         raise ValueError("oracle factors built at another x-order")
+    if not pk or not gl:
+        return MatSeries.zero(n, splus.proto)
+    hi_left = -1 - min(gl)
+    hi_right = -1 - min(0, min(pk))
     za = [frac(a) for a in a_values]
 
     def za_power(k: int) -> MZSeries:
@@ -431,26 +443,26 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
             n, k, MatSeries.diag_const([a**k for a in za], splus.proto)
         )
 
-    # P acting on exp_q(zAx)
-    left: MZSeries | None = None
+    # P acting on exp_q(zAx); the q-derivations act degree by degree
+    splus_low = MZSeries(
+        n, {d: m for d, m in splus.terms.items() if d <= hi_left},
+        splus.zvalid, splus.proto,
+    )
+    left = MZSeries.zero(n, splus.proto)
     for k, pm in pk.items():
         if k >= 0:
-            g = splus
+            g = splus_low
             for _ in range(k):
                 g = _derive_mz(g, q)
         else:
-            g = za_power(k) * splus
-        term = MZSeries.from_term(n, 0, pm) * g
-        left = term if left is None else left + term
+            g = za_power(k).product(splus, hi=hi_left)
+        left = left + MZSeries.from_term(n, 0, pm) * g
     # the shifted adjoint factor of Q acting leftward on exp_1/q(-zAx)
-    right: MZSeries | None = None
+    right = MZSeries.zero(n, splus.proto)
     for l, gm in gl.items():
         eig = za_power(l).scale(Fraction(-1) ** l)
         shifted = MZSeries.from_term(
             n, 0, gm.map(lambda s: dilate(s, 1 / q))
         ).scale(q**l)
-        term = (eig * sminus) * shifted
-        right = term if right is None else right + term
-    if left is None or right is None:
-        return MatSeries.zero(n, splus.proto)
+        right = right + eig.product(sminus, hi=hi_right) * shifted
     return left.product_coeff(right, -1)

@@ -254,6 +254,18 @@ class TauBaker:
             self._coeff_memo[(lam, d)] = got
         return got
 
+    def taylor_coeff(self, lam, etas, d: int) -> MatSeries:
+        """Sum over (eta, weight) in etas of weight * h_coeff(lam + eta, d).
+
+        Most reads are exact zeros, which add nothing: they are skipped.
+        """
+        acc = self._zero
+        for eta, weight in etas:
+            got = self.h_coeff(tuple(lam) + eta, d)
+            if not got.is_zero_exact():
+                acc = acc + got.map(lambda tp, w=weight: tp.scale_series(w))
+        return acc
+
     def derive_x(self, tp: TimePoly) -> TimePoly:
         """The q-derivation in x, acting inside the time coefficients."""
         return tp.map_coeffs(lambda s: q_derive(s, self.q))
@@ -495,11 +507,7 @@ def taylor_agreement(
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))
             rhs2 = mixed - plain
             two_term_ok = (lhs2 - rhs2).is_zero()
-            taylor = None
-            for eta, weight in etas:
-                res = baker.h_coeff(tuple(lam) + eta, -1 - l)
-                contrib = res.map(lambda tp, w=weight: tp.scale_series(w))
-                taylor = contrib if taylor is None else taylor + contrib
+            taylor = baker.taylor_coeff(lam, etas, -1 - l)
             taylor_ok = (mixed - taylor).is_zero()
             records.append(
                 {

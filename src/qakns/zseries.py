@@ -11,8 +11,8 @@ Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
 `product_floor` is that rule; operator composition (`QDOp.pvalid`) uses
-it unchanged on operator powers, and `product_coeff`, which computes one
-degree of a product, inherits it from the product it windows.
+it unchanged on operator powers, and `product`, which computes a window
+of degrees of a product, inherits it from the whole product.
 `derive_through` is the one q-Leibniz reduction that the residue and
 zero-curvature checks rest on.
 """
@@ -169,11 +169,13 @@ class MZSeries:
             self.n, {d: -m for d, m in self.terms.items()}, self.zvalid, self.proto
         )
 
-    def _product(self, other: "MZSeries", lo, hi) -> "MZSeries":
+    def product(self, other: "MZSeries", lo=NEG_INF, hi=math.inf) -> "MZSeries":
         """The degrees lo..hi of self * other, unknown below the product floor.
 
         Each degree d sums the block products over the pairs da + db = d,
-        in the order of self's terms.
+        in the order of self's terms. A caller that reads only some degrees
+        passes their window; the floor is the whole product's, whatever
+        the window.
         """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
@@ -194,11 +196,11 @@ class MZSeries:
         return MZSeries(self.n, out, zv, self.proto or other.proto)
 
     def __mul__(self, other: "MZSeries") -> "MZSeries":
-        return self._product(other, NEG_INF, math.inf)
+        return self.product(other)
 
     def product_coeff(self, other: "MZSeries", d: int) -> MatSeries:
         """(self * other).coeff(d), summing only the pairs that reach z**d."""
-        return self._product(other, d, d).coeff(d)
+        return self.product(other, d, d).coeff(d)
 
     def scale(self, c) -> "MZSeries":
         return MZSeries(
@@ -252,17 +254,23 @@ class MZSeries:
         )
         acc = MZSeries.identity(self.n, proto)
         term = MZSeries.identity(self.n, proto)
+
+        def next_term(term):
+            # an exact product is built whole: whether a nonzero degree falls
+            # below the floor decides if truncating it forgets anything; an
+            # inexact one is unknown from the floor down either way
+            lo = NEG_INF if term.is_exact and step.is_exact else floor
+            return term.product(step, lo).truncate_below(floor)
+
         lost = False
         for _ in range(max(0, -floor)):
-            term = (term * step).truncate_below(floor)
+            term = next_term(term)
             if term.is_zero_exact():
                 break
             acc = acc + term
         else:
             # loop exhausted: account for the uncomputed remainder of the tail
-            term = (term * step).truncate_below(floor)
-            if not term.is_zero_exact():
-                lost = True
+            lost = not next_term(term).is_zero_exact()
         zv = max(acc.zvalid, self.zvalid, floor if lost else NEG_INF)
         return MZSeries(self.n, acc.terms, zv, proto)
 

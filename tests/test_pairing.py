@@ -11,6 +11,7 @@ from qakns.qop import (
     BandError,
     QDOp,
     exp_q_laurent,
+    oracle_factors,
     pairing_lhs,
     pairing_oracle,
     pairing_rhs,
@@ -29,9 +30,9 @@ def scalar_op(coeffs, q):
     return QDOp(1, built, q)
 
 
-def rnd_band_op(rng, n, q, band=(-2, 2), deg=2):
+def rnd_band_op(rng, n, q, band=(-2, 2), deg=2, powers=None):
     coeffs = {}
-    for p in range(band[0], band[1] + 1):
+    for p in powers or range(band[0], band[1] + 1):
         rows = [
             [XSeries.poly([F(rng.randint(-3, 3)) for _ in range(deg + 1)], N)
              for _ in range(n)]
@@ -160,6 +161,73 @@ def test_oracle_multiplies_only_the_pairs_that_reach_the_residue(monkeypatch):
     got = pairing_oracle(p_op, q_op, [1, -1])
     monkeypatch.undo()
     assert (got - pairing_lhs(p_op, q_op, [1, -1])).is_zero()
-    # building the whole z-product of the two factors to read its residue
-    # took 473 block products on this pair; reading z**-1 alone takes 222
-    assert len(calls) < 473
+    # building both factors whole and their whole z-product took 473 block
+    # products on this pair, and reading z**-1 of that product 222; building
+    # each factor only up to the degrees that pair onto z**-1 takes 41
+    assert len(calls) <= 41
+
+
+def whole_factor_oracle(p_op, q_op, a_vals):
+    """The oracle with both factors built at every degree, then multiplied."""
+    q, n = p_op.dparam, p_op.n
+    pk = {k: m.terms[0] for k, m in p_op.coeffs.items()}
+    gl = {l: m.terms[0] for l, m in q_op.coeffs.items()}
+    splus, sminus = oracle_factors(a_vals, q, N)
+
+    def za_power(k):
+        return MZSeries.from_term(
+            n, k, MatSeries.diag_const([F(a) ** k for a in a_vals], splus.proto)
+        )
+
+    left = MZSeries.zero(n, splus.proto)
+    for k, pm in pk.items():
+        g = splus
+        if k >= 0:
+            for _ in range(k):
+                g = g.map_entries(lambda s: q_derive(s, q))
+        else:
+            g = za_power(k) * splus
+        left = left + MZSeries.from_term(n, 0, pm) * g
+    right = MZSeries.zero(n, splus.proto)
+    for l, gm in gl.items():
+        eig = za_power(l).scale(F(-1) ** l)
+        shifted = MZSeries.from_term(n, 0, gm.map(lambda s: dilate(s, 1 / q)))
+        right = right + (eig * sminus) * shifted.scale(q**l)
+    return (left * right).coeff(-1)
+
+
+def _windowed_cases():
+    rng = random.Random(17)
+    avals = {1: [F(1)], 2: [F(1), F(-1)], 3: [F(1), F(-1), F(2)]}
+    for q in QS:
+        for n in (1, 2, 3):
+            yield q, avals[n], rnd_band_op(rng, n, q), rnd_band_op(rng, n, q)
+        n = 2
+        # only negative or only positive powers on either side
+        yield q, avals[n], rnd_band_op(rng, n, q, band=(-3, -1)), \
+            rnd_band_op(rng, n, q, band=(-2, 1))
+        yield q, avals[n], rnd_band_op(rng, n, q, band=(1, 3)), \
+            rnd_band_op(rng, n, q, band=(-3, -1))
+        yield q, avals[n], rnd_band_op(rng, n, q, band=(-2, 1)), \
+            rnd_band_op(rng, n, q, band=(0, 2))
+        # a Q power below -(order + 2): the left window reaches the guard
+        # degrees of exp_q, stored as inexact zeros
+        deep = rnd_band_op(rng, n, q, powers=(-N - 3, -N - 1, 0))
+        yield q, avals[n], rnd_band_op(rng, n, q, band=(-1, N + 2)), deep
+        yield q, avals[3], rnd_band_op(rng, 3, q, powers=(N + 2,)), \
+            rnd_band_op(rng, 3, q, powers=(-N - 4,))
+        # one side with no stored coefficient
+        yield q, avals[n], QDOp(n, {}, q), rnd_band_op(rng, n, q)
+        yield q, avals[n], rnd_band_op(rng, n, q), QDOp(n, {}, q)
+
+
+def test_windowed_oracle_matches_the_whole_factor_build():
+    guarded = 0  # cases whose residue has an entry valid below the x-order
+    for q, a_vals, p_op, q_op in _windowed_cases():
+        got = pairing_oracle(p_op, q_op, a_vals)
+        ref = whole_factor_oracle(p_op, q_op, a_vals)
+        assert got == ref
+        valids = [[e.valid for e in row] for row in got.rows]
+        assert valids == [[e.valid for e in row] for row in ref.rows]
+        guarded += min(map(min, valids)) < N
+    assert guarded > 0

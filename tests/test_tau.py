@@ -222,6 +222,32 @@ def test_taylor_agreement_reads_residues_of_leaf_chains(monkeypatch):
     assert calls[0] <= 4800
 
 
+@pytest.mark.parametrize("tmax", [4, 7])
+def test_taylor_sum_skipping_exact_zeros_keeps_the_records(monkeypatch, tmax):
+    from qakns.tau import TauBaker
+
+    shape = _mechanism_shape(tmax)
+    skipped = taylor_agreement(*shape)
+    zeros = [0]
+
+    def every_eta(self, lam, etas, d):
+        acc = None
+        for eta, weight in etas:
+            got = self.h_coeff(tuple(lam) + eta, d)
+            zeros[0] += got.is_zero_exact()
+            term = got.map(lambda tp: tp.scale_series(weight))
+            acc = term if acc is None else acc + term
+        return acc
+
+    monkeypatch.setattr(TauBaker, "taylor_coeff", every_eta)
+    summed = taylor_agreement(*shape)
+    monkeypatch.undo()
+    assert summed == skipped
+    # at tmax 7 the Taylor half fails: the witnesses must agree as well
+    assert any(not r["taylor_ok"] for r in summed) == (tmax == 7)
+    assert zeros[0] > 0
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: the Taylor pool omits the E_delta orders without time "
     "variables; the comparison is only determined on a deeper carrier"))

@@ -62,6 +62,48 @@ def test_neumann_inverse_roundtrip():
     assert inv.zvalid == -6  # honest marking of the cut tail
 
 
+def whole_neumann_inverse(s, floor):
+    """The Neumann series of `invert`, each term multiplied out whole."""
+    step = -MZSeries(
+        s.n, {d: m for d, m in s.terms.items() if d < 0}, s.zvalid, s.proto
+    )
+    acc = term = MZSeries.identity(s.n, s.proto)
+    lost = False
+    for _ in range(-floor):
+        term = (term * step).truncate_below(floor)
+        if term.is_zero_exact():
+            break
+        acc = acc + term
+    else:
+        lost = not (term * step).truncate_below(floor).is_zero_exact()
+    zv = max(acc.zvalid, s.zvalid, floor if lost else -math.inf)
+    return MZSeries(s.n, acc.terms, zv, s.proto)
+
+
+def test_invert_matches_the_whole_neumann_build():
+    rng = random.Random(23)
+    nil = mat([[0, 1], [0, 0]])
+    exact = 0
+    for trial in range(60):
+        terms = {0: mat([[1, 0], [0, 1]])}
+        for d in range(-rng.randint(1, 3), 0):
+            if rng.random() < 0.8:
+                terms[d] = MatSeries(
+                    [[_rnd_xseries(rng, trial % 2 == 0) for _ in range(2)]
+                     for _ in range(2)]
+                )
+        if trial % 5 == 0:
+            # nilpotent lowest block: products below the floor may vanish
+            terms[min(terms) - 1] = nil
+        zvalid = -math.inf if trial % 3 else -rng.randint(2, 8)
+        s = MZSeries(2, terms, zvalid)
+        for floor in (-1, -2, -3, -5):
+            inv = s.invert(floor)
+            assert inv == whole_neumann_inverse(s, floor), (trial, floor)
+            exact += inv.is_exact
+    assert exact > 0
+
+
 def test_invert_requires_identity_leading_term():
     s = MZSeries.from_term(2, 0, mat([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
