@@ -5,11 +5,10 @@ every check reduces them symbolically first. Two reductions carry all the
 content:
 
 * time flows: iterated flow derivatives of the Baker function factor as
-  f(B) times the Baker function, where f is built by the recursion
-  f' = d f + f * B with d B_(l beta) = (z**l [B_(k alpha), R_beta])_+;
-  the factor is evaluated here by a small expression calculus closed
-  under that differentiation, over the channel family that
-  `Dressing.resolvents()` conjugates once per dressing;
+  f_lam times the Baker function. The factors come from
+  `hierarchy.FlowTable`, the one place the flow rule d R = [B, R] is
+  written, built once per dressing over the channel family that
+  `Dressing.resolvents()` conjugates;
 * the x-derivation: D_q w * w**-1 equals (D_q what + z (D what) A) * what**-1
   exactly, computed honestly from the dressing series. For a dressing
   that solves the hierarchy this is zA - U; for a corrupted one it grows
@@ -26,140 +25,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .hierarchy import Dressing, Resolvent
+from .hierarchy import Dressing, FlowTable
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
 from .zseries import MZSeries, derive_through
-
-FlowIndex = tuple[int, int]
-
-
-class _Expr:
-    __slots__ = ("_value",)
-
-    def __init__(self):
-        self._value = None
-
-    def value(self) -> MZSeries:
-        if self._value is None:
-            self._value = self._compute()
-        return self._value
-
-    def _compute(self) -> MZSeries:
-        raise NotImplementedError
-
-    def d(self, flow: FlowIndex) -> "_Expr":
-        raise NotImplementedError
-
-
-class _Const(_Expr):
-    __slots__ = ("mz",)
-
-    def __init__(self, mz: MZSeries):
-        super().__init__()
-        self.mz = mz
-
-    def _compute(self):
-        return self.mz
-
-    def d(self, flow):
-        return _Const(MZSeries.zero(self.mz.n, self.mz.proto))
-
-
-class _R(_Expr):
-    __slots__ = ("family", "beta")
-
-    def __init__(self, family: list[Resolvent], beta: int):
-        super().__init__()
-        self.family = family
-        self.beta = beta
-
-    def _compute(self):
-        return self.family[self.beta].mz()
-
-    def d(self, flow):
-        k, alpha = flow
-        return _comm(_B(self.family, k, alpha), self)
-
-
-class _Sum(_Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: _Expr, b: _Expr):
-        super().__init__()
-        self.a, self.b = a, b
-
-    def _compute(self):
-        return self.a.value() + self.b.value()
-
-    def d(self, flow):
-        return _Sum(self.a.d(flow), self.b.d(flow))
-
-
-class _Neg(_Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a: _Expr):
-        super().__init__()
-        self.a = a
-
-    def _compute(self):
-        return -self.a.value()
-
-    def d(self, flow):
-        return _Neg(self.a.d(flow))
-
-
-class _Prod(_Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: _Expr, b: _Expr):
-        super().__init__()
-        self.a, self.b = a, b
-
-    def _compute(self):
-        return self.a.value() * self.b.value()
-
-    def d(self, flow):
-        return _Sum(_Prod(self.a.d(flow), self.b), _Prod(self.a, self.b.d(flow)))
-
-
-class _ShiftProj(_Expr):
-    """(z**l * inner)_+ ; commutes with every flow derivative."""
-
-    __slots__ = ("l", "inner")
-
-    def __init__(self, l: int, inner: _Expr):
-        super().__init__()
-        self.l = l
-        self.inner = inner
-
-    def _compute(self):
-        return self.inner.value().shift(self.l).project("plus")
-
-    def d(self, flow):
-        return _ShiftProj(self.l, self.inner.d(flow))
-
-
-def _comm(a: _Expr, b: _Expr) -> _Expr:
-    return _Sum(_Prod(a, b), _Neg(_Prod(b, a)))
-
-
-def _B(family: list[Resolvent], k: int, alpha: int) -> _Expr:
-    return _ShiftProj(k, _R(family, alpha))
-
-
-def flow_polynomial(family: list[Resolvent], lam) -> MZSeries:
-    """The factor f with (iterated flow derivative of w) = f * w.
-
-    `family` is the channel resolvent family, as `Dressing.resolvents()`.
-    """
-    lax = family[0].lax
-    f: _Expr = _Const(MZSeries.identity(lax.n, lax.proto()))
-    for (k, alpha) in lam:
-        f = _Sum(f.d((k, alpha)), _Prod(f, _B(family, k, alpha)))
-    return f.value()
 
 
 def x_derivative_factor(dressing: Dressing) -> MZSeries:
@@ -239,9 +109,8 @@ def check_q_bilinear(
 ) -> list[BilinearRecord]:
     """The residue family on a solver dressing, m in {0, 1}."""
     calc = dressing.lax.calc
-    family = dressing.resolvents()
     return bilinear_residues(
-        lambda lam: flow_polynomial(family, lam), x_derivative_factor(dressing),
+        FlowTable(dressing.resolvents()).factor, x_derivative_factor(dressing),
         calc.derive, calc.dilate, l_max, lambdas,
     )
 

@@ -172,13 +172,28 @@ def _count(value, label: str, nullable: bool = False):
     return value
 
 
-def _parse_flow(pair, n: int):
-    k, channel = int(pair[0]), int(pair[1])
+def _parse_flow(pair, n: int, label: str):
+    """One [order, channel] pair of integers, the channel 1-based."""
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)):
+        raise ConfigError(
+            f"{label} entries must be [order, channel] integer pairs, got {pair!r}"
+        )
+    k, channel = pair
     if not 1 <= channel <= n:
-        raise ConfigError(f"flow channel {channel} outside 1..{n}")
+        raise ConfigError(f"{label}: flow channel {channel} outside 1..{n}")
     if k < 0:
-        raise ConfigError("flow order must be nonnegative")
+        raise ConfigError(f"{label}: flow order must be nonnegative")
     return (k, channel - 1)
+
+
+def _parse_checks(raw):
+    """Null (every check) or a list of check names."""
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
+        raise ConfigError(f"checks must be a list of names, got {raw!r}")
+    return tuple(raw)
 
 
 def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
@@ -195,13 +210,15 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
         bilinear_u = None
         if data.get("bilinear_u") is not None:
             bilinear_u = _parse_u(data["bilinear_u"], n, n_x, "bilinear_u")
-        flows = tuple(_parse_flow(p, n) for p in data.get("flows", [[1, 1]]))
+        flows = tuple(
+            _parse_flow(p, n, "flows") for p in data.get("flows", [[1, 1]])
+        )
         tau = None
         if data.get("tau") is not None:
             traw = data["tau"]
-            variables = tuple(
-                sorted(_parse_flow(p, n) for p in traw["variables"])
-            )
+            variables = tuple(sorted(
+                _parse_flow(p, n, "tau.variables") for p in traw["variables"]
+            ))
             monomials = _parse_monomials(traw["monomials"], len(variables))
             companions = {}
             for key, mons in traw.get("companions", {}).items():
@@ -224,8 +241,7 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             l_max=_count(data.get("l_max", 4), "l_max"),
             tau=tau,
             q_sequence=tuple(frac(v) for v in data.get("q_sequence", [])),
-            checks=None if data.get("checks") is None
-            else tuple(data["checks"]),
+            checks=_parse_checks(data.get("checks")),
             inject_corruption=inject_corruption,
         )
     except ConfigError:
@@ -233,6 +249,8 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
     # model invariants, with messages naming the violated condition
+    if len(cfg.a) != cfg.n:
+        raise ConfigError(f"a must have n = {cfg.n} entries, got {len(cfg.a)}")
     if len(set(cfg.a)) != cfg.n:
         raise ConfigError("eigenvalues must be distinct (a_i != a_j)")
     try:

@@ -1,5 +1,10 @@
 """Lax structure, dressing and resolvent solvers, flows, and their checks.
 
+The one flow rule, d_(k a) R_b = [B_(k a), R_b] with B = (z**k R)_+, is
+`FlowTable`: it memoizes the flow derivatives of the resolvents, of the
+generators B and of the Baker flow factors, and both the zero-curvature
+check and the bilinear residues read them from it.
+
 All solvers run against a `QCalc`; at q = 1 it is the classical structure,
 so the classical hierarchy is the same code path. Both order-by-order
 solvers take one step, `_next_order`: with F = mult(prev) - D prev, solve
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby, product
+from math import comb
 from operator import mul
 
 from .calculus import QCalc
@@ -394,15 +401,80 @@ def u_flow(lax: LaxData, r: Resolvent, k: int) -> MatSeries:
     return value
 
 
-def resolvent_flow(b_k: MZSeries, r_beta: Resolvent) -> MZSeries:
-    """Plain commutator [B, R]: the time derivative of a resolvent."""
-    r = r_beta.mz()
-    return (b_k * r) - (r * b_k)
+def _leibniz(mu: tuple, term) -> MZSeries:
+    """The Leibniz sum over the sub-multisets nu of the sorted tuple mu:
+    C(mu, nu) * term(nu, mu - nu), C the product of binomials over the
+    multiplicities."""
+    groups = [(g, len(list(run))) for g, run in groupby(mu)]
+    acc = None
+    for counts in product(*(range(m + 1) for _, m in groups)):
+        nu, rest, c = (), (), 1
+        for (g, m), j in zip(groups, counts):
+            nu, rest, c = nu + (g,) * j, rest + (g,) * (m - j), c * comb(m, j)
+        v = term(nu, rest)
+        v = v if c == 1 else v.scale(c)
+        acc = v if acc is None else acc + v
+    return acc
 
 
-def flow_of_b(lax: LaxData, b_k: MZSeries, r_beta: Resolvent, l: int) -> MZSeries:
-    """d_(k alpha) B_(l beta) = (z**l [B_(k alpha), R_beta])_+."""
-    return resolvent_flow(b_k, r_beta).shift(l).project("plus")
+def _bracket(a: MZSeries, b: MZSeries) -> MZSeries:
+    return (a * b) - (b * a)
+
+
+class FlowTable:
+    """The one flow rule, d_(k a) R_b = [B_(k a), R_b] with B_(k a) =
+    (z**k R_a)_+, and what follows from it, each entry computed once.
+
+    A flow g = (k, a) indexes `family` by channel. A derivative index mu
+    is a multiset, written as a sorted tuple: the flows commute on a
+    family of commuting resolvents (the zero-curvature identity).
+
+    * r(b, mu) = d_mu R_b; d_(g+mu) R_b = sum C(mu,nu) [d_nu B_g, d_(mu-nu) R_b];
+    * b(g, mu) = d_mu B_g = (z**k r(a, mu))_+;
+    * factor(lam, mu) = d_mu f_lam, where d_lam w = f_lam w: f_() = I and
+      f_(lam,g) = d_g f_lam + f_lam B_g, expanded by Leibniz.
+    """
+
+    def __init__(self, family: list[Resolvent]):
+        self.family = family
+        self._r: dict = {}
+        self._b: dict = {}
+        self._f: dict = {}
+
+    def r(self, beta: int, mu: tuple = ()) -> MZSeries:
+        got = self._r.get((beta, mu))
+        if got is None:
+            if not mu:
+                got = self.family[beta].mz()
+            else:
+                g = mu[0]
+                got = _leibniz(mu[1:], lambda nu, rest: _bracket(
+                    self.b(g, nu), self.r(beta, rest)))
+            self._r[(beta, mu)] = got
+        return got
+
+    def b(self, g: tuple[int, int], mu: tuple = ()) -> MZSeries:
+        got = self._b.get((g, mu))
+        if got is None:
+            k, alpha = g
+            got = self._b[(g, mu)] = self.r(alpha, mu).shift(k).project("plus")
+        return got
+
+    def factor(self, lam: tuple, mu: tuple = ()) -> MZSeries:
+        got = self._f.get((lam, mu))
+        if got is None:
+            if not lam:
+                lax = self.family[0].lax
+                got = (MZSeries.zero if mu else MZSeries.identity)(lax.n, lax.proto())
+            elif len(lam) == 1:
+                got = self.b(lam[0], mu)
+            else:
+                prev, g = lam[:-1], lam[-1]
+                got = self.factor(prev, tuple(sorted(mu + (g,)))) + _leibniz(
+                    mu, lambda nu, rest: self.factor(prev, nu) * self.b(g, rest)
+                )
+            self._f[(lam, mu)] = got
+        return got
 
 
 def verify_zero_curvature(
@@ -411,14 +483,11 @@ def verify_zero_curvature(
     flow2: tuple[int, Resolvent],
 ) -> ResidualReport:
     """d1 B2 - d2 B1 = [B1, B2], evaluated exactly on solved resolvents."""
-    k, r_alpha = flow1
-    l, r_beta = flow2
-    b1, _ = b_split(r_alpha, k)
-    b2, _ = b_split(r_beta, l)
-    d1b2 = flow_of_b(lax, b1, r_beta, l)
-    d2b1 = flow_of_b(lax, b2, r_alpha, k)
-    bracket = (b1 * b2) - (b2 * b1)
-    return ResidualReport(d1b2 - d2b1 - bracket)
+    (k, r_alpha), (l, r_beta) = flow1, flow2
+    table = FlowTable([r_alpha, r_beta])
+    one, two = (k, 0), (l, 1)
+    bracket = _bracket(table.b(one), table.b(two))
+    return ResidualReport(table.b(two, (one,)) - table.b(one, (two,)) - bracket)
 
 
 def expand_in_basis(

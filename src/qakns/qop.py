@@ -258,10 +258,18 @@ class QDOp:
 
 
 def q_commutator(a, b, floor: int | None = None) -> QDOp:
-    """[a, b]_q = (D a) o b - b o a with D acting on a's coefficients."""
+    """[a, b]_q = (D a) o b - b o a with D acting on a's coefficients.
+
+    Either operand may be a multiplication by an MZSeries; the other one
+    then fixes the dilation parameter.
+    """
+    if isinstance(a, MZSeries) and isinstance(b, MZSeries):
+        raise BandError(
+            "q_commutator of two MZSeries: neither operand fixes the "
+            "dilation parameter"
+        )
     if isinstance(a, MZSeries):
-        dparam = b.dparam if isinstance(b, QDOp) else None
-        a = QDOp.from_mz(a, dparam)
+        a = QDOp.from_mz(a, b.dparam)
     if isinstance(b, MZSeries):
         b = QDOp.from_mz(b, a.dparam)
     a._check(b)

@@ -1,6 +1,7 @@
 """Bilinear residues on solver dressings, reconstruction, corruption."""
 
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -8,14 +9,19 @@ from qakns.bilinear import (
     adjoint_baker,
     check_inverse_transpose,
     check_q_bilinear,
-    flow_polynomial,
     inject_corruption,
     lambda_pool,
     reconstruct_from_bilinear,
     x_derivative_factor,
 )
 from qakns.calculus import QCalc
-from qakns.hierarchy import LaxData, b_split, resolvent_from_dressing, solve_dressing
+from qakns.hierarchy import (
+    FlowTable,
+    LaxData,
+    b_split,
+    resolvent_from_dressing,
+    solve_dressing,
+)
 from qakns.matseries import MatSeries
 from qakns.series import XSeries
 from qakns.zseries import MZSeries
@@ -59,21 +65,68 @@ def test_flow_polynomial_single_and_double():
     r1 = resolvent_from_dressing(d, 0)
     r2 = resolvent_from_dressing(d, 1)
     b11, _ = b_split(r1, 1)
-    assert (flow_polynomial(family, [(1, 0)]) - b11).is_zero()
+    assert (FlowTable(family).factor(((1, 0),)) - b11).is_zero()
     b12, _ = b_split(r2, 1)
     d12b11 = ((b12 * r1.mz()) - (r1.mz() * b12)).shift(1).project("plus")
     expect = d12b11 + (b11 * b12)
-    got = flow_polynomial(family, [(1, 0), (1, 1)])
+    got = FlowTable(family).factor(((1, 0), (1, 1)))
     assert (got - expect).is_zero()
 
 
 def test_flow_polynomial_vacuum_products():
     lax = lax_vacuum()
     d = solve_dressing(lax, 4)
-    got = flow_polynomial(d.resolvents(), [(1, 0), (2, 0)])
+    got = FlowTable(d.resolvents()).factor(((1, 0), (2, 0)))
     e1 = MatSeries.from_scalars([[1, 0], [0, 0]], N)
     expect = MZSeries.from_term(2, 3, e1)
     assert (got - expect).is_zero()
+
+
+def lax_x_classical():
+    x = XSeries.monomial(1, 1, N)
+    z = XSeries.zero(N)
+    o = XSeries.one(N)
+    return LaxData([1, -1], MatSeries([[z, x], [o, z]]), QCalc(1, N))
+
+
+@pytest.mark.parametrize(
+    "lax, lam",
+    [(lax_tri3(q), lam) for q in (F(2), F(1, 2), F(1))
+     for lam in (((1, 1), (1, 1)), ((1, 0), (1, 0), (1, 2)),
+                 ((1, 0), (2, 1), (1, 2)))]
+    + [(lax_x_classical(), ((1, 0), (1, 0), (1, 1))),
+       (lax_x_classical(), ((1, 0), (2, 1), (1, 1)))],
+)
+def test_flow_factor_is_independent_of_the_order_of_lambda(lax, lam):
+    family = solve_dressing(lax, 6).resolvents()
+    expect = FlowTable(family).factor(lam)
+    assert not expect.is_zero()
+    for perm in set(permutations(lam)):
+        assert (FlowTable(family).factor(perm) - expect).is_zero()
+
+
+def test_flow_factor_has_several_z_degrees():
+    # the order test above is not vacuous: a factor spans degrees 0..2
+    family = solve_dressing(lax_tri3(), 6).resolvents()
+    assert sorted(FlowTable(family).factor(((1, 1), (1, 1))).terms) == [0, 1, 2]
+
+
+def test_qb1_builds_each_flow_derivative_once(monkeypatch):
+    d = solve_dressing(lax_tri3(), 8)
+    d.resolvents()
+    calls = []
+    product = MZSeries.product
+
+    def counting(self, other, *window):
+        calls.append(window)
+        return product(self, other, *window)
+
+    monkeypatch.setattr(MZSeries, "product", counting)
+    records = check_q_bilinear(d, 3, lambda_pool([(1, 0), (1, 2), (2, 1)], 3))
+    assert len(records) == 160 and all(r.ok for r in records)
+    # one product per Leibniz term of each table entry; rebuilding every
+    # derivative per lambda took 391
+    assert len(calls) <= 110
 
 
 @pytest.mark.parametrize("q", QS)

@@ -87,6 +87,42 @@ def test_rejects_bad_flow_channel():
         parse_config(data)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("flows", [[1]]),
+        ("flows", [[1, 1.5]]),
+        ("flows", [[True, 1]]),
+        ("flows", [1]),
+        ("tau.variables", [[1.9, 2]]),
+    ],
+)
+def test_malformed_flow_pairs_exit_2(tmp_path, capsys, field, value):
+    data = base_config()
+    if field == "tau.variables":
+        data["tau"] = {"variables": value, "monomials": [], "companions": {}}
+    else:
+        data[field] = value
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert f"{field} entries must be [order, channel] integer pairs" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_of_the_wrong_length_names_a_and_n():
+    data = base_config()
+    data["a"] = ["1", "-1", "3"]
+    with pytest.raises(ConfigError, match="a must have n = 2 entries, got 3"):
+        parse_config(data)
+
+
+def test_checks_must_be_a_list(tmp_path, capsys):
+    data = base_config()
+    data["checks"] = "qcalc.expq_log_form"
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert "checks must be a list of names" in capsys.readouterr().err
+
+
 def test_unreadable_and_malformed(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))

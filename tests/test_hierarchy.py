@@ -12,13 +12,13 @@ import pytest
 from qakns.calculus import QCalc
 from qakns.hierarchy import (
     DiagonalConsistencyError,
+    FlowTable,
     HierarchySession,
     LaxData,
     ResonanceError,
     b_split,
     commutation_residual,
     expand_in_basis,
-    resolvent_flow,
     resolvent_from_dressing,
     solve_dressing,
     solve_resolvent_direct,
@@ -331,18 +331,14 @@ def test_u_flow_band_structure_via_operator_algebra():
 def test_resolvent_flow_properties():
     lax = lax_x()
     session = HierarchySession(lax)
-    r1 = session.resolvent(0, 6)
-    r2 = session.resolvent(1, 6)
-    b11, _ = b_split(r1, 1)
-    flow = resolvent_flow(b11, r2)
-    # commutator: exactly traceless
+    # d_(1,1) R_2 = [B_(1,1), R_2]: a commutator, so exactly traceless
+    flow = FlowTable(session.family(6)).r(1, ((1, 0),))
     for d in flow.terms:
         tr = flow.terms[d][0, 0] + flow.terms[d][1, 1]
         assert tr.is_zero()
     vac = lax_vacuum()
     rv = solve_resolvent_direct(vac, 0, 4)
-    bv, _ = b_split(rv, 1)
-    assert resolvent_flow(bv, rv).is_zero()
+    assert FlowTable([rv]).r(0, ((1, 0),)).is_zero()
 
 
 @pytest.mark.parametrize("make", [lax_const, lax_x])

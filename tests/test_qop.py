@@ -165,6 +165,12 @@ def test_q_commutator_examples():
     assert (com.coeff(0).coeff(0) - expect).is_zero()
 
 
+def test_q_commutator_of_two_series_names_the_missing_dilation():
+    ident = MZSeries.identity(2, ONE)
+    with pytest.raises(BandError, match="dilation parameter"):
+        q_commutator(ident, ident, -4)
+
+
 def test_compose_pvalid():
     # exact x exact: nothing unknown
     assert d_power(1).compose(mult_op([[1, 2], [3, 4]])).pvalid == -math.inf
