@@ -152,22 +152,48 @@ def _parse_u(raw, n: int, n_x: int, label: str):
     return tuple(out)
 
 
-def _parse_monomials(raw, arity: int):
+def _parse_monomials(raw, arity: int, n_t: int, label: str):
+    """Monomials of total degree <= n_t, one exponent per tau variable."""
     out = []
-    for item in raw:
-        e = tuple(int(v) for v in item["exponents"])
+    for i, item in enumerate(raw):
+        field = f"{label}[{i}].exponents"
+        e = tuple(_count(v, field) for v in item["exponents"])
         if len(e) != arity:
-            raise ConfigError("tau monomial exponent arity mismatch")
+            raise ConfigError(
+                f"{field} must have one entry per tau variable ({arity}), "
+                f"got {len(e)}"
+            )
+        if sum(e) > n_t:
+            raise ConfigError(
+                f"{field} has total degree {sum(e)}, above truncations.t = {n_t}"
+            )
         out.append((e, frac(item["coeff"])))
     return tuple(out)
 
 
-def _count(value, label: str, nullable: bool = False):
-    """A nonnegative integer field (or null, when the field allows it)."""
+def _companion_key(key: str, n: int):
+    """An "alpha,beta" key, 1 <= alpha != beta <= n, as a 0-based pair."""
+    parts = key.split(",")
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise ConfigError(
+            f'tau.companions keys must be "alpha,beta" channel pairs, got {key!r}'
+        )
+    alpha, beta = (int(p) for p in parts)
+    if alpha == beta or not (1 <= alpha <= n and 1 <= beta <= n):
+        raise ConfigError(
+            f"tau.companions key {key!r} needs 1 <= alpha != beta <= {n}"
+        )
+    return alpha - 1, beta - 1
+
+
+def _count(value, label: str, nullable: bool = False, least: int = 0):
+    """An integer field >= least (or null, when the field allows it)."""
     if value is None and nullable:
         return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        allowed = "null or an integer >= 0" if nullable else "an integer >= 0"
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        allowed = f"an integer >= {least}"
+        if nullable:
+            allowed = "null or " + allowed
         raise ConfigError(f"{label} must be {allowed}, got {value!r}")
     return value
 
@@ -198,7 +224,7 @@ def _parse_checks(raw):
 
 def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
     try:
-        n = int(data["n"])
+        n = _count(data["n"], "n", least=1)
         q = frac(data["q"])
         a = tuple(frac(v) for v in data["a"])
         tr = data.get("truncations", {})
@@ -219,13 +245,24 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             variables = tuple(sorted(
                 _parse_flow(p, n, "tau.variables") for p in traw["variables"]
             ))
-            monomials = _parse_monomials(traw["monomials"], len(variables))
-            companions = {}
-            for key, mons in traw.get("companions", {}).items():
-                alpha, beta = (int(v) for v in key.split(","))
-                companions[(alpha - 1, beta - 1)] = _parse_monomials(
-                    mons, len(variables)
+            if len(set(variables)) != len(variables):
+                raise ConfigError(
+                    f"tau.variables must be distinct, got {traw['variables']!r}"
                 )
+            monomials = _parse_monomials(
+                traw["monomials"], len(variables), n_t, "tau.monomials"
+            )
+            raw_companions = traw.get("companions", {})
+            if not isinstance(raw_companions, dict):
+                raise ConfigError(
+                    f"tau.companions must be an object, got {raw_companions!r}"
+                )
+            companions = {
+                _companion_key(key, n): _parse_monomials(
+                    mons, len(variables), n_t, f"tau.companions[{key!r}]"
+                )
+                for key, mons in raw_companions.items()
+            }
             tau = TauConfig(variables, monomials, companions)
         cfg = RunConfig(
             n=n, q=q, a=a, u=u, bilinear_u=bilinear_u,

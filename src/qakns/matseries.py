@@ -2,7 +2,9 @@
 
 Entries only need the ring protocol: +, -, unary -, *, is_zero(),
 zero_like(), one_like(). Matrices are immutable; every operation returns
-a fresh object.
+a fresh object. Whether a matrix is exactly zero is therefore decided
+once: `MatSeries.zero` is known to be, any other matrix is scanned on the
+first `is_zero_exact` call.
 """
 
 from __future__ import annotations
@@ -12,19 +14,21 @@ from .series import XSeries
 
 
 class MatSeries:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_exact_zero")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
+        self._exact_zero = None
 
     @classmethod
     def _of(cls, rows: tuple) -> "MatSeries":
         """Internal constructor: `rows` is already a square tuple of tuples."""
         m = object.__new__(cls)
         m.rows = rows
+        m._exact_zero = None
         return m
 
     # -- constructors --------------------------------------------------
@@ -32,7 +36,9 @@ class MatSeries:
     @staticmethod
     def zero(n: int, proto) -> "MatSeries":
         z = proto.zero_like()
-        return MatSeries([[z] * n for _ in range(n)])
+        m = MatSeries._of(((z,) * n,) * n)
+        m._exact_zero = True
+        return m
 
     @staticmethod
     def identity(n: int, proto) -> "MatSeries":
@@ -79,7 +85,11 @@ class MatSeries:
 
     def is_zero_exact(self) -> bool:
         """Exactly the zero matrix, with nothing hidden beyond validity."""
-        return all(e.is_zero() and e.is_exact for r in self.rows for e in r)
+        if self._exact_zero is None:
+            self._exact_zero = all(
+                e.is_zero() and e.is_exact for r in self.rows for e in r
+            )
+        return self._exact_zero
 
     def map(self, fn) -> "MatSeries":
         return MatSeries._of(tuple(tuple(fn(e) for e in r) for r in self.rows))

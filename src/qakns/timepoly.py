@@ -7,6 +7,10 @@ monomials of total degree <= tvalid are exact, tvalid == tmax + 1 marks a
 genuine polynomial with no discarded part. Coefficients are XSeries and
 carry their own x-validity.
 
+No monomial above `tvalid` is stored: such a coefficient is undetermined,
+so products never form one, and sums, `with_tvalid` and the constructor
+drop what a lowered `tvalid` leaves undetermined.
+
 TimePoly satisfies the same ring protocol as XSeries, so matrices and
 z-Laurent series over time polynomials reuse MatSeries and MZSeries
 unchanged.
@@ -15,11 +19,17 @@ unchanged.
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .scalars import frac
 from .series import XSeries
 
 FlowIndex = tuple[int, int]  # (k, channel), channel 0-based internally
+
+
+def _within(terms: dict, tvalid: int) -> dict:
+    """The terms of total degree <= tvalid."""
+    return {e: c for e, c in terms.items() if sum(e) <= tvalid}
 
 
 class TimePoly:
@@ -33,6 +43,8 @@ class TimePoly:
                 raise ValueError("exponent arity mismatch")
             if sum(e) > tmax:
                 raise ValueError("monomial beyond total-degree cap")
+        if tvalid is not None and tvalid <= tmax:
+            terms = _within(terms, tvalid)
         self._fill(vars, terms, tmax, xorder,
                    tmax + 1 if tvalid is None else tvalid)
 
@@ -46,7 +58,7 @@ class TimePoly:
         }
 
     def _like(self, terms: dict, tvalid: int) -> "TimePoly":
-        """Internal constructor: `terms` already fit this carrier's shape."""
+        """Internal constructor: `terms` fit this carrier and lie within tvalid."""
         out = object.__new__(TimePoly)
         out._fill(self.vars, terms, self.tmax, self.xorder, tvalid)
         return out
@@ -92,16 +104,13 @@ class TimePoly:
         return min(c.valid for c in self.terms.values())
 
     def is_zero(self) -> bool:
-        return all(
-            c.is_zero() for e, c in self.terms.items() if sum(e) <= self.tvalid
-        )
+        return all(c.is_zero() for c in self.terms.values())
 
     def first_nonzero(self):
         for e in sorted(self.terms):
-            if sum(e) <= self.tvalid:
-                hit = self.terms[e].first_nonzero()
-                if hit is not None:
-                    return e, hit
+            hit = self.terms[e].first_nonzero()
+            if hit is not None:
+                return e, hit
         return None
 
     def constant_term(self) -> XSeries:
@@ -120,8 +129,14 @@ class TimePoly:
             return self
         if not self.terms and other.tvalid <= self.tvalid:
             return other
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        a, b = self.terms, other.terms
+        # the more exact operand's terms above the other's tvalid are lost
+        if self.tvalid < other.tvalid:
+            b = _within(b, self.tvalid)
+        elif other.tvalid < self.tvalid:
+            a = _within(a, other.tvalid)
+        out = dict(a)
+        for e, c in b.items():
             cur = out.get(e)
             out[e] = c if cur is None else cur + c
         return self._like(out, min(self.tvalid, other.tvalid))
@@ -134,28 +149,33 @@ class TimePoly:
 
     def __mul__(self, other: "TimePoly") -> "TimePoly":
         self._check(other)
+        tmax = self.tmax
+        exact = self.tvalid > tmax and other.tvalid > tmax
         if not self.terms or not other.terms:
             # empty operand: no pair overflows, so only the tvalid rule remains
-            if self.tvalid > self.tmax and other.tvalid > self.tmax:
+            if exact:
                 return self if not self.terms else other
             return self._like({}, min(self.tvalid, other.tvalid))
+        # form no monomial above the result's tvalid: exact operands cap at
+        # tmax, where a pair beyond it (overflow) truncates the product
+        cap = tmax if exact else min(self.tvalid, other.tvalid)
+        right = [(eb, sum(eb), cb) for eb, cb in other.terms.items()]
         out: dict[tuple, XSeries] = {}
         overflow = False
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                if sum(e) > self.tmax:
+            room = cap - sum(ea)
+            for eb, db, cb in right:
+                if db > room:
                     overflow = True
                     continue
+                e = tuple(map(add, ea, eb))
                 prod = ca * cb
                 cur = out.get(e)
                 out[e] = prod if cur is None else cur + prod
-        if self.tvalid > self.tmax and other.tvalid > self.tmax and not overflow:
-            tvalid = self.tmax + 1
-        elif self.tvalid > self.tmax and other.tvalid > self.tmax:
-            tvalid = self.tmax
+        if not exact:
+            tvalid = cap
         else:
-            tvalid = min(self.tvalid, other.tvalid)
+            tvalid = tmax if overflow else tmax + 1
         return self._like(out, tvalid)
 
     def scale(self, c) -> "TimePoly":
@@ -226,7 +246,9 @@ class TimePoly:
         return out.with_tvalid(min(self.tvalid, self.tmax))
 
     def with_tvalid(self, tvalid: int) -> "TimePoly":
-        return self._like(self.terms, min(self.tvalid, tvalid))
+        if tvalid >= self.tvalid:
+            return self
+        return self._like(_within(self.terms, tvalid), tvalid)
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,8 +11,9 @@ Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
 `product_floor` is that rule; operator composition (`QDOp.pvalid`) uses
-it unchanged on operator powers, and `product`, which computes a window
-of degrees of a product, inherits it from the whole product.
+it unchanged on operator powers, and `product` and `product_coeff`, which
+compute a window or one degree of a product, inherit it from the whole
+product.
 `derive_through` is the one q-Leibniz reduction that the residue and
 zero-curvature checks rest on.
 """
@@ -45,12 +46,23 @@ def derive_through(f: MZSeries, g: MZSeries, derive, dilate) -> MZSeries:
     return f.map_entries(derive) + f.map_entries(dilate) * g
 
 
+def _degree_sum(a: dict, b: dict, d: int):
+    """Sum of a[da] @ b[d - da] in the order of a's terms; None if no pair."""
+    acc = None
+    for da, ma in a.items():
+        mb = b.get(d - da)
+        if mb is not None:
+            prod = ma @ mb
+            acc = prod if acc is None else acc + prod
+    return acc
+
+
 class InsufficientDepthError(ValueError):
     """An assertion window reaches below the exactly-known z-degrees."""
 
 
 class MZSeries:
-    __slots__ = ("n", "terms", "zvalid", "proto")
+    __slots__ = ("n", "terms", "zvalid", "proto", "_zero")
 
     def __init__(self, n: int, terms: dict, zvalid=NEG_INF, proto=None):
         self.n = n
@@ -66,6 +78,7 @@ class MZSeries:
         self.terms = kept
         self.zvalid = zvalid
         self.proto = proto
+        self._zero = None
 
     # -- constructors ----------------------------------------------------
 
@@ -97,9 +110,12 @@ class MZSeries:
         return self.zvalid == NEG_INF
 
     def _zero_mat(self) -> MatSeries:
-        if self.proto is None:
-            raise ValueError("series carries no coefficient prototype")
-        return MatSeries.zero(self.n, self.proto)
+        """The zero coefficient, one shared matrix per series."""
+        if self._zero is None:
+            if self.proto is None:
+                raise ValueError("series carries no coefficient prototype")
+            self._zero = MatSeries.zero(self.n, self.proto)
+        return self._zero
 
     def coeff(self, d: int) -> MatSeries:
         """Coefficient at degree d; raises when the degree is not known exactly."""
@@ -185,12 +201,7 @@ class MZSeries:
         if a and b:
             for d in range(max(lo, zv, min(a) + min(b)),
                            min(hi, max(a) + max(b)) + 1):
-                acc = None
-                for da, ma in a.items():
-                    mb = b.get(d - da)
-                    if mb is not None:
-                        prod = ma @ mb
-                        acc = prod if acc is None else acc + prod
+                acc = _degree_sum(a, b, d)
                 if acc is not None:
                     out[d] = acc
         return MZSeries(self.n, out, zv, self.proto or other.proto)
@@ -199,8 +210,18 @@ class MZSeries:
         return self.product(other)
 
     def product_coeff(self, other: "MZSeries", d: int) -> MatSeries:
-        """(self * other).coeff(d), summing only the pairs that reach z**d."""
-        return self.product(other, d, d).coeff(d)
+        """(self * other).coeff(d), summing only the pairs that reach z**d.
+
+        A degree below the whole product's floor is not determined.
+        """
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        if d < product_floor(self.zvalid, self.top(), other.zvalid, other.top()):
+            raise InsufficientDepthError(f"z**{d} coefficient not determined")
+        acc = _degree_sum(self.terms, other.terms, d)
+        if acc is not None and not acc.is_zero_exact():
+            return acc
+        return (self if self.proto is not None else other)._zero_mat()
 
     def scale(self, c) -> "MZSeries":
         return MZSeries(

@@ -109,6 +109,46 @@ def test_malformed_flow_pairs_exit_2(tmp_path, capsys, field, value):
     )
 
 
+def _tau_config(n=2, exponents=(0, 0, 0), companion_key=None,
+                variables=([1, 1], [1, 2], [2, 1])):
+    data = dict(base_config(), n=n)
+    data["tau"] = {
+        "variables": [list(v) for v in variables],
+        "monomials": [{"exponents": list(exponents), "coeff": "1"}],
+        "companions": {} if companion_key is None else {
+            companion_key: [{"exponents": [0, 0, 0], "coeff": "-1"}]
+        },
+    }
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"n": 2.9}, "n must be an integer >= 1, got 2.9"),
+        ({"n": 0}, "n must be an integer >= 1, got 0"),
+        ({"exponents": [1.7, 0, 0]},
+         "tau.monomials[0].exponents must be an integer >= 0, got 1.7"),
+        ({"exponents": [True, 0, 0]},
+         "tau.monomials[0].exponents must be an integer >= 0, got True"),
+        ({"exponents": [-1, 0, 0]},
+         "tau.monomials[0].exponents must be an integer >= 0, got -1"),
+        ({"exponents": [9, 0, 0]},
+         "tau.monomials[0].exponents has total degree 9, above truncations.t = 4"),
+        ({"companion_key": "1,1"},
+         "tau.companions key '1,1' needs 1 <= alpha != beta <= 2"),
+        ({"companion_key": "1,5"},
+         "tau.companions key '1,5' needs 1 <= alpha != beta <= 2"),
+        ({"variables": ([1, 1], [1, 1], [2, 1])},
+         "tau.variables must be distinct, got [[1, 1], [1, 1], [2, 1]]"),
+    ],
+)
+def test_malformed_tau_input_exits_2(tmp_path, capsys, edit, message):
+    data = _tau_config(**edit)
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_a_of_the_wrong_length_names_a_and_n():
     data = base_config()
     data["a"] = ["1", "-1", "3"]

@@ -260,3 +260,23 @@ def test_matseries_constructor_rejects_non_square_rows():
     m = MatSeries([[one, one.scale(2)], [one.scale(3), one.scale(4)]])
     assert m.transpose()[0, 1] == one.scale(3)
     assert (m @ m.transpose()).transpose() == m @ m.transpose()
+
+
+def test_matseries_exact_zero_is_decided_once(monkeypatch):
+    scans = [0]
+    real = XSeries.is_zero
+
+    def counted(s):
+        scans[0] += 1
+        return real(s)
+
+    monkeypatch.setattr(XSeries, "is_zero", counted)
+    zero, one = XSeries.zero(N), XSeries.one(N)
+    assert MatSeries.zero(2, one).is_zero_exact() and scans[0] == 0
+    hidden = MatSeries([[zero, zero.with_valid(3)], [zero, zero]])
+    exact = MatSeries([[zero, zero], [zero, zero]])
+    for _ in range(3):
+        assert not hidden.is_zero_exact()
+        assert exact.is_zero_exact()
+    assert scans[0] == 2 + 4  # one scan per matrix, up to the first miss
+    assert not (exact + MatSeries.identity(2, one)).is_zero_exact()

@@ -254,3 +254,84 @@ def test_taylor_sum_skipping_exact_zeros_keeps_the_records(monkeypatch, tmax):
 def test_taylor_half_on_determined_carrier():
     recs = taylor_agreement(*_mechanism_shape(tmax=7))
     assert recs and all(r["taylor_ok"] for r in recs)
+
+
+def _zexp_power_sum(gens, depth):
+    """exp of sum_k z**k gens[k] as the power sum sum_m G**m / m!: reference."""
+    any_gen = next(iter(gens.values()))
+    acc = {0: any_gen.one_like()}
+    term = {0: any_gen.one_like()}
+    for m in range(1, depth + 1):
+        nxt = {}
+        for d, poly in term.items():
+            for k, g in gens.items():
+                if d + k <= depth:
+                    add = (poly * g).scale(F(1, m))
+                    nxt[d + k] = nxt[d + k] + add if d + k in nxt else add
+        term = nxt
+        for d, poly in term.items():
+            acc[d] = acc[d] + poly if d in acc else poly
+    return acc
+
+
+def test_zexp_recurrence_matches_power_sum_on_time_variables():
+    # the verify_expqo shape, at a depth beyond tmax so products overflow
+    from qakns.tau import _zexp_poly
+
+    ctx = ctx2(tmax=3)
+    for q in QS:
+        gens = {
+            k: ctx.constant(XSeries.monomial(q_shift_coeff(k, q), k, N))
+            for k in range(1, 7)
+        }
+        for k in (1, 2):
+            gens[k] = gens[k] + ctx.variable((k, 0))
+        got, ref = _zexp_poly(gens, 6), _zexp_power_sum(gens, 6)
+        assert got.keys() == ref.keys()
+        for d in ref:
+            assert got[d] == ref[d], (q, d)  # terms and tvalid
+        assert any(p.tvalid == ctx.tmax for p in ref.values())
+
+
+def test_zexp_recurrence_matches_power_sum_on_x_constants():
+    # the E_delta shape: x-series constants in t, one generator per order
+    from qakns.tau import _zexp_poly, shift_difference
+
+    proto = ctx2().constant(1)
+    families = [
+        {k: shift_difference(k, alpha, [1, -1], q, N) for k in range(1, N + 1)}
+        for q in QS for alpha in (0, 1)
+    ]
+    # E_delta itself collapses to 1 - (1-q) a x z; generic constants do not
+    families.append(
+        {k: XSeries.poly([F(1, k)] + [0] * (k - 1) + [F(k, 3)], N)
+         for k in range(1, N + 1)}
+    )
+    for series in families:
+        gens = {k: proto.scale_series(s) for k, s in series.items()}
+        got, ref = _zexp_poly(gens, N), _zexp_power_sum(gens, N)
+        assert got.keys() == ref.keys()
+        for d in ref:
+            assert got[d] == ref[d], d  # terms and tvalid
+    assert not ref[N].is_zero()
+
+
+def test_taylor_agreement_product_count_at_x16(monkeypatch):
+    # the tau.theorem call on the vacuum spec of the deep_x shape
+    ctx = TimeContext(((1, 0), (1, 1), (2, 0)), 4, 16)
+    lams = [lam for lam in lambda_pool(list(ctx.vars), 2) if len(lam) <= 1]
+    calls = [0]
+    real = XSeries.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(XSeries, "__mul__", counted)
+    recs = taylor_agreement(vacuum_spec(ctx, 2), [1, -1], F(2), 3, lams, 6)
+    monkeypatch.undo()
+    assert len(recs) == 16
+    assert all(r["two_term_ok"] and r["taylor_ok"] for r in recs)
+    # monomials above tvalid, rebuilt zero matrices and the power-sum E_delta
+    # took 2,088 products
+    assert calls[0] <= 800

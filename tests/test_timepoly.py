@@ -134,6 +134,17 @@ def _general_add(a, b):
     return out, min(a.tvalid, b.tvalid)
 
 
+def _agrees(got, reference):
+    """got holds exactly the reference's terms within tvalid, at its tvalid.
+
+    Terms above tvalid are undetermined: the reference forms some of them,
+    the kernel stores none.
+    """
+    terms, tvalid = reference
+    determined = {e: c for e, c in terms.items() if sum(e) <= tvalid}
+    return got.tvalid == tvalid and got.terms == determined
+
+
 def test_empty_operand_matches_general_loop():
     t, s = var((1, 0)), var((1, 1))
     full = t * t * s + const(F(2, 3)).scale_series(XSeries.monomial(1, 1, N))
@@ -152,12 +163,9 @@ def test_empty_operand_matches_general_loop():
         for nb, b in operands.items():
             if a.terms and b.terms:
                 continue  # the differential covers an empty operand on either side
-            got = a * b
-            assert (got.terms, got.tvalid) == _general_mul(a, b), (na, "*", nb)
-            got = a + b
-            assert (got.terms, got.tvalid) == _general_add(a, b), (na, "+", nb)
-            got = a - b
-            assert (got.terms, got.tvalid) == _general_add(a, -b), (na, "-", nb)
+            assert _agrees(a * b, _general_mul(a, b)), (na, "*", nb)
+            assert _agrees(a + b, _general_add(a, b)), (na, "+", nb)
+            assert _agrees(a - b, _general_add(a, -b)), (na, "-", nb)
 
 
 def test_general_loop_reference_on_nonempty_operands():
@@ -166,7 +174,58 @@ def test_general_loop_reference_on_nonempty_operands():
     t, s = var((1, 0)), var((1, 1))
     for a in (t * t * s, (t + s).with_tvalid(2), const(3) + t * t * t):
         for b in (t * s, s.with_tvalid(1), t + const(1)):
-            got = a * b
-            assert (got.terms, got.tvalid) == _general_mul(a, b)
-            got = a + b
-            assert (got.terms, got.tvalid) == _general_add(a, b)
+            assert _agrees(a * b, _general_mul(a, b))
+            assert _agrees(a + b, _general_add(a, b))
+
+
+def _random_operand(rng):
+    """An exact, t-truncated or x-inexact polynomial with a few terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        e = tuple(rng.randint(0, 2) for _ in VARS)
+        if sum(e) <= TMAX:
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+            terms[e] = XSeries.poly(coeffs, N)
+    p = TimePoly(VARS, terms, TMAX, N)
+    shape = rng.choice(("exact", "truncated", "inexact x"))
+    if shape == "truncated":
+        return p.with_tvalid(rng.randint(-1, TMAX))
+    if shape == "inexact x":
+        return p.map_coeffs(lambda c: c.with_valid(rng.randint(1, N)))
+    return p
+
+
+def test_capped_product_matches_pair_loop_on_random_operands():
+    import random
+
+    rng = random.Random(12)
+    overflowed = truncated = 0
+    for _ in range(300):
+        a, b = _random_operand(rng), _random_operand(rng)
+        ref = _general_mul(a, b)
+        assert _agrees(a * b, ref), (a, b)
+        assert _agrees(a + b, _general_add(a, b)), (a, b)
+        exact = a.tvalid > TMAX and b.tvalid > TMAX
+        overflowed += exact and ref[1] == TMAX
+        truncated += not exact
+    # both tvalid rules are exercised, the overflow flag among them
+    assert overflowed > 10 and truncated > 100
+
+
+def test_no_term_above_tvalid_along_random_chains():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(40):
+        p = _random_operand(rng)
+        for _ in range(8):
+            op = rng.choice(("+", "*", "d", "cap"))
+            if op == "+":
+                p = p + _random_operand(rng)
+            elif op == "*":
+                p = p * _random_operand(rng)
+            elif op == "d":
+                p = p.t_derive(rng.choice(VARS))
+            else:
+                p = p.with_tvalid(rng.randint(-1, TMAX + 1))
+            assert all(sum(e) <= p.tvalid for e in p.terms), (op, p)
