@@ -32,6 +32,16 @@ from .series import XSeries
 from .zseries import MZSeries, derive_through
 
 
+def x_factor_of(w: MZSeries, w_inv: MZSeries, a_values, derive, dilate) -> MZSeries:
+    """D w * w**-1 = (D w + sigma(w) zA) * w**-1 for the dressing w.
+
+    The exponential exp_q(zAx) is reduced by the q-Leibniz rule
+    `derive_through`; `derive` and `dilate` act on the entries of w.
+    """
+    a_z = MZSeries.from_term(w.n, 1, MatSeries.diag_const(a_values, w.proto))
+    return derive_through(w, a_z, derive, dilate) * w_inv
+
+
 def x_derivative_factor(dressing: Dressing) -> MZSeries:
     """D_q w * w**-1 reduced to the dressing level, computed honestly.
 
@@ -39,9 +49,9 @@ def x_derivative_factor(dressing: Dressing) -> MZSeries:
     violation shows up as negative z-degrees.
     """
     lax = dressing.lax
-    a_z = MZSeries.from_term(lax.n, 1, lax.a_mat())
-    factor = derive_through(dressing.mz(), a_z, lax.calc.derive, lax.calc.dilate)
-    return factor * dressing.inverse()
+    return x_factor_of(
+        dressing.mz(), dressing.inverse(), lax.a, lax.calc.derive, lax.calc.dilate
+    )
 
 
 class BilinearRecord(NamedTuple):

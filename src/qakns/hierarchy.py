@@ -482,8 +482,13 @@ def verify_zero_curvature(
     flow1: tuple[int, Resolvent],
     flow2: tuple[int, Resolvent],
 ) -> ResidualReport:
-    """d1 B2 - d2 B1 = [B1, B2], evaluated exactly on solved resolvents."""
+    """d1 B2 - d2 B1 = [B1, B2], evaluated exactly on solved resolvents.
+
+    Both resolvents must be solved for `lax`; ValueError otherwise.
+    """
     (k, r_alpha), (l, r_beta) = flow1, flow2
+    if r_alpha.lax is not lax or r_beta.lax is not lax:
+        raise ValueError("resolvents were solved for another Lax datum")
     table = FlowTable([r_alpha, r_beta])
     one, two = (k, 0), (l, 1)
     bracket = _bracket(table.b(one), table.b(two))

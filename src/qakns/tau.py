@@ -5,8 +5,12 @@ off-diagonal companions supplied alongside it. The Baker dressing is read
 off through the z-substitution t_(k beta) -> t_(k beta) - z**-k / k and
 division by tau; the q-deformation substitutes
 t_(k alpha) -> t_(k alpha) + (1-q)**k / (k (1-q**k)) * (a_alpha x)**k
-first. Exponential factors are never expanded in z: identities reduce to
-dressing-level statements whose residues are checked exactly.
+first. The z-substitution is the finite Taylor sum of t-derivatives
+exp(-sum_k z**-k / k d_(k beta)), and every z-window of the assembled
+series is kept by MZSeries arithmetic. The Baker exponentials enter the
+residue identities through the q-Leibniz reduction; `_zexp_poly` expands
+an exponential in z only where a check compares one directly
+(`verify_expqo`) or needs the ratio E_delta (`taylor_agreement`).
 
 Every check here is honest arithmetic: flow derivatives act on the time
 polynomials themselves, the x-derivation acts inside the coefficients,
@@ -16,10 +20,9 @@ same residue.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .bilinear import BilinearRecord, bilinear_residues
+from .bilinear import BilinearRecord, bilinear_residues, x_factor_of
 from .calculus import dilate, q_derive
 from .matseries import MatSeries
 from .scalars import frac
@@ -62,83 +65,76 @@ def q_shift_coeff(k: int, q: Fraction) -> Fraction:
     return (1 - q) ** k / (k * (1 - q**k))
 
 
+def shift_amount(k: int, a, q, xorder: int) -> XSeries:
+    """q_shift_coeff(k) * (a x)**k: the shift of a time of order k.
+
+    Zero when k exceeds the x-order: the amount vanishes in the truncated
+    ring.
+    """
+    if k > xorder:
+        return XSeries.zero(xorder)
+    return XSeries.monomial(q_shift_coeff(k, q) * frac(a) ** k, k, xorder)
+
+
 def q_shift_times(p: TimePoly, a_values, q, x_scale=1) -> TimePoly:
     """Shift every time variable by its channel's x-series amount.
 
-    t_(k alpha) picks up q_shift_coeff(k) * (a_alpha * x_scale * x)**k;
+    t_(k alpha) picks up shift_amount(k, a_alpha * x_scale);
     x_scale = q evaluates the shifted object at the dilated argument.
     """
-    q = frac(q)
     scale = frac(x_scale)
     out = p
     for (k, alpha) in p.vars:
-        if k > p.xorder:
-            continue  # the shift amount vanishes in the truncated ring
-        base = frac(a_values[alpha]) * scale
-        amount = XSeries.monomial(q_shift_coeff(k, q) * base**k, k, p.xorder)
-        out = out.shift_var((k, alpha), amount)
+        amount = shift_amount(k, frac(a_values[alpha]) * scale, q, p.xorder)
+        if not amount.is_zero():
+            out = out.shift_var((k, alpha), amount)
     return out
 
 
 def shift_difference(k: int, alpha: int, a_values, q, xorder: int) -> XSeries:
     """Shift amount at qx minus at x: -(1-q)**k (a_alpha x)**k / k."""
-    q = frac(q)
-    if k > xorder:
-        return XSeries.zero(xorder)
-    c = q_shift_coeff(k, q) * (q**k - 1) * frac(a_values[alpha]) ** k
-    return XSeries.monomial(c, k, xorder)
+    return shift_amount(k, a_values[alpha], q, xorder).scale(frac(q) ** k - 1)
 
 
 def miwa_shift(p: TimePoly, beta: int, depth: int):
     """Substitute t_(k beta) -> t_(k beta) - z**-k / k; collect z-degrees.
 
-    Returns ({z-degree: TimePoly}, zvalid); degrees below -depth are
-    dropped and zvalid marks the cut, or -inf when nothing was dropped.
+    The substitution is the finite Taylor sum
+    exp(-sum_k z**-k / k d_(k beta)) p, one exponential per time of the
+    channel, each summed one t-derivative at a time. Returns
+    ({z-degree: TimePoly}, zvalid): degrees below -depth are not formed,
+    and zvalid marks that cut when some monomial reaches below it
+    (sum_k k e_(k beta) > depth), -inf otherwise.
     """
     if p.tvalid <= p.tmax:
         raise ValueError("miwa substitution needs an exact polynomial")
-    idxs = [i for i, (k, a) in enumerate(p.vars) if a == beta]
-    out: dict[int, TimePoly] = {}
-    lost = False
+    flows = [(i, v) for i, v in enumerate(p.vars) if v[1] == beta]
+    out = {0: p}
+    for _, v in flows:
+        k = v[0]
+        nxt: dict[int, TimePoly] = {}
+        for d, poly in out.items():
+            j = 0
+            while poly.terms and d - k * j >= -depth:
+                cur = nxt.get(d - k * j)
+                nxt[d - k * j] = poly if cur is None else cur + poly
+                j += 1
+                poly = poly.t_derive(v).scale(Fraction(-1, k * j))
+        out = nxt
+    reach = max(
+        (sum(v[0] * e[i] for i, v in flows) for e in p.terms), default=0
+    )
+    return out, (-depth if reach > depth else NEG_INF)
 
-    def put(d: int, poly: TimePoly):
-        nonlocal lost
-        if d < -depth:
-            if not poly.is_zero():
-                lost = True
-            return
-        cur = out.get(d)
-        out[d] = poly if cur is None else cur + poly
 
-    for e, c in p.terms.items():
-        # expand the product of binomials over this monomial's beta-variables
-        expansions = [(0, dict())]  # (z-degree, {var index: lowered amount})
-        for i in idxs:
-            k = p.vars[i][0]
-            cur = []
-            for zdeg, lowered in expansions:
-                for j in range(e[i] + 1):
-                    factor_deg = zdeg - k * j
-                    if factor_deg < -depth:
-                        lost = True
-                        continue
-                    low = dict(lowered)
-                    if j:
-                        low[i] = j
-                    cur.append((factor_deg, low))
-            expansions = cur
-        for zdeg, lowered in expansions:
-            coeff = c
-            e2 = list(e)
-            for i, j in lowered.items():
-                k = p.vars[i][0]
-                coeff = coeff.scale(
-                    Fraction(math.comb(e[i], j)) * Fraction(-1, k) ** j
-                )
-                e2[i] = e[i] - j
-            put(zdeg, TimePoly(p.vars, {tuple(e2): coeff}, p.tmax, p.xorder))
-    zvalid = -depth if lost else NEG_INF
-    return out, zvalid
+def _placed(n: int, at: tuple, zero, series: dict, zvalid=NEG_INF) -> MZSeries:
+    """The scalar z-series {degree: entry} at entry `at` of n x n matrices."""
+    def mat(poly):
+        return MatSeries(
+            [[poly if (i, j) == at else zero for j in range(n)] for i in range(n)]
+        )
+
+    return MZSeries(n, {d: mat(p) for d, p in series.items()}, zvalid, zero)
 
 
 def baker_from_tau(
@@ -150,37 +146,22 @@ def baker_from_tau(
     (alpha, beta) off the diagonal carries z**-1 times companion
     tau_(alpha beta) shifted in channel beta, divided by tau.
     """
-    c0 = tau.constant_term()
-    if c0.constant_term() == 0:
+    if tau.constant_term().constant_term() == 0:
         raise ZeroDivisionError("tau has zero constant term")
-    inv = tau.invert()
-    rows_by_degree: dict[int, list[list[TimePoly]]] = {}
-    zv = NEG_INF
-
-    def ensure(d: int):
-        if d not in rows_by_degree:
-            rows_by_degree[d] = [
-                [tau.zero_like() for _ in range(n)] for _ in range(n)
-            ]
-
+    zero = tau.zero_like()
+    what = MZSeries.zero(n, zero)
     for alpha in range(n):
-        shifted, z_ok = miwa_shift(tau, alpha, depth)
-        zv = max(zv, z_ok)
-        for d, poly in shifted.items():
-            ensure(d)
-            rows_by_degree[d][alpha][alpha] = poly * inv
+        what = what + _placed(n, (alpha, alpha), zero, *miwa_shift(tau, alpha, depth))
     for (alpha, beta), comp in companions.items():
         if alpha == beta:
             raise ValueError("companions are off-diagonal only")
         if comp.is_zero():
             continue
-        shifted, z_ok = miwa_shift(comp, beta, depth - 1)
-        zv = max(zv, z_ok - 1 if z_ok != NEG_INF else NEG_INF)
-        for d, poly in shifted.items():
-            ensure(d - 1)
-            rows_by_degree[d - 1][alpha][beta] = poly * inv
-    terms = {d: MatSeries(rows) for d, rows in rows_by_degree.items()}
-    return MZSeries(n, terms, zv, tau.zero_like())
+        shifted = miwa_shift(comp, beta, depth - 1)
+        what = what + _placed(n, (alpha, beta), zero, *shifted).shift(-1)
+    inv = tau.invert()
+    # an unset entry is an exact zero, and zero / tau stays one
+    return what.map_entries(lambda tp: tp * inv if tp.terms else tp)
 
 
 # -- dressing-level Baker data and the residue machinery ----------------------
@@ -280,11 +261,7 @@ class TauBaker:
         """D_q w * w**-1 reduced to the dressing level (q-data only)."""
         if self.q is None:
             raise ValueError("x-derivative factor needs the q parameter")
-        a_z = MZSeries.from_term(
-            self.n, 1, MatSeries.diag_const(self.a, self._proto)
-        )
-        reduced = derive_through(self.what, a_z, self.derive_x, self.dilate_x)
-        return reduced * self.winv
+        return x_factor_of(self.what, self.winv, self.a, self.derive_x, self.dilate_x)
 
 
 def _zexp_diag(gens: dict[int, list[XSeries]], n: int, depth: int,
@@ -295,19 +272,11 @@ def _zexp_diag(gens: dict[int, list[XSeries]], n: int, depth: int,
     exponential `_zexp_poly` of its own generators.
     """
     one, zero = proto.one_like(), proto.zero_like()
-    channels = [
-        _zexp_poly(
-            {k: one.scale_series(g[i]) for k, g in gens.items()} or {1: zero},
-            depth,
-        )
-        for i in range(n)
-    ]
-    terms = {
-        d: MatSeries([[channels[i][d] if i == j else zero for j in range(n)]
-                      for i in range(n)])
-        for d in channels[0]
-    }
-    return MZSeries(n, terms)
+    out = MZSeries.zero(n, zero)
+    for i in range(n):
+        channel = {k: one.scale_series(g[i]) for k, g in gens.items()}
+        out = out + _placed(n, (i, i), zero, _zexp_poly(channel or {1: zero}, depth))
+    return out
 
 
 # -- named checks ---------------------------------------------------------------
@@ -324,36 +293,34 @@ def verify_expqo(a_values, q, ctx: TimeContext, z_depth: int):
     if z_depth > ctx.xorder:
         raise ValueError("z depth beyond the x truncation makes the check vacuous")
     q = frac(q)
+    zero = ctx.zero()
+
+    def scalar(series: dict) -> MZSeries:
+        return _placed(1, (0, 0), zero, series)
+
     results = []
-    n = len(a_values)
-    for alpha in range(n):
+    for alpha in range(len(a_values)):
         kvars = {k for (k, a) in ctx.vars if a == alpha}
         gens = {k: ctx.variable((k, alpha)) for k in sorted(kvars)}
-        lhs_exp = _zexp_poly(gens or {1: ctx.zero()}, z_depth)
+        lhs_exp = scalar(_zexp_poly(gens or {1: zero}, z_depth))
         a = frac(a_values[alpha])
-        expq = {
+        expq = scalar({
             j: ctx.constant(XSeries.monomial(a**j / q_factorial(j, q), j, ctx.xorder))
             for j in range(z_depth + 1)
-        }
-        lhs = _zconv(expq, lhs_exp, z_depth)
+        })
+        lhs = expq.product(lhs_exp, hi=z_depth)
         # the shift applies at every order, whether or not a time variable
         # of that order is present (absent times are identically zero)
         shifted_gens = {}
         for k in range(1, z_depth + 1):
-            amount = ctx.constant(
-                XSeries.monomial(q_shift_coeff(k, q) * a**k, k, ctx.xorder)
-            )
+            amount = ctx.constant(shift_amount(k, a, q, ctx.xorder))
             shifted_gens[k] = gens[k] + amount if k in gens else amount
-        rhs = _zexp_poly(shifted_gens, z_depth)
-        ok = True
-        first = None
-        for d in range(z_depth + 1):
-            diff = lhs.get(d, ctx.zero()) - rhs.get(d, ctx.zero())
-            if not diff.is_zero():
-                ok = False
-                first = (d, diff.first_nonzero())
-                break
-        results.append((alpha, ok, first))
+        diff = lhs - scalar(_zexp_poly(shifted_gens, z_depth))
+        first = diff.first_nonzero()
+        if first is not None:
+            d, _, _, witness = first
+            first = (d, witness)
+        results.append((alpha, first is None, first))
     return results
 
 
@@ -377,19 +344,6 @@ def _zexp_poly(gens: dict[int, TimePoly], depth: int) -> dict[int, TimePoly]:
         if total is not None:
             acc[d] = total.scale(Fraction(1, d))
     return acc
-
-
-def _zconv(a: dict[int, TimePoly], b: dict[int, TimePoly], depth: int):
-    out: dict[int, TimePoly] = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            if d > depth:
-                continue
-            prod = ca * cb
-            cur = out.get(d)
-            out[d] = prod if cur is None else cur + prod
-    return out
 
 
 class TauCheckError(ValueError):
@@ -438,17 +392,16 @@ def substitution_commutes(spec: TauSpec, a_values, q, depth: int) -> bool:
     w(t + shifts): both substitutions act on disjoint data.
     """
     q = frac(q)
+    zero = spec.tau.zero_like()
+
+    def shift(p):
+        return q_shift_times(p, a_values, q)
+
     for beta in range(spec.n):
-        first, zv1 = miwa_shift(q_shift_times(spec.tau, a_values, q), beta, depth)
-        pre, zv2 = miwa_shift(spec.tau, beta, depth)
-        second = {d: q_shift_times(p, a_values, q) for d, p in pre.items()}
-        degrees = set(first) | set(second)
-        for d in degrees:
-            if d < max(zv1, zv2):
-                continue
-            zero = spec.tau.zero_like()
-            if not (first.get(d, zero) - second.get(d, zero)).is_zero():
-                return False
+        first = _placed(1, (0, 0), zero, *miwa_shift(shift(spec.tau), beta, depth))
+        second = _placed(1, (0, 0), zero, *miwa_shift(spec.tau, beta, depth))
+        if not (first - second.map_entries(shift)).is_zero():
+            return False
     return True
 
 
@@ -473,9 +426,11 @@ def taylor_agreement(
     shifted_q = spec.mapped(lambda p: q_shift_times(p, a_values, q, x_scale=q))
     what = baker_from_tau(shifted.tau, shifted.companions, n, depth)
     what_q = baker_from_tau(shifted_q.tau, shifted_q.companions, n, depth)
-    # the exponential-difference factor carries positive z-degrees up to
-    # the x-order, so the inverse must reach correspondingly deeper for
-    # the mixed product's residue window to be determined
+    # E_delta is I + (q-1) z A x exactly: it stores degrees 0 and 1 only.
+    # The x-order term is for the eta chains of the Taylor sum: each adds
+    # up to the x-order (sum_k k m_k) to a chain's top z-degree, and so
+    # raises the floor of its product with the inverse. Whether this floor
+    # suffices for a real tau is ROADMAP item 1.
     floor = -max(depth, xorder + l_max + 2)
     baker = TauBaker(what, a_values, floor, q)
     baker_q = TauBaker(what_q, a_values, floor, q)

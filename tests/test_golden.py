@@ -43,10 +43,39 @@ def report_text(report) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def first_difference(got: str, expected: str) -> str:
+    """Where two report texts first differ: a check name and field."""
+    a, b = json.loads(got), json.loads(expected)
+    for i, (ca, cb) in enumerate(zip(a["checks"], b["checks"])):
+        if ca != cb:
+            field = min(k for k in set(ca) | set(cb) if ca.get(k) != cb.get(k))
+            return f"check {i} {ca.get('name')!r}, field {field!r}"
+    if len(a["checks"]) != len(b["checks"]):
+        return f"check count {len(a['checks'])} != {len(b['checks'])}"
+    field = min((k for k in set(a) | set(b) if a.get(k) != b.get(k)), default=None)
+    return f"top-level field {field!r}" if field else "formatting only"
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text()
-    assert report_text(RUNS[name]()) == expected
+    got = report_text(RUNS[name]())
+    assert got == expected, first_difference(got, expected)
+
+
+def test_first_difference_names_check_and_field():
+    text = (GOLDEN / "demo.json").read_text()
+    data = json.loads(text)
+    assert first_difference(text, text) == "formatting only"
+    data["checks"][3]["status"] = "fail"
+    data["checks"][5]["params"] = {}
+    got = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    name = data["checks"][3]["name"]
+    assert first_difference(got, text) == f"check 3 {name!r}, field 'status'"
+    data["config_hash"] = "0"
+    data["checks"] = json.loads(text)["checks"]
+    got = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert first_difference(got, text) == "top-level field 'config_hash'"
 
 
 if __name__ == "__main__":

@@ -354,6 +354,19 @@ def test_zero_curvature(make):
     assert same.ok
 
 
+def test_zero_curvature_rejects_resolvents_of_another_lax():
+    # the x-dependent family solves its own hierarchy; asked about the
+    # constant datum it must not answer for its own
+    fam = HierarchySession(lax_x()).family(4)
+    other = lax_const()
+    with pytest.raises(ValueError, match="another Lax datum"):
+        verify_zero_curvature(other, (1, fam[0]), (1, fam[1]))
+    with pytest.raises(ValueError, match="another Lax datum"):
+        verify_zero_curvature(
+            other, (1, HierarchySession(other).family(4)[0]), (1, fam[1])
+        )
+
+
 # -- classical structure -----------------------------------------------------------
 
 

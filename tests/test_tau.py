@@ -1,11 +1,15 @@
 """Tau machinery: shifts, Baker assembly, the shift theorem, the limit."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from qakns.matseries import MatSeries
 from qakns.series import XSeries
+from qakns.timepoly import TimePoly
+from qakns.zseries import NEG_INF, MZSeries
 from qakns.tau import (
     TauCheckError,
     TauSpec,
@@ -335,3 +339,156 @@ def test_taylor_agreement_product_count_at_x16(monkeypatch):
     # monomials above tvalid, rebuilt zero matrices and the power-sum E_delta
     # took 2,088 products
     assert calls[0] <= 800
+
+
+def _miwa_binomial(p, beta, depth):
+    """miwa_shift as the product of binomials over each monomial: reference."""
+    idxs = [i for i, (k, a) in enumerate(p.vars) if a == beta]
+    out = {}
+    lost = False
+    for e, c in p.terms.items():
+        expansions = [(0, {})]  # (z-degree, {var index: lowered amount})
+        for i in idxs:
+            k = p.vars[i][0]
+            cur = []
+            for zdeg, lowered in expansions:
+                for j in range(e[i] + 1):
+                    if zdeg - k * j < -depth:
+                        lost = True
+                        continue
+                    cur.append((zdeg - k * j, {**lowered, i: j} if j else lowered))
+            expansions = cur
+        for zdeg, lowered in expansions:
+            coeff, e2 = c, list(e)
+            for i, j in lowered.items():
+                k = p.vars[i][0]
+                coeff = coeff.scale(F(math.comb(e[i], j)) * F(-1, k) ** j)
+                e2[i] = e[i] - j
+            poly = TimePoly(p.vars, {tuple(e2): coeff}, p.tmax, p.xorder)
+            out[zdeg] = out[zdeg] + poly if zdeg in out else poly
+    return out, (-depth if lost else NEG_INF)
+
+
+def _baker_reference(tau, companions, n, depth):
+    """baker_from_tau assembled degree by degree from `_miwa_binomial`."""
+    inv = tau.invert()
+    rows, zv = {}, NEG_INF
+
+    def entry(d, i, j, poly):
+        if d not in rows:
+            rows[d] = [[tau.zero_like() for _ in range(n)] for _ in range(n)]
+        rows[d][i][j] = poly * inv
+
+    for alpha in range(n):
+        shifted, z_ok = _miwa_binomial(tau, alpha, depth)
+        zv = max(zv, z_ok)
+        for d, poly in shifted.items():
+            entry(d, alpha, alpha, poly)
+    for (alpha, beta), comp in companions.items():
+        shifted, z_ok = _miwa_binomial(comp, beta, depth - 1)
+        zv = max(zv, z_ok - 1)
+        for d, poly in shifted.items():
+            entry(d - 1, alpha, beta, poly)
+    return MZSeries(n, {d: MatSeries(r) for d, r in rows.items()}, zv, tau.zero_like())
+
+
+def _random_poly(rng, ctx, terms, constant=None):
+    """A seeded polynomial on ctx: a few monomials with x-series coefficients."""
+    monomials = []
+    for _ in range(terms):
+        e = [0] * len(ctx.vars)
+        for _ in range(rng.randint(1, ctx.tmax)):
+            e[rng.randrange(len(e))] += 1
+        if sum(e) <= ctx.tmax:
+            monomials.append((e, F(rng.randint(-4, 4), rng.randint(1, 3))))
+    if constant is not None:
+        monomials.append(([0] * len(ctx.vars), constant))
+    poly = ctx.from_monomials(monomials)
+    # an x-dependent factor, so coefficients are series and not constants
+    return poly.scale_series(XSeries.poly([1, rng.randint(-2, 2)], ctx.xorder))
+
+
+def test_miwa_taylor_sum_matches_binomial_expansion():
+    rng = random.Random(20)
+    cuts = {True: 0, False: 0}
+    for n in (2, 3):
+        ctx = TimeContext(
+            tuple((k, a) for k in (1, 2, 3) for a in range(n)), 5, 4
+        )
+        zero = ctx.zero()
+        for _ in range(40):
+            p = _random_poly(rng, ctx, rng.randint(1, 5))
+            for beta in range(n):
+                for depth in (1, 3, 6, 15):
+                    got, zv = miwa_shift(p, beta, depth)
+                    ref, zv_ref = _miwa_binomial(p, beta, depth)
+                    assert zv == zv_ref, (p, beta, depth)
+                    for d in set(got) | set(ref):
+                        assert d >= -depth
+                        assert got.get(d, zero).terms == ref.get(d, zero).terms
+                    cuts[zv != NEG_INF] += 1
+    assert cuts[True] > 0 and cuts[False] > 0
+
+
+def test_baker_from_tau_matches_binomial_reference():
+    rng = random.Random(21)
+    cuts = {True: 0, False: 0}
+    for n in (2, 3):
+        ctx = TimeContext(
+            tuple((k, a) for k in (1, 2, 3) for a in range(n)), 4, 3
+        )
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for _ in range(12):
+            tau = _random_poly(rng, ctx, rng.randint(0, 4), constant=1)
+            comps = {
+                ij: _random_poly(rng, ctx, rng.randint(1, 3))
+                for ij in rng.sample(pairs, rng.randint(0, len(pairs)))
+            }
+            comps = {ij: c for ij, c in comps.items() if not c.is_zero()}
+            for depth in (2, 4, 13):
+                got = baker_from_tau(tau, comps, n, depth)
+                ref = _baker_reference(tau, comps, n, depth)
+                assert got.zvalid == ref.zvalid
+                for d in set(got.terms) | set(ref.terms):
+                    a, b = got.coeff(d), ref.coeff(d)
+                    for i in range(n):
+                        for j in range(n):
+                            assert a[i, j].terms == b[i, j].terms, (d, i, j)
+                cuts[got.zvalid != NEG_INF] += 1
+    assert cuts[True] > 0 and cuts[False] > 0
+
+
+def test_expqo_fails_on_a_broken_shift_weight(monkeypatch):
+    import qakns.tau as tau_mod
+
+    real = tau_mod.q_shift_coeff
+    monkeypatch.setattr(
+        tau_mod, "q_shift_coeff",
+        lambda k, q: real(k, q) + (1 if k == 2 else 0),
+    )
+    # channel 1 has a = 0, so its shift amounts vanish whatever the weight
+    results = verify_expqo([1, 0], F(2), ctx2(), 4)
+    assert [(alpha, ok) for alpha, ok, _ in results] == [(0, False), (1, True)]
+    d, witness = results[0][2]
+    # z**2: the right side gains the extra weight times (a x)**2
+    assert (d, witness) == (2, ((0, 0, 0, 0), (2, F(-1))))
+
+
+def test_substitution_commutes_detects_one_differing_degree(monkeypatch):
+    import qakns.tau as tau_mod
+
+    ctx = ctx2()
+    t, s = ctx.variable((1, 0)), ctx.variable((2, 0))
+    spec = TauSpec(ctx.constant(1) + t * s + s, {}, 2)
+    depth = 5
+    assert substitution_commutes(spec, [1, -1], F(2), depth)
+    pre, _ = miwa_shift(spec.tau, 0, depth)
+    target = pre[-2]  # -(1 + t)/2: one Miwa component inside the window
+    real = tau_mod.q_shift_times
+
+    def scaled(p, *args, **kwargs):
+        out = real(p, *args, **kwargs)
+        return out.scale(3) if p == target else out
+
+    monkeypatch.setattr(tau_mod, "q_shift_times", scaled)
+    assert not substitution_commutes(spec, [1, -1], F(2), depth)
