@@ -23,12 +23,9 @@ the one engine for solver dressings (here) and tau-built dressings
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .hierarchy import Dressing, FlowTable
 from .matseries import MatSeries
 from .scalars import frac
-from .series import XSeries
 from .zseries import MZSeries, derive_through
 
 
@@ -54,24 +51,6 @@ def x_derivative_factor(dressing: Dressing) -> MZSeries:
     )
 
 
-class BilinearRecord(NamedTuple):
-    """One residue res_z(z**l (D**m d**lam w) w**-1); ok when it vanishes."""
-
-    l: int
-    m: int
-    lam: tuple
-    ok: bool
-    first_failure: tuple | None
-
-    def label(self):
-        lam = ",".join(f"({k},{a+1})" for k, a in self.lam)
-        return f"l={self.l} m={self.m} lam=[{lam}]"
-
-    def __repr__(self):
-        state = "ok" if self.ok else f"FAIL {self.first_failure}"
-        return f"<qb {self.label()}: {state}>"
-
-
 def lambda_pool(flows, max_len: int):
     """Multisets of flow labels up to the given length (order is immaterial:
     honest time derivatives commute, and the flow calculus mirrors them)."""
@@ -91,32 +70,32 @@ def lambda_pool(flows, max_len: int):
     return pool
 
 
-def bilinear_residues(
-    flow_factor, g, derive, dilate, l_max: int, lambdas
-) -> list[BilinearRecord]:
+def bilinear_residues(flow_factor, g, derive, dilate, l_max: int, lambdas) -> list:
     """Residue family res_z(z**l (D**m flow-derivative of w) w**-1) == 0.
 
     `flow_factor(lam)` is the flow-derivative factor at the dressing level
     and `g` the x-derivative factor D w * w**-1, through which m = 1
     reduces by the q-Leibniz rule (`derive`, `dilate` act on the entries).
-    With g None only m = 0 runs. Records run over lambda, then m, then l.
+    With g None only m = 0 runs. Returns (label, residue) pairs over
+    lambda, then m, then l, labelled `l=0 m=1 lam=[(1,2)]` (channels
+    1-based).
     """
-    records = []
+    out = []
     for lam in lambdas:
-        f = flow_factor(lam)
-        reduced = [f] if g is None else [f, derive_through(f, g, derive, dilate)]
+        factor = flow_factor(lam)
+        reduced = [factor]
+        if g is not None:
+            reduced.append(derive_through(factor, g, derive, dilate))
+        flows = ",".join(f"({k},{a+1})" for k, a in lam)
         for m, target in enumerate(reduced):
-            for l in range(l_max + 1):
-                res = target.coeff(-1 - l)
-                records.append(
-                    BilinearRecord(l, m, lam, res.is_zero(), res.first_nonzero())
-                )
-    return records
+            out += [
+                (f"l={l} m={m} lam=[{flows}]", target.coeff(-1 - l))
+                for l in range(l_max + 1)
+            ]
+    return out
 
 
-def check_q_bilinear(
-    dressing: Dressing, l_max: int, lambdas
-) -> list[BilinearRecord]:
+def check_q_bilinear(dressing: Dressing, l_max: int, lambdas) -> list:
     """The residue family on a solver dressing, m in {0, 1}."""
     calc = dressing.lax.calc
     return bilinear_residues(
@@ -140,29 +119,20 @@ def check_inverse_transpose(w: MZSeries, w_star: MZSeries):
 
 
 def reconstruct_from_bilinear(dressing: Dressing):
-    """Read (A, U) back off the x-derivative factor of the dressing.
+    """Read (A, U) back off the x-derivative factor g of the dressing.
 
-    The factor's top symbol is zA and its zero-order term is -U; negative
-    degrees must vanish (that is the bilinear identity at lambda = []).
-    Returns (a_values, u_matrix, negative_residual).
+    g's top symbol is zA and its zero-order term is -U; A is read off the
+    constant terms of the z**1 diagonal. Returns (a_values, u_matrix,
+    residual) with residual = g - (zA - U): the negative degrees (the
+    bilinear identity at lambda = []) and any part of the z**1 symbol
+    that is not a constant diagonal.
     """
-    lax = dressing.lax
     g = x_derivative_factor(dressing)
-    neg = g.project("minus")
     top = g.coeff(1)
-    a_values = []
-    for i in range(lax.n):
-        entry = top[i, i]
-        c = entry.constant_term()
-        rest = entry - XSeries.const(c, entry.order)
-        if not rest.is_zero():
-            raise ValueError(f"top symbol entry {i+1} is not constant: {entry!r}")
-        a_values.append(c)
-        for j in range(lax.n):
-            if i != j and not top[i, j].is_zero():
-                raise ValueError("top symbol is not diagonal")
+    a_values = [top[i, i].constant_term() for i in range(g.n)]
+    za = MZSeries.from_term(g.n, 1, MatSeries.diag_const(a_values, g.proto))
     u = -g.coeff(0)
-    return a_values, u, neg
+    return a_values, u, g - za + MZSeries.from_term(g.n, 0, u)
 
 
 def inject_corruption(dressing: Dressing, value="1", channel: int = -1) -> Dressing:

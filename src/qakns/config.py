@@ -228,9 +228,13 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
         q = frac(data["q"])
         a = tuple(frac(v) for v in data["a"])
         tr = data.get("truncations", {})
+        # the suite's fixed depths: tau.expqo compares through z**4, which
+        # needs x >= 4, and tau.classical_limit's mixed case has t-degree 3
         n_x, n_z, n_band, n_t = (
-            _count(tr.get(key, default), f"truncations.{key}")
-            for key, default in (("x", 8), ("z", 6), ("band", 4), ("t", 4))
+            _count(tr.get(key, default), f"truncations.{key}", least=least)
+            for key, default, least in (
+                ("x", 8, 4), ("z", 6, 0), ("band", 4, 0), ("t", 4, 3)
+            )
         )
         u = _parse_u(data["u"], n, n_x, "u")
         bilinear_u = None
@@ -297,6 +301,16 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             cfg.bilinear_lax()
     except (AdmissibilityError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    for i, value in enumerate(cfg.q_sequence):
+        try:
+            check_q(value, cfg.n_x)
+        except AdmissibilityError as exc:
+            raise ConfigError(f"q_sequence[{i}]: {exc}") from exc
+    if len(cfg.q_sequence) == 1:
+        raise ConfigError(
+            "q_sequence[1] is missing: a non-empty q_sequence needs at least "
+            "2 entries to form a ratio"
+        )
     return cfg
 
 

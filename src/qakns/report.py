@@ -74,6 +74,18 @@ def emit_report(report: Report, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
+def nonzero(labelled):
+    """(label, first nonzero) for each nonzero residual of (label, residual) pairs.
+
+    The one verdict rule: a residual passes exactly when it is zero, and
+    its witness is its first nonzero coefficient. The report flattens the
+    witness, so the label `()` leaves just that coefficient.
+    """
+    for label, residual in labelled:
+        if not residual.is_zero():
+            yield label, residual.first_nonzero()
+
+
 def describe_witness(witness) -> dict | None:
     """Normalize a first-nonzero witness into a JSON-friendly record.
 

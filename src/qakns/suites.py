@@ -20,10 +20,22 @@ from . import tau as tau_mod
 from .calculus import dilate, exp_q_series, exp_series, q_derive
 from .config import ConfigError, RunConfig
 from .matseries import MatSeries
-from .report import CheckResult, Report, config_hash, describe_witness
+from .report import CheckResult, Report, config_hash, describe_witness, nonzero
 from .scalars import frac, q_int
 from .series import XSeries
 from .zseries import MZSeries, NEG_INF, derive_through
+
+
+def _default_tau_variables(n: int) -> tuple:
+    """(k, alpha) for k in {1, 2}: the tau times when a config names none."""
+    return tuple((k, a) for k in (1, 2) for a in range(n))
+
+
+def _tau_variables(cfg: RunConfig) -> tuple:
+    """The tau time variables of a run: the configured ones, else the default."""
+    if cfg.tau is not None and cfg.tau.variables:
+        return cfg.tau.variables
+    return _default_tau_variables(cfg.n)
 
 
 class SuiteContext:
@@ -66,14 +78,9 @@ class SuiteContext:
 
     @property
     def tau_ctx(self) -> tau_mod.TimeContext:
-        def build():
-            cfg = self.cfg
-            if cfg.tau is not None and cfg.tau.variables:
-                vars = cfg.tau.variables
-            else:
-                vars = tuple((k, a) for k in (1, 2) for a in range(cfg.n))
-            return tau_mod.TimeContext(vars, cfg.n_t, cfg.n_x)
-        return self.get("tau_ctx", build)
+        cfg = self.cfg
+        return self.get("tau_ctx", lambda: tau_mod.TimeContext(
+            _tau_variables(cfg), cfg.n_t, cfg.n_x))
 
     def oracle_factors(self, a_values):
         """The pairing oracle's exponential pair at these a, built once per run."""
@@ -122,17 +129,6 @@ def _result(name, params, failures=(), degrees=None) -> CheckResult:
     )
 
 
-def _nonzero(labelled):
-    """(label, first nonzero) for each nonzero residual of (label, residual) pairs.
-
-    The report flattens the witness, so the label `()` leaves just the
-    residual's first nonzero coefficient.
-    """
-    for label, residual in labelled:
-        if not residual.is_zero():
-            yield label, residual.first_nonzero()
-
-
 # -- calculus ------------------------------------------------------------------
 
 
@@ -161,7 +157,7 @@ def check_power_additivity(ctx: SuiteContext) -> CheckResult:
                     yield (m, n), stepped - closed
 
     return _result(
-        "qcalc.power_additivity", {"q": str(q)}, _nonzero(residuals()),
+        "qcalc.power_additivity", {"q": str(q)}, nonzero(residuals()),
         {"x": cfg.n_x - 4},
     )
 
@@ -180,7 +176,7 @@ def check_leibniz_forms(ctx: SuiteContext) -> CheckResult:
                     f * q_derive(g, q) + q_derive(f, q) * dilate(g, q)
                 )
 
-    return _result("qcalc.leibniz_forms", {"q": str(q)}, _nonzero(residuals()),
+    return _result("qcalc.leibniz_forms", {"q": str(q)}, nonzero(residuals()),
                    {"x": cfg.n_x - 1})
 
 
@@ -194,7 +190,7 @@ def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
             yield str(c), q_derive(e, q) - e.scale(c)
 
     return _result("qcalc.expq_eigenvalue", {"q": str(q)},
-                   _nonzero(residuals()), {"x": cfg.n_x - 1})
+                   nonzero(residuals()), {"x": cfg.n_x - 1})
 
 
 def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
@@ -205,7 +201,7 @@ def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
     ]
     diff = exp_series(args, cfg.n_x) - exp_q_series(1, q, cfg.n_x)
     return _result("qcalc.expq_log_form", {"q": str(q)},
-                   _nonzero([((), diff)]), {"x": cfg.n_x})
+                   nonzero([((), diff)]), {"x": cfg.n_x})
 
 
 def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
@@ -214,7 +210,7 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
     prod = exp_q_series(1, q, cfg.n_x) * exp_q_series(-1, 1 / q, cfg.n_x)
     diff = prod - XSeries.one(cfg.n_x)
     return _result("qcalc.expq_reciprocal", {"q": str(q)},
-                   _nonzero([((), diff)]), {"x": cfg.n_x})
+                   nonzero([((), diff)]), {"x": cfg.n_x})
 
 
 # -- residue pairing --------------------------------------------------------------
@@ -266,7 +262,7 @@ def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
         yield "rhs", rhs0
 
     return _result("pairing.oracle_examples", {"q": str(q)},
-                   _nonzero(residuals()), {"x": order - 1})
+                   nonzero(residuals()), {"x": order - 1})
 
 
 def check_pairing_random(ctx: SuiteContext) -> CheckResult:
@@ -291,7 +287,7 @@ def check_pairing_random(ctx: SuiteContext) -> CheckResult:
     return _result(
         "pairing.random_pairs",
         {"q": str(q), "trials": trials, "band": 2},
-        _nonzero(residuals()), {"x": cfg.n_x - 2},
+        nonzero(residuals()), {"x": cfg.n_x - 2},
     )
 
 
@@ -308,7 +304,7 @@ def check_pairing_nonneg(ctx: SuiteContext) -> CheckResult:
             yield (), lhs
             yield "rhs", rhs
 
-    return _result("pairing.nonneg_zero", {}, _nonzero(residuals()), {})
+    return _result("pairing.nonneg_zero", {}, nonzero(residuals()), {})
 
 
 # -- hierarchy ------------------------------------------------------------------
@@ -340,7 +336,7 @@ def check_first_order_routes(ctx: SuiteContext) -> CheckResult:
             direct = ctx.session.resolvent(alpha, 1)
             yield alpha, conj.orders[1] - direct.orders[1]
 
-    return _result("hierarchy.first_order_routes", {}, _nonzero(residuals()), {})
+    return _result("hierarchy.first_order_routes", {}, nonzero(residuals()), {})
 
 
 def check_orthogonality(ctx: SuiteContext) -> CheckResult:
@@ -355,7 +351,7 @@ def check_orthogonality(ctx: SuiteContext) -> CheckResult:
 
     return _result(
         "hierarchy.orthogonality", {"depth": fam[0].depth},
-        _nonzero(residuals()), {"z": fam[0].depth},
+        nonzero(residuals()), {"z": fam[0].depth},
     )
 
 
@@ -367,7 +363,7 @@ def check_partition(ctx: SuiteContext) -> CheckResult:
         total = total + r.mz()
     diff = total - MZSeries.identity(cfg.n, ctx.lax.proto())
     return _result(
-        "hierarchy.partition_of_identity", {}, _nonzero([((), diff)]),
+        "hierarchy.partition_of_identity", {}, nonzero([((), diff)]),
         {"z": fam[0].depth},
     )
 
@@ -422,7 +418,7 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
         # derivation-band freedom: B_+ and -B_- give the same flow
         _, b_minus = hy.b_split(r, k)
         alt = hy.commutation_residual(ctx.lax, b_minus).coeff(0)
-        failures += _nonzero([("avoided-band mismatch", alt - value)])
+        failures += nonzero([("avoided-band mismatch", alt - value)])
     return _result("hierarchy.u_flow_structure", params, failures, {})
 
 
@@ -466,7 +462,7 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
         degrees["x"] = int(min(x_valid, 10**6))
     return _result(
         "dressing.factorization", {"depth": ctx.dressing.depth},
-        _nonzero([((), residual)]), degrees,
+        nonzero([((), residual)]), degrees,
     )
 
 
@@ -479,7 +475,7 @@ def _route_agreement(name, dressing: hy.Dressing, depth: int):
             direct = session.resolvent(alpha, depth)
             yield alpha, conj.mz().truncate_below(-depth) - direct.mz()
 
-    return _result(name, {"depth": depth}, _nonzero(residuals()), {"z": depth})
+    return _result(name, {"depth": depth}, nonzero(residuals()), {"z": depth})
 
 
 def check_route_agreement(ctx: SuiteContext) -> CheckResult:
@@ -495,9 +491,8 @@ def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
 
 def _bilinear_check(name, params, ctx: SuiteContext, dressing: hy.Dressing):
     records = bl.check_q_bilinear(dressing, ctx.cfg.l_max, ctx.lambdas())
-    failures = ((r.label(), r.first_failure) for r in records if not r.ok)
     params = {**params, "l_max": ctx.cfg.l_max, "records": len(records)}
-    return _result(name, params, failures, {"z": dressing.depth - 1})
+    return _result(name, params, nonzero(records), {"z": dressing.depth - 1})
 
 
 def check_qb1(ctx: SuiteContext) -> CheckResult:
@@ -508,22 +503,14 @@ def check_qb1(ctx: SuiteContext) -> CheckResult:
 
 def check_reconstruct(ctx: SuiteContext) -> CheckResult:
     lax = ctx.bilinear_lax
-    dressing = _maybe_corrupt(ctx)
-
-    def failures():
-        try:
-            a_vals, u_rec, neg = bl.reconstruct_from_bilinear(dressing)
-        except ValueError as exc:
-            yield str(exc)
-            return
-        yield from _nonzero([((), neg)])
-        if a_vals != lax.a or not (u_rec - lax.u).is_zero():
-            yield ("recovered data mismatch",)
-        for i in range(lax.n):
-            if not u_rec[i, i].is_zero():
-                yield ("nonzero diagonal", i)
-
-    return _result("bilinear.reconstruct_roundtrip", {}, failures(), {})
+    a_vals, u_rec, residual = bl.reconstruct_from_bilinear(_maybe_corrupt(ctx))
+    a_rec = MatSeries.diag_const(a_vals, lax.proto())
+    # a config's u has a zero diagonal, so u_rec == u checks u_rec's too
+    return _result("bilinear.reconstruct_roundtrip", {}, nonzero([
+        ((), residual),
+        ("recovered data mismatch", u_rec - lax.u),
+        ("recovered data mismatch", a_rec - lax.a_mat()),
+    ]), {})
 
 
 def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
@@ -538,7 +525,7 @@ def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
             yield "first-order mismatch", first
 
     return _result("bilinear.adjoint_inverse_transpose", {},
-                   _nonzero(residuals()), {})
+                   nonzero(residuals()), {})
 
 
 def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
@@ -549,10 +536,9 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
         )
     corrupted = bl.inject_corruption(ctx.dressing, "1/3")
     records = bl.check_q_bilinear(corrupted, ctx.cfg.l_max, [()])
-    detected = any(not r.ok for r in records)
     return _result(
         "bilinear.corruption_detected", {"records": len(records)},
-        [] if detected else ["corruption slipped through"],
+        [] if any(nonzero(records)) else ["corruption slipped through"],
     )
 
 
@@ -561,9 +547,8 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
 
 def check_expqo(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    results = tau_mod.verify_expqo(list(cfg.a), cfg.q, ctx.tau_ctx, 4)
-    failures = ((alpha + 1, w) for alpha, good, w in results if not good)
-    return _result("tau.expqo", {"z_depth": 4}, failures,
+    residuals = tau_mod.verify_expqo(list(cfg.a), cfg.q, ctx.tau_ctx, 4)
+    return _result("tau.expqo", {"z_depth": 4}, nonzero(residuals),
                    {"z": 4, "x": cfg.n_x})
 
 
@@ -586,30 +571,16 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
     lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
     depth = cfg.l_max + 2
     try:
-        results = tau_mod.verify_tau_theorem(
+        residuals = tau_mod.verify_tau_theorem(
             spec, list(cfg.a), cfg.q, min(cfg.l_max, 3), lambdas, depth,
             ctx.tau_ctx, 4,
         )
     except tau_mod.TauCheckError as exc:
         return _result("tau.theorem", {"rejected": True}, [str(exc)], {})
-
-    def failures():
-        if not results["substitution_commutes"]:
-            yield "substitutions fail to commute"
-        for alpha, good, w in results["expqo"]:
-            if not good:
-                yield ("expqo", alpha + 1, w)
-        for l, m, lam, good, w in results["q_bilinear"]:
-            if not good:
-                yield ("q_bilinear", l, m, lam, w)
-        for rec in results["taylor"]:
-            if not (rec["two_term_ok"] and rec["taylor_ok"]):
-                yield ("taylor", rec["l"], rec["lam"])
-
     return _result(
         "tau.theorem",
         {"lambdas": len(lambdas), "depth": depth},
-        failures(), {"z": depth, "t": cfg.n_t},
+        nonzero(residuals), {"z": depth, "t": cfg.n_t},
     )
 
 
@@ -635,21 +606,17 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     # reduced carrier: the agreement is scale-independent and this check
     # multiplies deep truncated inverses
-    vars = tuple((k, a) for k in (1, 2) for a in range(cfg.n))
-    tctx = tau_mod.TimeContext(vars, 4, 6)
+    tctx = tau_mod.TimeContext(_default_tau_variables(cfg.n), 4, 6)
     poly = tctx.constant(1) + tctx.variable((1, 0))
     spec = tau_mod.TauSpec(poly, {}, cfg.n)
     records = tau_mod.taylor_agreement(
         spec, list(cfg.a), cfg.q, 1, [(), ((1, 0),)], 5
     )
-    failures = (
-        (r["l"], r["lam"], r["two_term_fail"] or r["taylor_fail"])
-        for r in records if not (r["two_term_ok"] and r["taylor_ok"])
-    )
+    by_record = (((l, lam), r) for (l, lam, _), r in records)
     return _result(
         "tau.mechanism_agreement",
         {"on": "non-solution polynomial", "l_max": 1},
-        failures, {},
+        nonzero(by_record), {},
     )
 
 
@@ -752,8 +719,9 @@ CHECKS = [
 def select_checks(cfg: RunConfig, prefixes=None):
     """Names of the selected checks, in run order.
 
-    Raises ConfigError for unknown names and for a non-empty selection
-    that the prefixes reduce to nothing: neither may pass vacuously.
+    Raises ConfigError for unknown names, for a non-empty selection
+    that the prefixes reduce to nothing (neither may pass vacuously), and
+    for a flow that tau.theorem cannot differentiate along.
     """
     known = [name for name, _ in CHECKS]
     chosen = known if cfg.checks is None else cfg.checks
@@ -770,6 +738,16 @@ def select_checks(cfg: RunConfig, prefixes=None):
             f"checks {', '.join(chosen)} are outside this command's scope "
             f"({', '.join(prefixes)})"
         )
+    if "tau.theorem" in names and cfg.lambda_max >= 1:
+        # the theorem differentiates the tau data along every flow
+        variables = _tau_variables(cfg)
+        for k, a in cfg.flows:
+            if (k, a) not in variables:
+                raise ConfigError(
+                    f"flows entry [{k}, {a+1}] is not a tau time variable, "
+                    "which tau.theorem needs; the variables are "
+                    + ", ".join(f"[{j}, {b+1}]" for j, b in variables)
+                )
     return names
 
 

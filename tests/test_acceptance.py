@@ -43,6 +43,7 @@ from qakns.hierarchy import (
 )
 from qakns.matseries import MatSeries
 from qakns.qop import QDOp, pairing_lhs, pairing_oracle, pairing_rhs
+from qakns.report import nonzero
 from qakns.scalars import q_int
 from qakns.series import XSeries
 from qakns.tau import (
@@ -253,18 +254,16 @@ def test_criterion_4_bilinear():
         expected = (4 + 1) * 2 * len(lams)
         if len(records) != expected:
             failures.append(f"record count q={q}: {len(records)} != {expected}")
-        for r in records:
-            if not r.ok:
-                failures.append(f"qb1 q={q} {r.label()}")
-                break
+        for label, _ in nonzero(records):
+            failures.append(f"qb1 q={q} {label}")
+            break
         # reconstruction round-trips the operator data
         a_vals, u_rec, neg = reconstruct_from_bilinear(dressing)
         if not neg.is_zero() or a_vals != lax.a or not (u_rec - lax.u).is_zero():
             failures.append(f"reconstruction q={q}")
         # the suite can fail: injected corruption is detected
         corrupted = inject_corruption(dressing, "1/3")
-        bad = [r for r in check_q_bilinear(corrupted, 4, [()]) if not r.ok]
-        if not bad:
+        if not any(nonzero(check_q_bilinear(corrupted, 4, [()]))):
             failures.append(f"corruption undetected q={q}")
         _, _, neg_c = reconstruct_from_bilinear(corrupted)
         if neg_c.is_zero():
@@ -277,27 +276,24 @@ def test_criterion_5_tau():
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 6, NX)
     for q in QS:
         # the exponential-shift identity through z^4, all x-degrees
-        for alpha, ok, witness in verify_expqo([1, -1], q, ctx, 4):
-            if not ok:
-                failures.append(f"expqo q={q} channel={alpha+1}: {witness}")
+        for channel, witness in nonzero(verify_expqo([1, -1], q, ctx, 4)):
+            failures.append(f"expqo q={q} channel={channel}: {witness}")
     # vacuum passes the classical precheck and the q-stage at q = 2
     lams = lambda_pool([(1, 0), (1, 1)], 2)
     out = verify_tau_theorem(vacuum_spec(ctx, 2), [1, -1], F(2), 4, lams, 8,
                              ctx, 4)
-    if not all(r[3] for r in out["q_bilinear"]):
-        failures.append("vacuum q-bilinear")
-    if not all(r["two_term_ok"] and r["taylor_ok"] for r in out["taylor"]):
-        failures.append("vacuum taylor agreement")
-    if not out["substitution_commutes"]:
-        failures.append("vacuum substitution commutation")
+    stages = {"q_bilinear": "vacuum q-bilinear",
+              "taylor": "vacuum taylor agreement",
+              "substitution": "vacuum substitution commutation"}
+    failed = {stage for (stage, _), _ in nonzero(out)}
+    failures += [text for stage, text in stages.items() if stage in failed]
     # the two proof-path evaluations agree term by term on data that is
     # not a solution, so the agreement is not an artifact of vanishing
     small = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, 6)
     nonsol = TauSpec(small.constant(1) + small.variable((1, 0)), {}, 2)
     recs = taylor_agreement(nonsol, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
-    for r in recs:
-        if not (r["two_term_ok"] and r["taylor_ok"]):
-            failures.append(f"mechanism agreement l={r['l']} lam={r['lam']}")
+    for (l, lam, _), _ in nonzero(recs):
+        failures.append(f"mechanism agreement l={l} lam={lam}")
     # classical limit ratios within [0.45, 0.55] along q = 1 + 2^-m
     qs = [F(1) + F(1, 2**m) for m in (3, 4, 5, 6)]
     lctx = TimeContext(((1, 0), (2, 0)), 6, NX)
@@ -337,11 +333,9 @@ def test_criterion_6_classical_crosscheck():
                 failures.append(f"classical qr {label} ch={alpha+1}")
         dressing = solve_dressing(lax, 10)
         lams = lambda_pool([(1, 0), (1, 1)], 2)
-        records = check_q_bilinear(dressing, 4, lams)
-        for r in records:
-            if not r.ok:
-                failures.append(f"classical bilinear {label} {r.label()}")
-                break
+        for residue, _ in nonzero(check_q_bilinear(dressing, 4, lams)):
+            failures.append(f"classical bilinear {label} {residue}")
+            break
         fam = HierarchySession(lax).family(7)
         ident = MZSeries.identity(2, lax.proto())
         if not ((fam[0].mz() + fam[1].mz()) - ident).is_zero():

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from qakns.cli import main
-from qakns.config import ConfigError, demo_config, load_config, parse_config
+from qakns.config import (
+    DEMO_CONFIG, ConfigError, demo_config, load_config, parse_config,
+)
 from qakns.report import config_hash, emit_report
 from qakns.suites import run_suite
 
@@ -298,3 +300,57 @@ def test_integer_fields_keep_the_config_hash():
     assert config_hash(demo_config().canonical_json()) == (
         "9ea0102d2ea8ea2470561fe9c8e0a10a1d6ff9b0a081b8587431e450bcd43b51"
     )
+
+
+def _demo_data():
+    return json.loads(json.dumps(DEMO_CONFIG))
+
+
+@pytest.mark.parametrize(
+    "sequence, message",
+    [
+        (["1"], "q_sequence[0]: deformation parameter must differ from 1"),
+        (["-1", "9/8"], "q_sequence[0]: deformation parameter is a root of unity"),
+        (["9/8"], "q_sequence[1] is missing"),
+    ],
+    ids=["q_is_1", "root_of_unity", "one_entry"],
+)
+def test_inadmissible_q_sequence_exits_2(tmp_path, capsys, sequence, message):
+    data = _demo_data()
+    data["q_sequence"] = sequence
+    path = write_config(tmp_path, data)
+    assert main(["tau", "--config", path, "--check", "tau.classical_limit"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, least", [("x", 3, 4), ("t", 2, 3)], ids=["x", "t"]
+)
+def test_truncations_below_the_suite_depths_exit_2(tmp_path, capsys, key, value,
+                                                   least):
+    data = _demo_data()
+    data["truncations"][key] = value
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert f"truncations.{key} must be an integer >= {least}, got {value}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_least_truncations_pass_every_check():
+    data = _demo_data()
+    data["truncations"].update(x=4, t=3)
+    report = run_suite(parse_config(data))
+    assert len(report.checks) == 30
+    assert [c.name for c in report.checks if c.status != "pass"] == []
+
+
+def test_flow_outside_the_tau_variables_exits_2(tmp_path, capsys):
+    data = _demo_data()
+    data["flows"] = [[3, 1]]
+    path = write_config(tmp_path, data)
+    assert main(["tau", "--config", path, "--check", "tau.theorem"]) == 2
+    assert "flows entry [3, 1] is not a tau time variable" in (
+        capsys.readouterr().err
+    )
+    # the flows reach only tau.theorem: another selection runs
+    assert main(["tau", "--config", path, "--check", "tau.expqo"]) == 0

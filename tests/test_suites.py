@@ -1,9 +1,11 @@
 """Check verdicts: a failing check names its first failure, never null."""
 
+import sys
+
 import pytest
 
 from qakns import hierarchy as hy
-from qakns import qop
+from qakns import qop, report
 from qakns.config import demo_config
 from qakns.suites import run_suite
 
@@ -66,3 +68,22 @@ def test_oracle_factors_are_built_once_per_run(monkeypatch):
     assert all(r.status == "pass" for r in results)
     # the scalar a = (1) is shared by both checks, the demo a by one
     assert len(builds) == 4 and set(builds.values()) == {1}
+
+
+def test_bilinear_and_tau_checks_decide_through_the_one_verdict(monkeypatch):
+    # a verdict that rejects every residual: each check that decides through
+    # report.nonzero must then fail, and name a witness
+    def reject_all(labelled):
+        return ((label, "rejected") for label, _ in labelled)
+
+    verdict = report.nonzero
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qakns") and getattr(module, "nonzero", None) is verdict:
+            monkeypatch.setattr(module, "nonzero", reject_all)
+    names = ("bilinear.qb1", "classical.bilinear", "tau.expqo", "tau.theorem",
+             "tau.mechanism_agreement")
+    results = {r.name: r for r in run_checks(*names)}
+    assert set(results) == set(names)
+    for res in results.values():
+        assert res.status == "fail", res.name
+        assert "rejected" in str(res.first_failure), res.name
