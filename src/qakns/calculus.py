@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .scalars import AdmissibilityError, check_q, common_den, frac, q_factorial, q_int
+from .scalars import check_q, common_den, frac, q_int
 from .series import XSeries
 
 
@@ -99,44 +99,67 @@ def x_antiderive(g: XSeries) -> XSeries:
 
 
 def exp_q_series(c, q, order: int) -> XSeries:
-    """Series of the q-exponential of c*x: coefficient k is c**k / [k]!."""
-    q = frac(q)
+    """Series of the q-exponential of c*x: coefficient k is c**k / [k]!.
+
+    `check_q` keeps every [k] nonzero, so coefficient k is coefficient
+    k - 1 times c / [k].
+    """
+    q = check_q(frac(q), order)
     c = frac(c)
-    check_q(q, order)
-    out = []
-    p = Fraction(1)
-    for k in range(order + 1):
-        fk = q_factorial(k, q)
-        if fk == 0:
-            raise AdmissibilityError(f"vanishing q-factorial at k={k}")
-        out.append(p / fk)
-        p *= c
+    out = [Fraction(1)]
+    for k in range(1, order + 1):
+        out.append(out[-1] * c / q_int(k, q))
     return XSeries(out, order)
+
+
+def graded_exp(gens: dict, depth: int) -> dict:
+    """exp of sum_k z**k gens[k] in a z-graded algebra, through z**depth.
+
+    The generators are ring elements (x-series, time polynomials) keyed by
+    their degree k >= 1. E = exp(G) solves z E' = (z G') E, so degree by
+    degree d E_d = sum_k k g_k E_(d-k) (Knuth, TAOCP vol. 2, 4.7): exact,
+    with O(depth**2) products. Returns {degree: E_d}; a degree no sum of
+    generator degrees reaches has no entry.
+    """
+    acc = {0: next(iter(gens.values())).one_like()}
+    weighted = {k: g.scale(k) for k, g in gens.items() if k <= depth}
+    for d in range(1, depth + 1):
+        total = None
+        for k, kg in weighted.items():
+            prev = acc.get(d - k)
+            if prev is not None:
+                prod = prev * kg
+                total = prod if total is None else total + prod
+        if total is not None:
+            acc[d] = total.scale(Fraction(1, d))
+    return acc
 
 
 def exp_series(args, order: int) -> XSeries:
     """Series of exp(sum of c_k x**k) for degrees k >= 1, truncated.
 
-    `args` is an iterable of (degree, coefficient) pairs.
+    `args` is an iterable of (degree, coefficient) pairs. The coefficients
+    come from `graded_exp` with x as the grading, over the rationals held
+    as series of order 0. The exponential of a nonzero argument, even one
+    nonzero only above the order, is no polynomial: it is exact through
+    `order` only.
     """
-    pairs = [(k, frac(c)) for k, c in args]
-    arg = XSeries.zero(order)
-    lost = None
-    for k, c in pairs:
+    arg: dict[int, Fraction] = {}
+    for k, c in args:
         if k < 1:
             raise ValueError("exponent argument must have positive degree")
-        if k <= order:
-            arg = arg + XSeries.monomial(c, k, order)
-        elif c != 0:
-            lost = k if lost is None else min(lost, k)
-    out = XSeries.one(order)
-    term = XSeries.one(order)
-    for m in range(1, order + 1):
-        term = (term * arg).scale(Fraction(1, m))
-        out = out + term
-    if lost is not None:
-        out = out.with_valid(lost - 1)
-    return out
+        arg[k] = arg.get(k, 0) + frac(c)
+    one = XSeries.one(order)
+    if not any(arg.values()):
+        return one
+    gens = {k: XSeries.const(c, 0) for k, c in arg.items() if c and k <= order}
+    if not gens:
+        return one.with_valid(order)
+    terms = graded_exp(gens, order)
+    return XSeries(
+        [terms[d].constant_term() if d in terms else 0 for d in range(order + 1)],
+        order,
+    )
 
 
 class QCalc:

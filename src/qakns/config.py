@@ -129,19 +129,19 @@ class RunConfig:
 
 
 def _parse_u(raw, n: int, n_x: int, label: str):
-    if len(raw) != n or any(len(row) != n for row in raw):
+    if (not isinstance(raw, list) or len(raw) != n
+            or any(not isinstance(row, list) or len(row) != n for row in raw)):
         raise ConfigError(f"{label} must be an {n}x{n} matrix of coefficient lists")
     out = []
     for i, row in enumerate(raw):
         cells = []
         for j, entry in enumerate(row):
-            if isinstance(entry, str):
+            field = f"{label}[{i+1}][{j+1}]"
+            if not isinstance(entry, list):
                 entry = [entry]
-            coeffs = tuple(frac(c) for c in entry)
+            coeffs = tuple(_rational(c, field) for c in entry)
             if len(coeffs) > n_x + 1:
-                raise ConfigError(
-                    f"{label}[{i+1}][{j+1}] degree exceeds the x truncation"
-                )
+                raise ConfigError(f"{field} degree exceeds the x truncation")
             if i == j and any(c != 0 for c in coeffs):
                 raise ConfigError(
                     f"{label} must have zero diagonal (u_ii = 0), "
@@ -155,9 +155,11 @@ def _parse_u(raw, n: int, n_x: int, label: str):
 def _parse_monomials(raw, arity: int, n_t: int, label: str):
     """Monomials of total degree <= n_t, one exponent per tau variable."""
     out = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_list(raw, label)):
+        item = _object(item, f"{label}[{i}]")
         field = f"{label}[{i}].exponents"
-        e = tuple(_count(v, field) for v in item["exponents"])
+        raw_e = _list(_required(item, "exponents", field), field)
+        e = tuple(_count(v, field) for v in raw_e)
         if len(e) != arity:
             raise ConfigError(
                 f"{field} must have one entry per tau variable ({arity}), "
@@ -167,7 +169,8 @@ def _parse_monomials(raw, arity: int, n_t: int, label: str):
             raise ConfigError(
                 f"{field} has total degree {sum(e)}, above truncations.t = {n_t}"
             )
-        out.append((e, frac(item["coeff"])))
+        coeff = f"{label}[{i}].coeff"
+        out.append((e, _rational(_required(item, "coeff", coeff), coeff)))
     return tuple(out)
 
 
@@ -198,6 +201,37 @@ def _count(value, label: str, nullable: bool = False, least: int = 0):
     return value
 
 
+def _rational(value, label: str) -> Fraction:
+    """An exact rational field: an integer or a "p/q" string."""
+    if not isinstance(value, bool):
+        try:
+            return frac(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(
+        f'{label} must be an exact rational (an integer or a "p/q" string), '
+        f"got {value!r}"
+    )
+
+
+def _list(value, label: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{label} must be a list, got {value!r}")
+    return value
+
+
+def _object(value, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{label} must be an object, got {value!r}")
+    return value
+
+
+def _required(obj: dict, key: str, label: str):
+    if key not in obj:
+        raise ConfigError(f"{label} is missing")
+    return obj[key]
+
+
 def _parse_flow(pair, n: int, label: str):
     """One [order, channel] pair of integers, the channel 1-based."""
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
@@ -224,10 +258,14 @@ def _parse_checks(raw):
 
 def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
     try:
-        n = _count(data["n"], "n", least=1)
-        q = frac(data["q"])
-        a = tuple(frac(v) for v in data["a"])
-        tr = data.get("truncations", {})
+        data = _object(data, "the configuration")
+        n = _count(_required(data, "n", "n"), "n", least=1)
+        q = _rational(_required(data, "q", "q"), "q")
+        a = tuple(
+            _rational(v, f"a[{i}]")
+            for i, v in enumerate(_list(_required(data, "a", "a"), "a"), 1)
+        )
+        tr = _object(data.get("truncations", {}), "truncations")
         # the suite's fixed depths: tau.expqo compares through z**4, which
         # needs x >= 4, and tau.classical_limit's mixed case has t-degree 3
         n_x, n_z, n_band, n_t = (
@@ -236,31 +274,39 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
                 ("x", 8, 4), ("z", 6, 0), ("band", 4, 0), ("t", 4, 3)
             )
         )
-        u = _parse_u(data["u"], n, n_x, "u")
+        u = _parse_u(_required(data, "u", "u"), n, n_x, "u")
         bilinear_u = None
         if data.get("bilinear_u") is not None:
             bilinear_u = _parse_u(data["bilinear_u"], n, n_x, "bilinear_u")
         flows = tuple(
-            _parse_flow(p, n, "flows") for p in data.get("flows", [[1, 1]])
+            _parse_flow(p, n, "flows")
+            for p in _list(data.get("flows", [[1, 1]]), "flows")
         )
         tau = None
         if data.get("tau") is not None:
-            traw = data["tau"]
+            traw = _object(data["tau"], "tau")
+            raw_vars = _list(
+                _required(traw, "variables", "tau.variables"), "tau.variables"
+            )
             variables = tuple(sorted(
-                _parse_flow(p, n, "tau.variables") for p in traw["variables"]
+                _parse_flow(p, n, "tau.variables") for p in raw_vars
             ))
+            if not variables:
+                raise ConfigError("tau.variables must name at least one time")
             if len(set(variables)) != len(variables):
                 raise ConfigError(
-                    f"tau.variables must be distinct, got {traw['variables']!r}"
+                    f"tau.variables must be distinct, got {raw_vars!r}"
                 )
             monomials = _parse_monomials(
-                traw["monomials"], len(variables), n_t, "tau.monomials"
+                _required(traw, "monomials", "tau.monomials"), len(variables),
+                n_t, "tau.monomials",
             )
-            raw_companions = traw.get("companions", {})
-            if not isinstance(raw_companions, dict):
+            if sum(c for e, c in monomials if not any(e)) == 0:
                 raise ConfigError(
-                    f"tau.companions must be an object, got {raw_companions!r}"
+                    "tau.monomials must have a nonzero constant term: "
+                    "the Baker function divides by tau"
                 )
+            raw_companions = _object(traw.get("companions", {}), "tau.companions")
             companions = {
                 _companion_key(key, n): _parse_monomials(
                     mons, len(variables), n_t, f"tau.companions[{key!r}]"
@@ -281,7 +327,10 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             lambda_max=_count(data.get("lambda_max", 2), "lambda_max"),
             l_max=_count(data.get("l_max", 4), "l_max"),
             tau=tau,
-            q_sequence=tuple(frac(v) for v in data.get("q_sequence", [])),
+            q_sequence=tuple(
+                _rational(v, f"q_sequence[{i}]") for i, v in
+                enumerate(_list(data.get("q_sequence", []), "q_sequence"))
+            ),
             checks=_parse_checks(data.get("checks")),
             inject_corruption=inject_corruption,
         )

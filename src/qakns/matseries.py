@@ -41,27 +41,29 @@ class MatSeries:
         return m
 
     @staticmethod
+    def diag(entries, proto) -> "MatSeries":
+        """Diagonal matrix of `entries`, zeros shaped like proto elsewhere."""
+        z = proto.zero_like()
+        n = len(entries)
+        return MatSeries(
+            [[entries[i] if i == j else z for j in range(n)] for i in range(n)]
+        )
+
+    @staticmethod
     def identity(n: int, proto) -> "MatSeries":
-        z, o = proto.zero_like(), proto.one_like()
-        return MatSeries([[o if i == j else z for j in range(n)] for i in range(n)])
+        return MatSeries.diag([proto.one_like()] * n, proto)
 
     @staticmethod
     def diag_const(values, proto) -> "MatSeries":
         """Diagonal matrix of rational constants over entries shaped like proto."""
-        n = len(values)
-        z, o = proto.zero_like(), proto.one_like()
-        return MatSeries(
-            [[o.scale(values[i]) if i == j else z for j in range(n)]
-             for i in range(n)]
-        )
+        o = proto.one_like()
+        return MatSeries.diag([o.scale(v) for v in values], proto)
 
     @staticmethod
     def unit(n: int, alpha: int, proto) -> "MatSeries":
         """The projector with a single 1 at position (alpha, alpha)."""
         z, o = proto.zero_like(), proto.one_like()
-        return MatSeries(
-            [[o if i == j == alpha else z for j in range(n)] for i in range(n)]
-        )
+        return MatSeries.diag([o if i == alpha else z for i in range(n)], proto)
 
     @staticmethod
     def from_scalars(rows, order: int) -> "MatSeries":

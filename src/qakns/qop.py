@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .calculus import dilate, q_derive
+from .calculus import dilate, exp_q_series, q_derive
 from .matseries import MatSeries
-from .scalars import frac, q_int
+from .scalars import frac
 from .series import XSeries
 from .zseries import MZSeries, NEG_INF, product_floor
 
@@ -375,37 +375,24 @@ EXP_GUARD = 4
 def exp_q_laurent(a_values, q, order: int, sign: int = +1) -> MZSeries:
     """exp_q(z A x) (sign=+1) or exp_1/q(-z A x) (sign=-1) as a z-series.
 
-    The z**j coefficient is the diagonal matrix ((sign*a_i)**j / [j]!) x**j.
-    Degrees just past the x truncation vanish inside the stored window but
-    carry hidden tails, so `EXP_GUARD` of them are stored as inexact zeros:
-    derivations then lose validity there instead of silently claiming
-    exactness. The sign=-1 variant uses the factorials at parameter 1/q.
+    The z**j coefficient is the diagonal matrix ((sign*a_i)**j / [j]!) x**j,
+    read off `exp_q_series`, with the factorials at parameter 1/q for
+    sign=-1. Degrees just past the x truncation vanish inside the stored
+    window but carry hidden tails, so `EXP_GUARD` of them are stored as
+    inexact zeros: derivations then lose validity there instead of
+    silently claiming exactness.
     """
     base = frac(q) if sign > 0 else 1 / frac(q)
-    n = len(a_values)
-    avals = [frac(a) for a in a_values]
-    terms = {}
-    fj = Fraction(1)
-    for j in range(order + 1):
-        if j:
-            fj *= q_int(j, base)  # [j]! as a running product
-        entries = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                if i == k:
-                    row.append(XSeries.monomial((sign * avals[i]) ** j / fj, j, order))
-                else:
-                    row.append(XSeries.zero(order))
-            entries.append(row)
-        terms[j] = MatSeries(entries)
-    hidden = XSeries.zero(order).with_valid(order)
+    proto = XSeries.zero(order)
+    series = [exp_q_series(sign * frac(a), base, order).coeffs for a in a_values]
+    terms = {
+        j: MatSeries.diag([XSeries.monomial(e[j], j, order) for e in series], proto)
+        for j in range(order + 1)
+    }
+    hidden = [proto.with_valid(order)] * len(a_values)
     for j in range(order + 1, order + EXP_GUARD + 1):
-        terms[j] = MatSeries(
-            [[hidden if i == k else XSeries.zero(order) for k in range(n)]
-             for i in range(n)]
-        )
-    return MZSeries(n, terms)
+        terms[j] = MatSeries.diag(hidden, proto)
+    return MZSeries(len(a_values), terms)
 
 
 def oracle_factors(a_values, q, order: int) -> tuple[MZSeries, MZSeries]:

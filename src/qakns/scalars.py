@@ -74,12 +74,3 @@ def q_int(k: int, q: Fraction) -> Fraction:
     if q == 1:
         return Fraction(k)
     return (q**k - 1) / (q - 1)
-
-
-def q_factorial(k: int, q: Fraction) -> Fraction:
-    """[k]! = [1][2]...[k]."""
-    out = ONE
-    for s in range(1, k + 1):
-        out *= q_int(s, q)
-    return out
-

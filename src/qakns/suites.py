@@ -33,7 +33,7 @@ def _default_tau_variables(n: int) -> tuple:
 
 def _tau_variables(cfg: RunConfig) -> tuple:
     """The tau time variables of a run: the configured ones, else the default."""
-    if cfg.tau is not None and cfg.tau.variables:
+    if cfg.tau is not None:
         return cfg.tau.variables
     return _default_tau_variables(cfg.n)
 
@@ -196,9 +196,7 @@ def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
 def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     q = cfg.q
-    args = [
-        (k, (1 - q) ** k / (k * (1 - q**k))) for k in range(1, cfg.n_x + 1)
-    ]
+    args = [(k, tau_mod.q_shift_coeff(k, q)) for k in range(1, cfg.n_x + 1)]
     diff = exp_series(args, cfg.n_x) - exp_q_series(1, q, cfg.n_x)
     return _result("qcalc.expq_log_form", {"q": str(q)},
                    nonzero([((), diff)]), {"x": cfg.n_x})

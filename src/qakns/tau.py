@@ -8,9 +8,10 @@ t_(k alpha) -> t_(k alpha) + (1-q)**k / (k (1-q**k)) * (a_alpha x)**k
 first. The z-substitution is the finite Taylor sum of t-derivatives
 exp(-sum_k z**-k / k d_(k beta)), and every z-window of the assembled
 series is kept by MZSeries arithmetic. The Baker exponentials enter the
-residue identities through the q-Leibniz reduction; `_zexp_poly` expands
-an exponential in z only where a check compares one directly
-(`verify_expqo`) or needs the ratio E_delta (`taylor_agreement`).
+residue identities through the q-Leibniz reduction; `graded_exp` expands
+an exponential in z only where `verify_expqo` compares one directly, and
+the ratio E_delta that `taylor_agreement` needs is the closed form the
+q-exponential's eigen-relation gives.
 
 Every check here is honest arithmetic: flow derivatives act on the time
 polynomials themselves, the x-derivation acts inside the coefficients,
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bilinear import bilinear_residues, x_factor_of
-from .calculus import dilate, q_derive
+from .calculus import dilate, exp_q_series, graded_exp, q_derive
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
@@ -76,16 +77,14 @@ def shift_amount(k: int, a, q, xorder: int) -> XSeries:
     return XSeries.monomial(q_shift_coeff(k, q) * frac(a) ** k, k, xorder)
 
 
-def q_shift_times(p: TimePoly, a_values, q, x_scale=1) -> TimePoly:
+def q_shift_times(p: TimePoly, a_values, q) -> TimePoly:
     """Shift every time variable by its channel's x-series amount.
 
-    t_(k alpha) picks up shift_amount(k, a_alpha * x_scale);
-    x_scale = q evaluates the shifted object at the dilated argument.
+    t_(k alpha) picks up shift_amount(k, a_alpha).
     """
-    scale = frac(x_scale)
     out = p
     for (k, alpha) in p.vars:
-        amount = shift_amount(k, frac(a_values[alpha]) * scale, q, p.xorder)
+        amount = shift_amount(k, a_values[alpha], q, p.xorder)
         if not amount.is_zero():
             out = out.shift_var((k, alpha), amount)
     return out
@@ -264,19 +263,20 @@ class TauBaker:
         return x_factor_of(self.what, self.winv, self.a, self.derive_x, self.dilate_x)
 
 
-def _zexp_diag(gens: dict[int, list[XSeries]], n: int, depth: int,
-               proto: TimePoly) -> MZSeries:
-    """exp of sum_k z**k diag(gens[k]) as a diagonal z-power series.
+def e_delta(a_values, q, proto: TimePoly) -> MZSeries:
+    """E_delta = exp_q(zAqx) / exp_q(zAx) in closed form: I + (q-1) z A x.
 
-    Generators are x-series constants in t; each channel is the scalar
-    exponential `_zexp_poly` of its own generators.
+    The q-exponential's eigen-relation D_q e = c e, which
+    `qcalc.expq_eigenvalue` certifies, is e(qx) = (1 + (q-1) c x) e(x);
+    at c = z a_alpha it gives each channel's ratio. Equivalently, the
+    shift differences sum to sum_k z**k shift_difference(k) =
+    log(1 + (q-1) z a_alpha x), exactly in the truncated ring.
     """
-    one, zero = proto.one_like(), proto.zero_like()
-    out = MZSeries.zero(n, zero)
-    for i in range(n):
-        channel = {k: one.scale_series(g[i]) for k, g in gens.items()}
-        out = out + _placed(n, (i, i), zero, _zexp_poly(channel or {1: zero}, depth))
-    return out
+    one, qm1 = proto.one_like(), frac(q) - 1
+    z1 = [one.scale_series(XSeries.monomial(qm1 * frac(a), 1, proto.xorder))
+          for a in a_values]
+    n = len(a_values)
+    return MZSeries(n, {0: MatSeries.identity(n, proto), 1: MatSeries.diag(z1, proto)})
 
 
 # -- named checks ---------------------------------------------------------------
@@ -289,8 +289,6 @@ def verify_expqo(a_values, q, ctx: TimeContext, z_depth: int):
     them; each residual is the 1 x 1 z-series of the difference through
     z**z_depth, at every x-degree.
     """
-    from .scalars import q_factorial
-
     if z_depth > ctx.xorder:
         raise ValueError("z depth beyond the x truncation makes the check vacuous")
     q = frac(q)
@@ -303,10 +301,11 @@ def verify_expqo(a_values, q, ctx: TimeContext, z_depth: int):
     for alpha in range(len(a_values)):
         kvars = {k for (k, a) in ctx.vars if a == alpha}
         gens = {k: ctx.variable((k, alpha)) for k in sorted(kvars)}
-        lhs_exp = scalar(_zexp_poly(gens or {1: zero}, z_depth))
+        lhs_exp = scalar(graded_exp(gens or {1: zero}, z_depth))
         a = frac(a_values[alpha])
+        coeffs = exp_q_series(a, q, ctx.xorder).coeffs
         expq = scalar({
-            j: ctx.constant(XSeries.monomial(a**j / q_factorial(j, q), j, ctx.xorder))
+            j: ctx.constant(XSeries.monomial(coeffs[j], j, ctx.xorder))
             for j in range(z_depth + 1)
         })
         lhs = expq.product(lhs_exp, hi=z_depth)
@@ -317,31 +316,9 @@ def verify_expqo(a_values, q, ctx: TimeContext, z_depth: int):
             amount = ctx.constant(shift_amount(k, a, q, ctx.xorder))
             shifted_gens[k] = gens[k] + amount if k in gens else amount
         results.append(
-            (alpha + 1, lhs - scalar(_zexp_poly(shifted_gens, z_depth)))
+            (alpha + 1, lhs - scalar(graded_exp(shifted_gens, z_depth)))
         )
     return results
-
-
-def _zexp_poly(gens: dict[int, TimePoly], depth: int) -> dict[int, TimePoly]:
-    """exp of sum_k z**k gens[k] in the z-graded scalar algebra.
-
-    E = exp(G) solves z E' = (z G') E, so degree by degree
-    d E_d = sum_k k g_k E_(d-k) (Knuth, TAOCP vol. 2, 4.7): exact, with
-    O(depth**2) products. A degree no sum of generator degrees reaches
-    has no entry.
-    """
-    acc = {0: next(iter(gens.values())).one_like()}
-    weighted = {k: g.scale(k) for k, g in gens.items() if k <= depth}
-    for d in range(1, depth + 1):
-        total = None
-        for k, kg in weighted.items():
-            prev = acc.get(d - k)
-            if prev is not None:
-                prod = prev * kg
-                total = prod if total is None else total + prod
-        if total is not None:
-            acc[d] = total.scale(Fraction(1, d))
-    return acc
 
 
 class TauCheckError(ValueError):
@@ -418,14 +395,15 @@ def taylor_agreement(
     Both identities hold for any polynomial tau, bilinear or not; they
     certify the difference-quotient and Taylor machinery itself. Returns
     ((l, lambda, half), residual) pairs, the "two_term" half first.
+
+    Precondition: tau and its companions are constant in x. The shift
+    amounts are monomials c_k x**k, so the Baker at [Aqx]_q is then the
+    one at [Ax]_q with x -> qx, and H' is built by that dilation.
     """
     q = frac(q)
-    n = spec.n
     xorder = spec.tau.xorder
     shifted = spec.mapped(lambda p: q_shift_times(p, a_values, q))
-    shifted_q = spec.mapped(lambda p: q_shift_times(p, a_values, q, x_scale=q))
-    what = baker_from_tau(shifted.tau, shifted.companions, n, depth)
-    what_q = baker_from_tau(shifted_q.tau, shifted_q.companions, n, depth)
+    what = baker_from_tau(shifted.tau, shifted.companions, spec.n, depth)
     # E_delta is I + (q-1) z A x exactly: it stores degrees 0 and 1 only.
     # The x-order term is for the eta chains of the Taylor sum: each adds
     # up to the x-order (sum_k k m_k) to a chain's top z-degree, and so
@@ -433,22 +411,15 @@ def taylor_agreement(
     # suffices for a real tau is ROADMAP item 1.
     floor = -max(depth, xorder + l_max + 2)
     baker = TauBaker(what, a_values, floor, q)
+    what_q = what.map_entries(baker.dilate_x)
     baker_q = TauBaker(what_q, a_values, floor, q)
-    proto = what.proto
 
-    # the exponential ratio carries shift differences at every order,
-    # whether or not a time variable of that order exists
-    deltas = {
-        k: [shift_difference(k, alpha, a_values, q, xorder) for alpha in range(n)]
-        for k in range(1, xorder + 1)
-    }
-    e_delta = _zexp_diag(deltas, n, xorder, proto)
-
-    mix = what_q * e_delta * baker.winv
+    mix = what_q * e_delta(a_values, q, what.proto) * baker.winv
     x_qm1 = XSeries.monomial(q - 1, 1, xorder)
 
     delta_of_var = {
-        (k, alpha): deltas[k][alpha] for (k, alpha) in spec.tau.vars
+        (k, alpha): shift_difference(k, alpha, a_values, q, xorder)
+        for (k, alpha) in spec.tau.vars
     }
     etas = _eta_pool(spec.tau.vars, delta_of_var, xorder)
     g = baker.x_factor()

@@ -98,6 +98,18 @@ def test_exp_series_examples():
         exp_series([(0, 1)], N)
 
 
+def test_exp_series_is_no_polynomial():
+    # exp(x) has a nonzero x**(N+1) term, so the series is exact through N
+    # only; d/dx exp = exp then holds inside the window
+    e = exp_series([(1, 1)], N)
+    assert not e.is_exact and e.valid == N
+    assert (x_derive(e) - e).is_zero()
+    # exp(0) is the polynomial 1; an argument above N leaves a tail
+    assert exp_series([(2, 0), (N + 2, 1), (N + 2, -1)], N) == XSeries.one(N)
+    for k in (N + 1, N + 2):
+        assert exp_series([(k, 1)], N) == XSeries.one(N).with_valid(N)
+
+
 @pytest.mark.parametrize("q", QS)
 def test_expq_log_identity(q):
     args = [(k, (1 - q) ** k / (k * (1 - q**k))) for k in range(1, N + 1)]

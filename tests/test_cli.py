@@ -354,3 +354,99 @@ def test_flow_outside_the_tau_variables_exits_2(tmp_path, capsys):
     )
     # the flows reach only tau.theorem: another selection runs
     assert main(["tau", "--config", path, "--check", "tau.expqo"]) == 0
+
+
+def test_truncations_that_are_not_an_object_exit_2(tmp_path, capsys):
+    data = _demo_data()
+    data["truncations"] = 5
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert "truncations must be an object, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "monomials",
+    [
+        [{"exponents": [1, 0, 0], "coeff": "1"}],
+        [{"exponents": [0, 0, 0], "coeff": "0"},
+         {"exponents": [1, 0, 0], "coeff": "1"}],
+        [],
+    ],
+    ids=["no_constant_monomial", "zero_constant_coeff", "no_monomials"],
+)
+def test_tau_with_a_zero_constant_term_exits_2(tmp_path, capsys, monomials):
+    # the Baker function divides by tau
+    data = _demo_data()
+    data["tau"]["monomials"] = monomials
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert "tau.monomials must have a nonzero constant term" in (
+        capsys.readouterr().err
+    )
+
+
+def test_empty_tau_variables_exit_2(tmp_path, capsys):
+    # an empty list is not "no variables configured": the default is not used
+    data = _demo_data()
+    data["tau"].update(variables=[],
+                       monomials=[{"exponents": [], "coeff": "1"}])
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert "tau.variables must name at least one time" in capsys.readouterr().err
+
+
+def _set(data, path, value):
+    """Assign `value` at a path of object keys and list indices."""
+    *head, last = path
+    for key in head:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["q"], 1.5, "q must be an exact rational"),
+        (["q"], "1/0", "q must be an exact rational"),
+        (["a"], ["1", 2.5], "a[2] must be an exact rational"),
+        (["a"], "1", "a must be a list"),
+        (["u", 0, 1], [1.5], "u[1][2] must be an exact rational"),
+        (["u", 0, 1], 1.5, "u[1][2] must be an exact rational"),
+        (["u", 0], "0", "u must be an 2x2 matrix"),
+        (["bilinear_u", 1, 0], ["0", True], "bilinear_u[2][1] must be an exact"),
+        (["q_sequence"], ["9/8", 1.2], "q_sequence[1] must be an exact rational"),
+        (["q_sequence"], "9/8", "q_sequence must be a list"),
+        (["flows"], 5, "flows must be a list"),
+        (["tau"], [], "tau must be an object"),
+        (["tau", "monomials", 0], [[0, 0, 0], "1"],
+         "tau.monomials[0] must be an object"),
+        (["tau", "monomials", 0, "coeff"], 0.5,
+         "tau.monomials[0].coeff must be an exact rational"),
+        (["tau", "monomials", 0, "exponents"], 0,
+         "tau.monomials[0].exponents must be a list"),
+        (["tau", "companions"], {"1,2": [{"exponents": [0, 0, 0], "coeff": 0.5}]},
+         "tau.companions['1,2'][0].coeff must be an exact rational"),
+        (["tau", "companions"], {"1,2": {"exponents": [0, 0, 0]}},
+         "tau.companions['1,2'] must be a list"),
+    ],
+)
+def test_malformed_fields_are_named(tmp_path, capsys, path, value, message):
+    data = _demo_data()
+    _set(data, path, value)
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, key, message",
+    [
+        ([], "q", "q is missing"),
+        (["tau"], "variables", "tau.variables is missing"),
+        (["tau", "monomials", 0], "coeff", "tau.monomials[0].coeff is missing"),
+    ],
+)
+def test_missing_fields_are_named(tmp_path, capsys, path, key, message):
+    data = _demo_data()
+    target = data
+    for step in path:
+        target = target[step]
+    del target[key]
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert message in capsys.readouterr().err

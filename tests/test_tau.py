@@ -114,11 +114,11 @@ def test_expqo_exact(q):
 def test_expqo_z1_exponent():
     # at order z the shifted generator is t_(1 a) + a x
     ctx = ctx2()
-    from qakns.tau import _zexp_poly
+    from qakns.calculus import graded_exp
     t = ctx.variable((1, 0))
     shift = ctx.constant(XSeries.monomial(1, 1, N))
     gens = {1: t + shift, 2: ctx.variable((2, 0))}
-    rhs = _zexp_poly(gens, 2)
+    rhs = graded_exp(gens, 2)
     assert (rhs[1] - (t + shift)).is_zero()
 
 
@@ -283,7 +283,7 @@ def _zexp_power_sum(gens, depth):
 
 def test_zexp_recurrence_matches_power_sum_on_time_variables():
     # the verify_expqo shape, at a depth beyond tmax so products overflow
-    from qakns.tau import _zexp_poly
+    from qakns.calculus import graded_exp
 
     ctx = ctx2(tmax=3)
     for q in QS:
@@ -293,7 +293,7 @@ def test_zexp_recurrence_matches_power_sum_on_time_variables():
         }
         for k in (1, 2):
             gens[k] = gens[k] + ctx.variable((k, 0))
-        got, ref = _zexp_poly(gens, 6), _zexp_power_sum(gens, 6)
+        got, ref = graded_exp(gens, 6), _zexp_power_sum(gens, 6)
         assert got.keys() == ref.keys()
         for d in ref:
             assert got[d] == ref[d], (q, d)  # terms and tvalid
@@ -302,7 +302,8 @@ def test_zexp_recurrence_matches_power_sum_on_time_variables():
 
 def test_zexp_recurrence_matches_power_sum_on_x_constants():
     # the E_delta shape: x-series constants in t, one generator per order
-    from qakns.tau import _zexp_poly, shift_difference
+    from qakns.calculus import graded_exp
+    from qakns.tau import shift_difference
 
     proto = ctx2().constant(1)
     families = [
@@ -316,11 +317,64 @@ def test_zexp_recurrence_matches_power_sum_on_x_constants():
     )
     for series in families:
         gens = {k: proto.scale_series(s) for k, s in series.items()}
-        got, ref = _zexp_poly(gens, N), _zexp_power_sum(gens, N)
+        got, ref = graded_exp(gens, N), _zexp_power_sum(gens, N)
         assert got.keys() == ref.keys()
         for d in ref:
             assert got[d] == ref[d], d  # terms and tvalid
     assert not ref[N].is_zero()
+
+
+@pytest.mark.parametrize("xorder", [6, 8, 16])
+@pytest.mark.parametrize("q", [F(2), F(-1, 3), F(3, 5)])
+def test_e_delta_closed_form_matches_power_sum(q, xorder):
+    # I + (q-1) z A x against exp of sum_k z**k Delta_k over every x-order
+    from qakns.tau import e_delta, shift_difference
+
+    a_vals = [F(1), F(-3, 2)]
+    proto = TimeContext(((1, 0), (1, 1)), 4, xorder).constant(1)
+    got = e_delta(a_vals, q, proto)
+    assert set(got.terms) == {0, 1} and got.is_exact
+    zero = proto.zero_like()
+    for alpha in range(2):
+        gens = {
+            k: proto.scale_series(shift_difference(k, alpha, a_vals, q, xorder))
+            for k in range(1, xorder + 1)
+        }
+        ref = _zexp_power_sum(gens, xorder)
+        for d in range(xorder + 1):
+            block = got.coeff(d)
+            # terms, tvalid and the coefficients' x-validity
+            assert block[alpha, alpha] == ref.get(d, zero), (alpha, d)
+            assert block[alpha, 1 - alpha] == zero
+
+
+def _real_tau(ctx):
+    """tau = 1 - t_(1,1) + t_(1,2), companions -1 and 1: a known solution."""
+    tau = ctx.constant(1) - ctx.variable((1, 0)) + ctx.variable((1, 1))
+    comps = {(0, 1): ctx.constant(-1), (1, 0): ctx.constant(1)}
+    return TauSpec(tau, comps, 2)
+
+
+@pytest.mark.parametrize("xorder", [6, 8])
+@pytest.mark.parametrize("q", [F(2), F(-1, 3), F(3, 5)])
+def test_dilated_baker_is_the_baker_at_the_dilated_shift(q, xorder):
+    # taylor_agreement builds the Baker at [Aqx]_q as the x -> qx dilation
+    # of the one at [Ax]_q; the reference shifts by the dilated amounts
+    from qakns.tau import TauBaker
+
+    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, xorder)
+    mechanism = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
+    a_vals = [1, -1]
+    for spec, depth in ((_real_tau(ctx), 4), (mechanism, 5)):
+        def baker(amounts):
+            shifted = spec.mapped(lambda p: q_shift_times(p, amounts, q))
+            return baker_from_tau(shifted.tau, shifted.companions, 2, depth)
+
+        what = baker(a_vals)
+        got = what.map_entries(TauBaker(what, a_vals, -depth, q).dilate_x)
+        ref = baker([q * a for a in a_vals])
+        assert got.terms == ref.terms and got.zvalid == ref.zvalid
+        assert any(not m.is_zero() for d, m in ref.terms.items() if d < 0)
 
 
 def test_taylor_agreement_product_count_at_x16(monkeypatch):
