@@ -602,9 +602,11 @@ def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
 
 def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    # reduced carrier: the agreement is scale-independent and this check
-    # multiplies deep truncated inverses
-    tctx = tau_mod.TimeContext(_default_tau_variables(cfg.n), 4, 6)
+    # reduced x-order: the agreement is scale-independent and this check
+    # multiplies deep truncated inverses. Its Taylor sum chains up to
+    # x-order flow derivatives, so one more time degree keeps it determined.
+    xorder = 6
+    tctx = tau_mod.TimeContext(_default_tau_variables(cfg.n), xorder + 1, xorder)
     poly = tctx.constant(1) + tctx.variable((1, 0))
     spec = tau_mod.TauSpec(poly, {}, cfg.n)
     records = tau_mod.taylor_agreement(

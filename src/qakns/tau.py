@@ -159,8 +159,7 @@ def baker_from_tau(
         shifted = miwa_shift(comp, beta, depth - 1)
         what = what + _placed(n, (alpha, beta), zero, *shifted).shift(-1)
     inv = tau.invert()
-    # an unset entry is an exact zero, and zero / tau stays one
-    return what.map_entries(lambda tp: tp * inv if tp.terms else tp)
+    return what.map_entries(lambda tp: tp * inv)
 
 
 # -- dressing-level Baker data and the residue machinery ----------------------
@@ -178,15 +177,17 @@ class TauBaker:
         self._proto = what.proto
         self._h_memo: dict[tuple, MZSeries] = {}
         self._g_memo: dict[tuple, MZSeries] = {}
-        self._coeff_memo: dict[tuple, MatSeries] = {}
-        self._zero = MatSeries.zero(self.n, self._proto)
 
     def _unit_mz(self, alpha: int, k: int) -> MZSeries:
         mat = MatSeries.unit(self.n, alpha, self._proto)
         return MZSeries.from_term(self.n, k, mat)
 
     def g_flow(self, k: int, alpha: int) -> MZSeries:
-        """(d_(k alpha) w) w**-1 at the dressing level."""
+        """(d_(k alpha) Psi) Psi**-1 = (d_(k alpha) w + w z**k E_alpha) w**-1.
+
+        A flow the carrier does not hold has no t-derivative: its factor is
+        w z**k E_alpha w**-1.
+        """
         got = self._g_memo.get((k, alpha))
         if got is not None:
             return got
@@ -213,41 +214,6 @@ class TauBaker:
         self._h_memo[lam] = out
         return out
 
-    def h_coeff(self, lam, d: int) -> MatSeries:
-        """h(lam).coeff(d); an h(lam) not yet built is read at z**d only.
-
-        The chain rule of `h` at one degree: the t-derivative of the tail's
-        z**d coefficient plus z**d of the tail times the head's flow factor.
-        """
-        lam = tuple(sorted(lam))
-        got = self._h_memo.get(lam)
-        if got is not None or not lam:
-            return self.h(lam).coeff(d)
-        got = self._coeff_memo.get((lam, d))
-        if got is None:
-            head, tail = lam[-1], lam[:-1]
-            prev = self.h(tail)
-            stored = prev.coeff(d)  # the depth check, whether stored or not
-            got = prev.product_coeff(self.g_flow(*head), d)
-            if d in prev.terms:  # the t-derivative of an unstored zero is zero
-                got = stored.map(lambda tp: tp.t_derive(head)) + got
-            if got.is_zero_exact():
-                got = self._zero  # most leaf reads vanish; hold one zero
-            self._coeff_memo[(lam, d)] = got
-        return got
-
-    def taylor_coeff(self, lam, etas, d: int) -> MatSeries:
-        """Sum over (eta, weight) in etas of weight * h_coeff(lam + eta, d).
-
-        Most reads are exact zeros, which add nothing: they are skipped.
-        """
-        acc = self._zero
-        for eta, weight in etas:
-            got = self.h_coeff(tuple(lam) + eta, d)
-            if not got.is_zero_exact():
-                acc = acc + got.map(lambda tp, w=weight: tp.scale_series(w))
-        return acc
-
     def derive_x(self, tp: TimePoly) -> TimePoly:
         """The q-derivation in x, acting inside the time coefficients."""
         return tp.map_coeffs(lambda s: q_derive(s, self.q))
@@ -261,6 +227,62 @@ class TauBaker:
         if self.q is None:
             raise ValueError("x-derivative factor needs the q parameter")
         return x_factor_of(self.what, self.winv, self.a, self.derive_x, self.dilate_x)
+
+
+def flow_step(p: MZSeries, k: int, weights: dict) -> MZSeries:
+    """sum over alpha of weights[alpha] * (d_(k alpha) p + p z**k E_alpha).
+
+    With Psi = w e**xi, P_lam = (d**lam Psi) e**-xi obeys P_(lam+v) =
+    d_v P_lam + P_lam z**k E_alpha for v = (k, alpha): this is that step,
+    weighted per channel by x-series. A flow the carrier does not hold has
+    no t-derivative. The right factor z**k diag(weights) raises every degree
+    by k and scales columns, so the step forms no matrix product.
+    """
+    zero = p.proto.zero_like()
+    cols = [weights.get(alpha) for alpha in range(p.n)]
+
+    def scaled(m: MatSeries) -> MatSeries:
+        return MatSeries._of(tuple(
+            tuple(zero if s is None else e.scale_series(s) for e, s in zip(r, cols))
+            for r in m.rows
+        ))
+
+    out = MZSeries(
+        p.n, {d + k: scaled(m) for d, m in p.terms.items()}, p.zvalid + k, p.proto
+    )
+    for alpha, s in weights.items():
+        v = (k, alpha)
+        if v in p.proto.vars:
+            out = out + p.map_entries(lambda tp: tp.t_derive(v).scale_series(s))
+    return out
+
+
+def taylor_sum(what: MZSeries, deltas: dict) -> MZSeries:
+    """sum over multisets eta of Delta**eta / eta! * P_eta, with P_() = what.
+
+    `deltas` maps flows (k, alpha) to Delta_(k alpha) = c x**k. The sum is
+    exp(S) what for S = sum_v Delta_v L_v, L_v the commuting steps of
+    `flow_step`. Graded by x-valuation, S_k = sum_alpha Delta_(k alpha)
+    L_(k alpha) raises it by exactly k, so the grades obey
+    j T_j = sum_(k <= j) k S_k T_(j-k), the recurrence of
+    `calculus.graded_exp`. Every Delta is a monomial, so a grade beyond the
+    x-order vanishes in the truncated ring and is never formed; grading by
+    powers of S instead would form such terms as inexact zeros, whose
+    z-degrees raise the floor of every later product.
+    """
+    by_order: dict[int, dict] = {}
+    for (k, alpha), s in deltas.items():
+        by_order.setdefault(k, {})[alpha] = s
+    grades, total = [what], what
+    for j in range(1, what.proto.xorder + 1):
+        grade = MZSeries.zero(what.n, what.proto)
+        for k, weights in by_order.items():
+            if k <= j:
+                scaled = {a: s.scale(Fraction(k, j)) for a, s in weights.items()}
+                grade = grade + flow_step(grades[j - k], k, scaled)
+        grades.append(grade)
+        total = total + grade
+    return total
 
 
 def e_delta(a_values, q, proto: TimePoly) -> MZSeries:
@@ -392,6 +414,12 @@ def taylor_agreement(
     * two-term: x(q-1) * res_z(z**l (D_q H + (D H) G)) == M - res_z(z**l H)
     * Taylor:   M == sum over eta of Delta**eta / eta! * res_z(z**l H_(lam+eta))
 
+    eta runs over the multisets of every flow (k, alpha) with k up to the
+    x-order, in every channel: E_delta shifts all of them, whether or not
+    tau carries their time. Since H_lam = P_lam w**-1 (see `flow_step`),
+    the Taylor side is res_z(z**l T_lam w**-1) with T_lam = L_lam T and T
+    the one `taylor_sum` built before the inverse; it never forms E_delta.
+
     Both identities hold for any polynomial tau, bilinear or not; they
     certify the difference-quotient and Taylor machinery itself. Returns
     ((l, lambda, half), residual) pairs, the "two_term" half first.
@@ -404,11 +432,11 @@ def taylor_agreement(
     xorder = spec.tau.xorder
     shifted = spec.mapped(lambda p: q_shift_times(p, a_values, q))
     what = baker_from_tau(shifted.tau, shifted.companions, spec.n, depth)
-    # E_delta is I + (q-1) z A x exactly: it stores degrees 0 and 1 only.
-    # The x-order term is for the eta chains of the Taylor sum: each adds
-    # up to the x-order (sum_k k m_k) to a chain's top z-degree, and so
-    # raises the floor of its product with the inverse. Whether this floor
-    # suffices for a real tau is ROADMAP item 1.
+    # T's grade j reaches z**j and each flow of lam one order more, so
+    # reading T_lam w**-1 at z**(-1-l) needs the inverse down to
+    # z**(-1-l-xorder-|lam|): this floor covers |lam| <= 1, and a deeper
+    # read raises InsufficientDepthError. Deriving it from the readers, as
+    # a real tau needs, is ROADMAP item 3.
     floor = -max(depth, xorder + l_max + 2)
     baker = TauBaker(what, a_values, floor, q)
     what_q = what.map_entries(baker.dilate_x)
@@ -416,56 +444,28 @@ def taylor_agreement(
 
     mix = what_q * e_delta(a_values, q, what.proto) * baker.winv
     x_qm1 = XSeries.monomial(q - 1, 1, xorder)
-
-    delta_of_var = {
+    pre = taylor_sum(what, {
         (k, alpha): shift_difference(k, alpha, a_values, q, xorder)
-        for (k, alpha) in spec.tau.vars
-    }
-    etas = _eta_pool(spec.tau.vars, delta_of_var, xorder)
+        for k in range(1, xorder + 1) for alpha in range(spec.n)
+    })
+    one = XSeries.one(xorder)
     g = baker.x_factor()
     out = []
     for lam in lambdas:
         h = baker.h(lam)
         h_q = baker_q.h(lam)
         dh = derive_through(h, g, baker.derive_x, baker.dilate_x)
+        pre_lam = pre
+        for k, alpha in lam:
+            pre_lam = flow_step(pre_lam, k, {alpha: one})
         for l in range(l_max + 1):
             direct = dh.coeff(-1 - l)
             mixed = h_q.product_coeff(mix, -1 - l)
             plain = h.coeff(-1 - l)
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))
-            taylor = baker.taylor_coeff(lam, etas, -1 - l)
+            taylor = pre_lam.product_coeff(baker.winv, -1 - l)
             out.append(((l, tuple(lam), "two_term"), lhs2 - (mixed - plain)))
             out.append(((l, tuple(lam), "taylor"), mixed - taylor))
-    return out
-
-
-def _eta_pool(vars, delta_of_var: dict, xorder: int):
-    """Taylor multi-indices with weights prod Delta_v**m_v / m_v!.
-
-    Each Delta_v has x-valuation k_v, so only multiplicities with
-    sum k_v m_v <= xorder contribute in the truncated ring; the pool is
-    finite and the Taylor identity is exact degree by degree.
-    """
-    out = [((), XSeries.one(xorder))]
-    var_list = sorted(vars)
-
-    def extend(idx: int, eta: tuple, weight: XSeries, budget: int):
-        if idx == len(var_list):
-            return
-        extend(idx + 1, eta, weight, budget)
-        v = var_list[idx]
-        k = v[0]
-        m = 0
-        w = weight
-        used = 0
-        while used + k <= budget:
-            m += 1
-            used += k
-            w = (w * delta_of_var[v]).scale(Fraction(1, m))
-            out.append((eta + (v,) * m, w))
-            extend(idx + 1, eta + (v,) * m, w, budget - used)
-
-    extend(0, (), XSeries.one(xorder), xorder)
     return out
 
 

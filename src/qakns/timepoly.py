@@ -150,12 +150,14 @@ class TimePoly:
     def __mul__(self, other: "TimePoly") -> "TimePoly":
         self._check(other)
         tmax = self.tmax
-        exact = self.tvalid > tmax and other.tvalid > tmax
         if not self.terms or not other.terms:
-            # empty operand: no pair overflows, so only the tvalid rule remains
-            if exact:
-                return self if not self.terms else other
+            # 0 * p: an exact zero annihilates p whatever its validity; a
+            # zero known only through its tvalid keeps the min rule
+            for z in (self, other):
+                if not z.terms and z.tvalid > tmax:
+                    return z
             return self._like({}, min(self.tvalid, other.tvalid))
+        exact = self.tvalid > tmax and other.tvalid > tmax
         # form no monomial above the result's tvalid: exact operands cap at
         # tmax, where a pair beyond it (overflow) truncates the product
         cap = tmax if exact else min(self.tvalid, other.tvalid)
@@ -193,6 +195,9 @@ class TimePoly:
     # -- calculus in the times -------------------------------------------------
 
     def t_derive(self, v: FlowIndex) -> "TimePoly":
+        """d/dt_v; a time the carrier does not hold gives an exact zero."""
+        if v not in self.vars:
+            return self.zero_like()
         i = self.vars.index(v)
         out: dict[tuple, XSeries] = {}
         for e, c in self.terms.items():

@@ -183,32 +183,92 @@ def test_classical_limit_vacuum_zero():
     assert all(v == 0 for v in norms)
 
 
-def _mechanism_shape(tmax=4):
+def _mechanism_shape(tmax=7):
     """The carrier, tau and arguments of the tau.mechanism_agreement check."""
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, 6)
     spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
     return spec, [1, -1], F(2), 1, [(), ((1, 0),)], 5
 
 
-def test_h_coeff_matches_full_chain():
-    from qakns.tau import TauBaker, _eta_pool, shift_difference
-    spec, a, q, l_max, lambdas, depth = _mechanism_shape()
+def _eta_pool(deltas: dict, xorder: int):
+    """Taylor multi-indices with weights prod Delta_v**m_v / m_v!: reference.
+
+    The flows are the keys of `deltas`. Each Delta_v has x-valuation k_v,
+    so only multiplicities with sum k_v m_v <= xorder contribute in the
+    truncated ring.
+    """
+    out = [((), XSeries.one(xorder))]
+    var_list = sorted(deltas)
+
+    def extend(idx, eta, weight, budget):
+        if idx == len(var_list):
+            return
+        extend(idx + 1, eta, weight, budget)
+        v = var_list[idx]
+        m, w, used = 0, weight, 0
+        while used + v[0] <= budget:
+            m += 1
+            used += v[0]
+            w = (w * deltas[v]).scale(F(1, m))
+            out.append((eta + (v,) * m, w))
+            extend(idx + 1, eta + (v,) * m, w, budget - used)
+
+    extend(0, (), XSeries.one(xorder), xorder)
+    return out
+
+
+@pytest.mark.parametrize("tau_kind", ["mechanism", "real"])
+@pytest.mark.parametrize("q", [F(2), F(-1, 3)])
+@pytest.mark.parametrize("xorder", [4, 6])
+def test_graded_taylor_sum_matches_multiset_enumeration(xorder, q, tau_kind):
+    # (graded sum) * w**-1 against sum over eta of Delta**eta / eta! h(lam+eta),
+    # eta over the multisets of every flow (k, alpha) with k <= x-order
+    from qakns.tau import TauBaker, flow_step, shift_difference, taylor_sum
+
+    # the mechanism carrier adds a time of order 2, so the t-derivative of
+    # S_2 is exercised; every other flow enters through z**k E_alpha only.
+    # Equal a values keep the shifted real tau constant in x, so the
+    # reference's whole-chain products stay small (a = [1, -1] agrees too,
+    # at about 35 s per case at x-order 6); the mechanism tau carries x.
+    if tau_kind == "real":
+        spec = _real_tau(TimeContext(((1, 0), (1, 1)), xorder + 1, xorder))
+        a = [1, 1]
+    else:
+        ctx = TimeContext(((1, 0), (1, 1), (2, 0)), xorder + 1, xorder)
+        spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
+        a = [1, -1]
     shifted = spec.mapped(lambda p: q_shift_times(p, a, q))
-    what = baker_from_tau(shifted.tau, shifted.companions, 2, depth)
-    floor = -max(depth, 6 + l_max + 2)
-    reader, full = TauBaker(what, a, floor, q), TauBaker(what, a, floor, q)
-    deltas = {v: shift_difference(v[0], v[1], a, q, 6) for v in spec.tau.vars}
-    etas = [eta for eta, _ in _eta_pool(spec.tau.vars, deltas, 6)]
-    unbuilt = 0
-    for lam in lambdas:
-        for eta in etas:
-            chain = tuple(sorted(lam + eta))
-            for d in (-1, -2):
-                unbuilt += chain not in reader._h_memo
-                assert reader.h_coeff(chain, d) == full.h(chain).coeff(d), (chain, d)
-    # chains no other chain extends are read without being built
-    assert unbuilt > 0
-    assert len(reader._h_memo) < len(full._h_memo)
+    what = baker_from_tau(shifted.tau, shifted.companions, 2, 5)
+    # a chain of total order K is known from floor + K; K <= x-order + 1
+    baker = TauBaker(what, a, -(xorder + 3), q)
+    deltas = {
+        (k, alpha): shift_difference(k, alpha, a, q, xorder)
+        for k in range(1, xorder + 1) for alpha in range(2)
+    }
+    etas = _eta_pool(deltas, xorder)
+    assert len(etas) == {4: 38, 6: 139}[xorder]
+    pre = taylor_sum(what, deltas)
+    one = XSeries.one(xorder)
+    determined = nonzero_terms = 0
+    for lam in [(), ((1, 0),)]:
+        graded = pre
+        for k, alpha in lam:
+            graded = flow_step(graded, k, {alpha: one})
+        for d in (-2, -1, 0):
+            got = graded.product_coeff(baker.winv, d)
+            ref = None
+            for eta, weight in etas:
+                term = baker.h(lam + eta).coeff(d).map(
+                    lambda tp: tp.scale_series(weight)
+                )
+                nonzero_terms += not term.is_zero()
+                ref = term if ref is None else ref + term
+            # terms, tvalid and x-validity alike
+            assert got == ref, (lam, d)
+            determined += min(e.tvalid for row in ref.rows for e in row) >= 0
+    # every compared entry is determined, and the summed terms are not all
+    # 0 = 0: on the solution tau every residue read vanishes, z**0 does not
+    assert determined == 6 and nonzero_terms > 0
 
 
 def test_taylor_agreement_reads_residues_of_leaf_chains(monkeypatch):
@@ -222,45 +282,122 @@ def test_taylor_agreement_reads_residues_of_leaf_chains(monkeypatch):
     monkeypatch.setattr(MatSeries, "__matmul__", counted)
     recs = taylor_agreement(*_mechanism_shape())
     assert len(recs) == 8  # 4 records, each with its two halves
-    # building every Baker chain as a whole z-series took 6,181 products
+    # building every Baker chain as a whole z-series took 6,181 products,
+    # and reading the chains of tau's own times at z**-1-l 4,408 at tmax 4;
+    # the graded sum before the inverse takes 290 at tmax 7
     assert calls[0] <= 4800
 
 
 @pytest.mark.parametrize("tmax", [4, 7])
 def test_taylor_sum_skipping_exact_zeros_keeps_the_records(monkeypatch, tmax):
-    from qakns.tau import TauBaker
+    # the graded sum skips the t-derivatives along flows the carrier does not
+    # hold; a multiset enumeration that forms every one of them, exact
+    # zeros included, gives the same residuals
+    import qakns.tau as tau_mod
 
     shape = _mechanism_shape(tmax)
     skipped = taylor_agreement(*shape)
     zeros = [0]
 
-    def every_eta(self, lam, etas, d):
+    def every_eta(what, deltas):
+        chains = {(): what}
+
+        def chain(eta):
+            # P_(eta+v) = d_v P_eta + P_eta z**k E_alpha, with a matrix product
+            if eta not in chains:
+                prev, (k, alpha) = chain(eta[:-1]), eta[-1]
+                d_prev = prev.map_entries(lambda tp: tp.t_derive((k, alpha)))
+                zeros[0] += d_prev.is_zero_exact()
+                unit = MatSeries.unit(2, alpha, what.proto)
+                chains[eta] = d_prev + prev * MZSeries.from_term(2, k, unit)
+            return chains[eta]
+
         acc = None
-        for eta, weight in etas:
-            got = self.h_coeff(tuple(lam) + eta, d)
-            zeros[0] += got.is_zero_exact()
-            term = got.map(lambda tp: tp.scale_series(weight))
+        for eta, weight in _eta_pool(deltas, 6):
+            term = chain(eta).map_entries(lambda tp: tp.scale_series(weight))
             acc = term if acc is None else acc + term
         return acc
 
-    monkeypatch.setattr(TauBaker, "taylor_coeff", every_eta)
+    monkeypatch.setattr(tau_mod, "taylor_sum", every_eta)
     summed = taylor_agreement(*shape)
     monkeypatch.undo()
-    # equal residuals, so at tmax 7, where the Taylor half fails, equal
-    # witnesses as well
     assert summed == skipped
-    failed = nonzero(summed)
-    assert any(half == "taylor" for (_, _, half), _ in failed) == (tmax == 7)
+    assert not any(half == "taylor" for (_, _, half), _ in nonzero(summed))
     assert zeros[0] > 0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: the Taylor pool omits the E_delta orders without time "
-    "variables; the comparison is only determined on a deeper carrier"))
 def test_taylor_half_on_determined_carrier():
     recs = taylor_agreement(*_mechanism_shape(tmax=7))
     assert recs
     assert not any(half == "taylor" for (_, _, half), _ in nonzero(recs))
+
+
+@pytest.mark.parametrize("mutation", ["doubled_eta_terms", "carried_orders_only"])
+def test_taylor_half_fails_under_a_broken_sum(monkeypatch, mutation):
+    import qakns.tau as tau_mod
+
+    real = tau_mod.taylor_sum
+
+    def doubled(what, deltas):
+        # 2 T - what: every eta != () term counted twice
+        return real(what, deltas).scale(2) - what
+
+    def carried_orders_only(what, deltas):
+        # the pool of the tau's own times, which misses the flows E_delta
+        # shifts without a time variable on the carrier
+        return real(what, {v: s for v, s in deltas.items() if v in what.proto.vars})
+
+    broken = doubled if mutation == "doubled_eta_terms" else carried_orders_only
+    monkeypatch.setattr(tau_mod, "taylor_sum", broken)
+    failed = nonzero(taylor_agreement(*_mechanism_shape()))
+    # all four records fail their Taylor half, and only that half
+    assert [label for label, _ in failed] == [
+        (l, lam, "taylor") for lam in [(), ((1, 0),)] for l in (0, 1)
+    ]
+
+
+def test_mechanism_check_compares_determined_taylor_residuals(monkeypatch):
+    # the carrier tau.mechanism_agreement runs on makes its Taylor half
+    # more than 0 = 0: every compared coefficient has tvalid >= 0
+    import qakns.tau as tau_mod
+    from qakns.config import demo_config
+    from qakns.suites import run_suite
+
+    seen = []
+    real = tau_mod.taylor_agreement
+
+    def recorded(*args):
+        recs = real(*args)
+        seen.extend(recs)
+        return recs
+
+    monkeypatch.setattr(tau_mod, "taylor_agreement", recorded)
+    cfg = demo_config()
+    cfg = type(cfg)(**{**cfg.__dict__, "checks": ("tau.mechanism_agreement",)})
+    (res,) = run_suite(cfg).checks
+    assert res.status == "pass"
+    taylor = [r for (_, _, half), r in seen if half == "taylor"]
+    assert len(taylor) == 4
+    for r in taylor:
+        assert min(r[i, j].tvalid for i in range(2) for j in range(2)) >= 0
+
+
+def test_h_takes_a_flow_the_carrier_does_not_hold():
+    # a time the carrier lacks has an exactly zero t-derivative, so
+    # g = w z**k E_alpha w**-1 and the step costs no tvalid
+    from qakns.tau import TauBaker
+
+    ctx = TimeContext(((1, 0), (1, 1)), 4, 6)
+    spec = _real_tau(ctx)
+    what = baker_from_tau(spec.tau, spec.companions, 2, 4)
+    baker = TauBaker(what, [1, -1], -8, F(2))
+    unit = MZSeries.from_term(2, 3, MatSeries.unit(2, 0, what.proto))
+    expect = what * unit * baker.winv
+    got = baker.g_flow(3, 0)
+    assert got == expect and baker.h(((3, 0),)) == expect
+    assert not expect.is_zero()
+    # a chain that ends in it is the chain before times that factor
+    assert baker.h(((1, 0), (3, 0))) == baker.h(((1, 0),)) * expect
 
 
 def _zexp_power_sum(gens, depth):
@@ -394,7 +531,7 @@ def test_taylor_agreement_product_count_at_x16(monkeypatch):
     assert len(recs) == 32  # 16 records, each with its two halves
     assert not any(nonzero(recs))
     # monomials above tvalid, rebuilt zero matrices and the power-sum E_delta
-    # took 2,088 products
+    # took 2,088 products, the chain reads 660; the graded sum takes 111
     assert calls[0] <= 800
 
 

@@ -51,6 +51,28 @@ def test_t_derive():
     assert p.t_derive((2, 0)).is_zero()
 
 
+def test_t_derive_along_a_time_the_carrier_does_not_hold():
+    # p does not depend on that time: its derivative is exactly zero, even
+    # where p itself is known only through its tvalid
+    p = (const(1) + var((1, 0))).invert()
+    assert p.tvalid == TMAX
+    d = p.t_derive((3, 1))
+    assert d.terms == {} and d.tvalid == TMAX + 1
+
+
+def test_exact_zero_times_a_truncated_polynomial_is_exact():
+    t = var((1, 0))
+    inv = (const(1) + t).invert()
+    zero = TimePoly.zero(VARS, TMAX, N)
+    for prod in (zero * inv, inv * zero):
+        assert prod.terms == {} and prod.tvalid == TMAX + 1
+    # so adding it to an exact polynomial keeps that one exact
+    assert (t + zero * inv) == t and (t + zero * inv).is_exact
+    # a zero known only through its tvalid stays inexact
+    capped = zero.with_tvalid(2)
+    assert (capped * inv).tvalid == 2 and (capped * t).tvalid == 2
+
+
 def test_shift_var_binomial():
     t = var((1, 0))
     x = XSeries.monomial(1, 1, N)
@@ -112,7 +134,12 @@ def test_constructor_rejects_malformed_terms():
 
 
 def _general_mul(a, b):
-    """Terms and tvalid of a * b by the full pair loop and its tvalid rule."""
+    """Terms and tvalid of a * b by the full pair loop and its tvalid rule.
+
+    An exact zero operand gives an exact zero, whatever the other's tvalid.
+    """
+    if any(not p.terms and p.tvalid > TMAX for p in (a, b)):
+        return {}, TMAX + 1
     out, overflow = {}, False
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
