@@ -232,8 +232,9 @@ def _required(obj: dict, key: str, label: str):
     return obj[key]
 
 
-def _parse_flow(pair, n: int, label: str):
-    """One [order, channel] pair of integers, the channel 1-based."""
+def _parse_flow(pair, n: int, label: str, least: int = 0):
+    """One [order, channel] pair of integers, the order >= least and the
+    channel 1-based."""
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)):
         raise ConfigError(
@@ -242,8 +243,8 @@ def _parse_flow(pair, n: int, label: str):
     k, channel = pair
     if not 1 <= channel <= n:
         raise ConfigError(f"{label}: flow channel {channel} outside 1..{n}")
-    if k < 0:
-        raise ConfigError(f"{label}: flow order must be nonnegative")
+    if k < least:
+        raise ConfigError(f"{label}: flow order must be >= {least}, got {k}")
     return (k, channel - 1)
 
 
@@ -288,8 +289,9 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             raw_vars = _list(
                 _required(traw, "variables", "tau.variables"), "tau.variables"
             )
+            # the Miwa shift t_k -> t_k - z**-k / k divides by the order
             variables = tuple(sorted(
-                _parse_flow(p, n, "tau.variables") for p in raw_vars
+                _parse_flow(p, n, "tau.variables", least=1) for p in raw_vars
             ))
             if not variables:
                 raise ConfigError("tau.variables must name at least one time")

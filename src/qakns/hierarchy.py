@@ -359,25 +359,11 @@ def commutation_residual(lax: LaxData, r: MZSeries) -> MZSeries:
     return derive_through(r, -m, lax.calc.derive, lax.calc.dilate) + (m * r)
 
 
-class ResidualReport:
-    """Outcome of an exactness check on a matrix Laurent residual."""
-
-    __slots__ = ("ok", "first_failure", "z_window", "x_valid")
-
-    def __init__(self, residual: MZSeries):
-        self.ok = residual.is_zero()
-        self.first_failure = residual.first_nonzero()
-        self.z_window = (residual.zvalid, residual.top())
-        self.x_valid = residual.min_entry_valid()
-
-    def __repr__(self):
-        state = "ok" if self.ok else f"FAIL at {self.first_failure}"
-        return f"<residual {state}; z>={self.z_window[0]}, x<={self.x_valid}>"
-
-
-def verify_resolvent(lax: LaxData, r) -> ResidualReport:
+def verify_resolvent(lax: LaxData, r) -> MZSeries:
+    """The commutation residual of a resolvent (or its z-series); zero for
+    resolvents of `lax`."""
     mz = r.mz() if isinstance(r, Resolvent) else r
-    return ResidualReport(commutation_residual(lax, mz))
+    return commutation_residual(lax, mz)
 
 
 def u_flow(lax: LaxData, r: Resolvent, k: int) -> MatSeries:
@@ -481,10 +467,11 @@ def verify_zero_curvature(
     lax: LaxData,
     flow1: tuple[int, Resolvent],
     flow2: tuple[int, Resolvent],
-) -> ResidualReport:
-    """d1 B2 - d2 B1 = [B1, B2], evaluated exactly on solved resolvents.
+) -> MZSeries:
+    """d1 B2 - d2 B1 - [B1, B2], evaluated exactly on solved resolvents.
 
-    Both resolvents must be solved for `lax`; ValueError otherwise.
+    The residual is zero when the flows commute. Both resolvents must be
+    solved for `lax`; ValueError otherwise.
     """
     (k, r_alpha), (l, r_beta) = flow1, flow2
     if r_alpha.lax is not lax or r_beta.lax is not lax:
@@ -492,7 +479,7 @@ def verify_zero_curvature(
     table = FlowTable([r_alpha, r_beta])
     one, two = (k, 0), (l, 1)
     bracket = _bracket(table.b(one), table.b(two))
-    return ResidualReport(table.b(two, (one,)) - table.b(one, (two,)) - bracket)
+    return table.b(two, (one,)) - table.b(one, (two,)) - bracket
 
 
 def expand_in_basis(

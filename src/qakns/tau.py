@@ -14,9 +14,14 @@ the ratio E_delta that `taylor_agreement` needs is the closed form the
 q-exponential's eigen-relation gives.
 
 Every check here is honest arithmetic: flow derivatives act on the time
-polynomials themselves, the x-derivation acts inside the coefficients,
-and the Taylor cross-check compares two independent evaluations of the
-same residue.
+polynomials themselves, and the x-derivation acts inside the coefficients.
+One rule writes the Baker flow: with P_lam = (d**lam Psi) e**-xi,
+`flow_step` is P_(lam+v) = d_v P_lam + P_lam z**k E_alpha, and the flow
+factor is H_lam = P_lam w**-1. The Taylor cross-check reads M =
+res(z**l L_lam(sigma(w) E_delta) w**-1), sigma the dilation x -> qx,
+against the Taylor sum read the same way: the two halves share L_lam and
+w**-1, while sigma(w) E_delta and the graded sum of shift differences are
+independent evaluations.
 """
 
 from __future__ import annotations
@@ -174,45 +179,15 @@ class TauBaker:
         self.n = what.n
         self.q = frac(q) if q is not None else None
         self.winv = what.invert(floor)
-        self._proto = what.proto
-        self._h_memo: dict[tuple, MZSeries] = {}
-        self._g_memo: dict[tuple, MZSeries] = {}
-
-    def _unit_mz(self, alpha: int, k: int) -> MZSeries:
-        mat = MatSeries.unit(self.n, alpha, self._proto)
-        return MZSeries.from_term(self.n, k, mat)
-
-    def g_flow(self, k: int, alpha: int) -> MZSeries:
-        """(d_(k alpha) Psi) Psi**-1 = (d_(k alpha) w + w z**k E_alpha) w**-1.
-
-        A flow the carrier does not hold has no t-derivative: its factor is
-        w z**k E_alpha w**-1.
-        """
-        got = self._g_memo.get((k, alpha))
-        if got is not None:
-            return got
-        d_what = self.what.map_entries(lambda tp: tp.t_derive((k, alpha)))
-        out = (d_what * self.winv) + (
-            self.what * self._unit_mz(alpha, k) * self.winv
-        )
-        self._g_memo[(k, alpha)] = out
-        return out
 
     def h(self, lam) -> MZSeries:
-        """(iterated flow derivative of w) * w**-1, honest t-derivatives."""
-        lam = tuple(sorted(lam))
-        got = self._h_memo.get(lam)
-        if got is not None:
-            return got
+        """(d**lam Psi) Psi**-1 = P_lam w**-1, with P_lam = `flows_applied`(w, lam).
+
+        The empty lam gives the exact identity.
+        """
         if not lam:
-            out = MZSeries.identity(self.n, self._proto)
-        else:
-            head, tail = lam[-1], lam[:-1]
-            prev = self.h(tail)
-            d_prev = prev.map_entries(lambda tp: tp.t_derive(head))
-            out = d_prev + (prev * self.g_flow(*head))
-        self._h_memo[lam] = out
-        return out
+            return MZSeries.identity(self.n, self.what.proto)
+        return flows_applied(self.what, lam) * self.winv
 
     def derive_x(self, tp: TimePoly) -> TimePoly:
         """The q-derivation in x, acting inside the time coefficients."""
@@ -255,6 +230,18 @@ def flow_step(p: MZSeries, k: int, weights: dict) -> MZSeries:
         if v in p.proto.vars:
             out = out + p.map_entries(lambda tp: tp.t_derive(v).scale_series(s))
     return out
+
+
+def flows_applied(p: MZSeries, lam) -> MZSeries:
+    """L_lam p: one unit-weight `flow_step` per flow (k, alpha) of lam.
+
+    With p = w this is P_lam; the steps commute, so the order of lam is
+    immaterial.
+    """
+    one = XSeries.one(p.proto.xorder)
+    for k, alpha in lam:
+        p = flow_step(p, k, {alpha: one})
+    return p
 
 
 def taylor_sum(what: MZSeries, deltas: dict) -> MZSeries:
@@ -408,17 +395,21 @@ def taylor_agreement(
 ) -> list:
     """Cross-check the two proof-path evaluations of the m = 1 residues.
 
-    For each (l, lambda), with H the flow factor at shift [Ax]_q and H'
-    the one at [Aqx]_q, and M := res_z(z**l H' w' E_delta w**-1):
+    For each (l, lambda), with w the Baker dressing at shift [Ax]_q, sigma
+    the dilation x -> qx, L_lam the flow steps of `flows_applied`, H the
+    flow factor L_lam(w) w**-1 and M := res_z(z**l L_lam(sigma(w) E_delta) w**-1):
 
     * two-term: x(q-1) * res_z(z**l (D_q H + (D H) G)) == M - res_z(z**l H)
     * Taylor:   M == sum over eta of Delta**eta / eta! * res_z(z**l H_(lam+eta))
 
     eta runs over the multisets of every flow (k, alpha) with k up to the
     x-order, in every channel: E_delta shifts all of them, whether or not
-    tau carries their time. Since H_lam = P_lam w**-1 (see `flow_step`),
-    the Taylor side is res_z(z**l T_lam w**-1) with T_lam = L_lam T and T
-    the one `taylor_sum` built before the inverse; it never forms E_delta.
+    tau carries their time. The Taylor side is res_z(z**l L_lam(T) w**-1),
+    T the sum `taylor_sum` builds before the inverse. The halves share
+    L_lam and w**-1; sigma(w) E_delta and the graded sum are independent.
+    M is H'_lam sigma(w) E_delta w**-1 for the flow factor H' of the Baker
+    sigma(w) at [Aqx]_q, because L_lam commutes with sigma and with right
+    multiplication by the diagonal E_delta; so no second Baker is inverted.
 
     Both identities hold for any polynomial tau, bilinear or not; they
     certify the difference-quotient and Taylor machinery itself. Returns
@@ -426,7 +417,7 @@ def taylor_agreement(
 
     Precondition: tau and its companions are constant in x. The shift
     amounts are monomials c_k x**k, so the Baker at [Aqx]_q is then the
-    one at [Ax]_q with x -> qx, and H' is built by that dilation.
+    one at [Ax]_q with x -> qx.
     """
     q = frac(q)
     xorder = spec.tau.xorder
@@ -439,28 +430,22 @@ def taylor_agreement(
     # a real tau needs, is ROADMAP item 3.
     floor = -max(depth, xorder + l_max + 2)
     baker = TauBaker(what, a_values, floor, q)
-    what_q = what.map_entries(baker.dilate_x)
-    baker_q = TauBaker(what_q, a_values, floor, q)
-
-    mix = what_q * e_delta(a_values, q, what.proto) * baker.winv
+    dilated_e = what.map_entries(baker.dilate_x) * e_delta(a_values, q, what.proto)
     x_qm1 = XSeries.monomial(q - 1, 1, xorder)
     pre = taylor_sum(what, {
         (k, alpha): shift_difference(k, alpha, a_values, q, xorder)
         for k in range(1, xorder + 1) for alpha in range(spec.n)
     })
-    one = XSeries.one(xorder)
     g = baker.x_factor()
     out = []
     for lam in lambdas:
         h = baker.h(lam)
-        h_q = baker_q.h(lam)
         dh = derive_through(h, g, baker.derive_x, baker.dilate_x)
-        pre_lam = pre
-        for k, alpha in lam:
-            pre_lam = flow_step(pre_lam, k, {alpha: one})
+        m_lam = flows_applied(dilated_e, lam)
+        pre_lam = flows_applied(pre, lam)
         for l in range(l_max + 1):
             direct = dh.coeff(-1 - l)
-            mixed = h_q.product_coeff(mix, -1 - l)
+            mixed = m_lam.product_coeff(baker.winv, -1 - l)
             plain = h.coeff(-1 - l)
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))
             taylor = pre_lam.product_coeff(baker.winv, -1 - l)

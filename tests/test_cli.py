@@ -392,6 +392,23 @@ def test_empty_tau_variables_exit_2(tmp_path, capsys):
     assert "tau.variables must name at least one time" in capsys.readouterr().err
 
 
+def test_order_zero_tau_variable_exits_2(tmp_path, capsys):
+    # the Miwa shift divides by the order: an order-0 time is malformed
+    # input, not a per-check ZeroDivisionError in tau.theorem
+    data = _demo_data()
+    data["tau"].update(variables=[[0, 1], [1, 2]],
+                       monomials=[{"exponents": [0, 0], "coeff": "1"}])
+    data["flows"] = [[1, 2]]
+    assert main(["tau", "--config", write_config(tmp_path, data)]) == 2
+    assert "tau.variables: flow order must be >= 1, got 0" in (
+        capsys.readouterr().err
+    )
+    # order-0 flows stay valid where no tau time is needed
+    data = _demo_data()
+    data["flows"] = [[0, 1]]
+    assert main(["resolvent", "--config", write_config(tmp_path, data)]) == 0
+
+
 def _set(data, path, value):
     """Assign `value` at a path of object keys and list indices."""
     *head, last = path

@@ -28,6 +28,7 @@ from qakns.hierarchy import (
 )
 from qakns.matseries import MatSeries
 from qakns.qop import QDOp, q_commutator
+from qakns.report import nonzero
 from qakns.series import XSeries
 from qakns.zseries import MZSeries
 
@@ -172,18 +173,17 @@ def test_commutation_residual_zero(q, make):
     depth = 7
     for alpha in range(2):
         r = solve_resolvent_direct(lax, alpha, depth)
-        rep = verify_resolvent(lax, r)
-        assert rep.ok
-        assert rep.z_window[0] <= -(depth - 1)
+        res = verify_resolvent(lax, r)
+        assert not any(nonzero([((), res)]))
+        assert res.zvalid <= -(depth - 1)
 
 
 def test_residual_detects_corruption():
     lax = lax_const()
     r = solve_resolvent_direct(lax, 0, 4)
     bumped = r.mz() + MZSeries.from_term(2, -1, scalars([[0, 1], [0, 0]]))
-    rep = verify_resolvent(lax, bumped)
-    assert not rep.ok
-    assert rep.first_failure is not None
+    ((_, witness),) = nonzero([((), verify_resolvent(lax, bumped))])
+    assert witness is not None
 
 
 def test_channel_sum_first_order():
@@ -215,9 +215,12 @@ def test_algebra_closure():
     session = HierarchySession(lax)
     fam = session.family(7)
     prod = fam[0].mz() * fam[1].mz()
-    assert verify_resolvent(lax, prod).ok
     combo = fam[0].mz() + fam[1].mz().shift(-2).scale(F(3, 4))
-    assert verify_resolvent(lax, combo).ok
+    residuals = [
+        ("product", verify_resolvent(lax, prod)),
+        ("combination", verify_resolvent(lax, combo)),
+    ]
+    assert not any(nonzero(residuals))
 
 
 def test_route_agreement_exact_on_triangular():
@@ -230,7 +233,7 @@ def test_route_agreement_exact_on_triangular():
             got = conj.orders[j] if j < len(conj.orders) else \
                 MatSeries.zero(2, lax.proto())
             assert (got - direct.orders[j]).is_zero()
-        assert verify_resolvent(lax, conj).ok
+        assert not any(nonzero([(alpha, verify_resolvent(lax, conj))]))
 
 
 def test_route_agreement_first_order_everywhere():
@@ -347,11 +350,11 @@ def test_zero_curvature(make):
     session = HierarchySession(lax)
     fam = session.family(8)
     pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0)), ((1, 1), (2, 0))]
-    for (k, a), (l, b) in pairs:
-        rep = verify_zero_curvature(lax, (k, fam[a]), (l, fam[b]))
-        assert rep.ok
-    same = verify_zero_curvature(lax, (1, fam[0]), (1, fam[0]))
-    assert same.ok
+    residuals = [
+        (((k, a), (l, b)), verify_zero_curvature(lax, (k, fam[a]), (l, fam[b])))
+        for (k, a), (l, b) in pairs + [((1, 0), (1, 0))]
+    ]
+    assert not any(nonzero(residuals))
 
 
 def test_zero_curvature_rejects_resolvents_of_another_lax():
@@ -411,7 +414,7 @@ def test_classical_x_potential_first_order():
         [XSeries.const(F(-1, 2), N), z],
     ])
     assert (r.orders[1] - expect).is_zero()
-    assert verify_resolvent(lax, r).ok
+    assert not any(nonzero([((), verify_resolvent(lax, r))]))
     flow = u_flow(lax, r, 1)
     for i in range(2):
         assert flow[i, i].is_zero()
