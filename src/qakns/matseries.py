@@ -1,13 +1,18 @@
 """Square matrices over a coefficient ring (x-series or time polynomials).
 
-Entries only need the ring protocol: +, -, unary -, *, is_zero(),
-zero_like(), one_like(). Matrices are immutable; every operation returns
+Entries only need the ring protocol: +, -, unary -, the sum-of-products
+kernel `dot`, is_zero(), zero_like(), one_like(). `MatSeries.dot` sums
+block products with one ring `dot` per entry, over every block and inner
+index together, so each entry of a sum of products is reduced once; `@`
+is its one-block case. Matrices are immutable; every operation returns
 a fresh object. Whether a matrix is exactly zero is therefore decided
 once: `MatSeries.zero` is known to be, any other matrix is scanned on the
 first `is_zero_exact` call.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .scalars import frac
 from .series import XSeries
@@ -105,37 +110,48 @@ class MatSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "MatSeries") -> "MatSeries":
+    def _entrywise(self, other: "MatSeries", op) -> "MatSeries":
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
         return MatSeries._of(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)
         ))
 
+    def __add__(self, other: "MatSeries") -> "MatSeries":
+        return self._entrywise(other, add)
+
     def __sub__(self, other: "MatSeries") -> "MatSeries":
-        return MatSeries._of(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "MatSeries":
         return MatSeries._of(tuple(tuple(-a for a in r) for r in self.rows))
 
     def __matmul__(self, other: "MatSeries") -> "MatSeries":
-        n = self.n
-        if other.n != n:
-            raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.rows))
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in cols:
-                acc = None
-                for a, b in zip(ra, cb):
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(tuple(row))
-        return MatSeries._of(tuple(out))
+        return MatSeries.dot(((self, other),))
+
+    @staticmethod
+    def dot(blocks) -> "MatSeries":
+        """The sum of A @ B over a sequence of (A, B) blocks.
+
+        Entry (i, j) is one `dot` of the entry ring over every pair
+        (A[i, k], B[k, j]), all blocks and all k together, so it is
+        reduced once. All blocks share one dimension; an empty `blocks`
+        raises ValueError.
+        """
+        if not blocks:
+            raise ValueError("empty sum of block products")
+        n = blocks[0][0].n
+        # row i of every A and column j of every B, concatenated
+        rows = cols = ((),) * n
+        for a, b in blocks:
+            if a.n != n or b.n != n:
+                raise ValueError("dimension mismatch")
+            rows = tuple(map(add, rows, a.rows))
+            cols = tuple(map(add, cols, zip(*b.rows)))
+        dot = type(rows[0][0]).dot
+        return MatSeries._of(tuple(
+            tuple(dot(zip(row, col)) for col in cols) for row in rows
+        ))
 
     def scale(self, c) -> "MatSeries":
         c = frac(c)

@@ -10,20 +10,22 @@ determined; the q-derivative, for instance, loses one order on inexact
 input but nothing on a polynomial.
 
 The coefficients are held fraction-free: a tuple of integer numerators
-`nums` over one positive denominator `den`, reduced after every operation
-so that gcd(den, *nums) == 1 (and den == 1 for the zero series). Equal
-values therefore have equal representations. `top` is the highest degree
-with a nonzero numerator (-1 for the zero series); it is computed once
-at construction and serves as the degree and as the exact-zero test, so
-a product with a zero operand does no convolution. `coeffs` rebuilds the
-rational coefficients for reports and witnesses.
+`nums` over one positive denominator `den`, reduced so that
+gcd(den, *nums) == 1 (and den == 1 for the zero series). Equal values
+therefore have equal representations. A sum of products is reduced once:
+`XSeries.dot` convolves every pair over the lcm of their denominators,
+and `*` is its one-pair case. `top` is the highest degree with a nonzero
+numerator (-1 for the zero series); it is computed once at construction
+and serves as the degree and as the exact-zero test, so a pair with a
+zero operand is not convolved. `coeffs` rebuilds the rational
+coefficients for reports and witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 from .scalars import ZERO, common_den, frac
@@ -194,33 +196,61 @@ class XSeries:
         return XSeries._raw(tuple(map(neg, self.nums)), self.den, self.valid, self.top)
 
     def __mul__(self, other: "XSeries") -> "XSeries":
-        a, b = self.nums, other.nums
-        if len(a) != len(b):
-            raise self._mismatch(other)
-        n = len(a) - 1
-        ta, tb = self.top, other.top
-        va, vb = self.valid, other.valid
-        if va > n and vb > n:
-            # a product of polynomials is again one unless it overflows
-            valid = n + 1 if ta < 0 or tb < 0 or ta + tb <= n else n
-        else:
-            valid = va if va < vb else vb
-        if ta < 0:
-            return self._replace(valid)
-        if tb < 0:
-            return other._replace(valid)
-        den = self.den * other.den
-        if ta == 0 or tb == 0:  # a constant factor scales the other one
-            c, s = (a[0], b) if ta == 0 else (b[0], a)
-            return XSeries.from_ints([c * v for v in s], den, valid, ta + tb)
-        rb = b[::-1]
-        top = min(ta + tb, n)
-        out = [0] * (n + 1)
-        for k in range(top + 1):
-            lo = k - tb if k > tb else 0
-            hi = k if k < ta else ta
-            out[k] = sum(map(mul, a[lo:hi + 1], rb[n - k + lo:n - k + hi + 1]))
-        return XSeries.from_ints(out, den, valid, top)
+        return XSeries.dot(((self, other),))
+
+    @staticmethod
+    def dot(pairs) -> "XSeries":
+        """The sum of a * b over the (a, b) pairs, reduced once.
+
+        Every product is convolved fraction-free into one numerator list
+        over the lcm of the pairs' denominators, and the sum is reduced by
+        one `from_ints` call. `valid` is the smallest the product rule
+        gives any pair: a product of polynomials stays exact unless it
+        overflows the order, and a zero operand still counts. All operands
+        share one order; an empty `pairs` raises ValueError.
+        """
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("empty sum of products")
+        first = pairs[0][0]
+        size = len(first.nums)
+        n = size - 1
+        valid = size
+        live = []
+        lcm = 1
+        for a, b in pairs:
+            an, bn = a.nums, b.nums
+            if len(an) != size or len(bn) != size:
+                raise (a if len(an) != len(bn) else first)._mismatch(b)
+            va, vb = a.valid, b.valid
+            v = va if va < vb else vb
+            ta, tb = a.top, b.top
+            if ta >= 0 and tb >= 0:
+                if v > n and ta + tb > n:  # exact factors, truncated product
+                    v = n
+                d = a.den * b.den
+                live.append((an, bn, ta, tb, d))
+                if lcm % d:
+                    lcm = lcm // gcd(lcm, d) * d
+            if v < valid:
+                valid = v
+        out = [0] * size
+        top = -1
+        for an, bn, ta, tb, d in live:
+            if ta > tb:  # one slice update per term of the shorter factor
+                an, bn, ta, tb = bn, an, tb, ta
+            m = lcm // d
+            for i in range(ta + 1):
+                x = an[i]
+                if x:
+                    if m != 1:
+                        x *= m
+                    hi = i + tb + 1 if i + tb < n else size
+                    out[i:hi] = map(add, out[i:hi], map(x.__mul__, bn[:hi - i]))
+            t = ta + tb if ta + tb < n else n
+            if t > top:
+                top = t
+        return XSeries.from_ints(out, lcm, valid, top)
 
     def scale(self, c) -> "XSeries":
         c = frac(c)

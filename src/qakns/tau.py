@@ -440,7 +440,7 @@ def taylor_agreement(
     out = []
     for lam in lambdas:
         h = baker.h(lam)
-        dh = derive_through(h, g, baker.derive_x, baker.dilate_x)
+        dh = derive_through(h, g, baker.derive_x, baker.dilate_x, -1 - l_max, -1)
         m_lam = flows_applied(dilated_e, lam)
         pre_lam = flows_applied(pre, lam)
         for l in range(l_max + 1):

@@ -148,37 +148,54 @@ class TimePoly:
         return self._like({e: -c for e, c in self.terms.items()}, self.tvalid)
 
     def __mul__(self, other: "TimePoly") -> "TimePoly":
-        self._check(other)
-        tmax = self.tmax
-        if not self.terms or not other.terms:
-            # 0 * p: an exact zero annihilates p whatever its validity; a
-            # zero known only through its tvalid keeps the min rule
-            for z in (self, other):
-                if not z.terms and z.tvalid > tmax:
-                    return z
-            return self._like({}, min(self.tvalid, other.tvalid))
-        exact = self.tvalid > tmax and other.tvalid > tmax
-        # form no monomial above the result's tvalid: exact operands cap at
-        # tmax, where a pair beyond it (overflow) truncates the product
-        cap = tmax if exact else min(self.tvalid, other.tvalid)
-        right = [(eb, sum(eb), cb) for eb, cb in other.terms.items()]
-        out: dict[tuple, XSeries] = {}
-        overflow = False
-        for ea, ca in self.terms.items():
-            room = cap - sum(ea)
-            for eb, db, cb in right:
-                if db > room:
-                    overflow = True
-                    continue
-                e = tuple(map(add, ea, eb))
-                prod = ca * cb
-                cur = out.get(e)
-                out[e] = prod if cur is None else cur + prod
-        if not exact:
-            tvalid = cap
-        else:
-            tvalid = tmax if overflow else tmax + 1
-        return self._like(out, tvalid)
+        return TimePoly.dot(((self, other),))
+
+    @staticmethod
+    def dot(pairs) -> "TimePoly":
+        """The sum of p * q over the (p, q) pairs, one `XSeries.dot` per monomial.
+
+        `tvalid` is the smallest the product rule gives any pair. An exact
+        zero operand (no terms, `tvalid > tmax`) gives an exact zero,
+        whatever the other's validity; a zero known only through its
+        `tvalid` keeps the min rule. Otherwise t-exact operands give
+        `tmax + 1`, or `tmax` when a pair of their monomials overflows the
+        cap, and any other pair the smaller `tvalid`. No monomial above the
+        result's `tvalid` is formed. All operands share one carrier; an
+        empty `pairs` raises ValueError.
+        """
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("empty sum of products")
+        first = pairs[0][0]
+        tmax = first.tmax
+        tvalid = tmax + 1
+        live = []
+        for p, q in pairs:
+            first._check(p)
+            first._check(q)
+            if not p.terms or not q.terms:
+                if any(not z.terms and z.tvalid > tmax for z in (p, q)):
+                    continue  # an exact zero annihilates the other factor
+                t = min(p.tvalid, q.tvalid)
+            else:
+                live.append((p, q))
+                if p.tvalid > tmax and q.tvalid > tmax:
+                    top = max(map(sum, p.terms)) + max(map(sum, q.terms))
+                    t = tmax if top > tmax else tmax + 1
+                else:
+                    t = min(p.tvalid, q.tvalid)
+            tvalid = min(tvalid, t)
+        cap = min(tvalid, tmax)
+        groups: dict[tuple, list] = {}
+        for p, q in live:
+            right = [(eb, sum(eb), cb) for eb, cb in q.terms.items()]
+            for ea, ca in p.terms.items():
+                room = cap - sum(ea)
+                for eb, db, cb in right:
+                    if db <= room:
+                        groups.setdefault(tuple(map(add, ea, eb)), []).append((ca, cb))
+        dot = XSeries.dot
+        return first._like({e: dot(g) for e, g in groups.items()}, tvalid)
 
     def scale(self, c) -> "TimePoly":
         c = frac(c)

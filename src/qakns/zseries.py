@@ -36,25 +36,25 @@ def product_floor(a_floor, a_top, b_floor, b_top):
     return max(a_floor + b_top, b_floor + a_top)
 
 
-def derive_through(f: MZSeries, g: MZSeries, derive, dilate) -> MZSeries:
-    """D f + (sigma f) g: the q-Leibniz reduction through a factor E.
+def derive_through(f: MZSeries, g: MZSeries, derive, dilate,
+                   lo=NEG_INF, hi=math.inf) -> MZSeries:
+    """D f + (sigma f) g at the degrees lo..hi: the q-Leibniz reduction through E.
 
     When D E = g E, the twisted Leibniz rule D(f E) = (D f) E + (sigma f)(D E)
     gives D(f E) = (D f + (sigma f) g) E, so E never needs expanding.
     `derive` and `dilate` act entrywise (sigma = id in the classical case).
+    A caller that reads only some degrees passes their window, as to
+    `MZSeries.product`; the floor is the whole result's, whatever the window.
     """
-    return f.map_entries(derive) + f.map_entries(dilate) * g
+    near = {d: m for d, m in f.terms.items() if lo <= d <= hi}
+    df = MZSeries(f.n, near, f.zvalid, f.proto).map_entries(derive)
+    return df + f.map_entries(dilate).product(g, lo, hi)
 
 
 def _degree_sum(a: dict, b: dict, d: int):
-    """Sum of a[da] @ b[d - da] in the order of a's terms; None if no pair."""
-    acc = None
-    for da, ma in a.items():
-        mb = b.get(d - da)
-        if mb is not None:
-            prod = ma @ mb
-            acc = prod if acc is None else acc + prod
-    return acc
+    """Sum of a[da] @ b[d - da], one `MatSeries.dot`; None if no pair."""
+    blocks = [(ma, mb) for da, ma in a.items() if (mb := b.get(d - da)) is not None]
+    return MatSeries.dot(blocks) if blocks else None
 
 
 class InsufficientDepthError(ValueError):
@@ -188,10 +188,9 @@ class MZSeries:
     def product(self, other: "MZSeries", lo=NEG_INF, hi=math.inf) -> "MZSeries":
         """The degrees lo..hi of self * other, unknown below the product floor.
 
-        Each degree d sums the block products over the pairs da + db = d,
-        in the order of self's terms. A caller that reads only some degrees
-        passes their window; the floor is the whole product's, whatever
-        the window.
+        Each degree d sums the block products over the pairs da + db = d.
+        A caller that reads only some degrees passes their window; the
+        floor is the whole product's, whatever the window.
         """
         if other.n != self.n:
             raise ValueError("dimension mismatch")

@@ -235,11 +235,15 @@ def test_adding_zero_keeps_min_valid():
 def test_matmul_with_zero_entries_matches_entrywise_reference():
     rng = random.Random(8)
     n = 3
+    inexact = 0
     for _ in range(20):
         refs = [[[random_ref(rng) for _ in range(n)] for _ in range(n)]
                 for _ in range(2)]
-        for rows in refs:  # at least one exact zero entry per matrix
+        for rows in refs:  # an exact and an inexact zero entry per matrix
             rows[rng.randrange(n)][rng.randrange(n)] = ([F(0)] * (N + 1), N + 1)
+            rows[rng.randrange(n)][rng.randrange(n)] = (
+                [F(0)] * (N + 1), rng.randint(-1, N)
+            )
         a, b = (MatSeries([[XSeries(*e) for e in r] for r in rows]) for rows in refs)
         prod = a @ b
         for i in range(n):
@@ -249,6 +253,19 @@ def test_matmul_with_zero_entries_matches_entrywise_reference():
                     term = ref_mul(refs[0][i][k], refs[1][k][j])
                     acc = term if acc is None else ref_add(acc, term)
                 assert_matches(prod[i, j], acc)
+                inexact += acc[1] <= N
+    assert inexact > 150  # nearly all of the 180 entries are inexact
+
+
+def test_matseries_sum_rejects_a_dimension_mismatch():
+    one = XSeries.one(N)
+    m2, m3 = MatSeries.identity(2, one), MatSeries.identity(3, one)
+    for a, b in ((m2, m3), (m3, m2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a + b
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a - b
+    assert m2 + m2 == m2.scale(2) and (m3 - m3).is_zero_exact()
 
 
 def test_matseries_constructor_rejects_non_square_rows():

@@ -330,23 +330,25 @@ def test_graded_taylor_sum_matches_multiset_enumeration(xorder, q, tau_kind):
 
 def test_taylor_agreement_reads_residues_of_leaf_chains(monkeypatch):
     calls = {"matmul": 0, "invert": 0}
-    real_matmul, real_invert = MatSeries.__matmul__, MZSeries.invert
+    real_dot, real_invert = MatSeries.dot, MZSeries.invert
 
-    def matmul(x, y):
-        calls["matmul"] += 1
-        return real_matmul(x, y)
+    def dot(blocks):
+        # every block product, under `@` or in a z-degree block sum
+        calls["matmul"] += len(blocks)
+        return real_dot(blocks)
 
     def invert(x, floor):
         calls["invert"] += 1
         return real_invert(x, floor)
 
-    monkeypatch.setattr(MatSeries, "__matmul__", matmul)
+    monkeypatch.setattr(MatSeries, "dot", staticmethod(dot))
     monkeypatch.setattr(MZSeries, "invert", invert)
     recs = taylor_agreement(*_mechanism_shape())
     assert len(recs) == 8  # 4 records, each with its two halves
     # M = res(z**l L_lam(sigma(w) E_delta) w**-1) needs no Baker at [Aqx]_q,
     # so w is the only series inverted; the flow steps form no product, and
-    # the whole check takes 183 (290 with a second Baker and its inverse)
+    # the whole check takes 129 block products (183 with D(H) built at every
+    # degree, 290 with a second Baker and its inverse)
     assert calls["invert"] == 1
     assert calls["matmul"] <= 200
 

@@ -236,6 +236,23 @@ def test_derive_through_is_the_leibniz_reduction(classical):
         assert not (lhs - untwisted).is_zero()
 
 
+def test_windowed_derive_through_keeps_the_whole_floor():
+    calc = QCalc(F(3, 2), N)
+    f = _laurent_factor()
+    g = MZSeries(2, {
+        1: MatSeries.diag_const([2, F(-1, 3)], XSeries.zero(N)),
+        -1: f.coeff(-1),
+    }, zvalid=-2)
+    whole = derive_through(f, g, calc.derive, calc.dilate)
+    assert whole.zvalid == -2 and set(whole.terms) == {-2, -1, 0, 1}
+    for lo, hi in ((-1, -1), (-4, 0), (0, 1), (2, 5)):
+        part = derive_through(f, g, calc.derive, calc.dilate, lo, hi)
+        assert part.zvalid == whole.zvalid
+        assert part.terms == {
+            d: m for d, m in whole.terms.items() if lo <= d <= hi
+        }
+
+
 # -- product_coeff: one degree of a product -----------------------------------
 
 TVARS = ((1, 0), (2, 0))
