@@ -38,9 +38,11 @@ def _int_weights(q, order: int, inverse: bool) -> tuple[tuple[int, ...], int]:
 def dilate(f: XSeries, c) -> XSeries:
     """Substitute x -> c*x: coefficient k picks up a factor c**k.
 
-    At c = 1 this is the identity, and carriers are immutable, so `f`
-    itself is returned.
+    At c = 1 this is the identity, and so it is on a constant (the zero
+    series included); carriers are immutable, so `f` itself is returned.
     """
+    if f.top <= 0:
+        return f
     c = frac(c)
     if c == 1:
         return f

@@ -8,19 +8,28 @@ inversion of that rule and are truncated at a caller-supplied band floor,
 with `pvalid` recording the lowest exactly-known power.
 
 The residue pairing of a pair (P, Q) against an invertible diagonal A is
-computed on two routes:
+computed on three routes, each forming only the products that reach the
+residue:
 
-* the z-series side, evaluating the eigenvalue symbols of P and of the
-  shifted adjoint of Q against the q-exponential and extracting the z**-1
-  coefficient -- this closed form is the package's ground truth;
-* an operator-side residue, which reconciles with the z-series exactly
-  only under a documented convention: compose P, A**-1, Q in the
-  leading-symbol algebra (the dilation-twisted composition f.D**i o g.D**j
-  = f.(D**i g).D**(i+j), dropping q-Leibniz corrections) after replacing
-  the power-l coefficient g_l of Q by (-q)**l * g_l(q**l x). Under the
-  full q-Leibniz composition no per-coefficient sign or argument twist
-  reconciles the two sides: mismatched band sums produce derivative
-  corrections at power -1 that the z-series side does not contain.
+* `pairing_lhs`, the closed symbol sum over the powers k + l = -1, one
+  `MatSeries.dot` with A**-1 and the sign folded into p_k's columns --
+  this closed form is the package's ground truth;
+* `pairing_rhs`, an operator-side residue, which reconciles with the
+  z-series exactly only under a documented convention: compose P, A**-1,
+  Q in the leading-symbol algebra (the dilation-twisted composition
+  f.D**i o g.D**j = f.(D**i g).D**(i+j), dropping q-Leibniz corrections)
+  after replacing the power-l coefficient g_l of Q by
+  (-q)**l * g_l(q**l x), forming in the last stage only the pairs that
+  reach D**-1. Under the full q-Leibniz composition no per-coefficient
+  sign or argument twist reconciles the two sides: mismatched band sums
+  produce derivative corrections at power -1 that the z-series side does
+  not contain;
+* `pairing_oracle`, the brute-force z-expansion of both exponential
+  factors up to the degrees that pair onto z**-1, each factor summed once
+  per z-degree, and the z**-1 coefficient of their product.
+
+All three reject operands that differ in size or dilation parameter, or
+an A of another size, before any product is formed.
 """
 
 from __future__ import annotations
@@ -290,8 +299,21 @@ def _band_mats(p: QDOp) -> dict[int, MatSeries]:
     return out
 
 
-def _pairing_operands(p: QDOp, q_op: QDOp):
-    """The band matrices of P and Q and the x-order their coefficients fix."""
+def _pairing_operands(p: QDOp, q_op: QDOp, a_values):
+    """The band matrices of P and Q and the x-order their coefficients fix.
+
+    P, Q and A must share one size and P, Q one dilation parameter; a
+    mismatch raises ValueError naming the field, even when no pair of
+    powers reaches the residue.
+    """
+    if p.n != q_op.n:
+        raise ValueError(f"paired operators differ in n: {p.n} vs {q_op.n}")
+    if p.dparam != q_op.dparam:
+        raise ValueError(
+            f"paired operators differ in dparam: {p.dparam} vs {q_op.dparam}"
+        )
+    if len(a_values) != p.n:
+        raise ValueError(f"a_values has {len(a_values)} entries, not n = {p.n}")
     proto = p._proto() or q_op._proto()
     if proto is None:
         raise BandError(
@@ -303,46 +325,58 @@ def _pairing_operands(p: QDOp, q_op: QDOp):
 def pairing_lhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     """z-residue of the eigenvalue-symbol product (the ground-truth side).
 
-    Equals sum over k+l = -1 of (-q)**l * p_k * A**-1 * g_l(x/q).
+    Equals sum over k+l = -1 of (-q)**l * p_k * A**-1 * g_l(x/q). A**-1
+    and (-q)**l scale the columns of p_k, and the sum is one
+    `MatSeries.dot` over every pair.
     """
     q = p.dparam
-    pk, gl, order = _pairing_operands(p, q_op)
+    pk, gl, order = _pairing_operands(p, q_op, a_values)
     a_inv = [1 / frac(a) for a in a_values]
-    acc = None
+    qinv = 1 / q
+    blocks = []
     for k, pm in pk.items():
         l = -1 - k
         gm = gl.get(l)
         if gm is None:
             continue
-        ainv = MatSeries.diag_const(a_inv, pm.proto())
-        shifted = gm.map(lambda s: dilate(s, 1 / q))
-        term = (pm @ ainv @ shifted).scale((-q) ** l)
-        acc = term if acc is None else acc + term
-    if acc is None:
+        col = [c * (-q) ** l for c in a_inv]
+        scaled = MatSeries._of(tuple(
+            tuple(e.scale(c) for e, c in zip(row, col)) for row in pm.rows
+        ))
+        blocks.append((scaled, gm.map(lambda s: dilate(s, qinv))))
+    if not blocks:
         return MatSeries.zero(p.n, XSeries.zero(order))
-    return acc
+    return MatSeries.dot(blocks)
 
 
-def symbol_compose(dparam, *ops: dict) -> dict:
+def symbol_compose(dparam, *ops: dict, at: int | None = None) -> dict:
     """Leading-symbol product of {power: MatSeries} operands.
 
     Coefficients pass through powers by pure dilation, with no q-Leibniz
     correction terms: (f D**i) o (g D**j) = f * (D**i g) * D**(i+j).
+    Each power of a stage is one `MatSeries.dot` over the pairs that reach
+    it. With `at`, the last stage forms only the pairs with i + j = at and
+    the result holds that power alone (nothing when no pair reaches it).
     """
-    acc = None
-    for op in ops:
-        if acc is None:
-            acc = dict(op)
-            continue
-        nxt: dict[int, MatSeries] = {}
+    if not ops:
+        return {}
+    acc = dict(ops[0])
+    for step, op in enumerate(ops[1:], 2):
+        last = at is not None and step == len(ops)
+        pairs: dict[int, list] = {}
         for i, f in acc.items():
-            for j, g in op.items():
-                shifted = g.map(lambda s: dilate(s, dparam**i))
-                term = f @ shifted
-                cur = nxt.get(i + j)
-                nxt[i + j] = term if cur is None else cur + term
-        acc = nxt
-    return acc or {}
+            if last:
+                reach = ((at - i, op[at - i]),) if at - i in op else ()
+            else:
+                reach = op.items()
+            c = dparam**i
+            for j, g in reach:
+                shifted = g.map(lambda s: dilate(s, c))
+                pairs.setdefault(i + j, []).append((f, shifted))
+        acc = {d: MatSeries.dot(blocks) for d, blocks in pairs.items()}
+    if at is not None:
+        return {at: acc[at]} if at in acc else {}
+    return acc
 
 
 def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
@@ -350,19 +384,21 @@ def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
 
     The chain P o A**-1 o Q is composed in the leading-symbol algebra
     after the twist g_l -> (-q)**l * g_l(q**l x) on Q's coefficients; the
-    result is the D**-1 coefficient of that product. See the module
-    docstring for why the full q-Leibniz composition cannot be used.
+    result is the D**-1 coefficient of that product, and the last stage of
+    the composition forms only the pairs that reach D**-1. Those are the
+    (k, l = -1 - k) products that `pairing_lhs` sums, so this route agrees
+    with it by construction. See the module docstring for why the full
+    q-Leibniz composition cannot be used.
     """
     q = p.dparam
-    pk, gl, order = _pairing_operands(p, q_op)
+    pk, gl, order = _pairing_operands(p, q_op, a_values)
     a_inv = [1 / frac(a) for a in a_values]
     ainv = {0: MatSeries.diag_const(a_inv, XSeries.zero(order))}
     q_twisted = {
-        l: g.map(lambda s, ll=l: dilate(s, q**ll)).scale((-q) ** l)
+        l: g.map(lambda s, c=q**l: dilate(s, c)).scale((-q) ** l)
         for l, g in gl.items()
     }
-    chain = symbol_compose(q, pk, ainv, q_twisted)
-    got = chain.get(-1)
+    got = symbol_compose(q, pk, ainv, q_twisted, at=-1).get(-1)
     if got is None:
         return MatSeries.zero(p.n, XSeries.zero(order))
     return got
@@ -401,6 +437,25 @@ def oracle_factors(a_values, q, order: int) -> tuple[MZSeries, MZSeries]:
             exp_q_laurent(a_values, q, order, -1))
 
 
+def _sum_by_degree(n: int, proto, parts) -> MZSeries:
+    """The sum of z-series parts, each z-degree one `MatSeries.dot`.
+
+    A part is (series, block): block(m) is the (A, B) pair that the
+    series' coefficient m contributes at its degree. The floor is the
+    largest of the parts' floors, as a chain of `+` gives it, and no
+    degree below it is formed.
+    """
+    zv = max((s.zvalid for s, _ in parts), default=NEG_INF)
+    by_degree: dict[int, list] = {}
+    for s, block in parts:
+        for d, m in s.terms.items():
+            if d >= zv:
+                by_degree.setdefault(d, []).append(block(m))
+    return MZSeries(
+        n, {d: MatSeries.dot(b) for d, b in by_degree.items()}, zv, proto
+    )
+
+
 def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
     """Brute-force z-expansion of the pairing's left side.
 
@@ -417,12 +472,13 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
     the residue reads the left one up to hi_left = -1 - min l and the
     right one up to hi_right = -1 - min(0, min k). Every operation on the
     way acts degree by degree, so each degree built is the one the whole
-    expansion would hold.
+    expansion would hold. Each factor sums its parts once per z-degree,
+    in one `MatSeries.dot` over the k (or l) that reach it.
     A caller pairing many operators at one a, q and x-order passes the
     `oracle_factors` it built once as `factors`.
     """
     q = p.dparam
-    pk, gl, order = _pairing_operands(p, q_op)
+    pk, gl, order = _pairing_operands(p, q_op, a_values)
     n = p.n
     splus, sminus = factors or oracle_factors(a_values, q, order)
     if splus.proto.order != order:
@@ -443,7 +499,7 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
         n, {d: m for d, m in splus.terms.items() if d <= hi_left},
         splus.zvalid, splus.proto,
     )
-    left = MZSeries.zero(n, splus.proto)
+    left_parts = []
     for k, pm in pk.items():
         if k >= 0:
             g = splus_low
@@ -451,13 +507,14 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
                 g = _derive_mz(g, q)
         else:
             g = za_power(k).product(splus, hi=hi_left)
-        left = left + MZSeries.from_term(n, 0, pm) * g
+        left_parts.append((g, lambda m, pm=pm: (pm, m)))
+    left = _sum_by_degree(n, splus.proto, left_parts)
     # the shifted adjoint factor of Q acting leftward on exp_1/q(-zAx)
-    right = MZSeries.zero(n, splus.proto)
+    right_parts = []
     for l, gm in gl.items():
         eig = za_power(l).scale(Fraction(-1) ** l)
-        shifted = MZSeries.from_term(
-            n, 0, gm.map(lambda s: dilate(s, 1 / q))
-        ).scale(q**l)
-        right = right + eig.product(sminus, hi=hi_right) * shifted
+        shifted = gm.map(lambda s: dilate(s, 1 / q)).scale(q**l)
+        right_parts.append((eig.product(sminus, hi=hi_right),
+                            lambda m, shifted=shifted: (m, shifted)))
+    right = _sum_by_degree(n, splus.proto, right_parts)
     return left.product_coeff(right, -1)

@@ -215,15 +215,18 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
 
 
 def _random_band_op(rng, n, order, q, band=(-2, 2), max_deg=2):
+    """Integer polynomial coefficients of degree <= max_deg <= order on a
+    random subset of the band's powers (the identity when none is drawn)."""
+    pad = [0] * (order - max_deg)
     coeffs = {}
     for p in range(band[0], band[1] + 1):
         if rng.random() < 0.3:
             continue
         rows = [
             [
-                XSeries.poly(
-                    [Fraction(rng.randint(-3, 3)) for _ in range(max_deg + 1)],
-                    order,
+                XSeries.from_ints(
+                    [rng.randint(-3, 3) for _ in range(max_deg + 1)] + pad,
+                    1, order + 1,
                 )
                 for _ in range(n)
             ]

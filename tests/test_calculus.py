@@ -28,6 +28,10 @@ def test_dilate_examples():
     f = XSeries.poly([1, 2, 3], N)
     assert dilate(f, 1) is f
     assert (dilate(dilate(f, F(2)), F(1, 2)) - f).is_zero()
+    # a constant, exact or not, and the zero series are fixed
+    for g in (XSeries.const(F(-3, 4), N), XSeries.zero(N).with_valid(3),
+              XSeries.const(5, N).with_valid(0)):
+        assert dilate(g, F(3, 5)) is g
 
 
 @pytest.mark.parametrize("q", QS)

@@ -15,6 +15,7 @@ from qakns.qop import (
     pairing_lhs,
     pairing_oracle,
     pairing_rhs,
+    symbol_compose,
 )
 from qakns.series import XSeries
 from qakns.zseries import MZSeries
@@ -103,6 +104,156 @@ def test_random_pairs_all_three_routes_agree(q):
         lhs = pairing_lhs(p_op, q_op, a_vals)
         assert (pairing_rhs(p_op, q_op, a_vals) - lhs).is_zero()
         assert (pairing_oracle(p_op, q_op, a_vals) - lhs).is_zero()
+
+
+def _mismatched(case):
+    """A pair of operators and the a-values, wrong in exactly one field."""
+    rng = random.Random(3)
+    q = F(2)
+    if case == "n":
+        return rnd_band_op(rng, 2, q), rnd_band_op(rng, 1, q), [F(1), F(-1)]
+    if case == "dparam":
+        return rnd_band_op(rng, 2, q), rnd_band_op(rng, 2, F(3)), [F(1), F(-1)]
+    # no pair of powers reaches the residue, so no product can notice
+    return (rnd_band_op(rng, 2, q, band=(0, 2)),
+            rnd_band_op(rng, 2, q, band=(0, 2)), [F(1), F(-1), F(2)])
+
+
+@pytest.mark.parametrize("route", [pairing_lhs, pairing_rhs, pairing_oracle])
+@pytest.mark.parametrize("case, field", [
+    ("n", "differ in n"), ("dparam", "differ in dparam"), ("a", "a_values"),
+])
+def test_mismatched_operands_are_rejected(route, case, field):
+    p_op, q_op, a_vals = _mismatched(case)
+    with pytest.raises(ValueError, match=field):
+        route(p_op, q_op, a_vals)
+
+
+def _symbol_ops(rng, n, q, powers):
+    return {p: m.terms[0] for p, m in
+            rnd_band_op(rng, n, q, powers=powers).coeffs.items()}
+
+
+@pytest.mark.parametrize("q", QS)
+def test_symbol_compose_at_one_power_is_that_power_of_the_whole(q):
+    rng = random.Random(int(q * 100))
+    chains = [
+        (_symbol_ops(rng, 2, q, (-2, 0, 1)), _symbol_ops(rng, 2, q, (-1, 2))),
+        (_symbol_ops(rng, 2, q, (-2, -1, 1)), _symbol_ops(rng, 2, q, (0,)),
+         _symbol_ops(rng, 2, q, (-3, 0, 2))),
+        # an inexact coefficient: `valid` must follow it
+        ({1: MatSeries([[XSeries.one(N).with_valid(5)]])},
+         _symbol_ops(rng, 1, q, (-2, 0))),
+    ]
+    for ops in chains:
+        whole = symbol_compose(q, *ops)
+        for d in range(-8, 8):
+            got = symbol_compose(q, *ops, at=d)
+            if d in whole:
+                assert got == {d: whole[d]}
+                assert ([[e.valid for e in r] for r in got[d].rows]
+                        == [[e.valid for e in r] for r in whole[d].rows])
+            else:  # no pair reaches d
+                assert got == {}
+    # a degree no pair reaches, and an empty operand
+    ops = (_symbol_ops(rng, 2, q, (0, 1)), _symbol_ops(rng, 2, q, (1,)))
+    assert symbol_compose(q, *ops, at=0) == {}
+    assert 0 not in symbol_compose(q, *ops)
+    assert symbol_compose(q, ops[0], {}, ops[1]) == {}
+    assert symbol_compose(q, ops[0], {}, ops[1], at=1) == {}
+
+
+def test_rhs_multiplies_only_the_pairs_that_reach_the_residue(monkeypatch):
+    rng = random.Random(5)
+    q = F(2)
+    p_op = rnd_band_op(rng, 2, q)
+    q_op = rnd_band_op(rng, 2, q)
+    calls = []
+    dot = MatSeries.dot
+
+    def counting(blocks):
+        calls.extend(blocks)
+        return dot(blocks)
+
+    monkeypatch.setattr(MatSeries, "dot", staticmethod(counting))
+    got = pairing_rhs(p_op, q_op, [1, -1])
+    monkeypatch.undo()
+    assert (got - pairing_lhs(p_op, q_op, [1, -1])).is_zero()
+    # composing the whole chain P o A**-1 o Q took 30 block products on this
+    # pair (5 + 25); forming only the last-stage pairs that reach D**-1
+    # takes 5 + 4
+    assert len(calls) <= 9
+
+
+def per_k_lhs(p_op, q_op, a_vals):
+    """The symbol sum as one `@` chain and one `+` per power k."""
+    q = p_op.dparam
+    pk = {k: m.terms[0] for k, m in p_op.coeffs.items()}
+    gl = {l: m.terms[0] for l, m in q_op.coeffs.items()}
+    proto = p_op._proto() or q_op._proto()
+    acc = None
+    for k, pm in pk.items():
+        gm = gl.get(-1 - k)
+        if gm is None:
+            continue
+        ainv = MatSeries.diag_const([1 / F(a) for a in a_vals], proto)
+        shifted = gm.map(lambda s: dilate(s, 1 / q))
+        term = (pm @ ainv @ shifted).scale((-q) ** (-1 - k))
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else MatSeries.zero(p_op.n, proto)
+
+
+def test_one_dot_lhs_matches_the_per_k_chain():
+    for q, a_vals, p_op, q_op in _windowed_cases():
+        got = pairing_lhs(p_op, q_op, a_vals)
+        ref = per_k_lhs(p_op, q_op, a_vals)
+        assert got == ref
+        assert ([[e.valid for e in r] for r in got.rows]
+                == [[e.valid for e in r] for r in ref.rows])
+    # one inexact entry of each g_l lowers the valid of its column only
+    rng = random.Random(8)
+    q = F(3, 5)
+    p_op = rnd_band_op(rng, 2, q)
+    coeffs = {}
+    for l, m in rnd_band_op(rng, 2, q).coeffs.items():
+        (g00, g01), row1 = m.terms[0].rows
+        coeffs[l] = MZSeries.from_term(
+            2, 0, MatSeries([[g00.with_valid(4), g01], row1]))
+    q_op = QDOp(2, coeffs, q)
+    got = pairing_lhs(p_op, q_op, [1, -1])
+    assert got == per_k_lhs(p_op, q_op, [1, -1])
+    assert [[e.valid for e in r] for r in got.rows] == [[4, N + 1], [4, N + 1]]
+
+
+def fraction_band_op(rng, n, order, q, band=(-2, 2), max_deg=2):
+    """The suite's random operator with every coefficient built from Fractions."""
+    coeffs = {}
+    for p in range(band[0], band[1] + 1):
+        if rng.random() < 0.3:
+            continue
+        rows = [[XSeries.poly([F(rng.randint(-3, 3)) for _ in range(max_deg + 1)],
+                              order)
+                 for _ in range(n)] for _ in range(n)]
+        coeffs[p] = MZSeries.from_term(n, 0, MatSeries(rows))
+    if not coeffs:
+        coeffs[0] = MZSeries.identity(n, XSeries.one(order))
+    return QDOp(n, coeffs, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_band_op_matches_the_fraction_build(n):
+    from qakns.suites import _random_band_op
+
+    for seed in (0, 5, 2024):
+        for band, order in (((-2, 2), 8), ((0, 2), 4), ((-1, 0), 6)):
+            got_rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                got = _random_band_op(got_rng, n, order, F(2), band)
+                ref = fraction_band_op(ref_rng, n, order, F(2), band)
+                assert (got.n, got.dparam, got.pvalid) == (ref.n, ref.dparam, ref.pvalid)
+                assert got.coeffs == ref.coeffs
+            # both builds drew the same numbers from the stream
+            assert got_rng.random() == ref_rng.random()
 
 
 def test_oracle_honest_application_on_nonneg_powers():
