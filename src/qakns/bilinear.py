@@ -135,20 +135,19 @@ def reconstruct_from_bilinear(dressing: Dressing):
     return a_values, u, g - za + MZSeries.from_term(g.n, 0, u)
 
 
-def inject_corruption(dressing: Dressing, value="1", channel: int = -1) -> Dressing:
-    """Add a constant to one diagonal entry of w_1.
+def inject_corruption(dressing: Dressing, value="1") -> Dressing:
+    """Add a constant to the last diagonal entry of w_1.
 
     Breaks the factorization unless the bump happens to be absorbed by the
     constant-diagonal gauge freedom (right multiplication by I + c E z**-1),
-    which is why the injection targets the last channel by default: on the
-    shipped examples that direction is not gauge.
+    which is why the injection targets the last channel: on the shipped
+    examples that direction is not gauge.
     """
     if dressing.depth < 1:
         raise ValueError("need at least depth 1 to corrupt")
     lax = dressing.lax
-    channel = channel % lax.n
     bump = MatSeries.diag_const(
-        [frac(value) if i == channel else 0 for i in range(lax.n)], lax.proto()
+        [0] * (lax.n - 1) + [frac(value)], lax.proto()
     )
     orders = list(dressing.orders)
     orders[1] = orders[1] + bump

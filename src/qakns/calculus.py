@@ -114,27 +114,43 @@ def exp_q_series(c, q, order: int) -> XSeries:
     return XSeries(out, order)
 
 
+def graded_apply(seed, step, orders, depth: int) -> dict:
+    """exp(S) seed by grades, for S = sum_k S_k with S_k raising the grade by k.
+
+    The S_k commute, so E = exp(S) seed solves z E' = (z S') E for a
+    grading variable z: degree by degree d E_d = sum_(k <= d) k S_k E_(d-k)
+    (Knuth, TAOCP vol. 2, 4.7), exact, with O(depth**2) steps. `step(k, e)`
+    is k S_k e, for each k in `orders`. Returns {grade: E_d} through
+    `depth`, E_0 = seed; a grade no sum of orders reaches has no entry.
+    This is the one writer of an exponential in a graded ring: the
+    generators of `graded_exp`, the Miwa substitution and the Taylor sum of
+    the tau layer are its callers.
+    """
+    acc = {0: seed}
+    orders = [k for k in orders if k <= depth]
+    for d in range(1, depth + 1):
+        total = None
+        for k in orders:
+            prev = acc.get(d - k)
+            if prev is not None:
+                term = step(k, prev)
+                total = term if total is None else total + term
+        if total is not None:
+            acc[d] = total.scale(Fraction(1, d))
+    return acc
+
+
 def graded_exp(gens: dict, depth: int) -> dict:
     """exp of sum_k z**k gens[k] in a z-graded algebra, through z**depth.
 
     The generators are ring elements (x-series, time polynomials) keyed by
-    their degree k >= 1. E = exp(G) solves z E' = (z G') E, so degree by
-    degree d E_d = sum_k k g_k E_(d-k) (Knuth, TAOCP vol. 2, 4.7): exact,
-    with O(depth**2) products. Returns {degree: E_d}; a degree no sum of
-    generator degrees reaches has no entry.
+    their degree k >= 1; S_k is multiplication by z**k gens[k], so the step
+    of `graded_apply` is e * (k gens[k]). Returns {degree: E_d}; a degree
+    no sum of generator degrees reaches has no entry.
     """
-    acc = {0: next(iter(gens.values())).one_like()}
     weighted = {k: g.scale(k) for k, g in gens.items() if k <= depth}
-    for d in range(1, depth + 1):
-        total = None
-        for k, kg in weighted.items():
-            prev = acc.get(d - k)
-            if prev is not None:
-                prod = prev * kg
-                total = prod if total is None else total + prod
-        if total is not None:
-            acc[d] = total.scale(Fraction(1, d))
-    return acc
+    seed = next(iter(gens.values())).one_like()
+    return graded_apply(seed, lambda k, e: e * weighted[k], weighted, depth)
 
 
 def exp_series(args, order: int) -> XSeries:

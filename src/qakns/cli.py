@@ -42,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("demo", "run everything on the built-in example"),
     ]:
         p = sub.add_parser(verb, help=help_text)
-        p.add_argument("--config", help="path to a JSON run configuration")
+        # demo runs the built-in example: a config there would go unread
+        if verb != "demo":
+            p.add_argument("--config", help="path to a JSON run configuration")
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="report format (default text)",
@@ -62,7 +64,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "demo" or args.config is None:
+        if getattr(args, "config", None) is None:
             cfg = demo_config(args.inject_corruption)
         else:
             cfg = load_config(args.config, args.inject_corruption)

@@ -128,6 +128,14 @@ class RunConfig:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
+_FIELDS = (
+    "n", "q", "a", "u", "bilinear_u", "truncations", "dressing_depth",
+    "resolvent_depth", "flows", "lambda_max", "l_max", "tau", "q_sequence",
+    "checks",
+)
+_MONOMIAL_FIELDS = ("exponents", "coeff")
+
+
 def _parse_u(raw, n: int, n_x: int, label: str):
     if (not isinstance(raw, list) or len(raw) != n
             or any(not isinstance(row, list) or len(row) != n for row in raw)):
@@ -156,7 +164,8 @@ def _parse_monomials(raw, arity: int, n_t: int, label: str):
     """Monomials of total degree <= n_t, one exponent per tau variable."""
     out = []
     for i, item in enumerate(_list(raw, label)):
-        item = _object(item, f"{label}[{i}]")
+        item = _known(_object(item, f"{label}[{i}]"), _MONOMIAL_FIELDS,
+                      f"{label}[{i}].")
         field = f"{label}[{i}].exponents"
         raw_e = _list(_required(item, "exponents", field), field)
         e = tuple(_count(v, field) for v in raw_e)
@@ -226,6 +235,15 @@ def _object(value, label: str) -> dict:
     return value
 
 
+def _known(obj: dict, fields, prefix: str = "") -> dict:
+    """obj, once every key in it is one of `fields`: a misspelled key is an
+    error, not a default."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{prefix}{key} is not a configuration field")
+    return obj
+
+
 def _required(obj: dict, key: str, label: str):
     if key not in obj:
         raise ConfigError(f"{label} is missing")
@@ -259,14 +277,15 @@ def _parse_checks(raw):
 
 def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
     try:
-        data = _object(data, "the configuration")
+        data = _known(_object(data, "the configuration"), _FIELDS)
         n = _count(_required(data, "n", "n"), "n", least=1)
         q = _rational(_required(data, "q", "q"), "q")
         a = tuple(
             _rational(v, f"a[{i}]")
             for i, v in enumerate(_list(_required(data, "a", "a"), "a"), 1)
         )
-        tr = _object(data.get("truncations", {}), "truncations")
+        tr = _known(_object(data.get("truncations", {}), "truncations"),
+                    ("x", "z", "band", "t"), "truncations.")
         # the suite's fixed depths: tau.expqo compares through z**4, which
         # needs x >= 4, and tau.classical_limit's mixed case has t-degree 3
         n_x, n_z, n_band, n_t = (
@@ -285,7 +304,8 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
         )
         tau = None
         if data.get("tau") is not None:
-            traw = _object(data["tau"], "tau")
+            traw = _known(_object(data["tau"], "tau"),
+                          ("variables", "monomials", "companions"), "tau.")
             raw_vars = _list(
                 _required(traw, "variables", "tau.variables"), "tau.variables"
             )

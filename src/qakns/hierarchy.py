@@ -534,8 +534,6 @@ class HierarchySession:
             self._resolvents[key] = got
         return got
 
-    def family(self, depth: int, normalization: str = "orthogonal"):
-        return [
-            self.resolvent(alpha, depth, normalization)
-            for alpha in range(self.lax.n)
-        ]
+    def family(self, depth: int):
+        """The orthogonal channel family through `depth`."""
+        return [self.resolvent(alpha, depth) for alpha in range(self.lax.n)]

@@ -214,10 +214,10 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
 # -- residue pairing --------------------------------------------------------------
 
 
-def _random_band_op(rng, n, order, q, band=(-2, 2), max_deg=2):
-    """Integer polynomial coefficients of degree <= max_deg <= order on a
+def _random_band_op(rng, n, order, q, band=(-2, 2)):
+    """Integer polynomial coefficients of degree <= 2 <= order on a
     random subset of the band's powers (the identity when none is drawn)."""
-    pad = [0] * (order - max_deg)
+    pad = [0] * (order - 2)
     coeffs = {}
     for p in range(band[0], band[1] + 1):
         if rng.random() < 0.3:
@@ -225,7 +225,7 @@ def _random_band_op(rng, n, order, q, band=(-2, 2), max_deg=2):
         rows = [
             [
                 XSeries.from_ints(
-                    [rng.randint(-3, 3) for _ in range(max_deg + 1)] + pad,
+                    [rng.randint(-3, 3) for _ in range(3)] + pad,
                     1, order + 1,
                 )
                 for _ in range(n)

@@ -7,7 +7,10 @@ division by tau; the q-deformation substitutes
 t_(k alpha) -> t_(k alpha) + (1-q)**k / (k (1-q**k)) * (a_alpha x)**k
 first. The z-substitution is the finite Taylor sum of t-derivatives
 exp(-sum_k z**-k / k d_(k beta)), and every z-window of the assembled
-series is kept by MZSeries arithmetic. The Baker exponentials enter the
+series is kept by MZSeries arithmetic. That sum, the Taylor sum of the
+flow steps and the z-exponentials of `verify_expqo` are each the
+exponential of a graded operator, expanded by `calculus.graded_apply`
+with the depth as its one cut. The Baker exponentials enter the
 residue identities through the q-Leibniz reduction; `graded_exp` expands
 an exponential in z only where `verify_expqo` compares one directly, and
 the ratio E_delta that `taylor_agreement` needs is the closed form the
@@ -29,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bilinear import bilinear_residues, x_factor_of
-from .calculus import dilate, exp_q_series, graded_exp, q_derive
+from .calculus import dilate, exp_q_series, graded_apply, graded_exp, q_derive
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
@@ -103,31 +106,23 @@ def shift_difference(k: int, alpha: int, a_values, q, xorder: int) -> XSeries:
 def miwa_shift(p: TimePoly, beta: int, depth: int):
     """Substitute t_(k beta) -> t_(k beta) - z**-k / k; collect z-degrees.
 
-    The substitution is the finite Taylor sum
-    exp(-sum_k z**-k / k d_(k beta)) p, one exponential per time of the
-    channel, each summed one t-derivative at a time. Returns
-    ({z-degree: TimePoly}, zvalid): degrees below -depth are not formed,
-    and zvalid marks that cut when some monomial reaches below it
+    The substitution is exp(S) p for S = -sum_k z**-k / k d_(k beta),
+    graded by the power of z**-1: `graded_apply` with the step
+    -d_(k beta). Returns ({z-degree: TimePoly}, zvalid): degrees below
+    -depth are not formed, a degree with no terms has no entry, and zvalid
+    marks that cut when some monomial reaches below it
     (sum_k k e_(k beta) > depth), -inf otherwise.
     """
     if p.tvalid <= p.tmax:
         raise ValueError("miwa substitution needs an exact polynomial")
     flows = [(i, v) for i, v in enumerate(p.vars) if v[1] == beta]
-    out = {0: p}
-    for _, v in flows:
-        k = v[0]
-        nxt: dict[int, TimePoly] = {}
-        for d, poly in out.items():
-            j = 0
-            while poly.terms and d - k * j >= -depth:
-                cur = nxt.get(d - k * j)
-                nxt[d - k * j] = poly if cur is None else cur + poly
-                j += 1
-                poly = poly.t_derive(v).scale(Fraction(-1, k * j))
-        out = nxt
+    grades = graded_apply(
+        p, lambda k, t: -t.t_derive((k, beta)), [v[0] for _, v in flows], depth
+    )
     reach = max(
         (sum(v[0] * e[i] for i, v in flows) for e in p.terms), default=0
     )
+    out = {-d: t for d, t in grades.items() if t.terms}
     return out, (-depth if reach > depth else NEG_INF)
 
 
@@ -250,26 +245,20 @@ def taylor_sum(what: MZSeries, deltas: dict) -> MZSeries:
     `deltas` maps flows (k, alpha) to Delta_(k alpha) = c x**k. The sum is
     exp(S) what for S = sum_v Delta_v L_v, L_v the commuting steps of
     `flow_step`. Graded by x-valuation, S_k = sum_alpha Delta_(k alpha)
-    L_(k alpha) raises it by exactly k, so the grades obey
-    j T_j = sum_(k <= j) k S_k T_(j-k), the recurrence of
-    `calculus.graded_exp`. Every Delta is a monomial, so a grade beyond the
-    x-order vanishes in the truncated ring and is never formed; grading by
-    powers of S instead would form such terms as inexact zeros, whose
-    z-degrees raise the floor of every later product.
+    L_(k alpha) raises it by exactly k, so `graded_apply` sums it with the
+    step `flow_step`(P, k, k Delta_k). Every Delta is a monomial, so a
+    grade beyond the x-order vanishes in the truncated ring and is never
+    formed; grading by powers of S instead would form such terms as inexact
+    zeros, whose z-degrees raise the floor of every later product.
     """
     by_order: dict[int, dict] = {}
     for (k, alpha), s in deltas.items():
-        by_order.setdefault(k, {})[alpha] = s
-    grades, total = [what], what
-    for j in range(1, what.proto.xorder + 1):
-        grade = MZSeries.zero(what.n, what.proto)
-        for k, weights in by_order.items():
-            if k <= j:
-                scaled = {a: s.scale(Fraction(k, j)) for a, s in weights.items()}
-                grade = grade + flow_step(grades[j - k], k, scaled)
-        grades.append(grade)
-        total = total + grade
-    return total
+        by_order.setdefault(k, {})[alpha] = s.scale(k)
+    grades = graded_apply(
+        what, lambda k, p: flow_step(p, k, by_order[k]), by_order,
+        what.proto.xorder,
+    )
+    return sum(grades.values(), MZSeries.zero(what.n, what.proto))
 
 
 def e_delta(a_values, q, proto: TimePoly) -> MZSeries:

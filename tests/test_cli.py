@@ -467,3 +467,31 @@ def test_missing_fields_are_named(tmp_path, capsys, path, key, message):
     del target[key]
     assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["lamda_max"], 0, "lamda_max is not a configuration field"),
+        (["truncations", "xx"], 3, "truncations.xx is not a configuration field"),
+        (["tau", "companion"], {}, "tau.companion is not a configuration field"),
+        (["tau", "monomials", 0, "coef"], "1",
+         "tau.monomials[0].coef is not a configuration field"),
+        (["tau", "companions"],
+         {"1,2": [{"exponents": [0, 0, 0], "coeff": "1", "coef": "1"}]},
+         "tau.companions['1,2'][0].coef is not a configuration field"),
+    ],
+)
+def test_unknown_fields_exit_2(tmp_path, capsys, path, value, message):
+    data = _demo_data()
+    _set(data, path, value)
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_demo_takes_no_config(tmp_path, capsys):
+    # the demo verb runs the built-in example; a config there would go unread
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--config", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err

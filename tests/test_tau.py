@@ -727,6 +727,34 @@ def test_miwa_taylor_sum_matches_binomial_expansion():
     assert cuts[True] > 0 and cuts[False] > 0
 
 
+def test_graded_apply_is_the_one_writer(monkeypatch):
+    # the generators' exponential, the Miwa substitution and the Taylor sum
+    # each run the recurrence of calculus.graded_apply, not a loop of their own
+    from qakns import calculus, tau as tau_mod
+    from qakns.tau import shift_difference, taylor_sum
+
+    ctx = ctx2()
+    t = ctx.variable((1, 1))
+    what = baker_from_tau(ctx.constant(1) + t, {}, 2, 3)
+    real, calls = calculus.graded_apply, []
+
+    def counting(seed, step, orders, depth):
+        calls.append(type(seed).__name__)
+        return real(seed, step, orders, depth)
+
+    monkeypatch.setattr(calculus, "graded_apply", counting)
+    monkeypatch.setattr(tau_mod, "graded_apply", counting)
+    deltas = {(1, 0): shift_difference(1, 0, [1, -1], F(2), N)}
+    for run, seed in [
+        (lambda: calculus.graded_exp({1: t}, 3), "TimePoly"),
+        (lambda: miwa_shift(t * t, 1, 4), "TimePoly"),
+        (lambda: taylor_sum(what, deltas), "MZSeries"),
+    ]:
+        calls.clear()
+        run()
+        assert calls == [seed]
+
+
 def test_baker_from_tau_matches_binomial_reference():
     rng = random.Random(21)
     cuts = {True: 0, False: 0}
