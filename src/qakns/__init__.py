@@ -1,10 +1,11 @@
 """Exact-arithmetic engine for the q-deformed AKNS-D hierarchy.
 
 Truncated series carriers (XSeries, MatSeries, MZSeries, TimePoly),
-q-difference operator algebra with residue pairing, dressing and
-resolvent solvers, bilinear residue checks, tau-function shifts, and a
-reporting CLI. Everything computes over exact rationals; identities hold
-with tolerance zero up to the tracked truncation validity.
+finite-band q-difference operators with q-Leibniz composition and the
+residue pairing, dressing and resolvent solvers, bilinear residue
+checks, tau-function shifts, and a reporting CLI. Everything computes
+over exact rationals; identities hold with tolerance zero up to the
+tracked truncation validity.
 """
 
 from .calculus import (

@@ -1,11 +1,13 @@
 """Finite-band q-(pseudo-)difference operators and the residue pairing.
 
-An operator is a finite sum of powers of the basis derivation (the
-q-derivative at dilation parameter `dparam`, or its 1/q counterpart for
-adjoints) with matrix Laurent-series coefficients on the left. Composition
-uses the q-Leibniz rule; negative powers expand term by term from the
-inversion of that rule and are truncated at a caller-supplied band floor,
-with `pvalid` recording the lowest exactly-known power.
+An operator is a finite sum of powers of the q-derivative D at dilation
+parameter `dparam`, with matrix Laurent-series coefficients on the left.
+The pairing routes read only its band coefficients. Composition uses the
+q-Leibniz rule; negative powers expand term by term from the inversion of
+that rule and are truncated at a caller-supplied band floor, with
+`pvalid` recording the lowest exactly-known power. `compose` and
+`q_commutator` are the reference that the tests check
+`hierarchy.commutation_residual` against.
 
 The residue pairing of a pair (P, Q) against an invertible diagonal A is
 computed on three routes, each forming only the products that reach the
@@ -15,15 +17,15 @@ residue:
   `MatSeries.dot` with A**-1 and the sign folded into p_k's columns --
   this closed form is the package's ground truth;
 * `pairing_rhs`, an operator-side residue, which reconciles with the
-  z-series exactly only under a documented convention: compose P, A**-1,
-  Q in the leading-symbol algebra (the dilation-twisted composition
-  f.D**i o g.D**j = f.(D**i g).D**(i+j), dropping q-Leibniz corrections)
-  after replacing the power-l coefficient g_l of Q by
-  (-q)**l * g_l(q**l x), forming in the last stage only the pairs that
-  reach D**-1. Under the full q-Leibniz composition no per-coefficient
-  sign or argument twist reconciles the two sides: mismatched band sums
-  produce derivative corrections at power -1 that the z-series side does
-  not contain;
+  z-series exactly only under a documented convention: the D**-1
+  coefficient of P o A**-1 o Q in the leading-symbol algebra (the
+  dilation-twisted composition f.D**i o g.D**j = f.(D**i g).D**(i+j),
+  dropping q-Leibniz corrections) after replacing the power-l coefficient
+  g_l of Q by (-q)**l * g_l(q**l x). It forms the same (k, l) pairs as
+  `pairing_lhs`, so it is not an independent route. Under the full
+  q-Leibniz composition no per-coefficient sign or argument twist
+  reconciles the two sides: mismatched band sums produce derivative
+  corrections at power -1 that the z-series side does not contain;
 * `pairing_oracle`, the brute-force z-expansion of both exponential
   factors up to the degrees that pair onto z**-1, each factor summed once
   per z-degree, and the z**-1 coefficient of their product.
@@ -108,13 +110,6 @@ class QDOp:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.coeffs.values())
-
-    def first_nonzero(self):
-        for p in sorted(self.coeffs):
-            hit = self.coeffs[p].first_nonzero()
-            if hit is not None:
-                return (p,) + hit
-        return None
 
     def map_coeffs(self, fn) -> "QDOp":
         return QDOp(
@@ -211,54 +206,6 @@ class QDOp:
             pv = max(pv, floor)
         return QDOp(self.n, out, self.dparam, pv)
 
-    def apply(self, f: MZSeries) -> MZSeries:
-        """Act on a function (matrix Laurent series); needs nonnegative band."""
-        band = self.band()
-        if band and band[0] < 0:
-            raise BandError("negative powers do not act on functions")
-        c = self.dparam
-        acc: MZSeries | None = None
-        for p, m in self.coeffs.items():
-            g = f
-            for _ in range(p):
-                g = _derive_mz(g, c)
-            term = m * g
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return MZSeries.zero(f.n, f.proto)
-        return acc
-
-    # -- adjoint and transforms ----------------------------------------------------
-
-    def adjoint(self, floor: int | None = None) -> "QDOp":
-        """Formal adjoint in the 1/q basis.
-
-        (g D**j)* = (-1/q)**j D'**j o g^T with D' the derivation at the
-        inverse dilation parameter; the transpose mirrors the trace
-        pairing on matrix coefficients.
-        """
-        cinv = 1 / self.dparam
-        proto = self._proto()
-        acc: QDOp | None = None
-        for j, g in self.coeffs.items():
-            power = QDOp.basis_power(self.n, j, cinv, proto)
-            mult = QDOp.from_mz(g.transpose(), cinv)
-            term = power.compose(mult, floor).map_coeffs(
-                lambda m, s=(-1 / self.dparam) ** j: m.scale(s)
-            )
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return QDOp(self.n, {}, cinv, self.pvalid)
-        return QDOp(acc.n, acc.coeffs, cinv, max(acc.pvalid, self.pvalid))
-
-    def shift_x_over_q(self) -> "QDOp":
-        """The |_(x/q) transform: power j picks up q**j and dilates by 1/q."""
-        c = self.dparam
-        out = {
-            j: _dilate_mz(m, 1 / c).scale(c**j) for j, m in self.coeffs.items()
-        }
-        return QDOp(self.n, out, c, self.pvalid)
-
     def __repr__(self):
         if not self.coeffs:
             return "QDOp(0)"
@@ -349,59 +296,33 @@ def pairing_lhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     return MatSeries.dot(blocks)
 
 
-def symbol_compose(dparam, *ops: dict, at: int | None = None) -> dict:
-    """Leading-symbol product of {power: MatSeries} operands.
-
-    Coefficients pass through powers by pure dilation, with no q-Leibniz
-    correction terms: (f D**i) o (g D**j) = f * (D**i g) * D**(i+j).
-    Each power of a stage is one `MatSeries.dot` over the pairs that reach
-    it. With `at`, the last stage forms only the pairs with i + j = at and
-    the result holds that power alone (nothing when no pair reaches it).
-    """
-    if not ops:
-        return {}
-    acc = dict(ops[0])
-    for step, op in enumerate(ops[1:], 2):
-        last = at is not None and step == len(ops)
-        pairs: dict[int, list] = {}
-        for i, f in acc.items():
-            if last:
-                reach = ((at - i, op[at - i]),) if at - i in op else ()
-            else:
-                reach = op.items()
-            c = dparam**i
-            for j, g in reach:
-                shifted = g.map(lambda s: dilate(s, c))
-                pairs.setdefault(i + j, []).append((f, shifted))
-        acc = {d: MatSeries.dot(blocks) for d, blocks in pairs.items()}
-    if at is not None:
-        return {at: acc[at]} if at in acc else {}
-    return acc
-
-
 def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     """Operator-side residue under the documented composition convention.
 
-    The chain P o A**-1 o Q is composed in the leading-symbol algebra
-    after the twist g_l -> (-q)**l * g_l(q**l x) on Q's coefficients; the
-    result is the D**-1 coefficient of that product, and the last stage of
-    the composition forms only the pairs that reach D**-1. Those are the
-    (k, l = -1 - k) products that `pairing_lhs` sums, so this route agrees
-    with it by construction. See the module docstring for why the full
-    q-Leibniz composition cannot be used.
+    The D**-1 coefficient of P o A**-1 o Q in the leading-symbol algebra,
+    after the twist g_l -> (-q)**l * g_l(q**l x) on Q's coefficients. For
+    each power k, P o A**-1 is the one product p_k @ A**-1, and the
+    twisted coefficient of l = -1 - k passes through D**k by dilation;
+    every pair goes into one `MatSeries.dot`. Those are the (k, l) products
+    that `pairing_lhs` sums, so this route agrees with it by construction.
+    See the module docstring for why the full q-Leibniz composition
+    cannot be used.
     """
     q = p.dparam
     pk, gl, order = _pairing_operands(p, q_op, a_values)
-    a_inv = [1 / frac(a) for a in a_values]
-    ainv = {0: MatSeries.diag_const(a_inv, XSeries.zero(order))}
-    q_twisted = {
-        l: g.map(lambda s, c=q**l: dilate(s, c)).scale((-q) ** l)
-        for l, g in gl.items()
-    }
-    got = symbol_compose(q, pk, ainv, q_twisted, at=-1).get(-1)
-    if got is None:
+    ainv = MatSeries.diag_const([1 / frac(a) for a in a_values],
+                                XSeries.zero(order))
+    blocks = []
+    for k, pm in pk.items():
+        l = -1 - k
+        gm = gl.get(l)
+        if gm is None:
+            continue
+        twisted = gm.map(lambda s: dilate(s, q**l)).scale((-q) ** l)
+        blocks.append((pm @ ainv, twisted.map(lambda s: dilate(s, q**k))))
+    if not blocks:
         return MatSeries.zero(p.n, XSeries.zero(order))
-    return got
+    return MatSeries.dot(blocks)
 
 
 # z-degrees past the x truncation that `exp_q_laurent` stores as inexact zeros

@@ -134,10 +134,6 @@ class XSeries:
     def is_exact(self) -> bool:
         return self.valid > self.order
 
-    def degree(self) -> int | None:
-        """Top degree of the stored support, or None for the zero series."""
-        return None if self.top < 0 else self.top
-
     def constant_term(self) -> Fraction:
         return Fraction(self.nums[0], self.den)
 

@@ -92,13 +92,14 @@ class SuiteContext:
         return bl.lambda_pool(list(self.cfg.flows), self.cfg.lambda_max)
 
 
-def _sample_series(order: int, seed: int, count: int = 4):
+def _sample_series(order: int, seed: int):
+    """Two fixed series and two random ones drawn from `seed`."""
     rng = random.Random(seed)
     out = [
         XSeries.poly([1, 1], order),
         XSeries.poly([Fraction(1, 2), 0, Fraction(-2, 3), 1], order),
     ]
-    for _ in range(count - len(out)):
+    for _ in range(2):
         out.append(
             XSeries.poly(
                 [Fraction(rng.randint(-4, 4), rng.randint(1, 3))

@@ -416,7 +416,7 @@ def taylor_agreement(
     # reading T_lam w**-1 at z**(-1-l) needs the inverse down to
     # z**(-1-l-xorder-|lam|): this floor covers |lam| <= 1, and a deeper
     # read raises InsufficientDepthError. Deriving it from the readers, as
-    # a real tau needs, is ROADMAP item 3.
+    # a real tau needs, is the ROADMAP item "A real tau end to end".
     floor = -max(depth, xorder + l_max + 2)
     baker = TauBaker(what, a_values, floor, q)
     dilated_e = what.map_entries(baker.dilate_x) * e_delta(a_values, q, what.proto)

@@ -1,6 +1,7 @@
 """Configuration, reporting, and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,13 @@ def test_demo_config_parses():
     assert cfg.n == 2
     assert str(cfg.q) == "2"
     assert cfg.required_resolvent_depth() >= cfg.n_z + 1
+
+
+def test_builtin_demo_config_matches_the_demo_file():
+    # `qakns demo` reads the built-in copy; the demo golden and the
+    # benchmark's demo workload read configs/demo.json
+    path = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    assert parse_config(DEMO_CONFIG) == load_config(str(path))
 
 
 def test_round_trip_and_hash_stability(tmp_path):

@@ -15,7 +15,6 @@ from qakns.qop import (
     pairing_lhs,
     pairing_oracle,
     pairing_rhs,
-    symbol_compose,
 )
 from qakns.series import XSeries
 from qakns.zseries import MZSeries
@@ -129,38 +128,27 @@ def test_mismatched_operands_are_rejected(route, case, field):
         route(p_op, q_op, a_vals)
 
 
-def _symbol_ops(rng, n, q, powers):
-    return {p: m.terms[0] for p, m in
-            rnd_band_op(rng, n, q, powers=powers).coeffs.items()}
+def _valids(m):
+    return [[e.valid for e in row] for row in m.rows]
 
 
 @pytest.mark.parametrize("q", QS)
-def test_symbol_compose_at_one_power_is_that_power_of_the_whole(q):
-    rng = random.Random(int(q * 100))
-    chains = [
-        (_symbol_ops(rng, 2, q, (-2, 0, 1)), _symbol_ops(rng, 2, q, (-1, 2))),
-        (_symbol_ops(rng, 2, q, (-2, -1, 1)), _symbol_ops(rng, 2, q, (0,)),
-         _symbol_ops(rng, 2, q, (-3, 0, 2))),
-        # an inexact coefficient: `valid` must follow it
-        ({1: MatSeries([[XSeries.one(N).with_valid(5)]])},
-         _symbol_ops(rng, 1, q, (-2, 0))),
-    ]
-    for ops in chains:
-        whole = symbol_compose(q, *ops)
-        for d in range(-8, 8):
-            got = symbol_compose(q, *ops, at=d)
-            if d in whole:
-                assert got == {d: whole[d]}
-                assert ([[e.valid for e in r] for r in got[d].rows]
-                        == [[e.valid for e in r] for r in whole[d].rows])
-            else:  # no pair reaches d
-                assert got == {}
-    # a degree no pair reaches, and an empty operand
-    ops = (_symbol_ops(rng, 2, q, (0, 1)), _symbol_ops(rng, 2, q, (1,)))
-    assert symbol_compose(q, *ops, at=0) == {}
-    assert 0 not in symbol_compose(q, *ops)
-    assert symbol_compose(q, ops[0], {}, ops[1]) == {}
-    assert symbol_compose(q, ops[0], {}, ops[1], at=1) == {}
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rhs_equals_lhs_entry_by_entry(n, q):
+    rng = random.Random(n * 100 + int(q * 10))
+    a_vals = [F(1), F(-1), F(2)][:n]
+    pairs = [(rnd_band_op(rng, n, q), rnd_band_op(rng, n, q)) for _ in range(4)]
+    # an inexact coefficient of Q: `valid` must follow it on both routes
+    coeffs = dict(pairs[-1][1].coeffs)
+    inexact = XSeries.one(N).with_valid(5)
+    coeffs[0] = MZSeries.from_term(n, 0, MatSeries.diag([inexact] * n, inexact))
+    pairs[-1] = (pairs[-1][0], QDOp(n, coeffs, q))
+    for p_op, q_op in pairs:
+        lhs = pairing_lhs(p_op, q_op, a_vals)
+        rhs = pairing_rhs(p_op, q_op, a_vals)
+        assert rhs == lhs
+        assert _valids(rhs) == _valids(lhs)
+    assert min(map(min, _valids(rhs))) == 5
 
 
 def test_rhs_multiplies_only_the_pairs_that_reach_the_residue(monkeypatch):
@@ -180,8 +168,7 @@ def test_rhs_multiplies_only_the_pairs_that_reach_the_residue(monkeypatch):
     monkeypatch.undo()
     assert (got - pairing_lhs(p_op, q_op, [1, -1])).is_zero()
     # composing the whole chain P o A**-1 o Q took 30 block products on this
-    # pair (5 + 25); forming only the last-stage pairs that reach D**-1
-    # takes 5 + 4
+    # pair (5 + 25); forming only the pairs that reach D**-1 takes 4 + 4
     assert len(calls) <= 9
 
 

@@ -1,4 +1,4 @@
-"""Operator algebra: composition, application, adjoints, transforms."""
+"""Operator algebra: q-Leibniz composition and the q-commutator."""
 
 import math
 import random
@@ -80,78 +80,6 @@ def test_compose_associativity_random():
         lhs = a.compose(b, -6).compose(c, -6)
         rhs = a.compose(b.compose(c, -6), -6)
         assert (lhs - rhs).is_zero()
-
-
-def test_apply():
-    x2 = MZSeries.from_term(
-        2, 0, MatSeries([[XSeries.monomial(1, 2, N), XSeries.zero(N)],
-                         [XSeries.zero(N), XSeries.zero(N)]])
-    )
-    out = d_power(1).apply(x2)
-    expect = MZSeries.from_term(
-        2, 0, MatSeries([[XSeries.monomial(1 + Q, 1, N), XSeries.zero(N)],
-                         [XSeries.zero(N), XSeries.zero(N)]])
-    )
-    assert (out - expect).is_zero()
-    f = MZSeries.from_term(2, 0, MatSeries.from_scalars([[1, 2], [3, 4]], N))
-    assert (d_power(0).apply(f) - f).is_zero()
-    # the bare operator kills constants, leaving only the symbol part
-    a = MatSeries.diag_const([1, -1], ONE)
-    u0 = QDOp(2, {1: MZSeries.identity(2, ONE),
-                  0: MZSeries.from_term(2, 1, -a)}, Q)
-    const = MZSeries.from_term(2, 0, MatSeries.from_scalars([[2, 0], [0, 3]], N))
-    out = u0.apply(const)
-    expect = MZSeries.from_term(2, 1, -(a @ const.coeff(0)))
-    assert (out - expect).is_zero()
-
-
-def test_apply_rejects_negative_band():
-    f = MZSeries.identity(2, ONE)
-    with pytest.raises(BandError):
-        d_power(-1).apply(f)
-
-
-def test_adjoint_scalar_rule():
-    adj = d_power(1).adjoint()
-    assert adj.dparam == 1 / Q
-    assert set(adj.coeffs) == {1}
-    entry = adj.coeff(1).coeff(0)[0, 0]
-    assert entry.coeffs[0] == -1 / Q and entry.degree() == 0
-
-
-def test_adjoint_multiplication_transpose():
-    f = mult_op([[1, 2], [3, 4]])
-    adj = f.adjoint()
-    assert set(adj.coeffs) == {0}
-    expect = MatSeries.from_scalars([[1, 3], [2, 4]], N)
-    assert (adj.coeff(0).coeff(0) - expect).is_zero()
-    # involution returns the original
-    back = adj.adjoint()
-    assert (back - f).is_zero()
-
-
-def test_adjoint_contravariance_random():
-    rng = random.Random(7)
-    for _ in range(4):
-        p = rnd_op(rng, (-1, 2), deg=1)
-        r = rnd_op(rng, (0, 2), deg=1)
-        lhs = p.compose(r, -5).adjoint(-5)
-        rhs = r.adjoint(-5).compose(p.adjoint(-5), -5)
-        assert (lhs - rhs).is_zero()
-
-
-def test_shift_x_over_q():
-    x = XSeries.monomial(1, 1, N)
-    xd = QDOp(2, {1: MZSeries.from_term(
-        2, 0, MatSeries([[x, XSeries.zero(N)], [XSeries.zero(N), x]]))}, Q)
-    assert (xd.shift_x_over_q() - xd).is_zero()  # q * (x/q) * D == x D
-    ident = d_power(0)
-    assert (ident.shift_x_over_q() - ident).is_zero()
-    g = XSeries.poly([1, 1, 1], N)
-    gop = mult_op_series([[g, XSeries.zero(N)], [XSeries.zero(N), g]])
-    shifted = gop.shift_x_over_q()
-    expect_entry = dilate(g, 1 / Q)
-    assert (shifted.coeff(0).coeff(0)[0, 0] - expect_entry).is_zero()
 
 
 def test_q_commutator_examples():
