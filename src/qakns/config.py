@@ -15,6 +15,7 @@ from .hierarchy import LaxData
 from .matseries import MatSeries
 from .scalars import AdmissibilityError, check_q, frac, frac_str
 from .series import XSeries
+from .tau import EXPQO_Z_DEPTH
 
 
 class ConfigError(ValueError):
@@ -291,17 +292,21 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
         n_x, n_z, n_band, n_t = (
             _count(tr.get(key, default), f"truncations.{key}", least=least)
             for key, default, least in (
-                ("x", 8, 4), ("z", 6, 0), ("band", 4, 0), ("t", 4, 3)
+                ("x", 8, EXPQO_Z_DEPTH), ("z", 6, 0), ("band", 4, 0),
+                ("t", 4, 3),
             )
         )
         u = _parse_u(_required(data, "u", "u"), n, n_x, "u")
         bilinear_u = None
         if data.get("bilinear_u") is not None:
             bilinear_u = _parse_u(data["bilinear_u"], n, n_x, "bilinear_u")
-        flows = tuple(
-            _parse_flow(p, n, "flows")
-            for p in _list(data.get("flows", [[1, 1]]), "flows")
-        )
+        raw_flows = _list(data.get("flows", [[1, 1]]), "flows")
+        flows = tuple(_parse_flow(p, n, "flows") for p in raw_flows)
+        # an empty list would let the flow checks pass on nothing
+        if not flows:
+            raise ConfigError("flows must name at least one flow")
+        if len(set(flows)) != len(flows):
+            raise ConfigError(f"flows must be distinct, got {raw_flows!r}")
         tau = None
         if data.get("tau") is not None:
             traw = _known(_object(data["tau"], "tau"),

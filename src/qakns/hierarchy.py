@@ -268,16 +268,19 @@ def solve_dressing(lax: LaxData, depth: int) -> Dressing:
     return Dressing(ws, lax)
 
 
-def _idempotent_repair(alpha, unit, rho, prior, context) -> MatSeries:
-    """Lift the free diagonal constants so the partial sums stay idempotent."""
-    n = unit.n
-    mid = None
-    for a in range(1, len(prior)):
-        term = prior[a] @ prior[len(prior) - a]
-        mid = term if mid is None else mid + term
-    K = (unit @ rho) + (rho @ unit) - rho
-    if mid is not None:
-        K = K + mid
+def _idempotent_repair(alpha, lift, rho, prior, context) -> MatSeries:
+    """Lift the free diagonal constants so the partial sums stay idempotent.
+
+    The defect at order m = len(prior) is K = sum_(a=0..m) R_a R_(m-a) - rho
+    with R_0 = E the channel projector and R_m = rho; `lift` is E - I, which
+    carries the -rho, so K is one `MatSeries.dot` over m + 1 block pairs.
+    """
+    n = rho.n
+    m = len(prior)
+    K = MatSeries.dot(
+        [(lift, rho), (rho, prior[0])]
+        + [(prior[a], prior[m - a]) for a in range(1, m)]
+    )
     consts = []
     for i in range(n):
         kii = K[i, i]
@@ -309,16 +312,18 @@ def solve_resolvent_direct(
     """
     if normalization not in ("orthogonal", "zero"):
         raise ValueError("normalization must be 'orthogonal' or 'zero'")
-    u, dilate = lax.u, lax.calc.dilate
+    u, neg_u, dilate = lax.u, -lax.u, lax.calc.dilate
     context = f"resolvent channel {alpha+1}"
     unit = lax.unit(alpha)
+    lift = unit - MatSeries.identity(lax.n, lax.proto())
     orders = [unit]
     for _ in range(depth):
         rho = _next_order(
-            lax, orders[-1], lambda r: (r.map(dilate) @ u) - (u @ r), context
+            lax, orders[-1],
+            lambda r: MatSeries.dot(((r.map(dilate), u), (neg_u, r))), context
         )
         if normalization == "orthogonal":
-            rho = _idempotent_repair(alpha, unit, rho, orders, context)
+            rho = _idempotent_repair(alpha, lift, rho, orders, context)
         orders.append(rho)
     exact = normalization == "zero" and depth > 0 and orders[-1].is_zero_exact()
     return Resolvent(alpha, orders, lax, exact)

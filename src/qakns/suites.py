@@ -546,9 +546,10 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
 
 def check_expqo(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    residuals = tau_mod.verify_expqo(list(cfg.a), cfg.q, ctx.tau_ctx, 4)
-    return _result("tau.expqo", {"z_depth": 4}, nonzero(residuals),
-                   {"z": 4, "x": cfg.n_x})
+    residuals = tau_mod.verify_expqo(list(cfg.a), cfg.q, ctx.tau_ctx)
+    z_depth = tau_mod.EXPQO_Z_DEPTH
+    return _result("tau.expqo", {"z_depth": z_depth}, nonzero(residuals),
+                   {"z": z_depth, "x": cfg.n_x})
 
 
 def _tau_spec_from_config(ctx: SuiteContext) -> tau_mod.TauSpec:
@@ -572,7 +573,7 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
     try:
         residuals = tau_mod.verify_tau_theorem(
             spec, list(cfg.a), cfg.q, min(cfg.l_max, 3), lambdas, depth,
-            ctx.tau_ctx, 4,
+            ctx.tau_ctx,
         )
     except tau_mod.TauCheckError as exc:
         return _result("tau.theorem", {"rejected": True}, [str(exc)], {})
@@ -592,7 +593,7 @@ def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
     lambdas = [(), (tctx.vars[0],)]
     try:
         tau_mod.verify_tau_theorem(
-            bad, list(cfg.a), cfg.q, 2, lambdas, 4, tctx, 3
+            bad, list(cfg.a), cfg.q, 2, lambdas, 4, tctx
         )
     except tau_mod.TauCheckError:
         return _result("tau.gatekeeping", {})

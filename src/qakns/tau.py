@@ -280,13 +280,18 @@ def e_delta(a_values, q, proto: TimePoly) -> MZSeries:
 # -- named checks ---------------------------------------------------------------
 
 
-def verify_expqo(a_values, q, ctx: TimeContext, z_depth: int):
+# the one z-depth of the exponential-shift identity
+EXPQO_Z_DEPTH = 4
+
+
+def verify_expqo(a_values, q, ctx: TimeContext):
     """exp_q(zAx) exp(sum z**k E t) == exp(sum z**k E t'), channel by channel.
 
     Returns (channel, residual) pairs, channels 1-based as reports number
     them; each residual is the 1 x 1 z-series of the difference through
-    z**z_depth, at every x-degree.
+    z**EXPQO_Z_DEPTH, at every x-degree.
     """
+    z_depth = EXPQO_Z_DEPTH
     if z_depth > ctx.xorder:
         raise ValueError("z depth beyond the x truncation makes the check vacuous")
     q = frac(q)
@@ -486,7 +491,6 @@ def verify_tau_theorem(
     lambdas,
     depth: int,
     ctx: TimeContext,
-    z_depth_expqo: int = 4,
 ):
     """Full shift-theorem verification for one tau family.
 
@@ -509,7 +513,7 @@ def verify_tau_theorem(
         )
     stages = (
         ("substitution", substitution_commutes(spec, a_values, q, depth)),
-        ("expqo", verify_expqo(a_values, q, ctx, z_depth_expqo)),
+        ("expqo", verify_expqo(a_values, q, ctx)),
         ("q_bilinear", bilinear_on_tau(spec, a_values, q, l_max, lambdas, depth)),
         ("taylor", taylor_agreement(spec, a_values, q, l_max, lambdas, depth)),
     )

@@ -232,22 +232,23 @@ class TimePoly:
 
         Requires an exact polynomial: the substitution feeds every degree
         downward, so a discarded tail would contaminate all monomials.
+        The pairs (C(e_i, j) c, s**j) are grouped by target monomial, and
+        each monomial is one `XSeries.dot`, as in `TimePoly.dot`.
         """
         if self.tvalid <= self.tmax:
             raise ValueError("cannot shift a truncated time polynomial")
         i = self.vars.index(v)
-        out: dict[tuple, XSeries] = {}
         powers = [XSeries.one(self.xorder)]
         top = max((e[i] for e in self.terms), default=0)
         for _ in range(top):
             powers.append(powers[-1] * s)
+        groups: dict[tuple, list] = {}
         for e, c in self.terms.items():
             for j in range(e[i] + 1):
                 e2 = tuple(x - j if idx == i else x for idx, x in enumerate(e))
-                add = c.scale(comb(e[i], j)) * powers[j]
-                cur = out.get(e2)
-                out[e2] = add if cur is None else cur + add
-        return self._like(out, self.tmax + 1)
+                groups.setdefault(e2, []).append((c.scale(comb(e[i], j)), powers[j]))
+        dot = XSeries.dot
+        return self._like({e: dot(g) for e, g in groups.items()}, self.tmax + 1)
 
     def invert(self) -> "TimePoly":
         """Inverse in the t-truncated ring; the constant term must invert."""

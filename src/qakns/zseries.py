@@ -11,9 +11,9 @@ Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
 `product_floor` is that rule; operator composition (`QDOp.pvalid`) uses
-it unchanged on operator powers, and `product` and `product_coeff`, which
-compute a window or one degree of a product, inherit it from the whole
-product.
+it unchanged on operator powers, and `product`, which computes a window
+of a product, inherits it from the whole product; `product_coeff` is its
+one-degree window.
 `derive_through` is the one q-Leibniz reduction that the residue and
 zero-curvature checks rest on.
 """
@@ -49,12 +49,6 @@ def derive_through(f: MZSeries, g: MZSeries, derive, dilate,
     near = {d: m for d, m in f.terms.items() if lo <= d <= hi}
     df = MZSeries(f.n, near, f.zvalid, f.proto).map_entries(derive)
     return df + f.map_entries(dilate).product(g, lo, hi)
-
-
-def _degree_sum(a: dict, b: dict, d: int):
-    """Sum of a[da] @ b[d - da], one `MatSeries.dot`; None if no pair."""
-    blocks = [(ma, mb) for da, ma in a.items() if (mb := b.get(d - da)) is not None]
-    return MatSeries.dot(blocks) if blocks else None
 
 
 class InsufficientDepthError(ValueError):
@@ -188,7 +182,7 @@ class MZSeries:
     def product(self, other: "MZSeries", lo=NEG_INF, hi=math.inf) -> "MZSeries":
         """The degrees lo..hi of self * other, unknown below the product floor.
 
-        Each degree d sums the block products over the pairs da + db = d.
+        Each degree d is one `MatSeries.dot` over the block pairs da + db = d.
         A caller that reads only some degrees passes their window; the
         floor is the whole product's, whatever the window.
         """
@@ -200,27 +194,18 @@ class MZSeries:
         if a and b:
             for d in range(max(lo, zv, min(a) + min(b)),
                            min(hi, max(a) + max(b)) + 1):
-                acc = _degree_sum(a, b, d)
-                if acc is not None:
-                    out[d] = acc
+                blocks = [(ma, mb) for da, ma in a.items()
+                          if (mb := b.get(d - da)) is not None]
+                if blocks:
+                    out[d] = MatSeries.dot(blocks)
         return MZSeries(self.n, out, zv, self.proto or other.proto)
 
     def __mul__(self, other: "MZSeries") -> "MZSeries":
         return self.product(other)
 
     def product_coeff(self, other: "MZSeries", d: int) -> MatSeries:
-        """(self * other).coeff(d), summing only the pairs that reach z**d.
-
-        A degree below the whole product's floor is not determined.
-        """
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        if d < product_floor(self.zvalid, self.top(), other.zvalid, other.top()):
-            raise InsufficientDepthError(f"z**{d} coefficient not determined")
-        acc = _degree_sum(self.terms, other.terms, d)
-        if acc is not None and not acc.is_zero_exact():
-            return acc
-        return (self if self.proto is not None else other)._zero_mat()
+        """(self * other).coeff(d): `product`'s one-degree window."""
+        return self.product(other, d, d).coeff(d)
 
     def scale(self, c) -> "MZSeries":
         return MZSeries(

@@ -4,12 +4,13 @@ Every assertion is coefficient-exact on rationals at desk scale
 (n = 2 and 3, x-order 8, z-depth 6, q in {2, 1/2, 3/5}). Each criterion
 prints a single PASS/FAIL line; run with `pytest -s` to see them all.
 
-Criterion 3 contains one subcheck that is honestly red: the first flows
-of the x-dependent potential [[0, x], [1, 0]] have the diagonal -x/6 (at
-q = 2; analogous values at the other q), for every admissible resolvent
-normalization. The flow's zero-diagonal property holds classically and
-for x-constant potentials but is not a theorem of the deformed bracket;
-see the decisions ledger for the derivation.
+Criterion 3 contains 6 subchecks that are honestly red: the first flows
+(1, 1) and (1, 2) of the x-dependent potential [[0, x], [1, 0]], at each
+q, have the diagonal entry -x/6 and x/6 (at q = 2; analogous values at
+the other q), for every admissible resolvent normalization. The flow's
+zero-diagonal property holds classically and for x-constant potentials
+but is not a theorem of the deformed bracket; see the decisions ledger
+for the derivation.
 """
 
 from fractions import Fraction as F
@@ -276,12 +277,12 @@ def test_criterion_5_tau():
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 6, NX)
     for q in QS:
         # the exponential-shift identity through z^4, all x-degrees
-        for channel, witness in nonzero(verify_expqo([1, -1], q, ctx, 4)):
+        for channel, witness in nonzero(verify_expqo([1, -1], q, ctx)):
             failures.append(f"expqo q={q} channel={channel}: {witness}")
     # vacuum passes the classical precheck and the q-stage at q = 2
     lams = lambda_pool([(1, 0), (1, 1)], 2)
     out = verify_tau_theorem(vacuum_spec(ctx, 2), [1, -1], F(2), 4, lams, 8,
-                             ctx, 4)
+                             ctx)
     stages = {"q_bilinear": "vacuum q-bilinear",
               "taylor": "vacuum taylor agreement",
               "substitution": "vacuum substitution commutation"}

@@ -450,6 +450,9 @@ def _set(data, path, value):
          "tau.companions['1,2'][0].coeff must be an exact rational"),
         (["tau", "companions"], {"1,2": {"exponents": [0, 0, 0]}},
          "tau.companions['1,2'] must be a list"),
+        (["flows"], [], "flows must name at least one flow"),
+        (["flows"], [[1, 1], [1, 2], [1, 1]],
+         "flows must be distinct, got [[1, 1], [1, 2], [1, 1]]"),
     ],
 )
 def test_malformed_fields_are_named(tmp_path, capsys, path, value, message):

@@ -160,6 +160,30 @@ def test_resolvent_zero_normalized_differs():
     assert r.orders[3].is_zero()
 
 
+def test_resolvent_solve_sums_products_in_one_kernel_call(monkeypatch):
+    # the README example: each step sigma(r) U - U r and each idempotent
+    # lift is one MatSeries.dot, so every entry of each sum is reduced once
+    lax = lax_const()
+    calls = {"dot": 0, "from_ints": 0}
+    real_dot, real_from_ints = MatSeries.dot, XSeries.from_ints
+
+    def dot(blocks):
+        calls["dot"] += 1
+        return real_dot(blocks)
+
+    def from_ints(*args):
+        calls["from_ints"] += 1
+        return real_from_ints(*args)
+
+    monkeypatch.setattr(MatSeries, "dot", staticmethod(dot))
+    monkeypatch.setattr(XSeries, "from_ints", staticmethod(from_ints))
+    r = solve_resolvent_direct(lax, 0, 6)
+    assert calls["dot"] <= 12
+    assert calls["from_ints"] <= 148
+    monkeypatch.undo()
+    assert verify_resolvent(lax, r).is_zero()
+
+
 def test_vacuum_resolvent_is_projector():
     r = solve_resolvent_direct(lax_vacuum(), 0, 4)
     for rj in r.orders[1:]:

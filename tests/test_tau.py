@@ -12,6 +12,7 @@ from qakns.series import XSeries
 from qakns.timepoly import TimePoly
 from qakns.zseries import NEG_INF, MZSeries
 from qakns.tau import (
+    EXPQO_Z_DEPTH,
     TauCheckError,
     TauSpec,
     TimeContext,
@@ -55,6 +56,33 @@ def test_q_shift_times_examples():
     assert (shifted2 - expect2).is_zero()
     one = ctx.constant(1)
     assert (q_shift_times(one, [1, -1], F(2)) - one).is_zero()
+
+
+def test_q_shift_times_sums_each_monomial_once(monkeypatch):
+    # one XSeries.dot per target monomial of each shift_var, not one
+    # reduction per product and partial sum
+    ctx = TimeContext(((1, 0), (1, 1), (2, 0)), 4, 8)
+    tau = ctx.from_monomials([
+        ((0, 0, 0), 1), ((3, 0, 0), 1), ((1, 1, 1), 1), ((0, 0, 2), 1),
+    ])
+    calls = []
+    real = XSeries.from_ints
+
+    def from_ints(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(XSeries, "from_ints", staticmethod(from_ints))
+    shifted = q_shift_times(tau, [1, -1], F(2))
+    assert len(calls) <= 68
+    monkeypatch.undo()
+    # t_(1 1) -> t_(1 1) + x, t_(1 2) -> t_(1 2) - x, t_(2 1) -> t_(2 1) - x**2/6
+    x = XSeries.monomial(1, 1, 8)
+    t11, t12, t21 = (ctx.variable(v) + ctx.constant(s) for v, s in (
+        ((1, 0), x), ((1, 1), -x), ((2, 0), XSeries.monomial(F(-1, 6), 2, 8))
+    ))
+    expect = ctx.constant(1) + t11 * t11 * t11 + t11 * t12 * t21 + t21 * t21
+    assert shifted == expect
 
 
 def test_miwa_examples():
@@ -107,8 +135,16 @@ def test_baker_rejects_zero_constant():
 
 @pytest.mark.parametrize("q", QS)
 def test_expqo_exact(q):
-    results = verify_expqo([1, -1], q, ctx2(), 4)
+    results = verify_expqo([1, -1], q, ctx2())
     assert not any(nonzero(results))
+
+
+def test_expqo_rejects_an_x_order_below_its_z_depth():
+    # through z**4 the shift amounts reach x**4; a shorter carrier would
+    # compare truncated zeros
+    ctx = TimeContext(((1, 0), (1, 1)), 4, EXPQO_Z_DEPTH - 1)
+    with pytest.raises(ValueError, match="beyond the x truncation"):
+        verify_expqo([1, -1], F(2), ctx)
 
 
 def test_expqo_z1_exponent():
@@ -127,7 +163,7 @@ def test_vacuum_passes_everything(q):
     ctx = ctx2()
     vac = vacuum_spec(ctx, 2)
     lams = lambda_pool([(1, 0), (1, 1)], 2)
-    out = verify_tau_theorem(vac, [1, -1], q, 3, lams, 6, ctx, 4)
+    out = verify_tau_theorem(vac, [1, -1], q, 3, lams, 6, ctx)
     stages = {stage for (stage, _), _ in out}
     assert stages == {"substitution", "expqo", "q_bilinear", "taylor"}
     assert not any(nonzero(out))
@@ -139,7 +175,7 @@ def test_classical_precheck_rejects_non_solution():
     records = bilinear_on_tau(bad, [1, -1], None, 2, [((1, 0),)], 5)
     assert any(nonzero(records))
     with pytest.raises(TauCheckError):
-        verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)], 5, ctx, 3)
+        verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)], 5, ctx)
 
 
 def test_substitutions_commute_generally():
@@ -792,7 +828,7 @@ def test_expqo_fails_on_a_broken_shift_weight(monkeypatch):
         lambda k, q: real(k, q) + (1 if k == 2 else 0),
     )
     # channel 2 has a = 0, so its shift amounts vanish whatever the weight
-    results = verify_expqo([1, 0], F(2), ctx2(), 4)
+    results = verify_expqo([1, 0], F(2), ctx2())
     assert [channel for channel, _ in results] == [1, 2]
     # z**2 at the one entry of the 1 x 1 residual: the right side gains the
     # extra weight times (a x)**2

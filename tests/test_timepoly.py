@@ -1,6 +1,7 @@
 """Time polynomials: ring structure, calculus, substitutions, inversion."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -73,13 +74,38 @@ def test_exact_zero_times_a_truncated_polynomial_is_exact():
     assert (capped * inv).tvalid == 2 and (capped * t).tvalid == 2
 
 
+def ref_shift_var(p, v, s):
+    """t_v -> t_v + s by one product per (monomial, power), folded with +."""
+    i = p.vars.index(v)
+    out = {}
+    powers = [XSeries.one(p.xorder)]
+    for _ in range(max((e[i] for e in p.terms), default=0)):
+        powers.append(powers[-1] * s)
+    for e, c in p.terms.items():
+        for j in range(e[i] + 1):
+            e2 = tuple(x - j if idx == i else x for idx, x in enumerate(e))
+            add = c.scale(comb(e[i], j)) * powers[j]
+            out[e2] = add if e2 not in out else out[e2] + add
+    return TimePoly(p.vars, out, p.tmax, p.xorder)
+
+
 def test_shift_var_binomial():
     t = var((1, 0))
-    x = XSeries.monomial(1, 1, N)
-    p = t * t
-    shifted = p.shift_var((1, 0), x)
-    expect = t * t + const(2).scale_series(x) * t + const(1).scale_series(x * x)
-    assert (shifted - expect).is_zero()
+    u = var((1, 1))
+    c = XSeries([F(1, 3), 0, F(-1, 4), 0, 0, 0, 0], valid=4)
+    # several monomials shift onto each target monomial
+    many = t * t * t + (t * t * u).scale(F(3, 2)) + t * u + const(c) * t + const(2)
+    for s in (
+        XSeries.monomial(1, 1, N),
+        # inexact: the shift's validity reaches every shifted monomial
+        XSeries([F(1, 2), F(-2, 3), 0, F(5, 7), 1, 0, 0], valid=3),
+    ):
+        p = t * t
+        shifted = p.shift_var((1, 0), s)
+        expect = t * t + const(2).scale_series(s) * t + const(1).scale_series(s * s)
+        assert (shifted - expect).is_zero()
+        assert shifted == ref_shift_var(p, (1, 0), s)
+        assert many.shift_var((1, 0), s) == ref_shift_var(many, (1, 0), s)
 
 
 def test_shift_requires_exact_polynomial():
