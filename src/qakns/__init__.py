@@ -19,9 +19,9 @@ from .calculus import (
 from .hierarchy import (
     DiagonalConsistencyError,
     Dressing,
+    FlowTable,
     HierarchySession,
     LaxData,
-    Resolvent,
     ResonanceError,
     b_split,
     resolvent_from_dressing,
@@ -57,8 +57,8 @@ from .zseries import MZSeries
 __all__ = [
     "QCalc", "dilate", "exp_q_series", "exp_series",
     "q_antiderive", "q_derive",
-    "DiagonalConsistencyError", "Dressing", "HierarchySession", "LaxData",
-    "Resolvent", "ResonanceError", "b_split", "resolvent_from_dressing",
+    "DiagonalConsistencyError", "Dressing", "FlowTable", "HierarchySession",
+    "LaxData", "ResonanceError", "b_split", "resolvent_from_dressing",
     "solve_dressing", "solve_resolvent_direct", "u_flow", "verify_resolvent",
     "verify_zero_curvature",
     "MatSeries", "QDOp", "pairing_lhs", "pairing_oracle", "pairing_rhs",

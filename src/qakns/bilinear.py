@@ -47,7 +47,7 @@ def x_derivative_factor(dressing: Dressing) -> MZSeries:
     """
     lax = dressing.lax
     return x_factor_of(
-        dressing.mz(), dressing.inverse(), lax.a, lax.calc.derive, lax.calc.dilate
+        dressing.w, dressing.inverse(), lax.a, lax.calc.derive, lax.calc.dilate
     )
 
 
@@ -136,7 +136,7 @@ def reconstruct_from_bilinear(dressing: Dressing):
 
 
 def inject_corruption(dressing: Dressing, value="1") -> Dressing:
-    """Add a constant to the last diagonal entry of w_1.
+    """Add a constant to the last diagonal entry of w_1, as a z**-1 term.
 
     Breaks the factorization unless the bump happens to be absorbed by the
     constant-diagonal gauge freedom (right multiplication by I + c E z**-1),
@@ -146,9 +146,6 @@ def inject_corruption(dressing: Dressing, value="1") -> Dressing:
     if dressing.depth < 1:
         raise ValueError("need at least depth 1 to corrupt")
     lax = dressing.lax
-    bump = MatSeries.diag_const(
-        [0] * (lax.n - 1) + [frac(value)], lax.proto()
-    )
-    orders = list(dressing.orders)
-    orders[1] = orders[1] + bump
-    return Dressing(orders, lax)
+    bump = MatSeries.diag_const([0] * (lax.n - 1) + [frac(value)], lax.proto())
+    w = dressing.w + MZSeries.from_term(lax.n, -1, bump)
+    return Dressing(w, dressing.depth, lax)

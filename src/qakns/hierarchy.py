@@ -1,9 +1,15 @@
 """Lax structure, dressing and resolvent solvers, flows, and their checks.
 
+A channel resolvent R_a = E_a + R(1) z**-1 + ... is an `MZSeries`: exact
+when its series terminates, otherwise unknown below z**-depth. A
+`Dressing` holds its series w with its depth. Consumers read orders as
+`coeff(-j)`.
+
 The one flow rule, d_(k a) R_b = [B_(k a), R_b] with B = (z**k R)_+, is
 `FlowTable`: it memoizes the flow derivatives of the resolvents, of the
-generators B and of the Baker flow factors, and both the zero-curvature
-check and the bilinear residues read them from it.
+generators B and of the Baker flow factors. The bilinear residues read
+them from it, and so does the zero-curvature check, which reads every
+flow pair from one table over the channel family.
 
 All solvers run against a `QCalc`; at q = 1 it is the classical structure,
 so the classical hierarchy is the same code path. Both order-by-order
@@ -105,72 +111,39 @@ class LaxData:
 
 
 class Dressing:
-    """I + w_1 z**-1 + ... + w_K z**-K with the factorization property.
+    """w = I + w_1 z**-1 + ... + w_K z**-K with the factorization property.
 
-    The dressing owns the Baker data every consumer reads: its inverse
-    w**-1 (determined down to z**-K) and the channel family w E_a w**-1.
-    Both are computed once, on first use; a modified dressing is a new
-    object and never sees them.
+    The constructor sets w's validity from K = depth: exact when w_K
+    vanishes exactly (a vanishing order propagates, so the series is
+    finite), otherwise unknown below z**-K. The dressing owns the Baker
+    data every consumer reads: its inverse w**-1 (determined down to
+    z**-K) and the channel family w E_a w**-1. Both are computed once, on
+    first use; a modified dressing is a new object and never sees them.
     """
 
-    __slots__ = ("orders", "lax", "_inverse", "_resolvents")
+    __slots__ = ("w", "depth", "lax", "_inverse", "_resolvents")
 
-    def __init__(self, orders, lax: LaxData):
-        self.orders = list(orders)
+    def __init__(self, w: MZSeries, depth: int, lax: LaxData):
+        finite = depth > 0 and w.coeff(-depth).is_zero_exact()
+        self.w = MZSeries(lax.n, w.terms, NEG_INF if finite else -depth, w.proto)
+        self.depth = depth
         self.lax = lax
         self._inverse = None
         self._resolvents = None
 
-    @property
-    def depth(self) -> int:
-        return len(self.orders) - 1
-
-    @property
-    def terminated(self) -> bool:
-        """An exactly vanishing order propagates: the series is finite."""
-        return self.depth > 0 and self.orders[-1].is_zero_exact()
-
-    def mz(self) -> MZSeries:
-        zv = NEG_INF if self.terminated else -self.depth
-        return MZSeries(
-            self.lax.n, {-k: m for k, m in enumerate(self.orders)}, zvalid=zv
-        )
-
     def inverse(self) -> MZSeries:
         """w**-1 down to z**-depth."""
         if self._inverse is None:
-            self._inverse = self.mz().invert(-self.depth)
+            self._inverse = self.w.invert(-self.depth)
         return self._inverse
 
-    def resolvents(self) -> list[Resolvent]:
+    def resolvents(self) -> list[MZSeries]:
         """The conjugated channel family, one resolvent per channel."""
         if self._resolvents is None:
             self._resolvents = [
                 resolvent_from_dressing(self, a) for a in range(self.lax.n)
             ]
         return self._resolvents
-
-
-class Resolvent:
-    """Channel resolvent: E_alpha + R(1) z**-1 + ... + R(J) z**-J."""
-
-    __slots__ = ("alpha", "orders", "lax", "exact")
-
-    def __init__(self, alpha: int, orders, lax: LaxData, exact: bool = False):
-        self.alpha = alpha
-        self.orders = list(orders)
-        self.lax = lax
-        self.exact = exact
-
-    @property
-    def depth(self) -> int:
-        return len(self.orders) - 1
-
-    def mz(self) -> MZSeries:
-        zv = NEG_INF if self.exact else -self.depth
-        return MZSeries(
-            self.lax.n, {-j: m for j, m in enumerate(self.orders)}, zvalid=zv
-        )
 
 
 @lru_cache(maxsize=256)
@@ -265,7 +238,7 @@ def solve_dressing(lax: LaxData, depth: int) -> Dressing:
     ws = [MatSeries.identity(lax.n, lax.proto())]
     for _ in range(depth):
         ws.append(_next_order(lax, ws[-1], lambda w: -(lax.u @ w), "dressing"))
-    return Dressing(ws, lax)
+    return Dressing(MZSeries(lax.n, {-k: m for k, m in enumerate(ws)}), depth, lax)
 
 
 def _idempotent_repair(alpha, lift, rho, prior, context) -> MatSeries:
@@ -302,8 +275,11 @@ def _idempotent_repair(alpha, lift, rho, prior, context) -> MatSeries:
 
 def solve_resolvent_direct(
     lax: LaxData, alpha: int, depth: int, normalization: str = "orthogonal"
-) -> Resolvent:
+) -> MZSeries:
     """Order-by-order solve of the commutation identity for channel alpha.
+
+    The series is unknown below z**-depth, except that a zero-normalized
+    solve whose last order vanishes exactly has terminated and is exact.
 
     normalization:
       "orthogonal" -- free diagonal constants lifted so the channel family
@@ -326,30 +302,25 @@ def solve_resolvent_direct(
             rho = _idempotent_repair(alpha, lift, rho, orders, context)
         orders.append(rho)
     exact = normalization == "zero" and depth > 0 and orders[-1].is_zero_exact()
-    return Resolvent(alpha, orders, lax, exact)
+    return MZSeries(
+        lax.n, {-j: m for j, m in enumerate(orders)}, NEG_INF if exact else -depth
+    )
 
 
-def resolvent_from_dressing(dressing: Dressing, alpha: int) -> Resolvent:
-    """Conjugate the channel projector by the dressing series."""
+def resolvent_from_dressing(dressing: Dressing, alpha: int) -> MZSeries:
+    """w E_alpha w**-1: the channel projector conjugated by the dressing.
+
+    Exact when w and its inverse are; otherwise unknown below z**-depth at
+    the lowest, since w**-1 is cut there and both factors have top degree 0.
+    """
     lax = dressing.lax
-    depth = dressing.depth
     unit = MZSeries.from_term(lax.n, 0, lax.unit(alpha))
-    conj = dressing.mz() * unit * dressing.inverse()
-    if conj.is_exact:
-        span = -min(conj.bottom(), -depth) if conj.terms else depth
-        orders = [conj.coeff(-j) for j in range(span + 1)]
-        return Resolvent(alpha, orders, lax, exact=True)
-    orders = []
-    for j in range(depth + 1):
-        if -j < conj.zvalid:
-            break
-        orders.append(conj.coeff(-j))
-    return Resolvent(alpha, orders, lax)
+    return dressing.w * unit * dressing.inverse()
 
 
-def b_split(r: Resolvent, k: int) -> tuple[MZSeries, MZSeries]:
+def b_split(r: MZSeries, k: int) -> tuple[MZSeries, MZSeries]:
     """(z**k R)_+ and (z**k R)_- for the flow generators."""
-    shifted = r.mz().shift(k)
+    shifted = r.shift(k)
     return shifted.project("plus"), shifted.project("minus")
 
 
@@ -364,14 +335,12 @@ def commutation_residual(lax: LaxData, r: MZSeries) -> MZSeries:
     return derive_through(r, -m, lax.calc.derive, lax.calc.dilate) + (m * r)
 
 
-def verify_resolvent(lax: LaxData, r) -> MZSeries:
-    """The commutation residual of a resolvent (or its z-series); zero for
-    resolvents of `lax`."""
-    mz = r.mz() if isinstance(r, Resolvent) else r
-    return commutation_residual(lax, mz)
+def verify_resolvent(lax: LaxData, r: MZSeries) -> MZSeries:
+    """The commutation residual of a resolvent; zero for resolvents of `lax`."""
+    return commutation_residual(lax, r)
 
 
-def u_flow(lax: LaxData, r: Resolvent, k: int) -> MatSeries:
+def u_flow(lax: LaxData, r: MZSeries, k: int) -> MatSeries:
     """The potential's flow: the multiplication part of [B, L]_q.
 
     The derivation-band part cancels identically; the result must be
@@ -426,7 +395,7 @@ class FlowTable:
       f_(lam,g) = d_g f_lam + f_lam B_g, expanded by Leibniz.
     """
 
-    def __init__(self, family: list[Resolvent]):
+    def __init__(self, family: list[MZSeries]):
         self.family = family
         self._r: dict = {}
         self._b: dict = {}
@@ -436,7 +405,7 @@ class FlowTable:
         got = self._r.get((beta, mu))
         if got is None:
             if not mu:
-                got = self.family[beta].mz()
+                got = self.family[beta]
             else:
                 g = mu[0]
                 got = _leibniz(mu[1:], lambda nu, rest: _bracket(
@@ -455,8 +424,8 @@ class FlowTable:
         got = self._f.get((lam, mu))
         if got is None:
             if not lam:
-                lax = self.family[0].lax
-                got = (MZSeries.zero if mu else MZSeries.identity)(lax.n, lax.proto())
+                r0 = self.family[0]
+                got = (MZSeries.zero if mu else MZSeries.identity)(r0.n, r0.proto)
             elif len(lam) == 1:
                 got = self.b(lam[0], mu)
             else:
@@ -469,35 +438,25 @@ class FlowTable:
 
 
 def verify_zero_curvature(
-    lax: LaxData,
-    flow1: tuple[int, Resolvent],
-    flow2: tuple[int, Resolvent],
+    table: FlowTable, g1: tuple[int, int], g2: tuple[int, int]
 ) -> MZSeries:
-    """d1 B2 - d2 B1 - [B1, B2], evaluated exactly on solved resolvents.
-
-    The residual is zero when the flows commute. Both resolvents must be
-    solved for `lax`; ValueError otherwise.
-    """
-    (k, r_alpha), (l, r_beta) = flow1, flow2
-    if r_alpha.lax is not lax or r_beta.lax is not lax:
-        raise ValueError("resolvents were solved for another Lax datum")
-    table = FlowTable([r_alpha, r_beta])
-    one, two = (k, 0), (l, 1)
-    bracket = _bracket(table.b(one), table.b(two))
-    return table.b(two, (one,)) - table.b(one, (two,)) - bracket
+    """d_g1 B_g2 - d_g2 B_g1 - [B_g1, B_g2] for two flows g = (k, alpha) of
+    the table's family; zero when the flows commute."""
+    bracket = _bracket(table.b(g1), table.b(g2))
+    return table.b(g2, (g1,)) - table.b(g1, (g2,)) - bracket
 
 
 def expand_in_basis(
-    s: MZSeries, family: list[Resolvent]
+    s: MZSeries, family: list[MZSeries]
 ) -> dict[tuple[int, int], Fraction]:
     """Write a leading-term-free resolvent as sum of c_b(z) R_b, c constant.
 
-    Returns {(beta, z_power): constant}; raises if the remainder at some
-    order is not a constant-diagonal combination (the computational
-    content of the basis property).
+    The expansion runs down to s's depth: z**zvalid, or its lowest stored
+    degree when s is exact. Returns {(beta, z_power): constant}; raises if
+    the remainder at some order is not a constant-diagonal combination (the
+    computational content of the basis property).
     """
-    lax = family[0].lax
-    depth = min(r.depth for r in family)
+    depth = -min(s.terms, default=0) if s.is_exact else -s.zvalid
     coeffs: dict[tuple[int, int], Fraction] = {}
     acc = s
     for j in range(1, depth + 1):
@@ -505,7 +464,7 @@ def expand_in_basis(
             break
         cur = acc.coeff(-j)
         consts = []
-        for beta in range(lax.n):
+        for beta in range(s.n):
             c = cur[beta, beta].constant_term()
             consts.append(c)
             if c != 0:
@@ -513,7 +472,7 @@ def expand_in_basis(
         for beta, c in enumerate(consts):
             if c == 0:
                 continue
-            acc = acc - family[beta].mz().shift(-j).scale(c)
+            acc = acc - family[beta].shift(-j).scale(c)
         rem = acc.coeff(-j)
         if not rem.is_zero():
             raise ValueError(
@@ -523,15 +482,15 @@ def expand_in_basis(
 
 
 class HierarchySession:
-    """Resolvent cache for one Lax datum: each key is solved once."""
+    """The resolvents of one Lax datum, cached: each key is solved once."""
 
     def __init__(self, lax: LaxData):
         self.lax = lax
-        self._resolvents: dict[tuple[int, int, str], Resolvent] = {}
+        self._resolvents: dict[tuple[int, int, str], MZSeries] = {}
 
     def resolvent(
         self, alpha: int, depth: int, normalization: str = "orthogonal"
-    ) -> Resolvent:
+    ) -> MZSeries:
         key = (alpha, depth, normalization)
         got = self._resolvents.get(key)
         if got is None:

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qakns.bilinear import inject_corruption
 from qakns.calculus import QCalc
 from qakns.hierarchy import (
     DiagonalConsistencyError,
@@ -16,6 +17,8 @@ from qakns.hierarchy import (
     HierarchySession,
     LaxData,
     ResonanceError,
+    _idempotent_repair,
+    _next_order,
     b_split,
     commutation_residual,
     expand_in_basis,
@@ -30,7 +33,7 @@ from qakns.matseries import MatSeries
 from qakns.qop import QDOp, q_commutator
 from qakns.report import nonzero
 from qakns.series import XSeries
-from qakns.zseries import MZSeries
+from qakns.zseries import NEG_INF, MZSeries
 
 N = 8
 QS = [F(2), F(1, 2), F(3, 5)]
@@ -77,14 +80,14 @@ def test_validation_errors():
 
 def test_dressing_first_order_frozen():
     d = solve_dressing(lax_const(), 1)
-    assert (d.orders[1] - scalars([[0, F(1, 2)], [F(-1, 2), 0]])).is_zero()
+    assert (d.w.coeff(-1) - scalars([[0, F(1, 2)], [F(-1, 2), 0]])).is_zero()
 
 
 def test_dressing_vacuum_identity():
     d = solve_dressing(lax_vacuum(), 5)
-    for w in d.orders[1:]:
-        assert w.is_zero()
-    assert d.terminated
+    for j in range(1, 6):
+        assert d.w.coeff(-j).is_zero()
+    assert d.w.is_exact
 
 
 def test_dressing_obstruction_const_u():
@@ -98,7 +101,7 @@ def test_dressing_obstruction_x_dependent_u():
     with pytest.raises(DiagonalConsistencyError):
         solve_dressing(lax_x(), 3)
     d2 = solve_dressing(lax_x(), 2)  # depth 2 is still consistent
-    assert (d2.orders[1] - MatSeries([
+    assert (d2.w.coeff(-1) - MatSeries([
         [XSeries.zero(N), XSeries.monomial(F(1, 3), 1, N)],
         [XSeries.const(F(-1, 2), N), XSeries.zero(N)],
     ])).is_zero()
@@ -106,20 +109,20 @@ def test_dressing_obstruction_x_dependent_u():
 
 def test_dressing_triangular_terminates():
     d = solve_dressing(lax_tri(), 6)
-    assert d.terminated
-    assert (d.orders[1] - MatSeries([
+    assert d.w.is_exact
+    assert (d.w.coeff(-1) - MatSeries([
         [XSeries.zero(N), XSeries.monomial(F(1, 3), 1, N)],
         [XSeries.zero(N), XSeries.zero(N)],
     ])).is_zero()
-    assert (d.orders[2] - scalars([[0, F(1, 6)], [0, 0]])).is_zero()
-    assert d.orders[3].is_zero()
+    assert (d.w.coeff(-2) - scalars([[0, F(1, 6)], [0, 0]])).is_zero()
+    assert d.w.coeff(-3).is_zero()
 
 
 def test_dressing_factorization_residual():
     lax = lax_tri()
     d = solve_dressing(lax, 6)
     calc = lax.calc
-    w = d.mz()
+    w = d.w
     a_z = MZSeries.from_term(2, 1, lax.a_mat())
     u_mz = MZSeries.from_term(2, 0, lax.u)
     residual = (
@@ -133,31 +136,31 @@ def test_dressing_factorization_residual():
 def test_resolvent_first_order_frozen(q):
     # constant potential: the first order is q-independent
     r = solve_resolvent_direct(lax_const(q), 0, 1)
-    assert (r.orders[1] - scalars([[0, F(-1, 2)], [F(-1, 2), 0]])).is_zero()
+    assert (r.coeff(-1) - scalars([[0, F(-1, 2)], [F(-1, 2), 0]])).is_zero()
     rx = solve_resolvent_direct(lax_x(q), 0, 2)
     expect1 = MatSeries([
         [XSeries.zero(N), XSeries.monomial(-1 / (1 + q), 1, N)],
         [XSeries.const(F(-1, 2), N), XSeries.zero(N)],
     ])
-    assert (rx.orders[1] - expect1).is_zero()
+    assert (rx.coeff(-1) - expect1).is_zero()
 
 
 def test_resolvent_second_order_frozen_orthogonal():
     r = solve_resolvent_direct(lax_const(), 0, 3)
-    assert (r.orders[2] - scalars([[F(-1, 4), 0], [0, F(1, 4)]])).is_zero()
-    assert (r.orders[3] - scalars([[0, F(1, 4)], [F(1, 4), 0]])).is_zero()
+    assert (r.coeff(-2) - scalars([[F(-1, 4), 0], [0, F(1, 4)]])).is_zero()
+    assert (r.coeff(-3) - scalars([[0, F(1, 4)], [F(1, 4), 0]])).is_zero()
     rx = solve_resolvent_direct(lax_x(), 0, 2)
     expect2 = MatSeries([
         [XSeries.monomial(F(-1, 6), 1, N), XSeries.const(F(-1, 6), N)],
         [XSeries.zero(N), XSeries.monomial(F(1, 6), 1, N)],
     ])
-    assert (rx.orders[2] - expect2).is_zero()
+    assert (rx.coeff(-2) - expect2).is_zero()
 
 
 def test_resolvent_zero_normalized_differs():
     r = solve_resolvent_direct(lax_const(), 0, 3, "zero")
-    assert r.orders[2].is_zero()
-    assert r.orders[3].is_zero()
+    assert r.coeff(-2).is_zero()
+    assert r.coeff(-3).is_zero()
 
 
 def test_resolvent_solve_sums_products_in_one_kernel_call(monkeypatch):
@@ -186,8 +189,8 @@ def test_resolvent_solve_sums_products_in_one_kernel_call(monkeypatch):
 
 def test_vacuum_resolvent_is_projector():
     r = solve_resolvent_direct(lax_vacuum(), 0, 4)
-    for rj in r.orders[1:]:
-        assert rj.is_zero()
+    for j in range(1, 5):
+        assert r.coeff(-j).is_zero()
 
 
 @pytest.mark.parametrize("q", QS)
@@ -205,7 +208,7 @@ def test_commutation_residual_zero(q, make):
 def test_residual_detects_corruption():
     lax = lax_const()
     r = solve_resolvent_direct(lax, 0, 4)
-    bumped = r.mz() + MZSeries.from_term(2, -1, scalars([[0, 1], [0, 0]]))
+    bumped = r + MZSeries.from_term(2, -1, scalars([[0, 1], [0, 0]]))
     ((_, witness),) = nonzero([((), verify_resolvent(lax, bumped))])
     assert witness is not None
 
@@ -214,7 +217,7 @@ def test_channel_sum_first_order():
     lax = lax_const()
     r1 = solve_resolvent_direct(lax, 0, 1)
     r2 = solve_resolvent_direct(lax, 1, 1)
-    assert (r1.orders[1] + r2.orders[1]).is_zero()
+    assert (r1.coeff(-1) + r2.coeff(-1)).is_zero()
 
 
 @pytest.mark.parametrize("make", [lax_const, lax_x])
@@ -223,13 +226,13 @@ def test_orthogonality_and_partition(make):
     session = HierarchySession(lax)
     fam = session.family(7)
     ident = MZSeries.identity(2, lax.proto())
-    total = fam[0].mz() + fam[1].mz()
+    total = fam[0] + fam[1]
     assert (total - ident).is_zero()
     for a in range(2):
         for b in range(2):
-            prod = fam[a].mz() * fam[b].mz()
+            prod = fam[a] * fam[b]
             if a == b:
-                assert (prod - fam[b].mz()).is_zero()
+                assert (prod - fam[b]).is_zero()
             else:
                 assert prod.is_zero()
 
@@ -238,8 +241,8 @@ def test_algebra_closure():
     lax = lax_x()
     session = HierarchySession(lax)
     fam = session.family(7)
-    prod = fam[0].mz() * fam[1].mz()
-    combo = fam[0].mz() + fam[1].mz().shift(-2).scale(F(3, 4))
+    prod = fam[0] * fam[1]
+    combo = fam[0] + fam[1].shift(-2).scale(F(3, 4))
     residuals = [
         ("product", verify_resolvent(lax, prod)),
         ("combination", verify_resolvent(lax, combo)),
@@ -254,9 +257,7 @@ def test_route_agreement_exact_on_triangular():
         conj = resolvent_from_dressing(d, alpha)
         direct = solve_resolvent_direct(lax, alpha, 6)
         for j in range(7):
-            got = conj.orders[j] if j < len(conj.orders) else \
-                MatSeries.zero(2, lax.proto())
-            assert (got - direct.orders[j]).is_zero()
+            assert (conj.coeff(-j) - direct.coeff(-j)).is_zero()
         assert not any(nonzero([(alpha, verify_resolvent(lax, conj))]))
 
 
@@ -267,7 +268,7 @@ def test_route_agreement_first_order_everywhere():
         for alpha in range(2):
             conj = resolvent_from_dressing(d1, alpha)
             direct = solve_resolvent_direct(lax, alpha, 1)
-            assert (conj.orders[1] - direct.orders[1]).is_zero()
+            assert (conj.coeff(-1) - direct.coeff(-1)).is_zero()
 
 
 def test_basis_expansion_of_normalization_difference():
@@ -276,7 +277,7 @@ def test_basis_expansion_of_normalization_difference():
     ortho = session.resolvent(0, 6)
     plain = session.resolvent(0, 6, "zero")
     base = [session.resolvent(b, 6, "zero") for b in range(2)]
-    coeffs = expand_in_basis(ortho.mz() - plain.mz(), base)
+    coeffs = expand_in_basis(ortho - plain, base)
     # leading repaired constants, as derived by hand
     assert coeffs[(0, 2)] == F(-1, 4)
     assert coeffs[(1, 2)] == F(1, 4)
@@ -289,10 +290,10 @@ def test_b_split():
     e1z = MZSeries.from_term(2, 1, scalars([[1, 0], [0, 0]]))
     s = MZSeries.from_term(2, 0, scalars([[0, F(-1, 2)], [F(-1, 2), 0]]))
     assert (b - (e1z + s)).is_zero()
-    assert ((b + bbar) - r.mz().shift(1)).is_zero()
+    assert ((b + bbar) - r.shift(1)).is_zero()
     b0, b0bar = b_split(r, 0)
     assert (b0 - MZSeries.from_term(2, 0, scalars([[1, 0], [0, 0]]))).is_zero()
-    assert (b0bar - (r.mz() - b0)).is_zero()
+    assert (b0bar - (r - b0)).is_zero()
 
 
 def test_u_flow_const_potential():
@@ -372,26 +373,10 @@ def test_resolvent_flow_properties():
 def test_zero_curvature(make):
     lax = make()
     session = HierarchySession(lax)
-    fam = session.family(8)
-    pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0)), ((1, 1), (2, 0))]
-    residuals = [
-        (((k, a), (l, b)), verify_zero_curvature(lax, (k, fam[a]), (l, fam[b])))
-        for (k, a), (l, b) in pairs + [((1, 0), (1, 0))]
-    ]
+    table = FlowTable(session.family(8))
+    pairs = [((1, 0), (1, 1)), ((1, 0), (2, 0)), ((1, 1), (2, 0)), ((1, 0), (1, 0))]
+    residuals = [(pair, verify_zero_curvature(table, *pair)) for pair in pairs]
     assert not any(nonzero(residuals))
-
-
-def test_zero_curvature_rejects_resolvents_of_another_lax():
-    # the x-dependent family solves its own hierarchy; asked about the
-    # constant datum it must not answer for its own
-    fam = HierarchySession(lax_x()).family(4)
-    other = lax_const()
-    with pytest.raises(ValueError, match="another Lax datum"):
-        verify_zero_curvature(other, (1, fam[0]), (1, fam[1]))
-    with pytest.raises(ValueError, match="another Lax datum"):
-        verify_zero_curvature(
-            other, (1, HierarchySession(other).family(4)[0]), (1, fam[1])
-        )
 
 
 # -- classical structure -----------------------------------------------------------
@@ -404,8 +389,8 @@ def classical_lax(rows):
 def test_classical_dressing_exists_for_full_potentials():
     lax = classical_lax([[0, 1], [1, 0]])
     d = solve_dressing(lax, 4)
-    assert len(d.orders) == 5
-    rep_w = d.mz()
+    assert d.depth == 4
+    rep_w = d.w
     calc = lax.calc
     a_z = MZSeries.from_term(2, 1, lax.a_mat())
     u_mz = MZSeries.from_term(2, 0, lax.u)
@@ -421,10 +406,10 @@ def test_classical_first_order_matches_q_case_for_const_u():
     # the classical and every q structure
     classical = solve_resolvent_direct(classical_lax([[0, 1], [1, 0]]), 0, 1)
     expect = scalars([[0, F(-1, 2)], [F(-1, 2), 0]])
-    assert (classical.orders[1] - expect).is_zero()
+    assert (classical.coeff(-1) - expect).is_zero()
     for q in QS:
         rq = solve_resolvent_direct(lax_const(q), 0, 1)
-        assert (rq.orders[1] - classical.orders[1]).is_zero()
+        assert (rq.coeff(-1) - classical.coeff(-1)).is_zero()
 
 
 def test_classical_x_potential_first_order():
@@ -437,7 +422,7 @@ def test_classical_x_potential_first_order():
         [z, XSeries.monomial(F(-1, 2), 1, N)],
         [XSeries.const(F(-1, 2), N), z],
     ])
-    assert (r.orders[1] - expect).is_zero()
+    assert (r.coeff(-1) - expect).is_zero()
     assert not any(nonzero([((), verify_resolvent(lax, r))]))
     flow = u_flow(lax, r, 1)
     for i in range(2):
@@ -450,7 +435,7 @@ def test_classical_route_agreement():
     for alpha in range(2):
         conj = resolvent_from_dressing(d, alpha)
         direct = solve_resolvent_direct(lax, alpha, 5)
-        diff = conj.mz().truncate_below(-5) - direct.mz()
+        diff = conj.truncate_below(-5) - direct
         assert diff.is_zero()
 
 
@@ -470,3 +455,115 @@ def test_session_caches_and_concurrent_reads():
         t.join()
     assert session.resolvent(0, 5) is session.resolvent(0, 5)
     assert len(results) == 6
+
+
+# -- the z-series carriers against the order-list rule they replaced ---------------
+
+
+def ref_series(n, orders, exact):
+    """sum orders[j] z**-j, unknown below the last order unless exact."""
+    zvalid = NEG_INF if exact else 1 - len(orders)
+    return MZSeries(n, {-j: m for j, m in enumerate(orders)}, zvalid=zvalid)
+
+
+def ref_dressing_orders(lax, depth):
+    ws = [MatSeries.identity(lax.n, lax.proto())]
+    for _ in range(depth):
+        ws.append(_next_order(lax, ws[-1], lambda w: -(lax.u @ w), "dressing"))
+    return ws
+
+
+def ref_dressing(lax, orders):
+    """A dressing terminates, and is exact, when its last order vanishes."""
+    return ref_series(lax.n, orders, len(orders) > 1 and orders[-1].is_zero_exact())
+
+
+def ref_resolvent(lax, alpha, depth, normalization):
+    """The solver loop over an order list; only a zero-normalized series
+    whose last order vanishes is exact."""
+    context = f"resolvent channel {alpha+1}"
+    unit = lax.unit(alpha)
+    lift = unit - MatSeries.identity(lax.n, lax.proto())
+    orders = [unit]
+    for _ in range(depth):
+        rho = _next_order(
+            lax, orders[-1],
+            lambda r: r.map(lax.calc.dilate) @ lax.u - lax.u @ r, context,
+        )
+        if normalization == "orthogonal":
+            rho = _idempotent_repair(alpha, lift, rho, orders, context)
+        orders.append(rho)
+    exact = normalization == "zero" and depth > 0 and orders[-1].is_zero_exact()
+    return ref_series(lax.n, orders, exact)
+
+
+def ref_conjugate(lax, w, depth, alpha):
+    """w E_alpha w**-1 read into orders: all of them when exact, otherwise
+    the known ones down to z**-depth."""
+    unit = MZSeries.from_term(lax.n, 0, lax.unit(alpha))
+    conj = w * unit * w.invert(-depth)
+    if conj.is_exact:
+        span = -min(conj.bottom(), -depth) if conj.terms else depth
+        return ref_series(lax.n, [conj.coeff(-j) for j in range(span + 1)], True)
+    orders = []
+    for j in range(depth + 1):
+        if -j < conj.zvalid:
+            break
+        orders.append(conj.coeff(-j))
+    return ref_series(lax.n, orders, False)
+
+
+def lax_classical():
+    return classical_lax([[0, 1], [1, 0]])
+
+
+CARRIER_CASES = [
+    (lax_vacuum, 1), (lax_vacuum, 2), (lax_vacuum, 4), (lax_tri, 6),
+    (lax_const, 1), (lax_x, 2), (lax_classical, 5),
+]
+
+
+@pytest.mark.parametrize("normalization", ["orthogonal", "zero"])
+@pytest.mark.parametrize("make, depth", CARRIER_CASES)
+def test_resolvent_series_matches_the_order_list_rule(make, depth, normalization):
+    lax = make()
+    for alpha in range(lax.n):
+        got = solve_resolvent_direct(lax, alpha, depth, normalization)
+        # MZSeries equality compares every term and zvalid
+        assert got == ref_resolvent(lax, alpha, depth, normalization)
+
+
+@pytest.mark.parametrize("make, depth", CARRIER_CASES)
+def test_dressing_and_conjugates_match_the_order_list_rule(make, depth):
+    lax = make()
+    d = solve_dressing(lax, depth)
+    ref_w = ref_dressing(lax, ref_dressing_orders(lax, depth))
+    assert d.w == ref_w
+    for alpha in range(lax.n):
+        ref = ref_conjugate(lax, ref_w, depth, alpha)
+        assert resolvent_from_dressing(d, alpha) == ref
+
+
+def test_order_list_rule_cases_reach_both_validities():
+    # the comparisons above see exact and inexact series on both routes
+    assert solve_resolvent_direct(lax_vacuum(), 0, 4, "zero").is_exact
+    assert solve_resolvent_direct(lax_vacuum(), 0, 4).zvalid == -4
+    assert solve_dressing(lax_tri(), 6).w.is_exact
+    assert resolvent_from_dressing(solve_dressing(lax_tri(), 6), 0).is_exact
+    assert solve_dressing(lax_const(), 1).w.zvalid == -1
+    assert resolvent_from_dressing(solve_dressing(lax_x(), 2), 0).zvalid == -2
+
+
+@pytest.mark.parametrize("make, depth, zvalid", [
+    (lax_vacuum, 1, -1), (lax_vacuum, 2, NEG_INF), (lax_tri, 6, NEG_INF),
+])
+def test_corrupted_dressing_keeps_the_order_list_rule(make, depth, zvalid):
+    # w_1 gains the bump; the series stays exact only while its last order
+    # still vanishes, so the depth-1 vacuum dressing becomes inexact
+    lax = make()
+    orders = ref_dressing_orders(lax, depth)
+    orders[1] = orders[1] + MatSeries.diag_const([0, F(1, 3)], lax.proto())
+    got = inject_corruption(solve_dressing(lax, depth), "1/3")
+    assert got.w == ref_dressing(lax, orders)
+    assert got.w.zvalid == zvalid
+    assert got.depth == depth

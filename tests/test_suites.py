@@ -1,5 +1,6 @@
 """Check verdicts: a failing check names its first failure, never null."""
 
+import math
 import sys
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from qakns import hierarchy as hy
 from qakns import qop, report
 from qakns.config import demo_config
-from qakns.suites import run_suite
+from qakns.matseries import MatSeries
+from qakns.suites import SuiteContext, check_zero_curvature, run_suite
+from qakns.zseries import NEG_INF, MZSeries
 
 
 def run_checks(*names):
@@ -44,7 +47,7 @@ def test_random_pairs_oracle_witness_is_complete(broken_oracle):
 
 def test_qr_residual_names_the_first_failing_channel(monkeypatch):
     # the resolvent itself is a nonzero residual in every channel
-    monkeypatch.setattr(hy, "verify_resolvent", lambda lax, r: r.mz())
+    monkeypatch.setattr(hy, "verify_resolvent", lambda lax, r: r)
     (res,) = run_checks("hierarchy.qr_residual")
     assert res.status == "fail"
     # channel, then z-degree, entry (i, j), x-degree and value
@@ -85,3 +88,35 @@ def test_bilinear_and_tau_checks_decide_through_the_one_verdict(monkeypatch):
     for res in results.values():
         assert res.status == "fail", res.name
         assert "rejected" in str(res.first_failure), res.name
+
+
+def test_zero_curvature_reads_every_pair_from_one_flow_table(monkeypatch):
+    # one table over the family forms each B_g and each d_g B_h once for all
+    # six demo pairs; a table per pair makes 36 products and 236 dot calls
+    ctx = SuiteContext(demo_config())
+    ctx.family
+    calls = {"table": 0, "product": 0, "dot": 0}
+    real_product, real_dot = MZSeries.product, MatSeries.dot
+
+    class CountedTable(hy.FlowTable):
+        def __init__(self, family):
+            calls["table"] += 1
+            super().__init__(family)
+
+    def product(self, other, lo=NEG_INF, hi=math.inf):
+        calls["product"] += 1
+        return real_product(self, other, lo, hi)
+
+    def dot(blocks):
+        calls["dot"] += 1
+        return real_dot(blocks)
+
+    monkeypatch.setattr(hy, "FlowTable", CountedTable)
+    monkeypatch.setattr(MZSeries, "product", product)
+    monkeypatch.setattr(MatSeries, "dot", staticmethod(dot))
+    res = check_zero_curvature(ctx)
+    monkeypatch.undo()
+    assert res.status == "pass" and len(res.params["pairs"]) == 6
+    assert calls["table"] == 1
+    assert calls["product"] <= 24
+    assert calls["dot"] <= 140
