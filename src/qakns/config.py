@@ -53,10 +53,7 @@ class RunConfig:
     bilinear_u: tuple | None    # optional separate potential for dressing suites
     n_x: int
     n_z: int
-    n_band: int
     n_t: int
-    dressing_depth: int | None
-    resolvent_depth: int | None
     flows: tuple                # ((k, channel0), ...)
     lambda_max: int
     l_max: int
@@ -88,15 +85,11 @@ class RunConfig:
         return LaxData(list(self.a), self._u_matrix(entries), self.calc(classical))
 
     def required_resolvent_depth(self) -> int:
-        if self.resolvent_depth is not None:
-            return self.resolvent_depth
         k_top = max((k for k, _ in self.flows), default=1)
         # qr through z**-n_z needs one extra order; zero-curvature needs k+l
         return max(self.n_z + 1, 2 * k_top + 1)
 
     def required_dressing_depth(self) -> int:
-        if self.dressing_depth is not None:
-            return self.dressing_depth
         k_top = max((k for k, _ in self.flows), default=1)
         return self.l_max + self.lambda_max * k_top + 2
 
@@ -112,11 +105,7 @@ class RunConfig:
                 [[frac_str(c) for c in entry] for entry in row]
                 for row in self.bilinear_u
             ],
-            "truncations": {
-                "x": self.n_x, "z": self.n_z, "band": self.n_band, "t": self.n_t,
-            },
-            "dressing_depth": self.dressing_depth,
-            "resolvent_depth": self.resolvent_depth,
+            "truncations": {"x": self.n_x, "z": self.n_z, "t": self.n_t},
             "flows": [[k, a + 1] for k, a in self.flows],
             "lambda_max": self.lambda_max,
             "l_max": self.l_max,
@@ -130,9 +119,8 @@ class RunConfig:
 
 
 _FIELDS = (
-    "n", "q", "a", "u", "bilinear_u", "truncations", "dressing_depth",
-    "resolvent_depth", "flows", "lambda_max", "l_max", "tau", "q_sequence",
-    "checks",
+    "n", "q", "a", "u", "bilinear_u", "truncations", "flows", "lambda_max",
+    "l_max", "tau", "q_sequence", "checks",
 )
 _MONOMIAL_FIELDS = ("exponents", "coeff")
 
@@ -199,15 +187,10 @@ def _companion_key(key: str, n: int):
     return alpha - 1, beta - 1
 
 
-def _count(value, label: str, nullable: bool = False, least: int = 0):
-    """An integer field >= least (or null, when the field allows it)."""
-    if value is None and nullable:
-        return None
+def _count(value, label: str, least: int = 0):
+    """An integer field >= least."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        allowed = f"an integer >= {least}"
-        if nullable:
-            allowed = "null or " + allowed
-        raise ConfigError(f"{label} must be {allowed}, got {value!r}")
+        raise ConfigError(f"{label} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -285,15 +268,18 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             _rational(v, f"a[{i}]")
             for i, v in enumerate(_list(_required(data, "a", "a"), "a"), 1)
         )
+        # nothing reads a band, but perfbench/workloads.py still sends
+        # "band": 4 and refusing the key would fail every workload: it is
+        # checked, then dropped, so it is not hashed
         tr = _known(_object(data.get("truncations", {}), "truncations"),
                     ("x", "z", "band", "t"), "truncations.")
+        _count(tr.get("band", 0), "truncations.band")
         # the suite's fixed depths: tau.expqo compares through z**4, which
         # needs x >= 4, and tau.classical_limit's mixed case has t-degree 3
-        n_x, n_z, n_band, n_t = (
+        n_x, n_z, n_t = (
             _count(tr.get(key, default), f"truncations.{key}", least=least)
             for key, default, least in (
-                ("x", 8, EXPQO_Z_DEPTH), ("z", 6, 0), ("band", 4, 0),
-                ("t", 4, 3),
+                ("x", 8, EXPQO_Z_DEPTH), ("z", 6, 0), ("t", 4, 3),
             )
         )
         u = _parse_u(_required(data, "u", "u"), n, n_x, "u")
@@ -343,14 +329,7 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             tau = TauConfig(variables, monomials, companions)
         cfg = RunConfig(
             n=n, q=q, a=a, u=u, bilinear_u=bilinear_u,
-            n_x=n_x, n_z=n_z, n_band=n_band, n_t=n_t,
-            dressing_depth=_count(
-                data.get("dressing_depth"), "dressing_depth", nullable=True
-            ),
-            resolvent_depth=_count(
-                data.get("resolvent_depth"), "resolvent_depth", nullable=True
-            ),
-            flows=flows,
+            n_x=n_x, n_z=n_z, n_t=n_t, flows=flows,
             lambda_max=_count(data.get("lambda_max", 2), "lambda_max"),
             l_max=_count(data.get("l_max", 4), "l_max"),
             tau=tau,
@@ -407,7 +386,7 @@ DEMO_CONFIG = {
     "a": ["1", "-1"],
     "u": [[["0"], ["1"]], [["1"], ["0"]]],
     "bilinear_u": [[["0"], ["0", "1"]], [["0"], ["0"]]],
-    "truncations": {"x": 8, "z": 6, "band": 4, "t": 4},
+    "truncations": {"x": 8, "z": 6, "t": 4},
     "flows": [[1, 1], [1, 2], [2, 1]],
     "lambda_max": 2,
     "l_max": 4,

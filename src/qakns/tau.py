@@ -376,9 +376,10 @@ def substitution_commutes(spec: TauSpec, a_values, q, depth: int) -> list:
     def shift(p):
         return q_shift_times(p, a_values, q)
 
+    shifted = shift(spec.tau)
     out = []
     for beta in range(spec.n):
-        first = _placed(1, (0, 0), zero, *miwa_shift(shift(spec.tau), beta, depth))
+        first = _placed(1, (0, 0), zero, *miwa_shift(shifted, beta, depth))
         second = _placed(1, (0, 0), zero, *miwa_shift(spec.tau, beta, depth))
         out.append((beta + 1, first - second.map_entries(shift)))
     return out

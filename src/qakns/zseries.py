@@ -94,11 +94,6 @@ class MZSeries:
         """Highest degree that may carry a nonzero coefficient."""
         return max(self.terms) if self.terms else self.zvalid
 
-    def bottom(self) -> int | float:
-        if self.terms:
-            return min(self.terms)
-        return self.zvalid
-
     @property
     def is_exact(self) -> bool:
         return self.zvalid == NEG_INF

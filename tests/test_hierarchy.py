@@ -503,7 +503,7 @@ def ref_conjugate(lax, w, depth, alpha):
     unit = MZSeries.from_term(lax.n, 0, lax.unit(alpha))
     conj = w * unit * w.invert(-depth)
     if conj.is_exact:
-        span = -min(conj.bottom(), -depth) if conj.terms else depth
+        span = -min(min(conj.terms), -depth) if conj.terms else depth
         return ref_series(lax.n, [conj.coeff(-j) for j in range(span + 1)], True)
     orders = []
     for j in range(depth + 1):

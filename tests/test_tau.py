@@ -186,6 +186,34 @@ def test_substitutions_commute_generally():
     assert not any(nonzero(substitution_commutes(spec, [1, -1], F(2), 5)))
 
 
+def test_substitution_shifts_tau_once(monkeypatch):
+    # the q-shift of tau is the same for every channel, so it runs once;
+    # the other shifts are those of the Miwa-shifted entries
+    import qakns.tau as tau_mod
+    ctx = ctx2()
+    spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
+    entry_shifts, tau_shifts = [], []
+    real_shift, real_map = tau_mod.q_shift_times, MZSeries.map_entries
+
+    def map_entries(self, fn):
+        entry_shifts.append(None)
+        try:
+            return real_map(self, fn)
+        finally:
+            entry_shifts.pop()
+
+    def q_shift_times(p, a_values, q):
+        if not entry_shifts:
+            tau_shifts.append(p)
+        return real_shift(p, a_values, q)
+
+    monkeypatch.setattr(MZSeries, "map_entries", map_entries)
+    monkeypatch.setattr(tau_mod, "q_shift_times", q_shift_times)
+    records = substitution_commutes(spec, [1, -1], F(2), 5)
+    assert [c for c, _ in records] == [1, 2]
+    assert len(tau_shifts) == 1 and tau_shifts[0] is spec.tau
+
+
 def test_mechanism_agreement_on_non_solution():
     # the two-term and Taylor reductions are identities of the machinery:
     # they hold even for data that fails the bilinear residues

@@ -4,7 +4,9 @@
 
 A line counts when it holds part of a token other than a comment or a
 docstring. Docstrings are the string statements that open a module, a
-class or a function. Prints one line per file and the total last.
+class or a function. Prints one line per file and the total last. With
+no path or with --help it prints this text, and with a missing path it
+names that path; both exit 2.
 """
 
 from __future__ import annotations
@@ -43,9 +45,14 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    for a in argv:
+        if not Path(a).exists():
+            print(f"code_lines.py: no such file or directory: {a}",
+                  file=sys.stderr)
+            return 2
     files = sorted(
         f for a in map(Path, argv) for f in (a.rglob("*.py") if a.is_dir() else [a])
     )
