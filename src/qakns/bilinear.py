@@ -26,17 +26,20 @@ from __future__ import annotations
 from .hierarchy import Dressing, FlowTable
 from .matseries import MatSeries
 from .scalars import frac
-from .zseries import MZSeries, derive_through
+from .zseries import MZSeries, NEG_INF, derive_through
 
 
-def x_factor_of(w: MZSeries, w_inv: MZSeries, a_values, derive, dilate) -> MZSeries:
+def x_factor_of(w: MZSeries, w_inv: MZSeries, a_values, derive, dilate,
+                lo=NEG_INF) -> MZSeries:
     """D w * w**-1 = (D w + sigma(w) zA) * w**-1 for the dressing w.
 
     The exponential exp_q(zAx) is reduced by the q-Leibniz rule
-    `derive_through`; `derive` and `dilate` act on the entries of w.
+    `derive_through`; `derive` and `dilate` act on the entries of w. A
+    caller that reads only the degrees from `lo` up passes it on to
+    `MZSeries.product`; the floor is the whole product's.
     """
     a_z = MZSeries.from_term(w.n, 1, MatSeries.diag_const(a_values, w.proto))
-    return derive_through(w, a_z, derive, dilate) * w_inv
+    return derive_through(w, a_z, derive, dilate).product(w_inv, lo)
 
 
 def x_derivative_factor(dressing: Dressing) -> MZSeries:
@@ -76,7 +79,8 @@ def bilinear_residues(flow_factor, g, derive, dilate, l_max: int, lambdas) -> li
     `flow_factor(lam)` is the flow-derivative factor at the dressing level
     and `g` the x-derivative factor D w * w**-1, through which m = 1
     reduces by the q-Leibniz rule (`derive`, `dilate` act on the entries).
-    With g None only m = 0 runs. Returns (label, residue) pairs over
+    With g None only m = 0 runs. The m = 1 reduction builds only the
+    degrees the residues read. Returns (label, residue) pairs over
     lambda, then m, then l, labelled `l=0 m=1 lam=[(1,2)]` (channels
     1-based).
     """
@@ -85,7 +89,8 @@ def bilinear_residues(flow_factor, g, derive, dilate, l_max: int, lambdas) -> li
         factor = flow_factor(lam)
         reduced = [factor]
         if g is not None:
-            reduced.append(derive_through(factor, g, derive, dilate))
+            reduced.append(
+                derive_through(factor, g, derive, dilate, -1 - l_max, -1))
         flows = ",".join(f"({k},{a+1})" for k, a in lam)
         for m, target in enumerate(reduced):
             out += [

@@ -27,16 +27,17 @@ residue:
   reconciles the two sides: mismatched band sums produce derivative
   corrections at power -1 that the z-series side does not contain;
 * `pairing_oracle`, the brute-force z-expansion of both exponential
-  factors up to the degrees that pair onto z**-1, each factor summed once
-  per z-degree, and the z**-1 coefficient of their product.
+  factors. The residue is bilinear in the band matrices, so it splits into
+  an operator-independent `OracleKernel` C(k, l), the z**-1 coefficient of
+  the two exponential factors of one power pair, expanded once per run,
+  and a per-pair contraction sum_k p_k (sum_l C(k, l) q**l g_l(x/q)) over
+  every band pair (k, l).
 
 All three reject operands that differ in size or dilation parameter, or
 an A of another size, before any product is formed.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .calculus import dilate, exp_q_series, q_derive
 from .matseries import MatSeries
@@ -352,90 +353,79 @@ def exp_q_laurent(a_values, q, order: int, sign: int = +1) -> MZSeries:
     return MZSeries(len(a_values), terms)
 
 
-def oracle_factors(a_values, q, order: int) -> tuple[MZSeries, MZSeries]:
-    """exp_q(zAx) and exp_1/q(-zAx), the two factors `pairing_oracle` expands."""
-    return (exp_q_laurent(a_values, q, order, +1),
-            exp_q_laurent(a_values, q, order, -1))
+class OracleKernel:
+    """The pairing oracle's operator-independent part at one a, q and x-order.
 
-
-def _sum_by_degree(n: int, proto, parts) -> MZSeries:
-    """The sum of z-series parts, each z-degree one `MatSeries.dot`.
-
-    A part is (series, block): block(m) is the (A, B) pair that the
-    series' coefficient m contributes at its degree. The floor is the
-    largest of the parts' floors, as a chain of `+` gives it, and no
-    degree below it is formed.
+    The oracle's residue is bilinear in P's band matrices p_k and Q's g_l:
+    res = sum over (k, l) of p_k C(k, l) q**l g_l(x/q), where C(k, l) is
+    the z**-1 coefficient of L_k R_l, with L_k = D**k exp_q(zAx) for
+    k >= 0 (honest q-derivations), (zA)**k exp_q(zAx) for k < 0, and
+    R_l = (-zA)**l exp_1/q(-zAx). R_l starts at degree l and L_k at
+    min(0, k), so C(k, l) reads L_k up to -1 - l and R_l up to
+    -1 - min(0, k), and builds them only that far. Both exponentials are
+    expanded once per kernel, and each C(k, l) on first use. Every
+    operation acts degree by degree, so each degree built, guard degrees
+    included, is the one the whole expansion holds; C is diagonal, so it
+    commutes with the diagonal factors it sums.
     """
-    zv = max((s.zvalid for s, _ in parts), default=NEG_INF)
-    by_degree: dict[int, list] = {}
-    for s, block in parts:
-        for d, m in s.terms.items():
-            if d >= zv:
-                by_degree.setdefault(d, []).append(block(m))
-    return MZSeries(
-        n, {d: MatSeries.dot(b) for d, b in by_degree.items()}, zv, proto
-    )
+
+    def __init__(self, a_values, q, order: int):
+        self.a = [frac(a) for a in a_values]
+        self.q = frac(q)
+        self.order = order
+        self.splus = exp_q_laurent(a_values, q, order, +1)
+        self.sminus = exp_q_laurent(a_values, q, order, -1)
+        self._c: dict[tuple[int, int], MatSeries] = {}
+
+    def _za_power(self, k: int, sign: int) -> MZSeries:
+        return MZSeries.from_term(len(self.a), k, MatSeries.diag_const(
+            [(sign * a) ** k for a in self.a], self.splus.proto))
+
+    def _left(self, k: int, hi: int) -> MZSeries:
+        """L_k up to degree hi; the q-derivations act degree by degree."""
+        if k < 0:
+            return self._za_power(k, 1).product(self.splus, hi=hi)
+        s = self.splus
+        got = MZSeries(s.n, {d: m for d, m in s.terms.items() if d <= hi},
+                       s.zvalid, s.proto)
+        for _ in range(k):
+            got = _derive_mz(got, self.q)
+        return got
+
+    def _residue(self, k: int, l: int) -> MatSeries:
+        right = self._za_power(l, -1).product(self.sminus, hi=-1 - min(0, k))
+        return self._left(k, -1 - l).product_coeff(right, -1)
+
+    def coeff(self, k: int, l: int) -> MatSeries:
+        """C(k, l) = res_z(L_k R_l), built on first use."""
+        got = self._c.get((k, l))
+        if got is None:
+            got = self._c[(k, l)] = self._residue(k, l)
+        return got
 
 
-def pairing_oracle(p: QDOp, q_op: QDOp, a_values, factors=None) -> MatSeries:
+def pairing_oracle(p: QDOp, q_op: QDOp, a_values, kernel=None) -> MatSeries:
     """Brute-force z-expansion of the pairing's left side.
 
-    Builds the q-exponential factors as honest Laurent series, applies P
-    by repeated q-derivation (nonnegative powers) or by the verified
-    eigenvalue extension (negative powers), assembles the shifted adjoint
-    factor of Q, and sums the z-products of the two factors that land on
-    the residue.
-    Independent of the closed-form symbol sum in pairing_lhs.
-
-    Only the degrees that pair onto z**-1 are built. The left factor
-    sum_k p_k D**k exp_q(zAx) starts at degree min(0, min k) and the right
-    factor sum_l (-zA)**l exp_1/q(-zAx) q**l g_l(x/q) at degree min l, so
-    the residue reads the left one up to hi_left = -1 - min l and the
-    right one up to hi_right = -1 - min(0, min k). Every operation on the
-    way acts degree by degree, so each degree built is the one the whole
-    expansion would hold. Each factor sums its parts once per z-degree,
-    in one `MatSeries.dot` over the k (or l) that reach it.
-    A caller pairing many operators at one a, q and x-order passes the
-    `oracle_factors` it built once as `factors`.
+    The residue of (sum_k p_k D**k exp_q(zAx)) times
+    (sum_l (-zA)**l exp_1/q(-zAx) q**l g_l(x/q)), contracted through the
+    `OracleKernel`: sum_k p_k (sum_l C(k, l) s_l) with s_l = q**l g_l(x/q),
+    each sum one `MatSeries.dot`. Every band pair (k, l) enters, not only
+    k + l = -1, so the kernel's vanishing off that line is exercised.
+    Independent of the closed-form symbol sum in pairing_lhs: the two
+    share only the dilation of g_l. A caller pairing many operators at
+    one a, q and x-order passes the kernel it built once.
     """
     q = p.dparam
     pk, gl, order = _pairing_operands(p, q_op, a_values)
-    n = p.n
-    splus, sminus = factors or oracle_factors(a_values, q, order)
-    if splus.proto.order != order:
-        raise ValueError("oracle factors built at another x-order")
+    kernel = kernel or OracleKernel(a_values, q, order)
+    if (kernel.a, kernel.q, kernel.order) != ([frac(a) for a in a_values], q, order):
+        raise ValueError("oracle kernel built at another a, q or x-order")
     if not pk or not gl:
-        return MatSeries.zero(n, splus.proto)
-    hi_left = -1 - min(gl)
-    hi_right = -1 - min(0, min(pk))
-    za = [frac(a) for a in a_values]
-
-    def za_power(k: int) -> MZSeries:
-        return MZSeries.from_term(
-            n, k, MatSeries.diag_const([a**k for a in za], splus.proto)
-        )
-
-    # P acting on exp_q(zAx); the q-derivations act degree by degree
-    splus_low = MZSeries(
-        n, {d: m for d, m in splus.terms.items() if d <= hi_left},
-        splus.zvalid, splus.proto,
-    )
-    left_parts = []
-    for k, pm in pk.items():
-        if k >= 0:
-            g = splus_low
-            for _ in range(k):
-                g = _derive_mz(g, q)
-        else:
-            g = za_power(k).product(splus, hi=hi_left)
-        left_parts.append((g, lambda m, pm=pm: (pm, m)))
-    left = _sum_by_degree(n, splus.proto, left_parts)
-    # the shifted adjoint factor of Q acting leftward on exp_1/q(-zAx)
-    right_parts = []
-    for l, gm in gl.items():
-        eig = za_power(l).scale(Fraction(-1) ** l)
-        shifted = gm.map(lambda s: dilate(s, 1 / q)).scale(q**l)
-        right_parts.append((eig.product(sminus, hi=hi_right),
-                            lambda m, shifted=shifted: (m, shifted)))
-    right = _sum_by_degree(n, splus.proto, right_parts)
-    return left.product_coeff(right, -1)
+        return MatSeries.zero(p.n, kernel.splus.proto)
+    shifted = {l: gm.map(lambda s: dilate(s, 1 / q)).scale(q**l)
+               for l, gm in gl.items()}
+    return MatSeries.dot([
+        (pm, MatSeries.dot([(kernel.coeff(k, l), s) for l, s in shifted.items()]))
+        for k, pm in pk.items()
+    ])

@@ -23,7 +23,7 @@ from .matseries import MatSeries
 from .report import CheckResult, Report, config_hash, describe_witness, nonzero
 from .scalars import frac, q_int
 from .series import XSeries
-from .zseries import MZSeries, NEG_INF, derive_through
+from .zseries import MZSeries, NEG_INF, InsufficientDepthError, derive_through
 
 
 def _default_tau_variables(n: int) -> tuple:
@@ -82,10 +82,10 @@ class SuiteContext:
         return self.get("tau_ctx", lambda: tau_mod.TimeContext(
             _tau_variables(cfg), cfg.n_t, cfg.n_x))
 
-    def oracle_factors(self, a_values):
-        """The pairing oracle's exponential pair at these a, built once per run."""
+    def oracle_factors(self, a_values) -> qop.OracleKernel:
+        """The pairing oracle's kernel at these a, one per run."""
         key = "oracle_factors:" + ",".join(map(str, a_values))
-        return self.get(key, lambda: qop.oracle_factors(
+        return self.get(key, lambda: qop.OracleKernel(
             a_values, self.cfg.q, self.cfg.n_x))
 
     def lambdas(self):
@@ -215,7 +215,11 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
 # -- residue pairing --------------------------------------------------------------
 
 
-def _random_band_op(rng, n, order, q, band=(-2, 2)):
+# the random pairing operators' band: powers -PAIRING_BAND..PAIRING_BAND
+PAIRING_BAND = 2
+
+
+def _random_band_op(rng, n, order, q, band=(-PAIRING_BAND, PAIRING_BAND)):
     """Integer polynomial coefficients of degree <= 2 <= order on a
     random subset of the band's powers (the identity when none is drawn)."""
     pad = [0] * (order - 2)
@@ -288,7 +292,7 @@ def check_pairing_random(ctx: SuiteContext) -> CheckResult:
 
     return _result(
         "pairing.random_pairs",
-        {"q": str(q), "trials": trials, "band": 2},
+        {"q": str(q), "trials": trials, "band": PAIRING_BAND},
         nonzero(residuals()), {"x": cfg.n_x - 2},
     )
 
@@ -411,6 +415,8 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
         r = ctx.session.resolvent(alpha, depth)
         try:
             value = hy.u_flow(ctx.lax, r, k)
+        except InsufficientDepthError:
+            raise  # a depth shortage is an error, not a flow violation
         except ValueError as exc:
             params[label] = "violated"
             failures.append(f"flow ({k},{alpha+1}): {exc}")

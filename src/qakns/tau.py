@@ -175,14 +175,15 @@ class TauBaker:
         self.q = frac(q) if q is not None else None
         self.winv = what.invert(floor)
 
-    def h(self, lam) -> MZSeries:
+    def h(self, lam, lo=NEG_INF) -> MZSeries:
         """(d**lam Psi) Psi**-1 = P_lam w**-1, with P_lam = `flows_applied`(w, lam).
 
-        The empty lam gives the exact identity.
+        The empty lam gives the exact identity. Only the degrees from `lo`
+        up are built, as by `MZSeries.product`.
         """
         if not lam:
             return MZSeries.identity(self.n, self.what.proto)
-        return flows_applied(self.what, lam) * self.winv
+        return flows_applied(self.what, lam).product(self.winv, lo)
 
     def derive_x(self, tp: TimePoly) -> TimePoly:
         """The q-derivation in x, acting inside the time coefficients."""
@@ -192,11 +193,12 @@ class TauBaker:
         """The dilation x -> qx, acting inside the time coefficients."""
         return tp.map_coeffs(lambda s: dilate(s, self.q))
 
-    def x_factor(self) -> MZSeries:
-        """D_q w * w**-1 reduced to the dressing level (q-data only)."""
+    def x_factor(self, lo=NEG_INF) -> MZSeries:
+        """D_q w * w**-1 reduced to the dressing level (q-data only), from `lo` up."""
         if self.q is None:
             raise ValueError("x-derivative factor needs the q parameter")
-        return x_factor_of(self.what, self.winv, self.a, self.derive_x, self.dilate_x)
+        return x_factor_of(self.what, self.winv, self.a, self.derive_x,
+                           self.dilate_x, lo)
 
 
 def flow_step(p: MZSeries, k: int, weights: dict) -> MZSeries:
@@ -431,10 +433,15 @@ def taylor_agreement(
         (k, alpha): shift_difference(k, alpha, a_values, q, xorder)
         for k in range(1, xorder + 1) for alpha in range(spec.n)
     })
-    g = baker.x_factor()
+    # D(H) is read at z**-1-l_max..z**-1, and H's top degree is the flow
+    # weight of lam: so g is read down to -1-l_max minus the largest
+    # weight, and H down to -1-l_max minus g's top
+    g = baker.x_factor(-1 - l_max - max(
+        (sum(k for k, _ in lam) for lam in lambdas), default=0))
+    h_lo = -1 - l_max - max(g.top(), 0)
     out = []
     for lam in lambdas:
-        h = baker.h(lam)
+        h = baker.h(lam, h_lo)
         dh = derive_through(h, g, baker.derive_x, baker.dilate_x, -1 - l_max, -1)
         m_lam = flows_applied(dilated_e, lam)
         pre_lam = flows_applied(pre, lam)

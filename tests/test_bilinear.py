@@ -233,3 +233,48 @@ def test_reconstruct_flags_corruption():
     corrupted = inject_corruption(d, "2/5")
     _, _, neg = reconstruct_from_bilinear(corrupted)
     assert not neg.is_zero()
+
+
+def _whole_m1(monkeypatch):
+    """Make the m = 1 reduction of `bilinear_residues` build every degree."""
+    import qakns.bilinear as bl
+
+    real = bl.derive_through
+    monkeypatch.setattr(bl, "derive_through",
+                        lambda f, g, derive, dilate, *window: real(f, g, derive, dilate))
+
+
+@pytest.mark.parametrize("kind", ["solver", "corrupted", "classical"])
+def test_windowed_m1_residues_match_the_whole_reduction(kind, monkeypatch):
+    from qakns.config import demo_config
+    from qakns.suites import SuiteContext
+    from qakns.zseries import derive_through
+
+    cfg = demo_config()
+    ctx = SuiteContext(cfg)
+    lambdas = ctx.lambdas()
+    if kind == "solver":
+        dressing = ctx.dressing
+    elif kind == "corrupted":
+        dressing, lambdas = inject_corruption(ctx.dressing, "1/3"), [()]
+    else:
+        dressing = solve_dressing(cfg.bilinear_lax(classical=True),
+                                  cfg.required_dressing_depth())
+    calc = dressing.lax.calc
+    g = x_derivative_factor(dressing)
+    table = FlowTable(dressing.resolvents())
+    # the window holds what the whole reduction holds, over its floor
+    lo, hi = -1 - cfg.l_max, -1
+    for lam in lambdas:
+        f = table.factor(lam)
+        got = derive_through(f, g, calc.derive, calc.dilate, lo, hi)
+        whole = derive_through(f, g, calc.derive, calc.dilate)
+        assert got.zvalid == whole.zvalid
+        assert got.terms == {d: m for d, m in whole.terms.items() if lo <= d <= hi}
+    got = check_q_bilinear(dressing, cfg.l_max, lambdas)
+    _whole_m1(monkeypatch)
+    ref = check_q_bilinear(dressing, cfg.l_max, lambdas)
+    assert [label for label, _ in got] == [label for label, _ in ref]
+    # the same residues, x-validity included
+    assert [r for _, r in got] == [r for _, r in ref]
+    assert (kind == "corrupted") == any(nonzero(got))

@@ -10,14 +10,14 @@ from qakns.matseries import MatSeries
 from qakns.qop import (
     BandError,
     QDOp,
+    OracleKernel,
     exp_q_laurent,
-    oracle_factors,
     pairing_lhs,
     pairing_oracle,
     pairing_rhs,
 )
 from qakns.series import XSeries
-from qakns.zseries import MZSeries
+from qakns.zseries import NEG_INF, MZSeries
 
 N = 8
 QS = [F(2), F(1, 2), F(3, 5)]
@@ -283,27 +283,166 @@ def test_oracle_examples_check_at_n3():
     ]
 
 
-def test_oracle_multiplies_only_the_pairs_that_reach_the_residue(monkeypatch):
+def test_warm_kernel_trial_forms_one_contraction(monkeypatch):
     rng = random.Random(5)
     q = F(2)
     p_op = rnd_band_op(rng, 2, q)
     q_op = rnd_band_op(rng, 2, q)
+    kernel = OracleKernel([1, -1], q, N)
+    pairing_oracle(p_op, q_op, [1, -1], kernel)  # builds every C(k, l)
     calls = []
     dot = MatSeries.dot
 
     def counting(blocks):
-        # every block product, under `@` or in a z-degree block sum
+        # every block product, under `@` or in a sum of products
         calls.extend(blocks)
         return dot(blocks)
 
     monkeypatch.setattr(MatSeries, "dot", staticmethod(counting))
-    got = pairing_oracle(p_op, q_op, [1, -1])
+    got = pairing_oracle(p_op, q_op, [1, -1], kernel)
     monkeypatch.undo()
     assert (got - pairing_lhs(p_op, q_op, [1, -1])).is_zero()
-    # building both factors whole and their whole z-product took 473 block
-    # products on this pair, and reading z**-1 of that product 222; building
-    # each factor only up to the degrees that pair onto z**-1 takes 41
-    assert len(calls) <= 41
+    # with the kernel warm a trial is the contraction alone: 25 products
+    # C(k, l) s_l and 5 products p_k (...); re-expanding both exponential
+    # factors per trial took 41 on this pair, and 473 built whole
+    assert len(calls) <= 30
+
+
+def test_random_pairs_builds_each_kernel_entry_once(monkeypatch):
+    from qakns.config import demo_config
+    from qakns.suites import run_suite
+
+    builds = {}
+    real = OracleKernel._residue
+
+    def counted(self, k, l):
+        key = (tuple(self.a), k, l)
+        builds[key] = builds.get(key, 0) + 1
+        return real(self, k, l)
+
+    monkeypatch.setattr(OracleKernel, "_residue", counted)
+    cfg = demo_config()
+    cfg = type(cfg)(**{**cfg.__dict__, "checks": ("pairing.random_pairs",)})
+    (res,) = run_suite(cfg).checks
+    assert res.status == "pass"
+    # both a-vectors of the check, every band pair of each, each built once
+    assert {a for a, _, _ in builds} == {(F(1),), tuple(cfg.a)}
+    assert len(builds) == 2 * 25 and set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("q", [F(2), F(-3), F(1, 2), F(-1, 3)])
+def test_kernel_is_the_paired_inverse(q):
+    # C(k, l) = res_z((zA)**k exp_q(zAx) (-zA)**l exp_1/q(-zAx)) is
+    # delta_(k+l,-1) (-1)**l A**-1, since exp_q(zAx) exp_1/q(-zAx) = 1
+    a_vals = [F(1), F(-1), F(2)]
+    kernel = OracleKernel(a_vals, q, N)
+    proto = XSeries.one(N)
+    for k in range(-2, 3):
+        for l in range(-2, 3):
+            expect = (MatSeries.diag_const([F(-1) ** l / a for a in a_vals], proto)
+                      if k + l == -1 else MatSeries.zero(3, proto))
+            assert kernel.coeff(k, l) == expect, (k, l)
+
+
+def _sum_by_degree(n, proto, parts):
+    """The sum of (series, block) parts, each z-degree one `MatSeries.dot`,
+    with the largest part floor, as a chain of `+` gives it."""
+    zv = max((s.zvalid for s, _ in parts), default=NEG_INF)
+    by_degree = {}
+    for s, block in parts:
+        for d, m in s.terms.items():
+            if d >= zv:
+                by_degree.setdefault(d, []).append(block(m))
+    return MZSeries(
+        n, {d: MatSeries.dot(b) for d, b in by_degree.items()}, zv, proto
+    )
+
+
+def per_trial_oracle(p_op, q_op, a_vals):
+    """The oracle that expands both exponential factors per trial: reference.
+
+    The left factor sum_k p_k D**k exp_q(zAx) is built up to -1 - min l and
+    the right factor sum_l (-zA)**l exp_1/q(-zAx) q**l g_l(x/q) up to
+    -1 - min(0, min k), each degree summed in one `MatSeries.dot`, and the
+    residue read off their product.
+    """
+    q, n = p_op.dparam, p_op.n
+    pk = {k: m.terms[0] for k, m in p_op.coeffs.items() if 0 in m.terms}
+    gl = {l: m.terms[0] for l, m in q_op.coeffs.items() if 0 in m.terms}
+    order = (p_op._proto() or q_op._proto()).order
+    splus = exp_q_laurent(a_vals, q, order, +1)
+    sminus = exp_q_laurent(a_vals, q, order, -1)
+    if not pk or not gl:
+        return MatSeries.zero(n, splus.proto)
+    hi_left, hi_right = -1 - min(gl), -1 - min(0, min(pk))
+    za = [F(a) for a in a_vals]
+
+    def za_power(k):
+        return MZSeries.from_term(
+            n, k, MatSeries.diag_const([a**k for a in za], splus.proto))
+
+    splus_low = MZSeries(
+        n, {d: m for d, m in splus.terms.items() if d <= hi_left},
+        splus.zvalid, splus.proto,
+    )
+    left_parts = []
+    for k, pm in pk.items():
+        if k >= 0:
+            g = splus_low
+            for _ in range(k):
+                g = g.map_entries(lambda s: q_derive(s, q))
+        else:
+            g = za_power(k).product(splus, hi=hi_left)
+        left_parts.append((g, lambda m, pm=pm: (pm, m)))
+    left = _sum_by_degree(n, splus.proto, left_parts)
+    right_parts = []
+    for l, gm in gl.items():
+        eig = za_power(l).scale(F(-1) ** l)
+        shifted = gm.map(lambda s: dilate(s, 1 / q)).scale(q**l)
+        right_parts.append((eig.product(sminus, hi=hi_right),
+                            lambda m, shifted=shifted: (m, shifted)))
+    right = _sum_by_degree(n, splus.proto, right_parts)
+    return left.product_coeff(right, -1)
+
+
+def _lifted(op, order):
+    """The operator with its polynomial coefficients at another x-order."""
+    return op.map_coeffs(lambda m: m.map_entries(
+        lambda s: XSeries.poly(s.coeffs[: s.top + 1], order)))
+
+
+@pytest.mark.parametrize("q", [F(2), F(-3), F(1, 2), F(-1, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_oracle_matches_the_per_trial_expansion(n, q):
+    from qakns.suites import _random_band_op
+
+    a_vals = [F(1), F(-1), F(2)][:n]
+    raised = 0  # entries the per-trial expansion left at valid = x-order
+    for order in (4, 5, 6, 8, 16):
+        rng = random.Random(order * 10 + n)
+        kernel = OracleKernel(a_vals, q, order)
+        for _ in range(3):
+            p_op = _random_band_op(rng, n, order, q)
+            q_op = _random_band_op(rng, n, order, q)
+            got = pairing_oracle(p_op, q_op, a_vals, kernel)
+            ref = per_trial_oracle(p_op, q_op, a_vals)
+            # the same values, entry by entry; the overflow rule of
+            # intermediate products no longer lowers valid, and at x >= 8
+            # no product of the band [-2, 2] overflows
+            exact = pairing_lhs(_lifted(p_op, 24), _lifted(q_op, 24), a_vals)
+            for row, ref_row, big_row in zip(got.rows, ref.rows, exact.rows):
+                for e, r, big in zip(row, ref_row, big_row):
+                    assert (e.nums, e.den) == (r.nums, r.den)
+                    assert e.valid >= r.valid
+                    if order >= 8:
+                        assert e.valid == r.valid
+                    raised += e.valid > r.valid
+                    # what the kernel claims exact is the true residue
+                    known = min(e.valid, order)
+                    assert e.coeffs[: known + 1] == big.coeffs[: known + 1]
+                    if e.is_exact:
+                        assert big.top <= order
+    assert raised > 0
 
 
 def whole_factor_oracle(p_op, q_op, a_vals):
@@ -311,7 +450,8 @@ def whole_factor_oracle(p_op, q_op, a_vals):
     q, n = p_op.dparam, p_op.n
     pk = {k: m.terms[0] for k, m in p_op.coeffs.items()}
     gl = {l: m.terms[0] for l, m in q_op.coeffs.items()}
-    splus, sminus = oracle_factors(a_vals, q, N)
+    splus = exp_q_laurent(a_vals, q, N, +1)
+    sminus = exp_q_laurent(a_vals, q, N, -1)
 
     def za_power(k):
         return MZSeries.from_term(

@@ -9,7 +9,7 @@ from qakns import hierarchy as hy
 from qakns import qop, report
 from qakns.config import demo_config
 from qakns.matseries import MatSeries
-from qakns.suites import SuiteContext, check_zero_curvature, run_suite
+from qakns.suites import SuiteContext, check_u_flow, check_zero_curvature, run_suite
 from qakns.zseries import NEG_INF, MZSeries
 
 
@@ -120,3 +120,23 @@ def test_zero_curvature_reads_every_pair_from_one_flow_table(monkeypatch):
     assert calls["table"] == 1
     assert calls["product"] <= 24
     assert calls["dot"] <= 140
+
+
+def test_u_flow_depth_shortage_is_an_error(monkeypatch):
+    # a resolvent known only at z**0 (solved to depth 0) cannot decide the
+    # flow's nonnegative part: that is a depth shortage, reported as ERROR,
+    # not as a violated flow
+    from qakns.zseries import InsufficientDepthError
+
+    class Shallow(hy.HierarchySession):
+        def resolvent(self, alpha, depth, normalization="orthogonal"):
+            return super().resolvent(alpha, 0, normalization)
+
+    ctx = SuiteContext(demo_config())
+    ctx._cache["session"] = Shallow(ctx.lax)
+    with pytest.raises(InsufficientDepthError, match="not fully determined"):
+        check_u_flow(ctx)
+    monkeypatch.setattr(hy, "HierarchySession", Shallow)
+    (res,) = run_checks("hierarchy.u_flow_structure")
+    assert res.status == "error"
+    assert res.first_failure["error"].startswith("InsufficientDepthError: ")

@@ -881,3 +881,68 @@ def test_substitution_commutes_detects_one_differing_degree(monkeypatch):
 
     monkeypatch.setattr(tau_mod, "q_shift_times", scaled)
     assert any(nonzero(substitution_commutes(spec, [1, -1], F(2), depth)))
+
+
+def _whole_products(monkeypatch):
+    """Build g, every H_lam and the m = 1 reductions at every degree."""
+    import qakns.bilinear as bl
+    from qakns.tau import TauBaker
+
+    real_h, real_g, real_dt = TauBaker.h, TauBaker.x_factor, bl.derive_through
+    monkeypatch.setattr(TauBaker, "h", lambda self, lam, lo=None: real_h(self, lam))
+    monkeypatch.setattr(TauBaker, "x_factor", lambda self, lo=None: real_g(self))
+    monkeypatch.setattr(bl, "derive_through",
+                        lambda f, g, derive, dilate, *window: real_dt(f, g, derive, dilate))
+
+
+def _tau_theorem_case(kind):
+    """(spec, a, q, l_max, lambdas, depth, time context) as tau.theorem runs it."""
+    from qakns.config import DEMO_CONFIG, parse_config
+    from qakns.suites import SuiteContext, _tau_spec_from_config
+
+    data = dict(DEMO_CONFIG)
+    if kind == "real":
+        one = [{"exponents": [0, 0, 0], "coeff": "1"}]
+        minus = [{"exponents": [0, 0, 0], "coeff": "-1"}]
+        data["tau"] = {
+            "variables": [[1, 1], [1, 2], [2, 1]],
+            "monomials": one + [{"exponents": [1, 0, 0], "coeff": "-1"},
+                                {"exponents": [0, 1, 0], "coeff": "1"}],
+            "companions": {"1,2": minus, "2,1": one},
+        }
+    cfg = parse_config(data)
+    ctx = SuiteContext(cfg)
+    lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
+    return (_tau_spec_from_config(ctx), list(cfg.a), cfg.q, min(cfg.l_max, 3),
+            lambdas, cfg.l_max + 2, ctx.tau_ctx)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("kind", ["mechanism", "vacuum", "real"])
+def test_windowed_taylor_and_q_bilinear_match_the_whole_products(kind, monkeypatch):
+    if kind == "mechanism":
+        args = _mechanism_shape()
+        runs = [(taylor_agreement, args)]
+    else:
+        spec, a, q, l_max, lambdas, depth, tctx = _tau_theorem_case(kind)
+        runs = [
+            (taylor_agreement, (spec, a, q, l_max, lambdas, depth)),
+            (bilinear_on_tau, (spec, a, q, l_max, lambdas, depth)),
+            (verify_tau_theorem, (spec, a, q, l_max, lambdas, depth, tctx)),
+        ]
+    got = [_outcome(fn, *args) for fn, args in runs]
+    _whole_products(monkeypatch)
+    ref = [_outcome(fn, *args) for fn, args in runs]
+    # labels, residues, tvalid and x-validity alike; or the same error text
+    assert got == ref
+    if kind == "real":
+        assert got[0] == got[2] == (
+            "InsufficientDepthError: z**-4 coefficient not determined")
+    else:
+        assert all(isinstance(r, list) and r for r in got)
