@@ -15,6 +15,7 @@ from operator import mul
 
 from .scalars import check_q, common_den, frac, q_int
 from .series import XSeries
+from .window import upper_shift
 
 
 @lru_cache(maxsize=256)
@@ -55,7 +56,7 @@ def _derive(f: XSeries, q) -> XSeries:
     ws, den = _int_weights(q, f.order, False)
     out = list(map(mul, f.nums[1:], ws[1:]))
     out.append(0)
-    valid = f.valid if f.is_exact else f.valid - 1
+    valid = upper_shift(f.order, f.valid, f.top, -1)
     return XSeries.from_ints(out, f.den * den, valid, f.top - 1)
 
 
@@ -65,11 +66,7 @@ def _antiderive(g: XSeries, q) -> XSeries:
     ws, den = _int_weights(q, n, True)
     out = [0]
     out += map(mul, g.nums[:n], ws[1:])
-    if g.is_exact:
-        # the antiderivative of x**n overflows the stored window
-        valid = n + 1 if g.top + 1 <= n else n
-    else:
-        valid = g.valid + 1
+    valid = upper_shift(n, g.valid, g.top, 1)  # x**n overflows the window
     return XSeries.from_ints(out, g.den * den, valid, g.top + 1)
 
 

@@ -147,11 +147,11 @@ class Dressing:
 
 
 @lru_cache(maxsize=256)
-def _eig_weights(calc: QCalc, a_out: Fraction, a_in: Fraction):
-    """1/(a_out*sigma(m) - a_in) for m = 0..order as integers over one
-    denominator; where the eigenvalue vanishes the weight is 0 and the
-    degree is listed."""
-    eigs = [a_out * calc.dilation_eig(m) - a_in for m in range(calc.order + 1)]
+def _eig_weights(q: Fraction, order: int, a_out: Fraction, a_in: Fraction):
+    """1/(a_out*sigma(m) - a_in) for m = 0..order, sigma(m) = q**m, as
+    integers over one denominator; where the eigenvalue vanishes the weight
+    is 0 and the degree is listed."""
+    eigs = [a_out * q**m - a_in for m in range(order + 1)]
     nums, den = common_den([1 / e if e else ZERO for e in eigs])
     return nums, den, tuple(m for m, e in enumerate(eigs) if not e)
 
@@ -159,14 +159,14 @@ def _eig_weights(calc: QCalc, a_out: Fraction, a_in: Fraction):
 def _divide_by_eigs(lax: LaxData, src: XSeries, j: int, i: int) -> XSeries:
     """src_m / (a_j*sigma(m) - a_i) inside src's validity window, zero above
     it; a vanishing eigenvalue against a nonzero coefficient is a resonance."""
-    ws, den, zeros = _eig_weights(lax.calc, lax.a[j], lax.a[i])
-    top = max(min(src.valid, src.top, lax.order), -1)
+    ws, den, zeros = _eig_weights(lax.calc.q, lax.order, lax.a[j], lax.a[i])
+    known = src.known
     for m in zeros:
-        if m <= top and src.nums[m]:
+        if m < len(known) and known[m]:
             raise ResonanceError(f"resonance at entry {(i, j)} degree {m}")
-    out = list(map(mul, src.nums[: top + 1], ws))
-    out += [0] * (lax.order - top)
-    return XSeries.from_ints(out, src.den * den, src.valid, top)
+    out = list(map(mul, known, ws))
+    out += [0] * (lax.order + 1 - len(known))
+    return XSeries.from_ints(out, src.den * den, src.valid, len(known) - 1)
 
 
 def _solve_offdiag(lax: LaxData, F: MatSeries) -> MatSeries:
@@ -189,7 +189,7 @@ def _solve_diag_q(lax: LaxData, F: MatSeries, context: str) -> list[XSeries]:
     out = []
     for i in range(lax.n):
         src = F[i, i]
-        if src.valid >= 0 and src.nums[0]:
+        if any(src.known[:1]):
             raise DiagonalConsistencyError(
                 f"{context}: diagonal equation {i+1} has constant source "
                 f"{src.constant_term()}; a_i(D-1) cannot produce constants"
@@ -454,14 +454,14 @@ def expand_in_basis(
     The expansion runs down to s's depth: z**zvalid, or its lowest stored
     degree when s is exact. Returns {(beta, z_power): constant}; raises if
     the remainder at some order is not a constant-diagonal combination (the
-    computational content of the basis property).
+    computational content of the basis property), and raises
+    `InsufficientDepthError` at the first order that the family, shallower
+    than s, leaves undetermined.
     """
     depth = -min(s.terms, default=0) if s.is_exact else -s.zvalid
     coeffs: dict[tuple[int, int], Fraction] = {}
     acc = s
     for j in range(1, depth + 1):
-        if -j < max(acc.zvalid, s.zvalid):
-            break
         cur = acc.coeff(-j)
         consts = []
         for beta in range(s.n):

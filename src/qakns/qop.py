@@ -43,7 +43,8 @@ from .calculus import dilate, exp_q_series, q_derive
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
-from .zseries import MZSeries, NEG_INF, product_floor
+from .window import NEG_INF, add_terms, lower_terms, product_floor
+from .zseries import MZSeries
 
 
 class BandError(ValueError):
@@ -66,13 +67,9 @@ class QDOp:
     def __init__(self, n: int, coeffs: dict, dparam, pvalid=NEG_INF):
         self.n = n
         self.dparam = frac(dparam)
-        kept = {}
-        for p, m in coeffs.items():
-            if m.n != n:
-                raise ValueError("dimension mismatch")
-            if p >= pvalid and not m.is_zero_exact():
-                kept[p] = m
-        self.coeffs = kept
+        if any(m.n != n for m in coeffs.values()):
+            raise ValueError("dimension mismatch")
+        self.coeffs = lower_terms(coeffs, pvalid)
         self.pvalid = pvalid
 
     # -- constructors ---------------------------------------------------
@@ -125,10 +122,7 @@ class QDOp:
 
     def __add__(self, other: "QDOp") -> "QDOp":
         self._check(other)
-        out = dict(self.coeffs)
-        for p, m in other.coeffs.items():
-            cur = out.get(p)
-            out[p] = m if cur is None else cur + m
+        out = add_terms(self.coeffs, other.coeffs)
         return QDOp(self.n, out, self.dparam, max(self.pvalid, other.pvalid))
 
     def __sub__(self, other: "QDOp") -> "QDOp":

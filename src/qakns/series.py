@@ -4,10 +4,10 @@ An XSeries stores coefficients for degrees 0..order. Alongside the
 coefficients it carries `valid`, the largest degree up to which the stored
 values are guaranteed exact. `valid == order + 1` is the "exact" sentinel:
 the series is a genuine polynomial, all stored coefficients are exact and
-the unstored tail is exactly zero. Operations propagate validity so that a
-computation can always be asserted only on coefficients it actually
-determined; the q-derivative, for instance, loses one order on inexact
-input but nothing on a polynomial.
+the unstored tail is exactly zero. Operations propagate validity by the
+rules of `window`, so that a computation can always be asserted only on
+coefficients it actually determined; the q-derivative, for instance,
+loses one order on inexact input but nothing on a polynomial.
 
 The coefficients are held fraction-free: a tuple of integer numerators
 `nums` over one positive denominator `den`, reduced so that
@@ -29,6 +29,7 @@ from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 from .scalars import ZERO, common_den, frac
+from .window import upper_inverse, upper_product, upper_shift
 
 
 class TruncationError(ValueError):
@@ -141,14 +142,18 @@ class XSeries:
         """True if every coefficient within the validity window vanishes."""
         if self.top <= self.valid:
             return self.top < 0  # a nonzero nums[top] lies inside the window
-        return not any(self.nums[: max(self.valid + 1, 0)])
+        return not any(self.known)
+
+    @property
+    def known(self) -> tuple[int, ...]:
+        """The numerators inside the validity window, through `top` at most."""
+        return self.nums[: max(min(self.valid, self.top) + 1, 0)]
 
     def first_nonzero(self) -> tuple[int, Fraction] | None:
         """First (degree, value) with nonzero value inside the validity window."""
-        window = min(self.valid, self.top)
-        for k in range(window + 1):
-            if self.nums[k]:
-                return k, Fraction(self.nums[k], self.den)
+        for k, v in enumerate(self.known):
+            if v:
+                return k, Fraction(v, self.den)
         return None
 
     def with_valid(self, valid: int) -> "XSeries":
@@ -200,10 +205,10 @@ class XSeries:
 
         Every product is convolved fraction-free into one numerator list
         over the lcm of the pairs' denominators, and the sum is reduced by
-        one `from_ints` call. `valid` is the smallest the product rule
-        gives any pair: a product of polynomials stays exact unless it
-        overflows the order, and a zero operand still counts. All operands
-        share one order; an empty `pairs` raises ValueError.
+        one `from_ints` call. `valid` is the smallest window that
+        `window.upper_product` gives any pair, so an exact zero operand
+        leaves the sum exact. All operands share one order; an empty
+        `pairs` raises ValueError.
         """
         pairs = list(pairs)
         if not pairs:
@@ -218,12 +223,9 @@ class XSeries:
             an, bn = a.nums, b.nums
             if len(an) != size or len(bn) != size:
                 raise (a if len(an) != len(bn) else first)._mismatch(b)
-            va, vb = a.valid, b.valid
-            v = va if va < vb else vb
             ta, tb = a.top, b.top
+            v = upper_product(n, a.valid, ta, b.valid, tb)
             if ta >= 0 and tb >= 0:
-                if v > n and ta + tb > n:  # exact factors, truncated product
-                    v = n
                 d = a.den * b.den
                 live.append((an, bn, ta, tb, d))
                 if lcm % d:
@@ -279,16 +281,14 @@ class XSeries:
         den = pw[n] * a0
         if den < 0:
             nums, den = [-v for v in nums], -den
-        if self.is_exact and top == 0:
-            return XSeries.from_ints(nums, den, n + 1)  # the reciprocal of a constant is exact
-        return XSeries.from_ints(nums, den, min(self.valid, n))
+        return XSeries.from_ints(nums, den, upper_inverse(n, self.valid, top == 0))
 
     def shift_down(self) -> "XSeries":
         """Divide by x exactly; the constant term must vanish."""
         if self.nums[0] != 0:
             raise ValueError("not divisible by x: nonzero constant term")
         # the top coefficient came from degree order+1, unknown unless exact
-        valid = self.valid if self.is_exact else self.valid - 1
+        valid = upper_shift(self.order, self.valid, self.top, -1)
         return XSeries._raw(self.nums[1:] + (0,), self.den, valid, max(self.top - 1, -1))
 
     def __eq__(self, other) -> bool:

@@ -464,7 +464,7 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
         degrees["z"] = int(-residual.zvalid)
     x_valid = residual.min_entry_valid()
     if x_valid != math.inf:
-        degrees["x"] = int(min(x_valid, 10**6))
+        degrees["x"] = x_valid
     return _result(
         "dressing.factorization", {"depth": ctx.dressing.depth},
         nonzero([((), residual)]), degrees,

@@ -487,7 +487,7 @@ def classical_limit_check(poly: TimePoly, a_values, q_values):
 def _tp_norm(p: TimePoly) -> Fraction:
     total = Fraction(0)
     for c in p.terms.values():
-        total += Fraction(sum(map(abs, c.nums[: max(c.valid + 1, 0)])), c.den)
+        total += Fraction(sum(map(abs, c.known)), c.den)
     return total
 
 

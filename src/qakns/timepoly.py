@@ -23,6 +23,7 @@ from operator import add
 
 from .scalars import frac
 from .series import XSeries
+from .window import add_terms, upper_inverse, upper_product, upper_shift
 
 FlowIndex = tuple[int, int]  # (k, channel), channel 0-based internally
 
@@ -33,7 +34,7 @@ def _within(terms: dict, tvalid: int) -> dict:
 
 
 class TimePoly:
-    __slots__ = ("vars", "terms", "tmax", "xorder", "tvalid")
+    __slots__ = ("vars", "terms", "tmax", "xorder", "tvalid", "_top")
 
     def __init__(self, vars: tuple, terms: dict, tmax: int, xorder: int,
                  tvalid: int | None = None):
@@ -56,6 +57,7 @@ class TimePoly:
         self.terms = {
             e: c for e, c in terms.items() if not (c.is_zero() and c.is_exact)
         }
+        self._top = None
 
     def _like(self, terms: dict, tvalid: int) -> "TimePoly":
         """Internal constructor: `terms` fit this carrier and lie within tvalid."""
@@ -97,6 +99,14 @@ class TimePoly:
         )
 
     @property
+    def top(self) -> int:
+        """The highest total degree of a stored monomial (-1 when none is),
+        computed on first use."""
+        if self._top is None:
+            self._top = max(map(sum, self.terms), default=-1)
+        return self._top
+
+    @property
     def valid(self):
         """Minimum x-validity over coefficients (reporting hook)."""
         if not self.terms:
@@ -135,11 +145,7 @@ class TimePoly:
             b = _within(b, self.tvalid)
         elif other.tvalid < self.tvalid:
             a = _within(a, other.tvalid)
-        out = dict(a)
-        for e, c in b.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return self._like(out, min(self.tvalid, other.tvalid))
+        return self._like(add_terms(a, b), min(self.tvalid, other.tvalid))
 
     def __sub__(self, other: "TimePoly") -> "TimePoly":
         return self + (-other)
@@ -154,12 +160,9 @@ class TimePoly:
     def dot(pairs) -> "TimePoly":
         """The sum of p * q over the (p, q) pairs, one `XSeries.dot` per monomial.
 
-        `tvalid` is the smallest the product rule gives any pair. An exact
-        zero operand (no terms, `tvalid > tmax`) gives an exact zero,
-        whatever the other's validity; a zero known only through its
-        `tvalid` keeps the min rule. Otherwise t-exact operands give
-        `tmax + 1`, or `tmax` when a pair of their monomials overflows the
-        cap, and any other pair the smaller `tvalid`. No monomial above the
+        `tvalid` is the smallest window that `window.upper_product` gives
+        any pair, read in the total t-degree: an exact zero operand (no
+        terms, `tvalid > tmax`) gives an exact zero. No monomial above the
         result's `tvalid` is formed. All operands share one carrier; an
         empty `pairs` raises ValueError.
         """
@@ -173,18 +176,9 @@ class TimePoly:
         for p, q in pairs:
             first._check(p)
             first._check(q)
-            if not p.terms or not q.terms:
-                if any(not z.terms and z.tvalid > tmax for z in (p, q)):
-                    continue  # an exact zero annihilates the other factor
-                t = min(p.tvalid, q.tvalid)
-            else:
+            if p.terms and q.terms:
                 live.append((p, q))
-                if p.tvalid > tmax and q.tvalid > tmax:
-                    top = max(map(sum, p.terms)) + max(map(sum, q.terms))
-                    t = tmax if top > tmax else tmax + 1
-                else:
-                    t = min(p.tvalid, q.tvalid)
-            tvalid = min(tvalid, t)
+            tvalid = min(tvalid, upper_product(tmax, p.tvalid, p.top, q.tvalid, q.top))
         cap = min(tvalid, tmax)
         groups: dict[tuple, list] = {}
         for p, q in live:
@@ -216,16 +210,11 @@ class TimePoly:
         if v not in self.vars:
             return self.zero_like()
         i = self.vars.index(v)
-        out: dict[tuple, XSeries] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            add = c.scale(e[i])
-            cur = out.get(e2)
-            out[e2] = add if cur is None else cur + add
-        tvalid = self.tvalid if self.tvalid > self.tmax else self.tvalid - 1
-        return self._like(out, tvalid)
+        out = {  # lowering e_i by one is injective: no two terms meet
+            tuple(x - 1 if j == i else x for j, x in enumerate(e)): c.scale(e[i])
+            for e, c in self.terms.items() if e[i]
+        }
+        return self._like(out, upper_shift(self.tmax, self.tvalid, self.top, -1))
 
     def shift_var(self, v: FlowIndex, s: XSeries) -> "TimePoly":
         """Substitute t_v -> t_v + s(x), re-expanded exactly.
@@ -263,10 +252,9 @@ class TimePoly:
             if term.is_zero():
                 break
             acc = acc + term
-        out = acc.scale_series(c0_inv)
-        if rest.is_zero() and self.is_exact:
-            return out  # inverse of a t-constant stays polynomial in t
-        return out.with_tvalid(min(self.tvalid, self.tmax))
+        # the inverse of a t-exact t-constant stays polynomial in t
+        tvalid = upper_inverse(self.tmax, self.tvalid, rest.is_zero())
+        return acc.scale_series(c0_inv).with_tvalid(tvalid)
 
     def with_tvalid(self, tvalid: int) -> "TimePoly":
         if tvalid >= self.tvalid:

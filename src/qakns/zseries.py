@@ -10,8 +10,8 @@ zvalid = -infinity.
 Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
-`product_floor` is that rule; operator composition (`QDOp.pvalid`) uses
-it unchanged on operator powers, and `product`, which computes a window
+That is `window.product_floor`, the lower-window rule that operator
+composition (`QDOp.pvalid`) shares; `product`, which computes a window
 of a product, inherits it from the whole product; `product_coeff` is its
 one-degree window.
 `derive_through` is the one q-Leibniz reduction that the residue and
@@ -23,17 +23,7 @@ from __future__ import annotations
 import math
 
 from .matseries import MatSeries
-
-NEG_INF = -math.inf
-
-
-def product_floor(a_floor, a_top, b_floor, b_top):
-    """Lowest exactly-known degree of a graded product.
-
-    Each factor is exact from its floor up to its top (a carrier with no
-    stored terms reports its floor as its top); -inf marks an exact factor.
-    """
-    return max(a_floor + b_top, b_floor + a_top)
+from .window import NEG_INF, add_terms, lower_terms, product_floor
 
 
 def derive_through(f: MZSeries, g: MZSeries, derive, dilate,
@@ -60,16 +50,12 @@ class MZSeries:
 
     def __init__(self, n: int, terms: dict, zvalid=NEG_INF, proto=None):
         self.n = n
-        kept = {}
-        for d, m in terms.items():
-            if m.n != n:
-                raise ValueError("dimension mismatch")
-            if proto is None:
-                proto = m.proto()
-            # keep inexact zeros: they still bound what later checks may claim
-            if d >= zvalid and not m.is_zero_exact():
-                kept[d] = m
-        self.terms = kept
+        if any(m.n != n for m in terms.values()):
+            raise ValueError("dimension mismatch")
+        if proto is None and terms:
+            proto = next(iter(terms.values())).proto()
+        # inexact zeros are kept: they still bound what later checks may claim
+        self.terms = lower_terms(terms, zvalid)
         self.zvalid = zvalid
         self.proto = proto
         self._zero = None
@@ -152,22 +138,18 @@ class MZSeries:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _merge(self, other: "MZSeries", sign: int) -> "MZSeries":
+    def _merge(self, other: "MZSeries", negate: bool) -> "MZSeries":
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         zv = max(self.zvalid, other.zvalid)
-        out = dict(self.terms)
-        for d, m in other.terms.items():
-            cur = out.get(d)
-            add = m if sign > 0 else -m
-            out[d] = add if cur is None else cur + add
+        out = add_terms(self.terms, other.terms, negate)
         return MZSeries(self.n, out, zv, self.proto or other.proto)
 
     def __add__(self, other: "MZSeries") -> "MZSeries":
-        return self._merge(other, +1)
+        return self._merge(other, False)
 
     def __sub__(self, other: "MZSeries") -> "MZSeries":
-        return self._merge(other, -1)
+        return self._merge(other, True)
 
     def __neg__(self) -> "MZSeries":
         return MZSeries(
@@ -212,9 +194,9 @@ class MZSeries:
 
     def shift(self, k: int) -> "MZSeries":
         """Multiply by z**k."""
-        zv = self.zvalid if self.zvalid == NEG_INF else self.zvalid + k
         return MZSeries(
-            self.n, {d + k: m for d, m in self.terms.items()}, zv, self.proto
+            self.n, {d + k: m for d, m in self.terms.items()}, self.zvalid + k,
+            self.proto,
         )
 
     def truncate_below(self, floor: int) -> "MZSeries":

@@ -4,6 +4,11 @@
 products and reduce it once. The references below are the pairwise loops
 they replace: one reduced product per pair, folded with `+`. Both must
 give the same numerators, denominator, `valid`, `top` and `tvalid`.
+
+`ref_xmul` and `ref_tmul` keep the product rules that each carrier wrote
+for itself before they shared one precision model (`qakns.window`).
+`ref_xmul_shared` is the shared rule, under which an exact-zero factor
+gives an exact zero; a differential test pins where the two differ.
 """
 
 import random
@@ -27,7 +32,8 @@ DENS = (1, 2, 3, 4, 6, 7, 12)
 
 
 def ref_xmul(a, b):
-    """a * b by the pairwise kernel: convolve, then reduce."""
+    """a * b by the pairwise kernel: convolve, then reduce. A zero factor
+    keeps the smaller `valid`, as in the earlier XSeries rule."""
     an, bn = a.nums, b.nums
     if len(an) != len(bn):
         raise a._mismatch(b)
@@ -52,10 +58,22 @@ def ref_xmul(a, b):
     return XSeries.from_ints(out, a.den * b.den, valid, top)
 
 
+def exact_zero(s):
+    return s.top < 0 and s.is_exact
+
+
+def ref_xmul_shared(a, b):
+    """`ref_xmul` under the shared rule: an exact-zero factor annihilates."""
+    prod = ref_xmul(a, b)
+    if exact_zero(a) or exact_zero(b):
+        return prod._replace(prod.order + 1)
+    return prod
+
+
 def ref_xdot(pairs):
     acc = None
     for a, b in pairs:
-        term = ref_xmul(a, b)
+        term = ref_xmul_shared(a, b)
         acc = term if acc is None else acc._combine(term, add)
     return acc
 
@@ -183,6 +201,23 @@ def test_xseries_dot_matches_pairwise_loop():
     assert all(v > 20 for v in seen.values()), seen
 
 
+def test_shared_rule_differs_from_the_earlier_xseries_rule_only_on_an_exact_zero():
+    # TimePoly's earlier rule already was the shared one: the pairwise
+    # test above holds its product to `ref_tmul` unchanged
+    rng = random.Random(25)
+    differ = 0
+    for _ in range(600):
+        a, b = rnd_x(rng), rnd_x(rng)
+        got, old = a * b, ref_xmul(a, b)
+        if (exact_zero(a) or exact_zero(b)) and not old.is_exact:
+            # the window becomes exact; the coefficients are the same
+            assert got.is_exact and (got.nums, got.den) == (old.nums, old.den)
+            differ += 1
+        else:
+            assert fields(got) == fields(old)
+    assert differ > 20
+
+
 def test_xseries_dot_cancels_to_a_canonical_zero():
     a, b = XSeries.poly([F(1, 3), 2], N), XSeries.poly([1, F(-1, 5)], N)
     got = XSeries.dot([(a, b), (-a, b)])
@@ -244,7 +279,7 @@ def test_timepoly_dot_errors():
 def test_matseries_dot_matches_pairwise_loop(ring):
     rng = random.Random(24)
     entry, mul_entry, eq = {
-        "xseries": (rnd_x, ref_xmul, fields),
+        "xseries": (rnd_x, ref_xmul_shared, fields),
         "timepoly": (rnd_t, ref_tmul, tfields),
     }[ring]
     for _ in range(25):

@@ -17,6 +17,7 @@ from qakns.hierarchy import (
     HierarchySession,
     LaxData,
     ResonanceError,
+    _eig_weights,
     _idempotent_repair,
     _next_order,
     b_split,
@@ -33,7 +34,7 @@ from qakns.matseries import MatSeries
 from qakns.qop import QDOp, q_commutator
 from qakns.report import nonzero
 from qakns.series import XSeries
-from qakns.zseries import NEG_INF, MZSeries
+from qakns.zseries import NEG_INF, InsufficientDepthError, MZSeries
 
 N = 8
 QS = [F(2), F(1, 2), F(3, 5)]
@@ -281,6 +282,39 @@ def test_basis_expansion_of_normalization_difference():
     # leading repaired constants, as derived by hand
     assert coeffs[(0, 2)] == F(-1, 4)
     assert coeffs[(1, 2)] == F(1, 4)
+
+
+def lax_n3(q=F(1, 3)):
+    x = XSeries.monomial(1, 1, N)
+    z = XSeries.zero(N)
+
+    def c(v):
+        return XSeries.const(v, N)
+
+    u = MatSeries([[z, c(-2), x.scale(-2)], [c(-1), z, c(1)],
+                   [x.scale(-2), c(1), z]])
+    return LaxData([1, -1, 2], u, QCalc(q, N))
+
+
+def test_basis_expansion_needs_the_family_as_deep_as_the_series():
+    session = HierarchySession(lax_n3())
+    diff = session.resolvent(0, 5) - session.resolvent(0, 5, "zero")
+    deep = [session.resolvent(b, 5, "zero") for b in range(3)]
+    shallow = [session.resolvent(b, 2, "zero") for b in range(3)]
+    coeffs = expand_in_basis(diff, deep)
+    assert coeffs[(0, 4)] == F(-141, 40) and coeffs[(2, 4)] == F(7, 2)
+    # the shallow family leaves z**-5 undetermined: it is not skipped
+    with pytest.raises(InsufficientDepthError, match=r"z\*\*-5"):
+        expand_in_basis(diff, shallow)
+
+
+def test_eig_weights_are_cached_by_value():
+    _eig_weights.cache_clear()
+    solve_resolvent_direct(lax_const(), 0, 3)
+    size = _eig_weights.cache_info().currsize
+    for _ in range(3):  # a new LaxData and QCalc each time, equal in value
+        solve_resolvent_direct(lax_const(), 0, 3)
+    assert _eig_weights.cache_info().currsize == size
 
 
 def test_b_split():

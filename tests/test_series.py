@@ -97,7 +97,10 @@ def test_shift_down():
 #
 # A reference series is a (coefficient list, valid) pair; the functions
 # below restate the validity rules on Fractions, independently of the
-# integer-numerator kernel.
+# integer-numerator kernel. `ref_mul` keeps the product rule that XSeries
+# had before the carriers shared one precision model, and
+# `ref_mul_shared` is the shared rule: the two differ only where an exact
+# zero meets a truncated factor.
 
 import math
 import random
@@ -128,6 +131,7 @@ def ref_add(a, b, sign=1):
 
 
 def ref_mul(a, b):
+    """The earlier XSeries rule: a zero factor keeps the smaller `valid`."""
     (ca, va), (cb, vb) = a, b
     n = len(ca) - 1
     out = [F(0)] * (n + 1)
@@ -138,6 +142,19 @@ def ref_mul(a, b):
         da, db = ref_degree(ca), ref_degree(cb)
         return out, (n + 1 if da is None or db is None or da + db <= n else n)
     return out, min(va, vb)
+
+
+def ref_exact_zero(a):
+    return ref_degree(a[0]) is None and a[1] > len(a[0]) - 1
+
+
+def ref_mul_shared(a, b):
+    """The shared rule: as `ref_mul`, but an exact-zero factor gives an
+    exact zero."""
+    out, valid = ref_mul(a, b)
+    if ref_exact_zero(a) or ref_exact_zero(b):
+        return out, len(out)
+    return out, valid
 
 
 def ref_invert(a):
@@ -181,7 +198,7 @@ def test_kernel_matches_fraction_reference():
         assert_matches(sa + sb, ref_add(a, b))
         assert_matches(sa - sb, ref_add(a, b, -1))
         assert_matches(-sa, ([-c for c in a[0]], a[1]))
-        assert_matches(sa * sb, ref_mul(a, b))
+        assert_matches(sa * sb, ref_mul_shared(a, b))
         c = F(rng.randint(-4, 4), rng.choice(DENS))
         assert_matches(sa.scale(c), ([c * x for x in a[0]], a[1]))
         if a[0][0]:
@@ -208,18 +225,6 @@ def test_equal_values_are_equal_and_hash_alike():
 
 
 # -- the zero fast path keeps every validity rule --------------------------
-
-
-def test_zero_times_inexact_is_inexact_zero():
-    zero = XSeries.zero(N)
-    inexact = poly(1, 2, 3).with_valid(4)
-    for prod in (zero * inexact, inexact * zero):
-        assert prod.is_zero() and prod.top == -1
-        assert not prod.is_exact and prod.valid == 4
-    assert (zero * poly(1, 2)).is_exact
-    hidden = zero.with_valid(3)
-    assert (hidden * poly(1, 2)).valid == 3
-    assert (poly(1, 2) * hidden).valid == 3
 
 
 def test_adding_zero_keeps_min_valid():
@@ -250,7 +255,7 @@ def test_matmul_with_zero_entries_matches_entrywise_reference():
             for j in range(n):
                 acc = None
                 for k in range(n):
-                    term = ref_mul(refs[0][i][k], refs[1][k][j])
+                    term = ref_mul_shared(refs[0][i][k], refs[1][k][j])
                     acc = term if acc is None else ref_add(acc, term)
                 assert_matches(prod[i, j], acc)
                 inexact += acc[1] <= N
