@@ -17,8 +17,9 @@ content:
 Both x-derivative reductions are the q-Leibniz rule `zseries.derive_through`:
 through exp_q(zAx) for the factor itself, and through the Baker function
 for the m = 1 residues. The residue family itself is `bilinear_residues`,
-the one engine for solver dressings (here) and tau-built dressings
-(`tau.bilinear_on_tau`).
+the one engine for solver dressings (here) and tau-built dressings (the
+classical precheck `tau.classical_residues`, and the q pass
+`tau.taylor_agreement`, whose two-term half reads the same records).
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ that rule and are truncated at a caller-supplied band floor, with
 
 The residue pairing of a pair (P, Q) against an invertible diagonal A is
 computed on three routes, each forming only the products that reach the
-residue:
+residue. The pairing checks compare the first and the third; no check
+calls the second:
 
 * `pairing_lhs`, the closed symbol sum over the powers k + l = -1, one
   `MatSeries.dot` with A**-1 and the sign folded into p_k's columns --
@@ -31,7 +32,8 @@ residue:
   an operator-independent `OracleKernel` C(k, l), the z**-1 coefficient of
   the two exponential factors of one power pair, expanded once per run,
   and a per-pair contraction sum_k p_k (sum_l C(k, l) q**l g_l(x/q)) over
-  every band pair (k, l).
+  every band pair (k, l). Where no pair has k + l = -1, `pairing_lhs`
+  forms no product, and the oracle still forms every pair.
 
 All three reject operands that differ in size or dilation parameter, or
 an A of another size, before any product is formed.

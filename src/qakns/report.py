@@ -6,6 +6,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .matseries import MatSeries
+from .series import XSeries
+from .timepoly import TimePoly
+from .window import determined
+
 
 @dataclass
 class CheckResult:
@@ -75,15 +80,45 @@ def emit_report(report: Report, fmt: str = "text") -> str:
 
 
 def nonzero(labelled):
-    """(label, first nonzero) for each nonzero residual of (label, residual) pairs.
+    """(label, witness) for each failing residual of (label, residual) pairs.
 
-    The one verdict rule: a residual passes exactly when it is zero, and
-    its witness is its first nonzero coefficient. The report flattens the
-    witness, so the label `()` leaves just that coefficient.
+    The one verdict rule: a residual passes exactly when it is zero and
+    every entry of it determines a coefficient. A nonzero residual's
+    witness is its first nonzero coefficient; a zero one with an entry
+    that determines nothing has ("undetermined", path..., axis, window)
+    from `undetermined`. The report flattens the witness, so the label
+    `()` leaves just the witness.
     """
     for label, residual in labelled:
         if not residual.is_zero():
             yield label, residual.first_nonzero()
+        elif (hole := undetermined(residual)) is not None:
+            yield label, ("undetermined",) + hole
+
+
+def undetermined(residual):
+    """(path..., axis, window) of the first entry of `residual` whose
+    carrier determines no coefficient, or None when every entry does.
+
+    The entries are the upper carriers: a TimePoly by its t-window, then
+    each XSeries coefficient by its x-window (`window.determined`). The
+    path runs through z-degree, matrix entry and time monomial, as the
+    path of `first_nonzero` does.
+    """
+    if isinstance(residual, XSeries):
+        return None if determined(residual.valid) else ("x", residual.valid)
+    if isinstance(residual, TimePoly) and not determined(residual.tvalid):
+        return "t", residual.tvalid
+    if isinstance(residual, MatSeries):
+        parts = (((i, j), e) for i, r in enumerate(residual.rows)
+                 for j, e in enumerate(r))
+    else:  # MZSeries by z-degree, TimePoly by monomial
+        parts = (((k,), residual.terms[k]) for k in sorted(residual.terms))
+    for at, part in parts:
+        hole = undetermined(part)
+        if hole is not None:
+            return at + hole
+    return None
 
 
 def describe_witness(witness) -> dict | None:

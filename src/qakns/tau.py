@@ -25,6 +25,13 @@ res(z**l L_lam(sigma(w) E_delta) w**-1), sigma the dilation x -> qx,
 against the Taylor sum read the same way: the two halves share L_lam and
 w**-1, while sigma(w) E_delta and the graded sum of shift differences are
 independent evaluations.
+
+`verify_tau_theorem` builds two Bakers and inverts each once: the
+unshifted one for the classical precheck (`classical_residues`), and the
+q-shifted one for the q pass (`taylor_agreement`), whose two-term half
+reads the q-bilinear residues themselves. Each inverse is kept exactly
+as deep as its reads, a floor derived from l_max, the x-order and the
+largest flow weight of the lambdas.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
 from .timepoly import FlowIndex, TimePoly
-from .zseries import MZSeries, NEG_INF, derive_through
+from .zseries import MZSeries, NEG_INF
 
 
 class TimeContext:
@@ -346,23 +353,21 @@ class TauSpec:
         )
 
 
-def bilinear_on_tau(
-    spec: TauSpec, a_values, q, l_max: int, lambdas, depth: int
-) -> list:
-    """Bilinear residues on the tau-built Baker data, as (label, residue) pairs.
+def _flow_weight(lambdas) -> int:
+    """w, the largest total order sum k over the lambdas: P_lam's top z-degree."""
+    return max((sum(k for k, _ in lam) for lam in lambdas), default=0)
 
-    q=None is the classical case: the unshifted data and m = 0 only. Given
-    q, the times are q-shifted first and m runs over {0, 1}.
+
+def classical_residues(spec: TauSpec, l_max: int, lambdas, depth: int) -> list:
+    """The classical precheck: res_z(z**l H_lam) on the unshifted Baker, m = 0.
+
+    H_lam = P_lam w**-1 is read down to z**(-1-l_max) and P_lam reaches
+    z**w, so the inverse is kept down to -(1 + l_max + w). Returns
+    `bilinear_residues`' (label, residue) pairs.
     """
-    if q is not None:
-        q = frac(q)
-        spec = spec.mapped(lambda p: q_shift_times(p, a_values, q))
     what = baker_from_tau(spec.tau, spec.companions, spec.n, depth)
-    baker = TauBaker(what, a_values, -depth, q)
-    g = None if q is None else baker.x_factor()
-    return bilinear_residues(
-        baker.h, g, baker.derive_x, baker.dilate_x, l_max, lambdas
-    )
+    baker = TauBaker(what, (), -(1 + l_max + _flow_weight(lambdas)))
+    return bilinear_residues(baker.h, None, None, None, l_max, lambdas)
 
 
 def substitution_commutes(spec: TauSpec, a_values, q, depth: int) -> list:
@@ -389,12 +394,14 @@ def substitution_commutes(spec: TauSpec, a_values, q, depth: int) -> list:
 
 def taylor_agreement(
     spec: TauSpec, a_values, q, l_max: int, lambdas, depth: int
-) -> list:
-    """Cross-check the two proof-path evaluations of the m = 1 residues.
+) -> tuple:
+    """The q pass: the q-bilinear residues and their Taylor cross-check.
 
-    For each (l, lambda), with w the Baker dressing at shift [Ax]_q, sigma
-    the dilation x -> qx, L_lam the flow steps of `flows_applied`, H the
-    flow factor L_lam(w) w**-1 and M := res_z(z**l L_lam(sigma(w) E_delta) w**-1):
+    w is the Baker dressing at shift [Ax]_q, built and inverted once. With
+    sigma the dilation x -> qx, L_lam the flow steps of `flows_applied`, H
+    the flow factor L_lam(w) w**-1 and M := res_z(z**l L_lam(sigma(w)
+    E_delta) w**-1), the q-bilinear residues are res_z(z**l H) (m = 0) and
+    res_z(z**l (D_q H + (D H) G)) (m = 1), and for each (l, lambda):
 
     * two-term: x(q-1) * res_z(z**l (D_q H + (D H) G)) == M - res_z(z**l H)
     * Taylor:   M == sum over eta of Delta**eta / eta! * res_z(z**l H_(lam+eta))
@@ -410,7 +417,9 @@ def taylor_agreement(
 
     Both identities hold for any polynomial tau, bilinear or not; they
     certify the difference-quotient and Taylor machinery itself. Returns
-    ((l, lambda, half), residual) pairs, the "two_term" half first.
+    (q_bilinear, taylor): the q-bilinear residues as `bilinear_residues`
+    labels and orders them, and ((l, lambda, half), residual) pairs, the
+    "two_term" half first.
 
     Precondition: tau and its companions are constant in x. The shift
     amounts are monomials c_k x**k, so the Baker at [Aqx]_q is then the
@@ -420,13 +429,11 @@ def taylor_agreement(
     xorder = spec.tau.xorder
     shifted = spec.mapped(lambda p: q_shift_times(p, a_values, q))
     what = baker_from_tau(shifted.tau, shifted.companions, spec.n, depth)
-    # T's grade j reaches z**j and each flow of lam one order more, so
-    # reading T_lam w**-1 at z**(-1-l) needs the inverse down to
-    # z**(-1-l-xorder-|lam|): this floor covers |lam| <= 1, and a deeper
-    # read raises InsufficientDepthError. Deriving it from the readers, as
-    # a real tau needs, is the ROADMAP item "A real tau end to end".
-    floor = -max(depth, xorder + l_max + 2)
-    baker = TauBaker(what, a_values, floor, q)
+    # T_lam w**-1 is read at z**(-1-l), and T_lam reaches z**(xorder + w):
+    # grade j of T reaches z**j and each flow of lam its order more. Every
+    # other read of w**-1 stops above that.
+    w = _flow_weight(lambdas)
+    baker = TauBaker(what, a_values, -(1 + l_max + xorder + w), q)
     dilated_e = what.map_entries(baker.dilate_x) * e_delta(a_values, q, what.proto)
     x_qm1 = XSeries.monomial(q - 1, 1, xorder)
     pre = taylor_sum(what, {
@@ -434,26 +441,29 @@ def taylor_agreement(
         for k in range(1, xorder + 1) for alpha in range(spec.n)
     })
     # D(H) is read at z**-1-l_max..z**-1, and H's top degree is the flow
-    # weight of lam: so g is read down to -1-l_max minus the largest
-    # weight, and H down to -1-l_max minus g's top
-    g = baker.x_factor(-1 - l_max - max(
-        (sum(k for k, _ in lam) for lam in lambdas), default=0))
+    # weight of lam: so g is read down to -1-l_max-w, and H down to
+    # -1-l_max minus g's top
+    g = baker.x_factor(-1 - l_max - w)
     h_lo = -1 - l_max - max(g.top(), 0)
+    q_bilinear = bilinear_residues(
+        lambda lam: baker.h(lam, h_lo), g, baker.derive_x, baker.dilate_x,
+        l_max, lambdas,
+    )
+    # per lam, the m = 0 residues for l = 0..l_max, then the m = 1 ones
+    per_lam = 2 * (l_max + 1)
     out = []
-    for lam in lambdas:
-        h = baker.h(lam, h_lo)
-        dh = derive_through(h, g, baker.derive_x, baker.dilate_x, -1 - l_max, -1)
+    for i, lam in enumerate(lambdas):
+        rows = [r for _, r in q_bilinear[i * per_lam:(i + 1) * per_lam]]
         m_lam = flows_applied(dilated_e, lam)
         pre_lam = flows_applied(pre, lam)
         for l in range(l_max + 1):
-            direct = dh.coeff(-1 - l)
+            plain, direct = rows[l], rows[l_max + 1 + l]
             mixed = m_lam.product_coeff(baker.winv, -1 - l)
-            plain = h.coeff(-1 - l)
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))
             taylor = pre_lam.product_coeff(baker.winv, -1 - l)
             out.append(((l, tuple(lam), "two_term"), lhs2 - (mixed - plain)))
             out.append(((l, tuple(lam), "taylor"), mixed - taylor))
-    return out
+    return q_bilinear, out
 
 
 def classical_limit_check(poly: TimePoly, a_values, q_values):
@@ -505,7 +515,7 @@ def verify_tau_theorem(
     Order of business: the classical bilinear residues gate everything
     (the theorem's hypothesis); then the substitution-commutation and
     exponential-shift identities establish the Baker correspondence; the
-    q-bilinear residues and the Taylor cross-check close the claim.
+    q pass's q-bilinear residues and Taylor cross-check close the claim.
     Raises TauCheckError when the classical precheck rejects the input;
     otherwise returns the labelled residuals of the four stages in that
     order, each label tagged with its stage.
@@ -513,17 +523,18 @@ def verify_tau_theorem(
     # the verdict rule lives in the report layer, which `import qakns` skips
     from .report import nonzero
 
-    classical = bilinear_on_tau(spec, a_values, None, l_max, lambdas, depth)
+    classical = classical_residues(spec, l_max, lambdas, depth)
     bad = next(nonzero(classical), None)
     if bad is not None:
         raise TauCheckError(
             f"classical bilinear residue fails at {bad[0]}: {bad[1]}"
         )
+    q_bilinear, taylor = taylor_agreement(spec, a_values, q, l_max, lambdas, depth)
     stages = (
         ("substitution", substitution_commutes(spec, a_values, q, depth)),
         ("expqo", verify_expqo(a_values, q, ctx)),
-        ("q_bilinear", bilinear_on_tau(spec, a_values, q, l_max, lambdas, depth)),
-        ("taylor", taylor_agreement(spec, a_values, q, l_max, lambdas, depth)),
+        ("q_bilinear", q_bilinear),
+        ("taylor", taylor),
     )
     return [((tag, label), r) for tag, pairs in stages for label, r in pairs]
 

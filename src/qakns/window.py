@@ -17,6 +17,8 @@ exact zero, and in a product it annihilates the other factor, whatever
 that factor's window, in both directions. A zero known only through its
 window keeps that window. A sum is exact where both terms are, which is
 a plain min (upper) or max (lower) and is written where it is used.
+`determined` is the one query the verdict asks of an upper window:
+whether it holds any coefficient at all.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from __future__ import annotations
 import math
 
 NEG_INF = -math.inf
+
+
+def determined(v) -> bool:
+    """Whether an upper window v determines any coefficient: degree 0 is in it."""
+    return v >= 0
 
 
 def upper_product(cap, va, ta, vb, tb):

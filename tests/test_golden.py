@@ -33,6 +33,13 @@ RUNS = {
     # the full suite at x = 16, z = 8 (the config of the deep_x benchmark
     # workload, seed 0)
     "deep_x": lambda: run_suite(load_config(GOLDEN / "deep_x.config.json")),
+    # the demo suite on a real tau, tau = 1 - t_(1,1) + t_(1,2), at x = 4,
+    # t = 6 and l_max = 2. Its tau.theorem window {"z": 4, "t": 6} is the
+    # hand-written one, though the check reads only z**-1..z**-3; windows
+    # derived from the residual carriers will regenerate it with the others
+    "tau_rational": lambda: run_suite(
+        load_config(ROOT / "configs" / "tau_rational.json")
+    ),
 }
 
 

@@ -140,3 +140,43 @@ def test_u_flow_depth_shortage_is_an_error(monkeypatch):
     (res,) = run_checks("hierarchy.u_flow_structure")
     assert res.status == "error"
     assert res.first_failure["error"].startswith("InsufficientDepthError: ")
+
+
+@pytest.mark.parametrize("name", ["pairing.nonneg_zero", "pairing.oracle_examples"])
+def test_zero_pairings_are_computed_by_the_oracle(monkeypatch, name):
+    # no pair of the band [0, 2], nor of two identities, has k + l = -1, so
+    # the symbol sum forms no product; the oracle forms every pair, and an
+    # oracle broken on zero pairings fails the check
+    real = qop.pairing_oracle
+
+    def oracle(p, q_op, a_values, factors=None):
+        good = real(p, q_op, a_values, factors)
+        return good + type(good).identity(good.n, good.proto()) if good.is_zero() else good
+
+    monkeypatch.setattr(qop, "pairing_oracle", oracle)
+    (res,) = run_checks(name)
+    assert res.status == "fail" and res.first_failure["coordinates"][0] == "oracle"
+
+
+def test_nonneg_zero_forms_products(monkeypatch):
+    calls = [0]
+    real = MatSeries.dot
+
+    def dot(blocks):
+        calls[0] += 1
+        return real(blocks)
+
+    monkeypatch.setattr(MatSeries, "dot", staticmethod(dot))
+    (res,) = run_checks("pairing.nonneg_zero")
+    assert res.status == "pass" and calls[0] > 0
+
+
+def test_pairing_checks_do_not_call_the_operator_side_route(monkeypatch):
+    # pairing_rhs forms the products pairing_lhs sums, so it checks nothing
+    def forbidden(*args):
+        raise AssertionError("pairing_rhs called")
+
+    monkeypatch.setattr(qop, "pairing_rhs", forbidden)
+    results = run_checks("pairing.oracle_examples", "pairing.random_pairs",
+                         "pairing.nonneg_zero")
+    assert [r.status for r in results] == ["pass"] * 3

@@ -1,8 +1,10 @@
 """Tau machinery: shifts, Baker assembly, the shift theorem, the limit."""
 
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,8 @@ from qakns.tau import (
     TauSpec,
     TimeContext,
     baker_from_tau,
-    bilinear_on_tau,
     classical_limit_check,
+    classical_residues,
     miwa_shift,
     q_shift_coeff,
     q_shift_times,
@@ -172,7 +174,7 @@ def test_vacuum_passes_everything(q):
 def test_classical_precheck_rejects_non_solution():
     ctx = ctx2()
     bad = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
-    records = bilinear_on_tau(bad, [1, -1], None, 2, [((1, 0),)], 5)
+    records = classical_residues(bad, 2, [((1, 0),)], 5)
     assert any(nonzero(records))
     with pytest.raises(TauCheckError):
         verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)], 5, ctx)
@@ -216,12 +218,15 @@ def test_substitution_shifts_tau_once(monkeypatch):
 
 def test_mechanism_agreement_on_non_solution():
     # the two-term and Taylor reductions are identities of the machinery:
-    # they hold even for data that fails the bilinear residues
-    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, 6)
+    # they hold even for data that fails the bilinear residues. One time
+    # degree above the x-order keeps every Taylor chain determined; at
+    # tmax 4 the Taylor half determines no t-degree, and the verdict says so
+    # (test_undetermined_taylor_half_fails_on_a_short_carrier)
+    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 7, 6)
     bad = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
-    recs = taylor_agreement(bad, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
+    _, recs = taylor_agreement(bad, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
     assert recs and not any(nonzero(recs))
-    qrecs = bilinear_on_tau(bad, [1, -1], F(2), 2, [()], 5)
+    qrecs, _ = taylor_agreement(bad, [1, -1], F(2), 2, [()], 5)
     assert any(nonzero(qrecs))  # while the residues do fail
 
 
@@ -407,7 +412,7 @@ def test_taylor_agreement_reads_residues_of_leaf_chains(monkeypatch):
 
     monkeypatch.setattr(MatSeries, "dot", staticmethod(dot))
     monkeypatch.setattr(MZSeries, "invert", invert)
-    recs = taylor_agreement(*_mechanism_shape())
+    _, recs = taylor_agreement(*_mechanism_shape())
     assert len(recs) == 8  # 4 records, each with its two halves
     # M = res(z**l L_lam(sigma(w) E_delta) w**-1) needs no Baker at [Aqx]_q,
     # so w is the only series inverted; the flow steps form no product, and
@@ -451,12 +456,16 @@ def test_taylor_sum_skipping_exact_zeros_keeps_the_records(monkeypatch, tmax):
     summed = taylor_agreement(*shape)
     monkeypatch.undo()
     assert summed == skipped
-    assert not any(half == "taylor" for (_, _, half), _ in nonzero(summed))
+    # at tmax 4 the longest chains determine no t-degree: the Taylor half
+    # fails as undetermined there, and only as undetermined
+    taylor = [w for (_, _, half), w in nonzero(summed[1]) if half == "taylor"]
+    assert all(w[0] == "undetermined" for w in taylor)
+    assert bool(taylor) == (tmax == 4)
     assert zeros[0] > 0
 
 
 def test_taylor_half_on_determined_carrier():
-    recs = taylor_agreement(*_mechanism_shape(tmax=7))
+    _, recs = taylor_agreement(*_mechanism_shape(tmax=7))
     assert recs
     assert not any(half == "taylor" for (_, _, half), _ in nonzero(recs))
 
@@ -478,7 +487,7 @@ def test_taylor_half_fails_under_a_broken_sum(monkeypatch, mutation):
 
     broken = doubled if mutation == "doubled_eta_terms" else carried_orders_only
     monkeypatch.setattr(tau_mod, "taylor_sum", broken)
-    failed = nonzero(taylor_agreement(*_mechanism_shape()))
+    failed = nonzero(taylor_agreement(*_mechanism_shape())[1])
     # all four records fail their Taylor half, and only that half
     assert [label for label, _ in failed] == [
         (l, lam, "taylor") for lam in [(), ((1, 0),)] for l in (0, 1)
@@ -497,7 +506,7 @@ def test_mechanism_check_compares_determined_taylor_residuals(monkeypatch):
 
     def recorded(*args):
         recs = real(*args)
-        seen.extend(recs)
+        seen.extend(recs[1])
         return recs
 
     monkeypatch.setattr(tau_mod, "taylor_agreement", recorded)
@@ -693,7 +702,7 @@ def test_taylor_agreement_product_count_at_x16(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(XSeries, "__mul__", counted)
-    recs = taylor_agreement(vacuum_spec(ctx, 2), [1, -1], F(2), 3, lams, 6)
+    _, recs = taylor_agreement(vacuum_spec(ctx, 2), [1, -1], F(2), 3, lams, 6)
     monkeypatch.undo()
     assert len(recs) == 32  # 16 records, each with its two halves
     assert not any(nonzero(recs))
@@ -895,22 +904,26 @@ def _whole_products(monkeypatch):
                         lambda f, g, derive, dilate, *window: real_dt(f, g, derive, dilate))
 
 
-def _tau_theorem_case(kind):
-    """(spec, a, q, l_max, lambdas, depth, time context) as tau.theorem runs it."""
+RATIONAL = Path(__file__).resolve().parent.parent / "configs" / "tau_rational.json"
+
+
+def _tau_theorem_case(kind, **changes):
+    """(spec, a, q, l_max, lambdas, depth, time context) as tau.theorem runs it.
+
+    "vacuum" is the demo config, "rational" configs/tau_rational.json, and
+    "real" the demo config with the rational config's tau. `changes`
+    replace top-level fields of the config data.
+    """
     from qakns.config import DEMO_CONFIG, parse_config
     from qakns.suites import SuiteContext, _tau_spec_from_config
 
+    rational = json.loads(RATIONAL.read_text())
     data = dict(DEMO_CONFIG)
-    if kind == "real":
-        one = [{"exponents": [0, 0, 0], "coeff": "1"}]
-        minus = [{"exponents": [0, 0, 0], "coeff": "-1"}]
-        data["tau"] = {
-            "variables": [[1, 1], [1, 2], [2, 1]],
-            "monomials": one + [{"exponents": [1, 0, 0], "coeff": "-1"},
-                                {"exponents": [0, 1, 0], "coeff": "1"}],
-            "companions": {"1,2": minus, "2,1": one},
-        }
-    cfg = parse_config(data)
+    if kind == "rational":
+        data = rational
+    elif kind == "real":
+        data["tau"] = rational["tau"]
+    cfg = parse_config({**data, **changes})
     ctx = SuiteContext(cfg)
     lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
     return (_tau_spec_from_config(ctx), list(cfg.a), cfg.q, min(cfg.l_max, 3),
@@ -924,16 +937,20 @@ def _outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _q_pass(*args):
+    """The q pass's records, the q-bilinear ones then the Taylor ones."""
+    return [r for part in taylor_agreement(*args) for r in part]
+
+
 @pytest.mark.parametrize("kind", ["mechanism", "vacuum", "real"])
 def test_windowed_taylor_and_q_bilinear_match_the_whole_products(kind, monkeypatch):
     if kind == "mechanism":
         args = _mechanism_shape()
-        runs = [(taylor_agreement, args)]
+        runs = [(_q_pass, args)]
     else:
         spec, a, q, l_max, lambdas, depth, tctx = _tau_theorem_case(kind)
         runs = [
-            (taylor_agreement, (spec, a, q, l_max, lambdas, depth)),
-            (bilinear_on_tau, (spec, a, q, l_max, lambdas, depth)),
+            (_q_pass, (spec, a, q, l_max, lambdas, depth)),
             (verify_tau_theorem, (spec, a, q, l_max, lambdas, depth, tctx)),
         ]
     got = [_outcome(fn, *args) for fn, args in runs]
@@ -941,8 +958,136 @@ def test_windowed_taylor_and_q_bilinear_match_the_whole_products(kind, monkeypat
     ref = [_outcome(fn, *args) for fn, args in runs]
     # labels, residues, tvalid and x-validity alike; or the same error text
     assert got == ref
-    if kind == "real":
-        assert got[0] == got[2] == (
-            "InsufficientDepthError: z**-4 coefficient not determined")
+    assert all(isinstance(r, list) and r for r in got)
+
+
+def _q_bilinear_reference(spec, a_values, q, l_max, lambdas, depth):
+    """The q-bilinear residues by a pass of their own: a second q-shifted
+    Baker inverted at -depth, with `bilinear_residues` over the whole H and
+    g: reference."""
+    from qakns.bilinear import bilinear_residues
+    from qakns.tau import TauBaker
+
+    shifted = spec.mapped(lambda p: q_shift_times(p, a_values, q))
+    what = baker_from_tau(shifted.tau, shifted.companions, spec.n, depth)
+    baker = TauBaker(what, a_values, -depth, q)
+    return bilinear_residues(baker.h, baker.x_factor(), baker.derive_x,
+                             baker.dilate_x, l_max, lambdas)
+
+
+@pytest.mark.parametrize("q", [F(2), F(-1, 3), F(3, 5)])
+@pytest.mark.parametrize("kind", ["mechanism", "vacuum"])
+def test_q_bilinear_records_match_a_pass_of_their_own(kind, q):
+    if kind == "mechanism":
+        spec, a, _, l_max, lambdas, depth = _mechanism_shape()
     else:
-        assert all(isinstance(r, list) and r for r in got)
+        spec, a, _, l_max, lambdas, depth, _ = _tau_theorem_case(kind)
+    got, _ = taylor_agreement(spec, a, q, l_max, lambdas, depth)
+    ref = _q_bilinear_reference(spec, a, q, l_max, lambdas, depth)
+    assert len(got) == 2 * (l_max + 1) * len(lambdas)
+    # labels, order, residues, tvalid and x-validity alike
+    assert got == ref
+    # the mechanism tau is no solution, so its comparison is more than 0 = 0
+    assert any(nonzero(ref)) == (kind == "mechanism")
+
+
+@pytest.mark.parametrize("kind", ["real", "rational"])
+def test_q_bilinear_records_determined_where_a_pass_at_depth_raises(kind):
+    # the real tau's q-bilinear residues read the inverse below -depth: the
+    # pass of their own raises, and the one q pass returns them determined
+    from qakns.zseries import InsufficientDepthError
+
+    spec, a, q, l_max, lambdas, depth, _ = _tau_theorem_case(kind)
+    with pytest.raises(InsufficientDepthError):
+        _q_bilinear_reference(spec, a, q, l_max, lambdas, depth)
+    got, _ = taylor_agreement(spec, a, q, l_max, lambdas, depth)
+    assert len(got) == 2 * (l_max + 1) * len(lambdas) and not any(nonzero(got))
+
+
+def test_tau_theorem_builds_and_inverts_two_bakers(monkeypatch):
+    # the classical precheck's Baker and the q pass's, one inverse each
+    import qakns.tau as tau_mod
+    from qakns.config import demo_config
+    from qakns.suites import run_suite
+
+    calls = {"baker": 0, "invert": 0}
+    real_baker, real_invert = tau_mod.baker_from_tau, MZSeries.invert
+
+    def baker(*args):
+        calls["baker"] += 1
+        return real_baker(*args)
+
+    def invert(x, floor):
+        calls["invert"] += 1
+        return real_invert(x, floor)
+
+    monkeypatch.setattr(tau_mod, "baker_from_tau", baker)
+    monkeypatch.setattr(MZSeries, "invert", invert)
+    cfg = demo_config()
+    cfg = type(cfg)(**{**cfg.__dict__, "checks": ("tau.theorem",)})
+    (res,) = run_suite(cfg).checks
+    assert res.status == "pass"
+    assert calls == {"baker": 2, "invert": 2}
+
+
+def test_rational_tau_config_verifies(capsys):
+    from qakns.cli import main
+
+    assert main(["verify", "--config", str(RATIONAL)]) == 0
+    assert "30/30 checks passed" in capsys.readouterr().out
+    out = verify_tau_theorem(*_tau_theorem_case("rational"))
+    # 2 substitution, 2 expqo, 24 q-bilinear and 24 Taylor records; the
+    # verdict also fails an entry that determines no coefficient
+    assert len(out) == 52 and not any(nonzero(out))
+    compared = [r for (stage, _), r in out if stage in ("q_bilinear", "taylor")]
+    assert all(e.tvalid >= 0 for r in compared for row in r.rows for e in row)
+
+
+def test_rational_tau_with_a_corrupted_companion_is_rejected():
+    data = json.loads(RATIONAL.read_text())
+    tau = data["tau"]
+    tau["companions"]["1,2"] = [{"exponents": [0, 0, 0], "coeff": "-2"}]
+    with pytest.raises(TauCheckError, match=r"l=0 m=0 lam=\[\(1,1\)\]"):
+        verify_tau_theorem(*_tau_theorem_case("rational", tau=tau))
+
+
+def test_rational_tau_fails_on_a_doubled_first_order_weight(monkeypatch):
+    import collections
+
+    import qakns.tau as tau_mod
+
+    real = tau_mod.q_shift_coeff
+    monkeypatch.setattr(tau_mod, "q_shift_coeff",
+                        lambda k, q: real(k, q) * (2 if k == 1 else 1))
+    out = verify_tau_theorem(*_tau_theorem_case("rational"))
+    failed = collections.Counter(stage for (stage, _), _ in nonzero(out))
+    assert len(out) == 52
+    assert failed == {"q_bilinear": 3, "taylor": 3, "expqo": 2}
+
+
+def test_real_tau_on_a_short_time_carrier_fails_as_undetermined():
+    # at the demo shape (t = 4) half of the Taylor entries determine no
+    # t-degree: the check fails and names one of them, it does not pass
+    from qakns.config import DEMO_CONFIG, parse_config
+    from qakns.suites import run_suite
+
+    data = {**DEMO_CONFIG, "tau": json.loads(RATIONAL.read_text())["tau"],
+            "checks": ["tau.theorem"]}
+    (res,) = run_suite(parse_config(data)).checks
+    assert res.status == "fail"
+    coords = res.first_failure["coordinates"]
+    assert coords[0] == "taylor" and "undetermined" in coords
+    assert coords[-2:] == ["t", "-4"]
+
+
+def test_undetermined_taylor_half_fails_on_a_short_carrier():
+    # the mechanism tau on tmax 4: the Taylor chains longer than the carrier
+    # holds leave the Taylor half with no determined t-degree
+    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, 6)
+    spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
+    _, recs = taylor_agreement(spec, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
+    failed = list(nonzero(recs))
+    assert [label for label, _ in failed] == [
+        (l, lam, "taylor") for lam in [(), ((1, 0),)] for l in (0, 1)
+    ]
+    assert [w[0] for _, w in failed] == ["undetermined"] * 4
