@@ -482,21 +482,37 @@ def expand_in_basis(
 
 
 class HierarchySession:
-    """The resolvents of one Lax datum, cached: each key is solved once."""
+    """The resolvents of one Lax datum, each (channel, normalization) solved
+    once at the deepest depth requested so far.
+
+    A solve to depth d is the first d orders of the same solve taken
+    deeper, so a shallower request reads the deepest cached solve cut at
+    z**-d: the same terms and the same window as a fresh depth-d solve.
+    That solve is exact when its order d has vanished, and a zero order
+    stays zero: so the cut is exact when the deeper solve is and has no
+    term at z**-d, and otherwise unknown below z**-d. A request that
+    raises caches nothing.
+    """
 
     def __init__(self, lax: LaxData):
         self.lax = lax
-        self._resolvents: dict[tuple[int, int, str], MZSeries] = {}
+        self._deepest: dict[tuple[int, str], tuple[int, MZSeries]] = {}
 
     def resolvent(
         self, alpha: int, depth: int, normalization: str = "orthogonal"
     ) -> MZSeries:
-        key = (alpha, depth, normalization)
-        got = self._resolvents.get(key)
-        if got is None:
-            got = solve_resolvent_direct(self.lax, alpha, depth, normalization)
-            self._resolvents[key] = got
-        return got
+        key = (alpha, normalization)
+        got = self._deepest.get(key)
+        if got is not None and got[0] >= depth:
+            deeper = got[1]
+            if deeper.zvalid == -depth or (
+                deeper.is_exact and min(deeper.terms) > -depth
+            ):
+                return deeper
+            return MZSeries(self.lax.n, deeper.terms, -depth, deeper.proto)
+        series = solve_resolvent_direct(self.lax, alpha, depth, normalization)
+        self._deepest[key] = (depth, series)
+        return series
 
     def family(self, depth: int):
         """The orthogonal channel family through `depth`."""

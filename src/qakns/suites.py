@@ -39,7 +39,13 @@ def _tau_variables(cfg: RunConfig) -> tuple:
 
 
 class SuiteContext:
-    """Shared lazily-built artifacts for one run."""
+    """Shared lazily-built artifacts for one run.
+
+    Each Lax datum of the run has one `HierarchySession`, so a resolvent is
+    solved once per run: `session` for the q datum, `classical_session` for
+    its q = 1 counterpart and `bilinear_session` for the datum the dressing
+    is solved against. Nothing outlives the context.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -59,8 +65,18 @@ class SuiteContext:
         return self.get("session", lambda: hy.HierarchySession(self.lax))
 
     @property
+    def classical_session(self) -> hy.HierarchySession:
+        return self.get("classical_session", lambda: hy.HierarchySession(
+            self.cfg.lax(classical=True)))
+
+    @property
     def bilinear_lax(self):
         return self.get("blax", self.cfg.bilinear_lax)
+
+    @property
+    def bilinear_session(self) -> hy.HierarchySession:
+        return self.get("blax_session",
+                        lambda: hy.HierarchySession(self.bilinear_lax))
 
     @property
     def dressing(self) -> hy.Dressing:
@@ -81,6 +97,14 @@ class SuiteContext:
         cfg = self.cfg
         return self.get("tau_ctx", lambda: tau_mod.TimeContext(
             _tau_variables(cfg), cfg.n_t, cfg.n_x))
+
+    @property
+    def expqo(self):
+        """The exponential-shift residuals that tau.expqo and the expqo
+        stage of tau.theorem both read."""
+        cfg = self.cfg
+        return self.get("expqo", lambda: tau_mod.verify_expqo(
+            list(cfg.a), cfg.q, self.tau_ctx))
 
     def oracle_factors(self, a_values) -> qop.OracleKernel:
         """The pairing oracle's kernel at these a, one per run."""
@@ -470,9 +494,15 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
     )
 
 
-def _route_agreement(name, dressing: hy.Dressing, depth: int):
-    """Conjugated dressing against the direct resolvent solve, per channel."""
-    session = hy.HierarchySession(dressing.lax)
+def _route_agreement(name, dressing: hy.Dressing,
+                     session: hy.HierarchySession, depth: int):
+    """Conjugated dressing against the direct resolvent solve, per channel.
+
+    `session` is the run's session of the dressing's Lax datum, so the
+    direct solve is the one its other readers use (at q = 1, the one
+    classical.qr_residual verifies); the conjugation route shares nothing
+    with it.
+    """
 
     def residuals():
         for alpha, conj in enumerate(dressing.resolvents()):
@@ -484,7 +514,8 @@ def _route_agreement(name, dressing: hy.Dressing, depth: int):
 
 def check_route_agreement(ctx: SuiteContext) -> CheckResult:
     depth = min(ctx.dressing.depth, ctx.cfg.required_resolvent_depth())
-    return _route_agreement("dressing.route_agreement", ctx.dressing, depth)
+    return _route_agreement("dressing.route_agreement", ctx.dressing,
+                            ctx.bilinear_session, depth)
 
 
 def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
@@ -551,9 +582,8 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
 
 def check_expqo(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    residuals = tau_mod.verify_expqo(list(cfg.a), cfg.q, ctx.tau_ctx)
     z_depth = tau_mod.EXPQO_Z_DEPTH
-    return _result("tau.expqo", {"z_depth": z_depth}, nonzero(residuals),
+    return _result("tau.expqo", {"z_depth": z_depth}, nonzero(ctx.expqo),
                    {"z": z_depth, "x": cfg.n_x})
 
 
@@ -578,7 +608,7 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
     try:
         residuals = tau_mod.verify_tau_theorem(
             spec, list(cfg.a), cfg.q, min(cfg.l_max, 3), lambdas, depth,
-            ctx.tau_ctx,
+            ctx.expqo,
         )
     except tau_mod.TauCheckError as exc:
         return _result("tau.theorem", {"rejected": True}, [str(exc)], {})
@@ -598,7 +628,7 @@ def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
     lambdas = [(), (tctx.vars[0],)]
     try:
         tau_mod.verify_tau_theorem(
-            bad, list(cfg.a), cfg.q, 2, lambdas, 4, tctx
+            bad, list(cfg.a), cfg.q, 2, lambdas, 4, ctx.expqo
         )
     except tau_mod.TauCheckError:
         return _result("tau.gatekeeping", {})
@@ -672,8 +702,8 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
 
 def check_classical_qr(ctx: SuiteContext) -> CheckResult:
     depth = ctx.cfg.required_resolvent_depth()
-    session = hy.HierarchySession(ctx.cfg.lax(classical=True))
-    return _qr_residual("classical.qr_residual", {"depth": depth}, session, depth)
+    return _qr_residual("classical.qr_residual", {"depth": depth},
+                        ctx.classical_session, depth)
 
 
 def check_classical_prop1(ctx: SuiteContext) -> CheckResult:
@@ -686,8 +716,9 @@ def check_classical_prop1(ctx: SuiteContext) -> CheckResult:
 
 def check_classical_routes(ctx: SuiteContext) -> CheckResult:
     depth = min(ctx.cfg.required_resolvent_depth(), 5)
-    dressing = hy.solve_dressing(ctx.cfg.lax(classical=True), depth)
-    return _route_agreement("classical.route_agreement", dressing, depth)
+    session = ctx.classical_session
+    dressing = hy.solve_dressing(session.lax, depth)
+    return _route_agreement("classical.route_agreement", dressing, session, depth)
 
 
 CHECKS = [

@@ -508,7 +508,7 @@ def verify_tau_theorem(
     l_max: int,
     lambdas,
     depth: int,
-    ctx: TimeContext,
+    expqo,
 ):
     """Full shift-theorem verification for one tau family.
 
@@ -516,6 +516,8 @@ def verify_tau_theorem(
     (the theorem's hypothesis); then the substitution-commutation and
     exponential-shift identities establish the Baker correspondence; the
     q pass's q-bilinear residues and Taylor cross-check close the claim.
+    `expqo` is the exponential-shift stage: the (channel, residual) pairs
+    of `verify_expqo` at these a and q, which depend on no tau family.
     Raises TauCheckError when the classical precheck rejects the input;
     otherwise returns the labelled residuals of the four stages in that
     order, each label tagged with its stage.
@@ -532,7 +534,7 @@ def verify_tau_theorem(
     q_bilinear, taylor = taylor_agreement(spec, a_values, q, l_max, lambdas, depth)
     stages = (
         ("substitution", substitution_commutes(spec, a_values, q, depth)),
-        ("expqo", verify_expqo(a_values, q, ctx)),
+        ("expqo", expqo),
         ("q_bilinear", q_bilinear),
         ("taylor", taylor),
     )

@@ -284,7 +284,7 @@ def test_criterion_5_tau():
     # vacuum passes the classical precheck and the q-stage at q = 2
     lams = lambda_pool([(1, 0), (1, 1)], 2)
     out = verify_tau_theorem(vacuum_spec(ctx, 2), [1, -1], F(2), 4, lams, 8,
-                             ctx)
+                             verify_expqo([1, -1], F(2), ctx))
     stages = {"q_bilinear": "vacuum q-bilinear",
               "taylor": "vacuum taylor agreement",
               "substitution": "vacuum substitution commutation"}

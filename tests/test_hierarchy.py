@@ -491,6 +491,80 @@ def test_session_caches_and_concurrent_reads():
     assert len(results) == 6
 
 
+# -- a session reads shallower requests off its deepest solve ---------------------
+
+
+SESSION_CASES = [
+    (lax_vacuum, F(2)), (lax_tri, F(2)), (lax_const, F(2)), (lax_const, 1),
+    (lax_x, F(3, 5)), (lax_x, 1), (lax_n3, F(1, 3)), (lax_n3, 1),
+]
+
+
+@pytest.mark.parametrize("normalization", ["orthogonal", "zero"])
+@pytest.mark.parametrize("make, q", SESSION_CASES, ids=[
+    f"{make.__name__}-q={q}".replace("/", "_") for make, q in SESSION_CASES])
+def test_shallower_session_reads_equal_fresh_solves(make, q, normalization,
+                                                    monkeypatch):
+    import qakns.hierarchy as hy
+
+    lax = make(q)
+    session = HierarchySession(lax)
+    solves = []
+    real = hy.solve_resolvent_direct
+
+    def counted(*args):
+        solves.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(hy, "solve_resolvent_direct", counted)
+    for alpha in range(lax.n):
+        for depth in range(6, -1, -1):
+            got = session.resolvent(alpha, depth, normalization)
+            # MZSeries equality compares every term and zvalid
+            assert got == solve_resolvent_direct(lax, alpha, depth, normalization)
+    assert solves == [(alpha, 6, normalization) for alpha in range(lax.n)]
+
+
+def test_session_cases_reach_an_exact_cut_and_one_just_short_of_it():
+    # the zero-normalized triangular solve terminates at order 3: the cut at
+    # depth 3 is exact, while at depth 2 the fresh solve cannot know that
+    # order 3 vanishes and is unknown below z**-2
+    session = HierarchySession(lax_tri())
+    assert session.resolvent(0, 6, "zero").is_exact
+    assert session.resolvent(0, 3, "zero").is_exact
+    assert session.resolvent(0, 2, "zero").zvalid == -2
+    assert session.resolvent(0, 0, "zero").zvalid == 0
+    assert solve_resolvent_direct(lax_tri(), 0, 2, "zero").zvalid == -2
+
+
+def test_a_session_request_that_raises_caches_nothing(monkeypatch):
+    import qakns.hierarchy as hy
+
+    lax = lax_n3()
+    session = HierarchySession(lax)
+    shallow = session.resolvent(0, 2)
+    real = hy._next_order
+    calls = [0]
+
+    def failing(*args):
+        calls[0] += 1
+        if calls[0] == 4:
+            raise DiagonalConsistencyError("injected at order 4")
+        return real(*args)
+
+    monkeypatch.setattr(hy, "_next_order", failing)
+    with pytest.raises(DiagonalConsistencyError, match="order 4"):
+        session.resolvent(0, 5)
+    # the depth below it is solved afresh, not read off the failed solve
+    # nor off the shallower one
+    got = session.resolvent(0, 4)
+    assert calls[0] == 8
+    monkeypatch.undo()
+    assert got == solve_resolvent_direct(lax, 0, 4)
+    assert session.resolvent(0, 2) == shallow
+    assert session.resolvent(0, 3) == solve_resolvent_direct(lax, 0, 3)
+
+
 # -- the z-series carriers against the order-list rule they replaced ---------------
 
 

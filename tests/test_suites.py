@@ -1,15 +1,23 @@
 """Check verdicts: a failing check names its first failure, never null."""
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
 from qakns import hierarchy as hy
 from qakns import qop, report
-from qakns.config import demo_config
+from qakns.config import RunConfig, demo_config, parse_config
 from qakns.matseries import MatSeries
-from qakns.suites import SuiteContext, check_u_flow, check_zero_curvature, run_suite
+from qakns.suites import (
+    CHECKS,
+    SuiteContext,
+    check_u_flow,
+    check_zero_curvature,
+    run_suite,
+)
 from qakns.zseries import NEG_INF, MZSeries
 
 
@@ -180,3 +188,69 @@ def test_pairing_checks_do_not_call_the_operator_side_route(monkeypatch):
     results = run_checks("pairing.oracle_examples", "pairing.random_pairs",
                          "pairing.nonneg_zero")
     assert [r.status for r in results] == ["pass"] * 3
+
+
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+
+# an n = 3 x-dependent potential running the solver checks only
+SOLVERS_N3 = {
+    "n": 3, "q": "1/3", "a": ["1", "-1", "2"],
+    "u": [[["0"], ["-2"], ["0", "-2"]], [["-1"], ["0"], ["1"]],
+          [["0", "-2"], ["1"], ["0"]]],
+    "bilinear_u": [[["0"], ["0", "2"], ["2"]], [["0"], ["0"], ["0", "-2"]],
+                   [["0"], ["0"], ["0"]]],
+    "truncations": {"x": 8, "z": 6, "t": 4},
+    "flows": [[1, 1], [1, 2], [2, 1]], "lambda_max": 2, "l_max": 4,
+    "tau": None, "q_sequence": [],
+    "checks": [name for name, _ in CHECKS if name.startswith(
+        ("hierarchy.", "dressing.", "bilinear.", "classical."))],
+}
+
+
+def _counted_run(monkeypatch, data, checks=None):
+    """run_suite on `data`, recording every direct resolvent solve as
+    (Lax datum, channel, depth, normalization) and every classical Lax
+    datum built."""
+    real_solve, real_lax = hy.solve_resolvent_direct, RunConfig.lax
+    calls = {"solves": [], "classical_lax": 0}
+
+    def solve(lax, alpha, depth, normalization="orthogonal"):
+        calls["solves"].append((id(lax), alpha, depth, normalization))
+        return real_solve(lax, alpha, depth, normalization)
+
+    def lax(self, classical=False):
+        calls["classical_lax"] += classical
+        return real_lax(self, classical)
+
+    monkeypatch.setattr(hy, "solve_resolvent_direct", solve)
+    monkeypatch.setattr(RunConfig, "lax", lax)
+    if checks is not None:
+        data = {**data, "checks": checks}
+    run_suite(parse_config(data))
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("data, solves", [
+    (json.loads(DEMO.read_text()), 8), (SOLVERS_N3, 12),
+], ids=["demo", "solvers_n3"])
+def test_each_resolvent_is_solved_once_per_run(monkeypatch, data, solves):
+    # one session per Lax datum, each (channel, normalization) solved at the
+    # deepest depth any check requests; the parent revision solved 13 and 19
+    calls = _counted_run(monkeypatch, data)
+    keys = [(lax, alpha, norm) for lax, alpha, _, norm in calls["solves"]]
+    assert len(keys) == solves and len(set(keys)) == solves
+    assert calls["classical_lax"] == 1
+
+
+@pytest.mark.parametrize("data", [json.loads(DEMO.read_text()), SOLVERS_N3],
+                         ids=["demo", "solvers_n3"])
+def test_classical_route_agreement_reads_the_qr_solve(monkeypatch, data):
+    alone = _counted_run(monkeypatch, data, ["classical.route_agreement"])
+    both = _counted_run(monkeypatch, data,
+                        ["classical.qr_residual", "classical.route_agreement"])
+    qr = _counted_run(monkeypatch, data, ["classical.qr_residual"])
+    n = data["n"]
+    assert len(alone["solves"]) == len(qr["solves"]) == n
+    # after the qr check, the route agreement solves nothing
+    assert len(both["solves"]) == n and both["classical_lax"] == 1

@@ -165,7 +165,8 @@ def test_vacuum_passes_everything(q):
     ctx = ctx2()
     vac = vacuum_spec(ctx, 2)
     lams = lambda_pool([(1, 0), (1, 1)], 2)
-    out = verify_tau_theorem(vac, [1, -1], q, 3, lams, 6, ctx)
+    out = verify_tau_theorem(vac, [1, -1], q, 3, lams, 6,
+                             verify_expqo([1, -1], q, ctx))
     stages = {stage for (stage, _), _ in out}
     assert stages == {"substitution", "expqo", "q_bilinear", "taylor"}
     assert not any(nonzero(out))
@@ -177,7 +178,8 @@ def test_classical_precheck_rejects_non_solution():
     records = classical_residues(bad, 2, [((1, 0),)], 5)
     assert any(nonzero(records))
     with pytest.raises(TauCheckError):
-        verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)], 5, ctx)
+        verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)], 5,
+                           verify_expqo([1, -1], F(2), ctx))
 
 
 def test_substitutions_commute_generally():
@@ -908,7 +910,7 @@ RATIONAL = Path(__file__).resolve().parent.parent / "configs" / "tau_rational.js
 
 
 def _tau_theorem_case(kind, **changes):
-    """(spec, a, q, l_max, lambdas, depth, time context) as tau.theorem runs it.
+    """(spec, a, q, l_max, lambdas, depth, expqo) as tau.theorem runs it.
 
     "vacuum" is the demo config, "rational" configs/tau_rational.json, and
     "real" the demo config with the rational config's tau. `changes`
@@ -927,7 +929,7 @@ def _tau_theorem_case(kind, **changes):
     ctx = SuiteContext(cfg)
     lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
     return (_tau_spec_from_config(ctx), list(cfg.a), cfg.q, min(cfg.l_max, 3),
-            lambdas, cfg.l_max + 2, ctx.tau_ctx)
+            lambdas, cfg.l_max + 2, ctx.expqo)
 
 
 def _outcome(fn, *args):
@@ -948,10 +950,10 @@ def test_windowed_taylor_and_q_bilinear_match_the_whole_products(kind, monkeypat
         args = _mechanism_shape()
         runs = [(_q_pass, args)]
     else:
-        spec, a, q, l_max, lambdas, depth, tctx = _tau_theorem_case(kind)
+        spec, a, q, l_max, lambdas, depth, expqo = _tau_theorem_case(kind)
         runs = [
             (_q_pass, (spec, a, q, l_max, lambdas, depth)),
-            (verify_tau_theorem, (spec, a, q, l_max, lambdas, depth, tctx)),
+            (verify_tau_theorem, (spec, a, q, l_max, lambdas, depth, expqo)),
         ]
     got = [_outcome(fn, *args) for fn, args in runs]
     _whole_products(monkeypatch)
