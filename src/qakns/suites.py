@@ -162,24 +162,22 @@ def check_power_additivity(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
 
     def residuals():
+        # D**m D**n = D**(m+n) for m, n <= 2: one running derivative per
+        # sample reaches each power p = m + n once
         for f in _sample_series(cfg.n_x, 11):
             coeffs = f.coeffs
-            for m in range(3):
-                for n in range(3):
-                    stepped = f
-                    for _ in range(m + n):
-                        stepped = q_derive(stepped, q)
-                    closed_coeffs = []
-                    p = m + n
-                    for k in range(cfg.n_x + 1 - p):
-                        c = coeffs[k + p]
-                        for i in range(1, p + 1):
-                            c *= q_int(k + i, q)
-                        closed_coeffs.append(c)
-                    closed = XSeries.poly(closed_coeffs, cfg.n_x).with_valid(
-                        cfg.n_x - p
-                    )
-                    yield (m, n), stepped - closed
+            stepped = f
+            for p in range(5):
+                if p:
+                    stepped = q_derive(stepped, q)
+                closed_coeffs = []
+                for k in range(cfg.n_x + 1 - p):
+                    c = coeffs[k + p]
+                    for i in range(1, p + 1):
+                        c *= q_int(k + i, q)
+                    closed_coeffs.append(c)
+                closed = XSeries.poly(closed_coeffs, cfg.n_x).with_valid(cfg.n_x - p)
+                yield p, stepped - closed
 
     return _result(
         "qcalc.power_additivity", {"q": str(q)}, nonzero(residuals()),
@@ -210,7 +208,7 @@ def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
 
     def residuals():
-        for c in (frac(1), cfg.a[0], frac(-2)):
+        for c in dict.fromkeys((frac(1), cfg.a[0], frac(-2))):
             e = exp_q_series(c, q, cfg.n_x)
             yield str(c), q_derive(e, q) - e.scale(c)
 
@@ -455,10 +453,11 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
 def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     flows = list(cfg.flows)
-    pairs = []
-    for i in range(len(flows)):
-        for j in range(i, len(flows)):
-            pairs.append((flows[i], flows[j]))
+    # a pair (f, f) is identically zero, whatever the resolvents are
+    pairs = [(f, g) for i, f in enumerate(flows) for g in flows[i + 1:]]
+    if not pairs:
+        return _result("hierarchy.zero_curvature",
+                       {"note": "fewer than two flows configured"})
     table = hy.FlowTable(ctx.family)
     residuals = (
         (((k, a + 1), (l, b + 1)), hy.verify_zero_curvature(table, (k, a), (l, b)))
@@ -604,18 +603,18 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     spec = _tau_spec_from_config(ctx)
     lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
-    depth = cfg.l_max + 2
+    l_max = min(cfg.l_max, 3)
     try:
         residuals = tau_mod.verify_tau_theorem(
-            spec, list(cfg.a), cfg.q, min(cfg.l_max, 3), lambdas, depth,
-            ctx.expqo,
+            spec, list(cfg.a), cfg.q, l_max, lambdas, ctx.expqo
         )
     except tau_mod.TauCheckError as exc:
         return _result("tau.theorem", {"rejected": True}, [str(exc)], {})
+    # the q-bilinear and Taylor stages compare z**-1..z**-(l_max+1)
     return _result(
         "tau.theorem",
-        {"lambdas": len(lambdas), "depth": depth},
-        nonzero(residuals), {"z": depth, "t": cfg.n_t},
+        {"lambdas": len(lambdas), "l_max": l_max},
+        nonzero(residuals), {"z": l_max + 1, "t": cfg.n_t},
     )
 
 
@@ -627,9 +626,7 @@ def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
     )
     lambdas = [(), (tctx.vars[0],)]
     try:
-        tau_mod.verify_tau_theorem(
-            bad, list(cfg.a), cfg.q, 2, lambdas, 4, ctx.expqo
-        )
+        tau_mod.verify_tau_theorem(bad, list(cfg.a), cfg.q, 2, lambdas, ctx.expqo)
     except tau_mod.TauCheckError:
         return _result("tau.gatekeeping", {})
     return _result(
@@ -648,7 +645,7 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     poly = tctx.constant(1) + tctx.variable((1, 0))
     spec = tau_mod.TauSpec(poly, {}, cfg.n)
     _, records = tau_mod.taylor_agreement(
-        spec, list(cfg.a), cfg.q, 1, [(), ((1, 0),)], 5
+        spec, list(cfg.a), cfg.q, 1, [(), ((1, 0),)]
     )
     by_record = (((l, lam), r) for (l, lam, _), r in records)
     return _result(

@@ -6,11 +6,12 @@ off through the z-substitution t_(k beta) -> t_(k beta) - z**-k / k and
 division by tau; the q-deformation substitutes
 t_(k alpha) -> t_(k alpha) + (1-q)**k / (k (1-q**k)) * (a_alpha x)**k
 first. The z-substitution is the finite Taylor sum of t-derivatives
-exp(-sum_k z**-k / k d_(k beta)), and every z-window of the assembled
-series is kept by MZSeries arithmetic. That sum, the Taylor sum of the
-flow steps and the z-exponentials of `verify_expqo` are each the
-exponential of a graded operator, expanded by `calculus.graded_apply`
-with the depth as its one cut. The Baker exponentials enter the
+exp(-sum_k z**-k / k d_(k beta)), which ends at the polynomial's own Miwa
+reach, so the assembled Baker series is exact in z and takes no depth.
+That sum, the Taylor sum of the flow steps and the z-exponentials of
+`verify_expqo` are each the exponential of a graded operator, expanded
+by `calculus.graded_apply` up to its grade: the Miwa reach, the x-order
+and `EXPQO_Z_DEPTH`. The Baker exponentials enter the
 residue identities through the q-Leibniz reduction; `graded_exp` expands
 an exponential in z only where `verify_expqo` compares one directly, and
 the ratio E_delta that `taylor_agreement` needs is the closed form the
@@ -110,61 +111,59 @@ def shift_difference(k: int, alpha: int, a_values, q, xorder: int) -> XSeries:
     return shift_amount(k, a_values[alpha], q, xorder).scale(frac(q) ** k - 1)
 
 
-def miwa_shift(p: TimePoly, beta: int, depth: int):
+def miwa_shift(p: TimePoly, beta: int) -> dict:
     """Substitute t_(k beta) -> t_(k beta) - z**-k / k; collect z-degrees.
 
     The substitution is exp(S) p for S = -sum_k z**-k / k d_(k beta),
     graded by the power of z**-1: `graded_apply` with the step
-    -d_(k beta). Returns ({z-degree: TimePoly}, zvalid): degrees below
-    -depth are not formed, a degree with no terms has no entry, and zvalid
-    marks that cut when some monomial reaches below it
-    (sum_k k e_(k beta) > depth), -inf otherwise.
+    -d_(k beta). The sum ends at p's Miwa reach, the largest
+    sum_k k e_(k beta) over its monomials: a term of a higher grade lowers
+    some monomial by more weight than it holds, so it vanishes. Returns
+    the exact {z-degree: TimePoly}; a degree with no terms has no entry.
     """
     if p.tvalid <= p.tmax:
         raise ValueError("miwa substitution needs an exact polynomial")
     flows = [(i, v) for i, v in enumerate(p.vars) if v[1] == beta]
-    grades = graded_apply(
-        p, lambda k, t: -t.t_derive((k, beta)), [v[0] for _, v in flows], depth
-    )
     reach = max(
         (sum(v[0] * e[i] for i, v in flows) for e in p.terms), default=0
     )
-    out = {-d: t for d, t in grades.items() if t.terms}
-    return out, (-depth if reach > depth else NEG_INF)
+    grades = graded_apply(
+        p, lambda k, t: -t.t_derive((k, beta)), [v[0] for _, v in flows], reach
+    )
+    return {-d: t for d, t in grades.items() if t.terms}
 
 
-def _placed(n: int, at: tuple, zero, series: dict, zvalid=NEG_INF) -> MZSeries:
-    """The scalar z-series {degree: entry} at entry `at` of n x n matrices."""
+def _placed(n: int, at: tuple, zero, series: dict) -> MZSeries:
+    """The exact z-series {degree: entry} at entry `at` of n x n matrices."""
     def mat(poly):
         return MatSeries(
             [[poly if (i, j) == at else zero for j in range(n)] for i in range(n)]
         )
 
-    return MZSeries(n, {d: mat(p) for d, p in series.items()}, zvalid, zero)
+    return MZSeries(n, {d: mat(p) for d, p in series.items()}, proto=zero)
 
 
-def baker_from_tau(
-    tau: TimePoly, companions: dict, n: int, depth: int
-) -> MZSeries:
+def baker_from_tau(tau: TimePoly, companions: dict, n: int) -> MZSeries:
     """Assemble the dressing matrix from tau and its companions.
 
     Diagonal entries are tau(miwa-shifted in the channel) / tau; entry
     (alpha, beta) off the diagonal carries z**-1 times companion
-    tau_(alpha beta) shifted in channel beta, divided by tau.
+    tau_(alpha beta) shifted in channel beta, divided by tau. The Miwa
+    substitutions are whole, so the series is exact in z.
     """
     if tau.constant_term().constant_term() == 0:
         raise ZeroDivisionError("tau has zero constant term")
     zero = tau.zero_like()
     what = MZSeries.zero(n, zero)
     for alpha in range(n):
-        what = what + _placed(n, (alpha, alpha), zero, *miwa_shift(tau, alpha, depth))
+        what = what + _placed(n, (alpha, alpha), zero, miwa_shift(tau, alpha))
     for (alpha, beta), comp in companions.items():
         if alpha == beta:
             raise ValueError("companions are off-diagonal only")
         if comp.is_zero():
             continue
-        shifted = miwa_shift(comp, beta, depth - 1)
-        what = what + _placed(n, (alpha, beta), zero, *shifted).shift(-1)
+        shifted = _placed(n, (alpha, beta), zero, miwa_shift(comp, beta))
+        what = what + shifted.shift(-1)
     inv = tau.invert()
     return what.map_entries(lambda tp: tp * inv)
 
@@ -172,40 +171,15 @@ def baker_from_tau(
 # -- dressing-level Baker data and the residue machinery ----------------------
 
 
-class TauBaker:
-    """A dressing built from tau data, with flow and x-derivative reducers."""
+def flow_factor(what: MZSeries, winv: MZSeries, lam, lo=NEG_INF) -> MZSeries:
+    """(d**lam Psi) Psi**-1 = P_lam w**-1, with P_lam = `flows_applied`(w, lam).
 
-    def __init__(self, what: MZSeries, a_values, floor: int, q=None):
-        self.what = what
-        self.a = [frac(v) for v in a_values]
-        self.n = what.n
-        self.q = frac(q) if q is not None else None
-        self.winv = what.invert(floor)
-
-    def h(self, lam, lo=NEG_INF) -> MZSeries:
-        """(d**lam Psi) Psi**-1 = P_lam w**-1, with P_lam = `flows_applied`(w, lam).
-
-        The empty lam gives the exact identity. Only the degrees from `lo`
-        up are built, as by `MZSeries.product`.
-        """
-        if not lam:
-            return MZSeries.identity(self.n, self.what.proto)
-        return flows_applied(self.what, lam).product(self.winv, lo)
-
-    def derive_x(self, tp: TimePoly) -> TimePoly:
-        """The q-derivation in x, acting inside the time coefficients."""
-        return tp.map_coeffs(lambda s: q_derive(s, self.q))
-
-    def dilate_x(self, tp: TimePoly) -> TimePoly:
-        """The dilation x -> qx, acting inside the time coefficients."""
-        return tp.map_coeffs(lambda s: dilate(s, self.q))
-
-    def x_factor(self, lo=NEG_INF) -> MZSeries:
-        """D_q w * w**-1 reduced to the dressing level (q-data only), from `lo` up."""
-        if self.q is None:
-            raise ValueError("x-derivative factor needs the q parameter")
-        return x_factor_of(self.what, self.winv, self.a, self.derive_x,
-                           self.dilate_x, lo)
+    The empty lam gives the exact identity. Only the degrees from `lo`
+    up are built, as by `MZSeries.product`.
+    """
+    if not lam:
+        return MZSeries.identity(what.n, what.proto)
+    return flows_applied(what, lam).product(winv, lo)
 
 
 def flow_step(p: MZSeries, k: int, weights: dict) -> MZSeries:
@@ -358,19 +332,21 @@ def _flow_weight(lambdas) -> int:
     return max((sum(k for k, _ in lam) for lam in lambdas), default=0)
 
 
-def classical_residues(spec: TauSpec, l_max: int, lambdas, depth: int) -> list:
+def classical_residues(spec: TauSpec, l_max: int, lambdas) -> list:
     """The classical precheck: res_z(z**l H_lam) on the unshifted Baker, m = 0.
 
     H_lam = P_lam w**-1 is read down to z**(-1-l_max) and P_lam reaches
     z**w, so the inverse is kept down to -(1 + l_max + w). Returns
     `bilinear_residues`' (label, residue) pairs.
     """
-    what = baker_from_tau(spec.tau, spec.companions, spec.n, depth)
-    baker = TauBaker(what, (), -(1 + l_max + _flow_weight(lambdas)))
-    return bilinear_residues(baker.h, None, None, None, l_max, lambdas)
+    what = baker_from_tau(spec.tau, spec.companions, spec.n)
+    winv = what.invert(-(1 + l_max + _flow_weight(lambdas)))
+    return bilinear_residues(
+        lambda lam: flow_factor(what, winv, lam), None, None, None, l_max, lambdas
+    )
 
 
-def substitution_commutes(spec: TauSpec, a_values, q, depth: int) -> list:
+def substitution_commutes(spec: TauSpec, a_values, q) -> list:
     """q-shift then miwa equals miwa then q-shift, degree by degree.
 
     This is the construction half of the Baker identity w_q(t; x) =
@@ -386,15 +362,13 @@ def substitution_commutes(spec: TauSpec, a_values, q, depth: int) -> list:
     shifted = shift(spec.tau)
     out = []
     for beta in range(spec.n):
-        first = _placed(1, (0, 0), zero, *miwa_shift(shifted, beta, depth))
-        second = _placed(1, (0, 0), zero, *miwa_shift(spec.tau, beta, depth))
+        first = _placed(1, (0, 0), zero, miwa_shift(shifted, beta))
+        second = _placed(1, (0, 0), zero, miwa_shift(spec.tau, beta))
         out.append((beta + 1, first - second.map_entries(shift)))
     return out
 
 
-def taylor_agreement(
-    spec: TauSpec, a_values, q, l_max: int, lambdas, depth: int
-) -> tuple:
+def taylor_agreement(spec: TauSpec, a_values, q, l_max: int, lambdas) -> tuple:
     """The q pass: the q-bilinear residues and their Taylor cross-check.
 
     w is the Baker dressing at shift [Ax]_q, built and inverted once. With
@@ -428,13 +402,21 @@ def taylor_agreement(
     q = frac(q)
     xorder = spec.tau.xorder
     shifted = spec.mapped(lambda p: q_shift_times(p, a_values, q))
-    what = baker_from_tau(shifted.tau, shifted.companions, spec.n, depth)
+    what = baker_from_tau(shifted.tau, shifted.companions, spec.n)
     # T_lam w**-1 is read at z**(-1-l), and T_lam reaches z**(xorder + w):
     # grade j of T reaches z**j and each flow of lam its order more. Every
     # other read of w**-1 stops above that.
     w = _flow_weight(lambdas)
-    baker = TauBaker(what, a_values, -(1 + l_max + xorder + w), q)
-    dilated_e = what.map_entries(baker.dilate_x) * e_delta(a_values, q, what.proto)
+    winv = what.invert(-(1 + l_max + xorder + w))
+
+    # the q-derivation and the dilation x -> qx, inside the time coefficients
+    def derive_x(tp):
+        return tp.map_coeffs(lambda s: q_derive(s, q))
+
+    def dilate_x(tp):
+        return tp.map_coeffs(lambda s: dilate(s, q))
+
+    dilated_e = what.map_entries(dilate_x) * e_delta(a_values, q, what.proto)
     x_qm1 = XSeries.monomial(q - 1, 1, xorder)
     pre = taylor_sum(what, {
         (k, alpha): shift_difference(k, alpha, a_values, q, xorder)
@@ -443,10 +425,10 @@ def taylor_agreement(
     # D(H) is read at z**-1-l_max..z**-1, and H's top degree is the flow
     # weight of lam: so g is read down to -1-l_max-w, and H down to
     # -1-l_max minus g's top
-    g = baker.x_factor(-1 - l_max - w)
+    g = x_factor_of(what, winv, a_values, derive_x, dilate_x, -1 - l_max - w)
     h_lo = -1 - l_max - max(g.top(), 0)
     q_bilinear = bilinear_residues(
-        lambda lam: baker.h(lam, h_lo), g, baker.derive_x, baker.dilate_x,
+        lambda lam: flow_factor(what, winv, lam, h_lo), g, derive_x, dilate_x,
         l_max, lambdas,
     )
     # per lam, the m = 0 residues for l = 0..l_max, then the m = 1 ones
@@ -458,9 +440,9 @@ def taylor_agreement(
         pre_lam = flows_applied(pre, lam)
         for l in range(l_max + 1):
             plain, direct = rows[l], rows[l_max + 1 + l]
-            mixed = m_lam.product_coeff(baker.winv, -1 - l)
+            mixed = m_lam.product_coeff(winv, -1 - l)
             lhs2 = direct.map(lambda tp: tp.scale_series(x_qm1))
-            taylor = pre_lam.product_coeff(baker.winv, -1 - l)
+            taylor = pre_lam.product_coeff(winv, -1 - l)
             out.append(((l, tuple(lam), "two_term"), lhs2 - (mixed - plain)))
             out.append(((l, tuple(lam), "taylor"), mixed - taylor))
     return q_bilinear, out
@@ -501,15 +483,7 @@ def _tp_norm(p: TimePoly) -> Fraction:
     return total
 
 
-def verify_tau_theorem(
-    spec: TauSpec,
-    a_values,
-    q,
-    l_max: int,
-    lambdas,
-    depth: int,
-    expqo,
-):
+def verify_tau_theorem(spec: TauSpec, a_values, q, l_max: int, lambdas, expqo):
     """Full shift-theorem verification for one tau family.
 
     Order of business: the classical bilinear residues gate everything
@@ -525,15 +499,15 @@ def verify_tau_theorem(
     # the verdict rule lives in the report layer, which `import qakns` skips
     from .report import nonzero
 
-    classical = classical_residues(spec, l_max, lambdas, depth)
+    classical = classical_residues(spec, l_max, lambdas)
     bad = next(nonzero(classical), None)
     if bad is not None:
         raise TauCheckError(
             f"classical bilinear residue fails at {bad[0]}: {bad[1]}"
         )
-    q_bilinear, taylor = taylor_agreement(spec, a_values, q, l_max, lambdas, depth)
+    q_bilinear, taylor = taylor_agreement(spec, a_values, q, l_max, lambdas)
     stages = (
-        ("substitution", substitution_commutes(spec, a_values, q, depth)),
+        ("substitution", substitution_commutes(spec, a_values, q)),
         ("expqo", expqo),
         ("q_bilinear", q_bilinear),
         ("taylor", taylor),

@@ -283,7 +283,7 @@ def test_criterion_5_tau():
             failures.append(f"expqo q={q} channel={channel}: {witness}")
     # vacuum passes the classical precheck and the q-stage at q = 2
     lams = lambda_pool([(1, 0), (1, 1)], 2)
-    out = verify_tau_theorem(vacuum_spec(ctx, 2), [1, -1], F(2), 4, lams, 8,
+    out = verify_tau_theorem(vacuum_spec(ctx, 2), [1, -1], F(2), 4, lams,
                              verify_expqo([1, -1], F(2), ctx))
     stages = {"q_bilinear": "vacuum q-bilinear",
               "taylor": "vacuum taylor agreement",
@@ -295,7 +295,7 @@ def test_criterion_5_tau():
     # time degree above the x-order keeps every compared entry determined
     small = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 7, 6)
     nonsol = TauSpec(small.constant(1) + small.variable((1, 0)), {}, 2)
-    _, recs = taylor_agreement(nonsol, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
+    _, recs = taylor_agreement(nonsol, [1, -1], F(2), 1, [(), ((1, 0),)])
     for (l, lam, _), _ in nonzero(recs):
         failures.append(f"mechanism agreement l={l} lam={lam}")
     # classical limit ratios within [0.45, 0.55] along q = 1 + 2^-m

@@ -5,6 +5,10 @@ regenerate them from the current source (only when a report is meant to
 change), run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints, per golden, every (check, field) that differs from the file it
+overwrites, or "unchanged", so a regeneration's reason can be checked
+against its output.
 """
 
 import json
@@ -34,9 +38,8 @@ RUNS = {
     # workload, seed 0)
     "deep_x": lambda: run_suite(load_config(GOLDEN / "deep_x.config.json")),
     # the demo suite on a real tau, tau = 1 - t_(1,1) + t_(1,2), at x = 4,
-    # t = 6 and l_max = 2. Its tau.theorem window {"z": 4, "t": 6} is the
-    # hand-written one, though the check reads only z**-1..z**-3; windows
-    # derived from the residual carriers will regenerate it with the others
+    # t = 6 and l_max = 2. Its tau.theorem window {"z": 3, "t": 6} is
+    # z**-1..z**-3, the degrees its q-bilinear and Taylor stages compare
     "tau_rational": lambda: run_suite(
         load_config(ROOT / "configs" / "tau_rational.json")
     ),
@@ -50,17 +53,25 @@ def report_text(report) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def differences(got: str, expected: str) -> list:
+    """Every place two report texts differ, in report order: each differing
+    field of a check (with its index and name), the check count, and each
+    differing top-level field."""
+    a, b = json.loads(got), json.loads(expected)
+    out = []
+    for i, (ca, cb) in enumerate(zip(a["checks"], b["checks"])):
+        out += [f"check {i} {ca.get('name')!r}, field {k!r}"
+                for k in sorted(set(ca) | set(cb)) if ca.get(k) != cb.get(k)]
+    if len(a["checks"]) != len(b["checks"]):
+        out.append(f"check count {len(a['checks'])} != {len(b['checks'])}")
+    out += [f"top-level field {k!r}"
+            for k in sorted((set(a) | set(b)) - {"checks"}) if a.get(k) != b.get(k)]
+    return out
+
+
 def first_difference(got: str, expected: str) -> str:
     """Where two report texts first differ: a check name and field."""
-    a, b = json.loads(got), json.loads(expected)
-    for i, (ca, cb) in enumerate(zip(a["checks"], b["checks"])):
-        if ca != cb:
-            field = min(k for k in set(ca) | set(cb) if ca.get(k) != cb.get(k))
-            return f"check {i} {ca.get('name')!r}, field {field!r}"
-    if len(a["checks"]) != len(b["checks"]):
-        return f"check count {len(a['checks'])} != {len(b['checks'])}"
-    field = min((k for k in set(a) | set(b) if a.get(k) != b.get(k)), default=None)
-    return f"top-level field {field!r}" if field else "formatting only"
+    return next(iter(differences(got, expected)), "formatting only")
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -77,8 +88,11 @@ def test_first_difference_names_check_and_field():
     data["checks"][3]["status"] = "fail"
     data["checks"][5]["params"] = {}
     got = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    name = data["checks"][3]["name"]
+    name, other = data["checks"][3]["name"], data["checks"][5]["name"]
     assert first_difference(got, text) == f"check 3 {name!r}, field 'status'"
+    assert differences(got, text) == [
+        f"check 3 {name!r}, field 'status'", f"check 5 {other!r}, field 'params'"
+    ]
     data["config_hash"] = "0"
     data["checks"] = json.loads(text)["checks"]
     got = json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -88,4 +102,13 @@ def test_first_difference_names_check_and_field():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, run in RUNS.items():
-        (GOLDEN / f"{name}.json").write_text(report_text(run()))
+        path = GOLDEN / f"{name}.json"
+        text = report_text(run())
+        if not path.exists():
+            print(f"{name}: new")
+        elif text == path.read_text():
+            print(f"{name}: unchanged")
+        else:
+            for where in differences(text, path.read_text()) or ["formatting only"]:
+                print(f"{name}: {where}")
+        path.write_text(text)

@@ -9,7 +9,7 @@ import pytest
 
 from qakns import hierarchy as hy
 from qakns import qop, report
-from qakns.config import RunConfig, demo_config, parse_config
+from qakns.config import DEMO_CONFIG, RunConfig, demo_config, parse_config
 from qakns.matseries import MatSeries
 from qakns.suites import (
     CHECKS,
@@ -100,7 +100,7 @@ def test_bilinear_and_tau_checks_decide_through_the_one_verdict(monkeypatch):
 
 def test_zero_curvature_reads_every_pair_from_one_flow_table(monkeypatch):
     # one table over the family forms each B_g and each d_g B_h once for all
-    # six demo pairs; a table per pair makes 36 products and 236 dot calls
+    # three demo pairs
     ctx = SuiteContext(demo_config())
     ctx.family
     calls = {"table": 0, "product": 0, "dot": 0}
@@ -124,10 +124,58 @@ def test_zero_curvature_reads_every_pair_from_one_flow_table(monkeypatch):
     monkeypatch.setattr(MatSeries, "dot", staticmethod(dot))
     res = check_zero_curvature(ctx)
     monkeypatch.undo()
-    assert res.status == "pass" and len(res.params["pairs"]) == 6
+    assert res.status == "pass" and len(res.params["pairs"]) == 3
     assert calls["table"] == 1
-    assert calls["product"] <= 24
-    assert calls["dot"] <= 140
+    assert calls["product"] <= 16
+    assert calls["dot"] <= 102
+
+
+def test_zero_curvature_pairs_distinct_flows_only():
+    # (f, f) is identically zero, so a pair always joins two flows; one flow
+    # has no pair, and the params say so
+    (res,) = run_checks("hierarchy.zero_curvature")
+    assert res.params["pairs"] == ["(1,1)x(1,2)", "(1,1)x(2,1)", "(1,2)x(2,1)"]
+    data = {**DEMO_CONFIG, "flows": [[1, 1]], "checks": ["hierarchy.zero_curvature"]}
+    (res,) = run_suite(parse_config(data)).checks
+    assert res.status == "pass"
+    assert res.params == {"note": "fewer than two flows configured"}
+
+
+def test_power_additivity_derives_each_power_once(monkeypatch):
+    # D**m D**n for m, n <= 2 reaches the powers 0..4: one running derivative
+    # per sample takes 4 steps
+    import qakns.suites as suites
+
+    calls = [0]
+    real = suites.q_derive
+
+    def counted(s, q):
+        calls[0] += 1
+        return real(s, q)
+
+    monkeypatch.setattr(suites, "q_derive", counted)
+    (res,) = run_checks("qcalc.power_additivity")
+    assert res.status == "pass" and calls[0] == 4 * 4
+    # a broken derivation names the power it failed at
+    monkeypatch.setattr(suites, "q_derive", lambda s, q: real(s, q).scale(2))
+    (res,) = run_checks("qcalc.power_additivity")
+    assert res.first_failure["coordinates"][0] == "1"
+
+
+def test_expq_eigenvalue_checks_each_eigenvalue_once(monkeypatch):
+    # the demo's a_1 is 1, the first fixed eigenvalue: two series, not three
+    import qakns.suites as suites
+
+    seen = []
+    real = suites.exp_q_series
+
+    def recorded(c, q, order):
+        seen.append(c)
+        return real(c, q, order)
+
+    monkeypatch.setattr(suites, "exp_q_series", recorded)
+    (res,) = run_checks("qcalc.expq_eigenvalue")
+    assert res.status == "pass" and seen == [1, -2]
 
 
 def test_u_flow_depth_shortage_is_an_error(monkeypatch):

@@ -90,25 +90,25 @@ def test_q_shift_times_sums_each_monomial_once(monkeypatch):
 def test_miwa_examples():
     ctx = ctx2()
     one = ctx.constant(1)
-    out, zv = miwa_shift(one, 0, 4)
+    out = miwa_shift(one, 0)
     assert set(out) == {0} and (out[0] - one).is_zero()
     t = ctx.variable((1, 1))
-    out, _ = miwa_shift(t, 1, 4)
+    out = miwa_shift(t, 1)
     assert (out[0] - t).is_zero()
     assert (out[-1] + one).is_zero()
     sq = t * t
-    out, _ = miwa_shift(sq, 1, 4)
+    out = miwa_shift(sq, 1)
     assert (out[0] - sq).is_zero()
     assert (out[-1] + t.scale(2)).is_zero()
     assert (out[-2] - one).is_zero()
     # unaffected channel
-    out0, _ = miwa_shift(t, 0, 4)
+    out0 = miwa_shift(t, 0)
     assert set(out0) == {0}
 
 
 def test_baker_from_tau_examples():
     ctx = ctx2()
-    vac = baker_from_tau(ctx.constant(1), {}, 2, 4)
+    vac = baker_from_tau(ctx.constant(1), {}, 2)
     ident = MatSeries.identity(2, vac.proto)
     assert (vac.coeff(0) - ident).is_zero()
     for d in vac.terms:
@@ -116,14 +116,14 @@ def test_baker_from_tau_examples():
             assert vac.terms[d].is_zero()
     # diagonal entry for tau = 1 + t11: (1 + t - z^-1)/(1 + t)
     tau = ctx.constant(1) + ctx.variable((1, 0))
-    w = baker_from_tau(tau, {}, 2, 4)
+    w = baker_from_tau(tau, {}, 2)
     inv = tau.invert()
     entry = w.coeff(-1)[0, 0]
     assert (entry + inv).is_zero()
     assert (w.coeff(0) - ident).is_zero()
     # off-diagonal companions enter with the z^-1 prefactor
     comp = {(0, 1): ctx.variable((1, 1))}
-    w2 = baker_from_tau(tau, comp, 2, 4)
+    w2 = baker_from_tau(tau, comp, 2)
     assert (w2.coeff(-1)[0, 1] - (ctx.variable((1, 1)) * inv)).is_zero()
     top = max(d for d in w2.terms if not w2.terms[d].is_zero())
     assert top == 0
@@ -132,7 +132,7 @@ def test_baker_from_tau_examples():
 def test_baker_rejects_zero_constant():
     ctx = ctx2()
     with pytest.raises(ZeroDivisionError):
-        baker_from_tau(ctx.variable((1, 0)), {}, 2, 4)
+        baker_from_tau(ctx.variable((1, 0)), {}, 2)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -165,7 +165,7 @@ def test_vacuum_passes_everything(q):
     ctx = ctx2()
     vac = vacuum_spec(ctx, 2)
     lams = lambda_pool([(1, 0), (1, 1)], 2)
-    out = verify_tau_theorem(vac, [1, -1], q, 3, lams, 6,
+    out = verify_tau_theorem(vac, [1, -1], q, 3, lams,
                              verify_expqo([1, -1], q, ctx))
     stages = {stage for (stage, _), _ in out}
     assert stages == {"substitution", "expqo", "q_bilinear", "taylor"}
@@ -175,10 +175,10 @@ def test_vacuum_passes_everything(q):
 def test_classical_precheck_rejects_non_solution():
     ctx = ctx2()
     bad = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
-    records = classical_residues(bad, 2, [((1, 0),)], 5)
+    records = classical_residues(bad, 2, [((1, 0),)])
     assert any(nonzero(records))
     with pytest.raises(TauCheckError):
-        verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)], 5,
+        verify_tau_theorem(bad, [1, -1], F(2), 2, [(), ((1, 0),)],
                            verify_expqo([1, -1], F(2), ctx))
 
 
@@ -187,7 +187,7 @@ def test_substitutions_commute_generally():
     t = ctx.variable((1, 0))
     s = ctx.variable((2, 1))
     spec = TauSpec(ctx.constant(1) + t * s + s, {}, 2)
-    assert not any(nonzero(substitution_commutes(spec, [1, -1], F(2), 5)))
+    assert not any(nonzero(substitution_commutes(spec, [1, -1], F(2))))
 
 
 def test_substitution_shifts_tau_once(monkeypatch):
@@ -213,7 +213,7 @@ def test_substitution_shifts_tau_once(monkeypatch):
 
     monkeypatch.setattr(MZSeries, "map_entries", map_entries)
     monkeypatch.setattr(tau_mod, "q_shift_times", q_shift_times)
-    records = substitution_commutes(spec, [1, -1], F(2), 5)
+    records = substitution_commutes(spec, [1, -1], F(2))
     assert [c for c, _ in records] == [1, 2]
     assert len(tau_shifts) == 1 and tau_shifts[0] is spec.tau
 
@@ -226,9 +226,9 @@ def test_mechanism_agreement_on_non_solution():
     # (test_undetermined_taylor_half_fails_on_a_short_carrier)
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 7, 6)
     bad = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
-    _, recs = taylor_agreement(bad, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
+    _, recs = taylor_agreement(bad, [1, -1], F(2), 1, [(), ((1, 0),)])
     assert recs and not any(nonzero(recs))
-    qrecs, _ = taylor_agreement(bad, [1, -1], F(2), 2, [()], 5)
+    qrecs, _ = taylor_agreement(bad, [1, -1], F(2), 2, [()])
     assert any(nonzero(qrecs))  # while the residues do fail
 
 
@@ -258,17 +258,17 @@ def _mechanism_shape(tmax=7):
     """The carrier, tau and arguments of the tau.mechanism_agreement check."""
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, 6)
     spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
-    return spec, [1, -1], F(2), 1, [(), ((1, 0),)], 5
+    return spec, [1, -1], F(2), 1, [(), ((1, 0),)]
 
 
-def _chain_reference(baker):
+def _chain_reference(what, winv):
     """h(lam) by the memoized chain H_(lam+v) = d_v H_lam + H_lam g_v: reference.
 
     g_v = (d_v w + w z**k E_alpha) w**-1 is the flow factor of v = (k, alpha),
     built with whole z-series products; a flow the carrier does not hold
     has no t-derivative. Returns (h, g).
     """
-    what, winv, n = baker.what, baker.winv, baker.n
+    n = what.n
     g_memo, h_memo = {}, {}
 
     def g(k, alpha):
@@ -350,7 +350,7 @@ def test_graded_taylor_sum_matches_multiset_enumeration(xorder, q, tau_kind):
     # (graded sum) * w**-1 against sum over eta of Delta**eta / eta! h(lam+eta),
     # eta over the multisets of every flow (k, alpha) with k <= x-order, and
     # h the chain of flow factors, independent of `flow_step`
-    from qakns.tau import TauBaker, flow_step, shift_difference, taylor_sum
+    from qakns.tau import flow_step, shift_difference, taylor_sum
 
     # the mechanism carrier adds a time of order 2, so the t-derivative of
     # S_2 is exercised; every other flow enters through z**k E_alpha only.
@@ -365,15 +365,15 @@ def test_graded_taylor_sum_matches_multiset_enumeration(xorder, q, tau_kind):
         spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
         a = [1, -1]
     shifted = spec.mapped(lambda p: q_shift_times(p, a, q))
-    what = baker_from_tau(shifted.tau, shifted.companions, 2, 5)
+    what = baker_from_tau(shifted.tau, shifted.companions, 2)
     # a chain of total order K is known from floor + K; K <= x-order + 1
-    baker = TauBaker(what, a, -(xorder + 3), q)
+    winv = what.invert(-(xorder + 3))
     deltas = {
         (k, alpha): shift_difference(k, alpha, a, q, xorder)
         for k in range(1, xorder + 1) for alpha in range(2)
     }
     etas = _eta_pool(deltas, xorder)
-    ref_h, _ = _chain_reference(baker)
+    ref_h, _ = _chain_reference(what, winv)
     assert len(etas) == {4: 38, 6: 139}[xorder]
     pre = taylor_sum(what, deltas)
     one = XSeries.one(xorder)
@@ -383,7 +383,7 @@ def test_graded_taylor_sum_matches_multiset_enumeration(xorder, q, tau_kind):
         for k, alpha in lam:
             graded = flow_step(graded, k, {alpha: one})
         for d in (-2, -1, 0):
-            got = graded.product_coeff(baker.winv, d)
+            got = graded.product_coeff(winv, d)
             ref = None
             for eta, weight in etas:
                 term = ref_h(lam + eta).coeff(d).map(
@@ -528,7 +528,7 @@ def test_mechanism_check_compares_determined_taylor_residuals(monkeypatch):
 def test_h_matches_chain_reference(tau_kind, q, tmax):
     # P_lam w**-1 against the chain of flow factors, for lam up to length 3
     # over the carrier's flows and (3, 0), which the carrier does not hold
-    from qakns.tau import TauBaker
+    from qakns.tau import flow_factor
 
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, 6)
     # equal a values keep the shifted real tau constant in x, which keeps
@@ -538,15 +538,16 @@ def test_h_matches_chain_reference(tau_kind, q, tmax):
     else:
         spec, a = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2), [1, -1]
     shifted = spec.mapped(lambda p: q_shift_times(p, a, q))
-    what = baker_from_tau(shifted.tau, shifted.companions, 2, 4)
-    baker = TauBaker(what, a, -10, q)
-    ref_h, _ = _chain_reference(baker)
-    assert baker.h(()) == ref_h(()) and baker.h(()).is_exact
+    what = baker_from_tau(shifted.tau, shifted.companions, 2)
+    winv = what.invert(-10)
+    ref_h, _ = _chain_reference(what, winv)
+    empty = flow_factor(what, winv, ())
+    assert empty == ref_h(()) and empty.is_exact
     lams = lambda_pool([(1, 0), (2, 1), (3, 0)], 3)
     assert ((3, 0),) * 3 in lams and len(lams) == 20
     compared = 0
     for lam in lams[1:]:
-        compared += _agree_where_determined(baker.h(lam), ref_h(lam))
+        compared += _agree_where_determined(flow_factor(what, winv, lam), ref_h(lam))
     assert compared > 0
     # the solution tau's factors vanish below z**0; the mechanism tau is no
     # solution, so its comparison there is more than 0 = 0
@@ -560,22 +561,24 @@ def test_h_matches_chain_reference(tau_kind, q, tmax):
 def test_h_takes_a_flow_the_carrier_does_not_hold():
     # a time the carrier lacks has an exactly zero t-derivative, so
     # g = w z**k E_alpha w**-1 and the step costs no tvalid
-    from qakns.tau import TauBaker
+    from qakns.tau import flow_factor
 
     ctx = TimeContext(((1, 0), (1, 1)), 4, 6)
     spec = _real_tau(ctx)
-    what = baker_from_tau(spec.tau, spec.companions, 2, 4)
-    baker = TauBaker(what, [1, -1], -8, F(2))
+    what = baker_from_tau(spec.tau, spec.companions, 2)
+    winv = what.invert(-8)
+
+    def h(lam):
+        return flow_factor(what, winv, lam)
+
     unit = MZSeries.from_term(2, 3, MatSeries.unit(2, 0, what.proto))
-    expect = what * unit * baker.winv
-    _, ref_g = _chain_reference(baker)
+    expect = what * unit * winv
+    _, ref_g = _chain_reference(what, winv)
     assert ref_g(3, 0) == expect
-    assert _agree_where_determined(baker.h(((3, 0),)), expect) > 0
+    assert _agree_where_determined(h(((3, 0),)), expect) > 0
     assert not expect.is_zero()
     # a chain that ends in it is the chain before times that factor
-    assert _agree_where_determined(
-        baker.h(((1, 0), (3, 0))), baker.h(((1, 0),)) * expect
-    ) > 0
+    assert _agree_where_determined(h(((1, 0), (3, 0))), h(((1, 0),)) * expect) > 0
 
 
 def _zexp_power_sum(gens, depth):
@@ -675,18 +678,18 @@ def _real_tau(ctx):
 def test_dilated_baker_is_the_baker_at_the_dilated_shift(q, xorder):
     # taylor_agreement builds the Baker at [Aqx]_q as the x -> qx dilation
     # of the one at [Ax]_q; the reference shifts by the dilated amounts
-    from qakns.tau import TauBaker
+    from qakns.calculus import dilate
 
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, xorder)
     mechanism = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
     a_vals = [1, -1]
-    for spec, depth in ((_real_tau(ctx), 4), (mechanism, 5)):
+    for spec in (_real_tau(ctx), mechanism):
         def baker(amounts):
             shifted = spec.mapped(lambda p: q_shift_times(p, amounts, q))
-            return baker_from_tau(shifted.tau, shifted.companions, 2, depth)
+            return baker_from_tau(shifted.tau, shifted.companions, 2)
 
         what = baker(a_vals)
-        got = what.map_entries(TauBaker(what, a_vals, -depth, q).dilate_x)
+        got = what.map_entries(lambda tp: tp.map_coeffs(lambda s: dilate(s, q)))
         ref = baker([q * a for a in a_vals])
         assert got.terms == ref.terms and got.zvalid == ref.zvalid
         assert any(not m.is_zero() for d, m in ref.terms.items() if d < 0)
@@ -704,7 +707,7 @@ def test_taylor_agreement_product_count_at_x16(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(XSeries, "__mul__", counted)
-    _, recs = taylor_agreement(vacuum_spec(ctx, 2), [1, -1], F(2), 3, lams, 6)
+    _, recs = taylor_agreement(vacuum_spec(ctx, 2), [1, -1], F(2), 3, lams)
     monkeypatch.undo()
     assert len(recs) == 32  # 16 records, each with its two halves
     assert not any(nonzero(recs))
@@ -713,23 +716,18 @@ def test_taylor_agreement_product_count_at_x16(monkeypatch):
     assert calls[0] <= 800
 
 
-def _miwa_binomial(p, beta, depth):
+def _miwa_binomial(p, beta):
     """miwa_shift as the product of binomials over each monomial: reference."""
     idxs = [i for i, (k, a) in enumerate(p.vars) if a == beta]
     out = {}
-    lost = False
     for e, c in p.terms.items():
         expansions = [(0, {})]  # (z-degree, {var index: lowered amount})
         for i in idxs:
             k = p.vars[i][0]
-            cur = []
-            for zdeg, lowered in expansions:
-                for j in range(e[i] + 1):
-                    if zdeg - k * j < -depth:
-                        lost = True
-                        continue
-                    cur.append((zdeg - k * j, {**lowered, i: j} if j else lowered))
-            expansions = cur
+            expansions = [
+                (zdeg - k * j, {**lowered, i: j} if j else lowered)
+                for zdeg, lowered in expansions for j in range(e[i] + 1)
+            ]
         for zdeg, lowered in expansions:
             coeff, e2 = c, list(e)
             for i, j in lowered.items():
@@ -738,13 +736,13 @@ def _miwa_binomial(p, beta, depth):
                 e2[i] = e[i] - j
             poly = TimePoly(p.vars, {tuple(e2): coeff}, p.tmax, p.xorder)
             out[zdeg] = out[zdeg] + poly if zdeg in out else poly
-    return out, (-depth if lost else NEG_INF)
+    return out
 
 
-def _baker_reference(tau, companions, n, depth):
+def _baker_reference(tau, companions, n):
     """baker_from_tau assembled degree by degree from `_miwa_binomial`."""
     inv = tau.invert()
-    rows, zv = {}, NEG_INF
+    rows = {}
 
     def entry(d, i, j, poly):
         if d not in rows:
@@ -752,16 +750,13 @@ def _baker_reference(tau, companions, n, depth):
         rows[d][i][j] = poly * inv
 
     for alpha in range(n):
-        shifted, z_ok = _miwa_binomial(tau, alpha, depth)
-        zv = max(zv, z_ok)
-        for d, poly in shifted.items():
+        for d, poly in _miwa_binomial(tau, alpha).items():
             entry(d, alpha, alpha, poly)
     for (alpha, beta), comp in companions.items():
-        shifted, z_ok = _miwa_binomial(comp, beta, depth - 1)
-        zv = max(zv, z_ok - 1)
-        for d, poly in shifted.items():
+        for d, poly in _miwa_binomial(comp, beta).items():
             entry(d - 1, alpha, beta, poly)
-    return MZSeries(n, {d: MatSeries(r) for d, r in rows.items()}, zv, tau.zero_like())
+    return MZSeries(n, {d: MatSeries(r) for d, r in rows.items()}, NEG_INF,
+                    tau.zero_like())
 
 
 def _random_poly(rng, ctx, terms, constant=None):
@@ -782,7 +777,6 @@ def _random_poly(rng, ctx, terms, constant=None):
 
 def test_miwa_taylor_sum_matches_binomial_expansion():
     rng = random.Random(20)
-    cuts = {True: 0, False: 0}
     for n in (2, 3):
         ctx = TimeContext(
             tuple((k, a) for k in (1, 2, 3) for a in range(n)), 5, 4
@@ -791,15 +785,25 @@ def test_miwa_taylor_sum_matches_binomial_expansion():
         for _ in range(40):
             p = _random_poly(rng, ctx, rng.randint(1, 5))
             for beta in range(n):
-                for depth in (1, 3, 6, 15):
-                    got, zv = miwa_shift(p, beta, depth)
-                    ref, zv_ref = _miwa_binomial(p, beta, depth)
-                    assert zv == zv_ref, (p, beta, depth)
-                    for d in set(got) | set(ref):
-                        assert d >= -depth
-                        assert got.get(d, zero).terms == ref.get(d, zero).terms
-                    cuts[zv != NEG_INF] += 1
-    assert cuts[True] > 0 and cuts[False] > 0
+                got, ref = miwa_shift(p, beta), _miwa_binomial(p, beta)
+                for d in set(got) | set(ref):
+                    assert got.get(d, zero).terms == ref.get(d, zero).terms
+
+
+def test_taylor_agreement_reads_a_tau_deeper_than_its_reads():
+    # tau = 1 + t_(2,1)**4 has Miwa reach 8, so its Baker reaches z**-8.
+    # Cut at z**-6, that Baker would leave its inverse undetermined at
+    # z**-4, which the q pass reads at l_max 3; the whole substitution
+    # determines all 24 Taylor records, and each is zero
+    ctx = TimeContext(((1, 0), (1, 1), (2, 0)), 12, 4)
+    t = ctx.variable((2, 0))
+    spec = TauSpec(ctx.constant(1) + t * t * t * t, {}, 2)
+    assert min(miwa_shift(spec.tau, 0)) == -8
+    lams = [(), ((1, 0),), ((2, 0),)]
+    _, recs = taylor_agreement(spec, [1, -1], F(2), 3, lams)
+    taylor = [r for (_, _, half), r in recs if half == "taylor"]
+    assert len(recs) == 24 and len(taylor) == 12
+    assert not any(nonzero(recs))
 
 
 def test_graded_apply_is_the_one_writer(monkeypatch):
@@ -810,7 +814,7 @@ def test_graded_apply_is_the_one_writer(monkeypatch):
 
     ctx = ctx2()
     t = ctx.variable((1, 1))
-    what = baker_from_tau(ctx.constant(1) + t, {}, 2, 3)
+    what = baker_from_tau(ctx.constant(1) + t, {}, 2)
     real, calls = calculus.graded_apply, []
 
     def counting(seed, step, orders, depth):
@@ -822,7 +826,7 @@ def test_graded_apply_is_the_one_writer(monkeypatch):
     deltas = {(1, 0): shift_difference(1, 0, [1, -1], F(2), N)}
     for run, seed in [
         (lambda: calculus.graded_exp({1: t}, 3), "TimePoly"),
-        (lambda: miwa_shift(t * t, 1, 4), "TimePoly"),
+        (lambda: miwa_shift(t * t, 1), "TimePoly"),
         (lambda: taylor_sum(what, deltas), "MZSeries"),
     ]:
         calls.clear()
@@ -832,7 +836,6 @@ def test_graded_apply_is_the_one_writer(monkeypatch):
 
 def test_baker_from_tau_matches_binomial_reference():
     rng = random.Random(21)
-    cuts = {True: 0, False: 0}
     for n in (2, 3):
         ctx = TimeContext(
             tuple((k, a) for k in (1, 2, 3) for a in range(n)), 4, 3
@@ -845,17 +848,14 @@ def test_baker_from_tau_matches_binomial_reference():
                 for ij in rng.sample(pairs, rng.randint(0, len(pairs)))
             }
             comps = {ij: c for ij, c in comps.items() if not c.is_zero()}
-            for depth in (2, 4, 13):
-                got = baker_from_tau(tau, comps, n, depth)
-                ref = _baker_reference(tau, comps, n, depth)
-                assert got.zvalid == ref.zvalid
-                for d in set(got.terms) | set(ref.terms):
-                    a, b = got.coeff(d), ref.coeff(d)
-                    for i in range(n):
-                        for j in range(n):
-                            assert a[i, j].terms == b[i, j].terms, (d, i, j)
-                cuts[got.zvalid != NEG_INF] += 1
-    assert cuts[True] > 0 and cuts[False] > 0
+            got = baker_from_tau(tau, comps, n)
+            ref = _baker_reference(tau, comps, n)
+            assert got.zvalid == ref.zvalid
+            for d in set(got.terms) | set(ref.terms):
+                a, b = got.coeff(d), ref.coeff(d)
+                for i in range(n):
+                    for j in range(n):
+                        assert a[i, j].terms == b[i, j].terms, (d, i, j)
 
 
 def test_expqo_fails_on_a_broken_shift_weight(monkeypatch):
@@ -880,10 +880,8 @@ def test_substitution_commutes_detects_one_differing_degree(monkeypatch):
     ctx = ctx2()
     t, s = ctx.variable((1, 0)), ctx.variable((2, 0))
     spec = TauSpec(ctx.constant(1) + t * s + s, {}, 2)
-    depth = 5
-    assert not any(nonzero(substitution_commutes(spec, [1, -1], F(2), depth)))
-    pre, _ = miwa_shift(spec.tau, 0, depth)
-    target = pre[-2]  # -(1 + t)/2: one Miwa component inside the window
+    assert not any(nonzero(substitution_commutes(spec, [1, -1], F(2))))
+    target = miwa_shift(spec.tau, 0)[-2]  # -(1 + t)/2: one Miwa component
     real = tau_mod.q_shift_times
 
     def scaled(p, *args, **kwargs):
@@ -891,17 +889,19 @@ def test_substitution_commutes_detects_one_differing_degree(monkeypatch):
         return out.scale(3) if p == target else out
 
     monkeypatch.setattr(tau_mod, "q_shift_times", scaled)
-    assert any(nonzero(substitution_commutes(spec, [1, -1], F(2), depth)))
+    assert any(nonzero(substitution_commutes(spec, [1, -1], F(2))))
 
 
 def _whole_products(monkeypatch):
     """Build g, every H_lam and the m = 1 reductions at every degree."""
     import qakns.bilinear as bl
-    from qakns.tau import TauBaker
+    import qakns.tau as tau_mod
 
-    real_h, real_g, real_dt = TauBaker.h, TauBaker.x_factor, bl.derive_through
-    monkeypatch.setattr(TauBaker, "h", lambda self, lam, lo=None: real_h(self, lam))
-    monkeypatch.setattr(TauBaker, "x_factor", lambda self, lo=None: real_g(self))
+    real_h, real_g = tau_mod.flow_factor, tau_mod.x_factor_of
+    real_dt = bl.derive_through
+    monkeypatch.setattr(tau_mod, "flow_factor",
+                        lambda what, winv, lam, lo=None: real_h(what, winv, lam))
+    monkeypatch.setattr(tau_mod, "x_factor_of", lambda *args: real_g(*args[:5]))
     monkeypatch.setattr(bl, "derive_through",
                         lambda f, g, derive, dilate, *window: real_dt(f, g, derive, dilate))
 
@@ -910,7 +910,7 @@ RATIONAL = Path(__file__).resolve().parent.parent / "configs" / "tau_rational.js
 
 
 def _tau_theorem_case(kind, **changes):
-    """(spec, a, q, l_max, lambdas, depth, expqo) as tau.theorem runs it.
+    """(spec, a, q, l_max, lambdas, expqo) as tau.theorem runs it.
 
     "vacuum" is the demo config, "rational" configs/tau_rational.json, and
     "real" the demo config with the rational config's tau. `changes`
@@ -929,7 +929,7 @@ def _tau_theorem_case(kind, **changes):
     ctx = SuiteContext(cfg)
     lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
     return (_tau_spec_from_config(ctx), list(cfg.a), cfg.q, min(cfg.l_max, 3),
-            lambdas, cfg.l_max + 2, ctx.expqo)
+            lambdas, ctx.expqo)
 
 
 def _outcome(fn, *args):
@@ -950,10 +950,10 @@ def test_windowed_taylor_and_q_bilinear_match_the_whole_products(kind, monkeypat
         args = _mechanism_shape()
         runs = [(_q_pass, args)]
     else:
-        spec, a, q, l_max, lambdas, depth, expqo = _tau_theorem_case(kind)
+        spec, a, q, l_max, lambdas, expqo = _tau_theorem_case(kind)
         runs = [
-            (_q_pass, (spec, a, q, l_max, lambdas, depth)),
-            (verify_tau_theorem, (spec, a, q, l_max, lambdas, depth, expqo)),
+            (_q_pass, (spec, a, q, l_max, lambdas)),
+            (verify_tau_theorem, (spec, a, q, l_max, lambdas, expqo)),
         ]
     got = [_outcome(fn, *args) for fn, args in runs]
     _whole_products(monkeypatch)
@@ -963,29 +963,43 @@ def test_windowed_taylor_and_q_bilinear_match_the_whole_products(kind, monkeypat
     assert all(isinstance(r, list) and r for r in got)
 
 
+# the reference pass's inverse depth per case: deep enough for the
+# mechanism and vacuum residues, short of what the real and rational ones read
+_REFERENCE_DEPTH = {"mechanism": 5, "vacuum": 6, "real": 6, "rational": 4}
+
+
 def _q_bilinear_reference(spec, a_values, q, l_max, lambdas, depth):
     """The q-bilinear residues by a pass of their own: a second q-shifted
     Baker inverted at -depth, with `bilinear_residues` over the whole H and
     g: reference."""
-    from qakns.bilinear import bilinear_residues
-    from qakns.tau import TauBaker
+    from qakns.bilinear import bilinear_residues, x_factor_of
+    from qakns.calculus import dilate, q_derive
+    from qakns.tau import flow_factor
 
     shifted = spec.mapped(lambda p: q_shift_times(p, a_values, q))
-    what = baker_from_tau(shifted.tau, shifted.companions, spec.n, depth)
-    baker = TauBaker(what, a_values, -depth, q)
-    return bilinear_residues(baker.h, baker.x_factor(), baker.derive_x,
-                             baker.dilate_x, l_max, lambdas)
+    what = baker_from_tau(shifted.tau, shifted.companions, spec.n)
+    winv = what.invert(-depth)
+
+    def derive_x(tp):
+        return tp.map_coeffs(lambda s: q_derive(s, q))
+
+    def dilate_x(tp):
+        return tp.map_coeffs(lambda s: dilate(s, q))
+
+    g = x_factor_of(what, winv, a_values, derive_x, dilate_x)
+    return bilinear_residues(lambda lam: flow_factor(what, winv, lam), g,
+                             derive_x, dilate_x, l_max, lambdas)
 
 
 @pytest.mark.parametrize("q", [F(2), F(-1, 3), F(3, 5)])
 @pytest.mark.parametrize("kind", ["mechanism", "vacuum"])
 def test_q_bilinear_records_match_a_pass_of_their_own(kind, q):
     if kind == "mechanism":
-        spec, a, _, l_max, lambdas, depth = _mechanism_shape()
+        spec, a, _, l_max, lambdas = _mechanism_shape()
     else:
-        spec, a, _, l_max, lambdas, depth, _ = _tau_theorem_case(kind)
-    got, _ = taylor_agreement(spec, a, q, l_max, lambdas, depth)
-    ref = _q_bilinear_reference(spec, a, q, l_max, lambdas, depth)
+        spec, a, _, l_max, lambdas, _ = _tau_theorem_case(kind)
+    got, _ = taylor_agreement(spec, a, q, l_max, lambdas)
+    ref = _q_bilinear_reference(spec, a, q, l_max, lambdas, _REFERENCE_DEPTH[kind])
     assert len(got) == 2 * (l_max + 1) * len(lambdas)
     # labels, order, residues, tvalid and x-validity alike
     assert got == ref
@@ -999,10 +1013,10 @@ def test_q_bilinear_records_determined_where_a_pass_at_depth_raises(kind):
     # pass of their own raises, and the one q pass returns them determined
     from qakns.zseries import InsufficientDepthError
 
-    spec, a, q, l_max, lambdas, depth, _ = _tau_theorem_case(kind)
+    spec, a, q, l_max, lambdas, _ = _tau_theorem_case(kind)
     with pytest.raises(InsufficientDepthError):
-        _q_bilinear_reference(spec, a, q, l_max, lambdas, depth)
-    got, _ = taylor_agreement(spec, a, q, l_max, lambdas, depth)
+        _q_bilinear_reference(spec, a, q, l_max, lambdas, _REFERENCE_DEPTH[kind])
+    got, _ = taylor_agreement(spec, a, q, l_max, lambdas)
     assert len(got) == 2 * (l_max + 1) * len(lambdas) and not any(nonzero(got))
 
 
@@ -1030,6 +1044,30 @@ def test_tau_theorem_builds_and_inverts_two_bakers(monkeypatch):
     (res,) = run_suite(cfg).checks
     assert res.status == "pass"
     assert calls == {"baker": 2, "invert": 2}
+
+
+def test_tau_theorem_reports_the_l_max_it_reads(monkeypatch):
+    # at l_max 8 the check reads l <= 3; its params name that l_max, and its
+    # z window is the deepest degree its q-bilinear and Taylor stages compare
+    import qakns.tau as tau_mod
+    from qakns.config import DEMO_CONFIG, parse_config
+    from qakns.suites import run_suite
+
+    seen = []
+    real = tau_mod.verify_tau_theorem
+
+    def recorded(*args):
+        seen.extend(real(*args))
+        return seen
+
+    monkeypatch.setattr(tau_mod, "verify_tau_theorem", recorded)
+    data = {**DEMO_CONFIG, "l_max": 8, "checks": ["tau.theorem"]}
+    (res,) = run_suite(parse_config(data)).checks
+    assert res.status == "pass"
+    assert res.params == {"lambdas": 4, "l_max": 3}
+    assert res.max_degree_verified == {"z": 4, "t": 4}
+    compared = {label[0] for (stage, label), _ in seen if stage == "taylor"}
+    assert max(compared) + 1 == res.max_degree_verified["z"]
 
 
 def test_rational_tau_config_verifies(capsys):
@@ -1087,7 +1125,7 @@ def test_undetermined_taylor_half_fails_on_a_short_carrier():
     # holds leave the Taylor half with no determined t-degree
     ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, 6)
     spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
-    _, recs = taylor_agreement(spec, [1, -1], F(2), 1, [(), ((1, 0),)], 5)
+    _, recs = taylor_agreement(spec, [1, -1], F(2), 1, [(), ((1, 0),)])
     failed = list(nonzero(recs))
     assert [label for label, _ in failed] == [
         (l, lam, "taylor") for lam in [(), ((1, 0),)] for l in (0, 1)
