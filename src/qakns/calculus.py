@@ -5,6 +5,11 @@ x -> qx, the q-derivative, and its right inverse with zero constant. At
 q = 1 the same class is the classical structure: the dilation is the
 identity, [k] = k, so the derivative is d/dx and the right inverse is
 integration. Solvers run under either structure unchanged.
+
+`dilate`, `q_derive` and `q_antiderive` are the one code path of the
+three operations: the `QCalc` methods call them. Their weights, q**k and
+[k], are cached by the integer numerator and denominator of q, so a call
+hashes no `Fraction`.
 """
 
 from __future__ import annotations
@@ -13,22 +18,23 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .scalars import check_q, common_den, frac, q_int
+from .scalars import ONE, check_q, common_den, frac, q_int
 from .series import XSeries
 from .window import upper_shift
 
 
 @lru_cache(maxsize=256)
-def _power_weights(c: Fraction, order: int) -> tuple[tuple[int, ...], int]:
-    """c**k for k = 0..order as integers over one denominator."""
-    p, r = c.numerator, c.denominator
+def _power_weights(p: int, r: int, order: int) -> tuple[tuple[int, ...], int]:
+    """(p/r)**k for k = 0..order as integers over one denominator."""
     return tuple(p**k * r ** (order - k) for k in range(order + 1)), r**order
 
 
 @lru_cache(maxsize=256)
-def _int_weights(q, order: int, inverse: bool) -> tuple[tuple[int, ...], int]:
-    """[k] for k = 1..order, or their reciprocals, as integers over one
-    denominator; index 0 holds 0."""
+def _int_weights(p: int, r: int, order: int,
+                 inverse: bool) -> tuple[tuple[int, ...], int]:
+    """[k] at q = p/r for k = 1..order, or their reciprocals, as integers
+    over one denominator; index 0 holds 0."""
+    q = Fraction(p, r)
     ws = [q_int(k, q) for k in range(1, order + 1)]
     if inverse:
         ws = [1 / w for w in ws]
@@ -45,25 +51,26 @@ def dilate(f: XSeries, c) -> XSeries:
     if f.top <= 0:
         return f
     c = frac(c)
-    if c == 1:
+    p, r = c.numerator, c.denominator
+    if p == r:
         return f
-    ws, den = _power_weights(c, f.order)
+    ws, den = _power_weights(p, r, f.order)
     return XSeries.from_ints(list(map(mul, f.nums, ws)), f.den * den, f.valid, f.top)
 
 
-def _derive(f: XSeries, q) -> XSeries:
+def _derive(f: XSeries, q: Fraction) -> XSeries:
     """Degree k of the result is [k+1] * f_(k+1); one order of loss."""
-    ws, den = _int_weights(q, f.order, False)
+    ws, den = _int_weights(q.numerator, q.denominator, f.order, False)
     out = list(map(mul, f.nums[1:], ws[1:]))
     out.append(0)
     valid = upper_shift(f.order, f.valid, f.top, -1)
     return XSeries.from_ints(out, f.den * den, valid, f.top - 1)
 
 
-def _antiderive(g: XSeries, q) -> XSeries:
+def _antiderive(g: XSeries, q: Fraction) -> XSeries:
     """Right inverse of `_derive` with zero constant term."""
     n = g.order
-    ws, den = _int_weights(q, n, True)
+    ws, den = _int_weights(q.numerator, q.denominator, n, True)
     out = [0]
     out += map(mul, g.nums[:n], ws[1:])
     valid = upper_shift(n, g.valid, g.top, 1)  # x**n overflows the window
@@ -89,12 +96,12 @@ def q_antiderive(g: XSeries, q) -> XSeries:
 
 def x_derive(f: XSeries) -> XSeries:
     """Classical d/dx: the q-derivative at q = 1, where [k] = k."""
-    return _derive(f, 1)
+    return _derive(f, ONE)
 
 
 def x_antiderive(g: XSeries) -> XSeries:
     """Classical integration with zero constant: q_antiderive at q = 1."""
-    return _antiderive(g, 1)
+    return _antiderive(g, ONE)
 
 
 def exp_q_series(c, q, order: int) -> XSeries:
@@ -185,12 +192,9 @@ class QCalc:
 
     def __init__(self, q, order: int):
         q = frac(q)
-        self.q = q if q == 1 else check_q(q, order)
+        self.classical = q == 1
+        self.q = q if self.classical else check_q(q, order)
         self.order = order
-
-    @property
-    def classical(self) -> bool:
-        return self.q == 1
 
     def dilate(self, f: XSeries) -> XSeries:
         return dilate(f, self.q)

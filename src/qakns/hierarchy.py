@@ -15,7 +15,9 @@ All solvers run against a `QCalc`; at q = 1 it is the classical structure,
 so the classical hierarchy is the same code path. Both order-by-order
 solvers take one step, `_next_order`: with F = mult(prev) - D prev, solve
 (D w)A - A w = F. Off-diagonal entries invert coefficient-wise with
-eigenvalues a_j*sigma(m) - a_i, which non-resonance keeps nonzero.
+eigenvalues a_j*sigma(m) - a_i, which non-resonance keeps nonzero; the
+`LaxData` holds their reciprocals, one table per (j, i), built on first
+use, so no module state outlives a datum.
 Diagonals differ by structure, and that step is the only place they do:
 
 * q-structure: a_i(D - 1) is invertible off constants; the constant part
@@ -40,7 +42,6 @@ exists the conjugation route reproduces this family.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby, product
 from math import comb
 from operator import mul
@@ -61,15 +62,20 @@ class DiagonalConsistencyError(ValueError):
 
 
 class LaxData:
-    """The operator data: diagonal A, off-diagonal potential U, structure."""
+    """The operator data: diagonal A, off-diagonal potential U, structure.
 
-    __slots__ = ("n", "a", "u", "calc")
+    It also holds the eigen-weights of the order-by-order solves, one
+    table per pair of channels (j, i), built on first use (`eig_weights`).
+    """
+
+    __slots__ = ("n", "a", "u", "calc", "_eigs")
 
     def __init__(self, a, u: MatSeries, calc: QCalc):
         self.a = [frac(v) for v in a]
         self.n = len(self.a)
         self.u = u
         self.calc = calc
+        self._eigs = {}
         self._validate()
 
     def _validate(self):
@@ -109,6 +115,19 @@ class LaxData:
     def unit(self, alpha: int) -> MatSeries:
         return MatSeries.unit(self.n, alpha, self.proto())
 
+    def eig_weights(self, j: int, i: int):
+        """1/(a_j*sigma(m) - a_i) for m = 0..order as integers over one
+        denominator; where the eigenvalue vanishes the weight is 0 and the
+        degree is listed."""
+        got = self._eigs.get((j, i))
+        if got is None:
+            eigs = [self.a[j] * self.calc.dilation_eig(m) - self.a[i]
+                    for m in range(self.order + 1)]
+            nums, den = common_den([1 / e if e else ZERO for e in eigs])
+            got = nums, den, tuple(m for m, e in enumerate(eigs) if not e)
+            self._eigs[(j, i)] = got
+        return got
+
 
 class Dressing:
     """w = I + w_1 z**-1 + ... + w_K z**-K with the factorization property.
@@ -146,20 +165,10 @@ class Dressing:
         return self._resolvents
 
 
-@lru_cache(maxsize=256)
-def _eig_weights(q: Fraction, order: int, a_out: Fraction, a_in: Fraction):
-    """1/(a_out*sigma(m) - a_in) for m = 0..order, sigma(m) = q**m, as
-    integers over one denominator; where the eigenvalue vanishes the weight
-    is 0 and the degree is listed."""
-    eigs = [a_out * q**m - a_in for m in range(order + 1)]
-    nums, den = common_den([1 / e if e else ZERO for e in eigs])
-    return nums, den, tuple(m for m, e in enumerate(eigs) if not e)
-
-
 def _divide_by_eigs(lax: LaxData, src: XSeries, j: int, i: int) -> XSeries:
     """src_m / (a_j*sigma(m) - a_i) inside src's validity window, zero above
     it; a vanishing eigenvalue against a nonzero coefficient is a resonance."""
-    ws, den, zeros = _eig_weights(lax.calc.q, lax.order, lax.a[j], lax.a[i])
+    ws, den, zeros = lax.eig_weights(j, i)
     known = src.known
     for m in zeros:
         if m < len(known) and known[m]:

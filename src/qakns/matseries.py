@@ -1,13 +1,18 @@
 """Square matrices over a coefficient ring (x-series or time polynomials).
 
 Entries only need the ring protocol: +, -, unary -, the sum-of-products
-kernel `dot`, is_zero(), zero_like(), one_like(). `MatSeries.dot` sums
-block products with one ring `dot` per entry, over every block and inner
-index together, so each entry of a sum of products is reduced once; `@`
-is its one-block case. Matrices are immutable; every operation returns
-a fresh object. Whether a matrix is exactly zero is therefore decided
-once: `MatSeries.zero` is known to be, any other matrix is scanned on the
-first `is_zero_exact` call.
+kernel `dot`, is_zero(), zero_like(), one_like(). Matrices are immutable;
+every operation returns a fresh object. A matrix's exact-zero pattern is
+therefore decided once: `live` lists, per row, the columns whose entry is
+not an exact zero, computed on first use (`MatSeries.zero` is known to
+have none), and `is_zero_exact` reads it.
+
+`MatSeries.dot` sums block products with one ring `dot` per entry, over
+every block and inner index together, so each entry of a sum of products
+is reduced once; `@` is its one-block case. It forms only the pairs whose
+two entries are both live: an exact-zero factor annihilates the product
+(`window.upper_product`) and adds no term, so an entry with no live pair
+is the ring's exact zero. A zero known only through its window is live.
 """
 
 from __future__ import annotations
@@ -19,21 +24,21 @@ from .series import XSeries
 
 
 class MatSeries:
-    __slots__ = ("rows", "_exact_zero")
+    __slots__ = ("rows", "_live")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
-        self._exact_zero = None
+        self._live = None
 
     @classmethod
     def _of(cls, rows: tuple) -> "MatSeries":
         """Internal constructor: `rows` is already a square tuple of tuples."""
         m = object.__new__(cls)
         m.rows = rows
-        m._exact_zero = None
+        m._live = None
         return m
 
     # -- constructors --------------------------------------------------
@@ -42,7 +47,7 @@ class MatSeries:
     def zero(n: int, proto) -> "MatSeries":
         z = proto.zero_like()
         m = MatSeries._of(((z,) * n,) * n)
-        m._exact_zero = True
+        m._live = ((),) * n
         return m
 
     @staticmethod
@@ -90,13 +95,19 @@ class MatSeries:
     def is_zero(self) -> bool:
         return all(e.is_zero() for r in self.rows for e in r)
 
+    @property
+    def live(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the columns whose entry is not an exact zero."""
+        if self._live is None:
+            self._live = tuple(
+                tuple([j for j, e in enumerate(r) if not (e.is_zero() and e.is_exact)])
+                for r in self.rows
+            )
+        return self._live
+
     def is_zero_exact(self) -> bool:
         """Exactly the zero matrix, with nothing hidden beyond validity."""
-        if self._exact_zero is None:
-            self._exact_zero = all(
-                e.is_zero() and e.is_exact for r in self.rows for e in r
-            )
-        return self._exact_zero
+        return not any(self.live)
 
     def map(self, fn) -> "MatSeries":
         return MatSeries._of(tuple(tuple(fn(e) for e in r) for r in self.rows))
@@ -133,24 +144,28 @@ class MatSeries:
     def dot(blocks) -> "MatSeries":
         """The sum of A @ B over a sequence of (A, B) blocks.
 
-        Entry (i, j) is one `dot` of the entry ring over every pair
+        Entry (i, j) is one `dot` of the entry ring over every live pair
         (A[i, k], B[k, j]), all blocks and all k together, so it is
-        reduced once. All blocks share one dimension; an empty `blocks`
-        raises ValueError.
+        reduced once; with no live pair it is the ring's exact zero. All
+        blocks share one dimension; an empty `blocks` raises ValueError.
         """
         if not blocks:
             raise ValueError("empty sum of block products")
         n = blocks[0][0].n
-        # row i of every A and column j of every B, concatenated
-        rows = cols = ((),) * n
+        pairs = [[[] for _ in range(n)] for _ in range(n)]
         for a, b in blocks:
             if a.n != n or b.n != n:
                 raise ValueError("dimension mismatch")
-            rows = tuple(map(add, rows, a.rows))
-            cols = tuple(map(add, cols, zip(*b.rows)))
-        dot = type(rows[0][0]).dot
+            b_live = b.live
+            for row, ks, out in zip(a.rows, a.live, pairs):
+                for k in ks:
+                    x, b_row = row[k], b.rows[k]
+                    for j in b_live[k]:
+                        out[j].append((x, b_row[j]))
+        proto = blocks[0][0].proto()
+        dot, zero = type(proto).dot, proto.zero_like()
         return MatSeries._of(tuple(
-            tuple(dot(zip(row, col)) for col in cols) for row in rows
+            tuple(dot(p) if p else zero for p in row) for row in pairs
         ))
 
     def scale(self, c) -> "MatSeries":

@@ -102,11 +102,11 @@ class XSeries:
 
     @staticmethod
     def zero(order: int) -> "XSeries":
-        return XSeries.from_ints((0,) * (order + 1), 1, order + 1, -1)
+        return XSeries._raw((0,) * (order + 1), 1, order + 1, -1)
 
     @staticmethod
     def one(order: int) -> "XSeries":
-        return XSeries.from_ints((1,) + (0,) * order, 1, order + 1, 0)
+        return XSeries._raw((1,) + (0,) * order, 1, order + 1, 0)
 
     @staticmethod
     def monomial(c, k: int, order: int) -> "XSeries":
@@ -133,7 +133,7 @@ class XSeries:
 
     @property
     def is_exact(self) -> bool:
-        return self.valid > self.order
+        return self.valid >= len(self.nums)
 
     def constant_term(self) -> Fraction:
         return Fraction(self.nums[0], self.den)

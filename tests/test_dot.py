@@ -300,6 +300,58 @@ def test_matseries_dot_matches_pairwise_loop(ring):
                    for i in range(n) for j in range(n))
 
 
+def ref_matdot(blocks):
+    """Every pair (A[i, k], B[k, j]) of every block, handed to the ring dot."""
+    n = blocks[0][0].n
+    dot = type(blocks[0][0][0, 0]).dot
+    return [[dot([(a[i, k], b[k, j]) for a, b in blocks for k in range(n)])
+             for j in range(n)] for i in range(n)]
+
+
+def rnd_block(rng, n, entry, proto):
+    """A dense random block, or a diagonal, unit, identity or zero one."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return MatSeries.diag([entry(rng) for _ in range(n)], proto)
+    if kind == 1:
+        return MatSeries.unit(n, rng.randrange(n), proto)
+    if kind == 2:
+        return MatSeries.identity(n, proto)
+    if kind == 3:
+        return MatSeries.zero(n, proto)
+    return MatSeries([[entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("ring", ["xseries", "timepoly"])
+def test_matseries_dot_matches_the_all_pairs_dot(ring):
+    # only live pairs are formed: an exact-zero factor adds no term, and an
+    # entry whose pairs all have one is the ring's exact zero
+    rng = random.Random(26)
+    entry, proto, eq = {
+        "xseries": (rnd_x, XSeries.zero(N), fields),
+        "timepoly": (rnd_t, TimePoly.zero(VARS, TMAX, N), tfields),
+    }[ring]
+    seen = {"n": set(), "blocks": set(), "all dead": 0, "window zero": 0}
+    for _ in range(150):
+        n = rng.choice((1, 2, 3))
+        blocks = [(rnd_block(rng, n, entry, proto), rnd_block(rng, n, entry, proto))
+                  for _ in range(rng.choice((1, 1, 2, 3)))]
+        got, ref = MatSeries.dot(blocks), ref_matdot(blocks)
+        for i in range(n):
+            for j in range(n):
+                assert eq(got[i, j]) == eq(ref[i][j]), (n, i, j)
+                pairs = [(a[i, k], b[k, j]) for a, b in blocks for k in range(n)]
+                live = [not (a.is_zero() and a.is_exact or b.is_zero() and b.is_exact)
+                        for a, b in pairs]
+                seen["all dead"] += not any(live)
+                seen["window zero"] += any(
+                    s.is_zero() and not s.is_exact for pair in pairs for s in pair)
+        seen["n"].add(n)
+        seen["blocks"].add(len(blocks) > 1)
+    assert seen["n"] == {1, 2, 3} and seen["blocks"] == {False, True}
+    assert seen["all dead"] > 50 and seen["window zero"] > 50, seen
+
+
 def test_matseries_dot_errors():
     one = XSeries.one(N)
     m2 = MatSeries.identity(2, one)

@@ -5,10 +5,12 @@ linear problems and cross-checked with an independent sympy evaluation
 before being committed.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from qakns import hierarchy
 from qakns.bilinear import inject_corruption
 from qakns.calculus import QCalc
 from qakns.hierarchy import (
@@ -17,7 +19,6 @@ from qakns.hierarchy import (
     HierarchySession,
     LaxData,
     ResonanceError,
-    _eig_weights,
     _idempotent_repair,
     _next_order,
     b_split,
@@ -308,13 +309,61 @@ def test_basis_expansion_needs_the_family_as_deep_as_the_series():
         expand_in_basis(diff, shallow)
 
 
-def test_eig_weights_are_cached_by_value():
-    _eig_weights.cache_clear()
+def _module_cache_sizes():
+    """The size of every function cache held at module level in qakns."""
+    return {
+        f"{name}.{attr}": fn.cache_info().currsize
+        for name, module in list(sys.modules.items())
+        if name == "qakns" or name.startswith("qakns.")
+        for attr, fn in vars(module).items() if hasattr(fn, "cache_info")
+    }
+
+
+def test_eig_weights_are_built_once_per_lax_data(monkeypatch):
+    builds = []
+    real = hierarchy.common_den
+
+    def counted(values):
+        builds.append(None)
+        return real(values)
+
+    monkeypatch.setattr(hierarchy, "common_den", counted)
+    lax = lax_n3()
+    solve_resolvent_direct(lax, 0, 3)
+    tables = len(builds)
+    # every ordered pair (j, i) of the three channels, the diagonal included
+    assert tables == len(lax._eigs) == 9
+    assert lax.eig_weights(2, 1) is lax.eig_weights(2, 1)
+    for alpha in range(3):
+        solve_resolvent_direct(lax, alpha, 3, "zero")
+    assert len(builds) == tables
+
+
+def test_no_module_cache_grows_across_solves():
     solve_resolvent_direct(lax_const(), 0, 3)
-    size = _eig_weights.cache_info().currsize
+    sizes = _module_cache_sizes()
     for _ in range(3):  # a new LaxData and QCalc each time, equal in value
         solve_resolvent_direct(lax_const(), 0, 3)
-    assert _eig_weights.cache_info().currsize == size
+    assert _module_cache_sizes() == sizes
+
+
+@pytest.mark.parametrize("q", [F(1, 3), F(1)], ids=["q", "classical"])
+def test_a_second_solve_hashes_no_fraction(monkeypatch, q):
+    # the weights of the dilation, the q-derivative, its inverse and the
+    # eigen-division are read by integer keys or from the Lax datum
+    lax = lax_n3(q)
+    solve_resolvent_direct(lax, 0, 4)
+    hashes = [0]
+    real = F.__hash__
+
+    def counted(self):
+        hashes[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    solve_resolvent_direct(lax, 1, 4)
+    monkeypatch.undo()
+    assert hashes[0] == 0
 
 
 def test_b_split():

@@ -300,5 +300,6 @@ def test_matseries_exact_zero_is_decided_once(monkeypatch):
     for _ in range(3):
         assert not hidden.is_zero_exact()
         assert exact.is_zero_exact()
-    assert scans[0] == 2 + 4  # one scan per matrix, up to the first miss
+    assert scans[0] == 4 + 4  # one scan per matrix, of every entry
+    assert hidden.live == ((1,), ()) and exact.live == ((), ())
     assert not (exact + MatSeries.identity(2, one)).is_zero_exact()

@@ -11,6 +11,7 @@ from qakns import hierarchy as hy
 from qakns import qop, report
 from qakns.config import DEMO_CONFIG, RunConfig, demo_config, parse_config
 from qakns.matseries import MatSeries
+from qakns.series import XSeries
 from qakns.suites import (
     CHECKS,
     SuiteContext,
@@ -302,3 +303,50 @@ def test_classical_route_agreement_reads_the_qr_solve(monkeypatch, data):
     assert len(alone["solves"]) == len(qr["solves"]) == n
     # after the qr check, the route agreement solves nothing
     assert len(both["solves"]) == n and both["classical_lax"] == 1
+
+
+def _exact_zero(s):
+    return s.is_zero() and s.is_exact
+
+
+def _count_dot_pairs(monkeypatch, owner, attr):
+    """Count the pairs that `XSeries.dot` receives while `owner.attr` runs,
+    and those with an exact-zero operand."""
+    counts = {"pairs": 0, "zero": 0}
+    inside = [0]
+    real_dot, real_fn = XSeries.dot, getattr(owner, attr)
+
+    def dot(pairs):
+        pairs = list(pairs)
+        if inside[0]:
+            counts["pairs"] += len(pairs)
+            counts["zero"] += sum(_exact_zero(a) or _exact_zero(b) for a, b in pairs)
+        return real_dot(pairs)
+
+    def traced(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return real_fn(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(XSeries, "dot", staticmethod(dot))
+    monkeypatch.setattr(owner, attr, staticmethod(traced) if owner is MatSeries
+                        else traced)
+    return counts
+
+
+def test_solver_products_form_no_exact_zero_pair(monkeypatch):
+    # the parent revision passed 42,459 such pairs of 57,294 on solvers_n3
+    counts = _count_dot_pairs(monkeypatch, MatSeries, "dot")
+    run_suite(parse_config(SOLVERS_N3))
+    assert counts["pairs"] > 0 and counts["zero"] == 0
+
+
+def test_pairing_oracle_forms_no_exact_zero_pair(monkeypatch):
+    # the parent revision passed 2,560 such pairs of 3,238
+    counts = _count_dot_pairs(monkeypatch, qop, "pairing_oracle")
+    results = run_checks("pairing.oracle_examples", "pairing.random_pairs",
+                         "pairing.nonneg_zero")
+    assert [r.status for r in results] == ["pass"] * 3
+    assert counts["pairs"] > 0 and counts["zero"] == 0
