@@ -1,15 +1,18 @@
 """Exact-arithmetic engine for the q-deformed AKNS-D hierarchy.
 
 Truncated series carriers (XSeries, MatSeries, MZSeries, TimePoly),
-finite-band q-difference operators with q-Leibniz composition and the
-residue pairing, dressing and resolvent solvers, bilinear residue
-checks, tau-function shifts, and a reporting CLI. Everything computes
-over exact rationals; identities hold with tolerance zero up to the
-tracked truncation validity.
+finite-band q-difference operators with q-Leibniz composition, the
+residue pairing of band matrices, dressing and resolvent solvers,
+bilinear residue checks, tau-function shifts, and a reporting CLI.
+Everything computes over exact rationals; identities hold with
+tolerance zero up to the tracked truncation validity.
+
+The deformation parameter is passed as the rational q itself, and q = 1
+is the classical structure: a `LaxData(a, u, q)` carries it to the
+solvers, and each pairing route takes it next to its band matrices.
 """
 
 from .calculus import (
-    QCalc,
     dilate,
     exp_q_series,
     exp_series,
@@ -55,7 +58,7 @@ from .tau import (
 from .zseries import MZSeries
 
 __all__ = [
-    "QCalc", "dilate", "exp_q_series", "exp_series",
+    "dilate", "exp_q_series", "exp_series",
     "q_antiderive", "q_derive",
     "DiagonalConsistencyError", "Dressing", "FlowTable", "HierarchySession",
     "LaxData", "ResonanceError", "b_split", "resolvent_from_dressing",

@@ -51,7 +51,7 @@ def x_derivative_factor(dressing: Dressing) -> MZSeries:
     """
     lax = dressing.lax
     return x_factor_of(
-        dressing.w, dressing.inverse(), lax.a, lax.calc.derive, lax.calc.dilate
+        dressing.w, dressing.inverse(), lax.a, lax.derive, lax.dilate
     )
 
 
@@ -103,10 +103,10 @@ def bilinear_residues(flow_factor, g, derive, dilate, l_max: int, lambdas) -> li
 
 def check_q_bilinear(dressing: Dressing, l_max: int, lambdas) -> list:
     """The residue family on a solver dressing, m in {0, 1}."""
-    calc = dressing.lax.calc
+    lax = dressing.lax
     return bilinear_residues(
         FlowTable(dressing.resolvents()).factor, x_derivative_factor(dressing),
-        calc.derive, calc.dilate, l_max, lambdas,
+        lax.derive, lax.dilate, l_max, lambdas,
     )
 
 

@@ -1,15 +1,15 @@
 """q-difference calculus on truncated x-series, and its classical point.
 
-Every solver in this package runs against a `QCalc`: the dilation
-x -> qx, the q-derivative, and its right inverse with zero constant. At
-q = 1 the same class is the classical structure: the dilation is the
-identity, [k] = k, so the derivative is d/dx and the right inverse is
-integration. Solvers run under either structure unchanged.
+The q-structure at a parameter q is three operations: the dilation
+x -> qx (`dilate`), the q-derivative (`q_derive`) and its right inverse
+with zero constant (`q_antiderive`). At q = 1 the same functions are the
+classical structure: the dilation is the identity, [k] = k, so the
+derivative is d/dx and the right inverse is integration. Solvers take q
+from their `LaxData` and run under either structure unchanged.
 
-`dilate`, `q_derive` and `q_antiderive` are the one code path of the
-three operations: the `QCalc` methods call them. Their weights, q**k and
-[k], are cached by the integer numerator and denominator of q, so a call
-hashes no `Fraction`.
+Each operation has one body; `x_derive` and `x_antiderive` are the two
+at q = 1. Their weights, q**k and [k], are cached by the integer
+numerator and denominator of q, so a call hashes no `Fraction`.
 """
 
 from __future__ import annotations
@@ -58,28 +58,17 @@ def dilate(f: XSeries, c) -> XSeries:
     return XSeries.from_ints(list(map(mul, f.nums, ws)), f.den * den, f.valid, f.top)
 
 
-def _derive(f: XSeries, q: Fraction) -> XSeries:
-    """Degree k of the result is [k+1] * f_(k+1); one order of loss."""
+def q_derive(f: XSeries, q) -> XSeries:
+    """q-difference quotient (f(qx) - f(x)) / (x(q-1)), as [k] * f_k.
+
+    Degree k of the result is [k+1] * f_(k+1); one order of loss.
+    """
+    q = frac(q)
     ws, den = _int_weights(q.numerator, q.denominator, f.order, False)
     out = list(map(mul, f.nums[1:], ws[1:]))
     out.append(0)
     valid = upper_shift(f.order, f.valid, f.top, -1)
     return XSeries.from_ints(out, f.den * den, valid, f.top - 1)
-
-
-def _antiderive(g: XSeries, q: Fraction) -> XSeries:
-    """Right inverse of `_derive` with zero constant term."""
-    n = g.order
-    ws, den = _int_weights(q.numerator, q.denominator, n, True)
-    out = [0]
-    out += map(mul, g.nums[:n], ws[1:])
-    valid = upper_shift(n, g.valid, g.top, 1)  # x**n overflows the window
-    return XSeries.from_ints(out, g.den * den, valid, g.top + 1)
-
-
-def q_derive(f: XSeries, q) -> XSeries:
-    """q-difference quotient (f(qx) - f(x)) / (x(q-1)), as [k] * f_k."""
-    return _derive(f, frac(q))
 
 
 def q_derive_by_quotient(f: XSeries, q) -> XSeries:
@@ -91,17 +80,23 @@ def q_derive_by_quotient(f: XSeries, q) -> XSeries:
 
 def q_antiderive(g: XSeries, q) -> XSeries:
     """Right inverse of the q-derivative with zero constant term."""
-    return _antiderive(g, frac(q))
+    q = frac(q)
+    n = g.order
+    ws, den = _int_weights(q.numerator, q.denominator, n, True)
+    out = [0]
+    out += map(mul, g.nums[:n], ws[1:])
+    valid = upper_shift(n, g.valid, g.top, 1)  # x**n overflows the window
+    return XSeries.from_ints(out, g.den * den, valid, g.top + 1)
 
 
 def x_derive(f: XSeries) -> XSeries:
     """Classical d/dx: the q-derivative at q = 1, where [k] = k."""
-    return _derive(f, ONE)
+    return q_derive(f, ONE)
 
 
 def x_antiderive(g: XSeries) -> XSeries:
     """Classical integration with zero constant: q_antiderive at q = 1."""
-    return _antiderive(g, ONE)
+    return q_antiderive(g, ONE)
 
 
 def exp_q_series(c, q, order: int) -> XSeries:
@@ -182,32 +177,3 @@ def exp_series(args, order: int) -> XSeries:
         [terms[d].constant_term() if d in terms else 0 for d in range(order + 1)],
         order,
     )
-
-
-class QCalc:
-    """The q-difference structure at a fixed parameter; q = 1 is classical.
-
-    Any q other than 1 must pass `check_q` at this order.
-    """
-
-    def __init__(self, q, order: int):
-        q = frac(q)
-        self.classical = q == 1
-        self.q = q if self.classical else check_q(q, order)
-        self.order = order
-
-    def dilate(self, f: XSeries) -> XSeries:
-        return dilate(f, self.q)
-
-    def derive(self, f: XSeries) -> XSeries:
-        return q_derive(f, self.q)
-
-    def antiderive(self, g: XSeries) -> XSeries:
-        return q_antiderive(g, self.q)
-
-    def dilation_eig(self, m: int) -> Fraction:
-        """Eigenvalue of the dilation on the monomial x**m."""
-        return self.q**m
-
-    def __repr__(self):
-        return f"QCalc(q={self.q}, order={self.order})"

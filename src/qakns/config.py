@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import QCalc
 from .hierarchy import LaxData
 from .matseries import MatSeries
 from .scalars import AdmissibilityError, check_q, frac, frac_str
@@ -64,10 +63,6 @@ class RunConfig:
 
     # -- derived builders -------------------------------------------------
 
-    def calc(self, classical: bool = False) -> QCalc:
-        """The configured q-structure, or the classical structure (q = 1)."""
-        return QCalc(1 if classical else self.q, self.n_x)
-
     def _u_matrix(self, entries) -> MatSeries:
         rows = []
         for i in range(self.n):
@@ -78,11 +73,14 @@ class RunConfig:
         return MatSeries(rows)
 
     def lax(self, classical: bool = False) -> LaxData:
-        return LaxData(list(self.a), self._u_matrix(self.u), self.calc(classical))
+        """The configured Lax datum, or its classical counterpart (q = 1)."""
+        return LaxData(list(self.a), self._u_matrix(self.u),
+                       1 if classical else self.q)
 
     def bilinear_lax(self, classical: bool = False) -> LaxData:
         entries = self.bilinear_u if self.bilinear_u is not None else self.u
-        return LaxData(list(self.a), self._u_matrix(entries), self.calc(classical))
+        return LaxData(list(self.a), self._u_matrix(entries),
+                       1 if classical else self.q)
 
     def required_resolvent_depth(self) -> int:
         k_top = max((k for k, _ in self.flows), default=1)

@@ -11,13 +11,14 @@ generators B and of the Baker flow factors. The bilinear residues read
 them from it, and so does the zero-curvature check, which reads every
 flow pair from one table over the channel family.
 
-All solvers run against a `QCalc`; at q = 1 it is the classical structure,
-so the classical hierarchy is the same code path. Both order-by-order
-solvers take one step, `_next_order`: with F = mult(prev) - D prev, solve
-(D w)A - A w = F. Off-diagonal entries invert coefficient-wise with
-eigenvalues a_j*sigma(m) - a_i, which non-resonance keeps nonzero; the
-`LaxData` holds their reciprocals, one table per (j, i), built on first
-use, so no module state outlives a datum.
+All solvers run against the q of their `LaxData`; at q = 1 it is the
+classical structure, so the classical hierarchy is the same code path.
+Both order-by-order solvers take one step, `_next_order`: with
+F = mult(prev) - D prev, solve (D w)A - A w = F. Off-diagonal entries
+invert coefficient-wise with eigenvalues a_j*sigma(m) - a_i, which
+non-resonance keeps nonzero; the `LaxData` holds their reciprocals, one
+table per (j, i), built on first use, so no module state outlives a
+datum.
 Diagonals differ by structure, and that step is the only place they do:
 
 * q-structure: a_i(D - 1) is invertible off constants; the constant part
@@ -46,9 +47,9 @@ from itertools import groupby, product
 from math import comb
 from operator import mul
 
-from .calculus import QCalc
+from . import calculus
 from .matseries import MatSeries
-from .scalars import ZERO, common_den, frac
+from .scalars import ZERO, check_q, common_den, frac
 from .series import XSeries
 from .zseries import MZSeries, NEG_INF, derive_through
 
@@ -62,19 +63,25 @@ class DiagonalConsistencyError(ValueError):
 
 
 class LaxData:
-    """The operator data: diagonal A, off-diagonal potential U, structure.
+    """The operator data: diagonal A, off-diagonal potential U, and the
+    deformation parameter q; q = 1 is the classical structure.
 
-    It also holds the eigen-weights of the order-by-order solves, one
-    table per pair of channels (j, i), built on first use (`eig_weights`).
+    U's x-order is the order of every solve, and any q other than 1 must
+    pass `check_q` at it. The datum also holds the eigen-weights of the
+    order-by-order solves, one table per pair of channels (j, i), built on
+    first use (`eig_weights`).
     """
 
-    __slots__ = ("n", "a", "u", "calc", "_eigs")
+    __slots__ = ("n", "a", "u", "q", "order", "classical", "_eigs")
 
-    def __init__(self, a, u: MatSeries, calc: QCalc):
+    def __init__(self, a, u: MatSeries, q):
         self.a = [frac(v) for v in a]
         self.n = len(self.a)
         self.u = u
-        self.calc = calc
+        self.order = u.proto().order
+        q = frac(q)
+        self.classical = q == 1
+        self.q = q if self.classical else check_q(q, self.order)
         self._eigs = {}
         self._validate()
 
@@ -88,9 +95,8 @@ class LaxData:
         for i in range(self.n):
             if not self.u[i, i].is_zero():
                 raise ValueError("U must have zero diagonal (u_ii = 0)")
-        order = self.calc.order
-        for m in range(order + 1):
-            sig = self.calc.dilation_eig(m)
+        for m in range(self.order + 1):
+            sig = self.q**m
             for i in range(self.n):
                 for j in range(self.n):
                     if i != j and self.a[j] * sig == self.a[i]:
@@ -98,9 +104,14 @@ class LaxData:
                             f"resonance: a_{j+1} * sigma({m}) == a_{i+1}"
                         )
 
-    @property
-    def order(self) -> int:
-        return self.calc.order
+    def dilate(self, f: XSeries) -> XSeries:
+        return calculus.dilate(f, self.q)
+
+    def derive(self, f: XSeries) -> XSeries:
+        return calculus.q_derive(f, self.q)
+
+    def antiderive(self, g: XSeries) -> XSeries:
+        return calculus.q_antiderive(g, self.q)
 
     def proto(self) -> XSeries:
         return XSeries.zero(self.order)
@@ -121,7 +132,7 @@ class LaxData:
         degree is listed."""
         got = self._eigs.get((j, i))
         if got is None:
-            eigs = [self.a[j] * self.calc.dilation_eig(m) - self.a[i]
+            eigs = [self.a[j] * self.q**m - self.a[i]
                     for m in range(self.order + 1)]
             nums, den = common_den([1 / e if e else ZERO for e in eigs])
             got = nums, den, tuple(m for m, e in enumerate(eigs) if not e)
@@ -221,17 +232,16 @@ def _next_order(lax: LaxData, prev: MatSeries, mult, context: str) -> MatSeries:
     must vanish and w's diagonal integrates that of mult(w); under the
     q-structure it inverts a_i(D - 1) against F's diagonal.
     """
-    calc = lax.calc
-    F = mult(prev) - prev.map(calc.derive)
+    F = mult(prev) - prev.map(lax.derive)
     w = _solve_offdiag(lax, F)
-    if calc.classical:
+    if lax.classical:
         for i in range(lax.n):
             if not F[i, i].is_zero():
                 raise DiagonalConsistencyError(
                     f"{context}: diagonal source {i+1} must vanish, got {F[i, i]!r}"
                 )
         src = mult(w)
-        diag = [calc.antiderive(src[i, i]) for i in range(lax.n)]
+        diag = [lax.antiderive(src[i, i]) for i in range(lax.n)]
     else:
         diag = _solve_diag_q(lax, F, context)
     return _with_diag(w, diag)
@@ -297,7 +307,7 @@ def solve_resolvent_direct(
     """
     if normalization not in ("orthogonal", "zero"):
         raise ValueError("normalization must be 'orthogonal' or 'zero'")
-    u, neg_u, dilate = lax.u, -lax.u, lax.calc.dilate
+    u, neg_u, dilate = lax.u, -lax.u, lax.dilate
     context = f"resolvent channel {alpha+1}"
     unit = lax.unit(alpha)
     lift = unit - MatSeries.identity(lax.n, lax.proto())
@@ -341,7 +351,7 @@ def commutation_residual(lax: LaxData, r: MZSeries) -> MZSeries:
     bracket cancel exactly and are not materialized.
     """
     m = lax.u_minus_za()
-    return derive_through(r, -m, lax.calc.derive, lax.calc.dilate) + (m * r)
+    return derive_through(r, -m, lax.derive, lax.dilate) + (m * r)
 
 
 def verify_resolvent(lax: LaxData, r: MZSeries) -> MZSeries:

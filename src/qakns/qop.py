@@ -2,17 +2,18 @@
 
 An operator is a finite sum of powers of the q-derivative D at dilation
 parameter `dparam`, with matrix Laurent-series coefficients on the left.
-The pairing routes read only its band coefficients. Composition uses the
-q-Leibniz rule; negative powers expand term by term from the inversion of
-that rule and are truncated at a caller-supplied band floor, with
-`pvalid` recording the lowest exactly-known power. `compose` and
-`q_commutator` are the reference that the tests check
+Composition uses the q-Leibniz rule; negative powers expand term by term
+from the inversion of that rule and are truncated at a caller-supplied
+band floor, with `pvalid` recording the lowest exactly-known power.
+`compose` and `q_commutator` are the reference that the tests check
 `hierarchy.commutation_residual` against.
 
-The residue pairing of a pair (P, Q) against an invertible diagonal A is
-computed on three routes, each forming only the products that reach the
-residue. The pairing checks compare the first and the third; no check
-calls the second:
+The residue pairing of a pair (P, Q) against an invertible diagonal A
+reads only the z-free band coefficients of P and Q, so each route takes
+them as maps {power: MatSeries}, p for P and g for Q, together with the
+one q of both. It is computed on three routes, each forming only the
+products that reach the residue. The pairing checks compare the first
+and the third; no check calls the second:
 
 * `pairing_lhs`, the closed symbol sum over the powers k + l = -1, one
   `MatSeries.dot` with A**-1 and the sign folded into p_k's columns --
@@ -35,8 +36,8 @@ calls the second:
   every band pair (k, l). Where no pair has k + l = -1, `pairing_lhs`
   forms no product, and the oracle still forms every pair.
 
-All three reject operands that differ in size or dilation parameter, or
-an A of another size, before any product is formed.
+All three reject bands that differ in size, or an A of another size,
+before any product is formed, and two empty bands, which fix no x-order.
 """
 
 from __future__ import annotations
@@ -233,54 +234,39 @@ def q_commutator(a, b, floor: int | None = None) -> QDOp:
 # -- the residue pairing -------------------------------------------------------
 
 
-def _band_mats(p: QDOp) -> dict[int, MatSeries]:
-    out = {}
-    for power, m in p.coeffs.items():
-        if set(m.terms) - {0}:
-            raise BandError("pairing expects z-independent coefficients")
-        if 0 in m.terms:
-            out[power] = m.terms[0]
-    return out
+def _band_size(p: dict, g: dict, a_values) -> tuple[int, int]:
+    """The size and the x-order that the band matrices of P and Q fix.
 
-
-def _pairing_operands(p: QDOp, q_op: QDOp, a_values):
-    """The band matrices of P and Q and the x-order their coefficients fix.
-
-    P, Q and A must share one size and P, Q one dilation parameter; a
-    mismatch raises ValueError naming the field, even when no pair of
-    powers reaches the residue.
+    Both bands and A must share one size; a mismatch raises ValueError
+    naming the field, even when no pair of powers reaches the residue.
     """
-    if p.n != q_op.n:
-        raise ValueError(f"paired operators differ in n: {p.n} vs {q_op.n}")
-    if p.dparam != q_op.dparam:
-        raise ValueError(
-            f"paired operators differ in dparam: {p.dparam} vs {q_op.dparam}"
-        )
-    if len(a_values) != p.n:
-        raise ValueError(f"a_values has {len(a_values)} entries, not n = {p.n}")
-    proto = p._proto() or q_op._proto()
-    if proto is None:
-        raise BandError(
-            "pairing of zero operators: no coefficient fixes the x-order"
-        )
-    return _band_mats(p), _band_mats(q_op), proto.order
+    mats = [*p.values(), *g.values()]
+    if not mats:
+        raise BandError("pairing of empty bands: no coefficient fixes the x-order")
+    sizes = sorted({m.n for m in mats})
+    if len(sizes) > 1:
+        raise ValueError(f"paired bands differ in n: {sizes[0]} vs {sizes[-1]}")
+    n = sizes[0]
+    if len(a_values) != n:
+        raise ValueError(f"a_values has {len(a_values)} entries, not n = {n}")
+    return n, mats[0].proto().order
 
 
-def pairing_lhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
+def pairing_lhs(p: dict, g: dict, a_values, q) -> MatSeries:
     """z-residue of the eigenvalue-symbol product (the ground-truth side).
 
     Equals sum over k+l = -1 of (-q)**l * p_k * A**-1 * g_l(x/q). A**-1
     and (-q)**l scale the columns of p_k, and the sum is one
     `MatSeries.dot` over every pair.
     """
-    q = p.dparam
-    pk, gl, order = _pairing_operands(p, q_op, a_values)
+    q = frac(q)
+    n, order = _band_size(p, g, a_values)
     a_inv = [1 / frac(a) for a in a_values]
     qinv = 1 / q
     blocks = []
-    for k, pm in pk.items():
+    for k, pm in p.items():
         l = -1 - k
-        gm = gl.get(l)
+        gm = g.get(l)
         if gm is None:
             continue
         col = [c * (-q) ** l for c in a_inv]
@@ -289,11 +275,11 @@ def pairing_lhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
         ))
         blocks.append((scaled, gm.map(lambda s: dilate(s, qinv))))
     if not blocks:
-        return MatSeries.zero(p.n, XSeries.zero(order))
+        return MatSeries.zero(n, XSeries.zero(order))
     return MatSeries.dot(blocks)
 
 
-def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
+def pairing_rhs(p: dict, g: dict, a_values, q) -> MatSeries:
     """Operator-side residue under the documented composition convention.
 
     The D**-1 coefficient of P o A**-1 o Q in the leading-symbol algebra,
@@ -305,20 +291,20 @@ def pairing_rhs(p: QDOp, q_op: QDOp, a_values) -> MatSeries:
     See the module docstring for why the full q-Leibniz composition
     cannot be used.
     """
-    q = p.dparam
-    pk, gl, order = _pairing_operands(p, q_op, a_values)
+    q = frac(q)
+    n, order = _band_size(p, g, a_values)
     ainv = MatSeries.diag_const([1 / frac(a) for a in a_values],
                                 XSeries.zero(order))
     blocks = []
-    for k, pm in pk.items():
+    for k, pm in p.items():
         l = -1 - k
-        gm = gl.get(l)
+        gm = g.get(l)
         if gm is None:
             continue
         twisted = gm.map(lambda s: dilate(s, q**l)).scale((-q) ** l)
         blocks.append((pm @ ainv, twisted.map(lambda s: dilate(s, q**k))))
     if not blocks:
-        return MatSeries.zero(p.n, XSeries.zero(order))
+        return MatSeries.zero(n, XSeries.zero(order))
     return MatSeries.dot(blocks)
 
 
@@ -400,7 +386,7 @@ class OracleKernel:
         return got
 
 
-def pairing_oracle(p: QDOp, q_op: QDOp, a_values, kernel=None) -> MatSeries:
+def pairing_oracle(p: dict, g: dict, a_values, q, kernel=None) -> MatSeries:
     """Brute-force z-expansion of the pairing's left side.
 
     The residue of (sum_k p_k D**k exp_q(zAx)) times
@@ -412,16 +398,16 @@ def pairing_oracle(p: QDOp, q_op: QDOp, a_values, kernel=None) -> MatSeries:
     share only the dilation of g_l. A caller pairing many operators at
     one a, q and x-order passes the kernel it built once.
     """
-    q = p.dparam
-    pk, gl, order = _pairing_operands(p, q_op, a_values)
+    q = frac(q)
+    n, order = _band_size(p, g, a_values)
     kernel = kernel or OracleKernel(a_values, q, order)
     if (kernel.a, kernel.q, kernel.order) != ([frac(a) for a in a_values], q, order):
         raise ValueError("oracle kernel built at another a, q or x-order")
-    if not pk or not gl:
-        return MatSeries.zero(p.n, kernel.splus.proto)
+    if not p or not g:
+        return MatSeries.zero(n, kernel.splus.proto)
     shifted = {l: gm.map(lambda s: dilate(s, 1 / q)).scale(q**l)
-               for l, gm in gl.items()}
+               for l, gm in g.items()}
     return MatSeries.dot([
         (pm, MatSeries.dot([(kernel.coeff(k, l), s) for l, s in shifted.items()]))
-        for k, pm in pk.items()
+        for k, pm in p.items()
     ])

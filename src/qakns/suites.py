@@ -241,9 +241,10 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
 PAIRING_BAND = 2
 
 
-def _random_band_op(rng, n, order, q, band=(-PAIRING_BAND, PAIRING_BAND)):
-    """Integer polynomial coefficients of degree <= 2 <= order on a
-    random subset of the band's powers (the identity when none is drawn)."""
+def _random_band_op(rng, n, order, band=(-PAIRING_BAND, PAIRING_BAND)):
+    """{power: matrix} of integer polynomial coefficients of degree
+    <= 2 <= order on a random subset of the band's powers (the identity
+    when none is drawn)."""
     pad = [0] * (order - 2)
     coeffs = {}
     for p in range(band[0], band[1] + 1):
@@ -259,10 +260,10 @@ def _random_band_op(rng, n, order, q, band=(-PAIRING_BAND, PAIRING_BAND)):
             ]
             for _ in range(n)
         ]
-        coeffs[p] = MZSeries.from_term(n, 0, MatSeries(rows))
+        coeffs[p] = MatSeries(rows)
     if not coeffs:
-        coeffs[0] = MZSeries.identity(n, XSeries.one(order))
-    return qop.QDOp(n, coeffs, q)
+        coeffs[0] = MatSeries.identity(n, XSeries.one(order))
+    return coeffs
 
 
 def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
@@ -274,19 +275,18 @@ def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
     def residuals():
         # order-2 negative power against the derivation, scalar case
         g = MatSeries([[XSeries.poly([1, 1, Fraction(3, 7)], order)]])
-        p_op = qop.QDOp.basis_power(1, 1, q, one)
-        q_op_ = qop.QDOp(1, {-2: MZSeries.from_term(1, 0, g)}, q)
-        lhs = qop.pairing_lhs(p_op, q_op_, [frac(1)])
+        p, gl = {1: MatSeries.identity(1, one)}, {-2: g}
+        lhs = qop.pairing_lhs(p, gl, [frac(1)], q)
         expected = g.map(lambda s: dilate(s, 1 / q)).scale(q**-2)
-        oracle = qop.pairing_oracle(p_op, q_op_, [frac(1)],
+        oracle = qop.pairing_oracle(p, gl, [frac(1)], q,
                                     ctx.oracle_factors([frac(1)]))
         yield (), lhs - expected
         yield "oracle", oracle - lhs
         # identities pair to zero; the oracle forms the pairs k + l != -1
         # that the symbol sum skips
-        ident = qop.QDOp.basis_power(cfg.n, 0, q, one)
-        yield (), qop.pairing_lhs(ident, ident, cfg.a)
-        yield "oracle", qop.pairing_oracle(ident, ident, cfg.a,
+        ident = {0: MatSeries.identity(cfg.n, one)}
+        yield (), qop.pairing_lhs(ident, ident, cfg.a, q)
+        yield "oracle", qop.pairing_oracle(ident, ident, cfg.a, q,
                                            ctx.oracle_factors(cfg.a))
 
     return _result("pairing.oracle_examples", {"q": str(q)},
@@ -303,10 +303,10 @@ def check_pairing_random(ctx: SuiteContext) -> CheckResult:
         for trial in range(trials):
             n = 1 if trial % 3 == 0 else cfg.n
             a_vals = [frac(1)] if n == 1 else list(cfg.a)
-            p_op = _random_band_op(rng, n, cfg.n_x, q)
-            q_op_ = _random_band_op(rng, n, cfg.n_x, q)
-            lhs = qop.pairing_lhs(p_op, q_op_, a_vals)
-            oracle = qop.pairing_oracle(p_op, q_op_, a_vals,
+            p = _random_band_op(rng, n, cfg.n_x)
+            g = _random_band_op(rng, n, cfg.n_x)
+            lhs = qop.pairing_lhs(p, g, a_vals, q)
+            oracle = qop.pairing_oracle(p, g, a_vals, q,
                                         ctx.oracle_factors(a_vals))
             yield (trial, "oracle"), oracle - lhs
 
@@ -326,10 +326,10 @@ def check_pairing_nonneg(ctx: SuiteContext) -> CheckResult:
         # no product; the oracle forms every pair
         kernel = ctx.oracle_factors(cfg.a)
         for _ in range(6):
-            p_op = _random_band_op(rng, cfg.n, cfg.n_x, cfg.q, band=(0, 2))
-            q_op_ = _random_band_op(rng, cfg.n, cfg.n_x, cfg.q, band=(0, 2))
-            yield (), qop.pairing_lhs(p_op, q_op_, cfg.a)
-            yield "oracle", qop.pairing_oracle(p_op, q_op_, cfg.a, kernel)
+            p = _random_band_op(rng, cfg.n, cfg.n_x, band=(0, 2))
+            g = _random_band_op(rng, cfg.n, cfg.n_x, band=(0, 2))
+            yield (), qop.pairing_lhs(p, g, cfg.a, cfg.q)
+            yield "oracle", qop.pairing_oracle(p, g, cfg.a, cfg.q, kernel)
 
     return _result("pairing.nonneg_zero", {}, nonzero(residuals()), {})
 
@@ -478,7 +478,7 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
     lax = ctx.bilinear_lax
     w = ctx.dressing.w
     a_z = MZSeries.from_term(lax.n, 1, lax.a_mat())
-    residual = derive_through(w, a_z, lax.calc.derive, lax.calc.dilate) + (
+    residual = derive_through(w, a_z, lax.derive, lax.dilate) + (
         lax.u_minus_za() * w
     )
     degrees = {}
@@ -755,12 +755,17 @@ CHECKS = [
 def select_checks(cfg: RunConfig, prefixes=None):
     """Names of the selected checks, in run order.
 
-    Raises ConfigError for unknown names, for a non-empty selection
-    that the prefixes reduce to nothing (neither may pass vacuously), and
-    for a flow that tau.theorem cannot differentiate along.
+    Raises ConfigError for an empty `checks` list, for unknown names, for
+    a selection that the prefixes reduce to nothing (no selection may pass
+    vacuously), and for a flow that tau.theorem cannot differentiate along.
     """
     known = [name for name, _ in CHECKS]
     chosen = known if cfg.checks is None else cfg.checks
+    if not chosen:
+        raise ConfigError(
+            "checks is an empty list: name at least one check, or give null "
+            "to run every check"
+        )
     unknown = [name for name in chosen if name not in known]
     if unknown:
         raise ConfigError(f"unknown check names: {', '.join(unknown)}")
@@ -769,7 +774,7 @@ def select_checks(cfg: RunConfig, prefixes=None):
         if name in chosen
         and (not prefixes or any(name.startswith(p) for p in prefixes))
     ]
-    if chosen and not names:
+    if not names:
         raise ConfigError(
             f"checks {', '.join(chosen)} are outside this command's scope "
             f"({', '.join(prefixes)})"

@@ -24,7 +24,6 @@ from qakns.bilinear import (
     reconstruct_from_bilinear,
 )
 from qakns.calculus import (
-    QCalc,
     dilate,
     exp_q_series,
     exp_series,
@@ -44,7 +43,7 @@ from qakns.hierarchy import (
     verify_zero_curvature,
 )
 from qakns.matseries import MatSeries
-from qakns.qop import QDOp, pairing_lhs, pairing_oracle, pairing_rhs
+from qakns.qop import pairing_lhs, pairing_oracle, pairing_rhs
 from qakns.report import nonzero
 from qakns.scalars import q_int
 from qakns.series import XSeries
@@ -73,21 +72,20 @@ def _line(num, name, failures):
 
 
 def lax_const(q):
-    return LaxData([1, -1], MatSeries.from_scalars([[0, 1], [1, 0]], NX),
-                   QCalc(q, NX))
+    return LaxData([1, -1], MatSeries.from_scalars([[0, 1], [1, 0]], NX), q)
 
 
 def lax_x(q):
     x = XSeries.monomial(1, 1, NX)
     z = XSeries.zero(NX)
     o = XSeries.one(NX)
-    return LaxData([1, -1], MatSeries([[z, x], [o, z]]), QCalc(q, NX))
+    return LaxData([1, -1], MatSeries([[z, x], [o, z]]), q)
 
 
 def lax_tri(q):
     x = XSeries.monomial(1, 1, NX)
     z = XSeries.zero(NX)
-    return LaxData([1, -1], MatSeries([[z, x], [z, z]]), QCalc(q, NX))
+    return LaxData([1, -1], MatSeries([[z, x], [z, z]]), q)
 
 
 def lax_n3(q, classical=False):
@@ -95,8 +93,7 @@ def lax_n3(q, classical=False):
     z = XSeries.zero(NX)
     o = XSeries.one(NX)
     rows = [[z, x, o], [o, z, z], [z, o, z]]
-    calc = QCalc(1, NX) if classical else QCalc(q, NX)
-    return LaxData([1, -1, 3], MatSeries(rows), calc)
+    return LaxData([1, -1, 3], MatSeries(rows), 1 if classical else q)
 
 
 def test_criterion_1_q_calculus():
@@ -147,7 +144,7 @@ def test_criterion_2_residue_pairing():
     failures = []
     rng = random.Random(1729)
 
-    def rnd_op(n, q):
+    def rnd_op(n):
         coeffs = {}
         for p in range(-2, 3):
             rows = [
@@ -155,19 +152,19 @@ def test_criterion_2_residue_pairing():
                  for _ in range(n)]
                 for _ in range(n)
             ]
-            coeffs[p] = MZSeries.from_term(n, 0, MatSeries(rows))
-        return QDOp(n, coeffs, q)
+            coeffs[p] = MatSeries(rows)
+        return coeffs
 
     trials = 0
     for q in QS:
         for rep in range(8):
             n = 1 if rep % 2 else 2
             a_vals = [F(1)] if n == 1 else [F(1), F(-1)]
-            p_op, q_op = rnd_op(n, q), rnd_op(n, q)
-            lhs = pairing_lhs(p_op, q_op, a_vals)
-            if not (pairing_rhs(p_op, q_op, a_vals) - lhs).is_zero():
+            p_op, q_op = rnd_op(n), rnd_op(n)
+            lhs = pairing_lhs(p_op, q_op, a_vals, q)
+            if not (pairing_rhs(p_op, q_op, a_vals, q) - lhs).is_zero():
                 failures.append(f"rhs convention mismatch q={q} trial={rep}")
-            if not (pairing_oracle(p_op, q_op, a_vals) - lhs).is_zero():
+            if not (pairing_oracle(p_op, q_op, a_vals, q) - lhs).is_zero():
                 failures.append(f"brute-force oracle mismatch q={q} trial={rep}")
             trials += 1
     if trials < 20:
@@ -175,13 +172,13 @@ def test_criterion_2_residue_pairing():
     # the frozen lhs example against the brute-force oracle
     for q in QS:
         g = XSeries.poly([1, 1, F(3, 7)], NX)
-        p_op = QDOp.basis_power(1, 1, q, XSeries.one(NX))
-        q_op = QDOp(1, {-2: MZSeries.from_term(1, 0, MatSeries([[g]]))}, q)
-        lhs = pairing_lhs(p_op, q_op, [F(1)])
+        p_op = {1: MatSeries.identity(1, XSeries.one(NX))}
+        q_op = {-2: MatSeries([[g]])}
+        lhs = pairing_lhs(p_op, q_op, [F(1)], q)
         expect = MatSeries([[dilate(g, 1 / q).scale(q**-2)]])
         if not (lhs - expect).is_zero():
             failures.append(f"frozen example value q={q}")
-        if not (pairing_oracle(p_op, q_op, [F(1)]) - lhs).is_zero():
+        if not (pairing_oracle(p_op, q_op, [F(1)], q) - lhs).is_zero():
             failures.append(f"frozen example oracle q={q}")
     _line(2, "residue pairing", failures)
 
@@ -328,7 +325,7 @@ def test_criterion_6_classical_crosscheck():
         "x": MatSeries([[z, x], [o, z]]),
     }
     for label, u in mats.items():
-        lax = LaxData([1, -1], u, QCalc(1, NX))
+        lax = LaxData([1, -1], u, 1)
         # classical solvers reproduce the structure on the same examples
         for alpha in range(2):
             r = solve_resolvent_direct(lax, alpha, 7)

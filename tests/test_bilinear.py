@@ -14,7 +14,6 @@ from qakns.bilinear import (
     reconstruct_from_bilinear,
     x_derivative_factor,
 )
-from qakns.calculus import QCalc
 from qakns.hierarchy import (
     FlowTable,
     LaxData,
@@ -34,7 +33,7 @@ QS = [F(2), F(1, 2), F(3, 5)]
 def lax_tri(q=F(2)):
     x = XSeries.monomial(1, 1, N)
     z = XSeries.zero(N)
-    return LaxData([1, -1], MatSeries([[z, x], [z, z]]), QCalc(q, N))
+    return LaxData([1, -1], MatSeries([[z, x], [z, z]]), q)
 
 
 def lax_tri3(q=F(2)):
@@ -42,12 +41,12 @@ def lax_tri3(q=F(2)):
     z = XSeries.zero(N)
     o = XSeries.one(N)
     rows = [[z, x, o], [z, z, x * x], [z, z, z]]
-    return LaxData([1, -1, 3], MatSeries(rows), QCalc(q, N))
+    return LaxData([1, -1, 3], MatSeries(rows), q)
 
 
 def lax_vacuum(q=F(2)):
     z = XSeries.zero(N)
-    return LaxData([1, -1], MatSeries([[z, z], [z, z]]), QCalc(q, N))
+    return LaxData([1, -1], MatSeries([[z, z], [z, z]]), q)
 
 
 def test_lambda_pool():
@@ -87,7 +86,7 @@ def lax_x_classical():
     x = XSeries.monomial(1, 1, N)
     z = XSeries.zero(N)
     o = XSeries.one(N)
-    return LaxData([1, -1], MatSeries([[z, x], [o, z]]), QCalc(1, N))
+    return LaxData([1, -1], MatSeries([[z, x], [o, z]]), 1)
 
 
 @pytest.mark.parametrize(
@@ -260,15 +259,15 @@ def test_windowed_m1_residues_match_the_whole_reduction(kind, monkeypatch):
     else:
         dressing = solve_dressing(cfg.bilinear_lax(classical=True),
                                   cfg.required_dressing_depth())
-    calc = dressing.lax.calc
+    lax = dressing.lax
     g = x_derivative_factor(dressing)
     table = FlowTable(dressing.resolvents())
     # the window holds what the whole reduction holds, over its floor
     lo, hi = -1 - cfg.l_max, -1
     for lam in lambdas:
         f = table.factor(lam)
-        got = derive_through(f, g, calc.derive, calc.dilate, lo, hi)
-        whole = derive_through(f, g, calc.derive, calc.dilate)
+        got = derive_through(f, g, lax.derive, lax.dilate, lo, hi)
+        whole = derive_through(f, g, lax.derive, lax.dilate)
         assert got.zvalid == whole.zvalid
         assert got.terms == {d: m for d, m in whole.terms.items() if lo <= d <= hi}
     got = check_q_bilinear(dressing, cfg.l_max, lambdas)

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from qakns.calculus import (
-    QCalc,
     dilate,
     exp_q_series,
     exp_series,
@@ -15,6 +14,8 @@ from qakns.calculus import (
     x_antiderive,
     x_derive,
 )
+from qakns.hierarchy import LaxData
+from qakns.matseries import MatSeries
 from qakns.scalars import AdmissibilityError, check_q, q_int
 from qakns.series import XSeries
 
@@ -169,23 +170,28 @@ def test_admissibility():
     assert check_q(F(3, 5), N) == F(3, 5)
 
 
+def vacuum_lax(q):
+    """A Lax datum at q with U = 0: the structure its solvers run under."""
+    return LaxData([1, -1], MatSeries.from_scalars([[0, 0], [0, 0]], N), q)
+
+
 def test_classical_structure():
-    calc = QCalc(1, N)
+    lax = vacuum_lax(1)
     x2 = XSeries.monomial(1, 2, N)
-    assert (calc.derive(x2) - XSeries.monomial(2, 1, N)).is_zero()
-    assert (calc.dilate(x2) - x2).is_zero()
-    assert (calc.antiderive(XSeries.one(N)) - XSeries.monomial(1, 1, N)).is_zero()
+    assert (lax.derive(x2) - XSeries.monomial(2, 1, N)).is_zero()
+    assert (lax.dilate(x2) - x2).is_zero()
+    assert (lax.antiderive(XSeries.one(N)) - XSeries.monomial(1, 1, N)).is_zero()
     assert (x_derive(x_antiderive(x2)) - x2).is_zero()
-    assert calc.dilation_eig(5) == 1
+    assert lax.q**5 == 1
     # q = 1 is the classical point, though check_q rejects it (test_admissibility)
-    assert calc.classical
+    assert lax.classical
     assert all(q_int(k, F(1)) == k for k in range(N + 1))
 
 
 def test_qcalc_structure():
-    calc = QCalc(F(2), N)
-    assert calc.dilation_eig(3) == 8
-    assert not calc.classical
+    lax = vacuum_lax(F(2))
+    assert (lax.q, lax.order) == (2, N)
+    assert not lax.classical
 
 
 EXACT = XSeries.poly([1, 2, 3], N)
@@ -264,7 +270,7 @@ def assert_matches(s, ref):
 @pytest.mark.parametrize("q", QS + [F(-2), F(-1, 3)])
 def test_calculus_matches_fraction_reference(q):
     rng = random.Random(int(q * 30))
-    classical = QCalc(1, N)
+    classical = vacuum_lax(1)
     for _ in range(60):
         a = random_ref(rng)
         f = XSeries(*a)

@@ -206,14 +206,24 @@ def test_report_determinism_and_schema():
         assert c["first_failure"] is None
 
 
-def test_empty_selection_is_empty_report():
+def test_empty_selection_is_refused():
+    # an empty list would pass on nothing: null is the way to run every check
     cfg = demo_config()
     data = dict(json.loads(json.dumps(cfg.to_json())))
     data["checks"] = []
     empty = parse_config(data)
-    report = run_suite(empty)
-    assert report.checks == []
-    assert report.ok
+    with pytest.raises(ConfigError, match="checks is an empty list"):
+        run_suite(empty)
+
+
+def test_empty_checks_list_exits_2(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    data = json.loads(path.read_text())
+    data["checks"] = []
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert "checks is an empty list" in captured.err
+    assert "checks passed" not in captured.out
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -10,9 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qakns import hierarchy
+from qakns import calculus, hierarchy
 from qakns.bilinear import inject_corruption
-from qakns.calculus import QCalc
 from qakns.hierarchy import (
     DiagonalConsistencyError,
     FlowTable,
@@ -34,6 +33,7 @@ from qakns.hierarchy import (
 from qakns.matseries import MatSeries
 from qakns.qop import QDOp, q_commutator
 from qakns.report import nonzero
+from qakns.scalars import AdmissibilityError
 from qakns.series import XSeries
 from qakns.zseries import NEG_INF, InsufficientDepthError, MZSeries
 
@@ -43,25 +43,25 @@ QS = [F(2), F(1, 2), F(3, 5)]
 
 def lax_const(q=F(2)):
     u = MatSeries.from_scalars([[0, 1], [1, 0]], N)
-    return LaxData([1, -1], u, QCalc(q, N))
+    return LaxData([1, -1], u, q)
 
 
 def lax_x(q=F(2)):
     x = XSeries.monomial(1, 1, N)
     z = XSeries.zero(N)
     o = XSeries.one(N)
-    return LaxData([1, -1], MatSeries([[z, x], [o, z]]), QCalc(q, N))
+    return LaxData([1, -1], MatSeries([[z, x], [o, z]]), q)
 
 
 def lax_tri(q=F(2)):
     x = XSeries.monomial(1, 1, N)
     z = XSeries.zero(N)
-    return LaxData([1, -1], MatSeries([[z, x], [z, z]]), QCalc(q, N))
+    return LaxData([1, -1], MatSeries([[z, x], [z, z]]), q)
 
 
 def lax_vacuum(q=F(2)):
     z = XSeries.zero(N)
-    return LaxData([1, -1], MatSeries([[z, z], [z, z]]), QCalc(q, N))
+    return LaxData([1, -1], MatSeries([[z, z], [z, z]]), q)
 
 
 def scalars(rows):
@@ -71,13 +71,40 @@ def scalars(rows):
 def test_validation_errors():
     z = XSeries.zero(N)
     with pytest.raises(ValueError, match="distinct"):
-        LaxData([1, 1], MatSeries([[z, z], [z, z]]), QCalc(F(2), N))
+        LaxData([1, 1], MatSeries([[z, z], [z, z]]), F(2))
     with pytest.raises(ValueError, match="u_ii"):
         u = scalars([[1, 0], [0, 0]])
-        LaxData([1, -1], u, QCalc(F(2), N))
+        LaxData([1, -1], u, F(2))
     with pytest.raises(ResonanceError):
         # a_2 * q**2 == a_1 at q = 2
-        LaxData([4, 1], MatSeries([[z, z], [z, z]]), QCalc(F(2), N))
+        LaxData([4, 1], MatSeries([[z, z], [z, z]]), F(2))
+
+
+def test_lax_data_owns_q_and_order(monkeypatch):
+    # the x-order is U's; no second order can disagree with it
+    u6 = MatSeries.from_scalars([[0, 1], [1, 0]], 6)
+    lax = LaxData([1, -1], u6, F(2))
+    assert (lax.q, lax.order, lax.classical) == (2, 6, False)
+    r = solve_resolvent_direct(lax, 0, 3)
+    assert {e.order for m in r.terms.values() for row in m.rows for e in row} == {6}
+    # an inadmissible q is refused by the datum itself: (-1)**2 == 1
+    with pytest.raises(AdmissibilityError, match="root of unity"):
+        LaxData([1, -1], u6, F(-1))
+    # q = 1 is the classical structure, whose diagonal solve integrates
+    integrations = []
+    real = calculus.q_antiderive
+
+    def counting(g, q):
+        integrations.append(q)
+        return real(g, q)
+
+    monkeypatch.setattr(calculus, "q_antiderive", counting)
+    solve_resolvent_direct(lax, 0, 3)
+    assert integrations == []
+    classical = LaxData([1, -1], u6, 1)
+    assert classical.classical and classical.order == 6
+    solve_resolvent_direct(classical, 0, 3)
+    assert integrations and set(integrations) == {1}
 
 
 def test_dressing_first_order_frozen():
@@ -123,13 +150,12 @@ def test_dressing_triangular_terminates():
 def test_dressing_factorization_residual():
     lax = lax_tri()
     d = solve_dressing(lax, 6)
-    calc = lax.calc
     w = d.w
     a_z = MZSeries.from_term(2, 1, lax.a_mat())
     u_mz = MZSeries.from_term(2, 0, lax.u)
     residual = (
-        w.map_entries(calc.derive) + (u_mz * w) - (a_z * w)
-        + (w.map_entries(calc.dilate) * a_z)
+        w.map_entries(lax.derive) + (u_mz * w) - (a_z * w)
+        + (w.map_entries(lax.dilate) * a_z)
     )
     assert residual.is_zero()
 
@@ -294,7 +320,7 @@ def lax_n3(q=F(1, 3)):
 
     u = MatSeries([[z, c(-2), x.scale(-2)], [c(-1), z, c(1)],
                    [x.scale(-2), c(1), z]])
-    return LaxData([1, -1, 2], u, QCalc(q, N))
+    return LaxData([1, -1, 2], u, q)
 
 
 def test_basis_expansion_needs_the_family_as_deep_as_the_series():
@@ -342,7 +368,7 @@ def test_eig_weights_are_built_once_per_lax_data(monkeypatch):
 def test_no_module_cache_grows_across_solves():
     solve_resolvent_direct(lax_const(), 0, 3)
     sizes = _module_cache_sizes()
-    for _ in range(3):  # a new LaxData and QCalc each time, equal in value
+    for _ in range(3):  # a new LaxData each time, equal in value
         solve_resolvent_direct(lax_const(), 0, 3)
     assert _module_cache_sizes() == sizes
 
@@ -431,7 +457,7 @@ def test_u_flow_band_structure_via_operator_algebra():
     r = session.resolvent(0, 6)
     b, _ = b_split(r, 2)
     l_op = QDOp(2, {1: MZSeries.identity(2, lax.proto().one_like()),
-                    0: lax.u_minus_za()}, lax.calc.q)
+                    0: lax.u_minus_za()}, lax.q)
     com = q_commutator(b, l_op, -4)
     for power, coeff in com.coeffs.items():
         if power != 0:
@@ -466,7 +492,7 @@ def test_zero_curvature(make):
 
 
 def classical_lax(rows):
-    return LaxData([1, -1], MatSeries.from_scalars(rows, N), QCalc(1, N))
+    return LaxData([1, -1], MatSeries.from_scalars(rows, N), 1)
 
 
 def test_classical_dressing_exists_for_full_potentials():
@@ -474,12 +500,11 @@ def test_classical_dressing_exists_for_full_potentials():
     d = solve_dressing(lax, 4)
     assert d.depth == 4
     rep_w = d.w
-    calc = lax.calc
     a_z = MZSeries.from_term(2, 1, lax.a_mat())
     u_mz = MZSeries.from_term(2, 0, lax.u)
     residual = (
-        rep_w.map_entries(calc.derive) + (u_mz * rep_w) - (a_z * rep_w)
-        + (rep_w.map_entries(calc.dilate) * a_z)
+        rep_w.map_entries(lax.derive) + (u_mz * rep_w) - (a_z * rep_w)
+        + (rep_w.map_entries(lax.dilate) * a_z)
     )
     assert residual.is_zero()
 
@@ -499,7 +524,7 @@ def test_classical_x_potential_first_order():
     x = XSeries.monomial(1, 1, N)
     z = XSeries.zero(N)
     o = XSeries.one(N)
-    lax = LaxData([1, -1], MatSeries([[z, x], [o, z]]), QCalc(1, N))
+    lax = LaxData([1, -1], MatSeries([[z, x], [o, z]]), 1)
     r = solve_resolvent_direct(lax, 0, 6)
     expect = MatSeries([
         [z, XSeries.monomial(F(-1, 2), 1, N)],
@@ -645,7 +670,7 @@ def ref_resolvent(lax, alpha, depth, normalization):
     for _ in range(depth):
         rho = _next_order(
             lax, orders[-1],
-            lambda r: r.map(lax.calc.dilate) @ lax.u - lax.u @ r, context,
+            lambda r: r.map(lax.dilate) @ lax.u - lax.u @ r, context,
         )
         if normalization == "orthogonal":
             rho = _idempotent_repair(alpha, lift, rho, orders, context)

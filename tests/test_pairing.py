@@ -9,7 +9,6 @@ from qakns.calculus import dilate, q_derive
 from qakns.matseries import MatSeries
 from qakns.qop import (
     BandError,
-    QDOp,
     OracleKernel,
     exp_q_laurent,
     pairing_lhs,
@@ -23,14 +22,11 @@ N = 8
 QS = [F(2), F(1, 2), F(3, 5)]
 
 
-def scalar_op(coeffs, q):
-    built = {}
-    for p, series in coeffs.items():
-        built[p] = MZSeries.from_term(1, 0, MatSeries([[series]]))
-    return QDOp(1, built, q)
+def scalar_band(coeffs):
+    return {p: MatSeries([[series]]) for p, series in coeffs.items()}
 
 
-def rnd_band_op(rng, n, q, band=(-2, 2), deg=2, powers=None):
+def rnd_band_op(rng, n, band=(-2, 2), deg=2, powers=None):
     coeffs = {}
     for p in powers or range(band[0], band[1] + 1):
         rows = [
@@ -38,8 +34,14 @@ def rnd_band_op(rng, n, q, band=(-2, 2), deg=2, powers=None):
              for _ in range(n)]
             for _ in range(n)
         ]
-        coeffs[p] = MZSeries.from_term(n, 0, MatSeries(rows))
-    return QDOp(n, coeffs, q)
+        coeffs[p] = MatSeries(rows)
+    return coeffs
+
+
+def band_shape(p_op, q_op):
+    """The size and one entry of the matrices of two bands, not both empty."""
+    m = next(iter([*p_op.values(), *q_op.values()]))
+    return m.n, m.proto()
 
 
 @pytest.mark.parametrize("q", QS)
@@ -57,39 +59,38 @@ def test_exp_factors_are_mutually_inverse(q):
 def test_frozen_example_scalar(q):
     # P = D, Q = g D**-2 against A = (1): residue q**-2 g(x/q)
     g = XSeries.poly([1, 1, F(3, 7)], N)
-    p_op = scalar_op({1: XSeries.one(N)}, q)
-    q_op = scalar_op({-2: g}, q)
-    lhs = pairing_lhs(p_op, q_op, [F(1)])
+    p_op = scalar_band({1: XSeries.one(N)})
+    q_op = scalar_band({-2: g})
+    lhs = pairing_lhs(p_op, q_op, [F(1)], q)
     expect = MatSeries([[dilate(g, 1 / q).scale(q**-2)]])
     assert (lhs - expect).is_zero()
-    assert (pairing_rhs(p_op, q_op, [F(1)]) - lhs).is_zero()
-    assert (pairing_oracle(p_op, q_op, [F(1)]) - lhs).is_zero()
+    assert (pairing_rhs(p_op, q_op, [F(1)], q) - lhs).is_zero()
+    assert (pairing_oracle(p_op, q_op, [F(1)], q) - lhs).is_zero()
 
 
 def test_nonnegative_bands_pair_to_zero():
     rng = random.Random(31)
     q = F(2)
     for _ in range(5):
-        p_op = rnd_band_op(rng, 2, q, band=(0, 2))
-        q_op = rnd_band_op(rng, 2, q, band=(0, 2))
-        assert pairing_lhs(p_op, q_op, [1, -1]).is_zero()
-        assert pairing_rhs(p_op, q_op, [1, -1]).is_zero()
-        assert pairing_oracle(p_op, q_op, [1, -1]).is_zero()
+        p_op = rnd_band_op(rng, 2, band=(0, 2))
+        q_op = rnd_band_op(rng, 2, band=(0, 2))
+        assert pairing_lhs(p_op, q_op, [1, -1], q).is_zero()
+        assert pairing_rhs(p_op, q_op, [1, -1], q).is_zero()
+        assert pairing_oracle(p_op, q_op, [1, -1], q).is_zero()
 
 
 def test_identity_pair_is_zero():
     q = F(2)
-    ident = QDOp.basis_power(2, 0, q, XSeries.one(N))
-    assert pairing_lhs(ident, ident, [1, -1]).is_zero()
-    assert pairing_rhs(ident, ident, [1, -1]).is_zero()
+    ident = {0: MatSeries.identity(2, XSeries.one(N))}
+    assert pairing_lhs(ident, ident, [1, -1], q).is_zero()
+    assert pairing_rhs(ident, ident, [1, -1], q).is_zero()
 
 
 @pytest.mark.parametrize("route", [pairing_lhs, pairing_rhs, pairing_oracle])
 def test_zero_operators_name_the_missing_x_order(route):
-    # with no stored coefficient nothing fixes the x-order of the result
-    zero = QDOp(1, {}, 2)
+    # with no band matrix nothing fixes the x-order of the result
     with pytest.raises(BandError, match="x-order"):
-        route(zero, zero, [F(1)])
+        route({}, {}, [F(1)], F(2))
 
 
 @pytest.mark.parametrize("q", QS)
@@ -98,34 +99,31 @@ def test_random_pairs_all_three_routes_agree(q):
     for trial in range(8):
         n = 1 if trial % 2 else 2
         a_vals = [F(1)] if n == 1 else [F(1), F(-1)]
-        p_op = rnd_band_op(rng, n, q)
-        q_op = rnd_band_op(rng, n, q)
-        lhs = pairing_lhs(p_op, q_op, a_vals)
-        assert (pairing_rhs(p_op, q_op, a_vals) - lhs).is_zero()
-        assert (pairing_oracle(p_op, q_op, a_vals) - lhs).is_zero()
+        p_op = rnd_band_op(rng, n)
+        q_op = rnd_band_op(rng, n)
+        lhs = pairing_lhs(p_op, q_op, a_vals, q)
+        assert (pairing_rhs(p_op, q_op, a_vals, q) - lhs).is_zero()
+        assert (pairing_oracle(p_op, q_op, a_vals, q) - lhs).is_zero()
 
 
 def _mismatched(case):
-    """A pair of operators and the a-values, wrong in exactly one field."""
+    """A pair of bands and the a-values, wrong in exactly one field."""
     rng = random.Random(3)
-    q = F(2)
     if case == "n":
-        return rnd_band_op(rng, 2, q), rnd_band_op(rng, 1, q), [F(1), F(-1)]
-    if case == "dparam":
-        return rnd_band_op(rng, 2, q), rnd_band_op(rng, 2, F(3)), [F(1), F(-1)]
+        return rnd_band_op(rng, 2), rnd_band_op(rng, 1), [F(1), F(-1)]
     # no pair of powers reaches the residue, so no product can notice
-    return (rnd_band_op(rng, 2, q, band=(0, 2)),
-            rnd_band_op(rng, 2, q, band=(0, 2)), [F(1), F(-1), F(2)])
+    return (rnd_band_op(rng, 2, band=(0, 2)),
+            rnd_band_op(rng, 2, band=(0, 2)), [F(1), F(-1), F(2)])
 
 
 @pytest.mark.parametrize("route", [pairing_lhs, pairing_rhs, pairing_oracle])
 @pytest.mark.parametrize("case, field", [
-    ("n", "differ in n"), ("dparam", "differ in dparam"), ("a", "a_values"),
+    ("n", "differ in n"), ("a", "a_values"),
 ])
 def test_mismatched_operands_are_rejected(route, case, field):
     p_op, q_op, a_vals = _mismatched(case)
     with pytest.raises(ValueError, match=field):
-        route(p_op, q_op, a_vals)
+        route(p_op, q_op, a_vals, F(2))
 
 
 def _valids(m):
@@ -137,15 +135,13 @@ def _valids(m):
 def test_rhs_equals_lhs_entry_by_entry(n, q):
     rng = random.Random(n * 100 + int(q * 10))
     a_vals = [F(1), F(-1), F(2)][:n]
-    pairs = [(rnd_band_op(rng, n, q), rnd_band_op(rng, n, q)) for _ in range(4)]
+    pairs = [(rnd_band_op(rng, n), rnd_band_op(rng, n)) for _ in range(4)]
     # an inexact coefficient of Q: `valid` must follow it on both routes
-    coeffs = dict(pairs[-1][1].coeffs)
     inexact = XSeries.one(N).with_valid(5)
-    coeffs[0] = MZSeries.from_term(n, 0, MatSeries.diag([inexact] * n, inexact))
-    pairs[-1] = (pairs[-1][0], QDOp(n, coeffs, q))
+    pairs[-1][1][0] = MatSeries.diag([inexact] * n, inexact)
     for p_op, q_op in pairs:
-        lhs = pairing_lhs(p_op, q_op, a_vals)
-        rhs = pairing_rhs(p_op, q_op, a_vals)
+        lhs = pairing_lhs(p_op, q_op, a_vals, q)
+        rhs = pairing_rhs(p_op, q_op, a_vals, q)
         assert rhs == lhs
         assert _valids(rhs) == _valids(lhs)
     assert min(map(min, _valids(rhs))) == 5
@@ -154,8 +150,8 @@ def test_rhs_equals_lhs_entry_by_entry(n, q):
 def test_rhs_multiplies_only_the_pairs_that_reach_the_residue(monkeypatch):
     rng = random.Random(5)
     q = F(2)
-    p_op = rnd_band_op(rng, 2, q)
-    q_op = rnd_band_op(rng, 2, q)
+    p_op = rnd_band_op(rng, 2)
+    q_op = rnd_band_op(rng, 2)
     calls = []
     dot = MatSeries.dot
 
@@ -164,56 +160,51 @@ def test_rhs_multiplies_only_the_pairs_that_reach_the_residue(monkeypatch):
         return dot(blocks)
 
     monkeypatch.setattr(MatSeries, "dot", staticmethod(counting))
-    got = pairing_rhs(p_op, q_op, [1, -1])
+    got = pairing_rhs(p_op, q_op, [1, -1], q)
     monkeypatch.undo()
-    assert (got - pairing_lhs(p_op, q_op, [1, -1])).is_zero()
+    assert (got - pairing_lhs(p_op, q_op, [1, -1], q)).is_zero()
     # composing the whole chain P o A**-1 o Q took 30 block products on this
     # pair (5 + 25); forming only the pairs that reach D**-1 takes 4 + 4
     assert len(calls) <= 9
 
 
-def per_k_lhs(p_op, q_op, a_vals):
+def per_k_lhs(p_op, q_op, a_vals, q):
     """The symbol sum as one `@` chain and one `+` per power k."""
-    q = p_op.dparam
-    pk = {k: m.terms[0] for k, m in p_op.coeffs.items()}
-    gl = {l: m.terms[0] for l, m in q_op.coeffs.items()}
-    proto = p_op._proto() or q_op._proto()
+    n, proto = band_shape(p_op, q_op)
     acc = None
-    for k, pm in pk.items():
-        gm = gl.get(-1 - k)
+    for k, pm in p_op.items():
+        gm = q_op.get(-1 - k)
         if gm is None:
             continue
         ainv = MatSeries.diag_const([1 / F(a) for a in a_vals], proto)
         shifted = gm.map(lambda s: dilate(s, 1 / q))
         term = (pm @ ainv @ shifted).scale((-q) ** (-1 - k))
         acc = term if acc is None else acc + term
-    return acc if acc is not None else MatSeries.zero(p_op.n, proto)
+    return acc if acc is not None else MatSeries.zero(n, proto)
 
 
 def test_one_dot_lhs_matches_the_per_k_chain():
     for q, a_vals, p_op, q_op in _windowed_cases():
-        got = pairing_lhs(p_op, q_op, a_vals)
-        ref = per_k_lhs(p_op, q_op, a_vals)
+        got = pairing_lhs(p_op, q_op, a_vals, q)
+        ref = per_k_lhs(p_op, q_op, a_vals, q)
         assert got == ref
         assert ([[e.valid for e in r] for r in got.rows]
                 == [[e.valid for e in r] for r in ref.rows])
     # one inexact entry of each g_l lowers the valid of its column only
     rng = random.Random(8)
     q = F(3, 5)
-    p_op = rnd_band_op(rng, 2, q)
-    coeffs = {}
-    for l, m in rnd_band_op(rng, 2, q).coeffs.items():
-        (g00, g01), row1 = m.terms[0].rows
-        coeffs[l] = MZSeries.from_term(
-            2, 0, MatSeries([[g00.with_valid(4), g01], row1]))
-    q_op = QDOp(2, coeffs, q)
-    got = pairing_lhs(p_op, q_op, [1, -1])
-    assert got == per_k_lhs(p_op, q_op, [1, -1])
+    p_op = rnd_band_op(rng, 2)
+    q_op = {}
+    for l, m in rnd_band_op(rng, 2).items():
+        (g00, g01), row1 = m.rows
+        q_op[l] = MatSeries([[g00.with_valid(4), g01], row1])
+    got = pairing_lhs(p_op, q_op, [1, -1], q)
+    assert got == per_k_lhs(p_op, q_op, [1, -1], q)
     assert [[e.valid for e in r] for r in got.rows] == [[4, N + 1], [4, N + 1]]
 
 
-def fraction_band_op(rng, n, order, q, band=(-2, 2), max_deg=2):
-    """The suite's random operator with every coefficient built from Fractions."""
+def fraction_band_op(rng, n, order, band=(-2, 2), max_deg=2):
+    """The suite's random band with every coefficient built from Fractions."""
     coeffs = {}
     for p in range(band[0], band[1] + 1):
         if rng.random() < 0.3:
@@ -221,10 +212,10 @@ def fraction_band_op(rng, n, order, q, band=(-2, 2), max_deg=2):
         rows = [[XSeries.poly([F(rng.randint(-3, 3)) for _ in range(max_deg + 1)],
                               order)
                  for _ in range(n)] for _ in range(n)]
-        coeffs[p] = MZSeries.from_term(n, 0, MatSeries(rows))
+        coeffs[p] = MatSeries(rows)
     if not coeffs:
-        coeffs[0] = MZSeries.identity(n, XSeries.one(order))
-    return QDOp(n, coeffs, q)
+        coeffs[0] = MatSeries.identity(n, XSeries.one(order))
+    return coeffs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -235,10 +226,9 @@ def test_random_band_op_matches_the_fraction_build(n):
         for band, order in (((-2, 2), 8), ((0, 2), 4), ((-1, 0), 6)):
             got_rng, ref_rng = random.Random(seed), random.Random(seed)
             for _ in range(4):
-                got = _random_band_op(got_rng, n, order, F(2), band)
-                ref = fraction_band_op(ref_rng, n, order, F(2), band)
-                assert (got.n, got.dparam, got.pvalid) == (ref.n, ref.dparam, ref.pvalid)
-                assert got.coeffs == ref.coeffs
+                got = _random_band_op(got_rng, n, order, band)
+                ref = fraction_band_op(ref_rng, n, order, band)
+                assert got == ref
             # both builds drew the same numbers from the stream
             assert got_rng.random() == ref_rng.random()
 
@@ -259,10 +249,10 @@ def test_lhs_band_floor_independence():
     # floor is literally the same value
     q = F(3, 5)
     rng = random.Random(99)
-    p_op = rnd_band_op(rng, 2, q)
-    q_op = rnd_band_op(rng, 2, q)
-    first = pairing_lhs(p_op, q_op, [1, -1])
-    again = pairing_lhs(p_op, q_op, [1, -1])
+    p_op = rnd_band_op(rng, 2)
+    q_op = rnd_band_op(rng, 2)
+    first = pairing_lhs(p_op, q_op, [1, -1], q)
+    again = pairing_lhs(p_op, q_op, [1, -1], q)
     assert (first - again).is_zero()
 
 
@@ -286,10 +276,10 @@ def test_oracle_examples_check_at_n3():
 def test_warm_kernel_trial_forms_one_contraction(monkeypatch):
     rng = random.Random(5)
     q = F(2)
-    p_op = rnd_band_op(rng, 2, q)
-    q_op = rnd_band_op(rng, 2, q)
+    p_op = rnd_band_op(rng, 2)
+    q_op = rnd_band_op(rng, 2)
     kernel = OracleKernel([1, -1], q, N)
-    pairing_oracle(p_op, q_op, [1, -1], kernel)  # builds every C(k, l)
+    pairing_oracle(p_op, q_op, [1, -1], q, kernel)  # builds every C(k, l)
     calls = []
     dot = MatSeries.dot
 
@@ -299,9 +289,9 @@ def test_warm_kernel_trial_forms_one_contraction(monkeypatch):
         return dot(blocks)
 
     monkeypatch.setattr(MatSeries, "dot", staticmethod(counting))
-    got = pairing_oracle(p_op, q_op, [1, -1], kernel)
+    got = pairing_oracle(p_op, q_op, [1, -1], q, kernel)
     monkeypatch.undo()
-    assert (got - pairing_lhs(p_op, q_op, [1, -1])).is_zero()
+    assert (got - pairing_lhs(p_op, q_op, [1, -1], q)).is_zero()
     # with the kernel warm a trial is the contraction alone: 25 products
     # C(k, l) s_l and 5 products p_k (...); re-expanding both exponential
     # factors per trial took 41 on this pair, and 473 built whole
@@ -358,7 +348,7 @@ def _sum_by_degree(n, proto, parts):
     )
 
 
-def per_trial_oracle(p_op, q_op, a_vals):
+def per_trial_oracle(p_op, q_op, a_vals, q):
     """The oracle that expands both exponential factors per trial: reference.
 
     The left factor sum_k p_k D**k exp_q(zAx) is built up to -1 - min l and
@@ -366,10 +356,8 @@ def per_trial_oracle(p_op, q_op, a_vals):
     -1 - min(0, min k), each degree summed in one `MatSeries.dot`, and the
     residue read off their product.
     """
-    q, n = p_op.dparam, p_op.n
-    pk = {k: m.terms[0] for k, m in p_op.coeffs.items() if 0 in m.terms}
-    gl = {l: m.terms[0] for l, m in q_op.coeffs.items() if 0 in m.terms}
-    order = (p_op._proto() or q_op._proto()).order
+    n, proto = band_shape(p_op, q_op)
+    pk, gl, order = p_op, q_op, proto.order
     splus = exp_q_laurent(a_vals, q, order, +1)
     sminus = exp_q_laurent(a_vals, q, order, -1)
     if not pk or not gl:
@@ -406,9 +394,9 @@ def per_trial_oracle(p_op, q_op, a_vals):
 
 
 def _lifted(op, order):
-    """The operator with its polynomial coefficients at another x-order."""
-    return op.map_coeffs(lambda m: m.map_entries(
-        lambda s: XSeries.poly(s.coeffs[: s.top + 1], order)))
+    """The band with its polynomial coefficients at another x-order."""
+    return {k: m.map(lambda s: XSeries.poly(s.coeffs[: s.top + 1], order))
+            for k, m in op.items()}
 
 
 @pytest.mark.parametrize("q", [F(2), F(-3), F(1, 2), F(-1, 3)])
@@ -422,14 +410,14 @@ def test_kernel_oracle_matches_the_per_trial_expansion(n, q):
         rng = random.Random(order * 10 + n)
         kernel = OracleKernel(a_vals, q, order)
         for _ in range(3):
-            p_op = _random_band_op(rng, n, order, q)
-            q_op = _random_band_op(rng, n, order, q)
-            got = pairing_oracle(p_op, q_op, a_vals, kernel)
-            ref = per_trial_oracle(p_op, q_op, a_vals)
+            p_op = _random_band_op(rng, n, order)
+            q_op = _random_band_op(rng, n, order)
+            got = pairing_oracle(p_op, q_op, a_vals, q, kernel)
+            ref = per_trial_oracle(p_op, q_op, a_vals, q)
             # the same values, entry by entry; the overflow rule of
             # intermediate products no longer lowers valid, and at x >= 8
             # no product of the band [-2, 2] overflows
-            exact = pairing_lhs(_lifted(p_op, 24), _lifted(q_op, 24), a_vals)
+            exact = pairing_lhs(_lifted(p_op, 24), _lifted(q_op, 24), a_vals, q)
             for row, ref_row, big_row in zip(got.rows, ref.rows, exact.rows):
                 for e, r, big in zip(row, ref_row, big_row):
                     assert (e.nums, e.den) == (r.nums, r.den)
@@ -445,11 +433,10 @@ def test_kernel_oracle_matches_the_per_trial_expansion(n, q):
     assert raised > 0
 
 
-def whole_factor_oracle(p_op, q_op, a_vals):
+def whole_factor_oracle(p_op, q_op, a_vals, q):
     """The oracle with both factors built at every degree, then multiplied."""
-    q, n = p_op.dparam, p_op.n
-    pk = {k: m.terms[0] for k, m in p_op.coeffs.items()}
-    gl = {l: m.terms[0] for l, m in q_op.coeffs.items()}
+    n, _ = band_shape(p_op, q_op)
+    pk, gl = p_op, q_op
     splus = exp_q_laurent(a_vals, q, N, +1)
     sminus = exp_q_laurent(a_vals, q, N, -1)
 
@@ -480,31 +467,31 @@ def _windowed_cases():
     avals = {1: [F(1)], 2: [F(1), F(-1)], 3: [F(1), F(-1), F(2)]}
     for q in QS:
         for n in (1, 2, 3):
-            yield q, avals[n], rnd_band_op(rng, n, q), rnd_band_op(rng, n, q)
+            yield q, avals[n], rnd_band_op(rng, n), rnd_band_op(rng, n)
         n = 2
         # only negative or only positive powers on either side
-        yield q, avals[n], rnd_band_op(rng, n, q, band=(-3, -1)), \
-            rnd_band_op(rng, n, q, band=(-2, 1))
-        yield q, avals[n], rnd_band_op(rng, n, q, band=(1, 3)), \
-            rnd_band_op(rng, n, q, band=(-3, -1))
-        yield q, avals[n], rnd_band_op(rng, n, q, band=(-2, 1)), \
-            rnd_band_op(rng, n, q, band=(0, 2))
+        yield q, avals[n], rnd_band_op(rng, n, band=(-3, -1)), \
+            rnd_band_op(rng, n, band=(-2, 1))
+        yield q, avals[n], rnd_band_op(rng, n, band=(1, 3)), \
+            rnd_band_op(rng, n, band=(-3, -1))
+        yield q, avals[n], rnd_band_op(rng, n, band=(-2, 1)), \
+            rnd_band_op(rng, n, band=(0, 2))
         # a Q power below -(order + 2): the left window reaches the guard
         # degrees of exp_q, stored as inexact zeros
-        deep = rnd_band_op(rng, n, q, powers=(-N - 3, -N - 1, 0))
-        yield q, avals[n], rnd_band_op(rng, n, q, band=(-1, N + 2)), deep
-        yield q, avals[3], rnd_band_op(rng, 3, q, powers=(N + 2,)), \
-            rnd_band_op(rng, 3, q, powers=(-N - 4,))
-        # one side with no stored coefficient
-        yield q, avals[n], QDOp(n, {}, q), rnd_band_op(rng, n, q)
-        yield q, avals[n], rnd_band_op(rng, n, q), QDOp(n, {}, q)
+        deep = rnd_band_op(rng, n, powers=(-N - 3, -N - 1, 0))
+        yield q, avals[n], rnd_band_op(rng, n, band=(-1, N + 2)), deep
+        yield q, avals[3], rnd_band_op(rng, 3, powers=(N + 2,)), \
+            rnd_band_op(rng, 3, powers=(-N - 4,))
+        # one side with an empty band
+        yield q, avals[n], {}, rnd_band_op(rng, n)
+        yield q, avals[n], rnd_band_op(rng, n), {}
 
 
 def test_windowed_oracle_matches_the_whole_factor_build():
     guarded = 0  # cases whose residue has an entry valid below the x-order
     for q, a_vals, p_op, q_op in _windowed_cases():
-        got = pairing_oracle(p_op, q_op, a_vals)
-        ref = whole_factor_oracle(p_op, q_op, a_vals)
+        got = pairing_oracle(p_op, q_op, a_vals, q)
+        ref = whole_factor_oracle(p_op, q_op, a_vals, q)
         assert got == ref
         valids = [[e.valid for e in row] for row in got.rows]
         assert valids == [[e.valid for e in row] for row in ref.rows]

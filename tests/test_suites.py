@@ -32,8 +32,8 @@ def run_checks(*names):
 def broken_oracle(monkeypatch):
     real = qop.pairing_oracle
 
-    def oracle(p, q_op, a_values, factors=None):
-        good = real(p, q_op, a_values, factors)
+    def oracle(p, g, a_values, q, factors=None):
+        good = real(p, g, a_values, q, factors)
         return good + type(good).identity(good.n, good.proto())
 
     monkeypatch.setattr(qop, "pairing_oracle", oracle)
@@ -206,8 +206,8 @@ def test_zero_pairings_are_computed_by_the_oracle(monkeypatch, name):
     # oracle broken on zero pairings fails the check
     real = qop.pairing_oracle
 
-    def oracle(p, q_op, a_values, factors=None):
-        good = real(p, q_op, a_values, factors)
+    def oracle(p, g, a_values, q, factors=None):
+        good = real(p, g, a_values, q, factors)
         return good + type(good).identity(good.n, good.proto()) if good.is_zero() else good
 
     monkeypatch.setattr(qop, "pairing_oracle", oracle)

@@ -36,16 +36,15 @@ def test_install_and_uninstall_leave_no_wrapper():
 
 
 def test_a_traced_solve_counts_the_calculus_kernels():
-    # the solvers reach the calculus through `QCalc`, whose methods call the
-    # module functions the tracer wraps; at q = 1 the solve integrates too
-    from qakns.calculus import QCalc
+    # the solvers reach the calculus through `LaxData`, whose methods call
+    # the module functions the tracer wraps; at q = 1 the solve integrates too
     from qakns.hierarchy import LaxData, solve_resolvent_direct
     from qakns.matseries import MatSeries
     from qakns.series import XSeries
 
     tracer = _tracer()
     x, z, o = XSeries.monomial(1, 1, 6), XSeries.zero(6), XSeries.one(6)
-    lax = LaxData([1, -1], MatSeries([[z, x], [o, z]]), QCalc(1, 6))
+    lax = LaxData([1, -1], MatSeries([[z, x], [o, z]]), 1)
     with tracer.Tracer().installed() as traced:
         solve_resolvent_direct(lax, 0, 3)
     metrics = traced.metrics()
