@@ -4,8 +4,10 @@ Entries only need the ring protocol: +, -, unary -, the sum-of-products
 kernel `dot`, is_zero(), zero_like(), one_like(). Matrices are immutable;
 every operation returns a fresh object. A matrix's exact-zero pattern is
 therefore decided once: `live` lists, per row, the columns whose entry is
-not an exact zero, computed on first use (`MatSeries.zero` is known to
-have none), and `is_zero_exact` reads it.
+not an exact zero, computed on first use by `dot` (`MatSeries.zero` is
+known to have none). `is_zero_exact` reads `live` once it is built;
+before that it scans only up to the first live entry, and keeps its
+verdict.
 
 `MatSeries.dot` sums block products with one ring `dot` per entry, over
 every block and inner index together, so each entry of a sum of products
@@ -24,21 +26,21 @@ from .series import XSeries
 
 
 class MatSeries:
-    __slots__ = ("rows", "_live")
+    __slots__ = ("rows", "_live", "_zero")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
-        self._live = None
+        self._live = self._zero = None
 
     @classmethod
     def _of(cls, rows: tuple) -> "MatSeries":
         """Internal constructor: `rows` is already a square tuple of tuples."""
         m = object.__new__(cls)
         m.rows = rows
-        m._live = None
+        m._live = m._zero = None
         return m
 
     # -- constructors --------------------------------------------------
@@ -107,7 +109,15 @@ class MatSeries:
 
     def is_zero_exact(self) -> bool:
         """Exactly the zero matrix, with nothing hidden beyond validity."""
-        return not any(self.live)
+        if self._live is not None:
+            return not any(self._live)
+        if self._zero is None:
+            self._zero = all(
+                e.is_zero() and e.is_exact for r in self.rows for e in r
+            )
+            if self._zero:
+                self._live = ((),) * len(self.rows)
+        return self._zero
 
     def map(self, fn) -> "MatSeries":
         return MatSeries._of(tuple(tuple(fn(e) for e in r) for r in self.rows))

@@ -312,7 +312,8 @@ def pairing_rhs(p: dict, g: dict, a_values, q) -> MatSeries:
 EXP_GUARD = 4
 
 
-def exp_q_laurent(a_values, q, order: int, sign: int = +1) -> MZSeries:
+def exp_q_laurent(a_values, q, order: int, sign: int = +1,
+                  top: int | None = None) -> MZSeries:
     """exp_q(z A x) (sign=+1) or exp_1/q(-z A x) (sign=-1) as a z-series.
 
     The z**j coefficient is the diagonal matrix ((sign*a_i)**j / [j]!) x**j,
@@ -320,19 +321,22 @@ def exp_q_laurent(a_values, q, order: int, sign: int = +1) -> MZSeries:
     sign=-1. Degrees just past the x truncation vanish inside the stored
     window but carry hidden tails, so `EXP_GUARD` of them are stored as
     inexact zeros: derivations then lose validity there instead of
-    silently claiming exactness.
+    silently claiming exactness. `top`, when given, keeps the degrees
+    j <= top only, each the one the whole expansion holds; the caller
+    must read no degree above it, where the result stores nothing.
     """
     base = frac(q) if sign > 0 else 1 / frac(q)
     proto = XSeries.zero(order)
+    last = order + EXP_GUARD if top is None else min(top, order + EXP_GUARD)
     series = [exp_q_series(sign * frac(a), base, order).coeffs for a in a_values]
     terms = {
         j: MatSeries.diag([XSeries.monomial(e[j], j, order) for e in series], proto)
-        for j in range(order + 1)
+        for j in range(min(last, order) + 1)
     }
     hidden = [proto.with_valid(order)] * len(a_values)
-    for j in range(order + 1, order + EXP_GUARD + 1):
+    for j in range(order + 1, last + 1):
         terms[j] = MatSeries.diag(hidden, proto)
-    return MZSeries(len(a_values), terms)
+    return MZSeries(len(a_values), terms, proto=proto)
 
 
 class OracleKernel:
@@ -344,19 +348,25 @@ class OracleKernel:
     k >= 0 (honest q-derivations), (zA)**k exp_q(zAx) for k < 0, and
     R_l = (-zA)**l exp_1/q(-zAx). R_l starts at degree l and L_k at
     min(0, k), so C(k, l) reads L_k up to -1 - l and R_l up to
-    -1 - min(0, k), and builds them only that far. Both exponentials are
-    expanded once per kernel, and each C(k, l) on first use. Every
+    -1 - min(0, k), and builds them only that far; both read the
+    exponentials up to degree -1 - l - min(0, k). `floor` is the lowest
+    power of D in either band, so both exponentials are expanded once per
+    kernel, through the degree -1 - floor - min(0, floor) that the band
+    reads and no further, and each C(k, l) on first use. A power below
+    the floor would read past that cut, and raises BandError. Every
     operation acts degree by degree, so each degree built, guard degrees
     included, is the one the whole expansion holds; C is diagonal, so it
     commutes with the diagonal factors it sums.
     """
 
-    def __init__(self, a_values, q, order: int):
+    def __init__(self, a_values, q, order: int, floor: int):
         self.a = [frac(a) for a in a_values]
         self.q = frac(q)
         self.order = order
-        self.splus = exp_q_laurent(a_values, q, order, +1)
-        self.sminus = exp_q_laurent(a_values, q, order, -1)
+        self.floor = floor
+        top = -1 - floor - min(0, floor)
+        self.splus = exp_q_laurent(a_values, q, order, +1, top)
+        self.sminus = exp_q_laurent(a_values, q, order, -1, top)
         self._c: dict[tuple[int, int], MatSeries] = {}
 
     def _za_power(self, k: int, sign: int) -> MZSeries:
@@ -382,6 +392,9 @@ class OracleKernel:
         """C(k, l) = res_z(L_k R_l), built on first use."""
         got = self._c.get((k, l))
         if got is None:
+            if min(k, l) < self.floor:
+                raise BandError(f"C({k}, {l}) reads past the exponentials of a "
+                                f"kernel built for the band floor {self.floor}")
             got = self._c[(k, l)] = self._residue(k, l)
         return got
 
@@ -396,11 +409,12 @@ def pairing_oracle(p: dict, g: dict, a_values, q, kernel=None) -> MatSeries:
     k + l = -1, so the kernel's vanishing off that line is exercised.
     Independent of the closed-form symbol sum in pairing_lhs: the two
     share only the dilation of g_l. A caller pairing many operators at
-    one a, q and x-order passes the kernel it built once.
+    one a, q and x-order passes the kernel it built once, for a floor at
+    or below every power of both bands.
     """
     q = frac(q)
     n, order = _band_size(p, g, a_values)
-    kernel = kernel or OracleKernel(a_values, q, order)
+    kernel = kernel or OracleKernel(a_values, q, order, min((*p, *g)))
     if (kernel.a, kernel.q, kernel.order) != ([frac(a) for a in a_values], q, order):
         raise ValueError("oracle kernel built at another a, q or x-order")
     if not p or not g:

@@ -14,11 +14,15 @@ The coefficients are held fraction-free: a tuple of integer numerators
 gcd(den, *nums) == 1 (and den == 1 for the zero series). Equal values
 therefore have equal representations. A sum of products is reduced once:
 `XSeries.dot` convolves every pair over the lcm of their denominators,
-and `*` is its one-pair case. `top` is the highest degree with a nonzero
-numerator (-1 for the zero series); it is computed once at construction
-and serves as the degree and as the exact-zero test, so a pair with a
-zero operand is not convolved. `coeffs` rebuilds the rational
-coefficients for reports and witnesses.
+and `*` is its one-pair case. The convolution runs term by term: each
+nonzero term of the shorter factor times each term of the other through
+its top, cut at the order, one integer multiply-add apiece. The operands
+are short, so a plain loop costs less than a slice update per term.
+`top` is the highest degree with a nonzero numerator (-1 for the zero
+series); it is computed once at construction and serves as the degree
+and as the exact-zero test, so a pair with a zero operand is not
+convolved. `coeffs` rebuilds the rational coefficients for reports and
+witnesses.
 """
 
 from __future__ import annotations
@@ -235,7 +239,7 @@ class XSeries:
         out = [0] * size
         top = -1
         for an, bn, ta, tb, d in live:
-            if ta > tb:  # one slice update per term of the shorter factor
+            if ta > tb:  # the outer loop runs over the shorter factor
                 an, bn, ta, tb = bn, an, tb, ta
             m = lcm // d
             for i in range(ta + 1):
@@ -243,8 +247,10 @@ class XSeries:
                 if x:
                     if m != 1:
                         x *= m
-                    hi = i + tb + 1 if i + tb < n else size
-                    out[i:hi] = map(add, out[i:hi], map(x.__mul__, bn[:hi - i]))
+                    k = i  # out[i + j] += x * bn[j], cut where i + j > n
+                    for y in bn[:tb + 1 if i + tb < n else size - i]:
+                        out[k] += x * y
+                        k += 1
             t = ta + tb if ta + tb < n else n
             if t > top:
                 top = t

@@ -107,10 +107,11 @@ class SuiteContext:
             list(cfg.a), cfg.q, self.tau_ctx))
 
     def oracle_factors(self, a_values) -> qop.OracleKernel:
-        """The pairing oracle's kernel at these a, one per run."""
+        """The pairing oracle's kernel at these a, one per run, cut at the
+        floor -PAIRING_BAND that every pairing check's bands stay above."""
         key = "oracle_factors:" + ",".join(map(str, a_values))
         return self.get(key, lambda: qop.OracleKernel(
-            a_values, self.cfg.q, self.cfg.n_x))
+            a_values, self.cfg.q, self.cfg.n_x, -PAIRING_BAND))
 
     def lambdas(self):
         return bl.lambda_pool(list(self.cfg.flows), self.cfg.lambda_max)

@@ -240,7 +240,11 @@ class TimePoly:
         return self._like({e: dot(g) for e, g in groups.items()}, self.tmax + 1)
 
     def invert(self) -> "TimePoly":
-        """Inverse in the t-truncated ring; the constant term must invert."""
+        """Inverse in the t-truncated ring; the constant term must invert.
+
+        The geometric sum stops only at an exact zero: a term that vanishes
+        inside its x-window still carries what the window leaves unknown.
+        """
         c0 = self.constant_term()
         c0_inv = c0.invert()
         rest = self - TimePoly.constant(c0, self.vars, self.tmax, self.xorder)
@@ -249,11 +253,12 @@ class TimePoly:
         term = self.one_like()
         for _ in range(self.tmax):
             term = -(term * nu)
-            if term.is_zero():
+            if term.is_zero() and term.is_exact:
                 break
             acc = acc + term
-        # the inverse of a t-exact t-constant stays polynomial in t
-        tvalid = upper_inverse(self.tmax, self.tvalid, rest.is_zero())
+        # the inverse of a t-exact t-constant stays polynomial in t; p is a
+        # t-constant when no monomial of positive degree is stored
+        tvalid = upper_inverse(self.tmax, self.tvalid, rest.top <= 0)
         return acc.scale_series(c0_inv).with_tvalid(tvalid)
 
     def with_tvalid(self, tvalid: int) -> "TimePoly":

@@ -139,9 +139,10 @@ def tfields(p):
 # -- operands ----------------------------------------------------------------
 
 
-def rnd_x(rng, order=N):
+def rnd_x(rng, order=N, big=False):
     """Zero (exact or not), constant, sparse, dense or a polynomial of
-    degree up to the order, with mixed denominators, exact or not."""
+    degree up to the order, with mixed denominators, exact or not; with
+    `big`, numerators and denominators run to some 80 bits."""
     kind = rng.randrange(6)
     if kind == 0:
         z = XSeries.zero(order)
@@ -151,6 +152,8 @@ def rnd_x(rng, order=N):
     for k in range(top + 1):
         if kind != 2 or rng.random() < 0.5 or k == top:
             cs[k] = F(rng.randint(-9, 9) or 1, rng.choice(DENS))
+            if big:
+                cs[k] *= F(rng.getrandbits(80) | 1, rng.getrandbits(72) | 1)
     s = XSeries(cs)
     return s if rng.random() < 0.6 else s.with_valid(rng.randint(-1, order))
 
@@ -182,23 +185,67 @@ def rnd_t(rng):
 
 def test_xseries_dot_matches_pairwise_loop():
     rng = random.Random(21)
-    seen = {"mixed dens": 0, "exact zero": 0, "inexact zero": 0,
-            "overflow": 0, "inexact": 0}
-    for _ in range(600):
-        pairs = [(rnd_x(rng), rnd_x(rng)) for _ in range(rng.randint(1, 6))]
-        got, ref = XSeries.dot(pairs), ref_xdot(pairs)
-        assert fields(got) == fields(ref), pairs
-        assert gcd(got.den, *got.nums) == 1
-        live = [(a, b) for a, b in pairs if a.top >= 0 and b.top >= 0]
-        seen["mixed dens"] += len({a.den * b.den for a, b in live}) > 1
-        for a, b in pairs:
-            for s in (a, b):
-                seen["exact zero"] += s.top < 0 and s.is_exact
-                seen["inexact zero"] += s.top < 0 and not s.is_exact
-            seen["overflow"] += (a.is_exact and b.is_exact and a.top >= 0
-                                 and b.top >= 0 and a.top + b.top > N)
-        seen["inexact"] += not ref.is_exact
-    assert all(v > 20 for v in seen.values()), seen
+    # the x-order of the operands, and whether their coefficients are wide
+    for order, big, trials in ((N, False, 600), (16, False, 300),
+                               (N, True, 300), (16, True, 300)):
+        seen = {"mixed dens": 0, "exact zero": 0, "inexact zero": 0,
+                "overflow": 0, "inexact": 0, "swapped": 0, "cut": 0,
+                "wide": 0}
+        for _ in range(trials):
+            pairs = [(rnd_x(rng, order, big), rnd_x(rng, order, big))
+                     for _ in range(rng.randint(1, 6))]
+            got, ref = XSeries.dot(pairs), ref_xdot(pairs)
+            assert fields(got) == fields(ref), pairs
+            assert gcd(got.den, *got.nums) == 1
+            live = [(a, b) for a, b in pairs if a.top >= 0 and b.top >= 0]
+            seen["mixed dens"] += len({a.den * b.den for a, b in live}) > 1
+            for a, b in pairs:
+                for s in (a, b):
+                    seen["exact zero"] += s.top < 0 and s.is_exact
+                    seen["inexact zero"] += s.top < 0 and not s.is_exact
+                seen["overflow"] += (a.is_exact and b.is_exact and a.top >= 0
+                                     and b.top >= 0 and a.top + b.top > order)
+            for a, b in live:
+                # the kernel runs over the shorter factor's nonzero terms,
+                # and cuts a term's products at the order
+                seen["swapped"] += a.top > b.top
+                short, tb = (b, a.top) if a.top > b.top else (a, b.top)
+                seen["cut"] += sum(1 for i, x in enumerate(short.nums)
+                                   if x and i + tb > order)
+                seen["wide"] += max(map(abs, a.nums + b.nums)).bit_length() > 64
+            seen["inexact"] += not ref.is_exact
+        assert all(v > 20 for k, v in seen.items() if k != "wide"), (order, seen)
+        assert (seen["wide"] > 20) == big, (order, seen)
+
+
+class Counted(int):
+    """An integer numerator that counts the products it takes part in."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        Counted.calls += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_xseries_dot_multiplies_over_the_shorter_factor():
+    # one product per nonzero term of the shorter factor and term of the
+    # other, cut at the order; the pairs share a denominator, so no term
+    # is scaled to the lcm. Looping over the longer factor gives the same
+    # sum, so only the count tells the two apart
+    def series(nums):
+        nums = tuple(map(Counted, nums))
+        return XSeries._raw(nums, 1, N + 1, max(k for k, v in enumerate(nums) if v))
+
+    dense = series([1, -2, 3, -4, 5, -6, 7])
+    sparse = series([0, 0, 0, 5, 0, 0, 0])  # shorter: top 3 < 6
+    for a, b in ((dense, sparse), (sparse, dense)):
+        Counted.calls = 0
+        got = XSeries.dot([(a, b)])
+        assert Counted.calls == N + 1 - 3  # the one term x**3, cut at x**N
+        assert got.nums == (0, 0, 0, 5, -10, 15, -20)
 
 
 def test_shared_rule_differs_from_the_earlier_xseries_rule_only_on_an_exact_zero():

@@ -278,7 +278,7 @@ def test_warm_kernel_trial_forms_one_contraction(monkeypatch):
     q = F(2)
     p_op = rnd_band_op(rng, 2)
     q_op = rnd_band_op(rng, 2)
-    kernel = OracleKernel([1, -1], q, N)
+    kernel = OracleKernel([1, -1], q, N, -2)
     pairing_oracle(p_op, q_op, [1, -1], q, kernel)  # builds every C(k, l)
     calls = []
     dot = MatSeries.dot
@@ -325,13 +325,40 @@ def test_kernel_is_the_paired_inverse(q):
     # C(k, l) = res_z((zA)**k exp_q(zAx) (-zA)**l exp_1/q(-zAx)) is
     # delta_(k+l,-1) (-1)**l A**-1, since exp_q(zAx) exp_1/q(-zAx) = 1
     a_vals = [F(1), F(-1), F(2)]
-    kernel = OracleKernel(a_vals, q, N)
+    kernel = OracleKernel(a_vals, q, N, -2)
     proto = XSeries.one(N)
     for k in range(-2, 3):
         for l in range(-2, 3):
             expect = (MatSeries.diag_const([F(-1) ** l / a for a in a_vals], proto)
                       if k + l == -1 else MatSeries.zero(3, proto))
             assert kernel.coeff(k, l) == expect, (k, l)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_kernel_cut_at_its_band_matches_the_whole_expansion(order):
+    # the kernel expands both exponentials only through the z-degree its
+    # band floor reads; every C(k, l) is the whole expansion's, and a power
+    # below the floor, which would read past the cut, is refused
+    q, a_vals, floor = F(-3, 2), [F(1), F(-2)], -4
+    kernel = OracleKernel(a_vals, q, order, floor)
+    whole = OracleKernel(a_vals, q, order, floor)
+    whole.splus = exp_q_laurent(a_vals, q, order, +1)
+    whole.sminus = exp_q_laurent(a_vals, q, order, -1)
+    reach = -1 - 2 * floor
+    assert max(kernel.splus.terms) == max(kernel.sminus.terms) == reach
+    assert max(whole.splus.terms) > reach
+    for k in range(-4, 5):
+        for l in range(-4, 5):
+            assert kernel.coeff(k, l) == whole.coeff(k, l), (order, k, l)
+    for k, l in ((-5, 0), (0, -5), (-5, -5)):
+        with pytest.raises(BandError, match="band floor -4"):
+            kernel.coeff(k, l)
+    # the band [-2, 2] of the pairing checks reads degrees 0..3, and a band
+    # above zero reads none: its C(k, l) are zeros from no stored degree
+    assert sorted(OracleKernel(a_vals, q, order, -2).splus.terms) == [0, 1, 2, 3]
+    above = OracleKernel(a_vals, q, order, 1)
+    assert not above.splus.terms and not above.sminus.terms
+    assert above.coeff(1, 2) == whole.coeff(1, 2)
 
 
 def _sum_by_degree(n, proto, parts):
@@ -408,7 +435,7 @@ def test_kernel_oracle_matches_the_per_trial_expansion(n, q):
     raised = 0  # entries the per-trial expansion left at valid = x-order
     for order in (4, 5, 6, 8, 16):
         rng = random.Random(order * 10 + n)
-        kernel = OracleKernel(a_vals, q, order)
+        kernel = OracleKernel(a_vals, q, order, -2)
         for _ in range(3):
             p_op = _random_band_op(rng, n, order)
             q_op = _random_band_op(rng, n, order)

@@ -300,6 +300,11 @@ def test_matseries_exact_zero_is_decided_once(monkeypatch):
     for _ in range(3):
         assert not hidden.is_zero_exact()
         assert exact.is_zero_exact()
-    assert scans[0] == 4 + 4  # one scan per matrix, of every entry
+    # one scan per matrix: the hidden zero stops it at the second entry,
+    # and the exact zero reads every entry once
+    assert scans[0] == 2 + 4
     assert hidden.live == ((1,), ()) and exact.live == ((), ())
+    # `live` scans the hidden zero's four entries; the exact zero's came
+    # with its verdict
+    assert scans[0] == 6 + 4
     assert not (exact + MatSeries.identity(2, one)).is_zero_exact()

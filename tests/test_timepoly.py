@@ -147,6 +147,23 @@ def test_invert_of_a_t_constant_reads_only_the_t_window():
     assert p.with_tvalid(3).invert().tvalid == 3
 
 
+def test_invert_keeps_a_term_that_vanishes_only_inside_its_window():
+    # p = 1 + t*r with r zero only through x**3: the t-coefficient of 1/p
+    # is -r, unknown above x**3, so the inverse is neither exact nor a
+    # t-constant, and each power of t keeps r's x-window
+    vars_, tmax = ((1, 0),), 3
+    r = XSeries.zero(N).with_valid(3)
+    t = TimePoly.variable((1, 0), vars_, tmax, N)
+    p = TimePoly.constant(1, vars_, tmax, N) + t.scale_series(r)
+    inv = p.invert()
+    assert not inv.is_exact and inv.tvalid == tmax
+    assert sorted(inv.terms) == [(0,), (1,), (2,), (3,)]
+    for d in (1, 2, 3):
+        c = inv.terms[(d,)]
+        assert c.is_zero() and c.valid == 3
+    assert (p * inv - TimePoly.constant(1, vars_, tmax, N)).is_zero()
+
+
 def test_coefficient_x_validity_propagates():
     t = var((1, 0))
     limited = const(1).map_coeffs(lambda s: s.with_valid(2))
