@@ -1,9 +1,9 @@
 """Exact-arithmetic engine for the q-deformed AKNS-D hierarchy.
 
-Truncated series carriers (XSeries, MatSeries, MZSeries, TimePoly),
-finite-band q-difference operators with q-Leibniz composition, the
-residue pairing of band matrices, dressing and resolvent solvers,
-bilinear residue checks, tau-function shifts, and a reporting CLI.
+Truncated series carriers (XSeries, MatSeries, MZSeries, TimePoly), the
+residue pairing of q-difference operators by their band matrices,
+dressing and resolvent solvers, bilinear residue checks, tau-function
+shifts, and a reporting CLI.
 Everything computes over exact rationals; identities hold with
 tolerance zero up to the tracked truncation validity.
 
@@ -35,13 +35,7 @@ from .hierarchy import (
     verify_zero_curvature,
 )
 from .matseries import MatSeries
-from .qop import (
-    QDOp,
-    pairing_lhs,
-    pairing_oracle,
-    pairing_rhs,
-    q_commutator,
-)
+from .qop import pairing_lhs, pairing_oracle, pairing_rhs
 from .scalars import frac, frac_str
 from .series import XSeries
 from .timepoly import TimePoly
@@ -64,8 +58,7 @@ __all__ = [
     "LaxData", "ResonanceError", "b_split", "resolvent_from_dressing",
     "solve_dressing", "solve_resolvent_direct", "u_flow", "verify_resolvent",
     "verify_zero_curvature",
-    "MatSeries", "QDOp", "pairing_lhs", "pairing_oracle", "pairing_rhs",
-    "q_commutator",
+    "MatSeries", "pairing_lhs", "pairing_oracle", "pairing_rhs",
     "frac", "frac_str", "XSeries", "TimePoly",
     "TauSpec", "TimeContext", "baker_from_tau", "classical_limit_check",
     "miwa_shift", "q_shift_times", "verify_expqo", "verify_tau_theorem",

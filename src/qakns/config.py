@@ -63,24 +63,19 @@ class RunConfig:
 
     # -- derived builders -------------------------------------------------
 
-    def _u_matrix(self, entries) -> MatSeries:
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                row.append(XSeries.poly(list(entries[i][j]), self.n_x))
-            rows.append(row)
-        return MatSeries(rows)
+    def _lax(self, entries, classical: bool) -> LaxData:
+        u = MatSeries([[XSeries.poly(list(entries[i][j]), self.n_x)
+                        for j in range(self.n)] for i in range(self.n)])
+        return LaxData(list(self.a), u, 1 if classical else self.q)
 
     def lax(self, classical: bool = False) -> LaxData:
         """The configured Lax datum, or its classical counterpart (q = 1)."""
-        return LaxData(list(self.a), self._u_matrix(self.u),
-                       1 if classical else self.q)
+        return self._lax(self.u, classical)
 
     def bilinear_lax(self, classical: bool = False) -> LaxData:
-        entries = self.bilinear_u if self.bilinear_u is not None else self.u
-        return LaxData(list(self.a), self._u_matrix(entries),
-                       1 if classical else self.q)
+        """The Lax datum of the bilinear checks: `bilinear_u`, else `u`."""
+        return self._lax(self.u if self.bilinear_u is None else self.bilinear_u,
+                         classical)
 
     def required_resolvent_depth(self) -> int:
         k_top = max((k for k, _ in self.flows), default=1)
@@ -345,8 +340,6 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
     # model invariants, with messages naming the violated condition
     if len(cfg.a) != cfg.n:
         raise ConfigError(f"a must have n = {cfg.n} entries, got {len(cfg.a)}")
-    if len(set(cfg.a)) != cfg.n:
-        raise ConfigError("eigenvalues must be distinct (a_i != a_j)")
     try:
         check_q(cfg.q, cfg.n_x)
         cfg.lax()

@@ -1,19 +1,12 @@
-"""Finite-band q-(pseudo-)difference operators and the residue pairing.
+"""The residue pairing of two q-(pseudo-)difference operators.
 
-An operator is a finite sum of powers of the q-derivative D at dilation
-parameter `dparam`, with matrix Laurent-series coefficients on the left.
-Composition uses the q-Leibniz rule; negative powers expand term by term
-from the inversion of that rule and are truncated at a caller-supplied
-band floor, with `pvalid` recording the lowest exactly-known power.
-`compose` and `q_commutator` are the reference that the tests check
-`hierarchy.commutation_residual` against.
-
-The residue pairing of a pair (P, Q) against an invertible diagonal A
-reads only the z-free band coefficients of P and Q, so each route takes
-them as maps {power: MatSeries}, p for P and g for Q, together with the
-one q of both. It is computed on three routes, each forming only the
-products that reach the residue. The pairing checks compare the first
-and the third; no check calls the second:
+An operator P = sum_k p_k D**k, D the q-derivative, enters the pairing
+against an invertible diagonal A only through its z-free band matrices
+p_k, so each route takes them as maps {power: MatSeries}, p for P and g
+for Q, together with the one q of both. The pairing is computed on three
+routes, each forming only the products that reach the residue. The
+pairing checks compare the first and the third; no check calls the
+second:
 
 * `pairing_lhs`, the closed symbol sum over the powers k + l = -1, one
   `MatSeries.dot` with A**-1 and the sign folded into p_k's columns --
@@ -46,192 +39,11 @@ from .calculus import dilate, exp_q_series, q_derive
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
-from .window import NEG_INF, add_terms, lower_terms, product_floor
 from .zseries import MZSeries
 
 
 class BandError(ValueError):
     """Operator band violates an operation's requirements."""
-
-
-def _dilate_mz(m: MZSeries, c) -> MZSeries:
-    return m.map_entries(lambda s: dilate(s, c))
-
-
-def _derive_mz(m: MZSeries, c) -> MZSeries:
-    return m.map_entries(lambda s: q_derive(s, c))
-
-
-class QDOp:
-    """Sum of coefficient * D**power with the coefficients on the left."""
-
-    __slots__ = ("n", "coeffs", "dparam", "pvalid")
-
-    def __init__(self, n: int, coeffs: dict, dparam, pvalid=NEG_INF):
-        self.n = n
-        self.dparam = frac(dparam)
-        if any(m.n != n for m in coeffs.values()):
-            raise ValueError("dimension mismatch")
-        self.coeffs = lower_terms(coeffs, pvalid)
-        self.pvalid = pvalid
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_mz(m: MZSeries, dparam) -> "QDOp":
-        """A multiplication operator (power zero)."""
-        return QDOp(m.n, {0: m}, dparam)
-
-    @staticmethod
-    def basis_power(n: int, power: int, dparam, proto) -> "QDOp":
-        """I * D**power."""
-        return QDOp(n, {power: MZSeries.identity(n, proto)}, dparam)
-
-    # -- structure --------------------------------------------------------
-
-    def band(self) -> tuple[int, int] | None:
-        if not self.coeffs:
-            return None
-        return min(self.coeffs), max(self.coeffs)
-
-    def top(self) -> int | float:
-        return max(self.coeffs) if self.coeffs else self.pvalid
-
-    def coeff(self, p: int) -> MZSeries:
-        got = self.coeffs.get(p)
-        if got is not None:
-            return got
-        return MZSeries.zero(self.n, self._proto())
-
-    def _proto(self):
-        for m in self.coeffs.values():
-            if m.proto is not None:
-                return m.proto
-        return None
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.coeffs.values())
-
-    def map_coeffs(self, fn) -> "QDOp":
-        return QDOp(
-            self.n, {p: fn(m) for p, m in self.coeffs.items()}, self.dparam, self.pvalid
-        )
-
-    def _check(self, other: "QDOp"):
-        if self.n != other.n or self.dparam != other.dparam:
-            raise BandError("operators live in different basis algebras")
-
-    # -- linear arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "QDOp") -> "QDOp":
-        self._check(other)
-        out = add_terms(self.coeffs, other.coeffs)
-        return QDOp(self.n, out, self.dparam, max(self.pvalid, other.pvalid))
-
-    def __sub__(self, other: "QDOp") -> "QDOp":
-        return self + (-other)
-
-    def __neg__(self) -> "QDOp":
-        return self.map_coeffs(lambda m: -m)
-
-    # -- composition ------------------------------------------------------------
-
-    def _shift_through(self, m: MZSeries, power: int, floor) -> tuple[dict, bool]:
-        """Normal form of D**power o m as ({power offset: coefficient}, lost).
-
-        For power >= 0 this is the exact q-Leibniz expansion; for
-        power < 0 the expansion of the inverted rule, truncated at the
-        given offset floor. `lost` reports whether a nonzero tail was cut.
-        """
-        c = self.dparam
-        out = {0: m}
-        if power >= 0:
-            for _ in range(power):
-                nxt: dict[int, MZSeries] = {}
-                for s, g in out.items():
-                    up = _dilate_mz(g, c)
-                    stay = _derive_mz(g, c)
-                    cur = nxt.get(s + 1)
-                    nxt[s + 1] = up if cur is None else cur + up
-                    cur = nxt.get(s)
-                    if not stay.is_zero_exact():
-                        nxt[s] = stay if cur is None else cur + stay
-                out = nxt
-            return out, False
-        # negative power: apply D**-1 o (.) repeatedly
-        cinv = 1 / c
-        lost = False
-        for _ in range(-power):
-            nxt = {}
-            for s, g in out.items():
-                term = _dilate_mz(g, cinv)
-                shift = s - 1
-                while True:
-                    if shift < floor:
-                        if not (term.is_zero() and term.is_exact):
-                            lost = True
-                        break
-                    cur = nxt.get(shift)
-                    nxt[shift] = term if cur is None else cur + term
-                    term = -_dilate_mz(_derive_mz(term, c), cinv)
-                    if term.is_zero_exact():
-                        break
-                    shift -= 1
-            out = nxt
-        return out, lost
-
-    def compose(self, other: "QDOp", floor: int | None = None) -> "QDOp":
-        """Operator product self o other, truncated at band floor."""
-        self._check(other)
-        if floor is None:
-            bs, bo = self.band(), other.band()
-            floor = min(0, (bs[0] if bs else 0) + (bo[0] if bo else 0))
-        out: dict[int, MZSeries] = {}
-        truncated = False
-        for i, p in self.coeffs.items():
-            for j, g in other.coeffs.items():
-                expansion, lost = self._shift_through(g, i, floor - j)
-                truncated = truncated or lost
-                for s, coefmat in expansion.items():
-                    power = s + j
-                    if power < floor:
-                        continue
-                    term = p * coefmat
-                    cur = out.get(power)
-                    out[power] = term if cur is None else cur + term
-        pv = product_floor(self.pvalid, self.top(), other.pvalid, other.top())
-        if truncated:
-            pv = max(pv, floor)
-        return QDOp(self.n, out, self.dparam, pv)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "QDOp(0)"
-        parts = [f"[{m!r}]*D^{p}" for p, m in sorted(self.coeffs.items())]
-        return " + ".join(parts) + f" @c={self.dparam}"
-
-
-def q_commutator(a, b, floor: int | None = None) -> QDOp:
-    """[a, b]_q = (D a) o b - b o a with D acting on a's coefficients.
-
-    Either operand may be a multiplication by an MZSeries; the other one
-    then fixes the dilation parameter.
-    """
-    if isinstance(a, MZSeries) and isinstance(b, MZSeries):
-        raise BandError(
-            "q_commutator of two MZSeries: neither operand fixes the "
-            "dilation parameter"
-        )
-    if isinstance(a, MZSeries):
-        a = QDOp.from_mz(a, b.dparam)
-    if isinstance(b, MZSeries):
-        b = QDOp.from_mz(b, a.dparam)
-    a._check(b)
-    da = a.map_coeffs(lambda m: _dilate_mz(m, a.dparam))
-    return da.compose(b, floor) - b.compose(a, floor)
-
-
-# -- the residue pairing -------------------------------------------------------
 
 
 def _band_size(p: dict, g: dict, a_values) -> tuple[int, int]:
@@ -381,7 +193,7 @@ class OracleKernel:
         got = MZSeries(s.n, {d: m for d, m in s.terms.items() if d <= hi},
                        s.zvalid, s.proto)
         for _ in range(k):
-            got = _derive_mz(got, self.q)
+            got = got.map_entries(lambda e: q_derive(e, self.q))
         return got
 
     def _residue(self, k: int, l: int) -> MatSeries:

@@ -8,8 +8,8 @@ operation. There are two directions.
   `XSeries.valid` in the x-degree, `TimePoly.tvalid` in the total
   t-degree. v == cap + 1 marks an exact carrier, with nothing discarded
   above the cap.
-* A lower window, degrees >= f: `MZSeries.zvalid` in the z-degree,
-  `QDOp.pvalid` in the power of D. f == -inf marks an exact carrier.
+* A lower window, degrees >= f: `MZSeries.zvalid` in the z-degree.
+  f == -inf marks an exact carrier.
 
 `top` is a carrier's highest stored degree: -1 for an empty upper carrier,
 and the floor itself for an empty lower one. An empty exact carrier is an

@@ -10,10 +10,9 @@ zvalid = -infinity.
 Multiplication propagates the bound: a product is exact at degree d once
 no unknown coefficient of either factor can reach d, which gives
     zvalid = max(a.zvalid + top(b), b.zvalid + top(a)).
-That is `window.product_floor`, the lower-window rule that operator
-composition (`QDOp.pvalid`) shares; `product`, which computes a window
-of a product, inherits it from the whole product; `product_coeff` is its
-one-degree window.
+That is `window.product_floor`, the lower-window rule; `product`, which
+computes a window of a product, inherits it from the whole product;
+`product_coeff` is its one-degree window.
 `derive_through` is the one q-Leibniz reduction that the residue and
 zero-curvature checks rest on.
 """

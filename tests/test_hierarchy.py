@@ -31,7 +31,6 @@ from qakns.hierarchy import (
     verify_zero_curvature,
 )
 from qakns.matseries import MatSeries
-from qakns.qop import QDOp, q_commutator
 from qakns.report import nonzero
 from qakns.scalars import AdmissibilityError
 from qakns.series import XSeries
@@ -449,20 +448,24 @@ def test_u_flow_equals_minus_bbar_commutator():
     assert (via_b - via_bbar).is_zero()
 
 
-def test_u_flow_band_structure_via_operator_algebra():
-    # the derivation-band part of [B, L]_q cancels identically: verified
-    # on the honest operator composition, not just by construction
-    lax = lax_const()
-    session = HierarchySession(lax)
-    r = session.resolvent(0, 6)
-    b, _ = b_split(r, 2)
-    l_op = QDOp(2, {1: MZSeries.identity(2, lax.proto().one_like()),
-                    0: lax.u_minus_za()}, lax.q)
-    com = q_commutator(b, l_op, -4)
-    for power, coeff in com.coeffs.items():
-        if power != 0:
-            assert coeff.is_zero()
-    assert (com.coeff(0) + commutation_residual(lax, b)).is_zero()
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("make", [lax_const, lax_x])
+def test_commutation_residual_is_the_literal_bracket(q, make):
+    # the residual against D B - sigma(B)(U - zA) + (U - zA) B written out
+    # with whole products and the defining quotient for D; on the
+    # x-dependent U, sigma is not the identity, so the twist is exercised
+    lax = make(q)
+    m = lax.u_minus_za()
+    r = HierarchySession(lax).resolvent(0, 6)
+    for k in (1, 2):
+        b, _ = b_split(r, k)
+        db = b.map_entries(lambda e: calculus.q_derive_by_quotient(e, q))
+        sb = b.map_entries(lambda e: calculus.dilate(e, q))
+        literal = db - sb * m + m * b
+        residual = commutation_residual(lax, b)
+        assert not any(nonzero([((), residual - literal)]))
+        if make is lax_x:
+            assert not residual.is_zero()
 
 
 def test_resolvent_flow_properties():
