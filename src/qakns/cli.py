@@ -13,13 +13,15 @@ from .config import ConfigError, demo_config, load_config
 from .report import emit_report
 from .suites import run_suite
 
-VERB_PREFIXES = {
-    "verify": None,
-    "dressing": ["dressing."],
-    "resolvent": ["hierarchy.", "classical.qr_residual"],
-    "bilinear": ["bilinear."],
-    "tau": ["tau."],
-    "demo": None,
+# verb -> (help, the check-name prefixes it runs; None runs every check)
+VERBS = {
+    "verify": ("run the full suite", None),
+    "dressing": ("dressing factorization and route agreement", ["dressing."]),
+    "resolvent": ("resolvent, flow, and zero-curvature checks",
+                  ["hierarchy.", "classical.qr_residual"]),
+    "bilinear": ("bilinear residue checks", ["bilinear."]),
+    "tau": ("tau-function suite", ["tau."]),
+    "demo": ("run everything on the built-in example", None),
 }
 
 
@@ -33,14 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, help_text in [
-        ("verify", "run the full suite"),
-        ("dressing", "dressing factorization and route agreement"),
-        ("resolvent", "resolvent, flow, and zero-curvature checks"),
-        ("bilinear", "bilinear residue checks"),
-        ("tau", "tau-function suite"),
-        ("demo", "run everything on the built-in example"),
-    ]:
+    for verb, (help_text, _) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         # demo runs the built-in example: a config there would go unread
         if verb != "demo":
@@ -70,7 +65,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, args.inject_corruption)
         if args.check:
             cfg = type(cfg)(**{**cfg.__dict__, "checks": tuple(args.check)})
-        report = run_suite(cfg, VERB_PREFIXES.get(args.verb))
+        report = run_suite(cfg, VERBS[args.verb][1])
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

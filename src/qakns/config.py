@@ -142,8 +142,14 @@ def _parse_u(raw, n: int, n_x: int, label: str):
     return tuple(out)
 
 
-def _parse_monomials(raw, arity: int, n_t: int, label: str):
-    """Monomials of total degree <= n_t, one exponent per tau variable."""
+def _parse_monomials(raw, order, n_t: int, label: str):
+    """Monomials of total degree <= n_t, one exponent per tau variable.
+
+    The exponents come in the order the file lists the variables; `order`
+    lists, for each sorted variable, its place in the file, and the
+    exponents are returned in the sorted order.
+    """
+    arity = len(order)
     out = []
     for i, item in enumerate(_list(raw, label)):
         item = _known(_object(item, f"{label}[{i}]"), _MONOMIAL_FIELDS,
@@ -161,7 +167,8 @@ def _parse_monomials(raw, arity: int, n_t: int, label: str):
                 f"{field} has total degree {sum(e)}, above truncations.t = {n_t}"
             )
         coeff = f"{label}[{i}].coeff"
-        out.append((e, _rational(_required(item, "coeff", coeff), coeff)))
+        out.append((tuple(e[k] for k in order),
+                    _rational(_required(item, "coeff", coeff), coeff)))
     return tuple(out)
 
 
@@ -294,9 +301,10 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
                 _required(traw, "variables", "tau.variables"), "tau.variables"
             )
             # the Miwa shift t_k -> t_k - z**-k / k divides by the order
-            variables = tuple(sorted(
-                _parse_flow(p, n, "tau.variables", least=1) for p in raw_vars
-            ))
+            listed = [_parse_flow(p, n, "tau.variables", least=1)
+                      for p in raw_vars]
+            order = sorted(range(len(listed)), key=listed.__getitem__)
+            variables = tuple(listed[k] for k in order)
             if not variables:
                 raise ConfigError("tau.variables must name at least one time")
             if len(set(variables)) != len(variables):
@@ -304,8 +312,8 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
                     f"tau.variables must be distinct, got {raw_vars!r}"
                 )
             monomials = _parse_monomials(
-                _required(traw, "monomials", "tau.monomials"), len(variables),
-                n_t, "tau.monomials",
+                _required(traw, "monomials", "tau.monomials"), order, n_t,
+                "tau.monomials",
             )
             if sum(c for e, c in monomials if not any(e)) == 0:
                 raise ConfigError(
@@ -315,7 +323,7 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             raw_companions = _object(traw.get("companions", {}), "tau.companions")
             companions = {
                 _companion_key(key, n): _parse_monomials(
-                    mons, len(variables), n_t, f"tau.companions[{key!r}]"
+                    mons, order, n_t, f"tau.companions[{key!r}]"
                 )
                 for key, mons in raw_companions.items()
             }

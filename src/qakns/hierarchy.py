@@ -14,18 +14,19 @@ flow pair from one table over the channel family.
 All solvers run against the q of their `LaxData`; at q = 1 it is the
 classical structure, so the classical hierarchy is the same code path.
 Both order-by-order solvers take one step, `_next_order`: with
-F = mult(prev) - D prev, solve (D w)A - A w = F. Off-diagonal entries
-invert coefficient-wise with eigenvalues a_j*sigma(m) - a_i, which
-non-resonance keeps nonzero; the `LaxData` holds their reciprocals, one
-table per (j, i), built on first use, so no module state outlives a
-datum.
-Diagonals differ by structure, and that step is the only place they do:
+F = mult(prev) - D prev, solve (D w)A - A w = F and build w once. Each
+off-diagonal entry divides F's coefficient-wise by the eigenvalues
+a_j*sigma(m) - a_i (`_divide_by_eigs`), which non-resonance keeps
+nonzero; the `LaxData` holds their reciprocals, one table per (j, i),
+built on first use, so no module state outlives a datum. The step reads
+the structure only for the diagonal:
 
-* q-structure: a_i(D - 1) is invertible off constants; the constant part
-  of F's diagonal must vanish or no series solution exists at all (the
-  dilation structure, unlike integration, cannot absorb constants). For
-  dressings this genuinely fails on generic inputs; the error is raised,
-  not papered over.
+* q-structure: a_i(D - 1) is invertible off constants, so the diagonal
+  divides too, by a_i(sigma(m) - 1); the constant part of F's diagonal
+  must vanish or no series solution exists at all (the dilation
+  structure, unlike integration, cannot absorb constants). For dressings
+  this genuinely fails on generic inputs; the error is raised, not
+  papered over.
 * classical structure (q = 1): the diagonal of F must vanish identically
   and the diagonal of the solution comes from the next order's
   consistency, by integrating the diagonal of mult(w) with zero constant.
@@ -189,62 +190,38 @@ def _divide_by_eigs(lax: LaxData, src: XSeries, j: int, i: int) -> XSeries:
     return XSeries.from_ints(out, src.den * den, src.valid, len(known) - 1)
 
 
-def _solve_offdiag(lax: LaxData, F: MatSeries) -> MatSeries:
-    """Off-diagonal part of (D w)A - A w = F, coefficient by coefficient."""
-    n = lax.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(XSeries.zero(lax.order))
-                continue
-            row.append(_divide_by_eigs(lax, F[i, j], j, i))
-        rows.append(row)
-    return MatSeries(rows)
-
-
-def _solve_diag_q(lax: LaxData, F: MatSeries, context: str) -> list[XSeries]:
-    """Diagonal part under the q-structure: invert a_i (D - 1), zero constant."""
-    out = []
-    for i in range(lax.n):
-        src = F[i, i]
-        if any(src.known[:1]):
-            raise DiagonalConsistencyError(
-                f"{context}: diagonal equation {i+1} has constant source "
-                f"{src.constant_term()}; a_i(D-1) cannot produce constants"
-            )
-        out.append(_divide_by_eigs(lax, src, i, i))
-    return out
-
-
-def _with_diag(mat: MatSeries, diag) -> MatSeries:
-    rows = [list(r) for r in mat.rows]
-    for i, d in enumerate(diag):
-        rows[i][i] = d
-    return MatSeries(rows)
-
-
 def _next_order(lax: LaxData, prev: MatSeries, mult, context: str) -> MatSeries:
     """The next order w: (D w)A - A w = F with F = mult(prev) - D prev.
 
-    `mult` is the solver's multiplication part. Classically F's diagonal
-    must vanish and w's diagonal integrates that of mult(w); under the
-    q-structure it inverts a_i(D - 1) against F's diagonal.
+    `mult` is the solver's multiplication part. Only the diagonal reads
+    the structure: classically F's diagonal must vanish and w's integrates
+    that of mult(w); under the q-structure F's diagonal must have no
+    constant term and w's divides it by a_i(sigma(m) - 1).
     """
+    n = lax.n
     F = mult(prev) - prev.map(lax.derive)
-    w = _solve_offdiag(lax, F)
+    zero = lax.proto()
+    rows = [[zero if i == j else _divide_by_eigs(lax, F[i, j], j, i)
+             for j in range(n)] for i in range(n)]
     if lax.classical:
-        for i in range(lax.n):
+        for i in range(n):
             if not F[i, i].is_zero():
                 raise DiagonalConsistencyError(
                     f"{context}: diagonal source {i+1} must vanish, got {F[i, i]!r}"
                 )
-        src = mult(w)
-        diag = [lax.antiderive(src[i, i]) for i in range(lax.n)]
+        # u_ii = 0, so mult(w)'s diagonal does not read w's
+        src = mult(MatSeries(rows))
+        for i in range(n):
+            rows[i][i] = lax.antiderive(src[i, i])
     else:
-        diag = _solve_diag_q(lax, F, context)
-    return _with_diag(w, diag)
+        for i in range(n):
+            if any(F[i, i].known[:1]):
+                raise DiagonalConsistencyError(
+                    f"{context}: diagonal equation {i+1} has constant source "
+                    f"{F[i, i].constant_term()}; a_i(D-1) cannot produce constants"
+                )
+            rows[i][i] = _divide_by_eigs(lax, F[i, i], i, i)
+    return MatSeries(rows)
 
 
 def solve_dressing(lax: LaxData, depth: int) -> Dressing:

@@ -14,7 +14,7 @@ from .window import determined
 
 @dataclass
 class CheckResult:
-    name: str
+    name: str = ""
     params: dict = field(default_factory=dict)
     status: str = "pass"            # pass | fail | error
     max_degree_verified: dict = field(default_factory=dict)

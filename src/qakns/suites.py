@@ -88,6 +88,13 @@ class SuiteContext:
         )
 
     @property
+    def corrupted(self) -> hy.Dressing:
+        """The dressing with `bl.inject_corruption` applied, which every
+        check of a --inject-corruption run reads."""
+        return self.get("corrupted",
+                        lambda: bl.inject_corruption(self.dressing, "1/3"))
+
+    @property
     def family(self):
         depth = self.cfg.required_resolvent_depth()
         return self.get("family", lambda: self.session.family(depth))
@@ -138,16 +145,15 @@ def _sample_series(order: int, seed: int):
 _PASS = object()
 
 
-def _result(name, params, failures=(), degrees=None) -> CheckResult:
+def _result(params, failures=(), degrees=None) -> CheckResult:
     """Pass when `failures` yields nothing; otherwise its first item is the witness.
 
     Checks hand in generators, so a failing check stops at its first failure
-    and a passing one does all of its work.
+    and a passing one does all of its work. `run_suite` names the result.
     """
     witness = next(iter(failures), _PASS)
     ok = witness is _PASS
     return CheckResult(
-        name=name,
         params=params,
         status="pass" if ok else "fail",
         max_degree_verified=degrees or {},
@@ -180,10 +186,7 @@ def check_power_additivity(ctx: SuiteContext) -> CheckResult:
                 closed = XSeries.poly(closed_coeffs, cfg.n_x).with_valid(cfg.n_x - p)
                 yield p, stepped - closed
 
-    return _result(
-        "qcalc.power_additivity", {"q": str(q)}, nonzero(residuals()),
-        {"x": cfg.n_x - 4},
-    )
+    return _result({"q": str(q)}, nonzero(residuals()), {"x": cfg.n_x - 4})
 
 
 def check_leibniz_forms(ctx: SuiteContext) -> CheckResult:
@@ -200,8 +203,7 @@ def check_leibniz_forms(ctx: SuiteContext) -> CheckResult:
                     f * q_derive(g, q) + q_derive(f, q) * dilate(g, q)
                 )
 
-    return _result("qcalc.leibniz_forms", {"q": str(q)}, nonzero(residuals()),
-                   {"x": cfg.n_x - 1})
+    return _result({"q": str(q)}, nonzero(residuals()), {"x": cfg.n_x - 1})
 
 
 def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
@@ -213,8 +215,7 @@ def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
             e = exp_q_series(c, q, cfg.n_x)
             yield str(c), q_derive(e, q) - e.scale(c)
 
-    return _result("qcalc.expq_eigenvalue", {"q": str(q)},
-                   nonzero(residuals()), {"x": cfg.n_x - 1})
+    return _result({"q": str(q)}, nonzero(residuals()), {"x": cfg.n_x - 1})
 
 
 def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
@@ -222,8 +223,7 @@ def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
     args = [(k, tau_mod.q_shift_coeff(k, q)) for k in range(1, cfg.n_x + 1)]
     diff = exp_series(args, cfg.n_x) - exp_q_series(1, q, cfg.n_x)
-    return _result("qcalc.expq_log_form", {"q": str(q)},
-                   nonzero([((), diff)]), {"x": cfg.n_x})
+    return _result({"q": str(q)}, nonzero([((), diff)]), {"x": cfg.n_x})
 
 
 def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
@@ -231,8 +231,7 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
     prod = exp_q_series(1, q, cfg.n_x) * exp_q_series(-1, 1 / q, cfg.n_x)
     diff = prod - XSeries.one(cfg.n_x)
-    return _result("qcalc.expq_reciprocal", {"q": str(q)},
-                   nonzero([((), diff)]), {"x": cfg.n_x})
+    return _result({"q": str(q)}, nonzero([((), diff)]), {"x": cfg.n_x})
 
 
 # -- residue pairing --------------------------------------------------------------
@@ -290,8 +289,7 @@ def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
         yield "oracle", qop.pairing_oracle(ident, ident, cfg.a, q,
                                            ctx.oracle_factors(cfg.a))
 
-    return _result("pairing.oracle_examples", {"q": str(q)},
-                   nonzero(residuals()), {"x": order - 1})
+    return _result({"q": str(q)}, nonzero(residuals()), {"x": order - 1})
 
 
 def check_pairing_random(ctx: SuiteContext) -> CheckResult:
@@ -312,7 +310,6 @@ def check_pairing_random(ctx: SuiteContext) -> CheckResult:
             yield (trial, "oracle"), oracle - lhs
 
     return _result(
-        "pairing.random_pairs",
         {"q": str(q), "trials": trials, "band": PAIRING_BAND},
         nonzero(residuals()), {"x": cfg.n_x - 2},
     )
@@ -332,27 +329,24 @@ def check_pairing_nonneg(ctx: SuiteContext) -> CheckResult:
             yield (), qop.pairing_lhs(p, g, cfg.a, cfg.q)
             yield "oracle", qop.pairing_oracle(p, g, cfg.a, cfg.q, kernel)
 
-    return _result("pairing.nonneg_zero", {}, nonzero(residuals()), {})
+    return _result({}, nonzero(residuals()), {})
 
 
 # -- hierarchy ------------------------------------------------------------------
 
 
-def _qr_residual(name, params, session: hy.HierarchySession, depth: int):
+def _qr_residual(params, session: hy.HierarchySession, depth: int):
     lax = session.lax
     residuals = (
         (alpha, hy.verify_resolvent(lax, session.resolvent(alpha, depth)))
         for alpha in range(lax.n)
     )
-    return _result(name, params, nonzero(residuals), {"z": depth - 1})
+    return _result(params, nonzero(residuals), {"z": depth - 1})
 
 
 def check_qr_residual(ctx: SuiteContext) -> CheckResult:
     depth = ctx.cfg.required_resolvent_depth()
-    return _qr_residual(
-        "hierarchy.qr_residual", {"depth": depth, "q": str(ctx.cfg.q)},
-        ctx.session, depth,
-    )
+    return _qr_residual({"depth": depth, "q": str(ctx.cfg.q)}, ctx.session, depth)
 
 
 def check_first_order_routes(ctx: SuiteContext) -> CheckResult:
@@ -363,7 +357,7 @@ def check_first_order_routes(ctx: SuiteContext) -> CheckResult:
             direct = ctx.session.resolvent(alpha, 1)
             yield alpha, conj.coeff(-1) - direct.coeff(-1)
 
-    return _result("hierarchy.first_order_routes", {}, nonzero(residuals()), {})
+    return _result({}, nonzero(residuals()), {})
 
 
 def check_orthogonality(ctx: SuiteContext) -> CheckResult:
@@ -377,10 +371,7 @@ def check_orthogonality(ctx: SuiteContext) -> CheckResult:
                 prod = fam[a] * fam[b]
                 yield (a, b), (prod - fam[b] if a == b else prod)
 
-    return _result(
-        "hierarchy.orthogonality", {"depth": depth},
-        nonzero(residuals()), {"z": depth},
-    )
+    return _result({"depth": depth}, nonzero(residuals()), {"z": depth})
 
 
 def check_partition(ctx: SuiteContext) -> CheckResult:
@@ -390,10 +381,8 @@ def check_partition(ctx: SuiteContext) -> CheckResult:
     for r in fam[1:]:
         total = total + r
     diff = total - MZSeries.identity(cfg.n, ctx.lax.proto())
-    return _result(
-        "hierarchy.partition_of_identity", {}, nonzero([((), diff)]),
-        {"z": cfg.required_resolvent_depth()},
-    )
+    return _result({}, nonzero([((), diff)]),
+                   {"z": cfg.required_resolvent_depth()})
 
 
 def check_algebra_closure(ctx: SuiteContext) -> CheckResult:
@@ -405,7 +394,7 @@ def check_algebra_closure(ctx: SuiteContext) -> CheckResult:
             - fam[0].shift(-3).scale(frac(5))
         yield (), hy.verify_resolvent(ctx.lax, combo)
 
-    return _result("hierarchy.algebra_closure", {}, nonzero(residuals()), {})
+    return _result({}, nonzero(residuals()), {})
 
 
 def check_basis_expansion(ctx: SuiteContext) -> CheckResult:
@@ -420,7 +409,6 @@ def check_basis_expansion(ctx: SuiteContext) -> CheckResult:
     except ValueError as exc:
         coeffs, failures = {}, [str(exc)]
     return _result(
-        "hierarchy.basis_expansion",
         {"constants": {f"b{b+1},z{-j}": str(c) for (b, j), c in coeffs.items()}},
         failures, {"z": depth},
     )
@@ -448,7 +436,7 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
         _, b_minus = hy.b_split(r, k)
         alt = hy.commutation_residual(ctx.lax, b_minus).coeff(0)
         failures += nonzero([("avoided-band mismatch", alt - value)])
-    return _result("hierarchy.u_flow_structure", params, failures, {})
+    return _result(params, failures, {})
 
 
 def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
@@ -457,15 +445,13 @@ def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
     # a pair (f, f) is identically zero, whatever the resolvents are
     pairs = [(f, g) for i, f in enumerate(flows) for g in flows[i + 1:]]
     if not pairs:
-        return _result("hierarchy.zero_curvature",
-                       {"note": "fewer than two flows configured"})
+        return _result({"note": "fewer than two flows configured"})
     table = hy.FlowTable(ctx.family)
     residuals = (
         (((k, a + 1), (l, b + 1)), hy.verify_zero_curvature(table, (k, a), (l, b)))
         for (k, a), (l, b) in pairs
     )
     return _result(
-        "hierarchy.zero_curvature",
         {"pairs": [f"({k},{a+1})x({l},{b+1})" for (k, a), (l, b) in pairs]},
         nonzero(residuals), {},
     )
@@ -488,14 +474,12 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
     x_valid = residual.min_entry_valid()
     if x_valid != math.inf:
         degrees["x"] = x_valid
-    return _result(
-        "dressing.factorization", {"depth": ctx.dressing.depth},
-        nonzero([((), residual)]), degrees,
-    )
+    return _result({"depth": ctx.dressing.depth}, nonzero([((), residual)]),
+                   degrees)
 
 
-def _route_agreement(name, dressing: hy.Dressing,
-                     session: hy.HierarchySession, depth: int):
+def _route_agreement(dressing: hy.Dressing, session: hy.HierarchySession,
+                     depth: int):
     """Conjugated dressing against the direct resolvent solve, per channel.
 
     `session` is the run's session of the dressing's Lax datum, so the
@@ -509,31 +493,28 @@ def _route_agreement(name, dressing: hy.Dressing,
             direct = session.resolvent(alpha, depth)
             yield alpha, conj.truncate_below(-depth) - direct
 
-    return _result(name, {"depth": depth}, nonzero(residuals()), {"z": depth})
+    return _result({"depth": depth}, nonzero(residuals()), {"z": depth})
 
 
 def check_route_agreement(ctx: SuiteContext) -> CheckResult:
     depth = min(ctx.dressing.depth, ctx.cfg.required_resolvent_depth())
-    return _route_agreement("dressing.route_agreement", ctx.dressing,
-                            ctx.bilinear_session, depth)
+    return _route_agreement(ctx.dressing, ctx.bilinear_session, depth)
 
 
 def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
-    if ctx.cfg.inject_corruption:
-        return bl.inject_corruption(ctx.dressing, "1/3")
-    return ctx.dressing
+    return ctx.corrupted if ctx.cfg.inject_corruption else ctx.dressing
 
 
-def _bilinear_check(name, params, ctx: SuiteContext, dressing: hy.Dressing):
+def _bilinear_check(params, ctx: SuiteContext, dressing: hy.Dressing):
     records = bl.check_q_bilinear(dressing, ctx.cfg.l_max, ctx.lambdas())
     params = {**params, "l_max": ctx.cfg.l_max, "records": len(records)}
-    return _result(name, params, nonzero(records), {"z": dressing.depth - 1})
+    return _result(params, nonzero(records), {"z": dressing.depth - 1})
 
 
 def check_qb1(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     params = {"lambda_max": cfg.lambda_max, "corrupted": cfg.inject_corruption}
-    return _bilinear_check("bilinear.qb1", params, ctx, _maybe_corrupt(ctx))
+    return _bilinear_check(params, ctx, _maybe_corrupt(ctx))
 
 
 def check_reconstruct(ctx: SuiteContext) -> CheckResult:
@@ -541,7 +522,7 @@ def check_reconstruct(ctx: SuiteContext) -> CheckResult:
     a_vals, u_rec, residual = bl.reconstruct_from_bilinear(_maybe_corrupt(ctx))
     a_rec = MatSeries.diag_const(a_vals, lax.proto())
     # a config's u has a zero diagonal, so u_rec == u checks u_rec's too
-    return _result("bilinear.reconstruct_roundtrip", {}, nonzero([
+    return _result({}, nonzero([
         ((), residual),
         ("recovered data mismatch", u_rec - lax.u),
         ("recovered data mismatch", a_rec - lax.a_mat()),
@@ -559,20 +540,15 @@ def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
             first = w_star.coeff(-1) + w.coeff(-1).transpose()
             yield "first-order mismatch", first
 
-    return _result("bilinear.adjoint_inverse_transpose", {},
-                   nonzero(residuals()), {})
+    return _result({}, nonzero(residuals()), {})
 
 
 def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
     if not ctx.cfg.inject_corruption:
-        return _result(
-            "bilinear.corruption_detected",
-            {"note": "inactive without --inject-corruption"},
-        )
-    corrupted = bl.inject_corruption(ctx.dressing, "1/3")
-    records = bl.check_q_bilinear(corrupted, ctx.cfg.l_max, [()])
+        return _result({"note": "inactive without --inject-corruption"})
+    records = bl.check_q_bilinear(ctx.corrupted, ctx.cfg.l_max, [()])
     return _result(
-        "bilinear.corruption_detected", {"records": len(records)},
+        {"records": len(records)},
         [] if any(nonzero(records)) else ["corruption slipped through"],
     )
 
@@ -583,7 +559,7 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
 def check_expqo(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     z_depth = tau_mod.EXPQO_Z_DEPTH
-    return _result("tau.expqo", {"z_depth": z_depth}, nonzero(ctx.expqo),
+    return _result({"z_depth": z_depth}, nonzero(ctx.expqo),
                    {"z": z_depth, "x": cfg.n_x})
 
 
@@ -610,10 +586,9 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
             spec, list(cfg.a), cfg.q, l_max, lambdas, ctx.expqo
         )
     except tau_mod.TauCheckError as exc:
-        return _result("tau.theorem", {"rejected": True}, [str(exc)], {})
+        return _result({"rejected": True}, [str(exc)], {})
     # the q-bilinear and Taylor stages compare z**-1..z**-(l_max+1)
     return _result(
-        "tau.theorem",
         {"lambdas": len(lambdas), "l_max": l_max},
         nonzero(residuals), {"z": l_max + 1, "t": cfg.n_t},
     )
@@ -629,10 +604,8 @@ def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
     try:
         tau_mod.verify_tau_theorem(bad, list(cfg.a), cfg.q, 2, lambdas, ctx.expqo)
     except tau_mod.TauCheckError:
-        return _result("tau.gatekeeping", {})
-    return _result(
-        "tau.gatekeeping", {}, ["a non-solution passed the classical precheck"]
-    )
+        return _result({})
+    return _result({}, ["a non-solution passed the classical precheck"])
 
 
 def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
@@ -650,7 +623,6 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     )
     by_record = (((l, lam), r) for (l, lam, _), r in records)
     return _result(
-        "tau.mechanism_agreement",
         {"on": "non-solution polynomial", "l_max": 1},
         nonzero(by_record), {},
     )
@@ -659,8 +631,7 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
 def check_classical_limit(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     if not cfg.q_sequence:
-        return _result("tau.classical_limit",
-                       {"note": "no q sequence configured"})
+        return _result({"note": "no q sequence configured"})
     tctx = tau_mod.TimeContext(((1, 0), (2, 0)), cfg.n_t, cfg.n_x)
     t1 = tctx.variable((1, 0))
     t2 = tctx.variable((2, 0))
@@ -689,7 +660,6 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
         ]
         ratio_report[label] = [str(r) for r in ratios]
     return _result(
-        "tau.classical_limit",
         {"ratios": ratio_report, "window": "[0.45, 0.55]"},
         failures, {},
     )
@@ -700,8 +670,7 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
 
 def check_classical_qr(ctx: SuiteContext) -> CheckResult:
     depth = ctx.cfg.required_resolvent_depth()
-    return _qr_residual("classical.qr_residual", {"depth": depth},
-                        ctx.classical_session, depth)
+    return _qr_residual({"depth": depth}, ctx.classical_session, depth)
 
 
 def check_classical_prop1(ctx: SuiteContext) -> CheckResult:
@@ -709,14 +678,14 @@ def check_classical_prop1(ctx: SuiteContext) -> CheckResult:
     dressing = hy.solve_dressing(
         cfg.bilinear_lax(classical=True), cfg.required_dressing_depth()
     )
-    return _bilinear_check("classical.bilinear", {}, ctx, dressing)
+    return _bilinear_check({}, ctx, dressing)
 
 
 def check_classical_routes(ctx: SuiteContext) -> CheckResult:
     depth = min(ctx.cfg.required_resolvent_depth(), 5)
     session = ctx.classical_session
     dressing = hy.solve_dressing(session.lax, depth)
-    return _route_agreement("classical.route_agreement", dressing, session, depth)
+    return _route_agreement(dressing, session, depth)
 
 
 CHECKS = [
@@ -804,10 +773,9 @@ def run_suite(cfg: RunConfig, prefixes=None) -> Report:
         try:
             res = fn(ctx)
         except Exception as exc:  # honest error reporting, not a crash
-            res = CheckResult(
-                name=name, params={}, status="error",
-                first_failure={"error": f"{type(exc).__name__}: {exc}"},
-            )
+            res = CheckResult(status="error", first_failure={
+                "error": f"{type(exc).__name__}: {exc}"})
+        res.name = name
         res.ms = (time.perf_counter() - start) * 1000.0
         results.append(res)
     return Report(config_hash(cfg.canonical_json()), results)

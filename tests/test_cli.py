@@ -10,7 +10,7 @@ from qakns.config import (
     DEMO_CONFIG, ConfigError, demo_config, load_config, parse_config,
 )
 from qakns.report import config_hash, emit_report
-from qakns.suites import run_suite
+from qakns.suites import SuiteContext, _tau_spec_from_config, run_suite
 
 
 def write_config(tmp_path, data):
@@ -324,6 +324,29 @@ def test_integer_fields_keep_the_config_hash():
     assert config_hash(demo_config().canonical_json()) == (
         "d5c3076039897195429c4ab300c505a7c958ee5e4b8ee37719ed80eacef78025"
     )
+
+
+def test_tau_exponents_follow_the_listed_variable_order():
+    # the variables are sorted, and every exponent tuple is permuted with
+    # them: [1, 0, 0] against a list that starts with t_(2,1) is t_(2,1)
+    def tau_data(variables, term, companion):
+        data = json.loads(json.dumps(DEMO_CONFIG))
+        data["tau"] = {
+            "variables": variables,
+            "monomials": [{"exponents": [0, 0, 0], "coeff": "1"},
+                          {"exponents": term, "coeff": "1"}],
+            "companions": {"1,2": [{"exponents": companion, "coeff": "-1"}]},
+        }
+        return parse_config(data)
+
+    listed = tau_data([[2, 1], [1, 1], [1, 2]], [1, 0, 0], [0, 1, 0])
+    ordered = tau_data([[1, 1], [1, 2], [2, 1]], [0, 0, 1], [1, 0, 0])
+    assert listed.canonical_json() == ordered.canonical_json()
+    assert listed.tau.companions == {(0, 1): (((1, 0, 0), -1),)}
+    spec = _tau_spec_from_config(SuiteContext(listed))
+    tctx = SuiteContext(listed).tau_ctx
+    assert spec.tau == tctx.constant(1) + tctx.variable((2, 0))
+    assert spec.companions[(0, 1)] == tctx.constant(-1) * tctx.variable((1, 0))
 
 
 def test_band_is_checked_but_not_hashed():

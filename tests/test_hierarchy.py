@@ -125,6 +125,23 @@ def test_dressing_obstruction_const_u():
         solve_dressing(lax_const(), 2)
 
 
+@pytest.mark.parametrize("make, solve, context", [
+    (lax_const, lambda lax: solve_dressing(lax, 4), "dressing"),
+    (lax_x, lambda lax: solve_resolvent_direct(lax, 0, 4, "zero"),
+     "resolvent channel 1"),
+], ids=["dressing", "resolvent"])
+def test_classical_diagonal_source_must_vanish(monkeypatch, make, solve, context):
+    # at q = 1 each order's diagonal integrates that of mult(w), which keeps
+    # the next order's diagonal source zero; with the integral stubbed to
+    # zero the source survives, and the step must refuse it
+    lax = make(F(1))
+    solve(lax)
+    monkeypatch.setattr(LaxData, "antiderive", lambda self, g: g.zero_like())
+    with pytest.raises(DiagonalConsistencyError,
+                       match=f"^{context}: diagonal source 1 must vanish, got"):
+        solve(lax)
+
+
 def test_dressing_obstruction_x_dependent_u():
     with pytest.raises(DiagonalConsistencyError):
         solve_dressing(lax_x(), 3)

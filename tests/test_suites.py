@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qakns import bilinear as bl
 from qakns import hierarchy as hy
 from qakns import qop, report
 from qakns.config import DEMO_CONFIG, RunConfig, demo_config, parse_config
@@ -97,6 +98,31 @@ def test_bilinear_and_tau_checks_decide_through_the_one_verdict(monkeypatch):
     for res in results.values():
         assert res.status == "fail", res.name
         assert "rejected" in str(res.first_failure), res.name
+
+
+def test_a_corruption_run_corrupts_and_inverts_once(monkeypatch):
+    # qb1, reconstruct_roundtrip and corruption_detected read one corrupted
+    # dressing; the parent revision built 3 and inverted 4 times
+    calls = {"corrupt": 0, "invert": 0}
+    real_corrupt, real_invert = bl.inject_corruption, MZSeries.invert
+
+    def corrupt(*args):
+        calls["corrupt"] += 1
+        return real_corrupt(*args)
+
+    def invert(self, floor):
+        calls["invert"] += 1
+        return real_invert(self, floor)
+
+    monkeypatch.setattr(bl, "inject_corruption", corrupt)
+    monkeypatch.setattr(MZSeries, "invert", invert)
+    report = run_suite(demo_config(True), ["bilinear."])
+    by_name = {c.name: c.status for c in report.checks}
+    assert by_name["bilinear.corruption_detected"] == "pass"
+    assert by_name["bilinear.qb1"] == "fail"
+    # the corrupted dressing's inverse, and the solver dressing's for the
+    # adjoint check
+    assert calls == {"corrupt": 1, "invert": 2}
 
 
 def test_zero_curvature_reads_every_pair_from_one_flow_table(monkeypatch):
