@@ -34,8 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
             "and tau-function shift checks."
         ),
     )
+    parser.set_defaults(inject_corruption=False)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, _) in VERBS.items():
+    for verb, (help_text, prefixes) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         # demo runs the built-in example: a config there would go unread
         if verb != "demo":
@@ -48,10 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--check", action="append", default=None, metavar="NAME",
             help="restrict to a named check (repeatable)",
         )
-        p.add_argument(
-            "--inject-corruption", action="store_true",
-            help="corrupt the dressing first; proves the checks can fail",
-        )
+        # only the bilinear checks read the corrupted dressing
+        if prefixes is None or "bilinear." in prefixes:
+            p.add_argument(
+                "--inject-corruption", action="store_true",
+                help="corrupt the dressing first; proves the checks can fail",
+            )
     return parser
 
 

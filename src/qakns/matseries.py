@@ -125,10 +125,6 @@ class MatSeries:
     def transpose(self) -> "MatSeries":
         return MatSeries._of(tuple(zip(*self.rows)))
 
-    def min_valid(self) -> int | float:
-        """Smallest validity bound over entries (x-order for series entries)."""
-        return min(e.valid for r in self.rows for e in r)
-
     # -- arithmetic --------------------------------------------------------
 
     def _entrywise(self, other: "MatSeries", op) -> "MatSeries":
@@ -181,14 +177,6 @@ class MatSeries:
     def scale(self, c) -> "MatSeries":
         c = frac(c)
         return self.map(lambda e: e.scale(c))
-
-    def first_nonzero(self):
-        """First (i, j, witness) inside validity, or None if zero."""
-        for i, r in enumerate(self.rows):
-            for j, e in enumerate(r):
-                if not e.is_zero():
-                    return i, j, e.first_nonzero()
-        return None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MatSeries) and self.rows == other.rows

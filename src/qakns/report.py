@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .matseries import MatSeries
 from .series import XSeries
@@ -83,52 +85,80 @@ def nonzero(labelled):
     """(label, witness) for each failing residual of (label, residual) pairs.
 
     The one verdict rule: a residual passes exactly when it is zero and
-    every entry of it determines a coefficient. A nonzero residual's
-    witness is its first nonzero coefficient; a zero one with an entry
-    that determines nothing has ("undetermined", path..., axis, window)
-    from `undetermined`. The report flattens the witness, so the label
-    `()` leaves just the witness.
+    every entry of it determines a coefficient. The carrier's own
+    `is_zero` is asked first, as it is cheaper than a walk; a nonzero
+    residual's witness is then `first_nonzero`, and a zero one with an
+    entry that determines nothing has ("undetermined", path..., axis,
+    window) from `undetermined`. The report flattens the label with the
+    witness, so the label `()` leaves just the witness.
     """
     for label, residual in labelled:
         if not residual.is_zero():
-            yield label, residual.first_nonzero()
+            yield label, first_nonzero(residual)
         elif (hole := undetermined(residual)) is not None:
             yield label, ("undetermined",) + hole
+
+
+def _walk(part, path=()):
+    """(path, carrier) for `part` and each carrier inside it, in witness order.
+
+    An MZSeries is read by ascending z-degree, a MatSeries row-major and a
+    TimePoly by sorted monomial, down to the XSeries coefficients; each
+    carrier comes before the carriers inside it. The path runs through
+    z-degree, row, column and monomial.
+    """
+    yield path, part
+    if isinstance(part, MatSeries):
+        for i, r in enumerate(part.rows):
+            for j, e in enumerate(r):
+                yield from _walk(e, path + (i, j))
+    elif not isinstance(part, XSeries):  # MZSeries or TimePoly
+        for k in sorted(part.terms):
+            yield from _walk(part.terms[k], path + (k,))
+
+
+def first_nonzero(residual):
+    """(path..., x-degree, value) of the first coefficient of `residual`
+    that is nonzero inside its x-window, or None when every one vanishes."""
+    for path, part in _walk(residual):
+        if isinstance(part, XSeries):
+            for k, v in enumerate(part.known):
+                if v:
+                    return path + (k, Fraction(v, part.den))
+    return None
 
 
 def undetermined(residual):
     """(path..., axis, window) of the first entry of `residual` whose
     carrier determines no coefficient, or None when every entry does.
 
-    The entries are the upper carriers: a TimePoly by its t-window, then
-    each XSeries coefficient by its x-window (`window.determined`). The
-    path runs through z-degree, matrix entry and time monomial, as the
-    path of `first_nonzero` does.
+    The entries are the upper carriers: a TimePoly by its t-window, read
+    before its coefficients, and each XSeries by its x-window
+    (`window.determined`).
     """
-    if isinstance(residual, XSeries):
-        return None if determined(residual.valid) else ("x", residual.valid)
-    if isinstance(residual, TimePoly) and not determined(residual.tvalid):
-        return "t", residual.tvalid
-    if isinstance(residual, MatSeries):
-        parts = (((i, j), e) for i, r in enumerate(residual.rows)
-                 for j, e in enumerate(r))
-    else:  # MZSeries by z-degree, TimePoly by monomial
-        parts = (((k,), residual.terms[k]) for k in sorted(residual.terms))
-    for at, part in parts:
-        hole = undetermined(part)
-        if hole is not None:
-            return at + hole
+    for path, part in _walk(residual):
+        if isinstance(part, XSeries):
+            if not determined(part.valid):
+                return path + ("x", part.valid)
+        elif isinstance(part, TimePoly) and not determined(part.tvalid):
+            return path + ("t", part.tvalid)
     return None
 
 
-def describe_witness(witness) -> dict | None:
-    """Normalize a first-nonzero witness into a JSON-friendly record.
+def x_window(residual):
+    """The lowest x-window of the x-series in `residual`, or math.inf when
+    it holds none."""
+    return min((part.valid for _, part in _walk(residual)
+                if isinstance(part, XSeries)), default=math.inf)
 
-    Accepts the nested tuples produced by the series layers:
-    (z-degree, i, j, (x-degree, value)) or matrix-level (i, j, (deg, val)).
+
+def describe_witness(witness) -> dict:
+    """Normalize a failure into a JSON-friendly record.
+
+    Accepts a message string or a (label, witness) pair of `nonzero`.
+    A label may nest tuples and a witness holds each time monomial as an
+    exponent tuple; the coordinates list every item, flattened, in order.
     """
-    if witness is None:
-        return None
     if isinstance(witness, tuple):
         flat: list = []
 

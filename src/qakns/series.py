@@ -153,13 +153,6 @@ class XSeries:
         """The numerators inside the validity window, through `top` at most."""
         return self.nums[: max(min(self.valid, self.top) + 1, 0)]
 
-    def first_nonzero(self) -> tuple[int, Fraction] | None:
-        """First (degree, value) with nonzero value inside the validity window."""
-        for k, v in enumerate(self.known):
-            if v:
-                return k, Fraction(v, self.den)
-        return None
-
     def with_valid(self, valid: int) -> "XSeries":
         return self._replace(min(self.valid, valid))
 

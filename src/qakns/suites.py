@@ -20,7 +20,9 @@ from . import tau as tau_mod
 from .calculus import dilate, exp_q_series, exp_series, q_derive
 from .config import ConfigError, RunConfig
 from .matseries import MatSeries
-from .report import CheckResult, Report, config_hash, describe_witness, nonzero
+from .report import (
+    CheckResult, Report, config_hash, describe_witness, nonzero, x_window,
+)
 from .scalars import frac, q_int
 from .series import XSeries
 from .zseries import MZSeries, NEG_INF, InsufficientDepthError, derive_through
@@ -140,6 +142,21 @@ def _sample_series(order: int, seed: int):
             )
         )
     return out
+
+
+def _idle(cfg: RunConfig, name: str) -> str | None:
+    """The note that check `name` reports when `cfg` leaves it nothing to
+    compare, else None. Each such condition is written here only: the
+    check returns early on it and `select_checks` refuses a selection of
+    idle checks."""
+    notes = {
+        "hierarchy.zero_curvature":
+            len(cfg.flows) < 2 and "fewer than two flows configured",
+        "bilinear.corruption_detected":
+            not cfg.inject_corruption and "inactive without --inject-corruption",
+        "tau.classical_limit": not cfg.q_sequence and "no q sequence configured",
+    }
+    return notes.get(name) or None
 
 
 _PASS = object()
@@ -441,11 +458,11 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
 
 def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
+    if note := _idle(cfg, "hierarchy.zero_curvature"):
+        return _result({"note": note})
     flows = list(cfg.flows)
     # a pair (f, f) is identically zero, whatever the resolvents are
     pairs = [(f, g) for i, f in enumerate(flows) for g in flows[i + 1:]]
-    if not pairs:
-        return _result({"note": "fewer than two flows configured"})
     table = hy.FlowTable(ctx.family)
     residuals = (
         (((k, a + 1), (l, b + 1)), hy.verify_zero_curvature(table, (k, a), (l, b)))
@@ -471,7 +488,7 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
     degrees = {}
     if residual.zvalid != NEG_INF:
         degrees["z"] = int(-residual.zvalid)
-    x_valid = residual.min_entry_valid()
+    x_valid = x_window(residual)
     if x_valid != math.inf:
         degrees["x"] = x_valid
     return _result({"depth": ctx.dressing.depth}, nonzero([((), residual)]),
@@ -544,8 +561,8 @@ def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
 
 
 def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
-    if not ctx.cfg.inject_corruption:
-        return _result({"note": "inactive without --inject-corruption"})
+    if note := _idle(ctx.cfg, "bilinear.corruption_detected"):
+        return _result({"note": note})
     records = bl.check_q_bilinear(ctx.corrupted, ctx.cfg.l_max, [()])
     return _result(
         {"records": len(records)},
@@ -586,7 +603,7 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
             spec, list(cfg.a), cfg.q, l_max, lambdas, ctx.expqo
         )
     except tau_mod.TauCheckError as exc:
-        return _result({"rejected": True}, [str(exc)], {})
+        return _result({"rejected": True}, [(exc.label, exc.witness)], {})
     # the q-bilinear and Taylor stages compare z**-1..z**-(l_max+1)
     return _result(
         {"lambdas": len(lambdas), "l_max": l_max},
@@ -630,8 +647,8 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
 
 def check_classical_limit(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    if not cfg.q_sequence:
-        return _result({"note": "no q sequence configured"})
+    if note := _idle(cfg, "tau.classical_limit"):
+        return _result({"note": note})
     tctx = tau_mod.TimeContext(((1, 0), (2, 0)), cfg.n_t, cfg.n_x)
     t1 = tctx.variable((1, 0))
     t2 = tctx.variable((2, 0))
@@ -726,8 +743,9 @@ def select_checks(cfg: RunConfig, prefixes=None):
     """Names of the selected checks, in run order.
 
     Raises ConfigError for an empty `checks` list, for unknown names, for
-    a selection that the prefixes reduce to nothing (no selection may pass
-    vacuously), and for a flow that tau.theorem cannot differentiate along.
+    a selection that the prefixes reduce to nothing or to checks that
+    `cfg` leaves idle (no selection may pass vacuously), and for a flow
+    that tau.theorem cannot differentiate along.
     """
     known = [name for name, _ in CHECKS]
     chosen = known if cfg.checks is None else cfg.checks
@@ -749,6 +767,9 @@ def select_checks(cfg: RunConfig, prefixes=None):
             f"checks {', '.join(chosen)} are outside this command's scope "
             f"({', '.join(prefixes)})"
         )
+    idle = [f"{name} ({note})" for name in names if (note := _idle(cfg, name))]
+    if len(idle) == len(names):
+        raise ConfigError(f"the selected checks compare nothing: {', '.join(idle)}")
     if "tau.theorem" in names and cfg.lambda_max >= 1:
         # the theorem differentiates the tau data along every flow
         variables = _tau_variables(cfg)

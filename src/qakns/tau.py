@@ -308,7 +308,13 @@ def verify_expqo(a_values, q, ctx: TimeContext):
 
 
 class TauCheckError(ValueError):
-    """A precondition of the shift theorem failed (gatekeeping)."""
+    """A precondition of the shift theorem failed (gatekeeping): the
+    classical residue `label` is nonzero, and `witness` is where, as
+    `report.nonzero` gives it."""
+
+    def __init__(self, label, witness):
+        super().__init__(f"classical bilinear residue fails at {label}: {witness}")
+        self.label, self.witness = label, witness
 
 
 class TauSpec:
@@ -502,9 +508,7 @@ def verify_tau_theorem(spec: TauSpec, a_values, q, l_max: int, lambdas, expqo):
     classical = classical_residues(spec, l_max, lambdas)
     bad = next(nonzero(classical), None)
     if bad is not None:
-        raise TauCheckError(
-            f"classical bilinear residue fails at {bad[0]}: {bad[1]}"
-        )
+        raise TauCheckError(*bad)
     q_bilinear, taylor = taylor_agreement(spec, a_values, q, l_max, lambdas)
     stages = (
         ("substitution", substitution_commutes(spec, a_values, q)),

@@ -106,22 +106,8 @@ class TimePoly:
             self._top = max(map(sum, self.terms), default=-1)
         return self._top
 
-    @property
-    def valid(self):
-        """Minimum x-validity over coefficients (reporting hook)."""
-        if not self.terms:
-            return self.xorder + 1
-        return min(c.valid for c in self.terms.values())
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.terms.values())
-
-    def first_nonzero(self):
-        for e in sorted(self.terms):
-            hit = self.terms[e].first_nonzero()
-            if hit is not None:
-                return e, hit
-        return None
 
     def constant_term(self) -> XSeries:
         e0 = (0,) * len(self.vars)

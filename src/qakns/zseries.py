@@ -108,19 +108,6 @@ class MZSeries:
             m.is_zero_exact() for m in self.terms.values()
         )
 
-    def min_entry_valid(self):
-        vals = [m.min_valid() for m in self.terms.values()]
-        return min(vals) if vals else math.inf
-
-    def first_nonzero(self):
-        """(z-degree, i, j, witness) of the first surviving coefficient."""
-        for d in sorted(self.terms):
-            hit = self.terms[d].first_nonzero()
-            if hit is not None:
-                i, j, w = hit
-                return d, i, j, w
-        return None
-
     def map_entries(self, fn) -> "MZSeries":
         proto = fn(self.proto) if self.proto is not None else None
         return MZSeries(

@@ -563,3 +563,28 @@ def test_demo_takes_no_config(tmp_path, capsys):
         main(["demo", "--config", str(tmp_path / "missing.json")])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["dressing", "resolvent", "tau"])
+def test_corruption_is_offered_only_where_a_check_reads_it(capsys, verb):
+    # only the bilinear checks read the corrupted dressing
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--inject-corruption"])
+    assert exc.value.code == 2
+    assert "--inject-corruption" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes, check",
+    [
+        ({"flows": [[1, 1]]}, "hierarchy.zero_curvature"),
+        ({}, "bilinear.corruption_detected"),
+        ({"q_sequence": []}, "tau.classical_limit"),
+    ],
+    ids=["one_flow", "no_corruption", "no_q_sequence"],
+)
+def test_a_selection_that_compares_nothing_exits_2(tmp_path, capsys, changes,
+                                                   check):
+    path = write_config(tmp_path, {**_demo_data(), **changes})
+    assert main(["verify", "--config", path, "--check", check]) == 2
+    assert f"compare nothing: {check} (" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qakns.report import first_nonzero
 from qakns.series import TruncationError, XSeries
 
 N = 8
@@ -74,7 +75,7 @@ def test_validity_min_rule_and_is_zero_window():
     assert a.is_zero()
     b = a + poly(0, 1)
     assert b.valid == 3
-    assert b.first_nonzero() == (1, F(1))
+    assert first_nonzero(b) == (1, F(1))
 
 
 def test_invert_roundtrip_and_constant_exactness():

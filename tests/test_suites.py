@@ -162,9 +162,10 @@ def test_zero_curvature_pairs_distinct_flows_only():
     # has no pair, and the params say so
     (res,) = run_checks("hierarchy.zero_curvature")
     assert res.params["pairs"] == ["(1,1)x(1,2)", "(1,1)x(2,1)", "(1,2)x(2,1)"]
-    data = {**DEMO_CONFIG, "flows": [[1, 1]], "checks": ["hierarchy.zero_curvature"]}
-    (res,) = run_suite(parse_config(data)).checks
-    assert res.status == "pass"
+    data = {**DEMO_CONFIG, "flows": [[1, 1]],
+            "checks": ["hierarchy.zero_curvature", "qcalc.expq_log_form"]}
+    _, res = run_suite(parse_config(data)).checks
+    assert res.name == "hierarchy.zero_curvature" and res.status == "pass"
     assert res.params == {"note": "fewer than two flows configured"}
 
 

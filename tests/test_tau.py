@@ -871,7 +871,7 @@ def test_expqo_fails_on_a_broken_shift_weight(monkeypatch):
     assert [channel for channel, _ in results] == [1, 2]
     # z**2 at the one entry of the 1 x 1 residual: the right side gains the
     # extra weight times (a x)**2
-    assert list(nonzero(results)) == [(1, (2, 0, 0, ((0, 0, 0, 0), (2, F(-1)))))]
+    assert list(nonzero(results)) == [(1, (2, 0, 0, (0, 0, 0, 0), 2, F(-1)))]
 
 
 def test_substitution_commutes_detects_one_differing_degree(monkeypatch):
@@ -1089,6 +1089,19 @@ def test_rational_tau_with_a_corrupted_companion_is_rejected():
     tau["companions"]["1,2"] = [{"exponents": [0, 0, 0], "coeff": "-2"}]
     with pytest.raises(TauCheckError, match=r"l=0 m=0 lam=\[\(1,1\)\]"):
         verify_tau_theorem(*_tau_theorem_case("rational", tau=tau))
+
+
+def test_a_rejected_tau_reports_its_witness_as_coordinates():
+    from qakns.config import parse_config
+    from qakns.suites import run_suite
+
+    data = json.loads(RATIONAL.read_text())
+    data["tau"]["companions"]["1,2"] = [{"exponents": [0, 0, 0], "coeff": "-2"}]
+    (res,) = run_suite(parse_config({**data, "checks": ["tau.theorem"]})).checks
+    assert res.status == "fail" and res.params == {"rejected": True}
+    # entry (0, 0), time monomial 1, x**0: the residue is -1
+    assert res.first_failure == {"coordinates": [
+        "l=0 m=0 lam=[(1,1)]", "0", "0", "0", "0", "0", "0", "-1"]}
 
 
 def test_rational_tau_fails_on_a_doubled_first_order_weight(monkeypatch):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from qakns.report import x_window
 from qakns.series import XSeries
 from qakns.timepoly import TimePoly
 
@@ -168,7 +169,7 @@ def test_coefficient_x_validity_propagates():
     t = var((1, 0))
     limited = const(1).map_coeffs(lambda s: s.with_valid(2))
     p = t.scale_series(XSeries.monomial(1, 1, N)) + limited
-    assert p.valid == 2
+    assert x_window(p) == 2
 
 
 def test_constructor_rejects_malformed_terms():
