@@ -24,7 +24,7 @@ classical precheck `tau.classical_residues`, and the q pass
 
 from __future__ import annotations
 
-from .hierarchy import Dressing, FlowTable
+from .hierarchy import Dressing, FlowTable, flow_reach
 from .matseries import MatSeries
 from .scalars import frac
 from .zseries import MZSeries, NEG_INF, derive_through
@@ -102,10 +102,16 @@ def bilinear_residues(flow_factor, g, derive, dilate, l_max: int, lambdas) -> li
 
 
 def check_q_bilinear(dressing: Dressing, l_max: int, lambdas) -> list:
-    """The residue family on a solver dressing, m in {0, 1}."""
+    """The residue family on a solver dressing, m in {0, 1}.
+
+    The flow table forms the flow derivatives only as far as the factors
+    of `lambdas` read them.
+    """
     lax = dressing.lax
+    lambdas = list(lambdas)
+    table = FlowTable(dressing.resolvents(), flow_reach(lambdas))
     return bilinear_residues(
-        FlowTable(dressing.resolvents()).factor, x_derivative_factor(dressing),
+        table.factor, x_derivative_factor(dressing),
         lax.derive, lax.dilate, l_max, lambdas,
     )
 

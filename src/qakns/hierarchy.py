@@ -9,7 +9,9 @@ The one flow rule, d_(k a) R_b = [B_(k a), R_b] with B = (z**k R)_+, is
 `FlowTable`: it memoizes the flow derivatives of the resolvents, of the
 generators B and of the Baker flow factors. The bilinear residues read
 them from it, and so does the zero-curvature check, which reads every
-flow pair from one table over the channel family.
+flow pair from one table over the channel family. Each reader tells the
+table how far it reads, and the table forms each flow derivative only
+from the z-degree that the generators read of it.
 
 All solvers run against the q of their `LaxData`; at q = 1 it is the
 classical structure, so the classical hierarchy is the same code path.
@@ -29,7 +31,8 @@ the structure only for the diagonal:
   papered over.
 * classical structure (q = 1): the diagonal of F must vanish identically
   and the diagonal of the solution comes from the next order's
-  consistency, by integrating the diagonal of mult(w) with zero constant.
+  consistency, by integrating the diagonal of mult(w) with zero constant;
+  only that diagonal of mult(w) is formed.
 
 Residuals of the commutation identity go through the q-Leibniz reduction
 `zseries.derive_through`, shared with the bilinear and tau checks.
@@ -38,14 +41,16 @@ Resolvents support two normalizations. "zero" sets every free diagonal
 constant to zero; the resulting basis solves the commutation identity but
 is not multiplicative. "orthogonal" (default) lifts the constants order
 by order so that R_a R_b = delta * R_b holds exactly; when the dressing
-exists the conjugation route reproduces this family.
+exists the conjugation route reproduces this family. The lift reads its
+constants off the orders' x**0 coefficients and forms no product; the
+orthogonality and route-agreement checks form the full products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby, product
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from . import calculus
@@ -190,16 +195,18 @@ def _divide_by_eigs(lax: LaxData, src: XSeries, j: int, i: int) -> XSeries:
     return XSeries.from_ints(out, src.den * den, src.valid, len(known) - 1)
 
 
-def _next_order(lax: LaxData, prev: MatSeries, mult, context: str) -> MatSeries:
+def _next_order(lax: LaxData, prev: MatSeries, blocks, context: str) -> MatSeries:
     """The next order w: (D w)A - A w = F with F = mult(prev) - D prev.
 
-    `mult` is the solver's multiplication part. Only the diagonal reads
-    the structure: classically F's diagonal must vanish and w's integrates
-    that of mult(w); under the q-structure F's diagonal must have no
-    constant term and w's divides it by a_i(sigma(m) - 1).
+    `blocks(w)` is the solver's multiplication part mult(w) as the block
+    pairs of one `MatSeries.dot`. Only the diagonal reads the structure:
+    classically F's diagonal must vanish and w's integrates that of
+    mult(w), of which only the n diagonal entries are formed; under the
+    q-structure F's diagonal must have no constant term and w's divides it
+    by a_i(sigma(m) - 1).
     """
     n = lax.n
-    F = mult(prev) - prev.map(lax.derive)
+    F = MatSeries.dot(blocks(prev)) - prev.map(lax.derive)
     zero = lax.proto()
     rows = [[zero if i == j else _divide_by_eigs(lax, F[i, j], j, i)
              for j in range(n)] for i in range(n)]
@@ -210,9 +217,9 @@ def _next_order(lax: LaxData, prev: MatSeries, mult, context: str) -> MatSeries:
                     f"{context}: diagonal source {i+1} must vanish, got {F[i, i]!r}"
                 )
         # u_ii = 0, so mult(w)'s diagonal does not read w's
-        src = mult(MatSeries(rows))
+        src = MatSeries.dot_diagonal(blocks(MatSeries(rows)))
         for i in range(n):
-            rows[i][i] = lax.antiderive(src[i, i])
+            rows[i][i] = lax.antiderive(src[i])
     else:
         for i in range(n):
             if any(F[i, i].known[:1]):
@@ -231,41 +238,43 @@ def solve_dressing(lax: LaxData, depth: int) -> Dressing:
     the q-structure this happens for generic potentials (the diagonal
     equations acquire constant sources the dilation cannot absorb).
     """
+    neg_u = -lax.u
     ws = [MatSeries.identity(lax.n, lax.proto())]
     for _ in range(depth):
-        ws.append(_next_order(lax, ws[-1], lambda w: -(lax.u @ w), "dressing"))
+        ws.append(_next_order(lax, ws[-1], lambda w: ((neg_u, w),), "dressing"))
     return Dressing(MZSeries(lax.n, {-k: m for k, m in enumerate(ws)}), depth, lax)
 
 
-def _idempotent_repair(alpha, lift, rho, prior, context) -> MatSeries:
+def _idempotent_repair(alpha, lift, rho, prior) -> MatSeries:
     """Lift the free diagonal constants so the partial sums stay idempotent.
 
     The defect at order m = len(prior) is K = sum_(a=0..m) R_a R_(m-a) - rho
     with R_0 = E the channel projector and R_m = rho; `lift` is E - I, which
-    carries the -rho, so K is one `MatSeries.dot` over m + 1 block pairs.
+    carries the -rho. K is a constant diagonal: by q-Leibniz R**2 solves
+    the commutation identity as R does, and equals R through order m - 1,
+    so (R**2)_m and rho solve the same order-m step and differ by a free
+    constant. The constant term of a product is the product of the
+    constant terms, so K's diagonal is read off the x**0 coefficients of
+    the orders and K itself is not formed (tests/test_solver_oracles.py
+    forms it whole and checks that it is this constant).
     """
-    n = rho.n
-    m = len(prior)
-    K = MatSeries.dot(
-        [(lift, rho), (rho, prior[0])]
-        + [(prior[a], prior[m - a]) for a in range(1, m)]
-    )
+    n, m = rho.n, len(prior)
+    blocks = [(lift, rho), (rho, prior[0])] + [
+        (prior[a], prior[m - a]) for a in range(1, m)
+    ]
     consts = []
     for i in range(n):
-        kii = K[i, i]
-        c = kii.constant_term()
-        rest = kii - XSeries.const(c, kii.order)
-        if not rest.is_zero():
-            raise DiagonalConsistencyError(
-                f"{context}: idempotent lift blocked by nonconstant defect {kii!r}"
-            )
+        num, den = 0, 1  # the sum of the x**0 products over their lcm
+        for a, b in blocks:
+            for k, x in enumerate(a.rows[i]):
+                y = b.rows[k][i]
+                p = x.nums[0] * y.nums[0]
+                if p:
+                    d = x.den * y.den
+                    lcm = den // gcd(den, d) * d
+                    num, den = num * (lcm // den) + p * (lcm // d), lcm
+        c = Fraction(num, den)
         consts.append(-c if i == alpha else c)
-    for i in range(n):
-        for j in range(n):
-            if i != j and not K[i, j].is_zero():
-                raise DiagonalConsistencyError(
-                    f"{context}: idempotent lift blocked at entry {(i, j)}"
-                )
     return rho + MatSeries.diag_const(consts, rho.proto())
 
 
@@ -291,11 +300,10 @@ def solve_resolvent_direct(
     orders = [unit]
     for _ in range(depth):
         rho = _next_order(
-            lax, orders[-1],
-            lambda r: MatSeries.dot(((r.map(dilate), u), (neg_u, r))), context
+            lax, orders[-1], lambda r: ((r.map(dilate), u), (neg_u, r)), context
         )
         if normalization == "orthogonal":
-            rho = _idempotent_repair(alpha, lift, rho, orders, context)
+            rho = _idempotent_repair(alpha, lift, rho, orders)
         orders.append(rho)
     exact = normalization == "zero" and depth > 0 and orders[-1].is_zero_exact()
     return MZSeries(
@@ -320,15 +328,18 @@ def b_split(r: MZSeries, k: int) -> tuple[MZSeries, MZSeries]:
     return shifted.project("plus"), shifted.project("minus")
 
 
-def commutation_residual(lax: LaxData, r: MZSeries) -> MZSeries:
+def commutation_residual(lax: LaxData, r: MZSeries, *window) -> MZSeries:
     """derive(R) - (sigma R)(U - zA) + (U - zA) R; zero for resolvents.
 
     Its negative is the multiplication part of the twisted commutator of R
     with the Lax operator: the derivation-band terms of the full operator
-    bracket cancel exactly and are not materialized.
+    bracket cancel exactly and are not materialized. A caller that reads
+    only some degrees passes their window (lo, hi), as to
+    `MZSeries.product`.
     """
     m = lax.u_minus_za()
-    return derive_through(r, -m, lax.derive, lax.dilate) + (m * r)
+    return derive_through(r, -m, lax.derive, lax.dilate, *window) + m.product(
+        r, *window)
 
 
 def verify_resolvent(lax: LaxData, r: MZSeries) -> MZSeries:
@@ -373,8 +384,14 @@ def _leibniz(mu: tuple, term) -> MZSeries:
     return acc
 
 
-def _bracket(a: MZSeries, b: MZSeries) -> MZSeries:
-    return (a * b) - (b * a)
+def _bracket(a: MZSeries, b: MZSeries, lo=NEG_INF) -> MZSeries:
+    return a.product(b, lo) - b.product(a, lo)
+
+
+def flow_reach(lams) -> int:
+    """The largest total flow order, the sum of k over the flows g = (k, a),
+    of the flow multisets `lams`; 0 when there are none."""
+    return max((sum(k for k, _ in lam) for lam in lams), default=0)
 
 
 class FlowTable:
@@ -389,10 +406,20 @@ class FlowTable:
     * b(g, mu) = d_mu B_g = (z**k r(a, mu))_+;
     * factor(lam, mu) = d_mu f_lam, where d_lam w = f_lam w: f_() = I and
       f_(lam,g) = d_g f_lam + f_lam B_g, expanded by Leibniz.
+
+    `reach`, when given, is the largest total order k + w(mu) of any
+    b(g, mu) the caller reads, w(mu) being mu's total flow order; a factor
+    f_lam reads b up to w(lam). Then r(b, mu) is formed only from degree
+    w(mu) - reach up, which is what b reads of it: z**k r(a, mu) from
+    degree 0. The window holds through the Leibniz sum, since the bracket
+    [b(g, nu), r(b, rest)] reads r(b, rest) there only from
+    w(rest) - reach up; `flow_reach` gives the reach of a set of lambdas
+    or of flow pairs. Without `reach` every r is the whole series.
     """
 
-    def __init__(self, family: list[MZSeries]):
+    def __init__(self, family: list[MZSeries], reach: int | None = None):
         self.family = family
+        self._floor = NEG_INF if reach is None else -reach
         self._r: dict = {}
         self._b: dict = {}
         self._f: dict = {}
@@ -404,8 +431,11 @@ class FlowTable:
                 got = self.family[beta]
             else:
                 g = mu[0]
+                lo = self._floor + flow_reach((mu,))
                 got = _leibniz(mu[1:], lambda nu, rest: _bracket(
-                    self.b(g, nu), self.r(beta, rest)))
+                    self.b(g, nu), self.r(beta, rest), lo))
+                if lo > got.zvalid:  # the degrees below lo were not formed
+                    got = MZSeries(got.n, got.terms, lo, got.proto)
             self._r[(beta, mu)] = got
         return got
 

@@ -174,6 +174,19 @@ class MatSeries:
             tuple(dot(p) if p else zero for p in row) for row in pairs
         ))
 
+    @staticmethod
+    def dot_diagonal(blocks) -> list:
+        """The diagonal entries of `dot(blocks)`, one ring `dot` each, over
+        the same live pairs; the other entries are not formed."""
+        proto = blocks[0][0].proto()
+        dot, zero = type(proto).dot, proto.zero_like()
+        out = []
+        for i in range(blocks[0][0].n):
+            p = [(a.rows[i][k], b.rows[k][i])
+                 for a, b in blocks for k in a.live[i] if i in b.live[k]]
+            out.append(dot(p) if p else zero)
+        return out
+
     def scale(self, c) -> "MatSeries":
         c = frac(c)
         return self.map(lambda e: e.scale(c))

@@ -451,7 +451,7 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
         params[label] = "ok"
         # derivation-band freedom: B_+ and -B_- give the same flow
         _, b_minus = hy.b_split(r, k)
-        alt = hy.commutation_residual(ctx.lax, b_minus).coeff(0)
+        alt = hy.commutation_residual(ctx.lax, b_minus, 0, 0).coeff(0)
         failures += nonzero([("avoided-band mismatch", alt - value)])
     return _result(params, failures, {})
 
@@ -463,7 +463,7 @@ def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
     flows = list(cfg.flows)
     # a pair (f, f) is identically zero, whatever the resolvents are
     pairs = [(f, g) for i, f in enumerate(flows) for g in flows[i + 1:]]
-    table = hy.FlowTable(ctx.family)
+    table = hy.FlowTable(ctx.family, hy.flow_reach(pairs))
     residuals = (
         (((k, a + 1), (l, b + 1)), hy.verify_zero_curvature(table, (k, a), (l, b)))
         for (k, a), (l, b) in pairs

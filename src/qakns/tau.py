@@ -41,6 +41,7 @@ from fractions import Fraction
 
 from .bilinear import bilinear_residues, x_factor_of
 from .calculus import dilate, exp_q_series, graded_apply, graded_exp, q_derive
+from .hierarchy import flow_reach
 from .matseries import MatSeries
 from .scalars import frac
 from .series import XSeries
@@ -333,11 +334,6 @@ class TauSpec:
         )
 
 
-def _flow_weight(lambdas) -> int:
-    """w, the largest total order sum k over the lambdas: P_lam's top z-degree."""
-    return max((sum(k for k, _ in lam) for lam in lambdas), default=0)
-
-
 def classical_residues(spec: TauSpec, l_max: int, lambdas) -> list:
     """The classical precheck: res_z(z**l H_lam) on the unshifted Baker, m = 0.
 
@@ -346,7 +342,7 @@ def classical_residues(spec: TauSpec, l_max: int, lambdas) -> list:
     `bilinear_residues`' (label, residue) pairs.
     """
     what = baker_from_tau(spec.tau, spec.companions, spec.n)
-    winv = what.invert(-(1 + l_max + _flow_weight(lambdas)))
+    winv = what.invert(-(1 + l_max + flow_reach(lambdas)))
     return bilinear_residues(
         lambda lam: flow_factor(what, winv, lam), None, None, None, l_max, lambdas
     )
@@ -412,7 +408,7 @@ def taylor_agreement(spec: TauSpec, a_values, q, l_max: int, lambdas) -> tuple:
     # T_lam w**-1 is read at z**(-1-l), and T_lam reaches z**(xorder + w):
     # grade j of T reaches z**j and each flow of lam its order more. Every
     # other read of w**-1 stops above that.
-    w = _flow_weight(lambdas)
+    w = flow_reach(lambdas)
     winv = what.invert(-(1 + l_max + xorder + w))
 
     # the q-derivation and the dilation x -> qx, inside the time coefficients

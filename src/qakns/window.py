@@ -50,10 +50,12 @@ def upper_product(cap, va, ta, vb, tb):
 def upper_shift(cap, v, top, k):
     """Upper window of a carrier whose degrees all move by k (x**k * a, a
     derivation for k = -1): an exact carrier stays exact unless a term
-    moves past the cap, and an inexact one moves its window with it."""
+    moves past the cap, and an inexact one moves its window with it, to
+    the cap at most: what it did not know at its window lands above the
+    cap, and an inexact carrier never becomes exact."""
     if v > cap:
         return cap if top + k > cap else cap + 1
-    return v + k
+    return min(v + k, cap)
 
 
 def upper_inverse(cap, v, constant: bool):

@@ -127,16 +127,17 @@ def test_a_corruption_run_corrupts_and_inverts_once(monkeypatch):
 
 def test_zero_curvature_reads_every_pair_from_one_flow_table(monkeypatch):
     # one table over the family forms each B_g and each d_g B_h once for all
-    # three demo pairs
+    # three demo pairs, and each flow derivative only from the degree that
+    # the deepest pair reads
     ctx = SuiteContext(demo_config())
     ctx.family
     calls = {"table": 0, "product": 0, "dot": 0}
     real_product, real_dot = MZSeries.product, MatSeries.dot
 
     class CountedTable(hy.FlowTable):
-        def __init__(self, family):
+        def __init__(self, *args):
             calls["table"] += 1
-            super().__init__(family)
+            super().__init__(*args)
 
     def product(self, other, lo=NEG_INF, hi=math.inf):
         calls["product"] += 1
@@ -154,7 +155,7 @@ def test_zero_curvature_reads_every_pair_from_one_flow_table(monkeypatch):
     assert res.status == "pass" and len(res.params["pairs"]) == 3
     assert calls["table"] == 1
     assert calls["product"] <= 16
-    assert calls["dot"] <= 102
+    assert calls["dot"] <= 62
 
 
 def test_zero_curvature_pairs_distinct_flows_only():

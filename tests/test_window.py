@@ -71,6 +71,8 @@ def test_upper_rules_at_the_cap():
     # a shift moves an inexact window and keeps an exact one inside the cap
     assert upper_shift(N, 4, 4, -1) == 3 and upper_shift(N, N + 1, 4, -1) == N + 1
     assert upper_shift(N, 4, 4, 1) == 5 and upper_shift(N, N + 1, N, 1) == N
+    # an inexact window moves up to the cap and never onto the exact sentinel
+    assert upper_shift(N, N, N, 1) == N
     # only an exact constant has an exact reciprocal
     assert upper_inverse(N, N + 1, True) == N + 1
     assert upper_inverse(N, N + 1, False) == N
