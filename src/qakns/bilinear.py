@@ -147,7 +147,7 @@ def reconstruct_from_bilinear(dressing: Dressing):
     return a_values, u, g - za + MZSeries.from_term(g.n, 0, u)
 
 
-def inject_corruption(dressing: Dressing, value="1") -> Dressing:
+def inject_corruption(dressing: Dressing, value) -> Dressing:
     """Add a constant to the last diagonal entry of w_1, as a z**-1 term.
 
     Breaks the factorization unless the bump happens to be absorbed by the
@@ -159,5 +159,6 @@ def inject_corruption(dressing: Dressing, value="1") -> Dressing:
         raise ValueError("need at least depth 1 to corrupt")
     lax = dressing.lax
     bump = MatSeries.diag_const([0] * (lax.n - 1) + [frac(value)], lax.proto())
-    w = dressing.w + MZSeries.from_term(lax.n, -1, bump)
-    return Dressing(w, dressing.depth, lax)
+    orders = [dressing.w.coeff(-k) for k in range(dressing.depth + 1)]
+    orders[1] = orders[1] + bump
+    return Dressing(orders, lax)

@@ -1,8 +1,10 @@
 """Lax structure, dressing and resolvent solvers, flows, and their checks.
 
-A channel resolvent R_a = E_a + R(1) z**-1 + ... is an `MZSeries`: exact
-when its series terminates, otherwise unknown below z**-depth. A
-`Dressing` holds its series w with its depth. Consumers read orders as
+A channel resolvent R_a = E_a + R(1) z**-1 + ... is an `MZSeries`, and
+a `Dressing` holds its series w with its depth. One rule, `_solved`,
+sets the z-window of every solve, fresh or read off a deeper cached one:
+exact when the solve terminates on an order that vanished exactly,
+otherwise unknown below z**-depth. Consumers read orders as
 `coeff(-j)`.
 
 The one flow rule, d_(k a) R_b = [B_(k a), R_b] with B = (z**k R)_+, is
@@ -134,24 +136,34 @@ class LaxData:
 
     def eig_weights(self, j: int, i: int):
         """1/(a_j*sigma(m) - a_i) for m = 0..order as integers over one
-        denominator; where the eigenvalue vanishes the weight is 0 and the
-        degree is listed."""
+        denominator; where the eigenvalue vanishes the weight is 0."""
         got = self._eigs.get((j, i))
         if got is None:
             eigs = [self.a[j] * self.q**m - self.a[i]
                     for m in range(self.order + 1)]
-            nums, den = common_den([1 / e if e else ZERO for e in eigs])
-            got = nums, den, tuple(m for m, e in enumerate(eigs) if not e)
-            self._eigs[(j, i)] = got
+            got = self._eigs[(j, i)] = common_den(
+                [1 / e if e else ZERO for e in eigs])
         return got
+
+
+def _solved(n: int, orders: list[MatSeries], terminates: bool) -> MZSeries:
+    """The series sum_j orders[j] z**-j of a solve to depth d = len(orders) - 1.
+
+    The one window rule of the solvers: exact when the solve terminates
+    on an order d > 0 that vanished exactly (a vanishing order propagates,
+    so the series is finite), otherwise unknown below z**-d.
+    """
+    d = len(orders) - 1
+    exact = terminates and d > 0 and orders[-1].is_zero_exact()
+    return MZSeries(n, {-j: m for j, m in enumerate(orders)}, NEG_INF if exact else -d)
 
 
 class Dressing:
     """w = I + w_1 z**-1 + ... + w_K z**-K with the factorization property.
 
-    The constructor sets w's validity from K = depth: exact when w_K
-    vanishes exactly (a vanishing order propagates, so the series is
-    finite), otherwise unknown below z**-K. The dressing owns the Baker
+    The constructor takes the orders I, w_1, ..., w_K and sets w's window
+    by the solvers' one rule (`_solved`): a dressing terminates, so w is
+    exact when w_K vanishes exactly. The dressing owns the Baker
     data every consumer reads: its inverse w**-1 (determined down to
     z**-K) and the channel family w E_a w**-1. Both are computed once, on
     first use; a modified dressing is a new object and never sees them.
@@ -159,10 +171,9 @@ class Dressing:
 
     __slots__ = ("w", "depth", "lax", "_inverse", "_resolvents")
 
-    def __init__(self, w: MZSeries, depth: int, lax: LaxData):
-        finite = depth > 0 and w.coeff(-depth).is_zero_exact()
-        self.w = MZSeries(lax.n, w.terms, NEG_INF if finite else -depth, w.proto)
-        self.depth = depth
+    def __init__(self, orders: list[MatSeries], lax: LaxData):
+        self.w = _solved(lax.n, orders, True)
+        self.depth = len(orders) - 1
         self.lax = lax
         self._inverse = None
         self._resolvents = None
@@ -184,12 +195,11 @@ class Dressing:
 
 def _divide_by_eigs(lax: LaxData, src: XSeries, j: int, i: int) -> XSeries:
     """src_m / (a_j*sigma(m) - a_i) inside src's validity window, zero above
-    it; a vanishing eigenvalue against a nonzero coefficient is a resonance."""
-    ws, den, zeros = lax.eig_weights(j, i)
+    it. `LaxData` has rejected every resonance, so an eigenvalue vanishes
+    only on the diagonal at m = 0, where the source's constant is zero;
+    its weight is 0."""
+    ws, den = lax.eig_weights(j, i)
     known = src.known
-    for m in zeros:
-        if m < len(known) and known[m]:
-            raise ResonanceError(f"resonance at entry {(i, j)} degree {m}")
     out = list(map(mul, known, ws))
     out += [0] * (lax.order + 1 - len(known))
     return XSeries.from_ints(out, src.den * den, src.valid, len(known) - 1)
@@ -242,7 +252,7 @@ def solve_dressing(lax: LaxData, depth: int) -> Dressing:
     ws = [MatSeries.identity(lax.n, lax.proto())]
     for _ in range(depth):
         ws.append(_next_order(lax, ws[-1], lambda w: ((neg_u, w),), "dressing"))
-    return Dressing(MZSeries(lax.n, {-k: m for k, m in enumerate(ws)}), depth, lax)
+    return Dressing(ws, lax)
 
 
 def _idempotent_repair(alpha, lift, rho, prior) -> MatSeries:
@@ -283,8 +293,9 @@ def solve_resolvent_direct(
 ) -> MZSeries:
     """Order-by-order solve of the commutation identity for channel alpha.
 
-    The series is unknown below z**-depth, except that a zero-normalized
-    solve whose last order vanishes exactly has terminated and is exact.
+    The window is `_solved`'s: a zero-normalized solve terminates, so it
+    is exact when its last order vanished exactly; an orthogonal one is
+    unknown below z**-depth.
 
     normalization:
       "orthogonal" -- free diagonal constants lifted so the channel family
@@ -305,10 +316,7 @@ def solve_resolvent_direct(
         if normalization == "orthogonal":
             rho = _idempotent_repair(alpha, lift, rho, orders)
         orders.append(rho)
-    exact = normalization == "zero" and depth > 0 and orders[-1].is_zero_exact()
-    return MZSeries(
-        lax.n, {-j: m for j, m in enumerate(orders)}, NEG_INF if exact else -depth
-    )
+    return _solved(lax.n, orders, normalization == "zero")
 
 
 def resolvent_from_dressing(dressing: Dressing, alpha: int) -> MZSeries:
@@ -512,12 +520,11 @@ class HierarchySession:
     once at the deepest depth requested so far.
 
     A solve to depth d is the first d orders of the same solve taken
-    deeper, so a shallower request reads the deepest cached solve cut at
-    z**-d: the same terms and the same window as a fresh depth-d solve.
-    That solve is exact when its order d has vanished, and a zero order
-    stays zero: so the cut is exact when the deeper solve is and has no
-    term at z**-d, and otherwise unknown below z**-d. A request that
-    raises caches nothing.
+    deeper, so a shallower request reads the deepest cached solve's orders
+    through z**-d and windows them by the solvers' one rule (`_solved`):
+    the same terms and the same window as a fresh depth-d solve. A
+    request at the cached depth returns the cached series itself. A
+    request that raises caches nothing.
     """
 
     def __init__(self, lax: LaxData):
@@ -531,11 +538,10 @@ class HierarchySession:
         got = self._deepest.get(key)
         if got is not None and got[0] >= depth:
             deeper = got[1]
-            if deeper.zvalid == -depth or (
-                deeper.is_exact and min(deeper.terms) > -depth
-            ):
+            if got[0] == depth:
                 return deeper
-            return MZSeries(self.lax.n, deeper.terms, -depth, deeper.proto)
+            orders = [deeper.coeff(-j) for j in range(depth + 1)]
+            return _solved(self.lax.n, orders, normalization == "zero")
         series = solve_resolvent_direct(self.lax, alpha, depth, normalization)
         self._deepest[key] = (depth, series)
         return series

@@ -66,12 +66,9 @@ def emit_report(report: Report, fmt: str = "text") -> str:
         mark = {"pass": "ok", "fail": "FAIL", "error": "ERROR"}[c.status]
         extra = ""
         if c.max_degree_verified:
-            parts = [
+            extra = "  [" + ", ".join(
                 f"{k}<={v}" for k, v in sorted(c.max_degree_verified.items())
-                if v is not None
-            ]
-            if parts:
-                extra = "  [" + ", ".join(parts) + "]"
+            ) + "]"
         if c.first_failure is not None:
             extra += f"  first failure: {c.first_failure}"
         lines.append(f"  {c.name:<{width}} {mark:<6} {c.ms:8.1f}ms{extra}")

@@ -40,9 +40,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bilinear import bilinear_residues, x_factor_of
-from .calculus import dilate, exp_q_series, graded_apply, graded_exp, q_derive
+from .calculus import dilate, graded_apply, graded_exp, q_derive
 from .hierarchy import flow_reach
 from .matseries import MatSeries
+from .qop import exp_q_laurent
 from .scalars import frac
 from .series import XSeries
 from .timepoly import FlowIndex, TimePoly
@@ -290,11 +291,7 @@ def verify_expqo(a_values, q, ctx: TimeContext):
         gens = {k: ctx.variable((k, alpha)) for k in sorted(kvars)}
         lhs_exp = scalar(graded_exp(gens or {1: zero}, z_depth))
         a = frac(a_values[alpha])
-        coeffs = exp_q_series(a, q, ctx.xorder).coeffs
-        expq = scalar({
-            j: ctx.constant(XSeries.monomial(coeffs[j], j, ctx.xorder))
-            for j in range(z_depth + 1)
-        })
+        expq = exp_q_laurent([a], q, ctx.xorder, +1, z_depth).map_entries(ctx.constant)
         lhs = expq.product(lhs_exp, hi=z_depth)
         # the shift applies at every order, whether or not a time variable
         # of that order is present (absent times are identically zero)

@@ -10,8 +10,10 @@ import pytest
 from qakns import bilinear as bl
 from qakns import hierarchy as hy
 from qakns import qop, report
+from qakns import tau as tau_mod
 from qakns.config import DEMO_CONFIG, RunConfig, demo_config, parse_config
 from qakns.matseries import MatSeries
+from qakns.scalars import frac
 from qakns.series import XSeries
 from qakns.suites import (
     CHECKS,
@@ -20,7 +22,7 @@ from qakns.suites import (
     check_zero_curvature,
     run_suite,
 )
-from qakns.zseries import NEG_INF, MZSeries
+from qakns.zseries import NEG_INF, MZSeries, derive_through
 
 
 def run_checks(*names):
@@ -63,6 +65,68 @@ def test_qr_residual_names_the_first_failing_channel(monkeypatch):
     # channel, then z-degree, entry (i, j), x-degree and value
     coords = res.first_failure["coordinates"]
     assert coords[0] == "0" and len(coords) == 6
+
+
+def test_basis_expansion_fails_on_a_remainder_outside_the_span(monkeypatch):
+    message = "residual at z**-1 outside the constant-diagonal span: <x>"
+
+    def refuse(s, family):
+        raise ValueError(message)
+
+    monkeypatch.setattr(hy, "expand_in_basis", refuse)
+    (res,) = run_checks("hierarchy.basis_expansion")
+    assert res.status == "fail" and res.params == {"constants": {}}
+    assert res.first_failure == {"coordinates": [message]}
+
+
+def test_gatekeeping_fails_when_the_non_solution_is_not_rejected(monkeypatch):
+    monkeypatch.setattr(tau_mod, "verify_tau_theorem", lambda *args: [])
+    (res,) = run_checks("tau.gatekeeping")
+    assert res.status == "fail"
+    assert res.first_failure == {
+        "coordinates": ["a non-solution passed the classical precheck"]}
+
+
+def test_classical_limit_fails_when_the_linear_case_does_not_vanish(monkeypatch):
+    # every ratio inside the window, every norm nonzero: only the linear
+    # case, which must vanish exactly, fails
+    def limit(poly, a_values, qs):
+        return [1] * len(qs), [frac("1/2")] * len(qs)
+
+    monkeypatch.setattr(tau_mod, "classical_limit_check", limit)
+    (res,) = run_checks("tau.classical_limit")
+    assert res.status == "fail"
+    assert res.first_failure == {
+        "coordinates": ["linear", "expected exact vanishing"]}
+
+
+def test_tau_checks_run_on_the_default_times_without_a_tau():
+    cfg = parse_config({**DEMO_CONFIG, "tau": None, "checks": None})
+    results = run_suite(cfg, ["tau."]).checks
+    assert [r.name for r in results] == [
+        name for name, _ in CHECKS if name.startswith("tau.")]
+    assert all(r.status == "pass" for r in results)
+    (theorem,) = [r for r in results if r.name == "tau.theorem"]
+    assert theorem.params == {"lambdas": 4, "l_max": 3}
+
+
+def test_dressing_factorization_reads_its_z_window_off_the_residual():
+    # x**3 above the diagonal: the depth-2 dressing does not terminate
+    cfg = parse_config({
+        **DEMO_CONFIG, "l_max": 0, "lambda_max": 0,
+        "bilinear_u": [[["0"], ["0", "0", "0", "1"]], [["0"], ["0"]]],
+        "checks": ["dressing.factorization"],
+    })
+    (res,) = run_suite(cfg).checks
+    assert res.status == "pass" and res.params == {"depth": 2}
+    assert res.max_degree_verified == {"z": 1}
+    ctx = SuiteContext(cfg)
+    lax, w = ctx.bilinear_lax, ctx.dressing.w
+    assert w.zvalid == -2
+    a_z = MZSeries.from_term(lax.n, 1, lax.a_mat())
+    residual = derive_through(w, a_z, lax.derive, lax.dilate) + (
+        lax.u_minus_za() * w)
+    assert res.max_degree_verified["z"] == -residual.zvalid
 
 
 def test_oracle_factors_are_built_once_per_run(monkeypatch):

@@ -1,11 +1,13 @@
 """The code-line counter that measures the size of src/qakns."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "code_lines.py"
 
 
 def _tool():
@@ -73,12 +75,17 @@ def test_op_counts_repeat_and_leave_no_wrapper():
     before = (XSeries.__dict__["dot"], MatSeries.__dict__["dot"],
               MZSeries.__dict__["product"], list(suites.CHECKS))
     cfg = demo_config()
+    # pairing.oracle_examples and tau.expqo call MZSeries.product with a
+    # keyword, which the wrapper forwards
     cfg = type(cfg)(**{**cfg.__dict__, "checks": (
-        "hierarchy.qr_residual", "hierarchy.zero_curvature", "bilinear.qb1")})
+        "pairing.oracle_examples", "hierarchy.qr_residual",
+        "hierarchy.zero_curvature", "bilinear.qb1", "tau.expqo")})
     first = tool.op_counts(cfg)
     assert first == tool.op_counts(cfg)
     assert list(first) == list(cfg.checks)
-    assert all(calls > 0 for calls in first["hierarchy.zero_curvature"])
+    assert all(status == "pass" for status, _ in first.values())
+    assert all(calls > 0 for calls in first["hierarchy.zero_curvature"][1])
+    assert all(calls > 0 for calls in first["tau.expqo"][1])
     after = (XSeries.__dict__["dot"], MatSeries.__dict__["dot"],
              MZSeries.__dict__["product"], list(suites.CHECKS))
     assert all(a is b for a, b in zip(before[:3], after[:3]))
@@ -99,6 +106,28 @@ def test_op_counts_restores_the_kernels_when_a_check_raises(monkeypatch):
     with pytest.raises(KeyError):
         _op_counts().op_counts(demo_config())
     assert XSeries.__dict__["dot"] is real
+
+
+def test_op_counts_exits_1_naming_a_check_that_ends_in_error(
+        monkeypatch, tmp_path, capsys):
+    from qakns import suites
+
+    def broken(ctx):
+        raise KeyError("boom")
+
+    checks = [(name, broken if name == "qcalc.leibniz_forms" else fn)
+              for name, fn in suites.CHECKS]
+    monkeypatch.setattr(suites, "CHECKS", checks)
+    path = tmp_path / "cfg.json"
+    data = json.loads((ROOT / "configs" / "demo.json").read_text())
+    data["checks"] = ["qcalc.leibniz_forms", "qcalc.expq_reciprocal"]
+    path.write_text(json.dumps(data))
+    assert _op_counts().main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "1 check(s) ended in error: qcalc.leibniz_forms" in captured.err
+    rows = {line.split()[0]: line.split()[1] for line in captured.out.splitlines()}
+    assert rows["qcalc.leibniz_forms"] == "error"
+    assert rows["qcalc.expq_reciprocal"] == "pass"
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["a.json", "b.json"]])

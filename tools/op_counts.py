@@ -3,13 +3,15 @@
     python3 tools/op_counts.py CONFIG
 
 Runs what `qakns verify --config CONFIG` runs, in this process, and
-prints one line per check: the `XSeries.dot` calls and the pairs they
-sum, the `MatSeries.dot` calls and the `MZSeries.product` calls; the
-total comes last. The counts are deterministic, so they compare two
-versions of the program where timings drift. A shared artifact (a
-resolvent family, a dressing) counts in the first check that builds it.
-The kernels and the check table are wrapped by name for the run and
-restored after it, also when it raises. With no path or with --help it
+prints one line per check: its status, the `XSeries.dot` calls and the
+pairs they sum, the `MatSeries.dot` calls and the `MZSeries.product`
+calls; the total comes last. The counts are deterministic, so they
+compare two versions of the program where timings drift. A shared
+artifact (a resolvent family, a dressing) counts in the first check that
+builds it. The kernels and the check table are wrapped by name for the
+run and restored after it, also when it raises. A check that ends in
+`error` stopped part way, so its counts and the total are partial: the
+run names those checks and exits 1. With no path or with --help it
 prints this text, and with a missing path it names that path; both exit 2.
 """
 
@@ -29,8 +31,8 @@ from qakns.zseries import MZSeries  # noqa: E402
 COLUMNS = ("xdot.calls", "xdot.pairs", "matdot.calls", "zproduct.calls")
 
 
-def op_counts(cfg) -> dict[str, tuple[int, ...]]:
-    """{check name: counts in COLUMNS order} for one run of `cfg`."""
+def op_counts(cfg) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """{check name: (status, counts in COLUMNS order)} for one run of `cfg`."""
     tally = dict.fromkeys(COLUMNS, 0)
     real_xdot, real_matdot = XSeries.__dict__["dot"], MatSeries.__dict__["dot"]
     real_product, real_checks = MZSeries.product, list(suites.CHECKS)
@@ -45,9 +47,9 @@ def op_counts(cfg) -> dict[str, tuple[int, ...]]:
         tally["matdot.calls"] += 1
         return real_matdot.__func__(blocks)
 
-    def product(self, *args):
+    def product(self, *args, **kwargs):
         tally["zproduct.calls"] += 1
-        return real_product(self, *args)
+        return real_product(self, *args, **kwargs)
 
     out = {}
 
@@ -64,12 +66,12 @@ def op_counts(cfg) -> dict[str, tuple[int, ...]]:
     MZSeries.product = product
     suites.CHECKS[:] = [(name, counted(name, fn)) for name, fn in real_checks]
     try:
-        suites.run_suite(cfg)
+        report = suites.run_suite(cfg)
     finally:
         XSeries.dot, MatSeries.dot = real_xdot, real_matdot
         MZSeries.product = real_product
         suites.CHECKS[:] = real_checks
-    return out
+    return {c.name: (c.status, out[c.name]) for c in report.checks}
 
 
 def main(argv: list[str]) -> int:
@@ -81,12 +83,21 @@ def main(argv: list[str]) -> int:
         return 2
     counts = op_counts(load_config(argv[0]))
     width = max(len(name) for name in counts) if counts else 5
-    print(f"{'check':<{width}} " + " ".join(f"{c:>14}" for c in COLUMNS))
+
+    def line(name, status, row):
+        print(f"{name:<{width}} {status:>6} " + " ".join(f"{v:>14}" for v in row))
+
+    line("check", "status", COLUMNS)
     total = [0] * len(COLUMNS)
-    for name, row in counts.items():
+    for name, (status, row) in counts.items():
         total = [t + v for t, v in zip(total, row)]
-        print(f"{name:<{width}} " + " ".join(f"{v:>14}" for v in row))
-    print(f"{'total':<{width}} " + " ".join(f"{v:>14}" for v in total))
+        line(name, status, row)
+    line("total", "", total)
+    errors = [name for name, (status, _) in counts.items() if status == "error"]
+    if errors:
+        print(f"op_counts.py: partial counts, {len(errors)} check(s) ended in "
+              f"error: {', '.join(errors)}", file=sys.stderr)
+        return 1
     return 0
 
 
