@@ -41,7 +41,6 @@ from .series import XSeries
 from .timepoly import TimePoly
 from .tau import (
     TauSpec,
-    TimeContext,
     baker_from_tau,
     classical_limit_check,
     miwa_shift,
@@ -60,7 +59,7 @@ __all__ = [
     "verify_zero_curvature",
     "MatSeries", "pairing_lhs", "pairing_oracle", "pairing_rhs",
     "frac", "frac_str", "XSeries", "TimePoly",
-    "TauSpec", "TimeContext", "baker_from_tau", "classical_limit_check",
+    "TauSpec", "baker_from_tau", "classical_limit_check",
     "miwa_shift", "q_shift_times", "verify_expqo", "verify_tau_theorem",
     "MZSeries",
 ]

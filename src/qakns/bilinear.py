@@ -24,6 +24,8 @@ classical precheck `tau.classical_residues`, and the q pass
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .hierarchy import Dressing, FlowTable, flow_reach
 from .matseries import MatSeries
 from .scalars import frac
@@ -57,21 +59,10 @@ def x_derivative_factor(dressing: Dressing) -> MZSeries:
 
 def lambda_pool(flows, max_len: int):
     """Multisets of flow labels up to the given length (order is immaterial:
-    honest time derivatives commute, and the flow calculus mirrors them)."""
-    pool = [()]
-    seen = {()}
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for lam in frontier:
-            for f in flows:
-                cand = tuple(sorted(lam + (f,)))
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        pool.extend(nxt)
-        frontier = nxt
-    return pool
+    honest time derivatives commute, and the flow calculus mirrors them),
+    shortest first, each a sorted tuple."""
+    return [tuple(sorted(lam)) for k in range(max_len + 1)
+            for lam in combinations_with_replacement(flows, k)]
 
 
 def bilinear_residues(flow_factor, g, derive, dilate, l_max: int, lambdas) -> list:

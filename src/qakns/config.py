@@ -303,6 +303,8 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             # the Miwa shift t_k -> t_k - z**-k / k divides by the order
             listed = [_parse_flow(p, n, "tau.variables", least=1)
                       for p in raw_vars]
+            # the one place the tau time order is decided: sorted, so the
+            # config hash does not depend on the listed order
             order = sorted(range(len(listed)), key=listed.__getitem__)
             variables = tuple(listed[k] for k in order)
             if not variables:

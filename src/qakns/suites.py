@@ -25,6 +25,7 @@ from .report import (
 )
 from .scalars import frac, q_int
 from .series import XSeries
+from .timepoly import TimePoly
 from .zseries import MZSeries, NEG_INF, InsufficientDepthError, derive_through
 
 
@@ -102,9 +103,10 @@ class SuiteContext:
         return self.get("family", lambda: self.session.family(depth))
 
     @property
-    def tau_ctx(self) -> tau_mod.TimeContext:
+    def tau_ctx(self) -> TimePoly:
+        """The zero of the run's tau time ring."""
         cfg = self.cfg
-        return self.get("tau_ctx", lambda: tau_mod.TimeContext(
+        return self.get("tau_ctx", lambda: TimePoly.zero(
             _tau_variables(cfg), cfg.n_t, cfg.n_x))
 
     @property
@@ -582,12 +584,12 @@ def check_expqo(ctx: SuiteContext) -> CheckResult:
 
 def _tau_spec_from_config(ctx: SuiteContext) -> tau_mod.TauSpec:
     cfg = ctx.cfg
-    tctx = ctx.tau_ctx
+    ring = ctx.tau_ctx
     if cfg.tau is None:
-        return tau_mod.vacuum_spec(tctx, cfg.n)
-    tau_poly = tctx.from_monomials(cfg.tau.monomials)
+        return tau_mod.TauSpec(ring.constant(1), {}, cfg.n)
+    tau_poly = ring.from_monomials(cfg.tau.monomials)
     companions = {
-        key: tctx.from_monomials(mons)
+        key: ring.from_monomials(mons)
         for key, mons in cfg.tau.companions.items()
     }
     return tau_mod.TauSpec(tau_poly, companions, cfg.n)
@@ -613,11 +615,11 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
 
 def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    tctx = ctx.tau_ctx
+    ring = ctx.tau_ctx
     bad = tau_mod.TauSpec(
-        tctx.constant(1) + tctx.variable(tctx.vars[0]), {}, cfg.n
+        ring.constant(1) + ring.variable(ring.vars[0]), {}, cfg.n
     )
-    lambdas = [(), (tctx.vars[0],)]
+    lambdas = [(), (ring.vars[0],)]
     try:
         tau_mod.verify_tau_theorem(bad, list(cfg.a), cfg.q, 2, lambdas, ctx.expqo)
     except tau_mod.TauCheckError:
@@ -632,8 +634,8 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     # sum chains up to x-order flow derivatives, so one more time degree
     # keeps it determined.
     xorder = 6
-    tctx = tau_mod.TimeContext(_default_tau_variables(cfg.n), xorder + 1, xorder)
-    poly = tctx.constant(1) + tctx.variable((1, 0))
+    ring = TimePoly.zero(_default_tau_variables(cfg.n), xorder + 1, xorder)
+    poly = ring.constant(1) + ring.variable((1, 0))
     spec = tau_mod.TauSpec(poly, {}, cfg.n)
     _, records = tau_mod.taylor_agreement(
         spec, list(cfg.a), cfg.q, 1, [(), ((1, 0),)]
@@ -649,15 +651,15 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
     if note := _idle(cfg, "tau.classical_limit"):
         return _result({"note": note})
-    tctx = tau_mod.TimeContext(((1, 0), (2, 0)), cfg.n_t, cfg.n_x)
-    t1 = tctx.variable((1, 0))
-    t2 = tctx.variable((2, 0))
+    ring = TimePoly.zero(((1, 0), (2, 0)), cfg.n_t, cfg.n_x)
+    t1 = ring.variable((1, 0))
+    t2 = ring.variable((2, 0))
     a_vals = [cfg.a[0]]
     cases = {
         "linear": t1,
         "quadratic": t1 * t1,
         "second_order_time": t2,
-        "mixed": (t1 * t1) * t2 + tctx.constant(1),
+        "mixed": (t1 * t1) * t2 + ring.constant(1),
     }
     lo, hi = frac("45/100"), frac("55/100")
     # params record every case's ratios, so all cases run even after a failure

@@ -1,9 +1,12 @@
 """Tau functions: time shifts, Baker assembly, and the shift theorem checks.
 
 A tau function enters as a polynomial in finitely many flow times, with
-off-diagonal companions supplied alongside it. The Baker dressing is read
-off through the z-substitution t_(k beta) -> t_(k beta) - z**-k / k and
-division by tau; the q-deformation substitutes
+off-diagonal companions supplied alongside it. Its ring starts at
+`TimePoly.zero(vars, tmax, xorder)`, with the times in the order listed,
+and the tau, its companions and every check's polynomials are built from
+an element of that ring. The Baker dressing is read off through the
+z-substitution t_(k beta) -> t_(k beta) - z**-k / k and division by tau;
+the q-deformation substitutes
 t_(k alpha) -> t_(k alpha) + (1-q)**k / (k (1-q**k)) * (a_alpha x)**k
 first. The z-substitution is the finite Taylor sum of t-derivatives
 exp(-sum_k z**-k / k d_(k beta)), which ends at the polynomial's own Miwa
@@ -46,36 +49,8 @@ from .matseries import MatSeries
 from .qop import exp_q_laurent
 from .scalars import frac
 from .series import XSeries
-from .timepoly import FlowIndex, TimePoly
+from .timepoly import TimePoly
 from .zseries import MZSeries, NEG_INF
-
-
-class TimeContext:
-    """Shared carrier data for one tau computation."""
-
-    __slots__ = ("vars", "tmax", "xorder")
-
-    def __init__(self, vars, tmax: int, xorder: int):
-        self.vars = tuple(sorted(set(vars)))
-        self.tmax = tmax
-        self.xorder = xorder
-
-    def constant(self, c) -> TimePoly:
-        return TimePoly.constant(c, self.vars, self.tmax, self.xorder)
-
-    def variable(self, v: FlowIndex) -> TimePoly:
-        return TimePoly.variable(v, self.vars, self.tmax, self.xorder)
-
-    def zero(self) -> TimePoly:
-        return TimePoly.zero(self.vars, self.tmax, self.xorder)
-
-    def from_monomials(self, monomials) -> TimePoly:
-        """Build from ((exponent tuple aligned to vars), coefficient) pairs."""
-        out = self.zero()
-        for e, c in monomials:
-            term = {tuple(e): XSeries.const(frac(c), self.xorder)}
-            out = out + TimePoly(self.vars, term, self.tmax, self.xorder)
-        return out
 
 
 def q_shift_coeff(k: int, q: Fraction) -> Fraction:
@@ -151,7 +126,9 @@ def baker_from_tau(tau: TimePoly, companions: dict, n: int) -> MZSeries:
     Diagonal entries are tau(miwa-shifted in the channel) / tau; entry
     (alpha, beta) off the diagonal carries z**-1 times companion
     tau_(alpha beta) shifted in channel beta, divided by tau. The Miwa
-    substitutions are whole, so the series is exact in z.
+    substitutions are whole, so the series is exact in z. Every companion
+    is substituted, a zero one too: one that vanishes only inside its
+    x-window keeps that window, and one truncated in t is refused.
     """
     if tau.constant_term().constant_term() == 0:
         raise ZeroDivisionError("tau has zero constant term")
@@ -162,8 +139,6 @@ def baker_from_tau(tau: TimePoly, companions: dict, n: int) -> MZSeries:
     for (alpha, beta), comp in companions.items():
         if alpha == beta:
             raise ValueError("companions are off-diagonal only")
-        if comp.is_zero():
-            continue
         shifted = _placed(n, (alpha, beta), zero, miwa_shift(comp, beta))
         what = what + shifted.shift(-1)
     inv = tau.invert()
@@ -269,35 +244,35 @@ def e_delta(a_values, q, proto: TimePoly) -> MZSeries:
 EXPQO_Z_DEPTH = 4
 
 
-def verify_expqo(a_values, q, ctx: TimeContext):
+def verify_expqo(a_values, q, ring: TimePoly):
     """exp_q(zAx) exp(sum z**k E t) == exp(sum z**k E t'), channel by channel.
 
-    Returns (channel, residual) pairs, channels 1-based as reports number
+    The times and truncations are those of `ring`'s elements. Returns (channel, residual) pairs, channels 1-based as reports number
     them; each residual is the 1 x 1 z-series of the difference through
     z**EXPQO_Z_DEPTH, at every x-degree.
     """
     z_depth = EXPQO_Z_DEPTH
-    if z_depth > ctx.xorder:
+    if z_depth > ring.xorder:
         raise ValueError("z depth beyond the x truncation makes the check vacuous")
     q = frac(q)
-    zero = ctx.zero()
+    zero = ring.zero_like()
 
     def scalar(series: dict) -> MZSeries:
         return _placed(1, (0, 0), zero, series)
 
     results = []
     for alpha in range(len(a_values)):
-        kvars = {k for (k, a) in ctx.vars if a == alpha}
-        gens = {k: ctx.variable((k, alpha)) for k in sorted(kvars)}
+        kvars = {k for (k, a) in ring.vars if a == alpha}
+        gens = {k: ring.variable((k, alpha)) for k in sorted(kvars)}
         lhs_exp = scalar(graded_exp(gens or {1: zero}, z_depth))
         a = frac(a_values[alpha])
-        expq = exp_q_laurent([a], q, ctx.xorder, +1, z_depth).map_entries(ctx.constant)
+        expq = exp_q_laurent([a], q, ring.xorder, +1, z_depth).map_entries(ring.constant)
         lhs = expq.product(lhs_exp, hi=z_depth)
         # the shift applies at every order, whether or not a time variable
         # of that order is present (absent times are identically zero)
         shifted_gens = {}
         for k in range(1, z_depth + 1):
-            amount = ctx.constant(shift_amount(k, a, q, ctx.xorder))
+            amount = ring.constant(shift_amount(k, a, q, ring.xorder))
             shifted_gens[k] = gens[k] + amount if k in gens else amount
         results.append(
             (alpha + 1, lhs - scalar(graded_exp(shifted_gens, z_depth)))
@@ -511,7 +486,3 @@ def verify_tau_theorem(spec: TauSpec, a_values, q, l_max: int, lambdas, expqo):
     )
     return [((tag, label), r) for tag, pairs in stages for label, r in pairs]
 
-
-def vacuum_spec(ctx: TimeContext, n: int) -> TauSpec:
-    """The built-in example: tau = 1 with vanishing companions."""
-    return TauSpec(ctx.constant(1), {}, n)

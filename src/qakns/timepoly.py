@@ -7,6 +7,12 @@ monomials of total degree <= tvalid are exact, tvalid == tmax + 1 marks a
 genuine polynomial with no discarded part. Coefficients are XSeries and
 carry their own x-validity.
 
+A ring starts at `TimePoly.zero(vars, tmax, xorder)`, which keeps `vars`
+in the order listed and refuses a variable listed twice. Every other
+element is built from one of the ring: `constant`, `variable` and
+`from_monomials`, like `zero_like` and `one_like`, build in the element's
+own ring.
+
 No monomial above `tvalid` is stored: such a coefficient is undetermined,
 so products never form one, and sums, `with_tvalid` and the constructor
 drop what a lowered `tvalid` leaves undetermined.
@@ -68,21 +74,35 @@ class TimePoly:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def constant(c, vars: tuple, tmax: int, xorder: int) -> "TimePoly":
-        e0 = (0,) * len(vars)
-        if isinstance(c, XSeries):
-            return TimePoly(vars, {e0: c}, tmax, xorder)
-        return TimePoly(vars, {e0: XSeries.const(frac(c), xorder)}, tmax, xorder)
-
-    @staticmethod
-    def variable(v: FlowIndex, vars: tuple, tmax: int, xorder: int) -> "TimePoly":
-        i = vars.index(v)
-        e = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return TimePoly(vars, {e: XSeries.one(xorder)}, tmax, xorder)
-
-    @staticmethod
     def zero(vars: tuple, tmax: int, xorder: int) -> "TimePoly":
+        """The zero of the ring over `vars`, in the order listed; a time
+        listed twice raises ValueError."""
+        vars = tuple(vars)
+        twice = sorted({v for v in vars if vars.count(v) > 1})
+        if twice:
+            raise ValueError(f"time variables listed twice: {twice}")
         return TimePoly(vars, {}, tmax, xorder)
+
+    def _monomial(self, e, c: XSeries) -> "TimePoly":
+        """c * t**e in this ring, through the validating constructor."""
+        return TimePoly(self.vars, {tuple(e): c}, self.tmax, self.xorder)
+
+    def constant(self, c) -> "TimePoly":
+        """c, an XSeries or a rational, in this ring."""
+        if not isinstance(c, XSeries):
+            c = XSeries.const(frac(c), self.xorder)
+        return self._monomial((0,) * len(self.vars), c)
+
+    def variable(self, v: FlowIndex) -> "TimePoly":
+        """The time t_v of this ring."""
+        i = self.vars.index(v)
+        e = (int(j == i) for j in range(len(self.vars)))
+        return self._monomial(e, XSeries.one(self.xorder))
+
+    def from_monomials(self, monomials) -> "TimePoly":
+        """The sum of c * t**e over (e, c) pairs: e aligned to vars, c rational."""
+        return sum((self._monomial(e, XSeries.const(frac(c), self.xorder))
+                    for e, c in monomials), self.zero_like())
 
     # -- ring protocol ------------------------------------------------------
 
@@ -90,7 +110,7 @@ class TimePoly:
         return self._like({}, self.tmax + 1)
 
     def one_like(self) -> "TimePoly":
-        return TimePoly.constant(1, self.vars, self.tmax, self.xorder)
+        return self.constant(1)
 
     @property
     def is_exact(self) -> bool:
@@ -233,7 +253,7 @@ class TimePoly:
         """
         c0 = self.constant_term()
         c0_inv = c0.invert()
-        rest = self - TimePoly.constant(c0, self.vars, self.tmax, self.xorder)
+        rest = self - self.constant(c0)
         nu = rest.scale_series(c0_inv)
         acc = self.one_like()
         term = self.one_like()

@@ -47,12 +47,11 @@ from qakns.qop import pairing_lhs, pairing_oracle, pairing_rhs
 from qakns.report import nonzero
 from qakns.scalars import q_int
 from qakns.series import XSeries
+from qakns.timepoly import TimePoly
 from qakns.tau import (
     TauSpec,
-    TimeContext,
     classical_limit_check,
     taylor_agreement,
-    vacuum_spec,
     verify_expqo,
     verify_tau_theorem,
 )
@@ -273,14 +272,15 @@ def test_criterion_4_bilinear():
 
 def test_criterion_5_tau():
     failures = []
-    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 6, NX)
+    ctx = TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), 6, NX)
     for q in QS:
         # the exponential-shift identity through z^4, all x-degrees
         for channel, witness in nonzero(verify_expqo([1, -1], q, ctx)):
             failures.append(f"expqo q={q} channel={channel}: {witness}")
     # vacuum passes the classical precheck and the q-stage at q = 2
     lams = lambda_pool([(1, 0), (1, 1)], 2)
-    out = verify_tau_theorem(vacuum_spec(ctx, 2), [1, -1], F(2), 4, lams,
+    vacuum = TauSpec(ctx.constant(1), {}, 2)
+    out = verify_tau_theorem(vacuum, [1, -1], F(2), 4, lams,
                              verify_expqo([1, -1], F(2), ctx))
     stages = {"q_bilinear": "vacuum q-bilinear",
               "taylor": "vacuum taylor agreement",
@@ -290,14 +290,14 @@ def test_criterion_5_tau():
     # the two proof-path evaluations agree term by term on data that is
     # not a solution, so the agreement is not an artifact of vanishing; one
     # time degree above the x-order keeps every compared entry determined
-    small = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 7, 6)
+    small = TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), 7, 6)
     nonsol = TauSpec(small.constant(1) + small.variable((1, 0)), {}, 2)
     _, recs = taylor_agreement(nonsol, [1, -1], F(2), 1, [(), ((1, 0),)])
     for (l, lam, _), _ in nonzero(recs):
         failures.append(f"mechanism agreement l={l} lam={lam}")
     # classical limit ratios within [0.45, 0.55] along q = 1 + 2^-m
     qs = [F(1) + F(1, 2**m) for m in (3, 4, 5, 6)]
-    lctx = TimeContext(((1, 0), (2, 0)), 6, NX)
+    lctx = TimePoly.zero(((1, 0), (2, 0)), 6, NX)
     t1, t2 = lctx.variable((1, 0)), lctx.variable((2, 0))
     lo, hi = F(45, 100), F(55, 100)
     for label, poly in (("quadratic", t1 * t1), ("order-two time", t2),

@@ -151,10 +151,31 @@ def _tau_config(n=2, exponents=(0, 0, 0), companion_key=None,
          "tau.companions key '1,5' needs 1 <= alpha != beta <= 2"),
         ({"variables": ([1, 1], [1, 1], [2, 1])},
          "tau.variables must be distinct, got [[1, 1], [1, 1], [2, 1]]"),
+        ({"exponents": [0, 0]},
+         "tau.monomials[0].exponents must have one entry per tau variable (3), "
+         "got 2"),
+        ({"companion_key": "1-2"},
+         'tau.companions keys must be "alpha,beta" channel pairs, got \'1-2\''),
     ],
 )
 def test_malformed_tau_input_exits_2(tmp_path, capsys, edit, message):
     data = _tau_config(**edit)
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("u", [[["0"], [str(c) for c in range(8)]], [["1"], ["0"]]],
+         "u[1][2] degree exceeds the x truncation"),
+        ("a", ["0", "1"], "eigenvalues of A must be nonzero"),
+    ],
+)
+def test_malformed_potential_and_eigenvalues_exit_2(tmp_path, capsys, field,
+                                                    value, message):
+    # x = 6 holds 7 coefficients; the zero eigenvalue reaches LaxData
+    data = dict(base_config(), **{field: value})
     assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
     assert message in capsys.readouterr().err
 
@@ -344,9 +365,9 @@ def test_tau_exponents_follow_the_listed_variable_order():
     assert listed.canonical_json() == ordered.canonical_json()
     assert listed.tau.companions == {(0, 1): (((1, 0, 0), -1),)}
     spec = _tau_spec_from_config(SuiteContext(listed))
-    tctx = SuiteContext(listed).tau_ctx
-    assert spec.tau == tctx.constant(1) + tctx.variable((2, 0))
-    assert spec.companions[(0, 1)] == tctx.constant(-1) * tctx.variable((1, 0))
+    ring = SuiteContext(listed).tau_ctx
+    assert spec.tau == ring.constant(1) + ring.variable((2, 0))
+    assert spec.companions[(0, 1)] == ring.constant(-1) * ring.variable((1, 0))
 
 
 def test_band_is_checked_but_not_hashed():

@@ -309,8 +309,8 @@ def test_timepoly_dot_matches_pairwise_loop():
 
 
 def test_timepoly_dot_errors():
-    t = TimePoly.variable((1, 0), VARS, TMAX, N)
-    other = TimePoly.variable((1, 0), VARS, TMAX + 1, N)
+    t = TimePoly.zero(VARS, TMAX, N).variable((1, 0))
+    other = TimePoly.zero(VARS, TMAX + 1, N).variable((1, 0))
     with pytest.raises(ValueError, match="incompatible"):
         TimePoly.dot([(t, other)])
     with pytest.raises(ValueError, match="incompatible"):

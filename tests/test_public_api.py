@@ -26,5 +26,5 @@ def test_star_import_binds_every_public_name():
     exec("from qakns import *", namespace)
     missing = [name for name in qakns.__all__ if name not in namespace]
     assert missing == []
-    for gone in ("QCalc", "QDOp", "q_commutator"):
+    for gone in ("QCalc", "QDOp", "q_commutator", "TimeContext"):
         assert gone not in qakns.__all__ and not hasattr(qakns, gone)

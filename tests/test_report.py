@@ -47,7 +47,7 @@ def test_a_determined_zero_passes_and_a_nonzero_keeps_its_witness():
     assert list(nonzero([("r", partly), ("x", XSeries.zero(N).with_valid(0))])) == []
     # a nonzero residual's witness is its first nonzero coefficient, even
     # when another entry determines nothing
-    mixed = MatSeries([[zero_t.with_tvalid(-1), TimePoly.variable((1, 0), VARS, 3, N)], [zero_t, zero_t]])
+    mixed = MatSeries([[zero_t.with_tvalid(-1), zero_t.variable((1, 0))], [zero_t, zero_t]])
     ((label, witness),) = nonzero([("r", mixed)])
     assert label == "r" and witness == (0, 1, (1, 0), 0, F(1))
 

@@ -17,7 +17,6 @@ from qakns.tau import (
     EXPQO_Z_DEPTH,
     TauCheckError,
     TauSpec,
-    TimeContext,
     baker_from_tau,
     classical_limit_check,
     classical_residues,
@@ -26,7 +25,6 @@ from qakns.tau import (
     q_shift_times,
     substitution_commutes,
     taylor_agreement,
-    vacuum_spec,
     verify_expqo,
     verify_tau_theorem,
 )
@@ -37,7 +35,7 @@ QS = [F(2), F(1, 2), F(3, 5)]
 
 
 def ctx2(tmax=6):
-    return TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, N)
+    return TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, N)
 
 
 def test_shift_coefficients():
@@ -63,7 +61,7 @@ def test_q_shift_times_examples():
 def test_q_shift_times_sums_each_monomial_once(monkeypatch):
     # one XSeries.dot per target monomial of each shift_var, not one
     # reduction per product and partial sum
-    ctx = TimeContext(((1, 0), (1, 1), (2, 0)), 4, 8)
+    ctx = TimePoly.zero(((1, 0), (1, 1), (2, 0)), 4, 8)
     tau = ctx.from_monomials([
         ((0, 0, 0), 1), ((3, 0, 0), 1), ((1, 1, 1), 1), ((0, 0, 2), 1),
     ])
@@ -135,6 +133,26 @@ def test_baker_rejects_zero_constant():
         baker_from_tau(ctx.variable((1, 0)), {}, 2)
 
 
+def test_baker_refuses_a_companion_truncated_in_t():
+    # no terms, but known only through t-degree 1: the Miwa shift needs
+    # the whole polynomial, so the companion may not read as an exact zero
+    ctx = ctx2(tmax=4)
+    t = ctx.variable((1, 1))
+    comp = (t * t).with_tvalid(1) - (t * t).with_tvalid(1)
+    assert comp.is_zero() and comp.tvalid == 1
+    with pytest.raises(ValueError, match="needs an exact polynomial"):
+        baker_from_tau(ctx.constant(1), {(0, 1): comp}, 2)
+
+
+def test_baker_keeps_the_x_window_of_a_companion_zero_inside_it():
+    ctx = ctx2(tmax=4)
+    comp = ctx.constant(XSeries.zero(N).with_valid(2))
+    w = baker_from_tau(ctx.constant(1), {(0, 1): comp}, 2)
+    entry = w.coeff(-1)[0, 1]
+    assert entry.is_zero() and not entry.is_exact
+    assert entry.constant_term().valid == 2
+
+
 @pytest.mark.parametrize("q", QS)
 def test_expqo_exact(q):
     results = verify_expqo([1, -1], q, ctx2())
@@ -144,7 +162,7 @@ def test_expqo_exact(q):
 def test_expqo_rejects_an_x_order_below_its_z_depth():
     # through z**4 the shift amounts reach x**4; a shorter carrier would
     # compare truncated zeros
-    ctx = TimeContext(((1, 0), (1, 1)), 4, EXPQO_Z_DEPTH - 1)
+    ctx = TimePoly.zero(((1, 0), (1, 1)), 4, EXPQO_Z_DEPTH - 1)
     with pytest.raises(ValueError, match="beyond the x truncation"):
         verify_expqo([1, -1], F(2), ctx)
 
@@ -163,7 +181,7 @@ def test_expqo_z1_exponent():
 @pytest.mark.parametrize("q", QS)
 def test_vacuum_passes_everything(q):
     ctx = ctx2()
-    vac = vacuum_spec(ctx, 2)
+    vac = TauSpec(ctx.constant(1), {}, 2)
     lams = lambda_pool([(1, 0), (1, 1)], 2)
     out = verify_tau_theorem(vac, [1, -1], q, 3, lams,
                              verify_expqo([1, -1], q, ctx))
@@ -224,7 +242,7 @@ def test_mechanism_agreement_on_non_solution():
     # degree above the x-order keeps every Taylor chain determined; at
     # tmax 4 the Taylor half determines no t-degree, and the verdict says so
     # (test_undetermined_taylor_half_fails_on_a_short_carrier)
-    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 7, 6)
+    ctx = TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), 7, 6)
     bad = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
     _, recs = taylor_agreement(bad, [1, -1], F(2), 1, [(), ((1, 0),)])
     assert recs and not any(nonzero(recs))
@@ -234,7 +252,7 @@ def test_mechanism_agreement_on_non_solution():
 
 def test_classical_limit_cases():
     qs = [F(1) + F(1, 2**m) for m in (3, 4, 5, 6)]
-    ctx = TimeContext(((1, 0), (2, 0)), 6, N)
+    ctx = TimePoly.zero(((1, 0), (2, 0)), 6, N)
     t1, t2 = ctx.variable((1, 0)), ctx.variable((2, 0))
     norms, _ = classical_limit_check(t1, [1], qs)
     assert all(v == 0 for v in norms)
@@ -249,14 +267,14 @@ def test_classical_limit_cases():
 
 def test_classical_limit_vacuum_zero():
     qs = [F(9, 8), F(17, 16)]
-    ctx = TimeContext(((1, 0),), 4, N)
+    ctx = TimePoly.zero(((1, 0),), 4, N)
     norms, _ = classical_limit_check(ctx.constant(1), [1], qs)
     assert all(v == 0 for v in norms)
 
 
 def _mechanism_shape(tmax=7):
     """The carrier, tau and arguments of the tau.mechanism_agreement check."""
-    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, 6)
+    ctx = TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, 6)
     spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
     return spec, [1, -1], F(2), 1, [(), ((1, 0),)]
 
@@ -358,10 +376,10 @@ def test_graded_taylor_sum_matches_multiset_enumeration(xorder, q, tau_kind):
     # reference's whole-chain products stay small (a = [1, -1] agrees too,
     # at about 35 s per case at x-order 6); the mechanism tau carries x.
     if tau_kind == "real":
-        spec = _real_tau(TimeContext(((1, 0), (1, 1)), xorder + 1, xorder))
+        spec = _real_tau(TimePoly.zero(((1, 0), (1, 1)), xorder + 1, xorder))
         a = [1, 1]
     else:
-        ctx = TimeContext(((1, 0), (1, 1), (2, 0)), xorder + 1, xorder)
+        ctx = TimePoly.zero(((1, 0), (1, 1), (2, 0)), xorder + 1, xorder)
         spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
         a = [1, -1]
     shifted = spec.mapped(lambda p: q_shift_times(p, a, q))
@@ -530,7 +548,7 @@ def test_h_matches_chain_reference(tau_kind, q, tmax):
     # over the carrier's flows and (3, 0), which the carrier does not hold
     from qakns.tau import flow_factor
 
-    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, 6)
+    ctx = TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), tmax, 6)
     # equal a values keep the shifted real tau constant in x, which keeps
     # the reference's whole-chain products small; the mechanism tau carries x
     if tau_kind == "real":
@@ -563,7 +581,7 @@ def test_h_takes_a_flow_the_carrier_does_not_hold():
     # g = w z**k E_alpha w**-1 and the step costs no tvalid
     from qakns.tau import flow_factor
 
-    ctx = TimeContext(((1, 0), (1, 1)), 4, 6)
+    ctx = TimePoly.zero(((1, 0), (1, 1)), 4, 6)
     spec = _real_tau(ctx)
     what = baker_from_tau(spec.tau, spec.companions, 2)
     winv = what.invert(-8)
@@ -649,7 +667,7 @@ def test_e_delta_closed_form_matches_power_sum(q, xorder):
     from qakns.tau import e_delta, shift_difference
 
     a_vals = [F(1), F(-3, 2)]
-    proto = TimeContext(((1, 0), (1, 1)), 4, xorder).constant(1)
+    proto = TimePoly.zero(((1, 0), (1, 1)), 4, xorder).constant(1)
     got = e_delta(a_vals, q, proto)
     assert set(got.terms) == {0, 1} and got.is_exact
     zero = proto.zero_like()
@@ -680,7 +698,7 @@ def test_dilated_baker_is_the_baker_at_the_dilated_shift(q, xorder):
     # of the one at [Ax]_q; the reference shifts by the dilated amounts
     from qakns.calculus import dilate
 
-    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, xorder)
+    ctx = TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), 4, xorder)
     mechanism = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
     a_vals = [1, -1]
     for spec in (_real_tau(ctx), mechanism):
@@ -697,7 +715,7 @@ def test_dilated_baker_is_the_baker_at_the_dilated_shift(q, xorder):
 
 def test_taylor_agreement_product_count_at_x16(monkeypatch):
     # the tau.theorem call on the vacuum spec of the deep_x shape
-    ctx = TimeContext(((1, 0), (1, 1), (2, 0)), 4, 16)
+    ctx = TimePoly.zero(((1, 0), (1, 1), (2, 0)), 4, 16)
     lams = [lam for lam in lambda_pool(list(ctx.vars), 2) if len(lam) <= 1]
     calls = [0]
     real = XSeries.__mul__
@@ -707,7 +725,7 @@ def test_taylor_agreement_product_count_at_x16(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(XSeries, "__mul__", counted)
-    _, recs = taylor_agreement(vacuum_spec(ctx, 2), [1, -1], F(2), 3, lams)
+    _, recs = taylor_agreement(TauSpec(ctx.constant(1), {}, 2), [1, -1], F(2), 3, lams)
     monkeypatch.undo()
     assert len(recs) == 32  # 16 records, each with its two halves
     assert not any(nonzero(recs))
@@ -778,16 +796,15 @@ def _random_poly(rng, ctx, terms, constant=None):
 def test_miwa_taylor_sum_matches_binomial_expansion():
     rng = random.Random(20)
     for n in (2, 3):
-        ctx = TimeContext(
+        ctx = TimePoly.zero(
             tuple((k, a) for k in (1, 2, 3) for a in range(n)), 5, 4
         )
-        zero = ctx.zero()
         for _ in range(40):
             p = _random_poly(rng, ctx, rng.randint(1, 5))
             for beta in range(n):
                 got, ref = miwa_shift(p, beta), _miwa_binomial(p, beta)
                 for d in set(got) | set(ref):
-                    assert got.get(d, zero).terms == ref.get(d, zero).terms
+                    assert got.get(d, ctx).terms == ref.get(d, ctx).terms
 
 
 def test_taylor_agreement_reads_a_tau_deeper_than_its_reads():
@@ -795,7 +812,7 @@ def test_taylor_agreement_reads_a_tau_deeper_than_its_reads():
     # Cut at z**-6, that Baker would leave its inverse undetermined at
     # z**-4, which the q pass reads at l_max 3; the whole substitution
     # determines all 24 Taylor records, and each is zero
-    ctx = TimeContext(((1, 0), (1, 1), (2, 0)), 12, 4)
+    ctx = TimePoly.zero(((1, 0), (1, 1), (2, 0)), 12, 4)
     t = ctx.variable((2, 0))
     spec = TauSpec(ctx.constant(1) + t * t * t * t, {}, 2)
     assert min(miwa_shift(spec.tau, 0)) == -8
@@ -837,7 +854,7 @@ def test_graded_apply_is_the_one_writer(monkeypatch):
 def test_baker_from_tau_matches_binomial_reference():
     rng = random.Random(21)
     for n in (2, 3):
-        ctx = TimeContext(
+        ctx = TimePoly.zero(
             tuple((k, a) for k in (1, 2, 3) for a in range(n)), 4, 3
         )
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -1136,7 +1153,7 @@ def test_real_tau_on_a_short_time_carrier_fails_as_undetermined():
 def test_undetermined_taylor_half_fails_on_a_short_carrier():
     # the mechanism tau on tmax 4: the Taylor chains longer than the carrier
     # holds leave the Taylor half with no determined t-degree
-    ctx = TimeContext(tuple((k, a) for k in (1, 2) for a in range(2)), 4, 6)
+    ctx = TimePoly.zero(tuple((k, a) for k in (1, 2) for a in range(2)), 4, 6)
     spec = TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, 2)
     _, recs = taylor_agreement(spec, [1, -1], F(2), 1, [(), ((1, 0),)])
     failed = list(nonzero(recs))

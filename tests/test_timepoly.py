@@ -15,11 +15,11 @@ N = 6
 
 
 def const(c):
-    return TimePoly.constant(c, VARS, TMAX, N)
+    return TimePoly.zero(VARS, TMAX, N).constant(c)
 
 
 def var(v):
-    return TimePoly.variable(v, VARS, TMAX, N)
+    return TimePoly.zero(VARS, TMAX, N).variable(v)
 
 
 def test_ring_basics():
@@ -154,15 +154,16 @@ def test_invert_keeps_a_term_that_vanishes_only_inside_its_window():
     # t-constant, and each power of t keeps r's x-window
     vars_, tmax = ((1, 0),), 3
     r = XSeries.zero(N).with_valid(3)
-    t = TimePoly.variable((1, 0), vars_, tmax, N)
-    p = TimePoly.constant(1, vars_, tmax, N) + t.scale_series(r)
+    ring = TimePoly.zero(vars_, tmax, N)
+    t = ring.variable((1, 0))
+    p = ring.constant(1) + t.scale_series(r)
     inv = p.invert()
     assert not inv.is_exact and inv.tvalid == tmax
     assert sorted(inv.terms) == [(0,), (1,), (2,), (3,)]
     for d in (1, 2, 3):
         c = inv.terms[(d,)]
         assert c.is_zero() and c.valid == 3
-    assert (p * inv - TimePoly.constant(1, vars_, tmax, N)).is_zero()
+    assert (p * inv - ring.constant(1)).is_zero()
 
 
 def test_coefficient_x_validity_propagates():
@@ -178,9 +179,25 @@ def test_constructor_rejects_malformed_terms():
         TimePoly(VARS, {(1, 0): one}, TMAX, N)
     with pytest.raises(ValueError, match="cap"):
         TimePoly(VARS, {(3, 2, 0): one}, TMAX, N)
+    # from_monomials builds through the same constructor
+    with pytest.raises(ValueError, match="arity"):
+        const(0).from_monomials([((1, 0), 1)])
+    with pytest.raises(ValueError, match="cap"):
+        const(0).from_monomials([((3, 2, 0), 1)])
     # operations on valid carriers keep dropping exact zeros
     t = var((1, 0))
     assert (t - t).terms == {} and (t - t) == TimePoly.zero(VARS, TMAX, N)
+
+
+def test_ring_keeps_the_listed_order():
+    ring = TimePoly.zero(((2, 0), (1, 0)), 4, 4)
+    assert ring.vars == ((2, 0), (1, 0))
+    assert ring.from_monomials([((1, 0), 1)]) == ring.variable((2, 0))
+
+
+def test_ring_refuses_a_time_listed_twice():
+    with pytest.raises(ValueError, match=r"listed twice: \[\(1, 0\)\]"):
+        TimePoly.zero(((1, 0), (2, 0), (1, 0)), 4, 4)
 
 
 def _general_mul(a, b):

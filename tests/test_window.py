@@ -30,8 +30,8 @@ def _xseries():
 
 def _timepoly():
     zero = TimePoly.zero(VARS, TMAX, N)
-    t = TimePoly.variable((1, 0), VARS, TMAX, N)
-    truncated = (t + TimePoly.constant(1, VARS, TMAX, N)).invert()
+    t = zero.variable((1, 0))
+    truncated = (t + zero.constant(1)).invert()
     assert truncated.tvalid == TMAX
     return (zero, truncated, zero.with_tvalid(2), t, mul,
             lambda p: (p.tvalid, bool(p.terms)), TMAX + 1)
