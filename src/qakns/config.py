@@ -1,5 +1,10 @@
 """Run configuration: JSON schema, parsing, and invariant validation.
 
+A run is parsed once, straight into the objects the checks read: each
+potential into a `LaxData` and the tau data into a `TauSpec` over the
+run's time ring. The canonical JSON, and so the config hash, is written
+from those objects, so spellings of one datum hash alike.
+
 Rationals travel as "p/q" strings so a config round-trips exactly. All
 channel indices are 1-based in files and reports, 0-based internally.
 """
@@ -7,75 +12,69 @@ channel indices are 1-based in files and reports, 0-based internally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .hierarchy import LaxData
 from .matseries import MatSeries
 from .scalars import AdmissibilityError, check_q, frac, frac_str
 from .series import XSeries
-from .tau import EXPQO_Z_DEPTH
+from .tau import EXPQO_Z_DEPTH, TauSpec
+from .timepoly import TimePoly
 
 
 class ConfigError(ValueError):
     """The configuration is malformed or violates a model invariant."""
 
 
-@dataclass(frozen=True)
-class TauConfig:
-    variables: tuple            # ((k, channel0), ...)
-    monomials: tuple            # ((exponents, coeff), ...)
-    companions: dict            # (alpha0, beta0) -> monomial tuple
+def _u_json(u: MatSeries) -> list:
+    """Each entry's coefficients through its highest nonzero degree (at
+    least one)."""
+    return [[[frac_str(c) for c in e.coeffs[:max(e.top, 0) + 1]] for e in row]
+            for row in u.rows]
 
-    def to_json(self):
-        return {
-            "variables": [[k, a + 1] for k, a in self.variables],
-            "monomials": [
-                {"exponents": list(e), "coeff": frac_str(c)}
-                for e, c in self.monomials
-            ],
-            "companions": {
-                f"{a+1},{b+1}": [
-                    {"exponents": list(e), "coeff": frac_str(c)} for e, c in mons
-                ]
-                for (a, b), mons in sorted(self.companions.items())
-            },
-        }
+
+def _monomials_json(p: TimePoly) -> list:
+    """The monomials by total degree, then by descending exponents."""
+    terms = sorted(p.terms.items(),
+                   key=lambda t: (sum(t[0]), tuple(-v for v in t[0])))
+    return [{"exponents": list(e), "coeff": frac_str(c.constant_term())}
+            for e, c in terms]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    n: int
-    q: Fraction
-    a: tuple                    # diagonal entries
-    u: tuple                    # n x n tuple of coefficient tuples (x-poly)
-    bilinear_u: tuple | None    # optional separate potential for dressing suites
+    """One run, parsed once into the objects the checks read. `lax` is
+    the configured Lax datum and `bilinear_lax` the one the dressing and
+    bilinear checks read: the same object as `lax` when the config gives
+    no `bilinear_u`. `tau` is the configured `TauSpec`, or None for the
+    default tau = 1."""
+
+    lax: LaxData
+    bilinear_lax: LaxData
     n_x: int
     n_z: int
     n_t: int
     flows: tuple                # ((k, channel0), ...)
     lambda_max: int
     l_max: int
-    tau: TauConfig | None
+    tau: TauSpec | None
     q_sequence: tuple
     checks: tuple | None
     inject_corruption: bool = False
 
-    # -- derived builders -------------------------------------------------
+    @property
+    def n(self) -> int:
+        return self.lax.n
 
-    def _lax(self, entries, classical: bool) -> LaxData:
-        u = MatSeries([[XSeries.poly(list(entries[i][j]), self.n_x)
-                        for j in range(self.n)] for i in range(self.n)])
-        return LaxData(list(self.a), u, 1 if classical else self.q)
+    @property
+    def q(self) -> Fraction:
+        return self.lax.q
 
-    def lax(self, classical: bool = False) -> LaxData:
-        """The configured Lax datum, or its classical counterpart (q = 1)."""
-        return self._lax(self.u, classical)
-
-    def bilinear_lax(self, classical: bool = False) -> LaxData:
-        """The Lax datum of the bilinear checks: `bilinear_u`, else `u`."""
-        return self._lax(self.u if self.bilinear_u is None else self.bilinear_u,
-                         classical)
+    @property
+    def a(self) -> list:
+        """The diagonal entries of A."""
+        return self.lax.a
 
     def required_resolvent_depth(self) -> int:
         k_top = max((k for k, _ in self.flows), default=1)
@@ -87,22 +86,26 @@ class RunConfig:
         return self.l_max + self.lambda_max * k_top + 2
 
     def to_json(self) -> dict:
+        tau = self.tau
         return {
             "n": self.n,
             "q": frac_str(self.q),
             "a": [frac_str(v) for v in self.a],
-            "u": [
-                [[frac_str(c) for c in entry] for entry in row] for row in self.u
-            ],
-            "bilinear_u": None if self.bilinear_u is None else [
-                [[frac_str(c) for c in entry] for entry in row]
-                for row in self.bilinear_u
-            ],
+            "u": _u_json(self.lax.u),
+            "bilinear_u": None if self.bilinear_lax is self.lax
+            else _u_json(self.bilinear_lax.u),
             "truncations": {"x": self.n_x, "z": self.n_z, "t": self.n_t},
             "flows": [[k, a + 1] for k, a in self.flows],
             "lambda_max": self.lambda_max,
             "l_max": self.l_max,
-            "tau": None if self.tau is None else self.tau.to_json(),
+            "tau": None if tau is None else {
+                "variables": [[k, a + 1] for k, a in tau.tau.vars],
+                "monomials": _monomials_json(tau.tau),
+                "companions": {
+                    f"{a+1},{b+1}": _monomials_json(p)
+                    for (a, b), p in sorted(tau.companions.items())
+                },
+            },
             "q_sequence": [frac_str(v) for v in self.q_sequence],
             "checks": None if self.checks is None else list(self.checks),
         }
@@ -118,18 +121,18 @@ _FIELDS = (
 _MONOMIAL_FIELDS = ("exponents", "coeff")
 
 
-def _parse_u(raw, n: int, n_x: int, label: str):
+def _parse_u(raw, n: int, n_x: int, label: str) -> MatSeries:
     if (not isinstance(raw, list) or len(raw) != n
             or any(not isinstance(row, list) or len(row) != n for row in raw)):
         raise ConfigError(f"{label} must be an {n}x{n} matrix of coefficient lists")
-    out = []
+    rows = []
     for i, row in enumerate(raw):
         cells = []
         for j, entry in enumerate(row):
             field = f"{label}[{i+1}][{j+1}]"
             if not isinstance(entry, list):
                 entry = [entry]
-            coeffs = tuple(_rational(c, field) for c in entry)
+            coeffs = [_rational(c, field) for c in entry]
             if len(coeffs) > n_x + 1:
                 raise ConfigError(f"{field} degree exceeds the x truncation")
             if i == j and any(c != 0 for c in coeffs):
@@ -137,19 +140,20 @@ def _parse_u(raw, n: int, n_x: int, label: str):
                     f"{label} must have zero diagonal (u_ii = 0), "
                     f"violated at entry {i+1}"
                 )
-            cells.append(coeffs)
-        out.append(tuple(cells))
-    return tuple(out)
+            cells.append(XSeries.poly(coeffs, n_x))
+        rows.append(cells)
+    return MatSeries(rows)
 
 
-def _parse_monomials(raw, order, n_t: int, label: str):
-    """Monomials of total degree <= n_t, one exponent per tau variable.
+def _parse_monomials(raw, order, ring: TimePoly, label: str) -> TimePoly:
+    """The sum of the listed monomials in `ring`, each of total degree at
+    most the ring's cap and with one exponent per tau variable.
 
     The exponents come in the order the file lists the variables; `order`
-    lists, for each sorted variable, its place in the file, and the
-    exponents are returned in the sorted order.
+    lists, for each sorted variable, its place in the file, and `ring`
+    holds the variables in the sorted order.
     """
-    arity = len(order)
+    arity, n_t = len(order), ring.tmax
     out = []
     for i, item in enumerate(_list(raw, label)):
         item = _known(_object(item, f"{label}[{i}]"), _MONOMIAL_FIELDS,
@@ -169,7 +173,7 @@ def _parse_monomials(raw, order, n_t: int, label: str):
         coeff = f"{label}[{i}].coeff"
         out.append((tuple(e[k] for k in order),
                     _rational(_required(item, "coeff", coeff), coeff)))
-    return tuple(out)
+    return ring.from_monomials(out)
 
 
 def _companion_key(key: str, n: int):
@@ -313,11 +317,12 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
                 raise ConfigError(
                     f"tau.variables must be distinct, got {raw_vars!r}"
                 )
-            monomials = _parse_monomials(
-                _required(traw, "monomials", "tau.monomials"), order, n_t,
+            ring = TimePoly.zero(variables, n_t, n_x)
+            tau_poly = _parse_monomials(
+                _required(traw, "monomials", "tau.monomials"), order, ring,
                 "tau.monomials",
             )
-            if sum(c for e, c in monomials if not any(e)) == 0:
+            if tau_poly.constant_term().is_zero():
                 raise ConfigError(
                     "tau.monomials must have a nonzero constant term: "
                     "the Baker function divides by tau"
@@ -325,49 +330,48 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             raw_companions = _object(traw.get("companions", {}), "tau.companions")
             companions = {
                 _companion_key(key, n): _parse_monomials(
-                    mons, order, n_t, f"tau.companions[{key!r}]"
+                    mons, order, ring, f"tau.companions[{key!r}]"
                 )
                 for key, mons in raw_companions.items()
             }
-            tau = TauConfig(variables, monomials, companions)
-        cfg = RunConfig(
-            n=n, q=q, a=a, u=u, bilinear_u=bilinear_u,
-            n_x=n_x, n_z=n_z, n_t=n_t, flows=flows,
-            lambda_max=_count(data.get("lambda_max", 2), "lambda_max"),
-            l_max=_count(data.get("l_max", 4), "l_max"),
-            tau=tau,
-            q_sequence=tuple(
-                _rational(v, f"q_sequence[{i}]") for i, v in
-                enumerate(_list(data.get("q_sequence", []), "q_sequence"))
-            ),
-            checks=_parse_checks(data.get("checks")),
-            inject_corruption=inject_corruption,
+            tau = TauSpec(tau_poly, companions, n)
+        lambda_max = _count(data.get("lambda_max", 2), "lambda_max")
+        l_max = _count(data.get("l_max", 4), "l_max")
+        q_sequence = tuple(
+            _rational(v, f"q_sequence[{i}]") for i, v in
+            enumerate(_list(data.get("q_sequence", []), "q_sequence"))
         )
+        checks = _parse_checks(data.get("checks"))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
     # model invariants, with messages naming the violated condition
-    if len(cfg.a) != cfg.n:
-        raise ConfigError(f"a must have n = {cfg.n} entries, got {len(cfg.a)}")
+    if len(a) != n:
+        raise ConfigError(f"a must have n = {n} entries, got {len(a)}")
     try:
-        check_q(cfg.q, cfg.n_x)
-        cfg.lax()
-        if cfg.bilinear_u is not None:
-            cfg.bilinear_lax()
+        # LaxData takes q = 1 as the classical structure; a config may not
+        check_q(q, n_x)
+        lax = LaxData(a, u, q)
+        bilinear_lax = lax if bilinear_u is None else LaxData(a, bilinear_u, q)
     except (AdmissibilityError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    for i, value in enumerate(cfg.q_sequence):
+    for i, value in enumerate(q_sequence):
         try:
-            check_q(value, cfg.n_x)
+            check_q(value, n_x)
         except AdmissibilityError as exc:
             raise ConfigError(f"q_sequence[{i}]: {exc}") from exc
-    if len(cfg.q_sequence) == 1:
+    if len(q_sequence) == 1:
         raise ConfigError(
             "q_sequence[1] is missing: a non-empty q_sequence needs at least "
             "2 entries to form a ratio"
         )
-    return cfg
+    return RunConfig(
+        lax=lax, bilinear_lax=bilinear_lax, n_x=n_x, n_z=n_z, n_t=n_t,
+        flows=flows, lambda_max=lambda_max, l_max=l_max, tau=tau,
+        q_sequence=q_sequence, checks=checks,
+        inject_corruption=inject_corruption,
+    )
 
 
 def load_config(path: str, inject_corruption: bool = False) -> RunConfig:

@@ -77,7 +77,8 @@ class LaxData:
     U's x-order is the order of every solve, and any q other than 1 must
     pass `check_q` at it. The datum also holds the eigen-weights of the
     order-by-order solves, one table per pair of channels (j, i), built on
-    first use (`eig_weights`).
+    first use (`eig_weights`). Two data are equal when their A, U and q
+    are.
     """
 
     __slots__ = ("n", "a", "u", "q", "order", "classical", "_eigs")
@@ -112,14 +113,15 @@ class LaxData:
                             f"resonance: a_{j+1} * sigma({m}) == a_{i+1}"
                         )
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LaxData) and (self.a, self.u, self.q) == (
+            other.a, other.u, other.q)
+
     def dilate(self, f: XSeries) -> XSeries:
         return calculus.dilate(f, self.q)
 
     def derive(self, f: XSeries) -> XSeries:
         return calculus.q_derive(f, self.q)
-
-    def antiderive(self, g: XSeries) -> XSeries:
-        return calculus.q_antiderive(g, self.q)
 
     def proto(self) -> XSeries:
         return XSeries.zero(self.order)
@@ -229,7 +231,7 @@ def _next_order(lax: LaxData, prev: MatSeries, blocks, context: str) -> MatSerie
         # u_ii = 0, so mult(w)'s diagonal does not read w's
         src = MatSeries.dot_diagonal(blocks(MatSeries(rows)))
         for i in range(n):
-            rows[i][i] = lax.antiderive(src[i])
+            rows[i][i] = calculus.q_antiderive(src[i], 1)
     else:
         for i in range(n):
             if any(F[i, i].known[:1]):

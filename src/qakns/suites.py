@@ -37,7 +37,7 @@ def _default_tau_variables(n: int) -> tuple:
 def _tau_variables(cfg: RunConfig) -> tuple:
     """The tau time variables of a run: the configured ones, else the default."""
     if cfg.tau is not None:
-        return cfg.tau.variables
+        return cfg.tau.tau.vars
     return _default_tau_variables(cfg.n)
 
 
@@ -47,7 +47,9 @@ class SuiteContext:
     Each Lax datum of the run has one `HierarchySession`, so a resolvent is
     solved once per run: `session` for the q datum, `classical_session` for
     its q = 1 counterpart and `bilinear_session` for the datum the dressing
-    is solved against. Nothing outlives the context.
+    is solved against, which is `session` when the two data are one. The
+    Lax data are the config's; only the q = 1 counterparts are built here.
+    Nothing outlives the context.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -60,8 +62,8 @@ class SuiteContext:
         return self._cache[key]
 
     @property
-    def lax(self):
-        return self.get("lax", self.cfg.lax)
+    def lax(self) -> hy.LaxData:
+        return self.get("lax", lambda: self.cfg.lax)
 
     @property
     def session(self) -> hy.HierarchySession:
@@ -70,14 +72,16 @@ class SuiteContext:
     @property
     def classical_session(self) -> hy.HierarchySession:
         return self.get("classical_session", lambda: hy.HierarchySession(
-            self.cfg.lax(classical=True)))
+            hy.LaxData(self.cfg.lax.a, self.cfg.lax.u, 1)))
 
     @property
-    def bilinear_lax(self):
-        return self.get("blax", self.cfg.bilinear_lax)
+    def bilinear_lax(self) -> hy.LaxData:
+        return self.get("blax", lambda: self.cfg.bilinear_lax)
 
     @property
     def bilinear_session(self) -> hy.HierarchySession:
+        if self.cfg.bilinear_lax is self.cfg.lax:
+            return self.session
         return self.get("blax_session",
                         lambda: hy.HierarchySession(self.bilinear_lax))
 
@@ -584,15 +588,7 @@ def check_expqo(ctx: SuiteContext) -> CheckResult:
 
 def _tau_spec_from_config(ctx: SuiteContext) -> tau_mod.TauSpec:
     cfg = ctx.cfg
-    ring = ctx.tau_ctx
-    if cfg.tau is None:
-        return tau_mod.TauSpec(ring.constant(1), {}, cfg.n)
-    tau_poly = ring.from_monomials(cfg.tau.monomials)
-    companions = {
-        key: ring.from_monomials(mons)
-        for key, mons in cfg.tau.companions.items()
-    }
-    return tau_mod.TauSpec(tau_poly, companions, cfg.n)
+    return cfg.tau or tau_mod.TauSpec(ctx.tau_ctx.constant(1), {}, cfg.n)
 
 
 def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
@@ -693,10 +689,9 @@ def check_classical_qr(ctx: SuiteContext) -> CheckResult:
 
 
 def check_classical_prop1(ctx: SuiteContext) -> CheckResult:
-    cfg = ctx.cfg
-    dressing = hy.solve_dressing(
-        cfg.bilinear_lax(classical=True), cfg.required_dressing_depth()
-    )
+    lax = ctx.cfg.bilinear_lax
+    dressing = hy.solve_dressing(hy.LaxData(lax.a, lax.u, 1),
+                                 ctx.cfg.required_dressing_depth())
     return _bilinear_check({}, ctx, dressing)
 
 

@@ -300,6 +300,11 @@ class TauSpec:
         self.companions = dict(companions or {})
         self.n = n
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TauSpec) and (
+            self.tau, self.companions, self.n) == (
+            other.tau, other.companions, other.n)
+
     def mapped(self, fn) -> "TauSpec":
         return TauSpec(
             fn(self.tau), {k: fn(v) for k, v in self.companions.items()}, self.n

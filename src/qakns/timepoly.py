@@ -4,8 +4,9 @@ Variables are flow labels (k, alpha); a monomial is an exponent tuple
 aligned with the variable list. Total degree is capped at `tmax`, with
 `tvalid` playing the same role the x-validity bound plays for XSeries:
 monomials of total degree <= tvalid are exact, tvalid == tmax + 1 marks a
-genuine polynomial with no discarded part. Coefficients are XSeries and
-carry their own x-validity.
+genuine polynomial with no discarded part. Coefficients are XSeries of
+the ring's x-order, which the constructor checks, and carry their own
+x-validity.
 
 A ring starts at `TimePoly.zero(vars, tmax, xorder)`, which keeps `vars`
 in the order listed and refuses a variable listed twice. Every other
@@ -45,11 +46,15 @@ class TimePoly:
     def __init__(self, vars: tuple, terms: dict, tmax: int, xorder: int,
                  tvalid: int | None = None):
         vars = tuple(vars)
-        for e in terms:
+        for e, c in terms.items():
             if len(e) != len(vars):
                 raise ValueError("exponent arity mismatch")
             if sum(e) > tmax:
                 raise ValueError("monomial beyond total-degree cap")
+            if c.order != xorder:
+                raise ValueError(
+                    f"coefficient of x-order {c.order} in a ring of x-order {xorder}"
+                )
         if tvalid is not None and tvalid <= tmax:
             terms = _within(terms, tvalid)
         self._fill(vars, terms, tmax, xorder,

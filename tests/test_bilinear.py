@@ -257,7 +257,8 @@ def test_windowed_m1_residues_match_the_whole_reduction(kind, monkeypatch):
     elif kind == "corrupted":
         dressing, lambdas = inject_corruption(ctx.dressing, "1/3"), [()]
     else:
-        dressing = solve_dressing(cfg.bilinear_lax(classical=True),
+        blax = cfg.bilinear_lax
+        dressing = solve_dressing(LaxData(blax.a, blax.u, 1),
                                   cfg.required_dressing_depth())
     lax = dressing.lax
     g = x_derivative_factor(dressing)

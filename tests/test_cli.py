@@ -347,6 +347,52 @@ def test_integer_fields_keep_the_config_hash():
     )
 
 
+TAU_RATIONAL = Path(__file__).resolve().parent.parent / "configs" / "tau_rational.json"
+TAU_RATIONAL_HASH = "4631ce9a7fd6bae21b0bbff7f99ed0e8deadf19e6cf0c8d37b3fc7e642386f19"
+
+
+def _tau_rational_hash(respell):
+    data = json.loads(TAU_RATIONAL.read_text())
+    respell(data)
+    return config_hash(parse_config(data).canonical_json())
+
+
+def _split_coefficient(data):
+    # -t_(1,1) written as -1/2 t_(1,1) - 1/2 t_(1,1)
+    mons = data["tau"]["monomials"]
+    mons[1]["coeff"] = "-1/2"
+    mons.append(dict(mons[1]))
+
+
+@pytest.mark.parametrize("respell", [
+    lambda data: data["tau"]["monomials"].reverse(),
+    lambda data: data["tau"]["monomials"].append(
+        {"exponents": [0, 0, 1], "coeff": "0"}),
+    _split_coefficient,
+    lambda data: data["u"][0][1].append("0"),
+], ids=["reversed-monomials", "zero-monomial", "split-coefficient",
+        "trailing-zero-in-u"])
+def test_spellings_of_one_run_hash_alike(respell):
+    # the hash is taken over the parsed ring elements and series, not the
+    # listed spelling
+    assert _tau_rational_hash(lambda data: None) == TAU_RATIONAL_HASH
+    assert _tau_rational_hash(respell) == TAU_RATIONAL_HASH
+
+
+@pytest.mark.parametrize("path, value", [
+    (("tau", "monomials", 1, "coeff"), "-2"),
+    (("tau", "companions", "1,2", 0, "coeff"), "-3"),
+    (("u", 0, 1, 0), "2"),
+], ids=["tau", "companion", "u"])
+def test_a_changed_coefficient_changes_the_hash(path, value):
+    def change(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    assert _tau_rational_hash(change) != TAU_RATIONAL_HASH
+
+
 def test_tau_exponents_follow_the_listed_variable_order():
     # the variables are sorted, and every exponent tuple is permuted with
     # them: [1, 0, 0] against a list that starts with t_(2,1) is t_(2,1)
@@ -363,11 +409,11 @@ def test_tau_exponents_follow_the_listed_variable_order():
     listed = tau_data([[2, 1], [1, 1], [1, 2]], [1, 0, 0], [0, 1, 0])
     ordered = tau_data([[1, 1], [1, 2], [2, 1]], [0, 0, 1], [1, 0, 0])
     assert listed.canonical_json() == ordered.canonical_json()
-    assert listed.tau.companions == {(0, 1): (((1, 0, 0), -1),)}
     spec = _tau_spec_from_config(SuiteContext(listed))
     ring = SuiteContext(listed).tau_ctx
+    assert spec is listed.tau
     assert spec.tau == ring.constant(1) + ring.variable((2, 0))
-    assert spec.companions[(0, 1)] == ring.constant(-1) * ring.variable((1, 0))
+    assert spec.companions == {(0, 1): ring.constant(-1) * ring.variable((1, 0))}
 
 
 def test_band_is_checked_but_not_hashed():

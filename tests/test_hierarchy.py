@@ -136,7 +136,7 @@ def test_classical_diagonal_source_must_vanish(monkeypatch, make, solve, context
     # zero the source survives, and the step must refuse it
     lax = make(F(1))
     solve(lax)
-    monkeypatch.setattr(LaxData, "antiderive", lambda self, g: g.zero_like())
+    monkeypatch.setattr(calculus, "q_antiderive", lambda g, q: g.zero_like())
     with pytest.raises(DiagonalConsistencyError,
                        match=f"^{context}: diagonal source 1 must vanish, got"):
         solve(lax)

@@ -11,7 +11,7 @@ from qakns import bilinear as bl
 from qakns import hierarchy as hy
 from qakns import qop, report
 from qakns import tau as tau_mod
-from qakns.config import DEMO_CONFIG, RunConfig, demo_config, parse_config
+from qakns.config import DEMO_CONFIG, demo_config, parse_config
 from qakns.matseries import MatSeries
 from qakns.scalars import frac
 from qakns.series import XSeries
@@ -352,19 +352,19 @@ def _counted_run(monkeypatch, data, checks=None):
     """run_suite on `data`, recording every direct resolvent solve as
     (Lax datum, channel, depth, normalization) and every classical Lax
     datum built."""
-    real_solve, real_lax = hy.solve_resolvent_direct, RunConfig.lax
+    real_solve, real_init = hy.solve_resolvent_direct, hy.LaxData.__init__
     calls = {"solves": [], "classical_lax": 0}
 
     def solve(lax, alpha, depth, normalization="orthogonal"):
         calls["solves"].append((id(lax), alpha, depth, normalization))
         return real_solve(lax, alpha, depth, normalization)
 
-    def lax(self, classical=False):
-        calls["classical_lax"] += classical
-        return real_lax(self, classical)
+    def init(self, a, u, q):
+        real_init(self, a, u, q)
+        calls["classical_lax"] += self.classical
 
     monkeypatch.setattr(hy, "solve_resolvent_direct", solve)
-    monkeypatch.setattr(RunConfig, "lax", lax)
+    monkeypatch.setattr(hy.LaxData, "__init__", init)
     if checks is not None:
         data = {**data, "checks": checks}
     run_suite(parse_config(data))
@@ -381,7 +381,47 @@ def test_each_resolvent_is_solved_once_per_run(monkeypatch, data, solves):
     calls = _counted_run(monkeypatch, data)
     keys = [(lax, alpha, norm) for lax, alpha, _, norm in calls["solves"]]
     assert len(keys) == solves and len(set(keys)) == solves
-    assert calls["classical_lax"] == 1
+    # one q = 1 counterpart per potential: u's and bilinear_u's
+    assert calls["classical_lax"] == 2
+
+
+def test_a_config_without_bilinear_u_solves_its_datum_once(monkeypatch):
+    # with no bilinear_u the dressing checks read the datum of u itself, so
+    # its resolvents come from the one session: 6 solves over the q and
+    # q = 1 data, where a second copy of the datum would take 8 over 3
+    data = json.loads(DEMO.read_text())
+    data = {**data, "u": data["bilinear_u"], "bilinear_u": None}
+    cfg = parse_config(data)
+    assert cfg.bilinear_lax is cfg.lax
+    calls = _counted_run(monkeypatch, data)
+    assert len(calls["solves"]) == 6
+    assert len({lax for lax, *_ in calls["solves"]}) == 2
+
+
+GOLDEN_N3 = Path(__file__).resolve().parent / "golden" / "solvers_n3.config.json"
+
+
+@pytest.mark.parametrize("path, failing", [
+    (DEMO, {"hierarchy.orthogonality", "classical.route_agreement"}),
+    (GOLDEN_N3, {"hierarchy.orthogonality", "hierarchy.partition_of_identity",
+                 "classical.route_agreement"}),
+], ids=["demo", "solvers_n3"])
+def test_a_wrong_idempotent_lift_is_seen(monkeypatch, path, failing):
+    # the lift's constants with their sign flipped. dressing.route_agreement
+    # cannot see it on these configs: it runs on their strictly triangular
+    # bilinear_u, where every lift constant is zero, so it must still pass
+    real = hy._idempotent_repair
+
+    def flipped(alpha, lift, rho, prior):
+        return rho + (rho - real(alpha, lift, rho, prior))
+
+    monkeypatch.setattr(hy, "_idempotent_repair", flipped)
+    watched = ["hierarchy.orthogonality", "hierarchy.partition_of_identity",
+               "dressing.route_agreement", "classical.route_agreement"]
+    data = {**json.loads(path.read_text()), "checks": watched}
+    statuses = {r.name: r.status for r in run_suite(parse_config(data)).checks}
+    assert statuses == {name: "fail" if name in failing else "pass"
+                        for name in watched}
 
 
 @pytest.mark.parametrize("data", [json.loads(DEMO.read_text()), SOLVERS_N3],

@@ -189,6 +189,17 @@ def test_constructor_rejects_malformed_terms():
     assert (t - t).terms == {} and (t - t) == TimePoly.zero(VARS, TMAX, N)
 
 
+def test_constructor_rejects_a_coefficient_of_another_x_order():
+    # a foreign order is refused where it enters the ring, not at the first
+    # sum as a TruncationError that names neither the ring nor the term
+    ring = TimePoly.zero(VARS, TMAX, 4)
+    with pytest.raises(ValueError, match="x-order 2 in a ring of x-order 4"):
+        ring.constant(XSeries.one(2))
+    with pytest.raises(ValueError, match="x-order 6 in a ring of x-order 4"):
+        TimePoly(VARS, {(1, 0, 0): XSeries.one(6)}, TMAX, 4)
+    assert ring.constant(XSeries.one(4)) == ring.constant(1)
+
+
 def test_ring_keeps_the_listed_order():
     ring = TimePoly.zero(((2, 0), (1, 0)), 4, 4)
     assert ring.vars == ((2, 0), (1, 0))

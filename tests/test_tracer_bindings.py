@@ -37,7 +37,8 @@ def test_install_and_uninstall_leave_no_wrapper():
 
 def test_a_traced_solve_counts_the_calculus_kernels():
     # the solvers reach the calculus through `LaxData`, whose methods call
-    # the module functions the tracer wraps; at q = 1 the solve integrates too
+    # the module functions the tracer wraps; at q = 1 the solve integrates
+    # too, through `calculus.q_antiderive` itself
     from qakns.hierarchy import LaxData, solve_resolvent_direct
     from qakns.matseries import MatSeries
     from qakns.series import XSeries
@@ -50,3 +51,22 @@ def test_a_traced_solve_counts_the_calculus_kernels():
     metrics = traced.metrics()
     for op in ("derive", "dilate", "antiderive"):
         assert metrics[f"calculus.{op}.calls"] > 0, op
+
+
+def test_a_demo_run_builds_every_traced_artifact(monkeypatch):
+    # the tracer times `suites.artifact.<key>.s` by key: a key that no run
+    # builds reads 0 and fails nothing. `calc` names an artifact that is
+    # gone; the benchmark still lists it
+    from qakns import suites
+    from qakns.config import demo_config
+
+    built = set()
+    real_get = suites.SuiteContext.get
+
+    def get(ctx, key, builder):
+        built.add(key)
+        return real_get(ctx, key, builder)
+
+    monkeypatch.setattr(suites.SuiteContext, "get", get)
+    suites.run_suite(demo_config())
+    assert set(_tracer().ARTIFACT_KEYS) - built == {"calc"}
