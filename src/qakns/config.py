@@ -18,13 +18,24 @@ from fractions import Fraction
 from .hierarchy import LaxData
 from .matseries import MatSeries
 from .scalars import AdmissibilityError, check_q, frac, frac_str
-from .series import XSeries
+from .series import TruncationError, XSeries
 from .tau import EXPQO_Z_DEPTH, TauSpec
 from .timepoly import TimePoly
 
 
 class ConfigError(ValueError):
     """The configuration is malformed or violates a model invariant."""
+
+
+def default_tau_times(n: int) -> tuple:
+    """(k, alpha) for k in {1, 2}: the tau times when a config names none."""
+    return tuple((k, a) for k in (1, 2) for a in range(n))
+
+
+def _default_tau(n: int, n_t: int, n_x: int) -> TauSpec:
+    """tau = 1 over the default times: the tau of a config that gives none."""
+    ring = TimePoly.zero(default_tau_times(n), n_t, n_x)
+    return TauSpec(ring.constant(1), {}, n)
 
 
 def _u_json(u: MatSeries) -> list:
@@ -44,11 +55,12 @@ def _monomials_json(p: TimePoly) -> list:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run, parsed once into the objects the checks read. `lax` is
-    the configured Lax datum and `bilinear_lax` the one the dressing and
-    bilinear checks read: the same object as `lax` when the config gives
-    no `bilinear_u`. `tau` is the configured `TauSpec`, or None for the
-    default tau = 1."""
+    """One run, parsed once into the objects the checks read, with every
+    default decided. `lax` is the configured Lax datum and `bilinear_lax`
+    the one the dressing and bilinear checks read: the same object as
+    `lax` when the config gives no `bilinear_u` or one equal to `u`.
+    `tau` is the configured `TauSpec`, else tau = 1 over the default
+    times."""
 
     lax: LaxData
     bilinear_lax: LaxData
@@ -58,7 +70,7 @@ class RunConfig:
     flows: tuple                # ((k, channel0), ...)
     lambda_max: int
     l_max: int
-    tau: TauSpec | None
+    tau: TauSpec
     q_sequence: tuple
     checks: tuple | None
     inject_corruption: bool = False
@@ -98,7 +110,8 @@ class RunConfig:
             "flows": [[k, a + 1] for k, a in self.flows],
             "lambda_max": self.lambda_max,
             "l_max": self.l_max,
-            "tau": None if tau is None else {
+            "tau": None if tau == _default_tau(self.n, self.n_t, self.n_x)
+            else {
                 "variables": [[k, a + 1] for k, a in tau.tau.vars],
                 "monomials": _monomials_json(tau.tau),
                 "companions": {
@@ -132,15 +145,17 @@ def _parse_u(raw, n: int, n_x: int, label: str) -> MatSeries:
             field = f"{label}[{i+1}][{j+1}]"
             if not isinstance(entry, list):
                 entry = [entry]
-            coeffs = [_rational(c, field) for c in entry]
-            if len(coeffs) > n_x + 1:
-                raise ConfigError(f"{field} degree exceeds the x truncation")
-            if i == j and any(c != 0 for c in coeffs):
+            try:
+                cell = XSeries.poly([_rational(c, field) for c in entry], n_x)
+            except TruncationError as exc:
+                raise ConfigError(
+                    f"{field} degree exceeds the x truncation") from exc
+            if i == j and not cell.is_zero():
                 raise ConfigError(
                     f"{label} must have zero diagonal (u_ii = 0), "
                     f"violated at entry {i+1}"
                 )
-            cells.append(XSeries.poly(coeffs, n_x))
+            cells.append(cell)
         rows.append(cells)
     return MatSeries(rows)
 
@@ -177,13 +192,15 @@ def _parse_monomials(raw, order, ring: TimePoly, label: str) -> TimePoly:
 
 
 def _companion_key(key: str, n: int):
-    """An "alpha,beta" key, 1 <= alpha != beta <= n, as a 0-based pair."""
-    parts = key.split(",")
-    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+    """An "alpha,beta" key, 1 <= alpha != beta <= n, as a 0-based pair.
+    Each pair has one spelling, so "01,2" cannot name the companion "1,2"
+    names."""
+    pair = [int(p) for p in key.split(",") if p.isascii() and p.isdigit()]
+    if len(pair) != 2 or ",".join(map(str, pair)) != key:
         raise ConfigError(
             f'tau.companions keys must be "alpha,beta" channel pairs, got {key!r}'
         )
-    alpha, beta = (int(p) for p in parts)
+    alpha, beta = pair
     if alpha == beta or not (1 <= alpha <= n and 1 <= beta <= n):
         raise ConfigError(
             f"tau.companions key {key!r} needs 1 <= alpha != beta <= {n}"
@@ -297,8 +314,9 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             raise ConfigError("flows must name at least one flow")
         if len(set(flows)) != len(flows):
             raise ConfigError(f"flows must be distinct, got {raw_flows!r}")
-        tau = None
-        if data.get("tau") is not None:
+        if data.get("tau") is None:
+            tau = _default_tau(n, n_t, n_x)
+        else:
             traw = _known(_object(data["tau"], "tau"),
                           ("variables", "monomials", "companions"), "tau.")
             raw_vars = _list(
@@ -353,7 +371,8 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
         # LaxData takes q = 1 as the classical structure; a config may not
         check_q(q, n_x)
         lax = LaxData(a, u, q)
-        bilinear_lax = lax if bilinear_u is None else LaxData(a, bilinear_u, q)
+        bilinear_lax = (lax if bilinear_u is None or bilinear_u == u
+                        else LaxData(a, bilinear_u, q))
     except (AdmissibilityError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     for i, value in enumerate(q_sequence):
@@ -376,10 +395,12 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
 
 def load_config(path: str, inject_corruption: bool = False) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data, inject_corruption)

@@ -18,7 +18,7 @@ from . import hierarchy as hy
 from . import qop
 from . import tau as tau_mod
 from .calculus import dilate, exp_q_series, exp_series, q_derive
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, default_tau_times
 from .matseries import MatSeries
 from .report import (
     CheckResult, Report, config_hash, describe_witness, nonzero, x_window,
@@ -29,18 +29,6 @@ from .timepoly import TimePoly
 from .zseries import MZSeries, NEG_INF, InsufficientDepthError, derive_through
 
 
-def _default_tau_variables(n: int) -> tuple:
-    """(k, alpha) for k in {1, 2}: the tau times when a config names none."""
-    return tuple((k, a) for k in (1, 2) for a in range(n))
-
-
-def _tau_variables(cfg: RunConfig) -> tuple:
-    """The tau time variables of a run: the configured ones, else the default."""
-    if cfg.tau is not None:
-        return cfg.tau.tau.vars
-    return _default_tau_variables(cfg.n)
-
-
 class SuiteContext:
     """Shared lazily-built artifacts for one run.
 
@@ -48,8 +36,8 @@ class SuiteContext:
     solved once per run: `session` for the q datum, `classical_session` for
     its q = 1 counterpart and `bilinear_session` for the datum the dressing
     is solved against, which is `session` when the two data are one. The
-    Lax data are the config's; only the q = 1 counterparts are built here.
-    Nothing outlives the context.
+    Lax data and the tau are the config's; only the q = 1 counterparts are
+    built here. Nothing outlives the context.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -109,9 +97,7 @@ class SuiteContext:
     @property
     def tau_ctx(self) -> TimePoly:
         """The zero of the run's tau time ring."""
-        cfg = self.cfg
-        return self.get("tau_ctx", lambda: TimePoly.zero(
-            _tau_variables(cfg), cfg.n_t, cfg.n_x))
+        return self.get("tau_ctx", lambda: self.cfg.tau.tau.zero_like())
 
     @property
     def expqo(self):
@@ -152,9 +138,9 @@ def _sample_series(order: int, seed: int):
 
 def _idle(cfg: RunConfig, name: str) -> str | None:
     """The note that check `name` reports when `cfg` leaves it nothing to
-    compare, else None. Each such condition is written here only: the
-    check returns early on it and `select_checks` refuses a selection of
-    idle checks."""
+    compare, else None. Each such condition is written here only:
+    `run_suite` reports the note without calling the check, and
+    `select_checks` refuses a selection of idle checks."""
     notes = {
         "hierarchy.zero_curvature":
             len(cfg.flows) < 2 and "fewer than two flows configured",
@@ -464,8 +450,6 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
 
 def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    if note := _idle(cfg, "hierarchy.zero_curvature"):
-        return _result({"note": note})
     flows = list(cfg.flows)
     # a pair (f, f) is identically zero, whatever the resolvents are
     pairs = [(f, g) for i, f in enumerate(flows) for g in flows[i + 1:]]
@@ -567,8 +551,6 @@ def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
 
 
 def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
-    if note := _idle(ctx.cfg, "bilinear.corruption_detected"):
-        return _result({"note": note})
     records = bl.check_q_bilinear(ctx.corrupted, ctx.cfg.l_max, [()])
     return _result(
         {"records": len(records)},
@@ -586,19 +568,13 @@ def check_expqo(ctx: SuiteContext) -> CheckResult:
                    {"z": z_depth, "x": cfg.n_x})
 
 
-def _tau_spec_from_config(ctx: SuiteContext) -> tau_mod.TauSpec:
-    cfg = ctx.cfg
-    return cfg.tau or tau_mod.TauSpec(ctx.tau_ctx.constant(1), {}, cfg.n)
-
-
 def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    spec = _tau_spec_from_config(ctx)
     lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
     l_max = min(cfg.l_max, 3)
     try:
         residuals = tau_mod.verify_tau_theorem(
-            spec, list(cfg.a), cfg.q, l_max, lambdas, ctx.expqo
+            cfg.tau, list(cfg.a), cfg.q, l_max, lambdas, ctx.expqo
         )
     except tau_mod.TauCheckError as exc:
         return _result({"rejected": True}, [(exc.label, exc.witness)], {})
@@ -630,7 +606,7 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     # sum chains up to x-order flow derivatives, so one more time degree
     # keeps it determined.
     xorder = 6
-    ring = TimePoly.zero(_default_tau_variables(cfg.n), xorder + 1, xorder)
+    ring = TimePoly.zero(default_tau_times(cfg.n), xorder + 1, xorder)
     poly = ring.constant(1) + ring.variable((1, 0))
     spec = tau_mod.TauSpec(poly, {}, cfg.n)
     _, records = tau_mod.taylor_agreement(
@@ -645,8 +621,6 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
 
 def check_classical_limit(ctx: SuiteContext) -> CheckResult:
     cfg = ctx.cfg
-    if note := _idle(cfg, "tau.classical_limit"):
-        return _result({"note": note})
     ring = TimePoly.zero(((1, 0), (2, 0)), cfg.n_t, cfg.n_x)
     t1 = ring.variable((1, 0))
     t2 = ring.variable((2, 0))
@@ -769,7 +743,7 @@ def select_checks(cfg: RunConfig, prefixes=None):
         raise ConfigError(f"the selected checks compare nothing: {', '.join(idle)}")
     if "tau.theorem" in names and cfg.lambda_max >= 1:
         # the theorem differentiates the tau data along every flow
-        variables = _tau_variables(cfg)
+        variables = cfg.tau.tau.vars
         for k, a in cfg.flows:
             if (k, a) not in variables:
                 raise ConfigError(
@@ -787,9 +761,10 @@ def run_suite(cfg: RunConfig, prefixes=None) -> Report:
     for name, fn in CHECKS:
         if name not in selection:
             continue
+        note = _idle(cfg, name)
         start = time.perf_counter()
         try:
-            res = fn(ctx)
+            res = _result({"note": note}) if note else fn(ctx)
         except Exception as exc:  # honest error reporting, not a crash
             res = CheckResult(status="error", first_failure={
                 "error": f"{type(exc).__name__}: {exc}"})

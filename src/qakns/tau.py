@@ -247,8 +247,9 @@ EXPQO_Z_DEPTH = 4
 def verify_expqo(a_values, q, ring: TimePoly):
     """exp_q(zAx) exp(sum z**k E t) == exp(sum z**k E t'), channel by channel.
 
-    The times and truncations are those of `ring`'s elements. Returns (channel, residual) pairs, channels 1-based as reports number
-    them; each residual is the 1 x 1 z-series of the difference through
+    The times and truncations are those of `ring`'s elements. Returns
+    (channel, residual) pairs, channels 1-based as reports number them;
+    each residual is the 1 x 1 z-series of the difference through
     z**EXPQO_Z_DEPTH, at every x-degree.
     """
     z_depth = EXPQO_Z_DEPTH

@@ -10,7 +10,9 @@ from qakns.config import (
     DEMO_CONFIG, ConfigError, demo_config, load_config, parse_config,
 )
 from qakns.report import config_hash, emit_report
-from qakns.suites import SuiteContext, _tau_spec_from_config, run_suite
+from qakns.suites import SuiteContext, run_suite
+from qakns.tau import TauSpec
+from qakns.timepoly import TimePoly
 
 
 def write_config(tmp_path, data):
@@ -156,6 +158,9 @@ def _tau_config(n=2, exponents=(0, 0, 0), companion_key=None,
          "got 2"),
         ({"companion_key": "1-2"},
          'tau.companions keys must be "alpha,beta" channel pairs, got \'1-2\''),
+        # a key has one spelling: "01,2" would name the companion of "1,2"
+        ({"companion_key": "01,2"},
+         'tau.companions keys must be "alpha,beta" channel pairs, got \'01,2\''),
     ],
 )
 def test_malformed_tau_input_exits_2(tmp_path, capsys, edit, message):
@@ -192,6 +197,15 @@ def test_checks_must_be_a_list(tmp_path, capsys):
     data["checks"] = "qcalc.expq_log_form"
     assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
     assert "checks must be a list of names" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # exit 1 would read as a failed check
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(base_config()).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "config is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_unreadable_and_malformed(tmp_path):
@@ -370,8 +384,10 @@ def _split_coefficient(data):
         {"exponents": [0, 0, 1], "coeff": "0"}),
     _split_coefficient,
     lambda data: data["u"][0][1].append("0"),
+    # past x = 4: the entry is still of degree 0
+    lambda data: data["u"][0][1].extend(["0"] * 9),
 ], ids=["reversed-monomials", "zero-monomial", "split-coefficient",
-        "trailing-zero-in-u"])
+        "trailing-zero-in-u", "zeros-past-x-in-u"])
 def test_spellings_of_one_run_hash_alike(respell):
     # the hash is taken over the parsed ring elements and series, not the
     # listed spelling
@@ -393,6 +409,23 @@ def test_a_changed_coefficient_changes_the_hash(path, value):
     assert _tau_rational_hash(change) != TAU_RATIONAL_HASH
 
 
+def test_no_tau_parses_to_one_over_the_default_times():
+    cfg = parse_config({**DEMO_CONFIG, "tau": None})
+    ring = TimePoly.zero(((1, 0), (1, 1), (2, 0), (2, 1)), cfg.n_t, cfg.n_x)
+    assert cfg.tau == TauSpec(ring.constant(1), {}, 2)
+
+
+def test_a_spelled_out_default_tau_hashes_like_null():
+    spelled = {**DEMO_CONFIG, "tau": {
+        "variables": [[2, 2], [2, 1], [1, 2], [1, 1]],
+        "monomials": [{"exponents": [0, 0, 0, 0], "coeff": "1"}],
+    }}
+    default = parse_config({**DEMO_CONFIG, "tau": None})
+    assert parse_config(spelled).tau == default.tau
+    assert parse_config(spelled).canonical_json() == default.canonical_json()
+    assert default.to_json()["tau"] is None
+
+
 def test_tau_exponents_follow_the_listed_variable_order():
     # the variables are sorted, and every exponent tuple is permuted with
     # them: [1, 0, 0] against a list that starts with t_(2,1) is t_(2,1)
@@ -409,9 +442,8 @@ def test_tau_exponents_follow_the_listed_variable_order():
     listed = tau_data([[2, 1], [1, 1], [1, 2]], [1, 0, 0], [0, 1, 0])
     ordered = tau_data([[1, 1], [1, 2], [2, 1]], [0, 0, 1], [1, 0, 0])
     assert listed.canonical_json() == ordered.canonical_json()
-    spec = _tau_spec_from_config(SuiteContext(listed))
+    spec = listed.tau
     ring = SuiteContext(listed).tau_ctx
-    assert spec is listed.tau
     assert spec.tau == ring.constant(1) + ring.variable((2, 0))
     assert spec.companions == {(0, 1): ring.constant(-1) * ring.variable((1, 0))}
 

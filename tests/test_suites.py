@@ -398,6 +398,20 @@ def test_a_config_without_bilinear_u_solves_its_datum_once(monkeypatch):
     assert len({lax for lax, *_ in calls["solves"]}) == 2
 
 
+def test_a_bilinear_u_equal_to_u_is_the_same_datum(monkeypatch):
+    # equal by value, though spelled with a trailing zero: one datum, one
+    # session, and the hash of the null spelling
+    data = json.loads(DEMO.read_text())
+    data = {**data, "u": data["bilinear_u"], "bilinear_u": None}
+    spelled = {**data, "bilinear_u": [[["0"], ["0", "1", "0"]], [["0"], ["0"]]]}
+    cfg = parse_config(spelled)
+    assert cfg.bilinear_lax is cfg.lax
+    assert cfg.canonical_json() == parse_config(data).canonical_json()
+    calls = _counted_run(monkeypatch, spelled)
+    assert len(calls["solves"]) == 6
+    assert len({lax for lax, *_ in calls["solves"]}) == 2
+
+
 GOLDEN_N3 = Path(__file__).resolve().parent / "golden" / "solvers_n3.config.json"
 
 

@@ -934,7 +934,7 @@ def _tau_theorem_case(kind, **changes):
     replace top-level fields of the config data.
     """
     from qakns.config import DEMO_CONFIG, parse_config
-    from qakns.suites import SuiteContext, _tau_spec_from_config
+    from qakns.suites import SuiteContext
 
     rational = json.loads(RATIONAL.read_text())
     data = dict(DEMO_CONFIG)
@@ -945,7 +945,7 @@ def _tau_theorem_case(kind, **changes):
     cfg = parse_config({**data, **changes})
     ctx = SuiteContext(cfg)
     lambdas = [lam for lam in ctx.lambdas() if len(lam) <= 1]
-    return (_tau_spec_from_config(ctx), list(cfg.a), cfg.q, min(cfg.l_max, 3),
+    return (cfg.tau, list(cfg.a), cfg.q, min(cfg.l_max, 3),
             lambdas, ctx.expqo)
 
 

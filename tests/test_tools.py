@@ -76,16 +76,19 @@ def test_op_counts_repeat_and_leave_no_wrapper():
               MZSeries.__dict__["product"], list(suites.CHECKS))
     cfg = demo_config()
     # pairing.oracle_examples and tau.expqo call MZSeries.product with a
-    # keyword, which the wrapper forwards
+    # keyword, which the wrapper forwards; bilinear.corruption_detected is
+    # idle without --inject-corruption, so run_suite never calls it
     cfg = type(cfg)(**{**cfg.__dict__, "checks": (
         "pairing.oracle_examples", "hierarchy.qr_residual",
-        "hierarchy.zero_curvature", "bilinear.qb1", "tau.expqo")})
+        "hierarchy.zero_curvature", "bilinear.qb1",
+        "bilinear.corruption_detected", "tau.expqo")})
     first = tool.op_counts(cfg)
     assert first == tool.op_counts(cfg)
     assert list(first) == list(cfg.checks)
     assert all(status == "pass" for status, _ in first.values())
     assert all(calls > 0 for calls in first["hierarchy.zero_curvature"][1])
     assert all(calls > 0 for calls in first["tau.expqo"][1])
+    assert first["bilinear.corruption_detected"] == ("pass", (0, 0, 0, 0))
     after = (XSeries.__dict__["dot"], MatSeries.__dict__["dot"],
              MZSeries.__dict__["product"], list(suites.CHECKS))
     assert all(a is b for a, b in zip(before[:3], after[:3]))

@@ -8,11 +8,13 @@ pairs they sum, the `MatSeries.dot` calls and the `MZSeries.product`
 calls; the total comes last. The counts are deterministic, so they
 compare two versions of the program where timings drift. A shared
 artifact (a resolvent family, a dressing) counts in the first check that
-builds it. The kernels and the check table are wrapped by name for the
-run and restored after it, also when it raises. A check that ends in
-`error` stopped part way, so its counts and the total are partial: the
-run names those checks and exits 1. With no path or with --help it
-prints this text, and with a missing path it names that path; both exit 2.
+builds it, and an idle check, which the suite answers with its note
+without calling it, counts zeros. The kernels and the check table are
+wrapped by name for the run and restored after it, also when it raises.
+A check that ends in `error` stopped part way, so its counts and the
+total are partial: the run names those checks and exits 1. With no path
+or with --help it prints this text, and with a missing path it names
+that path; both exit 2.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def op_counts(cfg) -> dict[str, tuple[str, tuple[int, ...]]]:
         XSeries.dot, MatSeries.dot = real_xdot, real_matdot
         MZSeries.product = real_product
         suites.CHECKS[:] = real_checks
-    return {c.name: (c.status, out[c.name]) for c in report.checks}
+    zeros = (0,) * len(COLUMNS)
+    return {c.name: (c.status, out.get(c.name, zeros)) for c in report.checks}
 
 
 def main(argv: list[str]) -> int:
