@@ -380,6 +380,13 @@ def parse_config(data: dict, inject_corruption: bool = False) -> RunConfig:
             check_q(value, n_x)
         except AdmissibilityError as exc:
             raise ConfigError(f"q_sequence[{i}]: {exc}") from exc
+        # tau.classical_limit reads each norm ratio as q - 1 halves
+        halved = 1 + (q_sequence[i - 1] - 1) / 2 if i else value
+        if value != halved:
+            raise ConfigError(
+                f"q_sequence[{i}] must halve q - 1 of q_sequence[{i-1}]: "
+                f"expected {frac_str(halved)}, got {frac_str(value)}"
+            )
     if len(q_sequence) == 1:
         raise ConfigError(
             "q_sequence[1] is missing: a non-empty q_sequence needs at least "

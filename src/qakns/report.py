@@ -12,6 +12,7 @@ from .matseries import MatSeries
 from .series import XSeries
 from .timepoly import TimePoly
 from .window import determined
+from .zseries import MZSeries
 
 
 @dataclass
@@ -78,7 +79,7 @@ def emit_report(report: Report, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def nonzero(labelled):
+def nonzero(labelled, windows=None):
     """(label, witness) for each failing residual of (label, residual) pairs.
 
     The one verdict rule: a residual passes exactly when it is zero and
@@ -87,12 +88,14 @@ def nonzero(labelled):
     residual's witness is then `first_nonzero`, and a zero one with an
     entry that determines nothing has ("undetermined", path..., axis,
     window) from `undetermined`. The report flattens the label with the
-    witness, so the label `()` leaves just the witness.
+    witness, so the label `()` leaves just the witness. With a dict
+    `windows`, that walk also folds each passing residual's windows into
+    it, so what a check verified costs no second walk.
     """
     for label, residual in labelled:
         if not residual.is_zero():
             yield label, first_nonzero(residual)
-        elif (hole := undetermined(residual)) is not None:
+        elif (hole := undetermined(residual, windows)) is not None:
             yield label, ("undetermined",) + hole
 
 
@@ -125,28 +128,44 @@ def first_nonzero(residual):
     return None
 
 
-def undetermined(residual):
+def undetermined(residual, windows=None):
     """(path..., axis, window) of the first entry of `residual` whose
     carrier determines no coefficient, or None when every entry does.
 
     The entries are the upper carriers: a TimePoly by its t-window, read
     before its coefficients, and each XSeries by its x-window
-    (`window.determined`).
+    (`window.determined`). With a dict `windows`, each carrier walked
+    lowers windows[axis] to its own window, the least on each axis: "x" to
+    an XSeries' `valid` and "t" to a TimePoly's `tvalid`, each capped at
+    its carrier's cap, and "z" to -zvalid of an MZSeries that has a
+    floor. An exact z-series adds no z, and an exact zero one stores no
+    carrier, so it adds nothing.
     """
     for path, part in _walk(residual):
         if isinstance(part, XSeries):
             if not determined(part.valid):
                 return path + ("x", part.valid)
-        elif isinstance(part, TimePoly) and not determined(part.tvalid):
-            return path + ("t", part.tvalid)
+            axis, v = "x", min(part.valid, part.order)
+        elif isinstance(part, TimePoly):
+            if not determined(part.tvalid):
+                return path + ("t", part.tvalid)
+            axis, v = "t", min(part.tvalid, part.tmax)
+        elif isinstance(part, MZSeries) and not part.is_exact:
+            axis, v = "z", -part.zvalid
+        else:
+            continue
+        if windows is not None and v < windows.get(axis, math.inf):
+            windows[axis] = v
     return None
 
 
-def x_window(residual):
-    """The lowest x-window of the x-series in `residual`, or math.inf when
-    it holds none."""
-    return min((part.valid for _, part in _walk(residual)
-                if isinstance(part, XSeries)), default=math.inf)
+def _flat(item):
+    """The items of `item`, nested tuples flattened in order."""
+    if isinstance(item, tuple):
+        for inner in item:
+            yield from _flat(inner)
+    else:
+        yield item
 
 
 def describe_witness(witness) -> dict:
@@ -156,16 +175,4 @@ def describe_witness(witness) -> dict:
     A label may nest tuples and a witness holds each time monomial as an
     exponent tuple; the coordinates list every item, flattened, in order.
     """
-    if isinstance(witness, tuple):
-        flat: list = []
-
-        def walk(t):
-            for item in t:
-                if isinstance(item, tuple):
-                    walk(item)
-                else:
-                    flat.append(item)
-
-        walk(witness)
-        return {"coordinates": [str(v) for v in flat]}
-    return {"coordinates": [str(witness)]}
+    return {"coordinates": [str(v) for v in _flat(witness)]}

@@ -8,10 +8,11 @@ assembles the deterministic report. Exit semantics live in the CLI.
 
 from __future__ import annotations
 
-import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 from . import bilinear as bl
 from . import hierarchy as hy
@@ -20,13 +21,11 @@ from . import tau as tau_mod
 from .calculus import dilate, exp_q_series, exp_series, q_derive
 from .config import ConfigError, RunConfig, default_tau_times
 from .matseries import MatSeries
-from .report import (
-    CheckResult, Report, config_hash, describe_witness, nonzero, x_window,
-)
+from .report import CheckResult, Report, config_hash, describe_witness, nonzero
 from .scalars import frac, q_int
 from .series import XSeries
 from .timepoly import TimePoly
-from .zseries import MZSeries, NEG_INF, InsufficientDepthError, derive_through
+from .zseries import MZSeries, InsufficientDepthError, derive_through
 
 
 class SuiteContext:
@@ -154,18 +153,25 @@ def _idle(cfg: RunConfig, name: str) -> str | None:
 _PASS = object()
 
 
-def _result(params, failures=(), degrees=None) -> CheckResult:
-    """Pass when `failures` yields nothing; otherwise its first item is the witness.
+def _result(params, residuals=(), z=None, failures=()) -> CheckResult:
+    """Pass when neither `failures` nor the verdict on the (label, residual)
+    pairs `residuals` yields anything; otherwise the first item, `failures`
+    first, is the witness.
 
     Checks hand in generators, so a failing check stops at its first failure
-    and a passing one does all of its work. `run_suite` names the result.
+    and a passing one does all of its work. `max_degree_verified` is read
+    off the residuals that passed: the least window on each axis, which
+    `report.nonzero` folds as it walks them. A check whose residuals are
+    single z-coefficients, and so carry no z, passes `z`: the deepest
+    z-degree its own loop reads. `run_suite` names the result.
     """
-    witness = next(iter(failures), _PASS)
+    windows = {} if z is None else {"z": z}
+    witness = next(chain(failures, nonzero(residuals, windows)), _PASS)
     ok = witness is _PASS
     return CheckResult(
         params=params,
         status="pass" if ok else "fail",
-        max_degree_verified=degrees or {},
+        max_degree_verified=windows,
         first_failure=None if ok else describe_witness(witness),
     )
 
@@ -195,7 +201,7 @@ def check_power_additivity(ctx: SuiteContext) -> CheckResult:
                 closed = XSeries.poly(closed_coeffs, cfg.n_x).with_valid(cfg.n_x - p)
                 yield p, stepped - closed
 
-    return _result({"q": str(q)}, nonzero(residuals()), {"x": cfg.n_x - 4})
+    return _result({"q": str(q)}, residuals())
 
 
 def check_leibniz_forms(ctx: SuiteContext) -> CheckResult:
@@ -212,7 +218,7 @@ def check_leibniz_forms(ctx: SuiteContext) -> CheckResult:
                     f * q_derive(g, q) + q_derive(f, q) * dilate(g, q)
                 )
 
-    return _result({"q": str(q)}, nonzero(residuals()), {"x": cfg.n_x - 1})
+    return _result({"q": str(q)}, residuals())
 
 
 def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
@@ -224,7 +230,7 @@ def check_expq_eigenvalue(ctx: SuiteContext) -> CheckResult:
             e = exp_q_series(c, q, cfg.n_x)
             yield str(c), q_derive(e, q) - e.scale(c)
 
-    return _result({"q": str(q)}, nonzero(residuals()), {"x": cfg.n_x - 1})
+    return _result({"q": str(q)}, residuals())
 
 
 def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
@@ -232,7 +238,7 @@ def check_expq_log_form(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
     args = [(k, tau_mod.q_shift_coeff(k, q)) for k in range(1, cfg.n_x + 1)]
     diff = exp_series(args, cfg.n_x) - exp_q_series(1, q, cfg.n_x)
-    return _result({"q": str(q)}, nonzero([((), diff)]), {"x": cfg.n_x})
+    return _result({"q": str(q)}, [((), diff)])
 
 
 def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
@@ -240,7 +246,7 @@ def check_expq_reciprocal(ctx: SuiteContext) -> CheckResult:
     q = cfg.q
     prod = exp_q_series(1, q, cfg.n_x) * exp_q_series(-1, 1 / q, cfg.n_x)
     diff = prod - XSeries.one(cfg.n_x)
-    return _result({"q": str(q)}, nonzero([((), diff)]), {"x": cfg.n_x})
+    return _result({"q": str(q)}, [((), diff)])
 
 
 # -- residue pairing --------------------------------------------------------------
@@ -298,7 +304,7 @@ def check_pairing_examples(ctx: SuiteContext) -> CheckResult:
         yield "oracle", qop.pairing_oracle(ident, ident, cfg.a, q,
                                            ctx.oracle_factors(cfg.a))
 
-    return _result({"q": str(q)}, nonzero(residuals()), {"x": order - 1})
+    return _result({"q": str(q)}, residuals())
 
 
 def check_pairing_random(ctx: SuiteContext) -> CheckResult:
@@ -319,8 +325,7 @@ def check_pairing_random(ctx: SuiteContext) -> CheckResult:
             yield (trial, "oracle"), oracle - lhs
 
     return _result(
-        {"q": str(q), "trials": trials, "band": PAIRING_BAND},
-        nonzero(residuals()), {"x": cfg.n_x - 2},
+        {"q": str(q), "trials": trials, "band": PAIRING_BAND}, residuals(),
     )
 
 
@@ -338,7 +343,7 @@ def check_pairing_nonneg(ctx: SuiteContext) -> CheckResult:
             yield (), qop.pairing_lhs(p, g, cfg.a, cfg.q)
             yield "oracle", qop.pairing_oracle(p, g, cfg.a, cfg.q, kernel)
 
-    return _result({}, nonzero(residuals()), {})
+    return _result({}, residuals())
 
 
 # -- hierarchy ------------------------------------------------------------------
@@ -350,7 +355,7 @@ def _qr_residual(params, session: hy.HierarchySession, depth: int):
         (alpha, hy.verify_resolvent(lax, session.resolvent(alpha, depth)))
         for alpha in range(lax.n)
     )
-    return _result(params, nonzero(residuals), {"z": depth - 1})
+    return _result(params, residuals)
 
 
 def check_qr_residual(ctx: SuiteContext) -> CheckResult:
@@ -366,7 +371,7 @@ def check_first_order_routes(ctx: SuiteContext) -> CheckResult:
             direct = ctx.session.resolvent(alpha, 1)
             yield alpha, conj.coeff(-1) - direct.coeff(-1)
 
-    return _result({}, nonzero(residuals()), {})
+    return _result({}, residuals())
 
 
 def check_orthogonality(ctx: SuiteContext) -> CheckResult:
@@ -380,7 +385,7 @@ def check_orthogonality(ctx: SuiteContext) -> CheckResult:
                 prod = fam[a] * fam[b]
                 yield (a, b), (prod - fam[b] if a == b else prod)
 
-    return _result({"depth": depth}, nonzero(residuals()), {"z": depth})
+    return _result({"depth": depth}, residuals())
 
 
 def check_partition(ctx: SuiteContext) -> CheckResult:
@@ -390,8 +395,7 @@ def check_partition(ctx: SuiteContext) -> CheckResult:
     for r in fam[1:]:
         total = total + r
     diff = total - MZSeries.identity(cfg.n, ctx.lax.proto())
-    return _result({}, nonzero([((), diff)]),
-                   {"z": cfg.required_resolvent_depth()})
+    return _result({}, [((), diff)])
 
 
 def check_algebra_closure(ctx: SuiteContext) -> CheckResult:
@@ -403,7 +407,7 @@ def check_algebra_closure(ctx: SuiteContext) -> CheckResult:
             - fam[0].shift(-3).scale(frac(5))
         yield (), hy.verify_resolvent(ctx.lax, combo)
 
-    return _result({}, nonzero(residuals()), {})
+    return _result({}, residuals())
 
 
 def check_basis_expansion(ctx: SuiteContext) -> CheckResult:
@@ -419,7 +423,7 @@ def check_basis_expansion(ctx: SuiteContext) -> CheckResult:
         coeffs, failures = {}, [str(exc)]
     return _result(
         {"constants": {f"b{b+1},z{-j}": str(c) for (b, j), c in coeffs.items()}},
-        failures, {"z": depth},
+        z=depth, failures=failures,
     )
 
 
@@ -428,7 +432,7 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
     depth = cfg.required_resolvent_depth()
     # params record every flow's verdict, so all flows run even after a failure
     params = {}
-    failures = []
+    failures, residuals = [], []
     for (k, alpha) in cfg.flows:
         label = f"flow({k},{alpha+1})"
         r = ctx.session.resolvent(alpha, depth)
@@ -444,8 +448,8 @@ def check_u_flow(ctx: SuiteContext) -> CheckResult:
         # derivation-band freedom: B_+ and -B_- give the same flow
         _, b_minus = hy.b_split(r, k)
         alt = hy.commutation_residual(ctx.lax, b_minus, 0, 0).coeff(0)
-        failures += nonzero([("avoided-band mismatch", alt - value)])
-    return _result(params, failures, {})
+        residuals.append(("avoided-band mismatch", alt - value))
+    return _result(params, residuals, failures=failures)
 
 
 def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
@@ -460,7 +464,7 @@ def check_zero_curvature(ctx: SuiteContext) -> CheckResult:
     )
     return _result(
         {"pairs": [f"({k},{a+1})x({l},{b+1})" for (k, a), (l, b) in pairs]},
-        nonzero(residuals), {},
+        residuals,
     )
 
 
@@ -475,14 +479,7 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
     residual = derive_through(w, a_z, lax.derive, lax.dilate) + (
         lax.u_minus_za() * w
     )
-    degrees = {}
-    if residual.zvalid != NEG_INF:
-        degrees["z"] = int(-residual.zvalid)
-    x_valid = x_window(residual)
-    if x_valid != math.inf:
-        degrees["x"] = x_valid
-    return _result({"depth": ctx.dressing.depth}, nonzero([((), residual)]),
-                   degrees)
+    return _result({"depth": ctx.dressing.depth}, [((), residual)])
 
 
 def _route_agreement(dressing: hy.Dressing, session: hy.HierarchySession,
@@ -500,7 +497,7 @@ def _route_agreement(dressing: hy.Dressing, session: hy.HierarchySession,
             direct = session.resolvent(alpha, depth)
             yield alpha, conj.truncate_below(-depth) - direct
 
-    return _result({"depth": depth}, nonzero(residuals()), {"z": depth})
+    return _result({"depth": depth}, residuals())
 
 
 def check_route_agreement(ctx: SuiteContext) -> CheckResult:
@@ -515,7 +512,8 @@ def _maybe_corrupt(ctx: SuiteContext) -> hy.Dressing:
 def _bilinear_check(params, ctx: SuiteContext, dressing: hy.Dressing):
     records = bl.check_q_bilinear(dressing, ctx.cfg.l_max, ctx.lambdas())
     params = {**params, "l_max": ctx.cfg.l_max, "records": len(records)}
-    return _result(params, nonzero(records), {"z": dressing.depth - 1})
+    # the records are the coefficients at z**-1..z**-(l_max+1)
+    return _result(params, records, z=ctx.cfg.l_max + 1)
 
 
 def check_qb1(ctx: SuiteContext) -> CheckResult:
@@ -529,11 +527,11 @@ def check_reconstruct(ctx: SuiteContext) -> CheckResult:
     a_vals, u_rec, residual = bl.reconstruct_from_bilinear(_maybe_corrupt(ctx))
     a_rec = MatSeries.diag_const(a_vals, lax.proto())
     # a config's u has a zero diagonal, so u_rec == u checks u_rec's too
-    return _result({}, nonzero([
+    return _result({}, [
         ((), residual),
         ("recovered data mismatch", u_rec - lax.u),
         ("recovered data mismatch", a_rec - lax.a_mat()),
-    ]), {})
+    ])
 
 
 def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
@@ -547,14 +545,14 @@ def check_adjoint_transpose(ctx: SuiteContext) -> CheckResult:
             first = w_star.coeff(-1) + w.coeff(-1).transpose()
             yield "first-order mismatch", first
 
-    return _result({}, nonzero(residuals()), {})
+    return _result({}, residuals())
 
 
 def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
     records = bl.check_q_bilinear(ctx.corrupted, ctx.cfg.l_max, [()])
     return _result(
         {"records": len(records)},
-        [] if any(nonzero(records)) else ["corruption slipped through"],
+        failures=[] if any(nonzero(records)) else ["corruption slipped through"],
     )
 
 
@@ -562,10 +560,8 @@ def check_corruption_detected(ctx: SuiteContext) -> CheckResult:
 
 
 def check_expqo(ctx: SuiteContext) -> CheckResult:
-    cfg = ctx.cfg
     z_depth = tau_mod.EXPQO_Z_DEPTH
-    return _result({"z_depth": z_depth}, nonzero(ctx.expqo),
-                   {"z": z_depth, "x": cfg.n_x})
+    return _result({"z_depth": z_depth}, ctx.expqo, z=z_depth)
 
 
 def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
@@ -577,12 +573,11 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
             cfg.tau, list(cfg.a), cfg.q, l_max, lambdas, ctx.expqo
         )
     except tau_mod.TauCheckError as exc:
-        return _result({"rejected": True}, [(exc.label, exc.witness)], {})
+        return _result({"rejected": True},
+                       failures=[(exc.label, exc.witness)])
     # the q-bilinear and Taylor stages compare z**-1..z**-(l_max+1)
-    return _result(
-        {"lambdas": len(lambdas), "l_max": l_max},
-        nonzero(residuals), {"z": l_max + 1, "t": cfg.n_t},
-    )
+    return _result({"lambdas": len(lambdas), "l_max": l_max}, residuals,
+                   z=l_max + 1)
 
 
 def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
@@ -596,7 +591,7 @@ def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
         tau_mod.verify_tau_theorem(bad, list(cfg.a), cfg.q, 2, lambdas, ctx.expqo)
     except tau_mod.TauCheckError:
         return _result({})
-    return _result({}, ["a non-solution passed the classical precheck"])
+    return _result({}, failures=["a non-solution passed the classical precheck"])
 
 
 def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
@@ -613,10 +608,7 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
         spec, list(cfg.a), cfg.q, 1, [(), ((1, 0),)]
     )
     by_record = (((l, lam), r) for (l, lam, _), r in records)
-    return _result(
-        {"on": "non-solution polynomial", "l_max": 1},
-        nonzero(by_record), {},
-    )
+    return _result({"on": "non-solution polynomial", "l_max": 1}, by_record)
 
 
 def check_classical_limit(ctx: SuiteContext) -> CheckResult:
@@ -649,8 +641,7 @@ def check_classical_limit(ctx: SuiteContext) -> CheckResult:
         ]
         ratio_report[label] = [str(r) for r in ratios]
     return _result(
-        {"ratios": ratio_report, "window": "[0.45, 0.55]"},
-        failures, {},
+        {"ratios": ratio_report, "window": "[0.45, 0.55]"}, failures=failures,
     )
 
 
@@ -754,6 +745,17 @@ def select_checks(cfg: RunConfig, prefixes=None):
     return names
 
 
+def run_hash(cfg: RunConfig) -> str:
+    """The config hash that a run of `cfg` reports: the hash of its
+    canonical JSON with the check selection in run order and without
+    repeats, so spellings of one selection, in a config or by --check,
+    hash alike. Names outside the suite, which `select_checks` refuses,
+    are dropped."""
+    if cfg.checks is not None:
+        cfg = replace(cfg, checks=tuple(n for n, _ in CHECKS if n in cfg.checks))
+    return config_hash(cfg.canonical_json())
+
+
 def run_suite(cfg: RunConfig, prefixes=None) -> Report:
     ctx = SuiteContext(cfg)
     selection = set(select_checks(cfg, prefixes))
@@ -771,4 +773,4 @@ def run_suite(cfg: RunConfig, prefixes=None) -> Report:
         res.name = name
         res.ms = (time.perf_counter() - start) * 1000.0
         results.append(res)
-    return Report(config_hash(cfg.canonical_json()), results)
+    return Report(run_hash(cfg), results)

@@ -10,7 +10,7 @@ from qakns.config import (
     DEMO_CONFIG, ConfigError, demo_config, load_config, parse_config,
 )
 from qakns.report import config_hash, emit_report
-from qakns.suites import SuiteContext, run_suite
+from qakns.suites import SuiteContext, run_hash, run_suite
 from qakns.tau import TauSpec
 from qakns.timepoly import TimePoly
 
@@ -368,7 +368,17 @@ TAU_RATIONAL_HASH = "4631ce9a7fd6bae21b0bbff7f99ed0e8deadf19e6cf0c8d37b3fc7e6423
 def _tau_rational_hash(respell):
     data = json.loads(TAU_RATIONAL.read_text())
     respell(data)
-    return config_hash(parse_config(data).canonical_json())
+    return run_hash(parse_config(data))
+
+
+def _select(*names):
+    def respell(data):
+        data["checks"] = list(names)
+    return respell
+
+
+# two checks, in run order
+IN_RUN_ORDER = _select("qcalc.leibniz_forms", "tau.expqo")
 
 
 def _split_coefficient(data):
@@ -378,21 +388,43 @@ def _split_coefficient(data):
     mons.append(dict(mons[1]))
 
 
-@pytest.mark.parametrize("respell", [
-    lambda data: data["tau"]["monomials"].reverse(),
-    lambda data: data["tau"]["monomials"].append(
-        {"exponents": [0, 0, 1], "coeff": "0"}),
-    _split_coefficient,
-    lambda data: data["u"][0][1].append("0"),
+@pytest.mark.parametrize("respell, like", [
+    (lambda data: data["tau"]["monomials"].reverse(), None),
+    (lambda data: data["tau"]["monomials"].append(
+        {"exponents": [0, 0, 1], "coeff": "0"}), None),
+    (_split_coefficient, None),
+    (lambda data: data["u"][0][1].append("0"), None),
     # past x = 4: the entry is still of degree 0
-    lambda data: data["u"][0][1].extend(["0"] * 9),
+    (lambda data: data["u"][0][1].extend(["0"] * 9), None),
+    # a selection runs in run order, once per check, however it is listed
+    (_select("tau.expqo", "qcalc.leibniz_forms"), IN_RUN_ORDER),
+    (_select("tau.expqo", "qcalc.leibniz_forms", "tau.expqo"), IN_RUN_ORDER),
 ], ids=["reversed-monomials", "zero-monomial", "split-coefficient",
-        "trailing-zero-in-u", "zeros-past-x-in-u"])
-def test_spellings_of_one_run_hash_alike(respell):
+        "trailing-zero-in-u", "zeros-past-x-in-u", "reversed-checks",
+        "repeated-check"])
+def test_spellings_of_one_run_hash_alike(respell, like):
     # the hash is taken over the parsed ring elements and series, not the
     # listed spelling
     assert _tau_rational_hash(lambda data: None) == TAU_RATIONAL_HASH
-    assert _tau_rational_hash(respell) == TAU_RATIONAL_HASH
+    expected = TAU_RATIONAL_HASH if like is None else _tau_rational_hash(like)
+    assert _tau_rational_hash(respell) == expected
+
+
+def test_a_check_option_hashes_like_the_config_selection(tmp_path, capsys):
+    # --check names go through the selection's one canonical spelling
+    data = _demo_data()
+    IN_RUN_ORDER(data)
+    path = write_config(tmp_path, data)
+    hashes = set()
+    for names in ([], ["tau.expqo", "qcalc.leibniz_forms"],
+                  ["tau.expqo", "qcalc.leibniz_forms", "tau.expqo"]):
+        argv = ["verify", "--config", path, "--format", "json"]
+        assert main(argv + [f"--check={n}" for n in names]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"]] == [
+            "qcalc.leibniz_forms", "tau.expqo"]
+        hashes.add(report["config_hash"])
+    assert hashes == {run_hash(parse_config(data))}
 
 
 @pytest.mark.parametrize("path, value", [
@@ -476,8 +508,15 @@ def _demo_data():
         (["1"], "q_sequence[0]: deformation parameter must differ from 1"),
         (["-1", "9/8"], "q_sequence[0]: deformation parameter is a root of unity"),
         (["9/8"], "q_sequence[1] is missing"),
+        # tau.classical_limit's ratios assume that q - 1 halves
+        (["9/8", "5/4"], "q_sequence[1] must halve q - 1 of q_sequence[0]: "
+         "expected 17/16, got 5/4"),
+        (["9/8", "9/8"], "q_sequence[1] must halve q - 1 of q_sequence[0]"),
+        (["9/8", "17/16", "17/16"],
+         "q_sequence[2] must halve q - 1 of q_sequence[1]: expected 33/32"),
     ],
-    ids=["q_is_1", "root_of_unity", "one_entry"],
+    ids=["q_is_1", "root_of_unity", "one_entry", "doubles", "repeats",
+         "stalls_later"],
 )
 def test_inadmissible_q_sequence_exits_2(tmp_path, capsys, sequence, message):
     data = _demo_data()

@@ -38,8 +38,9 @@ RUNS = {
     # workload, seed 0)
     "deep_x": lambda: run_suite(load_config(GOLDEN / "deep_x.config.json")),
     # the demo suite on a real tau, tau = 1 - t_(1,1) + t_(1,2), at x = 4,
-    # t = 6 and l_max = 2. Its tau.theorem window {"z": 3, "t": 6} is
-    # z**-1..z**-3, the degrees its q-bilinear and Taylor stages compare
+    # t = 6 and l_max = 2. Its tau.theorem window {"z": 3, "t": 1, "x": 3}
+    # is z**-1..z**-3, the degrees its q-bilinear and Taylor stages
+    # compare, and the t- and x-degrees its residuals determine
     "tau_rational": lambda: run_suite(
         load_config(ROOT / "configs" / "tau_rational.json")
     ),

@@ -1,13 +1,12 @@
 """The verdict rule: a residual passes when it is zero and determined."""
 
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from qakns.matseries import MatSeries
-from qakns.report import first_nonzero, nonzero, undetermined, x_window
+from qakns.report import first_nonzero, nonzero, undetermined
 from qakns.series import XSeries
 from qakns.timepoly import TimePoly
 from qakns.window import determined
@@ -52,6 +51,27 @@ def test_a_determined_zero_passes_and_a_nonzero_keeps_its_witness():
     assert label == "r" and witness == (0, 1, (1, 0), 0, F(1))
 
 
+def test_the_verdict_folds_the_least_window_of_each_passing_residual():
+    zero_t = TimePoly.zero(VARS, 3, N)
+    shallow = MatSeries([[zero_t.with_tvalid(1), zero_t], [zero_t, zero_t]])
+    windows = {}
+    failed = nonzero([
+        ("x", XSeries.zero(N).with_valid(2)),
+        ("exact x", XSeries.zero(N)),
+        ("z", MZSeries(2, {-1: shallow}, -3)),
+        # an exact zero z-series holds no carrier: it adds nothing
+        ("exact z", MZSeries.zero(2)),
+        # a failing residual is not folded
+        ("nonzero", XSeries.one(N).with_valid(0)),
+    ], windows)
+    assert [label for label, _ in failed] == ["nonzero"]
+    assert windows == {"x": 2, "t": 1, "z": 3}
+    # an exact carrier is read through its cap
+    exact = {}
+    assert not any(nonzero([((), XSeries.zero(N)), ((), zero_t)], exact))
+    assert exact == {"x": N, "t": 3}
+
+
 def _random_series(rng):
     nums = [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(N + 1)]
     valid = rng.choice((N + 1, N + 1, 2, 0, -1))
@@ -79,13 +99,29 @@ def _random_residual(rng, kind):
     return MZSeries(2, {d: mat() for d in degrees}, rng.choice((NEG_INF, -2)))
 
 
-def _series_in(r):
-    """Every x-series of `r`."""
+def _carriers(r):
+    """`r` and every carrier inside it."""
     if isinstance(r, XSeries):
         return [r]
     if isinstance(r, MatSeries):
-        return [s for row in r.rows for e in row for s in _series_in(e)]
-    return [s for p in r.terms.values() for s in _series_in(p)]
+        return [c for row in r.rows for e in row for c in _carriers(e)]
+    return [r] + [c for p in r.terms.values() for c in _carriers(p)]
+
+
+def _least_windows(r):
+    """The least window on each axis of the carriers of `r`, read directly."""
+    out = {}
+    for c in _carriers(r):
+        if isinstance(c, XSeries):
+            axis, v = "x", min(c.valid, c.order)
+        elif isinstance(c, TimePoly):
+            axis, v = "t", min(c.tvalid, c.tmax)
+        elif isinstance(c, MZSeries) and c.zvalid != NEG_INF:
+            axis, v = "z", -c.zvalid
+        else:
+            continue
+        out[axis] = min(out.get(axis, v), v)
+    return out
 
 
 def _coefficients(r):
@@ -117,6 +153,7 @@ def _follow(r, witness):
 def test_the_witness_is_the_first_nonzero_coefficient(kind):
     rng = random.Random(kind)
     zero_seen = set()
+    folded = 0
     for _ in range(200):
         r = _random_residual(rng, kind)
         witness = first_nonzero(r)
@@ -128,6 +165,9 @@ def test_the_witness_is_the_first_nonzero_coefficient(kind):
         )
         if witness is not None:
             assert _follow(r, witness) == witness[-1] != 0
-        windows = [s.valid for s in _series_in(r)]
-        assert x_window(r) == min(windows, default=math.inf)
-    assert zero_seen == {True, False}
+        # the walk that looks for an undetermined entry folds the windows
+        windows = {}
+        if undetermined(r, windows) is None:
+            folded += 1
+            assert windows == _least_windows(r)
+    assert zero_seen == {True, False} and folded > 0

@@ -148,7 +148,7 @@ def test_oracle_factors_are_built_once_per_run(monkeypatch):
 def test_bilinear_and_tau_checks_decide_through_the_one_verdict(monkeypatch):
     # a verdict that rejects every residual: each check that decides through
     # report.nonzero must then fail, and name a witness
-    def reject_all(labelled):
+    def reject_all(labelled, windows=None):
         return ((label, "rejected") for label, _ in labelled)
 
     verdict = report.nonzero
@@ -162,6 +162,88 @@ def test_bilinear_and_tau_checks_decide_through_the_one_verdict(monkeypatch):
     for res in results.values():
         assert res.status == "fail", res.name
         assert "rejected" in str(res.first_failure), res.name
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _deepest_l(labels):
+    """The deepest z-degree, l_max + 1, that residues labelled by l read: a
+    bilinear label reads `l=2 m=0 lam=[...]`, a Taylor label (2, ...)."""
+    return 1 + max(int(label.split()[0][2:]) if isinstance(label, str)
+                   else label[0] for label in labels)
+
+
+@pytest.mark.parametrize("config", ["demo.json", "tau_rational.json"])
+def test_every_window_is_read_off_the_residuals(monkeypatch, config):
+    # each check's max_degree_verified is the fold of the residuals it
+    # handed to the verdict, and a z-range is the deepest degree it read
+    from qakns import suites
+
+    handed, seen = {}, []
+    real_result = suites._result
+
+    def recording(params, residuals=(), z=None, failures=()):
+        residuals = list(residuals)
+        seen.append((residuals, z))
+        return real_result(params, residuals, z, failures)
+
+    def named(name, fn):
+        def run(ctx):
+            seen.clear()
+            res = fn(ctx)
+            (handed[name],) = seen
+            return res
+        return run
+
+    expansions, expqo_depths = [], []
+    real_expand, real_exp = hy.expand_in_basis, tau_mod.graded_exp
+
+    def expand(s, family):
+        expansions.append(s)
+        return real_expand(s, family)
+
+    def graded_exp(gens, depth):
+        expqo_depths.append(depth)
+        return real_exp(gens, depth)
+
+    monkeypatch.setattr(suites, "_result", recording)
+    monkeypatch.setattr(suites, "CHECKS",
+                        [(name, named(name, fn)) for name, fn in CHECKS])
+    monkeypatch.setattr(hy, "expand_in_basis", expand)
+    monkeypatch.setattr(tau_mod, "graded_exp", graded_exp)
+    data = json.loads((CONFIGS / config).read_text())
+    results = run_suite(parse_config({**data, "checks": None})).checks
+    monkeypatch.undo()
+
+    assert all(r.status == "pass" for r in results)
+    for res in results:
+        if res.name not in handed:  # idle: answered with its note
+            assert res.max_degree_verified == {}, res.name
+            continue
+        residuals, z = handed[res.name]
+        windows = {} if z is None else {"z": z}
+        assert not any(report.nonzero(residuals, windows)), res.name
+        assert res.max_degree_verified == windows, res.name
+    z_ranges = {name: z for name, (_, z) in handed.items() if z is not None}
+    assert set(z_ranges) == {
+        "hierarchy.basis_expansion", "bilinear.qb1", "classical.bilinear",
+        "tau.expqo", "tau.theorem"}
+    for name in ("bilinear.qb1", "classical.bilinear"):
+        labels = [label for label, _ in handed[name][0]]
+        assert z_ranges[name] == _deepest_l(labels), name
+    for stage in ("q_bilinear", "taylor"):
+        labels = [label for (tag, label), _ in handed["tau.theorem"][0]
+                  if tag == stage]
+        assert z_ranges["tau.theorem"] == _deepest_l(labels), stage
+    (s,) = expansions
+    assert z_ranges["hierarchy.basis_expansion"] == -s.zvalid
+    assert z_ranges["tau.expqo"] == max(expqo_depths)
+    if config == "tau_rational.json":
+        # the shift theorem's residuals are determined through total
+        # t-degree 1 and x-degree 3, whatever the t and x truncations
+        (theorem,) = [r for r in results if r.name == "tau.theorem"]
+        assert theorem.max_degree_verified == {"z": 3, "t": 1, "x": 3}
 
 
 def test_a_corruption_run_corrupts_and_inverts_once(monkeypatch):

@@ -1,4 +1,5 @@
-"""The code-line counter that measures the size of src/qakns."""
+"""The measuring tools: the code-line counter that measures the size of
+src/qakns, and the kernel operation counts of a run."""
 
 import importlib.util
 import json
@@ -137,3 +138,19 @@ def test_op_counts_exits_1_naming_a_check_that_ends_in_error(
 def test_op_counts_usage_exits_2(argv, capsys):
     assert _op_counts().main(argv) == 2
     assert "python3 tools/op_counts.py CONFIG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, totals", [
+    ("configs/demo.json", (3379, 6216, 861, 333)),
+    ("tests/golden/solvers_n3.config.json", (3002, 10524, 756, 149)),
+    ("configs/tau_rational.json", (18287, 147565, 948, 339)),
+], ids=["demo", "solvers_n3", "tau_rational"])
+def test_op_count_totals_do_not_drift(config, totals):
+    # the deterministic work of a whole run, in the tool's COLUMNS: a
+    # change that moves a total does more or less kernel work, which the
+    # timings of this machine are too noisy to show
+    from qakns.config import load_config
+
+    counts = _op_counts().op_counts(load_config(ROOT / config))
+    assert all(status != "error" for status, _ in counts.values())
+    assert tuple(map(sum, zip(*(row for _, row in counts.values())))) == totals
