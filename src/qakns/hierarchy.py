@@ -484,37 +484,30 @@ def verify_zero_curvature(
 
 def expand_in_basis(
     s: MZSeries, family: list[MZSeries]
-) -> dict[tuple[int, int], Fraction]:
+) -> tuple[dict[tuple[int, int], Fraction], MZSeries]:
     """Write a leading-term-free resolvent as sum of c_b(z) R_b, c constant.
 
     The expansion runs down to s's depth: z**zvalid, or its lowest stored
-    degree when s is exact. Returns {(beta, z_power): constant}; raises if
-    the remainder at some order is not a constant-diagonal combination (the
-    computational content of the basis property), and raises
-    `InsufficientDepthError` at the first order that the family, shallower
-    than s, leaves undetermined.
+    degree when s is exact. At each order z**-j it reads the constants
+    c_(b, j) off the diagonal of what is left and subtracts
+    c_(b, j) z**-j R_b. Returns ({(beta, j): c_(beta, j)}, remainder); the
+    remainder is zero exactly when s lies in the constant-diagonal span
+    (the computational content of the basis property), and it carries the
+    witness and the window of that verdict. Raises `InsufficientDepthError`
+    at the first order that the family, shallower than s, leaves
+    undetermined.
     """
     depth = -min(s.terms, default=0) if s.is_exact else -s.zvalid
     coeffs: dict[tuple[int, int], Fraction] = {}
     acc = s
     for j in range(1, depth + 1):
         cur = acc.coeff(-j)
-        consts = []
         for beta in range(s.n):
             c = cur[beta, beta].constant_term()
-            consts.append(c)
             if c != 0:
                 coeffs[(beta, j)] = c
-        for beta, c in enumerate(consts):
-            if c == 0:
-                continue
-            acc = acc - family[beta].shift(-j).scale(c)
-        rem = acc.coeff(-j)
-        if not rem.is_zero():
-            raise ValueError(
-                f"residual at z**-{j} outside the constant-diagonal span: {rem!r}"
-            )
-    return coeffs
+                acc = acc - family[beta].shift(-j).scale(c)
+    return coeffs, acc
 
 
 class HierarchySession:

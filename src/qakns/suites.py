@@ -364,14 +364,7 @@ def check_qr_residual(ctx: SuiteContext) -> CheckResult:
 
 
 def check_first_order_routes(ctx: SuiteContext) -> CheckResult:
-    d1 = hy.solve_dressing(ctx.lax, 1)
-
-    def residuals():
-        for alpha, conj in enumerate(d1.resolvents()):
-            direct = ctx.session.resolvent(alpha, 1)
-            yield alpha, conj.coeff(-1) - direct.coeff(-1)
-
-    return _result({}, residuals())
+    return _route_agreement(hy.solve_dressing(ctx.lax, 1), ctx.session, 1)
 
 
 def check_orthogonality(ctx: SuiteContext) -> CheckResult:
@@ -416,14 +409,10 @@ def check_basis_expansion(ctx: SuiteContext) -> CheckResult:
     ortho = ctx.session.resolvent(0, depth)
     plain = ctx.session.resolvent(0, depth, "zero")
     base = [ctx.session.resolvent(b, depth, "zero") for b in range(cfg.n)]
-    try:
-        coeffs = hy.expand_in_basis(ortho - plain, base)
-        failures = []
-    except ValueError as exc:
-        coeffs, failures = {}, [str(exc)]
+    coeffs, remainder = hy.expand_in_basis(ortho - plain, base)
     return _result(
         {"constants": {f"b{b+1},z{-j}": str(c) for (b, j), c in coeffs.items()}},
-        z=depth, failures=failures,
+        [((), remainder)],
     )
 
 
@@ -484,7 +473,11 @@ def check_dressing_factorization(ctx: SuiteContext) -> CheckResult:
 
 def _route_agreement(dressing: hy.Dressing, session: hy.HierarchySession,
                      depth: int):
-    """Conjugated dressing against the direct resolvent solve, per channel.
+    """Conjugated dressing against the direct resolvent solve, per channel,
+    through z**-depth: the one route-agreement identity, which
+    hierarchy.first_order_routes (depth 1), dressing.route_agreement and
+    classical.route_agreement read. Each record reports the depth in its
+    params and the z it compared, read off the residuals.
 
     `session` is the run's session of the dressing's Lax datum, so the
     direct solve is the one its other readers use (at q = 1, the one
@@ -576,8 +569,9 @@ def check_tau_theorem(ctx: SuiteContext) -> CheckResult:
         return _result({"rejected": True},
                        failures=[(exc.label, exc.witness)])
     # the q-bilinear and Taylor stages compare z**-1..z**-(l_max+1)
-    return _result({"lambdas": len(lambdas), "l_max": l_max}, residuals,
-                   z=l_max + 1)
+    params = {"lambdas": len(lambdas), "lambda_max": min(cfg.lambda_max, 1),
+              "l_max": l_max}
+    return _result(params, residuals, z=l_max + 1)
 
 
 def check_tau_gatekeeping(ctx: SuiteContext) -> CheckResult:
@@ -604,11 +598,14 @@ def check_tau_mechanism(ctx: SuiteContext) -> CheckResult:
     ring = TimePoly.zero(default_tau_times(cfg.n), xorder + 1, xorder)
     poly = ring.constant(1) + ring.variable((1, 0))
     spec = tau_mod.TauSpec(poly, {}, cfg.n)
+    l_max = 1
     _, records = tau_mod.taylor_agreement(
-        spec, list(cfg.a), cfg.q, 1, [(), ((1, 0),)]
+        spec, list(cfg.a), cfg.q, l_max, [(), ((1, 0),)]
     )
     by_record = (((l, lam), r) for (l, lam, _), r in records)
-    return _result({"on": "non-solution polynomial", "l_max": 1}, by_record)
+    # the records are the coefficients at z**-1..z**-(l_max+1)
+    return _result({"on": "non-solution polynomial", "l_max": l_max},
+                   by_record, z=l_max + 1)
 
 
 def check_classical_limit(ctx: SuiteContext) -> CheckResult:

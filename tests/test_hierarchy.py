@@ -322,7 +322,8 @@ def test_basis_expansion_of_normalization_difference():
     ortho = session.resolvent(0, 6)
     plain = session.resolvent(0, 6, "zero")
     base = [session.resolvent(b, 6, "zero") for b in range(2)]
-    coeffs = expand_in_basis(ortho - plain, base)
+    coeffs, remainder = expand_in_basis(ortho - plain, base)
+    assert not any(nonzero([((), remainder)]))
     # leading repaired constants, as derived by hand
     assert coeffs[(0, 2)] == F(-1, 4)
     assert coeffs[(1, 2)] == F(1, 4)
@@ -345,8 +346,9 @@ def test_basis_expansion_needs_the_family_as_deep_as_the_series():
     diff = session.resolvent(0, 5) - session.resolvent(0, 5, "zero")
     deep = [session.resolvent(b, 5, "zero") for b in range(3)]
     shallow = [session.resolvent(b, 2, "zero") for b in range(3)]
-    coeffs = expand_in_basis(diff, deep)
+    coeffs, remainder = expand_in_basis(diff, deep)
     assert coeffs[(0, 4)] == F(-141, 40) and coeffs[(2, 4)] == F(7, 2)
+    assert not any(nonzero([((), remainder)]))
     # the shallow family leaves z**-5 undetermined: it is not skipped
     with pytest.raises(InsufficientDepthError, match=r"z\*\*-5"):
         expand_in_basis(diff, shallow)

@@ -67,16 +67,44 @@ def test_qr_residual_names_the_first_failing_channel(monkeypatch):
     assert coords[0] == "0" and len(coords) == 6
 
 
-def test_basis_expansion_fails_on_a_remainder_outside_the_span(monkeypatch):
-    message = "residual at z**-1 outside the constant-diagonal span: <x>"
+def test_basis_expansion_witness_is_the_remainder_outside_the_span(monkeypatch):
+    # a remainder with one nonzero entry: 7/5 x**2 at z**-3, row 0, column 1
+    proto = XSeries.zero(8)
+    bad = MatSeries([[proto, XSeries.monomial(frac("7/5"), 2, 8)],
+                     [proto, proto]])
+    remainder = MZSeries(2, {-3: bad}, -5)
 
-    def refuse(s, family):
-        raise ValueError(message)
+    def expand(s, family):
+        return {(0, 2): frac("-1/4")}, remainder
 
-    monkeypatch.setattr(hy, "expand_in_basis", refuse)
+    monkeypatch.setattr(hy, "expand_in_basis", expand)
     (res,) = run_checks("hierarchy.basis_expansion")
-    assert res.status == "fail" and res.params == {"constants": {}}
-    assert res.first_failure == {"coordinates": [message]}
+    assert res.status == "fail"
+    # z-degree, entry (i, j), x-degree and value
+    assert res.first_failure == {"coordinates": ["-3", "0", "1", "2", "7/5"]}
+    assert res.params == {"constants": {"b1,z-2": "-1/4"}}
+
+
+def test_every_route_agreement_check_is_the_one_writer(monkeypatch):
+    from qakns import suites
+
+    depths = []
+    real = suites._route_agreement
+
+    def recording(dressing, session, depth):
+        depths.append(depth)
+        return real(dressing, session, depth)
+
+    monkeypatch.setattr(suites, "_route_agreement", recording)
+    results = run_checks("hierarchy.first_order_routes",
+                         "dressing.route_agreement",
+                         "classical.route_agreement")
+    assert [r.status for r in results] == ["pass"] * 3
+    assert depths == [1, 7, 5]
+    # each record reports the depth and the z it compared
+    for res, depth in zip(results, depths):
+        assert res.params == {"depth": depth}, res.name
+        assert res.max_degree_verified == {"z": depth}, res.name
 
 
 def test_gatekeeping_fails_when_the_non_solution_is_not_rejected(monkeypatch):
@@ -107,7 +135,7 @@ def test_tau_checks_run_on_the_default_times_without_a_tau():
         name for name, _ in CHECKS if name.startswith("tau.")]
     assert all(r.status == "pass" for r in results)
     (theorem,) = [r for r in results if r.name == "tau.theorem"]
-    assert theorem.params == {"lambdas": 4, "l_max": 3}
+    assert theorem.params == {"lambdas": 4, "lambda_max": 1, "l_max": 3}
 
 
 def test_dressing_factorization_reads_its_z_window_off_the_residual():
@@ -227,17 +255,20 @@ def test_every_window_is_read_off_the_residuals(monkeypatch, config):
         assert res.max_degree_verified == windows, res.name
     z_ranges = {name: z for name, (_, z) in handed.items() if z is not None}
     assert set(z_ranges) == {
-        "hierarchy.basis_expansion", "bilinear.qb1", "classical.bilinear",
-        "tau.expqo", "tau.theorem"}
-    for name in ("bilinear.qb1", "classical.bilinear"):
+        "bilinear.qb1", "classical.bilinear", "tau.theorem",
+        "tau.mechanism_agreement", "tau.expqo"}
+    for name in ("bilinear.qb1", "classical.bilinear",
+                 "tau.mechanism_agreement"):
         labels = [label for label, _ in handed[name][0]]
         assert z_ranges[name] == _deepest_l(labels), name
     for stage in ("q_bilinear", "taylor"):
         labels = [label for (tag, label), _ in handed["tau.theorem"][0]
                   if tag == stage]
         assert z_ranges["tau.theorem"] == _deepest_l(labels), stage
+    # the expansion's remainder carries the window of the series expanded
     (s,) = expansions
-    assert z_ranges["hierarchy.basis_expansion"] == -s.zvalid
+    (basis,) = [r for r in results if r.name == "hierarchy.basis_expansion"]
+    assert basis.max_degree_verified == {"z": -s.zvalid}
     assert z_ranges["tau.expqo"] == max(expqo_depths)
     if config == "tau_rational.json":
         # the shift theorem's residuals are determined through total

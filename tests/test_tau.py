@@ -1064,8 +1064,9 @@ def test_tau_theorem_builds_and_inverts_two_bakers(monkeypatch):
 
 
 def test_tau_theorem_reports_the_l_max_it_reads(monkeypatch):
-    # at l_max 8 the check reads l <= 3; its params name that l_max, and its
-    # z window is the deepest degree its q-bilinear and Taylor stages compare
+    # at l_max 8 the check reads l <= 3; its params name that l_max and the
+    # |lambda| <= 1 cap, and its z window is the deepest degree its
+    # q-bilinear and Taylor stages compare
     import qakns.tau as tau_mod
     from qakns.config import DEMO_CONFIG, parse_config
     from qakns.suites import run_suite
@@ -1081,7 +1082,7 @@ def test_tau_theorem_reports_the_l_max_it_reads(monkeypatch):
     data = {**DEMO_CONFIG, "l_max": 8, "checks": ["tau.theorem"]}
     (res,) = run_suite(parse_config(data)).checks
     assert res.status == "pass"
-    assert res.params == {"lambdas": 4, "l_max": 3}
+    assert res.params == {"lambdas": 4, "lambda_max": 1, "l_max": 3}
     assert res.max_degree_verified == {"z": 4, "t": 4}
     compared = {label[0] for (stage, label), _ in seen if stage == "taylor"}
     assert max(compared) + 1 == res.max_degree_verified["z"]
