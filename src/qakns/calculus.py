@@ -122,8 +122,9 @@ def graded_apply(seed, step, orders, depth: int) -> dict:
     is k S_k e, for each k in `orders`. Returns {grade: E_d} through
     `depth`, E_0 = seed; a grade no sum of orders reaches has no entry.
     This is the one writer of an exponential in a graded ring: the
-    generators of `graded_exp`, the Miwa substitution and the Taylor sum of
-    the tau layer are its callers.
+    generators of `graded_exp`, the Miwa substitution, and the time
+    translation and the channels' z-exponentials of the tau layer's
+    Taylor sum are its callers.
     """
     acc = {0: seed}
     orders = [k for k in orders if k <= depth]

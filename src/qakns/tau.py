@@ -11,14 +11,17 @@ t_(k alpha) -> t_(k alpha) + (1-q)**k / (k (1-q**k)) * (a_alpha x)**k
 first. The z-substitution is the finite Taylor sum of t-derivatives
 exp(-sum_k z**-k / k d_(k beta)), which ends at the polynomial's own Miwa
 reach, so the assembled Baker series is exact in z and takes no depth.
-That sum, the Taylor sum of the flow steps and the z-exponentials of
-`verify_expqo` are each the exponential of a graded operator, expanded
-by `calculus.graded_apply` up to its grade: the Miwa reach, the x-order
-and `EXPQO_Z_DEPTH`. The Baker exponentials enter the
-residue identities through the q-Leibniz reduction; `graded_exp` expands
-an exponential in z only where `verify_expqo` compares one directly, and
-the ratio E_delta that `taylor_agreement` needs is the closed form the
-q-exponential's eigen-relation gives.
+That sum, the two factors of the Taylor sum of the flow steps and the
+z-exponentials of `verify_expqo` are each the exponential of a graded
+operator, expanded by `calculus.graded_apply` up to its grade: the Miwa
+reach, the x-order and `EXPQO_Z_DEPTH`. The Taylor sum's factors are a
+time translation and, per channel, a z-exponential of the shift
+differences, since the flow steps' t-derivatives and right factors
+commute; they are paired only up to the x-order. The Baker exponentials
+enter the residue identities through the q-Leibniz reduction;
+`graded_exp` expands an exponential in z only where `verify_expqo`
+compares one directly, and the ratio E_delta that `taylor_agreement`
+needs is the closed form the q-exponential's eigen-relation gives.
 
 Every check here is honest arithmetic: flow derivatives act on the time
 polynomials themselves, and the x-derivation acts inside the coefficients.
@@ -41,6 +44,7 @@ largest flow weight of the lambdas.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .bilinear import bilinear_residues, x_factor_of
 from .calculus import dilate, graded_apply, graded_exp, q_derive
@@ -159,27 +163,35 @@ def flow_factor(what: MZSeries, winv: MZSeries, lam, lo=NEG_INF) -> MZSeries:
     return flows_applied(what, lam).product(winv, lo)
 
 
+def _times_diag(p: MZSeries, k: int, cols) -> MZSeries:
+    """p z**k times a diagonal: every degree raised by k, and each entry of
+    column alpha mapped by cols[alpha], to an exact zero where that is None.
+    No matrix product is formed."""
+    zero = p.proto.zero_like()
+
+    def scaled(m: MatSeries) -> MatSeries:
+        return MatSeries._of(tuple(
+            tuple(zero if f is None else f(e) for e, f in zip(r, cols))
+            for r in m.rows
+        ))
+
+    return MZSeries(
+        p.n, {d + k: scaled(m) for d, m in p.terms.items()}, p.zvalid + k, p.proto
+    )
+
+
 def flow_step(p: MZSeries, k: int, weights: dict) -> MZSeries:
     """sum over alpha of weights[alpha] * (d_(k alpha) p + p z**k E_alpha).
 
     With Psi = w e**xi, P_lam = (d**lam Psi) e**-xi obeys P_(lam+v) =
     d_v P_lam + P_lam z**k E_alpha for v = (k, alpha): this is that step,
     weighted per channel by x-series. A flow the carrier does not hold has
-    no t-derivative. The right factor z**k diag(weights) raises every degree
-    by k and scales columns, so the step forms no matrix product.
+    no t-derivative. The right factor z**k diag(weights) scales columns.
     """
-    zero = p.proto.zero_like()
-    cols = [weights.get(alpha) for alpha in range(p.n)]
-
-    def scaled(m: MatSeries) -> MatSeries:
-        return MatSeries._of(tuple(
-            tuple(zero if s is None else e.scale_series(s) for e, s in zip(r, cols))
-            for r in m.rows
-        ))
-
-    out = MZSeries(
-        p.n, {d + k: scaled(m) for d, m in p.terms.items()}, p.zvalid + k, p.proto
-    )
+    out = _times_diag(p, k, [
+        None if s is None else (lambda tp, s=s: tp.scale_series(s))
+        for s in map(weights.get, range(p.n))
+    ])
     for alpha, s in weights.items():
         v = (k, alpha)
         if v in p.proto.vars:
@@ -203,22 +215,65 @@ def taylor_sum(what: MZSeries, deltas: dict) -> MZSeries:
     """sum over multisets eta of Delta**eta / eta! * P_eta, with P_() = what.
 
     `deltas` maps flows (k, alpha) to Delta_(k alpha) = c x**k. The sum is
-    exp(S) what for S = sum_v Delta_v L_v, L_v the commuting steps of
-    `flow_step`. Graded by x-valuation, S_k = sum_alpha Delta_(k alpha)
-    L_(k alpha) raises it by exactly k, so `graded_apply` sums it with the
-    step `flow_step`(P, k, k Delta_k). Every Delta is a monomial, so a
-    grade beyond the x-order vanishes in the truncated ring and is never
-    formed; grading by powers of S instead would form such terms as inexact
-    zeros, whose z-degrees raise the floor of every later product.
+    exp(S) what for S = sum_v Delta_v (d_v + R_v), the commuting steps of
+    `flow_step`, R_v the right factor z**k E_alpha. The t-derivatives d_v
+    and the right factors commute, so exp(S) what = A diag(b): the time
+    translation A = exp(sum_v Delta_v d_v) what, over the flows the carrier
+    holds, and per channel the z-exponential b_alpha = exp(sum_k
+    Delta_(k alpha) z**k). `graded_apply` builds each, graded by
+    x-valuation: A by grades A_j, b_alpha by z-degrees m, each a c x**m.
+
+    Only the pairs with j + m <= x-order are formed, as sum_m z**m
+    (sum_(j <= x-order - m) A_j) diag(b_m), a column scaling per m: a pair
+    above the x-order vanishes in the truncated ring, but formed it would
+    be an inexact zero that narrows the t- and x-windows of the sum. A
+    column is multiplied by x**m and then scaled by c, so where the c of
+    several multi-indices cancel, the zero keeps the window their terms
+    had in the flow steps' sum; a channel whose Deltas all vanish
+    (a_alpha = 0; they vanish together or not at all) scales to exact
+    zeros, as there. So the sum is the flow steps', windows included.
     """
-    by_order: dict[int, dict] = {}
+    n, proto = what.n, what.proto
+    xorder = proto.xorder
+    # k Delta_(k alpha) by order k, and among them the flows the carrier holds
+    rates: dict[int, dict] = {}
+    held: dict[int, dict] = {}
     for (k, alpha), s in deltas.items():
-        by_order.setdefault(k, {})[alpha] = s.scale(k)
-    grades = graded_apply(
-        what, lambda k, p: flow_step(p, k, by_order[k]), by_order,
-        what.proto.xorder,
-    )
-    return sum(grades.values(), MZSeries.zero(what.n, what.proto))
+        rates.setdefault(k, {})[alpha] = s.scale(k)
+        if (k, alpha) in proto.vars:
+            held.setdefault(k, {})[alpha] = rates[k][alpha]
+
+    def translate(k, p):
+        def entry(tp):
+            terms = [tp.t_derive((k, alpha)).scale_series(s)
+                     for alpha, s in held[k].items()]
+            return sum(terms[1:], terms[0])
+        return p.map_entries(entry)
+
+    grades = graded_apply(what, translate, held, xorder)
+    xzero = XSeries.zero(xorder)
+    b = [graded_apply(XSeries.one(xorder),
+                      lambda k, e, alpha=alpha: e * rates[k].get(alpha, xzero),
+                      rates, xorder)
+         for alpha in range(n)]
+    live = [any(not r[alpha].is_zero() for r in rates.values() if alpha in r)
+            for alpha in range(n)]
+
+    def column(m, alpha):
+        s = b[alpha][m]
+        if not live[alpha]:
+            return lambda tp: tp.scale_series(s)
+        xm, c = XSeries.monomial(1, m, xorder), s.coeffs[m]
+        return lambda tp: tp.scale_series(xm).scale(c)
+
+    # partial[r] is the sum of the A_j with j <= r; b_0 is the identity
+    zero = MZSeries.zero(n, proto)
+    partial = list(accumulate(grades.get(j, zero) for j in range(xorder + 1)))
+    out = partial[xorder]
+    for m in sorted(b[0])[1:]:
+        cols = [column(m, alpha) for alpha in range(n)]
+        out = out + _times_diag(partial[xorder - m], m, cols)
+    return out
 
 
 def e_delta(a_values, q, proto: TimePoly) -> MZSeries:

@@ -417,6 +417,58 @@ def test_graded_taylor_sum_matches_multiset_enumeration(xorder, q, tau_kind):
     assert determined == 6 and nonzero_terms > 0
 
 
+def _flow_step_taylor_sum(what, deltas):
+    """exp(S) what as the graded exponential of the flow steps: reference.
+
+    Each grade runs `flow_step`(T, k, k Delta_k) over the whole z-series,
+    t-derivatives and right factors together.
+    """
+    from qakns.calculus import graded_apply
+    from qakns.tau import flow_step
+
+    by_order = {}
+    for (k, alpha), s in deltas.items():
+        by_order.setdefault(k, {})[alpha] = s.scale(k)
+    grades = graded_apply(
+        what, lambda k, p: flow_step(p, k, by_order[k]), by_order,
+        what.proto.xorder,
+    )
+    return sum(grades.values(), MZSeries.zero(what.n, what.proto))
+
+
+@pytest.mark.parametrize("q", [F(2), F(-1, 3), F(3, 5)])
+@pytest.mark.parametrize("xorder", [4, 6])
+@pytest.mark.parametrize("tmax", [4, 7])
+@pytest.mark.parametrize("tau_kind", ["mechanism", "real", "constant"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_factored_taylor_sum_matches_the_flow_steps(n, tau_kind, tmax, xorder, q):
+    # the time translation times the diagonal z-exponential, paired up to
+    # the x-order, against the flow steps' graded exponential. The third
+    # channel has a = 0, so its shift differences are exact zeros
+    from qakns.tau import shift_difference, taylor_sum
+
+    ctx = TimePoly.zero(
+        tuple((k, a) for k in (1, 2) for a in range(n)), tmax, xorder
+    )
+    real = _real_tau(ctx)
+    spec = {
+        "mechanism": TauSpec(ctx.constant(1) + ctx.variable((1, 0)), {}, n),
+        "real": TauSpec(real.tau, real.companions, n),
+        "constant": TauSpec(ctx.constant(3), {}, n),
+    }[tau_kind]
+    a = [1, -1, 0][:n]
+    shifted = spec.mapped(lambda p: q_shift_times(p, a, q))
+    what = baker_from_tau(shifted.tau, shifted.companions, n)
+    deltas = {
+        (k, alpha): shift_difference(k, alpha, a, q, xorder)
+        for k in range(1, xorder + 1) for alpha in range(n)
+    }
+    got, ref = taylor_sum(what, deltas), _flow_step_taylor_sum(what, deltas)
+    # terms, tvalid, x-validity and zvalid alike
+    assert got == ref
+    assert got.is_exact and got.top() > what.top()
+
+
 def test_taylor_agreement_reads_residues_of_leaf_chains(monkeypatch):
     calls = {"matmul": 0, "invert": 0}
     real_dot, real_invert = MatSeries.dot, MZSeries.invert
@@ -436,7 +488,7 @@ def test_taylor_agreement_reads_residues_of_leaf_chains(monkeypatch):
     assert len(recs) == 8  # 4 records, each with its two halves
     # M = res(z**l L_lam(sigma(w) E_delta) w**-1) needs no Baker at [Aqx]_q,
     # so w is the only series inverted; the flow steps form no product, and
-    # the whole check takes 129 block products (183 with D(H) built at every
+    # the whole check takes 99 block products (183 with D(H) built at every
     # degree, 290 with a second Baker and its inverse)
     assert calls["invert"] == 1
     assert calls["matmul"] <= 200
@@ -538,6 +590,44 @@ def test_mechanism_check_compares_determined_taylor_residuals(monkeypatch):
     assert len(taylor) == 4
     for r in taylor:
         assert min(r[i, j].tvalid for i in range(2) for j in range(2)) >= 0
+
+
+@pytest.mark.parametrize("mutant, failing", [
+    (None, []),
+    ("q_shift_k1", ["tau.classical_limit", "tau.mechanism_agreement"]),
+    ("shift_difference_k2", ["tau.mechanism_agreement"]),
+])
+def test_mechanism_agreement_sees_a_broken_shift(monkeypatch, mutant, failing):
+    # the checks of the demo config that fail under a doubled k = 1 weight
+    # in the Baker's q-shift alone, and under a doubled k = 2 shift
+    # difference: tau.mechanism_agreement is the one tau-theorem check that
+    # sees either, and its factored Taylor sum must not hide them
+    import qakns.tau as tau_mod
+    from qakns.config import load_config
+    from qakns.suites import run_suite
+
+    real_shift, real_difference = tau_mod.q_shift_times, tau_mod.shift_difference
+
+    def q_shift_k1(p, a_values, q):
+        # shifting each t_(1 alpha) by its amount once more doubles its weight
+        out = real_shift(p, a_values, q)
+        for k, alpha in p.vars:
+            if k == 1:
+                amount = tau_mod.shift_amount(1, a_values[alpha], q, p.xorder)
+                out = out.shift_var((1, alpha), amount)
+        return out
+
+    def shift_difference_k2(k, alpha, a_values, q, xorder):
+        out = real_difference(k, alpha, a_values, q, xorder)
+        return out.scale(2) if k == 2 else out
+
+    if mutant == "q_shift_k1":
+        monkeypatch.setattr(tau_mod, "q_shift_times", q_shift_k1)
+    elif mutant == "shift_difference_k2":
+        monkeypatch.setattr(tau_mod, "shift_difference", shift_difference_k2)
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    report = run_suite(load_config(demo))
+    assert sorted(c.name for c in report.checks if c.status != "pass") == failing
 
 
 @pytest.mark.parametrize("tmax", [4, 7])
@@ -730,7 +820,11 @@ def test_taylor_agreement_product_count_at_x16(monkeypatch):
     assert len(recs) == 32  # 16 records, each with its two halves
     assert not any(nonzero(recs))
     # monomials above tvalid, rebuilt zero matrices and the power-sum E_delta
-    # took 2,088 products, the chain reads 660; the graded sum takes 111
+    # took 2,088 products, the chain reads 660, and the check took 80 with
+    # the graded sum of the flow steps. With the translation times the
+    # z-exponentials it takes 322: the two channels' z-exponentials are 272
+    # of them (136 graded steps each), single products, most of them
+    # against an exact zero
     assert calls[0] <= 800
 
 
@@ -824,8 +918,10 @@ def test_taylor_agreement_reads_a_tau_deeper_than_its_reads():
 
 
 def test_graded_apply_is_the_one_writer(monkeypatch):
-    # the generators' exponential, the Miwa substitution and the Taylor sum
-    # each run the recurrence of calculus.graded_apply, not a loop of their own
+    # the generators' exponential, the Miwa substitution and the Taylor
+    # sum's factors, the time translation of the Baker series and each
+    # channel's z-exponential, run the recurrence of calculus.graded_apply,
+    # not a loop of their own
     from qakns import calculus, tau as tau_mod
     from qakns.tau import shift_difference, taylor_sum
 
@@ -841,14 +937,14 @@ def test_graded_apply_is_the_one_writer(monkeypatch):
     monkeypatch.setattr(calculus, "graded_apply", counting)
     monkeypatch.setattr(tau_mod, "graded_apply", counting)
     deltas = {(1, 0): shift_difference(1, 0, [1, -1], F(2), N)}
-    for run, seed in [
-        (lambda: calculus.graded_exp({1: t}, 3), "TimePoly"),
-        (lambda: miwa_shift(t * t, 1), "TimePoly"),
-        (lambda: taylor_sum(what, deltas), "MZSeries"),
+    for run, seeds in [
+        (lambda: calculus.graded_exp({1: t}, 3), ["TimePoly"]),
+        (lambda: miwa_shift(t * t, 1), ["TimePoly"]),
+        (lambda: taylor_sum(what, deltas), ["MZSeries", "XSeries", "XSeries"]),
     ]:
         calls.clear()
         run()
-        assert calls == [seed]
+        assert calls == seeds
 
 
 def test_baker_from_tau_matches_binomial_reference():

@@ -141,9 +141,9 @@ def test_op_counts_usage_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("config, totals", [
-    ("configs/demo.json", (3379, 6216, 861, 333)),
+    ("configs/demo.json", (2519, 5356, 861, 333)),
     ("tests/golden/solvers_n3.config.json", (3002, 10524, 756, 149)),
-    ("configs/tau_rational.json", (18287, 147565, 948, 339)),
+    ("configs/tau_rational.json", (14735, 144013, 948, 339)),
 ], ids=["demo", "solvers_n3", "tau_rational"])
 def test_op_count_totals_do_not_drift(config, totals):
     # the deterministic work of a whole run, in the tool's COLUMNS: a
