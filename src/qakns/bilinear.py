@@ -10,9 +10,11 @@ content:
   written, built once per dressing over the channel family that
   `Dressing.resolvents()` conjugates;
 * the x-derivation: D_q w * w**-1 equals (D_q what + z (D what) A) * what**-1
-  exactly, computed honestly from the dressing series. For a dressing
-  that solves the hierarchy this is zA - U; for a corrupted one it grows
-  negative z-degrees, which is what the residue checks detect.
+  exactly, computed honestly from the dressing series by
+  `Dressing.x_factor()`, once per dressing for both the residues and the
+  reconstruction. For a dressing that solves the hierarchy this is
+  zA - U; for a corrupted one it grows negative z-degrees, which is what
+  the residue checks detect.
 
 Both x-derivative reductions are the q-Leibniz rule `zseries.derive_through`:
 through exp_q(zAx) for the factor itself, and through the Baker function
@@ -29,32 +31,7 @@ from itertools import combinations_with_replacement
 from .hierarchy import Dressing, FlowTable, flow_reach
 from .matseries import MatSeries
 from .scalars import frac
-from .zseries import MZSeries, NEG_INF, derive_through
-
-
-def x_factor_of(w: MZSeries, w_inv: MZSeries, a_values, derive, dilate,
-                lo=NEG_INF) -> MZSeries:
-    """D w * w**-1 = (D w + sigma(w) zA) * w**-1 for the dressing w.
-
-    The exponential exp_q(zAx) is reduced by the q-Leibniz rule
-    `derive_through`; `derive` and `dilate` act on the entries of w. A
-    caller that reads only the degrees from `lo` up passes it on to
-    `MZSeries.product`; the floor is the whole product's.
-    """
-    a_z = MZSeries.from_term(w.n, 1, MatSeries.diag_const(a_values, w.proto))
-    return derive_through(w, a_z, derive, dilate).product(w_inv, lo)
-
-
-def x_derivative_factor(dressing: Dressing) -> MZSeries:
-    """D_q w * w**-1 reduced to the dressing level, computed honestly.
-
-    Equals zA - U exactly when the dressing solves the hierarchy; any
-    violation shows up as negative z-degrees.
-    """
-    lax = dressing.lax
-    return x_factor_of(
-        dressing.w, dressing.inverse(), lax.a, lax.derive, lax.dilate
-    )
+from .zseries import MZSeries, derive_through
 
 
 def lambda_pool(flows, max_len: int):
@@ -102,7 +79,7 @@ def check_q_bilinear(dressing: Dressing, l_max: int, lambdas) -> list:
     lambdas = list(lambdas)
     table = FlowTable(dressing.resolvents(), flow_reach(lambdas))
     return bilinear_residues(
-        table.factor, x_derivative_factor(dressing),
+        table.factor, dressing.x_factor(),
         lax.derive, lax.dilate, l_max, lambdas,
     )
 
@@ -130,7 +107,7 @@ def reconstruct_from_bilinear(dressing: Dressing):
     bilinear identity at lambda = []) and any part of the z**1 symbol
     that is not a constant diagonal.
     """
-    g = x_derivative_factor(dressing)
+    g = dressing.x_factor()
     top = g.coeff(1)
     a_values = [top[i, i].constant_term() for i in range(g.n)]
     za = MZSeries.from_term(g.n, 1, MatSeries.diag_const(a_values, g.proto))

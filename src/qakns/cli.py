@@ -67,7 +67,7 @@ def main(argv=None) -> int:
         else:
             cfg = load_config(args.config, args.inject_corruption)
         if args.check:
-            cfg = type(cfg)(**{**cfg.__dict__, "checks": tuple(args.check)})
+            cfg = cfg.with_checks(args.check)
         report = run_suite(cfg, VERBS[args.verb][1])
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -2,8 +2,10 @@
 
 A run is parsed once, straight into the objects the checks read: each
 potential into a `LaxData` and the tau data into a `TauSpec` over the
-run's time ring. The canonical JSON, and so the config hash, is written
-from those objects, so spellings of one datum hash alike.
+run's time ring, held by an immutable `RunConfig`, a plain class so that
+start-up loads no `dataclasses`. The canonical JSON, and so the config
+hash, is written from those objects, so spellings of one datum hash
+alike.
 
 Rationals travel as "p/q" strings so a config round-trips exactly. All
 channel indices are 1-based in files and reports, 0-based internally.
@@ -12,7 +14,6 @@ channel indices are 1-based in files and reports, 0-based internally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hierarchy import LaxData
@@ -53,27 +54,54 @@ def _monomials_json(p: TimePoly) -> list:
             for e, c in terms]
 
 
-@dataclass(frozen=True)
+_RUN_FIELDS = (
+    "lax", "bilinear_lax", "n_x", "n_z", "n_t", "flows", "lambda_max",
+    "l_max", "tau", "q_sequence", "checks", "inject_corruption",
+)
+
+
 class RunConfig:
     """One run, parsed once into the objects the checks read, with every
     default decided. `lax` is the configured Lax datum and `bilinear_lax`
     the one the dressing and bilinear checks read: the same object as
     `lax` when the config gives no `bilinear_u` or one equal to `u`.
     `tau` is the configured `TauSpec`, else tau = 1 over the default
-    times."""
+    times. `flows` holds (k, channel0) pairs and `checks` the selected
+    names, or None for every check.
 
-    lax: LaxData
-    bilinear_lax: LaxData
-    n_x: int
-    n_z: int
-    n_t: int
-    flows: tuple                # ((k, channel0), ...)
-    lambda_max: int
-    l_max: int
-    tau: TauSpec
-    q_sequence: tuple
-    checks: tuple | None
-    inject_corruption: bool = False
+    A run is immutable and equal to another field by field;
+    `with_checks` is the same run with another selection.
+    """
+
+    __slots__ = _RUN_FIELDS
+
+    def __init__(self, lax: LaxData, bilinear_lax: LaxData, n_x: int,
+                 n_z: int, n_t: int, flows: tuple, lambda_max: int,
+                 l_max: int, tau: TauSpec, q_sequence: tuple,
+                 checks: tuple | None, inject_corruption: bool = False):
+        values = (lax, bilinear_lax, n_x, n_z, n_t, flows, lambda_max,
+                  l_max, tau, q_sequence, checks, inject_corruption)
+        for name, value in zip(_RUN_FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RunConfig is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in _RUN_FIELDS}
+
+    def __eq__(self, other):
+        if type(other) is not RunConfig:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def with_checks(self, checks) -> RunConfig:
+        """This run with the check names `checks` selected (None: every
+        check)."""
+        return RunConfig(**{**self._fields(),
+                            "checks": None if checks is None else tuple(checks)})
 
     @property
     def n(self) -> int:

@@ -160,6 +160,19 @@ def _solved(n: int, orders: list[MatSeries], terminates: bool) -> MZSeries:
     return MZSeries(n, {-j: m for j, m in enumerate(orders)}, NEG_INF if exact else -d)
 
 
+def x_factor_of(w: MZSeries, w_inv: MZSeries, a_values, derive, dilate,
+                lo=NEG_INF) -> MZSeries:
+    """D w * w**-1 = (D w + sigma(w) zA) * w**-1 for the dressing w.
+
+    The exponential exp_q(zAx) is reduced by the q-Leibniz rule
+    `derive_through`; `derive` and `dilate` act on the entries of w. A
+    caller that reads only the degrees from `lo` up passes it on to
+    `MZSeries.product`; the floor is the whole product's.
+    """
+    a_z = MZSeries.from_term(w.n, 1, MatSeries.diag_const(a_values, w.proto))
+    return derive_through(w, a_z, derive, dilate).product(w_inv, lo)
+
+
 class Dressing:
     """w = I + w_1 z**-1 + ... + w_K z**-K with the factorization property.
 
@@ -167,11 +180,12 @@ class Dressing:
     by the solvers' one rule (`_solved`): a dressing terminates, so w is
     exact when w_K vanishes exactly. The dressing owns the Baker
     data every consumer reads: its inverse w**-1 (determined down to
-    z**-K) and the channel family w E_a w**-1. Both are computed once, on
-    first use; a modified dressing is a new object and never sees them.
+    z**-K), the channel family w E_a w**-1 and the x-derivative factor
+    D w * w**-1. Each is computed once, on first use; a modified dressing
+    is a new object and never sees them.
     """
 
-    __slots__ = ("w", "depth", "lax", "_inverse", "_resolvents")
+    __slots__ = ("w", "depth", "lax", "_inverse", "_resolvents", "_x_factor")
 
     def __init__(self, orders: list[MatSeries], lax: LaxData):
         self.w = _solved(lax.n, orders, True)
@@ -179,12 +193,23 @@ class Dressing:
         self.lax = lax
         self._inverse = None
         self._resolvents = None
+        self._x_factor = None
 
     def inverse(self) -> MZSeries:
         """w**-1 down to z**-depth."""
         if self._inverse is None:
             self._inverse = self.w.invert(-self.depth)
         return self._inverse
+
+    def x_factor(self) -> MZSeries:
+        """D w * w**-1, computed honestly from the dressing series: zA - U
+        exactly when the dressing solves the hierarchy, and any violation
+        shows up as negative z-degrees."""
+        if self._x_factor is None:
+            lax = self.lax
+            self._x_factor = x_factor_of(
+                self.w, self.inverse(), lax.a, lax.derive, lax.dilate)
+        return self._x_factor
 
     def resolvents(self) -> list[MZSeries]:
         """The conjugated channel family, one resolvent per channel."""

@@ -1,11 +1,15 @@
-"""Check results and machine-readable reports."""
+"""Check results and machine-readable reports.
+
+A `CheckResult` is one check's verdict and a `Report` one run's results;
+both are plain mutable records. `nonzero` is the one verdict rule and
+`describe_witness` turns its witness into the report's record.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .matseries import MatSeries
@@ -15,14 +19,24 @@ from .window import determined
 from .zseries import MZSeries
 
 
-@dataclass
 class CheckResult:
-    name: str = ""
-    params: dict = field(default_factory=dict)
-    status: str = "pass"            # pass | fail | error
-    max_degree_verified: dict = field(default_factory=dict)
-    first_failure: dict | None = None
-    ms: float = 0.0
+    """One check's verdict: `status` is pass, fail or error, with what it
+    verified and its first failure. `run_suite` names and times it after
+    it is built."""
+
+    __slots__ = ("name", "params", "status", "max_degree_verified",
+                 "first_failure", "ms")
+
+    def __init__(self, name: str = "", params: dict | None = None,
+                 status: str = "pass", max_degree_verified: dict | None = None,
+                 first_failure: dict | None = None, ms: float = 0.0):
+        self.name = name
+        self.params = {} if params is None else params
+        self.status = status
+        self.max_degree_verified = ({} if max_degree_verified is None
+                                    else max_degree_verified)
+        self.first_failure = first_failure
+        self.ms = ms
 
     def to_json(self) -> dict:
         return {
@@ -35,10 +49,14 @@ class CheckResult:
         }
 
 
-@dataclass
 class Report:
-    config_hash: str
-    checks: list
+    """The results of one run under its config hash."""
+
+    __slots__ = ("config_hash", "checks")
+
+    def __init__(self, config_hash: str, checks: list):
+        self.config_hash = config_hash
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

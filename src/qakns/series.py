@@ -27,10 +27,10 @@ witnesses.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
 from operator import add, neg, sub
-from typing import Iterable, Sequence
 
 from .scalars import ZERO, common_den, frac
 from .window import upper_inverse, upper_product, upper_shift

@@ -46,9 +46,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .bilinear import bilinear_residues, x_factor_of
+from .bilinear import bilinear_residues
 from .calculus import dilate, graded_apply, graded_exp, q_derive
-from .hierarchy import flow_reach
+from .hierarchy import flow_reach, x_factor_of
 from .matseries import MatSeries
 from .qop import exp_q_laurent
 from .scalars import frac

@@ -12,7 +12,6 @@ from qakns.bilinear import (
     inject_corruption,
     lambda_pool,
     reconstruct_from_bilinear,
-    x_derivative_factor,
 )
 from qakns.hierarchy import (
     FlowTable,
@@ -133,7 +132,7 @@ def test_qb1_builds_each_flow_derivative_once(monkeypatch):
 def test_x_derivative_factor_is_lax_symbol(q):
     lax = lax_tri(q)
     d = solve_dressing(lax, 8)
-    g = x_derivative_factor(d)
+    g = d.x_factor()
     expect = MZSeries(2, {1: lax.a_mat(), 0: -lax.u})
     assert (g - expect).is_zero()
 
@@ -261,7 +260,7 @@ def test_windowed_m1_residues_match_the_whole_reduction(kind, monkeypatch):
         dressing = solve_dressing(LaxData(blax.a, blax.u, 1),
                                   cfg.required_dressing_depth())
     lax = dressing.lax
-    g = x_derivative_factor(dressing)
+    g = dressing.x_factor()
     table = FlowTable(dressing.resolvents())
     # the window holds what the whole reduction holds, over its floor
     lo, hi = -1 - cfg.l_max, -1

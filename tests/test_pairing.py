@@ -312,7 +312,7 @@ def test_random_pairs_builds_each_kernel_entry_once(monkeypatch):
 
     monkeypatch.setattr(OracleKernel, "_residue", counted)
     cfg = demo_config()
-    cfg = type(cfg)(**{**cfg.__dict__, "checks": ("pairing.random_pairs",)})
+    cfg = cfg.with_checks(("pairing.random_pairs",))
     (res,) = run_suite(cfg).checks
     assert res.status == "pass"
     # both a-vectors of the check, every band pair of each, each built once

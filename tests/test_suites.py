@@ -27,7 +27,7 @@ from qakns.zseries import NEG_INF, MZSeries, derive_through
 
 def run_checks(*names):
     cfg = demo_config()
-    cfg = type(cfg)(**{**cfg.__dict__, "checks": names})
+    cfg = cfg.with_checks(names)
     return run_suite(cfg).checks
 
 

@@ -583,7 +583,7 @@ def test_mechanism_check_compares_determined_taylor_residuals(monkeypatch):
 
     monkeypatch.setattr(tau_mod, "taylor_agreement", recorded)
     cfg = demo_config()
-    cfg = type(cfg)(**{**cfg.__dict__, "checks": ("tau.mechanism_agreement",)})
+    cfg = cfg.with_checks(("tau.mechanism_agreement",))
     (res,) = run_suite(cfg).checks
     assert res.status == "pass"
     taylor = [r for (_, _, half), r in seen if half == "taylor"]
@@ -1085,7 +1085,8 @@ def _q_bilinear_reference(spec, a_values, q, l_max, lambdas, depth):
     """The q-bilinear residues by a pass of their own: a second q-shifted
     Baker inverted at -depth, with `bilinear_residues` over the whole H and
     g: reference."""
-    from qakns.bilinear import bilinear_residues, x_factor_of
+    from qakns.bilinear import bilinear_residues
+    from qakns.hierarchy import x_factor_of
     from qakns.calculus import dilate, q_derive
     from qakns.tau import flow_factor
 
@@ -1153,7 +1154,7 @@ def test_tau_theorem_builds_and_inverts_two_bakers(monkeypatch):
     monkeypatch.setattr(tau_mod, "baker_from_tau", baker)
     monkeypatch.setattr(MZSeries, "invert", invert)
     cfg = demo_config()
-    cfg = type(cfg)(**{**cfg.__dict__, "checks": ("tau.theorem",)})
+    cfg = cfg.with_checks(("tau.theorem",))
     (res,) = run_suite(cfg).checks
     assert res.status == "pass"
     assert calls == {"baker": 2, "invert": 2}

@@ -79,10 +79,10 @@ def test_op_counts_repeat_and_leave_no_wrapper():
     # pairing.oracle_examples and tau.expqo call MZSeries.product with a
     # keyword, which the wrapper forwards; bilinear.corruption_detected is
     # idle without --inject-corruption, so run_suite never calls it
-    cfg = type(cfg)(**{**cfg.__dict__, "checks": (
+    cfg = cfg.with_checks((
         "pairing.oracle_examples", "hierarchy.qr_residual",
         "hierarchy.zero_curvature", "bilinear.qb1",
-        "bilinear.corruption_detected", "tau.expqo")})
+        "bilinear.corruption_detected", "tau.expqo"))
     first = tool.op_counts(cfg)
     assert first == tool.op_counts(cfg)
     assert list(first) == list(cfg.checks)
@@ -141,9 +141,9 @@ def test_op_counts_usage_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("config, totals", [
-    ("configs/demo.json", (2519, 5356, 861, 333)),
-    ("tests/golden/solvers_n3.config.json", (3002, 10524, 756, 149)),
-    ("configs/tau_rational.json", (14735, 144013, 948, 339)),
+    ("configs/demo.json", (2511, 5346, 853, 331)),
+    ("tests/golden/solvers_n3.config.json", (2980, 10490, 742, 147)),
+    ("configs/tau_rational.json", (14727, 144003, 940, 337)),
 ], ids=["demo", "solvers_n3", "tau_rational"])
 def test_op_count_totals_do_not_drift(config, totals):
     # the deterministic work of a whole run, in the tool's COLUMNS: a
