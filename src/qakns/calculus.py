@@ -71,13 +71,6 @@ def q_derive(f: XSeries, q) -> XSeries:
     return XSeries.from_ints(out, f.den * den, valid, f.top - 1)
 
 
-def q_derive_by_quotient(f: XSeries, q) -> XSeries:
-    """The defining quotient evaluated literally; oracle for q_derive."""
-    q = frac(q)
-    num = dilate(f, q) - f
-    return num.shift_down().scale(1 / (q - 1))
-
-
 def q_antiderive(g: XSeries, q) -> XSeries:
     """Right inverse of the q-derivative with zero constant term."""
     q = frac(q)

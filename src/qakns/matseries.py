@@ -22,7 +22,6 @@ from __future__ import annotations
 from operator import add, sub
 
 from .scalars import frac
-from .series import XSeries
 
 
 class MatSeries:
@@ -76,10 +75,6 @@ class MatSeries:
         """The projector with a single 1 at position (alpha, alpha)."""
         z, o = proto.zero_like(), proto.one_like()
         return MatSeries.diag([o if i == alpha else z for i in range(n)], proto)
-
-    @staticmethod
-    def from_scalars(rows, order: int) -> "MatSeries":
-        return MatSeries([[XSeries.const(frac(c), order) for c in r] for r in rows])
 
     # -- structure -------------------------------------------------------
 

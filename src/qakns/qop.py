@@ -24,10 +24,11 @@ second:
 * `pairing_oracle`, the brute-force z-expansion of both exponential
   factors. The residue is bilinear in the band matrices, so it splits into
   an operator-independent `OracleKernel` C(k, l), the z**-1 coefficient of
-  the two exponential factors of one power pair, expanded once per run,
-  and a per-pair contraction sum_k p_k (sum_l C(k, l) q**l g_l(x/q)) over
-  every band pair (k, l). Where no pair has k + l = -1, `pairing_lhs`
-  forms no product, and the oracle still forms every pair.
+  the two exponential factors of one power pair, each factor built once
+  per run through the band floor's reach, and a per-pair contraction
+  sum_k p_k (sum_l C(k, l) q**l g_l(x/q)) over every band pair (k, l).
+  Where no pair has k + l = -1, `pairing_lhs` forms no product, and the
+  oracle still forms every pair.
 
 All three reject bands that differ in size, or an A of another size,
 before any product is formed, and two empty bands, which fix no x-order.
@@ -160,15 +161,17 @@ class OracleKernel:
     k >= 0 (honest q-derivations), (zA)**k exp_q(zAx) for k < 0, and
     R_l = (-zA)**l exp_1/q(-zAx). R_l starts at degree l and L_k at
     min(0, k), so C(k, l) reads L_k up to -1 - l and R_l up to
-    -1 - min(0, k), and builds them only that far; both read the
-    exponentials up to degree -1 - l - min(0, k). `floor` is the lowest
-    power of D in either band, so both exponentials are expanded once per
-    kernel, through the degree -1 - floor - min(0, floor) that the band
-    reads and no further, and each C(k, l) on first use. A power below
-    the floor would read past that cut, and raises BandError. Every
-    operation acts degree by degree, so each degree built, guard degrees
-    included, is the one the whole expansion holds; C is diagonal, so it
-    commutes with the diagonal factors it sums.
+    -1 - min(0, k). `floor` is the lowest power of D in either band, so
+    each L_k is built once, through the degree -1 - floor that every l
+    reads, and each R_l once, through -1 - min(0, floor); a degree one
+    pair does not read meets no term of the other factor. Both
+    exponentials are expanded once per kernel, through the degree
+    -1 - floor - min(0, floor) that the band reads and no further, and
+    each factor and each C(k, l) on first use. A power below the floor
+    would read past that cut, and raises BandError. Every operation acts
+    degree by degree, so each degree built, guard degrees included, is
+    the one the whole expansion holds; C is diagonal, so it commutes with
+    the diagonal factors it sums.
     """
 
     def __init__(self, a_values, q, order: int, floor: int):
@@ -180,13 +183,17 @@ class OracleKernel:
         self.splus = exp_q_laurent(a_values, q, order, +1, top)
         self.sminus = exp_q_laurent(a_values, q, order, -1, top)
         self._c: dict[tuple[int, int], MatSeries] = {}
+        self._lefts: dict[int, MZSeries] = {}
+        self._rights: dict[int, MZSeries] = {}
 
     def _za_power(self, k: int, sign: int) -> MZSeries:
         return MZSeries.from_term(len(self.a), k, MatSeries.diag_const(
             [(sign * a) ** k for a in self.a], self.splus.proto))
 
-    def _left(self, k: int, hi: int) -> MZSeries:
-        """L_k up to degree hi; the q-derivations act degree by degree."""
+    def _left(self, k: int) -> MZSeries:
+        """L_k through degree -1 - floor; the q-derivations act degree by
+        degree."""
+        hi = -1 - self.floor
         if k < 0:
             return self._za_power(k, 1).product(self.splus, hi=hi)
         s = self.splus
@@ -196,9 +203,19 @@ class OracleKernel:
             got = got.map_entries(lambda e: q_derive(e, self.q))
         return got
 
+    def _right(self, l: int) -> MZSeries:
+        """R_l through degree -1 - min(0, floor)."""
+        return self._za_power(l, -1).product(self.sminus,
+                                             hi=-1 - min(0, self.floor))
+
     def _residue(self, k: int, l: int) -> MatSeries:
-        right = self._za_power(l, -1).product(self.sminus, hi=-1 - min(0, k))
-        return self._left(k, -1 - l).product_coeff(right, -1)
+        left = self._lefts.get(k)
+        if left is None:
+            left = self._lefts[k] = self._left(k)
+        right = self._rights.get(l)
+        if right is None:
+            right = self._rights[l] = self._right(l)
+        return left.product_coeff(right, -1)
 
     def coeff(self, k: int, l: int) -> MatSeries:
         """C(k, l) = res_z(L_k R_l), built on first use."""
@@ -231,7 +248,8 @@ def pairing_oracle(p: dict, g: dict, a_values, q, kernel=None) -> MatSeries:
         raise ValueError("oracle kernel built at another a, q or x-order")
     if not p or not g:
         return MatSeries.zero(n, kernel.splus.proto)
-    shifted = {l: gm.map(lambda s: dilate(s, 1 / q)).scale(q**l)
+    qinv = 1 / q
+    shifted = {l: gm.map(lambda s: dilate(s, qinv)).scale(q**l)
                for l, gm in g.items()}
     return MatSeries.dot([
         (pm, MatSeries.dot([(kernel.coeff(k, l), s) for l, s in shifted.items()]))

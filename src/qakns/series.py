@@ -142,6 +142,11 @@ class XSeries:
     def constant_term(self) -> Fraction:
         return Fraction(self.nums[0], self.den)
 
+    def is_one(self) -> bool:
+        """True for the exact one: the constant 1 with nothing discarded."""
+        return self.top == 0 and self.nums[0] == self.den \
+            and self.valid >= len(self.nums)
+
     def is_zero(self) -> bool:
         """True if every coefficient within the validity window vanishes."""
         if self.top <= self.valid:
@@ -204,7 +209,10 @@ class XSeries:
         over the lcm of the pairs' denominators, and the sum is reduced by
         one `from_ints` call. `valid` is the smallest window that
         `window.upper_product` gives any pair, so an exact zero operand
-        leaves the sum exact. All operands share one order; an empty
+        leaves the sum exact. A single pair with an exact-one factor
+        (`is_one`) returns the other factor itself: `upper_product` gives
+        that product the other factor's window, so nothing is convolved.
+        All operands share one order, which is checked first; an empty
         `pairs` raises ValueError.
         """
         pairs = list(pairs)
@@ -212,6 +220,14 @@ class XSeries:
             raise ValueError("empty sum of products")
         first = pairs[0][0]
         size = len(first.nums)
+        if len(pairs) == 1:
+            b = pairs[0][1]
+            if len(b.nums) != size:
+                raise first._mismatch(b)
+            if first.is_one():
+                return b
+            if b.is_one():
+                return first
         n = size - 1
         valid = size
         live = []

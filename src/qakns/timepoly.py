@@ -131,6 +131,14 @@ class TimePoly:
             self._top = max(map(sum, self.terms), default=-1)
         return self._top
 
+    def is_one(self) -> bool:
+        """True for the exact one: the constant monomial, an exact-one
+        coefficient, with nothing discarded in t."""
+        if self.tvalid <= self.tmax or len(self.terms) != 1:
+            return False
+        (e, c), = self.terms.items()
+        return not any(e) and c.is_one()
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.terms.values())
 
@@ -174,13 +182,22 @@ class TimePoly:
         `tvalid` is the smallest window that `window.upper_product` gives
         any pair, read in the total t-degree: an exact zero operand (no
         terms, `tvalid > tmax`) gives an exact zero. No monomial above the
-        result's `tvalid` is formed. All operands share one carrier; an
-        empty `pairs` raises ValueError.
+        result's `tvalid` is formed. A single pair with an exact-one factor
+        (`is_one`) returns the other factor itself, as `XSeries.dot` does.
+        All operands share one carrier, which is checked first; an empty
+        `pairs` raises ValueError.
         """
         pairs = list(pairs)
         if not pairs:
             raise ValueError("empty sum of products")
         first = pairs[0][0]
+        if len(pairs) == 1:
+            q = pairs[0][1]
+            first._check(q)
+            if first.is_one():
+                return q
+            if q.is_one():
+                return first
         tmax = first.tmax
         tvalid = tmax + 1
         live = []
@@ -208,6 +225,8 @@ class TimePoly:
                           self.tvalid)
 
     def scale_series(self, s: XSeries) -> "TimePoly":
+        if s.is_one() and s.order == self.xorder:
+            return self
         return self._like({e: c * s for e, c in self.terms.items()}, self.tvalid)
 
     def map_coeffs(self, fn) -> "TimePoly":

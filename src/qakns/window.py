@@ -14,9 +14,13 @@ operation. There are two directions.
 `top` is a carrier's highest stored degree: -1 for an empty upper carrier,
 and the floor itself for an empty lower one. An empty exact carrier is an
 exact zero, and in a product it annihilates the other factor, whatever
-that factor's window, in both directions. A zero known only through its
-window keeps that window. A sum is exact where both terms are, which is
-a plain min (upper) or max (lower) and is written where it is used.
+that factor's window, in both directions. An exact constant (top 0)
+times b has b's window, whatever b's is, so an exact one times b is b,
+window included: the ring kernels return b itself for that product, and
+`upper_product` needs no rule of its own for it. A zero known only
+through its window keeps that window. A sum is exact where both terms
+are, which is a plain min (upper) or max (lower) and is written where it
+is used.
 `determined` is the one query the verdict asks of an upper window:
 whether it holds any coefficient at all.
 """

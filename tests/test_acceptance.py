@@ -57,6 +57,8 @@ from qakns.tau import (
 )
 from qakns.zseries import MZSeries
 
+from helpers import scalar_matrix
+
 NX = 8
 NZ = 6
 QS = [F(2), F(1, 2), F(3, 5)]
@@ -71,7 +73,7 @@ def _line(num, name, failures):
 
 
 def lax_const(q):
-    return LaxData([1, -1], MatSeries.from_scalars([[0, 1], [1, 0]], NX), q)
+    return LaxData([1, -1], scalar_matrix([[0, 1], [1, 0]], NX), q)
 
 
 def lax_x(q):
@@ -184,7 +186,7 @@ def test_criterion_2_residue_pairing():
 
 def test_criterion_3_hierarchy():
     failures = []
-    frozen_r1 = MatSeries.from_scalars([[0, F(-1, 2)], [F(-1, 2), 0]], NX)
+    frozen_r1 = scalar_matrix([[0, F(-1, 2)], [F(-1, 2), 0]], NX)
     for q in QS:
         for label, make in (("const", lax_const), ("x", lax_x)):
             lax = make(q)
@@ -321,7 +323,7 @@ def test_criterion_6_classical_crosscheck():
     z = XSeries.zero(NX)
     o = XSeries.one(NX)
     mats = {
-        "const": MatSeries.from_scalars(examples["const"], NX),
+        "const": scalar_matrix(examples["const"], NX),
         "x": MatSeries([[z, x], [o, z]]),
     }
     for label, u in mats.items():

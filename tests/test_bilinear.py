@@ -25,6 +25,8 @@ from qakns.report import nonzero
 from qakns.series import XSeries
 from qakns.zseries import MZSeries
 
+from helpers import scalar_matrix
+
 N = 8
 QS = [F(2), F(1, 2), F(3, 5)]
 
@@ -76,7 +78,7 @@ def test_flow_polynomial_vacuum_products():
     lax = lax_vacuum()
     d = solve_dressing(lax, 4)
     got = FlowTable(d.resolvents()).factor(((1, 0), (2, 0)))
-    e1 = MatSeries.from_scalars([[1, 0], [0, 0]], N)
+    e1 = scalar_matrix([[1, 0], [0, 0]], N)
     expect = MZSeries.from_term(2, 3, e1)
     assert (got - expect).is_zero()
 

@@ -10,14 +10,14 @@ from qakns.calculus import (
     exp_series,
     q_antiderive,
     q_derive,
-    q_derive_by_quotient,
     x_antiderive,
     x_derive,
 )
 from qakns.hierarchy import LaxData
-from qakns.matseries import MatSeries
 from qakns.scalars import AdmissibilityError, check_q, q_int
 from qakns.series import XSeries
+
+from helpers import q_derive_by_quotient, scalar_matrix
 
 N = 8
 QS = [F(2), F(1, 2), F(3, 5)]
@@ -172,7 +172,7 @@ def test_admissibility():
 
 def vacuum_lax(q):
     """A Lax datum at q with U = 0: the structure its solvers run under."""
-    return LaxData([1, -1], MatSeries.from_scalars([[0, 0], [0, 0]], N), q)
+    return LaxData([1, -1], scalar_matrix([[0, 0], [0, 0]], N), q)
 
 
 def test_classical_structure():

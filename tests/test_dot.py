@@ -9,6 +9,8 @@ give the same numerators, denominator, `valid`, `top` and `tvalid`.
 for itself before they shared one precision model (`qakns.window`).
 `ref_xmul_shared` is the shared rule, under which an exact-zero factor
 gives an exact zero; a differential test pins where the two differ.
+A single pair with an exact-one factor skips the convolution; its tests
+hold that path to the general one field by field.
 """
 
 import random
@@ -317,6 +319,100 @@ def test_timepoly_dot_errors():
         TimePoly.dot([(t, t), (other, other)])
     with pytest.raises(ValueError, match="empty"):
         TimePoly.dot([])
+
+
+# -- the exact-one path ------------------------------------------------------
+#
+# A single pair with an exact-one factor returns the other factor itself.
+# The general path is forced by a second pair with an exact-zero factor,
+# which adds no term and leaves the window alone.
+
+
+def x_partners(rng):
+    """Exact, inexact, exact-zero and window-only-zero partners, a
+    constant 2 and an inexact one among them, and random operands."""
+    one, zero = XSeries.one(N), XSeries.zero(N)
+    fixed = [XSeries.poly([F(1, 3), 0, -2], N),
+             XSeries.poly([5, 1], N).with_valid(3), zero, zero.with_valid(2), zero.with_valid(-1), XSeries.const(2, N),
+             one, one.with_valid(N)]
+    return fixed + [rnd_x(rng) for _ in range(200)]
+
+
+def inexact_x_ones():
+    """The constant 1 known only through a window: valid <= order."""
+    return [XSeries.one(N).with_valid(v) for v in range(-1, N + 1)]
+
+
+def test_xseries_dot_returns_the_partner_of_an_exact_one():
+    rng = random.Random(27)
+    one, zero = XSeries.one(N), XSeries.zero(N)
+    assert one.is_one() and not any(s.is_one() for s in inexact_x_ones())
+    for b in x_partners(rng):
+        general = XSeries.dot([(one, b), (zero, b)])
+        for pair in ((one, b), (b, one)):
+            got = XSeries.dot([pair])
+            assert got is b or b.is_one() and got is one  # two ones: either
+            assert fields(got) == fields(general), b
+        # an inexact one takes the general path: a fresh product
+        for inexact in inexact_x_ones():
+            if b.is_one():
+                continue
+            for pair in ((inexact, b), (b, inexact)):
+                got = XSeries.dot([pair])
+                assert got is not b
+                assert fields(got) == fields(XSeries.dot([pair, (zero, b)])), b
+        with pytest.raises(TruncationError):
+            XSeries.dot([(XSeries.one(N + 1), b)])
+        with pytest.raises(TruncationError):
+            XSeries.dot([(b, XSeries.one(N - 1))])
+
+
+def test_timepoly_dot_returns_the_partner_of_an_exact_one():
+    rng = random.Random(28)
+    ring = TimePoly.zero(VARS, TMAX, N)
+    one, zero = ring.one_like(), ring.zero_like()
+    # ones known only through a t- or x-window, another constant, a lone
+    # time and a one plus a time: each takes the general path
+    not_ones = [one.with_tvalid(v) for v in range(TMAX + 1)] + [
+        ring.constant(XSeries.one(N).with_valid(v)) for v in range(-1, N + 1)
+    ] + [ring.constant(2), ring.variable(VARS[0]), one + ring.variable(VARS[0])]
+    assert one.is_one() and not any(p.is_one() for p in not_ones)
+    partners = [zero, zero.with_tvalid(1), zero.with_tvalid(-1), one,
+                *not_ones, *(rnd_t(rng) for _ in range(200))]
+    for q in partners:
+        general = TimePoly.dot([(one, q), (zero, q)])
+        for pair in ((one, q), (q, one)):
+            got = TimePoly.dot([pair])
+            assert got is q or q.is_one() and got is one  # two ones: either
+            assert tfields(got) == tfields(general), q
+        if not q.is_one():
+            for p in not_ones:
+                for pair in ((p, q), (q, p)):
+                    got = TimePoly.dot([pair])
+                    assert got is not q
+                    assert tfields(got) == tfields(TimePoly.dot([pair, (zero, q)]))
+        for other in (TimePoly.zero(VARS, TMAX + 1, N),
+                      TimePoly.zero(VARS, TMAX, N + 1),
+                      TimePoly.zero(VARS[:2], TMAX, N)):
+            with pytest.raises(ValueError, match="incompatible"):
+                TimePoly.dot([(other.one_like(), q)])
+            with pytest.raises(ValueError, match="incompatible"):
+                TimePoly.dot([(q, other.one_like())])
+
+
+def test_scale_series_by_an_exact_one_returns_the_polynomial():
+    rng = random.Random(29)
+    zero = XSeries.zero(N)
+    for p in [rnd_t(rng) for _ in range(200)]:
+        assert p.scale_series(XSeries.one(N)) is p
+        for s in inexact_x_ones() + [XSeries.const(2, N), XSeries.one(N)]:
+            got = p.scale_series(s)
+            general = p.map_coeffs(lambda c: XSeries.dot([(c, s), (zero, c)]))
+            assert tfields(got) == tfields(general), (p, s)
+            assert (got is p) == s.is_one()
+        if p.terms:
+            with pytest.raises(TruncationError):
+                p.scale_series(XSeries.one(N + 1))
 
 
 # -- MatSeries.dot -----------------------------------------------------------------

@@ -36,12 +36,14 @@ from qakns.scalars import AdmissibilityError
 from qakns.series import XSeries
 from qakns.zseries import NEG_INF, InsufficientDepthError, MZSeries
 
+from helpers import q_derive_by_quotient, scalar_matrix
+
 N = 8
 QS = [F(2), F(1, 2), F(3, 5)]
 
 
 def lax_const(q=F(2)):
-    u = MatSeries.from_scalars([[0, 1], [1, 0]], N)
+    u = scalar_matrix([[0, 1], [1, 0]], N)
     return LaxData([1, -1], u, q)
 
 
@@ -64,7 +66,7 @@ def lax_vacuum(q=F(2)):
 
 
 def scalars(rows):
-    return MatSeries.from_scalars(rows, N)
+    return scalar_matrix(rows, N)
 
 
 def test_validation_errors():
@@ -81,7 +83,7 @@ def test_validation_errors():
 
 def test_lax_data_owns_q_and_order(monkeypatch):
     # the x-order is U's; no second order can disagree with it
-    u6 = MatSeries.from_scalars([[0, 1], [1, 0]], 6)
+    u6 = scalar_matrix([[0, 1], [1, 0]], 6)
     lax = LaxData([1, -1], u6, F(2))
     assert (lax.q, lax.order, lax.classical) == (2, 6, False)
     r = solve_resolvent_direct(lax, 0, 3)
@@ -479,7 +481,7 @@ def test_commutation_residual_is_the_literal_bracket(q, make):
     r = HierarchySession(lax).resolvent(0, 6)
     for k in (1, 2):
         b, _ = b_split(r, k)
-        db = b.map_entries(lambda e: calculus.q_derive_by_quotient(e, q))
+        db = b.map_entries(lambda e: q_derive_by_quotient(e, q))
         sb = b.map_entries(lambda e: calculus.dilate(e, q))
         literal = db - sb * m + m * b
         residual = commutation_residual(lax, b)
@@ -515,7 +517,7 @@ def test_zero_curvature(make):
 
 
 def classical_lax(rows):
-    return LaxData([1, -1], MatSeries.from_scalars(rows, N), 1)
+    return LaxData([1, -1], scalar_matrix(rows, N), 1)
 
 
 def test_classical_dressing_exists_for_full_potentials():

@@ -320,6 +320,66 @@ def test_random_pairs_builds_each_kernel_entry_once(monkeypatch):
     assert len(builds) == 2 * 25 and set(builds.values()) == {1}
 
 
+def _per_pair_residue(kernel, k, l):
+    """C(k, l) from factors built for this pair alone: L_k through -1 - l
+    and R_l through -1 - min(0, k), each as far as the pair reads it."""
+    right = kernel._za_power(l, -1).product(kernel.sminus, hi=-1 - min(0, k))
+    if k < 0:
+        left = kernel._za_power(k, 1).product(kernel.splus, hi=-1 - l)
+    else:
+        s = kernel.splus
+        left = MZSeries(s.n, {d: m for d, m in s.terms.items() if d <= -1 - l},
+                        s.zvalid, s.proto)
+        for _ in range(k):
+            left = left.map_entries(lambda e: q_derive(e, kernel.q))
+    return left.product_coeff(right, -1)
+
+
+def _entry_fields(m):
+    return [(e.nums, e.den, e.valid, e.top) for row in m.rows for e in row]
+
+
+def test_random_pairs_builds_each_exponential_factor_once(monkeypatch):
+    from qakns.config import demo_config
+    from qakns.suites import run_suite
+
+    builds, entries = {}, []
+
+    def counted(name):
+        real = getattr(OracleKernel, name)
+
+        def build(self, k):
+            key = (name, tuple(self.a), k)
+            builds[key] = builds.get(key, 0) + 1
+            return real(self, k)
+        return build
+
+    real_residue = OracleKernel._residue
+
+    def residue(self, k, l):
+        got = real_residue(self, k, l)
+        entries.append((self, k, l, got))
+        return got
+
+    for name in ("_left", "_right"):
+        monkeypatch.setattr(OracleKernel, name, counted(name))
+    monkeypatch.setattr(OracleKernel, "_residue", residue)
+    cfg = demo_config().with_checks(("pairing.random_pairs",))
+    (res,) = run_suite(cfg).checks
+    monkeypatch.undo()
+    assert res.status == "pass"
+    # each factor of each band power [-2, 2] once per kernel, not once per
+    # entry: 10 builds per a-vector for its 25 entries
+    assert set(builds.values()) == {1}
+    for name in ("_left", "_right"):
+        assert {(a, k) for n, a, k in builds if n == name} == {
+            (a, k) for a in ((F(1),), tuple(cfg.a)) for k in range(-2, 3)}
+    assert len(entries) == 2 * 25
+    for kernel, k, l, got in entries:
+        want = _per_pair_residue(kernel, k, l)
+        assert _entry_fields(got) == _entry_fields(want), (kernel.a, k, l)
+
+
 @pytest.mark.parametrize("q", [F(2), F(-3), F(1, 2), F(-1, 3)])
 def test_kernel_is_the_paired_inverse(q):
     # C(k, l) = res_z((zA)**k exp_q(zAx) (-zA)**l exp_1/q(-zAx)) is

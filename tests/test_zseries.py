@@ -14,6 +14,8 @@ from qakns.series import XSeries
 from qakns.timepoly import TimePoly
 from qakns.zseries import InsufficientDepthError, MZSeries, derive_through
 
+from helpers import scalar_matrix
+
 N = 8
 
 
@@ -22,7 +24,7 @@ def ident(n=2):
 
 
 def mat(rows):
-    return MatSeries.from_scalars(rows, N)
+    return scalar_matrix(rows, N)
 
 
 def test_za_times_inverse():
