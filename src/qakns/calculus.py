@@ -112,12 +112,13 @@ def graded_apply(seed, step, orders, depth: int) -> dict:
     The S_k commute, so E = exp(S) seed solves z E' = (z S') E for a
     grading variable z: degree by degree d E_d = sum_(k <= d) k S_k E_(d-k)
     (Knuth, TAOCP vol. 2, 4.7), exact, with O(depth**2) steps. `step(k, e)`
-    is k S_k e, for each k in `orders`. Returns {grade: E_d} through
-    `depth`, E_0 = seed; a grade no sum of orders reaches has no entry.
-    This is the one writer of an exponential in a graded ring: the
-    generators of `graded_exp`, the Miwa substitution, and the time
-    translation and the channels' z-exponentials of the tau layer's
-    Taylor sum are its callers.
+    is k S_k e, for each k in `orders`. The steps are linear, so a step
+    from an exact-zero grade adds an exact zero, and none is formed.
+    Returns {grade: E_d} through `depth`, E_0 = seed; a grade with no step
+    to form, reached by no sum of orders or from exact zeros only, has no
+    entry. This is the one writer of an exponential in a graded ring:
+    `graded_exp`, the Miwa substitution and the time translation of the
+    tau layer's Taylor sum are its callers.
     """
     acc = {0: seed}
     orders = [k for k in orders if k <= depth]
@@ -125,7 +126,7 @@ def graded_apply(seed, step, orders, depth: int) -> dict:
         total = None
         for k in orders:
             prev = acc.get(d - k)
-            if prev is not None:
+            if prev is not None and not prev.is_zero_exact():
                 term = step(k, prev)
                 total = term if total is None else total + term
         if total is not None:
@@ -139,7 +140,9 @@ def graded_exp(gens: dict, depth: int) -> dict:
     The generators are ring elements (x-series, time polynomials) keyed by
     their degree k >= 1; S_k is multiplication by z**k gens[k], so the step
     of `graded_apply` is e * (k gens[k]). Returns {degree: E_d}; a degree
-    no sum of generator degrees reaches has no entry.
+    that `graded_apply` forms no step for has no entry. It is the one
+    writer of such an exponential: `exp_series`, `verify_expqo` and each
+    channel's z-exponential in the tau layer's Taylor sum call it.
     """
     weighted = {k: g.scale(k) for k, g in gens.items() if k <= depth}
     seed = next(iter(gens.values())).one_like()

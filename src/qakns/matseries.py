@@ -1,13 +1,13 @@
 """Square matrices over a coefficient ring (x-series or time polynomials).
 
 Entries only need the ring protocol: +, -, unary -, the sum-of-products
-kernel `dot`, is_zero(), zero_like(), one_like(). Matrices are immutable;
-every operation returns a fresh object. A matrix's exact-zero pattern is
-therefore decided once: `live` lists, per row, the columns whose entry is
-not an exact zero, computed on first use by `dot` (`MatSeries.zero` is
-known to have none). `is_zero_exact` reads `live` once it is built;
-before that it scans only up to the first live entry, and keeps its
-verdict.
+kernel `dot`, is_zero(), is_zero_exact(), zero_like(), one_like().
+Matrices are immutable; every operation returns a fresh object. A
+matrix's exact-zero pattern is therefore decided once: `live` lists, per
+row, the columns whose entry is not an exact zero, computed on first use
+by `dot` (`MatSeries.zero` is known to have none). `is_zero_exact`
+reads `live` once it is built; before that it scans only up to the
+first live entry, and keeps its verdict.
 
 `MatSeries.dot` sums block products with one ring `dot` per entry, over
 every block and inner index together, so each entry of a sum of products
@@ -97,7 +97,7 @@ class MatSeries:
         """Per row, the columns whose entry is not an exact zero."""
         if self._live is None:
             self._live = tuple(
-                tuple([j for j, e in enumerate(r) if not (e.is_zero() and e.is_exact)])
+                tuple([j for j, e in enumerate(r) if not e.is_zero_exact()])
                 for r in self.rows
             )
         return self._live
@@ -107,9 +107,7 @@ class MatSeries:
         if self._live is not None:
             return not any(self._live)
         if self._zero is None:
-            self._zero = all(
-                e.is_zero() and e.is_exact for r in self.rows for e in r
-            )
+            self._zero = all(e.is_zero_exact() for r in self.rows for e in r)
             if self._zero:
                 self._live = ((),) * len(self.rows)
         return self._zero

@@ -33,7 +33,7 @@ from math import gcd
 from operator import add, neg, sub
 
 from .scalars import ZERO, common_den, frac
-from .window import upper_inverse, upper_product, upper_shift
+from .window import upper_inverse, upper_product
 
 
 class TruncationError(ValueError):
@@ -146,6 +146,10 @@ class XSeries:
         """True for the exact one: the constant 1 with nothing discarded."""
         return self.top == 0 and self.nums[0] == self.den \
             and self.valid >= len(self.nums)
+
+    def is_zero_exact(self) -> bool:
+        """True for the exact zero: no nonzero coefficient, nothing discarded."""
+        return self.top < 0 and self.valid >= len(self.nums)
 
     def is_zero(self) -> bool:
         """True if every coefficient within the validity window vanishes."""
@@ -297,14 +301,6 @@ class XSeries:
         if den < 0:
             nums, den = [-v for v in nums], -den
         return XSeries.from_ints(nums, den, upper_inverse(n, self.valid, top == 0))
-
-    def shift_down(self) -> "XSeries":
-        """Divide by x exactly; the constant term must vanish."""
-        if self.nums[0] != 0:
-            raise ValueError("not divisible by x: nonzero constant term")
-        # the top coefficient came from degree order+1, unknown unless exact
-        valid = upper_shift(self.order, self.valid, self.top, -1)
-        return XSeries._raw(self.nums[1:] + (0,), self.den, valid, max(self.top - 1, -1))
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,14 +14,16 @@ reach, so the assembled Baker series is exact in z and takes no depth.
 That sum, the two factors of the Taylor sum of the flow steps and the
 z-exponentials of `verify_expqo` are each the exponential of a graded
 operator, expanded by `calculus.graded_apply` up to its grade: the Miwa
-reach, the x-order and `EXPQO_Z_DEPTH`. The Taylor sum's factors are a
-time translation and, per channel, a z-exponential of the shift
-differences, since the flow steps' t-derivatives and right factors
-commute; they are paired only up to the x-order. The Baker exponentials
-enter the residue identities through the q-Leibniz reduction;
-`graded_exp` expands an exponential in z only where `verify_expqo`
-compares one directly, and the ratio E_delta that `taylor_agreement`
-needs is the closed form the q-exponential's eigen-relation gives.
+reach, the x-order and `EXPQO_Z_DEPTH`; the z-exponentials through
+`calculus.graded_exp`. The Taylor sum's factors are a time translation
+and, per channel, a z-exponential of the shift differences, since the
+flow steps' t-derivatives and right factors commute; they are paired
+only up to the x-order, and no term is formed from an exact zero. The
+Baker exponentials enter the residue identities through the q-Leibniz
+reduction; an exponential in z is expanded only where `verify_expqo`
+compares one directly or the Taylor sum scales by one, and the ratio
+E_delta that `taylor_agreement` needs is the closed form the
+q-exponential's eigen-relation gives.
 
 Every check here is honest arithmetic: flow derivatives act on the time
 polynomials themselves, and the x-derivation acts inside the coefficients.
@@ -219,29 +221,26 @@ def taylor_sum(what: MZSeries, deltas: dict) -> MZSeries:
     `flow_step`, R_v the right factor z**k E_alpha. The t-derivatives d_v
     and the right factors commute, so exp(S) what = A diag(b): the time
     translation A = exp(sum_v Delta_v d_v) what, over the flows the carrier
-    holds, and per channel the z-exponential b_alpha = exp(sum_k
-    Delta_(k alpha) z**k). `graded_apply` builds each, graded by
-    x-valuation: A by grades A_j, b_alpha by z-degrees m, each a c x**m.
+    holds, by `graded_apply` in grades A_j of x-valuation j, and per
+    channel the z-exponential b_alpha = exp(sum_k Delta_(k alpha) z**k),
+    by `graded_exp` in z-degrees m, each b_m an x-series of valuation m.
 
     Only the pairs with j + m <= x-order are formed, as sum_m z**m
     (sum_(j <= x-order - m) A_j) diag(b_m), a column scaling per m: a pair
     above the x-order vanishes in the truncated ring, but formed it would
     be an inexact zero that narrows the t- and x-windows of the sum. A
-    column is multiplied by x**m and then scaled by c, so where the c of
-    several multi-indices cancel, the zero keeps the window their terms
-    had in the flow steps' sum; a channel whose Deltas all vanish
-    (a_alpha = 0; they vanish together or not at all) scales to exact
-    zeros, as there. So the sum is the flow steps', windows included.
+    column whose b_m is an exact zero is not formed.
     """
     n, proto = what.n, what.proto
     xorder = proto.xorder
-    # k Delta_(k alpha) by order k, and among them the flows the carrier holds
-    rates: dict[int, dict] = {}
+    # each channel's Deltas by order k, and k Delta_(k alpha) by order k
+    # along the flows the carrier holds
+    gens: list[dict] = [{} for _ in range(n)]
     held: dict[int, dict] = {}
     for (k, alpha), s in deltas.items():
-        rates.setdefault(k, {})[alpha] = s.scale(k)
+        gens[alpha][k] = s
         if (k, alpha) in proto.vars:
-            held.setdefault(k, {})[alpha] = rates[k][alpha]
+            held.setdefault(k, {})[alpha] = s.scale(k)
 
     def translate(k, p):
         def entry(tp):
@@ -251,28 +250,21 @@ def taylor_sum(what: MZSeries, deltas: dict) -> MZSeries:
         return p.map_entries(entry)
 
     grades = graded_apply(what, translate, held, xorder)
-    xzero = XSeries.zero(xorder)
-    b = [graded_apply(XSeries.one(xorder),
-                      lambda k, e, alpha=alpha: e * rates[k].get(alpha, xzero),
-                      rates, xorder)
-         for alpha in range(n)]
-    live = [any(not r[alpha].is_zero() for r in rates.values() if alpha in r)
-            for alpha in range(n)]
+    b = [graded_exp(g, xorder) if g else {} for g in gens]
 
-    def column(m, alpha):
-        s = b[alpha][m]
-        if not live[alpha]:
-            return lambda tp: tp.scale_series(s)
-        xm, c = XSeries.monomial(1, m, xorder), s.coeffs[m]
-        return lambda tp: tp.scale_series(xm).scale(c)
+    def column(s):
+        if s is None or s.is_zero_exact():
+            return None
+        return lambda tp: tp.scale_series(s)
 
     # partial[r] is the sum of the A_j with j <= r; b_0 is the identity
     zero = MZSeries.zero(n, proto)
     partial = list(accumulate(grades.get(j, zero) for j in range(xorder + 1)))
     out = partial[xorder]
-    for m in sorted(b[0])[1:]:
-        cols = [column(m, alpha) for alpha in range(n)]
-        out = out + _times_diag(partial[xorder - m], m, cols)
+    for m in range(1, xorder + 1):
+        cols = [column(b[alpha].get(m)) for alpha in range(n)]
+        if any(cols):
+            out = out + _times_diag(partial[xorder - m], m, cols)
     return out
 
 

@@ -66,7 +66,7 @@ class TimePoly:
         self.xorder = xorder
         self.tvalid = min(tvalid, tmax + 1)
         self.terms = {
-            e: c for e, c in terms.items() if not (c.is_zero() and c.is_exact)
+            e: c for e, c in terms.items() if not c.is_zero_exact()
         }
         self._top = None
 
@@ -138,6 +138,10 @@ class TimePoly:
             return False
         (e, c), = self.terms.items()
         return not any(e) and c.is_one()
+
+    def is_zero_exact(self) -> bool:
+        """True for the exact zero: no stored term, nothing discarded in t."""
+        return not self.terms and self.tvalid > self.tmax
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.terms.values())
@@ -283,7 +287,7 @@ class TimePoly:
         term = self.one_like()
         for _ in range(self.tmax):
             term = -(term * nu)
-            if term.is_zero() and term.is_exact:
+            if term.is_zero_exact():
                 break
             acc = acc + term
         # the inverse of a t-exact t-constant stays polynomial in t; p is a

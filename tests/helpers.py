@@ -8,6 +8,7 @@ from qakns.calculus import dilate
 from qakns.matseries import MatSeries
 from qakns.scalars import frac
 from qakns.series import XSeries
+from qakns.window import upper_shift
 
 
 def scalar_matrix(rows, order: int) -> MatSeries:
@@ -19,4 +20,13 @@ def q_derive_by_quotient(f: XSeries, q) -> XSeries:
     """The defining quotient (f(qx) - f(x)) / (x(q-1)) evaluated literally:
     an oracle for `calculus.q_derive`."""
     q = frac(q)
-    return (dilate(f, q) - f).shift_down().scale(1 / (q - 1))
+    return shift_down(dilate(f, q) - f).scale(1 / (q - 1))
+
+
+def shift_down(f: XSeries) -> XSeries:
+    """f / x exactly; the constant term must vanish. The top coefficient
+    came from degree order + 1, unknown unless f is exact."""
+    if f.nums[0] != 0:
+        raise ValueError("not divisible by x: nonzero constant term")
+    valid = upper_shift(f.order, f.valid, f.top, -1)
+    return XSeries.from_ints(f.nums[1:] + (0,), f.den, valid, f.top - 1)

@@ -224,22 +224,33 @@ def test_every_window_is_read_off_the_residuals(monkeypatch, config):
             return res
         return run
 
-    expansions, expqo_depths = [], []
+    expansions, expqo_depths, in_expqo = [], [], [0]
     real_expand, real_exp = hy.expand_in_basis, tau_mod.graded_exp
+    real_expqo = tau_mod.verify_expqo
 
     def expand(s, family):
         expansions.append(s)
         return real_expand(s, family)
 
     def graded_exp(gens, depth):
-        expqo_depths.append(depth)
+        # the Taylor sum's z-exponentials read no z-range
+        if in_expqo[0]:
+            expqo_depths.append(depth)
         return real_exp(gens, depth)
+
+    def verify_expqo(*args):
+        in_expqo[0] += 1
+        try:
+            return real_expqo(*args)
+        finally:
+            in_expqo[0] -= 1
 
     monkeypatch.setattr(suites, "_result", recording)
     monkeypatch.setattr(suites, "CHECKS",
                         [(name, named(name, fn)) for name, fn in CHECKS])
     monkeypatch.setattr(hy, "expand_in_basis", expand)
     monkeypatch.setattr(tau_mod, "graded_exp", graded_exp)
+    monkeypatch.setattr(tau_mod, "verify_expqo", verify_expqo)
     data = json.loads((CONFIGS / config).read_text())
     results = run_suite(parse_config({**data, "checks": None})).checks
     monkeypatch.undo()
@@ -608,4 +619,16 @@ def test_pairing_oracle_forms_no_exact_zero_pair(monkeypatch):
     results = run_checks("pairing.oracle_examples", "pairing.random_pairs",
                          "pairing.nonneg_zero")
     assert [r.status for r in results] == ["pass"] * 3
+    assert counts["pairs"] > 0 and counts["zero"] == 0
+
+
+@pytest.mark.parametrize("config", [
+    CONFIGS / "demo.json", GOLDEN_N3.parent / "deep_x.config.json",
+    CONFIGS / "tau_rational.json"], ids=["demo", "deep_x", "tau_rational"])
+def test_taylor_sum_forms_no_exact_zero_pair(monkeypatch, config):
+    # the parent revision passed 62, 230 and 26 such pairs
+    counts = _count_dot_pairs(monkeypatch, tau_mod, "taylor_sum")
+    data = json.loads(config.read_text())
+    results = run_suite(parse_config({**data, "checks": None})).checks
+    assert all(r.status == "pass" for r in results)
     assert counts["pairs"] > 0 and counts["zero"] == 0

@@ -141,10 +141,10 @@ def test_op_counts_usage_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("config, totals", [
-    ("configs/demo.json", (2076, 4911, 805, 275)),
+    ("configs/demo.json", (1910, 4705, 805, 275)),
     ("tests/golden/solvers_n3.config.json", (2980, 10490, 742, 147)),
-    ("configs/tau_rational.json", (10434, 139710, 892, 281)),
-    ("tests/golden/deep_x.config.json", (2480, 5533, 847, 275)),
+    ("configs/tau_rational.json", (9934, 137190, 892, 281)),
+    ("tests/golden/deep_x.config.json", (2130, 5143, 847, 275)),
 ], ids=["demo", "solvers_n3", "tau_rational", "deep_x"])
 def test_op_count_totals_do_not_drift(config, totals):
     # the deterministic work of a whole run, in the tool's COLUMNS: a

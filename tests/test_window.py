@@ -77,3 +77,33 @@ def test_upper_rules_at_the_cap():
     assert upper_inverse(N, N + 1, True) == N + 1
     assert upper_inverse(N, N + 1, False) == N
     assert upper_inverse(N, 3, True) == 3
+
+
+def _zero_cases(carrier):
+    """(exact zero, [zero known only through its window, nonzero, exact one])."""
+    x = XSeries.zero(N)
+    hidden = x.with_valid(3)
+    if carrier == "xseries":
+        return x, [hidden, XSeries.monomial(1, 2, N), XSeries.one(N)]
+    if carrier == "timepoly":
+        ring = TimePoly.zero(VARS, TMAX, N)
+        return ring, [ring.with_tvalid(2), ring.constant(hidden),
+                      ring.variable((1, 0)), ring.one_like()]
+    ident = MatSeries.identity(2, x)
+    window_only = MatSeries.diag([x, hidden], x)
+    if carrier == "matseries":
+        return MatSeries([[x, x], [x, x]]), [
+            window_only, MatSeries.diag([x, XSeries.monomial(1, 2, N)], x), ident]
+    return MZSeries.zero(2, x), [
+        MZSeries(2, {}, -2, x), MZSeries(2, {0: window_only}),
+        MZSeries.from_term(2, 1, ident), MZSeries.identity(2, x)]
+
+
+@pytest.mark.parametrize("carrier", ["xseries", "timepoly", "matseries", "mzseries"])
+def test_is_zero_exact_on_every_carrier(carrier):
+    # one predicate on the four carriers: the exact zero, and nothing that
+    # is zero only inside its window, nonzero, or the exact one
+    zero, others = _zero_cases(carrier)
+    assert zero.is_zero_exact()
+    assert zero.is_zero() and others[0].is_zero()
+    assert not any(o.is_zero_exact() for o in others)
