@@ -55,7 +55,8 @@ def dilate(f: XSeries, c) -> XSeries:
     if p == r:
         return f
     ws, den = _power_weights(p, r, f.order)
-    return XSeries.from_ints(list(map(mul, f.nums, ws)), f.den * den, f.valid, f.top)
+    return XSeries.from_ints(list(map(mul, f.nums, ws)), f.den * den, f.valid,
+                             f.order, f.top)
 
 
 def q_derive(f: XSeries, q) -> XSeries:
@@ -66,9 +67,8 @@ def q_derive(f: XSeries, q) -> XSeries:
     q = frac(q)
     ws, den = _int_weights(q.numerator, q.denominator, f.order, False)
     out = list(map(mul, f.nums[1:], ws[1:]))
-    out.append(0)
     valid = upper_shift(f.order, f.valid, f.top, -1)
-    return XSeries.from_ints(out, f.den * den, valid, f.top - 1)
+    return XSeries.from_ints(out, f.den * den, valid, f.order, f.top - 1)
 
 
 def q_antiderive(g: XSeries, q) -> XSeries:
@@ -79,7 +79,7 @@ def q_antiderive(g: XSeries, q) -> XSeries:
     out = [0]
     out += map(mul, g.nums[:n], ws[1:])
     valid = upper_shift(n, g.valid, g.top, 1)  # x**n overflows the window
-    return XSeries.from_ints(out, g.den * den, valid, g.top + 1)
+    return XSeries.from_ints(out, g.den * den, valid, n, g.top + 1)
 
 
 def x_derive(f: XSeries) -> XSeries:

@@ -226,10 +226,8 @@ def _divide_by_eigs(lax: LaxData, src: XSeries, j: int, i: int) -> XSeries:
     only on the diagonal at m = 0, where the source's constant is zero;
     its weight is 0."""
     ws, den = lax.eig_weights(j, i)
-    known = src.known
-    out = list(map(mul, known, ws))
-    out += [0] * (lax.order + 1 - len(known))
-    return XSeries.from_ints(out, src.den * den, src.valid, len(known) - 1)
+    out = list(map(mul, src.known, ws))
+    return XSeries.from_ints(out, src.den * den, src.valid, lax.order)
 
 
 def _next_order(lax: LaxData, prev: MatSeries, blocks, context: str) -> MatSeries:
@@ -291,9 +289,11 @@ def _idempotent_repair(alpha, lift, rho, prior) -> MatSeries:
     the commutation identity as R does, and equals R through order m - 1,
     so (R**2)_m and rho solve the same order-m step and differ by a free
     constant. The constant term of a product is the product of the
-    constant terms, so K's diagonal is read off the x**0 coefficients of
-    the orders and K itself is not formed (tests/test_solver_oracles.py
-    forms it whole and checks that it is this constant).
+    constant terms, so K's diagonal is read off the x**0 numerators of the
+    orders and K itself is not formed (tests/test_solver_oracles.py forms
+    it whole and checks that it is this constant). A series stores its
+    numerators through its top degree only, so a zero stores none and its
+    x**0 numerator reads as 0.
     """
     n, m = rho.n, len(prior)
     blocks = [(lift, rho), (rho, prior[0])] + [
@@ -305,6 +305,8 @@ def _idempotent_repair(alpha, lift, rho, prior) -> MatSeries:
         for a, b in blocks:
             for k, x in enumerate(a.rows[i]):
                 y = b.rows[k][i]
+                if x.top < 0 or y.top < 0:  # an empty series' x**0 numerator is 0
+                    continue
                 p = x.nums[0] * y.nums[0]
                 if p:
                     d = x.den * y.den

@@ -260,7 +260,6 @@ def _random_band_op(rng, n, order, band=(-PAIRING_BAND, PAIRING_BAND)):
     """{power: matrix} of integer polynomial coefficients of degree
     <= 2 <= order on a random subset of the band's powers (the identity
     when none is drawn)."""
-    pad = [0] * (order - 2)
     coeffs = {}
     for p in range(band[0], band[1] + 1):
         if rng.random() < 0.3:
@@ -268,8 +267,7 @@ def _random_band_op(rng, n, order, band=(-PAIRING_BAND, PAIRING_BAND)):
         rows = [
             [
                 XSeries.from_ints(
-                    [rng.randint(-3, 3) for _ in range(3)] + pad,
-                    1, order + 1,
+                    [rng.randint(-3, 3) for _ in range(3)], 1, order + 1, order
                 )
                 for _ in range(n)
             ]

@@ -224,13 +224,22 @@ class TimePoly:
         return first._like({e: dot(g) for e, g in groups.items()}, tvalid)
 
     def scale(self, c) -> "TimePoly":
+        """c times the polynomial; c == 0 gives the exact zero, whatever
+        the window, as an exact-zero factor does in a product."""
         c = frac(c)
+        if not c:
+            return self.zero_like()
         return self._like({e: s.scale(c) for e, s in self.terms.items()},
                           self.tvalid)
 
     def scale_series(self, s: XSeries) -> "TimePoly":
-        if s.is_one() and s.order == self.xorder:
-            return self
+        """s times every coefficient: self itself for the exact one and
+        the exact zero for the exact zero, as in `dot`."""
+        if s.order == self.xorder:
+            if s.is_one():
+                return self
+            if s.is_zero_exact():
+                return self.zero_like()
         return self._like({e: c * s for e, c in self.terms.items()}, self.tvalid)
 
     def map_coeffs(self, fn) -> "TimePoly":

@@ -26,7 +26,7 @@ def q_derive_by_quotient(f: XSeries, q) -> XSeries:
 def shift_down(f: XSeries) -> XSeries:
     """f / x exactly; the constant term must vanish. The top coefficient
     came from degree order + 1, unknown unless f is exact."""
-    if f.nums[0] != 0:
+    if f.constant_term() != 0:
         raise ValueError("not divisible by x: nonzero constant term")
     valid = upper_shift(f.order, f.valid, f.top, -1)
-    return XSeries.from_ints(f.nums[1:] + (0,), f.den, valid, f.top - 1)
+    return XSeries.from_ints(f.nums[1:], f.den, valid, f.order)

@@ -35,12 +35,13 @@ DENS = (1, 2, 3, 4, 6, 7, 12)
 
 def ref_xmul(a, b):
     """a * b by the pairwise kernel: convolve, then reduce. A zero factor
-    keeps the smaller `valid`, as in the earlier XSeries rule."""
-    an, bn = a.nums, b.nums
-    if len(an) != len(bn):
+    keeps the smaller `valid`, as in the earlier XSeries rule. The
+    numerators are padded to the order, as a dense carrier stores them."""
+    if a.order != b.order:
         raise a._mismatch(b)
-    n = len(an) - 1
+    n = a.order
     ta, tb = a.top, b.top
+    an, bn = a.nums + (0,) * (n - ta), b.nums + (0,) * (n - tb)
     va, vb = a.valid, b.valid
     if va > n and vb > n:
         valid = n + 1 if ta < 0 or tb < 0 or ta + tb <= n else n
@@ -57,7 +58,7 @@ def ref_xmul(a, b):
         lo = k - tb if k > tb else 0
         hi = k if k < ta else ta
         out[k] = sum(map(mul, an[lo:hi + 1], rb[n - k + lo:n - k + hi + 1]))
-    return XSeries.from_ints(out, a.den * b.den, valid, top)
+    return XSeries.from_ints(out, a.den * b.den, valid, n, top)
 
 
 def exact_zero(s):
@@ -131,7 +132,7 @@ def _fold(terms):
 
 
 def fields(s):
-    return s.nums, s.den, s.valid, s.top
+    return s.nums, s.den, s.valid, s.top, s.order
 
 
 def tfields(p):
@@ -238,8 +239,8 @@ def test_xseries_dot_multiplies_over_the_shorter_factor():
     # is scaled to the lcm. Looping over the longer factor gives the same
     # sum, so only the count tells the two apart
     def series(nums):
-        nums = tuple(map(Counted, nums))
-        return XSeries._raw(nums, 1, N + 1, max(k for k, v in enumerate(nums) if v))
+        top = max(k for k, v in enumerate(nums) if v)
+        return XSeries._raw(tuple(map(Counted, nums[:top + 1])), 1, N + 1, top, N)
 
     dense = series([1, -2, 3, -4, 5, -6, 7])
     sparse = series([0, 0, 0, 5, 0, 0, 0])  # shorter: top 3 < 6
@@ -270,9 +271,9 @@ def test_shared_rule_differs_from_the_earlier_xseries_rule_only_on_an_exact_zero
 def test_xseries_dot_cancels_to_a_canonical_zero():
     a, b = XSeries.poly([F(1, 3), 2], N), XSeries.poly([1, F(-1, 5)], N)
     got = XSeries.dot([(a, b), (-a, b)])
-    assert fields(got) == ((0,) * (N + 1), 1, N + 1, -1)
+    assert fields(got) == ((), 1, N + 1, -1, N)
     hidden = XSeries.dot([(a, b), (-a, b.with_valid(2))])
-    assert fields(hidden) == ((0,) * (N + 1), 1, 2, -1)
+    assert fields(hidden) == ((), 1, 2, -1, N)
 
 
 def test_xseries_dot_errors():

@@ -107,8 +107,13 @@ def test_shift_down():
 
 import math
 import random
+from operator import add, sub
+from pathlib import Path
 
+from qakns.calculus import dilate, q_antiderive, q_derive
 from qakns.matseries import MatSeries
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DENS = (1, 2, 3, 4, 6, 7, 12)
 
@@ -160,6 +165,12 @@ def ref_mul_shared(a, b):
     return out, valid
 
 
+def ref_scale(a, c):
+    """c * a; c == 0 gives the exact zero, as an exact-zero factor does."""
+    cs, v = a
+    return [c * x for x in cs], (v if c else len(cs))
+
+
 def ref_invert(a):
     cs, v = a
     n = len(cs) - 1
@@ -181,7 +192,7 @@ def assert_canonical(s):
     assert s.den > 0
     assert math.gcd(s.den, *s.nums) == 1
     nonzero = [k for k, v in enumerate(s.nums) if v]
-    assert s.top == (nonzero[-1] if nonzero else -1)
+    assert s.top == (nonzero[-1] if nonzero else -1) == len(s.nums) - 1
     if not nonzero:
         assert s.den == 1
 
@@ -203,7 +214,7 @@ def test_kernel_matches_fraction_reference():
         assert_matches(-sa, ([-c for c in a[0]], a[1]))
         assert_matches(sa * sb, ref_mul_shared(a, b))
         c = F(rng.randint(-4, 4), rng.choice(DENS))
-        assert_matches(sa.scale(c), ([c * x for x in a[0]], a[1]))
+        assert_matches(sa.scale(c), ref_scale(a, c))
         if a[0][0]:
             assert_matches(sa.invert(), ref_invert(a))
         else:
@@ -225,6 +236,184 @@ def test_equal_values_are_equal_and_hash_alike():
     assert (half.nums[:2], half.den) == ((1, 3), 2)
     zero = half - half
     assert zero == XSeries.zero(N) and (zero.den, zero.top) == (1, -1)
+
+
+# -- the numerators end at the top, and nothing outside sees it ------------
+#
+# A series stores its numerators through its top degree only. Every public
+# read and every operation is held to a dense reference: the Fraction
+# coefficients of degrees 0..order and the window, as above.
+
+ORDERS = (0, 1, 8, 16)
+
+
+def random_dense(rng, n):
+    """A reference operand of order n: an exact or a window-only zero, a
+    constant, a polynomial far below the order, sparse or dense; mixed
+    denominators, exact or not."""
+    kind = rng.randrange(6)
+    top = (-1, -1, 0, min(rng.randrange(3), n // 4), rng.randrange(n + 1), n)[kind]
+    cs = [F(0)] * (n + 1)
+    for k in range(top + 1):
+        if kind != 4 or rng.random() < 0.5 or k == top:
+            cs[k] = F(rng.randint(-9, 9) or 1, rng.choice(DENS))
+    if kind == 0 or kind > 1 and rng.random() < 0.5:
+        return cs, n + 1
+    return cs, rng.randint(-1, n)
+
+
+def q_int_ref(k, q):
+    return sum(q**i for i in range(k))
+
+
+def ref_dot(pairs):
+    terms = [ref_mul_shared(a, b) for a, b in pairs]
+    return ([sum(col, F(0)) for col in zip(*(t[0] for t in terms))],
+            min(t[1] for t in terms))
+
+
+def ref_dilate(a, c):
+    cs, v = a
+    return [x * c**k for k, x in enumerate(cs)], v
+
+
+def ref_q_derive(a, q):
+    cs, v = a
+    n = len(cs) - 1
+    out = [q_int_ref(k + 1, q) * cs[k + 1] for k in range(n)] + [F(0)]
+    return out, (v if v > n else v - 1)
+
+
+def ref_q_antiderive(a, q):
+    """Zero constant; x**n overflows an exact window only when cs[n] != 0."""
+    cs, v = a
+    n = len(cs) - 1
+    out = [F(0)] + [cs[k - 1] / q_int_ref(k, q) for k in range(1, n + 1)]
+    if v > n:
+        return out, (n if cs[n] else n + 1)
+    return out, min(v + 1, n)
+
+
+def ref_reads(a):
+    """Every public read of the series `a`, from its dense coefficients."""
+    cs, v = a
+    n = len(cs) - 1
+    v = min(v, n + 1)
+    deg = ref_degree(cs)
+    top = -1 if deg is None else deg
+    den = math.lcm(*(c.denominator for c in cs))
+    nums = [int(c * den) for c in cs]
+    exact = v > n
+    names = ["" if k == 0 else "*x" if k == 1 else f"*x^{k}" for k in range(n + 1)]
+    body = " + ".join(f"{c}{names[k]}" for k, c in enumerate(cs) if c) or "0"
+    mark = "" if exact else f" (+O(x^{min(v, n) + 1}))"
+    return {
+        "order": n, "valid": v, "coeffs": tuple(cs),
+        "known": tuple(nums[:max(min(v, top) + 1, 0)]),
+        "constant_term": cs[0], "is_exact": exact,
+        "is_zero": not any(cs[:max(v + 1, 0)]),
+        "is_zero_exact": deg is None and exact,
+        "is_one": exact and cs == [1] + [0] * n,
+        "repr": f"<{body}{mark}>",
+    }
+
+
+def reads(s):
+    return {
+        "order": s.order, "valid": s.valid, "coeffs": s.coeffs,
+        "known": s.known, "constant_term": s.constant_term(),
+        "is_exact": s.is_exact, "is_zero": s.is_zero(),
+        "is_zero_exact": s.is_zero_exact(), "is_one": s.is_one(),
+        "repr": repr(s),
+    }
+
+
+def check(s, ref):
+    assert reads(s) == ref_reads(ref)
+    assert_canonical(s)
+
+
+def test_trimmed_storage_is_invisible_from_outside():
+    rng = random.Random(49)
+    for n in ORDERS:
+        seen = {"exact zero": 0, "window zero": 0, "constant": 0, "low": 0}
+        for _ in range(150):
+            a, b = random_dense(rng, n), random_dense(rng, n)
+            sa, sb = XSeries(*a), XSeries(*b)
+            check(sa, a)
+            check(sb, b)
+            check(sa + sb, ref_add(a, b))
+            check(sa - sb, ref_add(a, b, -1))
+            check(-sa, ([-c for c in a[0]], a[1]))
+            pairs = [(a, b)] + [(random_dense(rng, n), random_dense(rng, n))
+                                for _ in range(rng.randrange(3))]
+            check(XSeries.dot([(XSeries(*x), XSeries(*y)) for x, y in pairs]),
+                  ref_dot(pairs))
+            c = F(rng.randint(-4, 4), rng.choice(DENS))
+            check(sa.scale(c), ref_scale(a, c))
+            v = rng.randint(-1, n + 1)
+            check(sa.with_valid(v), (a[0], min(a[1], v)))
+            check(dilate(sa, c), ref_dilate(a, c))
+            q = rng.choice((F(1), F(2), F(-1, 3)))
+            check(q_derive(sa, q), ref_q_derive(a, q))
+            check(q_antiderive(sa, q), ref_q_antiderive(a, q))
+            if a[0][0]:
+                check(sa.invert(), ref_invert(a))
+            ra, rb = ref_reads(a), ref_reads(b)
+            same = (ra["coeffs"], ra["valid"]) == (rb["coeffs"], rb["valid"])
+            assert (sa == sb) == same
+            assert sa == XSeries(*a) and hash(sa) == hash(XSeries(*a))
+            deg = ref_degree(a[0])
+            seen["exact zero"] += deg is None and ra["is_exact"]
+            seen["window zero"] += deg is None and not ra["is_exact"]
+            seen["constant"] += deg == 0
+            seen["low"] += deg is not None and 0 < deg <= n // 4
+        assert all(v > 10 for k, v in seen.items() if k != "low" or n >= 4), (n, seen)
+
+
+def test_orders_never_mix():
+    rng = random.Random(50)
+    mixed = (add, sub, lambda x, y: XSeries.dot([(x, y)]),
+             lambda x, y: XSeries.dot([(x, x), (y, y)]))
+    for n, m in ((0, 1), (1, 8), (8, 16), (16, 8)):
+        for _ in range(30):
+            a, b = random_dense(rng, n), random_dense(rng, m)
+            sa, sb = XSeries(*a), XSeries(*b)
+            for op in mixed:
+                with pytest.raises(TruncationError):
+                    op(sa, sb)
+            if m > n:  # the same coefficients and window at a higher order
+                other = XSeries(a[0] + [F(0)] * (m - n), a[1])
+                assert other.coeffs[:n + 1] == sa.coeffs and other != sa
+    for n in ORDERS:
+        for s in (XSeries.zero(n), XSeries.one(n), XSeries.monomial(3, min(n, 1), n)):
+            for v in (-1, 0):
+                assert s.with_valid(v) != XSeries(list(s.coeffs) + [F(0)], v)
+
+
+@pytest.mark.parametrize("config", [
+    "configs/demo.json", "tests/golden/solvers_n3.config.json"])
+def test_every_series_built_stores_through_its_top(config, monkeypatch):
+    # pins the storage: a change that pads numerators to the order again
+    # fails here, though every value and report stays the same
+    from qakns import suites
+    from qakns.config import load_config
+
+    seen = {"built": 0, "padded": 0}
+    raw = XSeries._raw
+
+    def recording(*args):
+        s = raw(*args)
+        seen["built"] += 1
+        top = s.top
+        if len(s.nums) != top + 1 or top > s.order or top >= 0 and not s.nums[top]:
+            seen["padded"] += 1
+        return s
+
+    monkeypatch.setattr(XSeries, "_raw", staticmethod(recording))
+    suites.run_suite(load_config(ROOT / config))
+    monkeypatch.undo()
+    assert seen["built"] > 1000 and seen["padded"] == 0, seen
 
 
 # -- the zero fast path keeps every validity rule --------------------------

@@ -145,7 +145,8 @@ def test_op_counts_usage_exits_2(argv, capsys):
     ("tests/golden/solvers_n3.config.json", (2980, 10490, 742, 147)),
     ("configs/tau_rational.json", (9934, 137190, 892, 281)),
     ("tests/golden/deep_x.config.json", (2130, 5143, 847, 275)),
-], ids=["demo", "solvers_n3", "tau_rational", "deep_x"])
+    ("configs/hierarchy_x.json", (2153, 5272, 801, 271)),
+], ids=["demo", "solvers_n3", "tau_rational", "deep_x", "hierarchy_x"])
 def test_op_count_totals_do_not_drift(config, totals):
     # the deterministic work of a whole run, in the tool's COLUMNS: a
     # change that moves a total does more or less kernel work, which the

@@ -60,6 +60,32 @@ def test_exact_zero_factor_gives_an_exact_zero(carrier):
             assert window(prod) == (window(hidden)[0], False)
 
 
+def test_xseries_scale_by_zero_is_the_exact_zero():
+    # scaling by 0 is a product with an exact zero: the window goes with it
+    truncated = XSeries.poly([1, 2, 3], N).with_valid(3)
+    assert truncated.scale(0) == XSeries.zero(N)
+    assert XSeries.zero(N).with_valid(3).scale(0).is_zero_exact()
+    assert truncated.scale(2).valid == 3
+
+
+def test_timepoly_scale_by_zero_is_the_exact_zero():
+    _, truncated, *_ = _timepoly()
+    for x_truncated in (truncated, truncated.map_coeffs(lambda c: c.with_valid(3))):
+        assert x_truncated.scale(0).is_zero_exact()
+    assert truncated.scale(2).tvalid == TMAX
+
+
+def test_timepoly_scale_series_by_an_exact_zero_is_the_exact_zero():
+    _, truncated, *_ = _timepoly()
+    zero = XSeries.zero(N)
+    assert (truncated * truncated.zero_like()).is_zero_exact()
+    assert truncated.scale_series(zero).is_zero_exact()
+    # a zero known only through its window keeps the windows
+    hidden = truncated.scale_series(zero.with_valid(3))
+    assert hidden.tvalid == TMAX and not hidden.is_zero_exact()
+    assert {c.valid for c in hidden.terms.values()} == {3}
+
+
 def test_upper_rules_at_the_cap():
     # exact factors: exact unless a pair of terms passes the cap
     assert upper_product(N, N + 1, 3, N + 1, 3) == N + 1
